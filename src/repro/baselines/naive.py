@@ -268,10 +268,9 @@ class NaiveVerifier:
         ):
             if len(filtered_sigs) != len(filtered):
                 raise VOFormatError("filtered digest arity mismatch")
-            attr_values = [
-                self.engine.attribute_value(result.table, col, key, value)
-                for col, value in zip(result.columns, row, strict=False)
-            ]
+            attr_values = self.engine.row_attribute_values(
+                result.table, result.columns, key, row
+            )
             attr_values.extend(self._recover(s) for s in filtered_sigs)
             expected = self._recover(signed_tuple)
             if self.engine.tuple_value(attr_values) != expected:

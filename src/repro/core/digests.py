@@ -37,11 +37,17 @@ from enum import Enum
 from typing import Any, Iterable, Sequence
 
 from repro.crypto.commutative import CommutativeHash, ExponentialCommutativeHash
-from repro.crypto.encoding import digest_input
+from repro.crypto.encoding import encode_value
 from repro.crypto.meter import CostMeter, NULL_METER
 from repro.crypto.signatures import DigestSigner, SignedDigest
 from repro.db.rows import Row
 from repro.exceptions import AuthenticationError
+
+#: Ceiling on cached prefix tuples per engine.  There is one entry per
+#: ``(db, table, column tuple)`` — O(tables x projections) — so a real
+#: deployment stays far below it; it only keeps results that name
+#: ever-new column sets from growing a verifier without bound.
+_PREFIX_CACHE_MAX = 1024
 
 __all__ = [
     "DigestPolicy",
@@ -104,6 +110,9 @@ class DigestEngine:
         if meter is not NULL_METER and self.commutative.meter is NULL_METER:
             self.commutative.meter = meter
         self.policy = policy
+        self._prefixes: dict[
+            tuple[str, str, tuple[str, ...]], tuple[bytes, ...]
+        ] = {}
         if policy is DigestPolicy.FLATTENED and not isinstance(
             self.commutative, ExponentialCommutativeHash
         ):
@@ -115,13 +124,70 @@ class DigestEngine:
     # Formula (1): attribute digests
     # ------------------------------------------------------------------
 
+    def row_attribute_values(
+        self,
+        table: str,
+        columns: Sequence[str],
+        key: Any,
+        values: Sequence[Any],
+    ) -> list[int]:
+        """Unsigned attribute digests ``h(db | table | attr | key | value)``
+        of one row, for ``columns`` and their ``values`` in step.
+
+        This is the one place formula (1)'s input is concatenated
+        (:func:`repro.crypto.encoding.digest_input` is its executable
+        specification): the ``db | table | attr`` prefixes come from a
+        per-``(table, columns)`` cache, the key is encoded once for the
+        row, and the commutative hash digests the row's byte strings
+        with a single meter update.
+
+        Raises:
+            AuthenticationError: If ``values`` and ``columns`` differ in
+                length, or a name is not a ``str``.
+        """
+        prefixes = self._attribute_prefixes(table, tuple(columns))
+        if len(values) != len(prefixes):
+            raise AuthenticationError(
+                f"{len(values)} values for {len(prefixes)} columns"
+            )
+        key_bytes = encode_value(key)
+        return self.commutative.digest_of_many(
+            [
+                prefix + key_bytes + encode_value(value)
+                for prefix, value in zip(prefixes, values, strict=True)
+            ]
+        )
+
+    def _attribute_prefixes(
+        self, table: str, columns: tuple[str, ...]
+    ) -> tuple[bytes, ...]:
+        """``encode(db) + encode(table) + encode(attr)`` per column.
+
+        The cache key is the whole triple the prefixes are a function
+        of.  Names must be exact ``str``: dict keys compare by ``==``,
+        under which ``1``, ``1.0`` and ``True`` are one key with three
+        encodings, and only strings are free of that.
+        """
+        cache_key = (self.db_name, table, columns)
+        prefixes = self._prefixes.get(cache_key)
+        if prefixes is None:
+            if any(type(name) is not str for name in (self.db_name, table, *columns)):
+                raise AuthenticationError(
+                    "database, table and attribute names must be str"
+                )
+            head = encode_value(self.db_name) + encode_value(table)
+            prefixes = tuple(head + encode_value(attr) for attr in columns)
+            if len(self._prefixes) >= _PREFIX_CACHE_MAX:
+                self._prefixes.clear()
+            self._prefixes[cache_key] = prefixes
+        return prefixes
+
     def attribute_value(
         self, table: str, attr: str, key: Any, value: Any
     ) -> int:
         """Unsigned attribute digest
         ``h(db | table | attr | key | value)``."""
-        data = digest_input(self.db_name, table, attr, key, value)
-        return self.commutative.digest_of_bytes(data)
+        return self.row_attribute_values(table, (attr,), key, (value,))[0]
 
     # ------------------------------------------------------------------
     # Formula (2): tuple digests
@@ -137,10 +203,10 @@ class DigestEngine:
 
     def tuple_digests(self, table: str, row: Row) -> TupleDigests:
         """Attribute + tuple digest values for ``row`` (formulas 1-2)."""
-        key = row.key
         attr_values = tuple(
-            self.attribute_value(table, name, key, value)
-            for name, value in zip(row.schema.column_names, row.values, strict=False)
+            self.row_attribute_values(
+                table, row.schema.column_names, row.key, row.values
+            )
         )
         return TupleDigests(
             attribute_values=attr_values,

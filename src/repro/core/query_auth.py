@@ -18,7 +18,7 @@ mid-read; pass a transaction to enable that protocol.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.core.digests import DigestPolicy
 from repro.core.envelope import Envelope, find_envelope
@@ -73,13 +73,8 @@ class QueryAuthenticator:
         txn: Transaction | None = None,
     ) -> AuthenticatedResult:
         """Selection on the primary key: ``low <= key <= high``."""
-        rows = [
-            row
-            for _k, row in self.vbtree.tree.range_items(
-                low=low, high=high
-            )
-        ]
-        return self._build_result(rows, columns, vo_format, txn)
+        items = list(self.vbtree.tree.range_items(low=low, high=high))
+        return self._build_result(items, columns, vo_format, txn)
 
     def select(
         self,
@@ -96,21 +91,18 @@ class QueryAuthenticator:
         """
         key_range = predicate.key_range(self.vbtree.schema.key)
         if key_range is not None and key_range.empty:
-            candidates: list[Row] = []
+            candidates: Iterable[tuple[Any, Row]] = ()
         elif key_range is not None:
-            candidates = [
-                row
-                for _k, row in self.vbtree.tree.range_items(
-                    low=key_range.low,
-                    high=key_range.high,
-                    low_inclusive=key_range.low_inclusive,
-                    high_inclusive=key_range.high_inclusive,
-                )
-            ]
+            candidates = self.vbtree.tree.range_items(
+                low=key_range.low,
+                high=key_range.high,
+                low_inclusive=key_range.low_inclusive,
+                high_inclusive=key_range.high_inclusive,
+            )
         else:
-            candidates = list(self.vbtree.rows())
-        rows = [row for row in candidates if predicate.evaluate(row)]
-        return self._build_result(rows, columns, vo_format, txn)
+            candidates = self.vbtree.tree.items()
+        items = [item for item in candidates if predicate.evaluate(item[1])]
+        return self._build_result(items, columns, vo_format, txn)
 
     # ------------------------------------------------------------------
     # Assembly
@@ -118,17 +110,19 @@ class QueryAuthenticator:
 
     def _build_result(
         self,
-        rows: list[Row],
+        items: list[tuple[Any, Row]],
         columns: Optional[Sequence[str]],
         vo_format: VOFormat | None,
         txn: Transaction | None,
     ) -> AuthenticatedResult:
+        """Assemble the result + VO for ``items``, the selected
+        ``(tree key, row)`` pairs in tree order."""
         fmt = vo_format or self.default_format
         schema = self.vbtree.schema
         all_columns = schema.column_names
         returned = tuple(columns) if columns is not None else all_columns
-        for name in returned:
-            schema.column(name)  # validates projection targets
+        # column_index validates the projection targets.
+        indices = [schema.column_index(name) for name in returned]
 
         if fmt is VOFormat.FLAT_SET and self.vbtree.policy is not DigestPolicy.FLATTENED:
             raise VOFormatError(
@@ -136,25 +130,29 @@ class QueryAuthenticator:
                 "policy; use STRUCTURED (see DESIGN.md, deviation D3)"
             )
 
-        envelope = find_envelope(
-            self.vbtree.tree, [self.vbtree.key_of(row) for row in rows]
-        )
+        tree_keys = [key for key, _row in items]
+        envelope = find_envelope(self.vbtree.tree, tree_keys)
         if txn is not None:
             self._lock_envelope(envelope, txn)
 
         vo = self._vo_from_envelope(envelope, fmt)
-        self._add_projection_entries(vo, rows, returned, all_columns, fmt)
+        self._add_projection_entries(vo, tree_keys, set(indices), fmt)
 
-        projected = [
-            tuple(row[name] for name in returned) for row in rows
-        ]
+        if returned == all_columns:
+            # Nothing projected away: rows are immutable, share them.
+            projected = [row.values for _key, row in items]
+        else:
+            projected = [
+                tuple([row.values[i] for i in indices]) for _key, row in items
+            ]
+        key_index = schema.key_index
         return AuthenticatedResult(
             table=self.vbtree.table_name,
             columns=returned,
             all_columns=all_columns,
             key_column=schema.key,
             rows=projected,
-            keys=[row.key for row in rows],
+            keys=[row.values[key_index] for _key, row in items],
             vo=vo,
         )
 
@@ -197,30 +195,35 @@ class QueryAuthenticator:
     def _add_projection_entries(
         self,
         vo: VerificationObject,
-        rows: list[Row],
-        returned: tuple[str, ...],
-        all_columns: tuple[str, ...],
+        tree_keys: list[Any],
+        returned_indices: set[int],
         fmt: VOFormat,
     ) -> None:
-        returned_set = set(returned)
+        """``D_P``: the signed digest of every attribute projected away,
+        row by row."""
         filtered_indices = [
-            i for i, name in enumerate(all_columns) if name not in returned_set
+            i
+            for i in range(len(self.vbtree.schema.column_names))
+            if i not in returned_indices
         ]
         if not filtered_indices:
             return
-        for row_index, row in enumerate(rows):
-            auth = self.vbtree.tuple_auth(self.vbtree.key_of(row))
+        entries = vo.projection_entries
+        for row_index, tree_key in enumerate(tree_keys):
+            signed_attrs = self.vbtree.tuple_auth(tree_key).signed_attrs
             for attr_index in filtered_indices:
-                signed = auth.signed_attrs[attr_index]
                 if fmt is VOFormat.FLAT_SET:
-                    vo.projection_entries.append(
-                        VOEntry(kind=VOEntryKind.ATTRIBUTE, signed=signed)
-                    )
-                else:
-                    vo.projection_entries.append(
+                    entries.append(
                         VOEntry(
                             kind=VOEntryKind.ATTRIBUTE,
-                            signed=signed,
+                            signed=signed_attrs[attr_index],
+                        )
+                    )
+                else:
+                    entries.append(
+                        VOEntry(
+                            kind=VOEntryKind.ATTRIBUTE,
+                            signed=signed_attrs[attr_index],
                             row_index=row_index,
                             attr_index=attr_index,
                         )

@@ -190,10 +190,7 @@ class SecondaryQueryAuthenticator(QueryAuthenticator):
         tree, so the envelope has no interior gaps."""
         tree_low = None if low is None else (low, MIN_KEY)
         tree_high = None if high is None else (high, MAX_KEY)
-        rows = [
-            row
-            for _k, row in self.vbtree.tree.range_items(
-                low=tree_low, high=tree_high
-            )
-        ]
-        return self._build_result(rows, columns, vo_format, txn)
+        items = list(
+            self.vbtree.tree.range_items(low=tree_low, high=tree_high)
+        )
+        return self._build_result(items, columns, vo_format, txn)

@@ -282,8 +282,9 @@ class VBTree:
                 dirty[cursor.node_id] = cursor
                 cursor = cursor.parent
 
+        freed_ids = {f.node_id for f in trace.freed}
         for node in trace.modified:
-            if node.node_id not in {f.node_id for f in trace.freed}:
+            if node.node_id not in freed_ids:
                 add_with_ancestors(node)
         for node in trace.created:
             add_with_ancestors(node)

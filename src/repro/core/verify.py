@@ -168,11 +168,18 @@ class ResultVerifier:
                 result.rows
             ):
                 raise VOFormatError("missing/misaligned result positions")
+        if type(result.table) is not str or any(
+            type(name) is not str for name in result.all_columns
+        ):
+            raise VOFormatError("table and column names must be strings")
         for name in result.columns:
             if name not in result.all_columns:
                 raise VOFormatError(f"returned column {name!r} not in schema")
         if len(set(result.columns)) != len(result.columns):
             raise VOFormatError("duplicate returned columns")
+        width = len(result.columns)
+        if any(len(row) != width for row in result.rows):
+            raise VOFormatError("result row width differs from column count")
 
     def _attribute_values_for_row(
         self,
@@ -182,11 +189,12 @@ class ResultVerifier:
     ) -> list[int]:
         """Attribute digest values of one result tuple: recomputed for
         returned columns, recovered from ``D_P`` for filtered ones."""
-        key = result.keys[row_index]
-        values = [
-            self.engine.attribute_value(result.table, col, key, val)
-            for col, val in zip(result.columns, result.rows[row_index], strict=False)
-        ]
+        values = self.engine.row_attribute_values(
+            result.table,
+            result.columns,
+            result.keys[row_index],
+            result.rows[row_index],
+        )
         values.extend(projection_by_row.get(row_index, ()))
         expected = len(result.all_columns)
         if len(values) != expected:
@@ -226,16 +234,15 @@ class ResultVerifier:
 
     def _verify_flat(self, result: AuthenticatedResult) -> bool:
         vo = result.vo
-        commutative = self.engine.commutative
-        modulus = commutative.modulus
+        modulus = self.engine.commutative.modulus
+        row_values = self.engine.row_attribute_values
+        table, columns = result.table, result.columns
         product = 1
         # Result tuples: recomputed attribute digests of returned columns.
-        for row_index, row in enumerate(result.rows):
-            key = result.keys[row_index]
-            for col, val in zip(result.columns, row, strict=False):
-                a = self.engine.attribute_value(result.table, col, key, val)
+        for key, row in zip(result.keys, result.rows, strict=True):
+            for a in row_values(table, columns, key, row):
                 product = (product * (a | 1)) % modulus
-                self.meter.count_combine(1)
+        self.meter.count_combine(len(columns) * len(result.rows))
         # D_P: filtered attribute digests (unordered — the flattening
         # makes per-row grouping unnecessary, Lemma 2).
         filtered_count = len(result.all_columns) - len(result.columns)

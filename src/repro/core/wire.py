@@ -22,6 +22,7 @@ exactly the encoding-size difference between the two formats that the
 
 from __future__ import annotations
 
+import struct
 from typing import Any
 
 from repro.core.delta import (
@@ -68,57 +69,103 @@ _POLICY_TAGS = {DigestPolicy.FLATTENED: 0, DigestPolicy.NESTED: 1}
 _POLICY_FROM_TAG = {v: k for k, v in _POLICY_TAGS.items()}
 _KIND_TAGS = {VOEntryKind.NODE: 0, VOEntryKind.TUPLE: 1, VOEntryKind.ATTRIBUTE: 2}
 _KIND_FROM_TAG = {v: k for k, v in _KIND_TAGS.items()}
+_KIND_BYTES = {kind: bytes([tag]) for kind, tag in _KIND_TAGS.items()}
+
+_U32 = struct.Struct(">I")
+_U32_PAIR = struct.Struct(">II")
+#: sig_len | format | policy | envelope_height
+_RESULT_HEADER = struct.Struct(">IBBI")
 
 
 def _encode_path(path: tuple[int, ...]) -> bytes:
-    return encode_uint(len(path)) + b"".join(encode_uint(p) for p in path)
+    return struct.pack(f">{len(path) + 1}I", len(path), *path)
 
 
 def _decode_path(data: bytes, offset: int) -> tuple[tuple[int, ...], int]:
     count, offset = decode_uint(data, offset)
-    path = []
+    end = offset + 4 * count
+    if end > len(data):
+        raise VOFormatError("truncated path")
+    return struct.unpack_from(f">{count}I", data, offset), end
+
+
+def _decode_signed(
+    data: bytes, offset: int, sig_len: int
+) -> tuple[SignedDigest, int]:
+    """One fixed-width signature + 2-byte epoch, bounds-checked."""
+    epoch_at = offset + sig_len
+    end = epoch_at + 2
+    if end > len(data):
+        raise VOFormatError("truncated signed digest")
+    return (
+        SignedDigest(
+            signature=int.from_bytes(data[offset:epoch_at], "big"),
+            epoch=int.from_bytes(data[epoch_at:end], "big"),
+        ),
+        end,
+    )
+
+
+def _encode_entries(
+    parts: list[bytes], entries: list[VOEntry], structured: bool, sig_len: int
+) -> None:
+    """Append ``count | entries`` for one of ``D_S`` / ``D_P``."""
+    parts.append(_U32.pack(len(entries)))
+    for entry in entries:
+        parts.append(_KIND_BYTES[entry.kind])
+        parts.append(entry.signed.to_bytes(sig_len))
+        if not structured:
+            continue
+        if entry.kind is VOEntryKind.ATTRIBUTE:
+            if entry.row_index is None or entry.attr_index is None:
+                raise VOFormatError("structured attribute entry missing tags")
+            parts.append(_U32_PAIR.pack(entry.row_index, entry.attr_index))
+        else:
+            if entry.path is None or entry.slot is None:
+                raise VOFormatError("structured entry missing position tags")
+            parts.append(_encode_path(entry.path))
+            parts.append(_U32.pack(entry.slot))
+
+
+def _decode_entries(
+    data: bytes, offset: int, structured: bool, sig_len: int
+) -> tuple[list[VOEntry], int]:
+    """Parse ``count | entries``; every read is checked against the
+    buffer, so a wrong count or a cut buffer is a ``VOFormatError``."""
+    count, offset = decode_uint(data, offset)
+    size = len(data)
+    # kind tag + signature + epoch, plus at least two uints of tags.
+    min_width = 1 + sig_len + 2 + (8 if structured else 0)
+    if count * min_width > size - offset:
+        raise VOFormatError(f"{count} VO entries cannot fit the remaining bytes")
+    entries = []
     for _ in range(count):
-        p, offset = decode_uint(data, offset)
-        path.append(p)
-    return tuple(path), offset
-
-
-def _encode_entry(entry: VOEntry, fmt: VOFormat, sig_len: int) -> bytes:
-    out = bytes([_KIND_TAGS[entry.kind]]) + entry.signed.to_bytes(sig_len)
-    if fmt is VOFormat.FLAT_SET:
-        return out
-    if entry.kind is VOEntryKind.ATTRIBUTE:
-        if entry.row_index is None or entry.attr_index is None:
-            raise VOFormatError("structured attribute entry missing tags")
-        return out + encode_uint(entry.row_index) + encode_uint(entry.attr_index)
-    if entry.path is None or entry.slot is None:
-        raise VOFormatError("structured entry missing position tags")
-    return out + _encode_path(entry.path) + encode_uint(entry.slot)
-
-
-def _decode_entry(
-    data: bytes, offset: int, fmt: VOFormat, sig_len: int
-) -> tuple[VOEntry, int]:
-    kind = _KIND_FROM_TAG.get(data[offset])
-    if kind is None:
-        raise VOFormatError(f"unknown VO entry kind tag {data[offset]}")
-    offset += 1
-    signed = SignedDigest.from_bytes(data[offset : offset + sig_len + 2], sig_len)
-    offset += sig_len + 2
-    if fmt is VOFormat.FLAT_SET:
-        return VOEntry(kind=kind, signed=signed), offset
-    if kind is VOEntryKind.ATTRIBUTE:
-        row_index, offset = decode_uint(data, offset)
-        attr_index, offset = decode_uint(data, offset)
-        return (
-            VOEntry(
-                kind=kind, signed=signed, row_index=row_index, attr_index=attr_index
-            ),
-            offset,
-        )
-    path, offset = _decode_path(data, offset)
-    slot, offset = decode_uint(data, offset)
-    return VOEntry(kind=kind, signed=signed, path=path, slot=slot), offset
+        if offset >= size:
+            raise VOFormatError("truncated VO entry")
+        kind = _KIND_FROM_TAG.get(data[offset])
+        if kind is None:
+            raise VOFormatError(f"unknown VO entry kind tag {data[offset]}")
+        signed, offset = _decode_signed(data, offset + 1, sig_len)
+        if not structured:
+            entries.append(VOEntry(kind=kind, signed=signed))
+        elif kind is VOEntryKind.ATTRIBUTE:
+            if offset + 8 > size:
+                raise VOFormatError("truncated VO entry tags")
+            row_index, attr_index = _U32_PAIR.unpack_from(data, offset)
+            offset += 8
+            entries.append(
+                VOEntry(
+                    kind=kind,
+                    signed=signed,
+                    row_index=row_index,
+                    attr_index=attr_index,
+                )
+            )
+        else:
+            path, offset = _decode_path(data, offset)
+            slot, offset = decode_uint(data, offset)
+            entries.append(VOEntry(kind=kind, signed=signed, path=path, slot=slot))
+    return entries, offset
 
 
 def result_to_bytes(result: AuthenticatedResult, sig_len: int) -> bytes:
@@ -129,71 +176,78 @@ def result_to_bytes(result: AuthenticatedResult, sig_len: int) -> bytes:
         sig_len: Raw signature width in bytes (modulus size).
     """
     vo = result.vo
-    parts = [
-        encode_uint(sig_len),
-        bytes([_FORMAT_TAGS[vo.format]]),
-        bytes([_POLICY_TAGS[vo.policy]]),
-        encode_uint(vo.envelope_height),
-        encode_value(result.table),
-        encode_value(result.key_column),
-        encode_values(result.columns),
-        encode_values(result.all_columns),
-        encode_uint(len(result.rows)),
-    ]
-    for row in result.rows:
-        parts.append(encode_values(row))
-    parts.append(encode_values(result.keys))
-    parts.append(vo.top_signed.to_bytes(sig_len))
-    parts.append(encode_uint(len(vo.selection_entries)))
-    for entry in vo.selection_entries:
-        parts.append(_encode_entry(entry, vo.format, sig_len))
-    parts.append(encode_uint(len(vo.projection_entries)))
-    for entry in vo.projection_entries:
-        parts.append(_encode_entry(entry, vo.format, sig_len))
-    if vo.format is VOFormat.STRUCTURED:
-        positions = vo.result_positions or []
-        parts.append(encode_uint(len(positions)))
-        for path, slot in positions:
-            parts.append(_encode_path(tuple(path)) + encode_uint(slot))
+    structured = vo.format is VOFormat.STRUCTURED
+    try:
+        parts = [
+            _RESULT_HEADER.pack(
+                sig_len,
+                _FORMAT_TAGS[vo.format],
+                _POLICY_TAGS[vo.policy],
+                vo.envelope_height,
+            ),
+            encode_value(result.table),
+            encode_value(result.key_column),
+            encode_values(result.columns),
+            encode_values(result.all_columns),
+            _U32.pack(len(result.rows)),
+        ]
+        for row in result.rows:
+            parts.append(_U32.pack(len(row)))
+            parts.extend(map(encode_value, row))
+        parts.append(encode_values(result.keys))
+        parts.append(vo.top_signed.to_bytes(sig_len))
+        _encode_entries(parts, vo.selection_entries, structured, sig_len)
+        _encode_entries(parts, vo.projection_entries, structured, sig_len)
+        if structured:
+            positions = vo.result_positions or []
+            parts.append(_U32.pack(len(positions)))
+            for path, slot in positions:
+                parts.append(_encode_path(tuple(path)))
+                parts.append(_U32.pack(slot))
+    except struct.error as exc:
+        raise EncodingError(f"uint out of range: {exc}") from None
     return b"".join(parts)
 
 
 def result_from_bytes(data: bytes) -> AuthenticatedResult:
-    """Parse the serialization produced by :func:`result_to_bytes`."""
-    sig_len, offset = decode_uint(data, 0)
-    fmt = _FORMAT_FROM_TAG.get(data[offset])
-    policy = _POLICY_FROM_TAG.get(data[offset + 1])
+    """Parse the serialization produced by :func:`result_to_bytes`.
+
+    Raises:
+        VOFormatError, EncodingError: On any malformed, truncated or
+            over-long buffer — never ``IndexError``: no read goes past
+            the end of ``data``.
+    """
+    if len(data) < _RESULT_HEADER.size:
+        raise VOFormatError("truncated result header")
+    sig_len, fmt_tag, policy_tag, envelope_height = _RESULT_HEADER.unpack_from(data)
+    fmt = _FORMAT_FROM_TAG.get(fmt_tag)
+    policy = _POLICY_FROM_TAG.get(policy_tag)
     if fmt is None or policy is None:
         raise VOFormatError("unknown format/policy tags")
-    offset += 2
-    envelope_height, offset = decode_uint(data, offset)
+    structured = fmt is VOFormat.STRUCTURED
+    offset = _RESULT_HEADER.size
     table, offset = decode_value(data, offset)
     key_column, offset = decode_value(data, offset)
     columns, offset = decode_values(data, offset)
     all_columns, offset = decode_values(data, offset)
     row_count, offset = decode_uint(data, offset)
+    if row_count * 4 > len(data) - offset:
+        raise VOFormatError(f"{row_count} rows cannot fit the remaining bytes")
     rows = []
     for _ in range(row_count):
         values, offset = decode_values(data, offset)
         rows.append(tuple(values))
     keys, offset = decode_values(data, offset)
-    top_signed = SignedDigest.from_bytes(
-        data[offset : offset + sig_len + 2], sig_len
-    )
-    offset += sig_len + 2
-    ds_count, offset = decode_uint(data, offset)
-    selection = []
-    for _ in range(ds_count):
-        entry, offset = _decode_entry(data, offset, fmt, sig_len)
-        selection.append(entry)
-    dp_count, offset = decode_uint(data, offset)
-    projection = []
-    for _ in range(dp_count):
-        entry, offset = _decode_entry(data, offset, fmt, sig_len)
-        projection.append(entry)
+    top_signed, offset = _decode_signed(data, offset, sig_len)
+    selection, offset = _decode_entries(data, offset, structured, sig_len)
+    projection, offset = _decode_entries(data, offset, structured, sig_len)
     positions = None
-    if fmt is VOFormat.STRUCTURED:
+    if structured:
         pos_count, offset = decode_uint(data, offset)
+        if pos_count * 8 > len(data) - offset:
+            raise VOFormatError(
+                f"{pos_count} positions cannot fit the remaining bytes"
+            )
         positions = []
         for _ in range(pos_count):
             path, offset = _decode_path(data, offset)

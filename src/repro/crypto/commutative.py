@@ -27,6 +27,8 @@ alternatives with the same interface (see DESIGN.md, deviation D2):
 All combinators expose the same algebra:
 
 * ``digest_of_bytes(data)`` — base digest of raw bytes (an ``int``);
+* ``digest_of_many(chunks)`` — the same for several byte strings, metered
+  once (what the read-path digest kernel calls, one row at a time);
 * ``combine(values)``       — fold a set of digests into one digest;
 * ``fold(acc, value)``      — incremental insert of one more digest.
 
@@ -35,7 +37,7 @@ with the invariant ``fold(combine(S), x) == combine(S ∪ {x})``.
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol
+from typing import Iterable, Protocol, Sequence
 
 from repro.constants import (
     COMMUTATIVE_HASH_BITS,
@@ -88,6 +90,11 @@ class CommutativeHash(Protocol):
 
     def digest_of_bytes(self, data: bytes) -> int:
         """Base digest of raw bytes, suitable as input to :meth:`combine`."""
+        ...
+
+    def digest_of_many(self, chunks: Sequence[bytes]) -> list[int]:
+        """:meth:`digest_of_bytes` of every chunk, in order, with the
+        meter updated once by the same totals."""
         ...
 
     def combine(self, values: Iterable[int]) -> int:
@@ -153,9 +160,14 @@ class ExponentialCommutativeHash:
 
     def digest_of_bytes(self, data: bytes) -> int:
         """Hash ``data`` into an odd integer in ``[1, 2^bits)``."""
-        self.meter.count_hash(len(data))
-        raw = self._base_hash.digest_int(data)
-        return (raw & self._mask) | 1
+        return self.digest_of_many((data,))[0]
+
+    def digest_of_many(self, chunks: Sequence[bytes]) -> list[int]:
+        """:meth:`digest_of_bytes` of every chunk; one meter update."""
+        digest_int = self._base_hash.digest_int
+        mask = self._mask
+        self.meter.count_hash(sum(map(len, chunks)), len(chunks))
+        return [(digest_int(chunk) & mask) | 1 for chunk in chunks]
 
     def combine(self, values: Iterable[int]) -> int:
         """``g`` raised to the product of ``values`` (odd-forced), mod 2^bits."""
@@ -213,9 +225,14 @@ class MultiplicativeSetHash:
 
     def digest_of_bytes(self, data: bytes) -> int:
         """Hash ``data`` into ``[1, p)`` (never 0 mod p)."""
-        self.meter.count_hash(len(data))
-        raw = self._base_hash.digest_int(data)
-        return raw % (self.modulus - 1) + 1
+        return self.digest_of_many((data,))[0]
+
+    def digest_of_many(self, chunks: Sequence[bytes]) -> list[int]:
+        """:meth:`digest_of_bytes` of every chunk; one meter update."""
+        digest_int = self._base_hash.digest_int
+        order = self.modulus - 1
+        self.meter.count_hash(sum(map(len, chunks)), len(chunks))
+        return [digest_int(chunk) % order + 1 for chunk in chunks]
 
     def combine(self, values: Iterable[int]) -> int:
         """Product of re-randomized digests mod ``p``."""
@@ -274,8 +291,14 @@ class AdditiveSetHash:
 
     def digest_of_bytes(self, data: bytes) -> int:
         """Hash ``data`` into ``[1, 2^bits)``."""
-        self.meter.count_hash(len(data))
-        return (self._base_hash.digest_int(data) & self._mask) | 1
+        return self.digest_of_many((data,))[0]
+
+    def digest_of_many(self, chunks: Sequence[bytes]) -> list[int]:
+        """:meth:`digest_of_bytes` of every chunk; one meter update."""
+        digest_int = self._base_hash.digest_int
+        mask = self._mask
+        self.meter.count_hash(sum(map(len, chunks)), len(chunks))
+        return [(digest_int(chunk) & mask) | 1 for chunk in chunks]
 
     def combine(self, values: Iterable[int]) -> int:
         """Sum of re-randomized digests mod ``2^bits``."""

@@ -37,19 +37,38 @@ _TAG_FLOAT = b"D"
 _TAG_STR = b"S"
 _TAG_BYTES = b"B"
 
+# The same tags as the ints that unpacking a buffer yields.
+_NONE_TAG, _TRUE_TAG, _FALSE_TAG, _INT_TAG, _FLOAT_TAG, _STR_TAG, _BYTES_TAG = (
+    tag[0]
+    for tag in (
+        _TAG_NONE, _TAG_TRUE, _TAG_FALSE, _TAG_INT, _TAG_FLOAT, _TAG_STR, _TAG_BYTES
+    )
+)
+
+_U32 = struct.Struct(">I")
+_pack_u32 = _U32.pack
+_TAG_LEN = struct.Struct(">BI")
+_F64 = struct.Struct(">d")
+
+# Whole encodings of the payload-free values.
+_NONE = _TAG_NONE + _pack_u32(0)
+_TRUE = _TAG_TRUE + _pack_u32(0)
+_FALSE = _TAG_FALSE + _pack_u32(0)
+_FLOAT_HEADER = _TAG_FLOAT + _pack_u32(8)
+
 
 def encode_uint(value: int) -> bytes:
     """Encode a non-negative int as a 4-byte big-endian length/count field."""
     if value < 0 or value > 0xFFFFFFFF:
         raise EncodingError(f"uint out of range: {value}")
-    return struct.pack(">I", value)
+    return _pack_u32(value)
 
 
 def decode_uint(data: bytes, offset: int = 0) -> tuple[int, int]:
     """Decode a 4-byte big-endian uint; return ``(value, new_offset)``."""
     if offset + 4 > len(data):
         raise EncodingError("truncated uint field")
-    return struct.unpack_from(">I", data, offset)[0], offset + 4
+    return _U32.unpack_from(data, offset)[0], offset + 4
 
 
 def encode_value(value: Any) -> bytes:
@@ -57,33 +76,72 @@ def encode_value(value: Any) -> bytes:
 
     The encoding is injective across all supported types: the type tag
     separates namespaces and the length prefix removes concatenation
-    ambiguity.
+    ambiguity.  Exact types are dispatched first (the digest kernel and
+    the result codec call this once per attribute); subclasses take the
+    ``isinstance`` route to the same bytes.
 
     Raises:
         EncodingError: For unsupported types (including ``int``-like
-            ``bool`` confusion — ``bool`` is tagged separately).
+            ``bool`` confusion — ``bool`` is tagged separately), and for
+            payloads whose length does not fit the 4-byte field.
     """
+    cls = type(value)
+    try:
+        if cls is str:
+            payload = value.encode("utf-8")
+            return _TAG_STR + _pack_u32(len(payload)) + payload
+        if cls is int:
+            payload = value.to_bytes(
+                (value.bit_length() + 8) // 8 or 1, "big", signed=True
+            )
+            return _TAG_INT + _pack_u32(len(payload)) + payload
+        if cls is bytes:
+            return _TAG_BYTES + _pack_u32(len(value)) + value
+    except struct.error:
+        raise EncodingError("payload too long for a 4-byte length") from None
+    if cls is float:
+        return _FLOAT_HEADER + _F64.pack(value)
     if value is None:
-        return _TAG_NONE + encode_uint(0)
+        return _NONE
     if value is True:
-        return _TAG_TRUE + encode_uint(0)
+        return _TRUE
     if value is False:
-        return _TAG_FALSE + encode_uint(0)
+        return _FALSE
     if isinstance(value, int):
-        payload = value.to_bytes(
-            (value.bit_length() + 8) // 8 or 1, "big", signed=True
-        )
-        return _TAG_INT + encode_uint(len(payload)) + payload
+        return encode_value(int(value))
     if isinstance(value, float):
-        payload = struct.pack(">d", value)
-        return _TAG_FLOAT + encode_uint(len(payload)) + payload
+        return encode_value(float(value))
     if isinstance(value, str):
-        payload = value.encode("utf-8")
-        return _TAG_STR + encode_uint(len(payload)) + payload
+        return encode_value(str(value))
     if isinstance(value, (bytes, bytearray, memoryview)):
-        payload = bytes(value)
-        return _TAG_BYTES + encode_uint(len(payload)) + payload
+        return encode_value(bytes(value))
     raise EncodingError(f"cannot encode value of type {type(value).__name__}")
+
+
+def _decode_payload(tag: int, payload: bytes) -> Any:
+    """Value of one ``tag | length | payload`` field; ``payload`` is
+    already known to be whole."""
+    if tag == _STR_TAG:
+        try:
+            return payload.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise EncodingError(f"bad utf-8 payload: {exc}") from exc
+    if tag == _INT_TAG:
+        return int.from_bytes(payload, "big", signed=True)
+    if tag == _BYTES_TAG:
+        return payload
+    if tag == _NONE_TAG:
+        return None
+    if tag == _TRUE_TAG:
+        return True
+    if tag == _FALSE_TAG:
+        return False
+    if tag == _FLOAT_TAG:
+        try:
+            return _F64.unpack(payload)[0]
+        except struct.error as exc:
+            raise EncodingError(f"bad float payload: {exc}") from exc
+    raise EncodingError(f"unknown type tag {bytes([tag])!r}")
 
 
 def decode_value(data: bytes, offset: int = 0) -> tuple[Any, int]:
@@ -95,35 +153,14 @@ def decode_value(data: bytes, offset: int = 0) -> tuple[Any, int]:
     Raises:
         EncodingError: On truncation or unknown tags.
     """
-    if offset >= len(data):
-        raise EncodingError("truncated value: missing tag")
-    tag = data[offset : offset + 1]
-    length, cursor = decode_uint(data, offset + 1)
-    payload = data[cursor : cursor + length]
-    if len(payload) != length:
+    if offset + 5 > len(data):
+        raise EncodingError("truncated value: missing tag or length")
+    tag, length = _TAG_LEN.unpack_from(data, offset)
+    start = offset + 5
+    end = start + length
+    if end > len(data):
         raise EncodingError("truncated value payload")
-    cursor += length
-    if tag == _TAG_NONE:
-        return None, cursor
-    if tag == _TAG_TRUE:
-        return True, cursor
-    if tag == _TAG_FALSE:
-        return False, cursor
-    if tag == _TAG_INT:
-        return int.from_bytes(payload, "big", signed=True), cursor
-    if tag == _TAG_FLOAT:
-        try:
-            return struct.unpack(">d", payload)[0], cursor
-        except struct.error as exc:
-            raise EncodingError(f"bad float payload: {exc}") from exc
-    if tag == _TAG_STR:
-        try:
-            return payload.decode("utf-8"), cursor
-        except UnicodeDecodeError as exc:
-            raise EncodingError(f"bad utf-8 payload: {exc}") from exc
-    if tag == _TAG_BYTES:
-        return payload, cursor
-    raise EncodingError(f"unknown type tag {tag!r}")
+    return _decode_payload(tag, data[start:end]), end
 
 
 def encode_values(values: Iterable[Any]) -> bytes:
@@ -134,11 +171,25 @@ def encode_values(values: Iterable[Any]) -> bytes:
 
 def decode_values(data: bytes, offset: int = 0) -> tuple[list[Any], int]:
     """Decode a sequence written by :func:`encode_values`."""
+    # decode_value's body, repeated in the loop: a call per value costs
+    # a quarter more, and result rows are decoded a value at a time.
     count, cursor = decode_uint(data, offset)
+    size = len(data)
+    if count * 5 > size - cursor:
+        raise EncodingError(f"{count} values cannot fit the remaining bytes")
+    unpack = _TAG_LEN.unpack_from
     out: list[Any] = []
-    for _ in range(count):
-        value, cursor = decode_value(data, cursor)
-        out.append(value)
+    append = out.append
+    try:
+        for _ in range(count):
+            tag, length = unpack(data, cursor)
+            start = cursor + 5
+            cursor = start + length
+            if cursor > size:
+                raise EncodingError("truncated value payload")
+            append(_decode_payload(tag, data[start:cursor]))
+    except struct.error:  # fewer than 5 bytes left for tag + length
+        raise EncodingError("truncated value: missing tag or length") from None
     return out, cursor
 
 
@@ -154,6 +205,12 @@ def digest_input(
     ``h( db | table | attr | key | value )`` with every component
     length-prefixed so the mapping from the 5-tuple to bytes is
     injective.
+
+    This is the executable specification of the digest input.  The
+    live path builds the same bytes a row at a time in
+    :meth:`repro.core.digests.DigestEngine.row_attribute_values`
+    (cached prefixes, key encoded once) and is tested against this
+    function.
     """
     return (
         encode_value(db_name)

@@ -54,12 +54,10 @@ class _HashlibHash:
         self.digest_len = factory().digest_size
 
     def digest_bytes(self, data: bytes) -> bytes:
-        h = self._factory()
-        h.update(data)
-        return h.digest()
+        return self._factory(data).digest()
 
     def digest_int(self, data: bytes) -> int:
-        return int.from_bytes(self.digest_bytes(data), "big")
+        return int.from_bytes(self._factory(data).digest(), "big")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -66,10 +66,11 @@ class CostMeter:
     bytes_sent: int = 0
     _enabled: bool = field(default=True, repr=False)
 
-    def count_hash(self, nbytes: int = 0) -> None:
-        """Record one base-hash invocation over ``nbytes`` of input."""
+    def count_hash(self, nbytes: int = 0, n: int = 1) -> None:
+        """Record ``n`` base-hash invocations over ``nbytes`` of input
+        in total."""
         if self._enabled:
-            self.hashes += 1
+            self.hashes += n
             self.bytes_hashed += nbytes
 
     def count_combine(self, n: int = 1) -> None:

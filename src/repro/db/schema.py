@@ -37,11 +37,22 @@ class TableSchema:
         name: Table name.
         columns: Ordered column definitions.
         key: Name of the primary-key column (the VB-tree search key).
+        column_names: Column names in declaration order.
+        key_index: Position of the key column.
+
+    ``column_names``, ``key_index`` and the name → position map behind
+    :meth:`column_index` are derived once, at construction (the class
+    is frozen): every ``Row.key`` and ``row[name]`` reads them.  They
+    stay out of equality, hash and repr, which are those of
+    ``(name, columns, key)``.
     """
 
     name: str
     columns: tuple[Column, ...]
     key: str
+    column_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    key_index: int = field(init=False, repr=False, compare=False)
+    _index_of: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, name: str, columns: Sequence[Column], key: str) -> None:
         _check_identifier(name, "table")
@@ -53,7 +64,8 @@ class TableSchema:
             raise SchemaError(f"duplicate column names in {name!r}")
         if key not in names:
             raise SchemaError(f"key column {key!r} not in table {name!r}")
-        key_col = cols[names.index(key)]
+        key_index = names.index(key)
+        key_col = cols[key_index]
         if not key_col.type.orderable:
             raise SchemaError(
                 f"key column {key!r} has non-orderable type {key_col.type}"
@@ -61,21 +73,16 @@ class TableSchema:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "key", key)
-
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        """Column names in declaration order."""
-        return tuple(c.name for c in self.columns)
+        object.__setattr__(self, "column_names", tuple(names))
+        object.__setattr__(self, "key_index", key_index)
+        object.__setattr__(
+            self, "_index_of", {n: i for i, n in enumerate(names)}
+        )
 
     @property
     def num_columns(self) -> int:
         """``N_c`` in the paper's notation."""
         return len(self.columns)
-
-    @property
-    def key_index(self) -> int:
-        """Position of the key column."""
-        return self.column_names.index(self.key)
 
     @property
     def key_type(self) -> ColumnType:
@@ -88,10 +95,7 @@ class TableSchema:
         Raises:
             SchemaError: If the column does not exist.
         """
-        for col in self.columns:
-            if col.name == name:
-                return col
-        raise SchemaError(f"no column {name!r} in table {self.name!r}")
+        return self.columns[self.column_index(name)]
 
     def column_index(self, name: str) -> int:
         """Position of column ``name``.
@@ -100,8 +104,8 @@ class TableSchema:
             SchemaError: If the column does not exist.
         """
         try:
-            return self.column_names.index(name)
-        except ValueError:
+            return self._index_of[name]
+        except (KeyError, TypeError):
             raise SchemaError(
                 f"no column {name!r} in table {self.name!r}"
             ) from None

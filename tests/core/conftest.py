@@ -71,3 +71,35 @@ def authenticator(vbtree):
 def verifier(keypair, policy):
     engine = DigestEngine(DB_NAME, policy=policy)
     return ResultVerifier(engine, public_key=keypair.public)
+
+
+@pytest.fixture(scope="session")
+def golden_results(schema, keypair):
+    """Seeded results whose wire bytes and verification cost are pinned
+    (tests/core/test_wire_golden.py, tests/core/test_digest_kernel.py):
+    ``name -> (digest policy, AuthenticatedResult)``."""
+    from repro.core.vo import VOFormat
+
+    flat = QueryAuthenticator(build_tree(schema, keypair, DigestPolicy.FLATTENED))
+    nested = QueryAuthenticator(build_tree(schema, keypair, DigestPolicy.NESTED))
+    return {
+        "full_row": (DigestPolicy.FLATTENED, flat.range_query(low=10, high=90)),
+        "projected": (
+            DigestPolicy.FLATTENED,
+            flat.range_query(low=10, high=60, columns=("id", "name")),
+        ),
+        "empty": (DigestPolicy.FLATTENED, flat.range_query(low=21, high=21)),
+        "structured": (
+            DigestPolicy.FLATTENED,
+            flat.range_query(
+                low=10,
+                high=90,
+                columns=("id", "price"),
+                vo_format=VOFormat.STRUCTURED,
+            ),
+        ),
+        "nested": (
+            DigestPolicy.NESTED,
+            nested.range_query(low=10, high=90, columns=("name", "stock")),
+        ),
+    }

@@ -1,0 +1,242 @@
+"""The row-at-a-time digest kernel against its executable spec.
+
+``DigestEngine.row_attribute_values`` is the only place formula (1)'s
+input is concatenated on the live path; ``digest_input`` +
+``digest_of_bytes`` is what it must equal, byte for byte and count for
+count.  The pinned ``CostMeter`` totals at the bottom were read off the
+per-attribute loop the kernel replaced."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.baselines.naive import NaiveStore, NaiveVerifier
+from repro.core.digests import DigestEngine, DigestPolicy, SigningDigestEngine
+from repro.core.secondary import SecondaryQueryAuthenticator, SecondaryVBTree
+from repro.core.verify import ResultVerifier
+from repro.core.wire import result_from_bytes, result_to_bytes
+from repro.crypto.commutative import get_commutative_hash
+from repro.crypto.encoding import digest_input
+from repro.crypto.meter import CostMeter
+from repro.crypto.signatures import DigestSigner
+from repro.db.rows import Row
+from repro.exceptions import AuthenticationError, EncodingError
+
+from tests.core.conftest import DB_NAME, make_rows
+
+#: (commutative hash, digest policy) — FLATTENED needs the exponent ring.
+ENGINES = [
+    ("exp2k", DigestPolicy.FLATTENED),
+    ("exp2k", DigestPolicy.NESTED),
+    ("mult-prime", DigestPolicy.NESTED),
+    ("add2k", DigestPolicy.NESTED),
+]
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.floats(allow_nan=False),
+    st.text(max_size=40),
+    st.binary(max_size=40),
+)
+names = st.text(min_size=1, max_size=12)
+
+
+class _Recording:
+    """A commutative hash that remembers the bytes it was asked to hash."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.chunks: list[bytes] = []
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def digest_of_many(self, chunks):
+        self.chunks.extend(chunks)
+        return self._inner.digest_of_many(chunks)
+
+
+def make_engine(hash_name, policy):
+    meter = CostMeter()
+    recording = _Recording(get_commutative_hash(hash_name, meter=meter))
+    if policy is DigestPolicy.FLATTENED:
+        # The FLATTENED guard wants the real class; record around it.
+        engine = DigestEngine(DB_NAME, recording._inner, policy, meter=meter)
+        engine.commutative = recording
+    else:
+        engine = DigestEngine(DB_NAME, recording, policy, meter=meter)
+    return engine, recording, meter
+
+
+@pytest.mark.parametrize("hash_name,policy", ENGINES)
+class TestKernelEqualsSpec:
+    @given(
+        table=names,
+        key=scalars,
+        row=st.lists(st.tuples(names, scalars), min_size=1, max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_values_and_counts(self, hash_name, policy, table, key, row):
+        engine, recording, meter = make_engine(hash_name, policy)
+        columns = tuple(name for name, _value in row)
+        values = tuple(value for _name, value in row)
+
+        got = engine.row_attribute_values(table, columns, key, values)
+
+        spec_bytes = [
+            digest_input(DB_NAME, table, col, key, val)
+            for col, val in zip(columns, values, strict=True)
+        ]
+        assert recording.chunks == spec_bytes
+        reference = get_commutative_hash(hash_name)
+        assert got == [reference.digest_of_bytes(b) for b in spec_bytes]
+        assert meter.hashes == len(row)
+        assert meter.bytes_hashed == sum(map(len, spec_bytes))
+        assert meter.combines == 0
+        # A second call is served from the prefix cache: same answer.
+        assert engine.row_attribute_values(table, columns, key, values) == got
+
+    def test_attribute_value_and_tuple_digests_share_the_kernel(
+        self, hash_name, policy, schema
+    ):
+        engine, recording, _meter = make_engine(hash_name, policy)
+        row = Row(schema, (7, "item-7", 49, 21))
+        digests = engine.tuple_digests("items", row)
+        singles = [
+            engine.attribute_value("items", name, 7, value)
+            for name, value in zip(schema.column_names, row.values, strict=True)
+        ]
+        assert list(digests.attribute_values) == singles
+        assert digests.tuple_value == engine.tuple_value(singles)
+        spec = [
+            digest_input(DB_NAME, "items", name, 7, value)
+            for name, value in zip(schema.column_names, row.values, strict=True)
+        ]
+        assert recording.chunks == spec + spec
+
+
+class TestKernelEdges:
+    def test_composite_key_is_rejected_like_the_spec(self):
+        engine = DigestEngine(DB_NAME)
+        with pytest.raises(EncodingError):
+            digest_input(DB_NAME, "t", "a", (1, 2), "x")
+        with pytest.raises(EncodingError):
+            engine.row_attribute_values("t", ("a",), (1, 2), ("x",))
+
+    def test_secondary_tree_hashes_the_primary_key(self, schema, keypair):
+        """A secondary VB-tree's search key is the composite
+        ``(attribute, primary key)``; formula (1) still hashes the
+        primary key, so its results verify through the same kernel."""
+        signing = SigningDigestEngine(
+            DigestEngine(DB_NAME), DigestSigner.from_keypair(keypair)
+        )
+        tree = SecondaryVBTree.build_on(
+            schema, "price", make_rows(schema, n=40), signing, fanout_override=5
+        )
+        result = SecondaryQueryAuthenticator(tree).range_query(low=20, high=60)
+        assert result.rows
+        verifier = ResultVerifier(DigestEngine(DB_NAME), public_key=keypair.public)
+        assert verifier.verify(result).ok
+        engine = DigestEngine(DB_NAME)
+        reference = engine.commutative
+        for key, row in zip(result.keys, result.rows, strict=True):
+            assert engine.row_attribute_values(
+                result.table, result.columns, key, row
+            ) == [
+                reference.digest_of_bytes(
+                    digest_input(DB_NAME, result.table, col, key, val)
+                )
+                for col, val in zip(result.columns, row, strict=True)
+            ]
+
+    def test_width_mismatch_raises(self):
+        engine = DigestEngine(DB_NAME)
+        with pytest.raises(AuthenticationError):
+            engine.row_attribute_values("t", ("a", "b"), 1, ("x",))
+        with pytest.raises(AuthenticationError):
+            engine.row_attribute_values("t", ("a",), 1, ("x", "y"))
+
+    def test_equal_but_differently_encoded_names_cannot_alias(self):
+        """``1 == 1.0 == True`` as dict keys, three encodings on the
+        wire: the prefix cache only ever holds exact strings."""
+        engine = DigestEngine(DB_NAME)
+        for bad in (1, 1.0, True, b"t", None):
+            with pytest.raises(AuthenticationError):
+                engine.row_attribute_values(bad, ("a",), 1, ("x",))
+            with pytest.raises(AuthenticationError):
+                engine.row_attribute_values("t", (bad,), 1, ("x",))
+        assert not engine._prefixes
+
+    def test_prefix_cache_is_bounded(self):
+        from repro.core import digests
+
+        engine = DigestEngine(DB_NAME)
+        for i in range(digests._PREFIX_CACHE_MAX + 10):
+            engine.row_attribute_values("t", (f"c{i}",), 1, ("x",))
+        assert len(engine._prefixes) <= digests._PREFIX_CACHE_MAX
+        assert engine.attribute_value("t", "c0", 1, "x") == DigestEngine(
+            DB_NAME
+        ).attribute_value("t", "c0", 1, "x")
+
+
+#: name -> (hashes, bytes_hashed, combines, verifies) after verifying the
+#: parsed wire form of ``golden_results[name]`` with a fresh meter.
+PINNED_COST = {
+    "full_row": (164, 7134, 173, 9),
+    "projected": (52, 2288, 114, 62),
+    "empty": (0, 0, 4, 4),
+    "structured": (82, 3403, 237, 91),
+    "nested": (82, 3731, 236, 91),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_COST))
+def test_cost_meter_parity(golden_results, keypair, name):
+    policy, result = golden_results[name]
+    parsed = result_from_bytes(
+        result_to_bytes(result, keypair.public.signature_len)
+    )
+    meter = CostMeter()
+    verifier = ResultVerifier(
+        DigestEngine(DB_NAME, policy=policy, meter=meter),
+        public_key=keypair.public,
+        meter=meter,
+    )
+    verdict = verifier.verify(parsed)
+    assert verdict.ok
+    assert (
+        meter.hashes,
+        meter.bytes_hashed,
+        meter.combines,
+        meter.verifies,
+    ) == PINNED_COST[name]
+    assert verdict.digests_decrypted == meter.verifies
+    assert meter.signs == 0
+
+
+@pytest.mark.parametrize("policy", list(DigestPolicy))
+@pytest.mark.parametrize(
+    "columns,pinned",
+    [(None, (80, 3480, 80, 20)), (("id", "price"), (40, 1660, 80, 60))],
+)
+def test_naive_verifier_cost_parity(schema, keypair, policy, columns, pinned):
+    rows = make_rows(schema, n=40)
+    signing = SigningDigestEngine(
+        DigestEngine(DB_NAME, policy=policy), DigestSigner.from_keypair(keypair)
+    )
+    store = NaiveStore.build(schema, rows, signing)
+    meter = CostMeter()
+    verifier = NaiveVerifier(
+        DigestEngine(DB_NAME, policy=policy, meter=meter),
+        public_key=keypair.public,
+        meter=meter,
+    )
+    assert verifier.verify(store.build_result(rows[5:25], columns))
+    assert (
+        meter.hashes,
+        meter.bytes_hashed,
+        meter.combines,
+        meter.verifies,
+    ) == pinned

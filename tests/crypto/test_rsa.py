@@ -67,6 +67,27 @@ class TestRawOperations:
         value = 987654321
         assert priv.apply(value) == pow(value, priv.d, priv.n)
 
+    def test_precomputed_crt_constants_on_seeded_vectors(self, keypair):
+        import random
+
+        priv = keypair.private
+        assert priv.dp == priv.d % (priv.p - 1)
+        assert priv.dq == priv.d % (priv.q - 1)
+        assert (priv.q_inv * priv.q) % priv.p == 1
+        rng = random.Random(20040330)
+        vectors = [0, 1, priv.p, priv.q, priv.n - 1]
+        vectors += [rng.randrange(priv.n) for _ in range(64)]
+        for value in vectors:
+            assert priv.apply(value) == pow(value, priv.d, priv.n)
+
+    def test_crt_constants_stay_out_of_eq_and_repr(self, keypair):
+        from repro.crypto.rsa import RSAPrivateKey
+
+        priv = keypair.private
+        twin = RSAPrivateKey(n=priv.n, e=priv.e, d=priv.d, p=priv.p, q=priv.q)
+        assert twin == priv and hash(twin) == hash(priv)
+        assert "dp=" not in repr(priv) and "q_inv=" not in repr(priv)
+
     def test_wrong_key_does_not_verify(self, keypair):
         other = generate_keypair(bits=512, seed=4321)
         signed = keypair.private.apply(42)

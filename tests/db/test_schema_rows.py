@@ -79,6 +79,27 @@ class TestTableSchema:
         assert sub.column_names == ("name", "id")
         assert sub.key == "id"
 
+    def test_derived_lookups_are_cached_outside_the_value(self, schema):
+        twin = TableSchema(
+            name="users",
+            columns=(
+                Column("id", IntType()),
+                Column("name", VarcharType(capacity=20)),
+                Column("age", IntType()),
+            ),
+            key="id",
+        )
+        assert schema.column_names is schema.column_names
+        assert [schema.column_index(n) for n in schema.column_names] == [0, 1, 2]
+        assert twin == schema and hash(twin) == hash(schema)
+        assert repr(schema) == repr(twin)
+        assert "column_names" not in repr(schema)
+        assert "_index_of" not in repr(schema)
+        rekeyed = TableSchema("users", schema.columns, key="age")
+        assert rekeyed != schema and rekeyed.key_index == 2
+        with pytest.raises(SchemaError):
+            schema.column_index(["unhashable"])
+
     def test_project_without_key(self, schema):
         sub = schema.project(["name", "age"])
         assert sub.key == "name"
