@@ -13,13 +13,15 @@ The event-loop rows (DESIGN.md section 11) push the same bench to
 fleet scale: one central process driving **2000 connected in-process
 edges** (``mode="fleet"``, per-edge memory must stay flat) and **500
 real loopback-TCP edges** served by a single
-:class:`~repro.edge.event_loop.EdgeHost` reactor thread, under both
-central I/O paths (``mode="tcp-reactor"`` / ``"tcp-threaded"``).  Each
-row reports wall-clock sync, send-side syscalls per delta batch, and
-frames/sec; the bench asserts the reactor needs ≥5× fewer send
-syscalls than the threaded path at 500 edges and that delta bytes per
-edge are **exactly** identical across all three media — same frames on
-the wire, only the syscall schedule differs.
+:class:`~repro.edge.event_loop.EdgeHost` reactor thread
+(``mode="tcp-reactor"``).  Each row reports wall-clock sync, send-side
+syscalls per delta batch, and frames/sec; the bench asserts a whole
+pipelined delta batch (plus its probe) rides at most two vectored
+writes per edge (``syscalls_per_batch <= 2.0`` — a blocking
+per-frame-``sendall`` link measured 9.1 at 500 edges, which is why
+none exists any more) and that delta bytes per edge are **exactly**
+identical in-process and over TCP — same frames on the wire, only the
+syscall schedule differs.
 """
 
 import json
@@ -282,15 +284,11 @@ def _fleet_cost(n_edges: int) -> dict:
     }
 
 
-def _tcp_cost(io_mode: str, n_edges: int) -> dict:
-    """``n_edges`` real loopback-TCP edges hosted by one reactor thread.
-
-    The central side runs the requested I/O path; the edge side is the
-    same :class:`~repro.edge.event_loop.EdgeHost` in both runs, so the
-    send-syscall comparison isolates exactly the central hot path.
-    """
+def _tcp_cost(n_edges: int) -> dict:
+    """``n_edges`` real loopback-TCP edges hosted by one reactor thread;
+    the send-syscall tally is the central reactor's own."""
     central = _fleet_central()
-    deploy = Deployment(central, io_mode=io_mode)
+    deploy = Deployment(central)
     host = EdgeHost(*deploy.address)
     names = [f"edge-{i}" for i in range(n_edges)]
     try:
@@ -301,21 +299,17 @@ def _tcp_cost(io_mode: str, n_edges: int) -> dict:
         transports = [deploy.edges[name].transport for name in names]
         for transport in transports:
             transport.down_channel.reset()
-        if io_mode == "reactor":
-            sends_before = deploy.reactor.syscalls["sendmsg"]
+        sends_before = deploy.reactor.syscalls["sendmsg"]
         start = time.perf_counter()
         _run_updates(central)
         deploy.sync()
         elapsed = time.perf_counter() - start
         assert all(central.staleness(n, "items") == 0 for n in names)
-        if io_mode == "reactor":
-            sends = deploy.reactor.syscalls["sendmsg"] - sends_before
-        else:
-            sends = sum(t.syscalls["send"] for t in transports)
+        sends = deploy.reactor.syscalls["sendmsg"] - sends_before
         total_bytes = sum(_delta_bytes(t.down_channel) for t in transports)
         return {
             "edges": n_edges,
-            "mode": f"tcp-{io_mode}",
+            "mode": "tcp-reactor",
             "updates": UPDATES,
             "sync_seconds": elapsed,
             "replication_bytes": total_bytes,
@@ -332,17 +326,13 @@ def _tcp_cost(io_mode: str, n_edges: int) -> dict:
 def test_event_loop_fleet_scale(benchmark):
     """Fleet-scale acceptance (DESIGN.md section 11): 2000 connected
     in-process edges at flat per-edge memory, 500 TCP edges to cursor
-    parity under both I/O paths, ≥5× fewer send syscalls per delta
-    batch on the reactor, and exact delta-byte parity across media."""
+    parity, at most two send syscalls per delta batch per edge, and
+    exact delta-byte parity across media."""
     fleet = [_fleet_cost(n) for n in FLEET_COUNTS]
-    tcp = [
-        _tcp_cost(io_mode, n)
-        for io_mode in ("reactor", "threaded")
-        for n in TCP_COUNTS
-    ]
+    tcp = [_tcp_cost(n) for n in TCP_COUNTS]
     series = fleet + tcp
     emit(
-        "Event-loop fan-out: fleet scale (in-process + TCP, both I/O paths)",
+        "Event-loop fan-out: fleet scale (in-process + reactor TCP)",
         "fanout_fleet",
         ["mode", "edges", "sync s", "bytes/edge", "syscalls/batch",
          "frames/s", "KiB/edge"],
@@ -365,25 +355,23 @@ def test_event_loop_fleet_scale(benchmark):
         f"{large['per_edge_kb']} KiB"
     )
 
-    # The tentpole's syscall claim at 500 TCP edges: a whole pipelined
-    # delta batch rides one vectored write per edge on the reactor,
-    # versus one blocking sendall per frame (plus probe traffic) on the
-    # threaded path.
-    by_row = {(s["mode"], s["edges"]): s for s in series}
-    reactor = by_row[("tcp-reactor", 500)]
-    threaded = by_row[("tcp-threaded", 500)]
-    assert reactor["send_syscalls"] * 5 <= threaded["send_syscalls"], (
-        f"reactor {reactor['send_syscalls']} vs threaded "
-        f"{threaded['send_syscalls']} send syscalls"
-    )
+    # The syscall claim, absolute: a whole pipelined delta batch rides
+    # one vectored write per edge (a second only when the probe misses
+    # the batch's flush) — UPDATES frames + 1 probe, never UPDATES + 1
+    # syscalls.
+    for row in tcp:
+        assert row["syscalls_per_batch"] <= 2.0, (
+            f"{row['send_syscalls']} sendmsg for {row['edges']} edges — "
+            "coalescing broken"
+        )
 
-    # Exact delta-byte parity across media: in-process vs TCP and
-    # reactor vs threaded ship byte-identical replication traffic.
+    # Exact delta-byte parity across media: in-process and TCP ship
+    # byte-identical replication traffic.
+    by_row = {(s["mode"], s["edges"]): s for s in series}
     for n in TCP_COUNTS:
         assert (
             by_row[("fleet", n)]["bytes_per_edge"]
             == by_row[("tcp-reactor", n)]["bytes_per_edge"]
-            == by_row[("tcp-threaded", n)]["bytes_per_edge"]
         ), f"delta bytes diverge across media at {n} edges"
 
     benchmark.pedantic(_fleet_cost, args=(50,), rounds=1, iterations=1)

@@ -14,7 +14,7 @@ is asserted here and tracked by the regression gate
 ``benchmarks/results/socket_transport.json``.
 
 Spawns subprocesses → marked ``socket`` (CI runs it in the
-socket-integration job): ``pytest -m socket benchmarks/bench_socket_transport.py``.
+socket job): ``pytest -m socket benchmarks/bench_socket_transport.py``.
 """
 
 import json

@@ -22,7 +22,7 @@ Run:  python examples/relay_deployment.py
 """
 
 from repro.edge.central import CentralServer
-from repro.edge.deploy import RelayDeployment
+from repro.edge.deploy import Deployment
 from repro.workloads.generator import TableSpec, generate_table
 
 
@@ -34,15 +34,15 @@ def main() -> None:
     central.create_table(schema, rows, fanout_override=8)
     client = central.make_client()
 
-    with RelayDeployment(central) as rd:
+    with Deployment(central) as rd:
         host, port = rd.address
         print(f"--- central listening on {host}:{port} ---")
         for relay in ("relay-0", "relay-1"):
             rd.launch_relay(relay)
         for relay in ("relay-0", "relay-1"):
-            rd.wait_for_relay(relay)
+            rd.wait_for_edge(relay)
             lhost, lport = rd.relay_address(relay)
-            print(f"  {relay}: pid {rd.relays[relay].process.pid}, "
+            print(f"  {relay}: pid {rd.edges[relay].process.pid}, "
                   f"listening for edges on {lhost}:{lport}")
         rd.launch_edge("edge-0", "relay-0")
         rd.launch_edge("edge-1", "relay-0")
@@ -70,7 +70,7 @@ def main() -> None:
             assert verdict.ok
 
         print("\n--- SIGKILL relay-0: the sibling subtree carries on ---")
-        rd.kill_relay("relay-0")
+        rd.kill_edge("relay-0")
         for key in range(9006, 9011):
             central.insert("items", (key, "more", "row", "data"))
         rd.sync()
@@ -80,8 +80,8 @@ def main() -> None:
               f"{client.verify(resp).ok}")
 
         print("\n--- restart relay-0: empty store, snapshot subtree heal ---")
-        rd.restart_relay("relay-0")
-        rd.wait_for_relay("relay-0")
+        rd.restart_edge("relay-0")
+        rd.wait_for_edge("relay-0")
         rd.wait_for_edges("relay-0", ["edge-0", "edge-1"], "items",
                           timeout=60.0)
         rd.sync()

@@ -96,8 +96,6 @@ class CentralServer:
         fanout_window: Initial per-edge bound on unacknowledged
             in-flight replication frames (flow control — see
             :class:`~repro.edge.fanout.FanoutEngine`).
-        fanout_workers: Thread-pool size for concurrent per-edge
-            delivery; 1 (default) is a deterministic serial sweep.
         fanout_window_min: Adaptive-window floor (see
             :class:`~repro.edge.fanout.AdaptiveWindow`).
         fanout_window_max: Adaptive-window ceiling; ``None`` pins the
@@ -125,7 +123,6 @@ class CentralServer:
         enable_naive: bool = False,
         max_log_entries: int = 1024,
         fanout_window: int = 8,
-        fanout_workers: int = 1,
         fanout_window_min: int = 1,
         fanout_window_max: int | None = None,
         ack_every: int = 1,
@@ -158,7 +155,6 @@ class CentralServer:
         self.fanout = FanoutEngine(
             self,
             window=fanout_window,
-            workers=fanout_workers,
             window_min=fanout_window_min,
             window_max=fanout_window_max,
         )
@@ -634,7 +630,7 @@ class CentralServer:
     ) -> RemoteEdgeHandle:
         """Register an edge living in another process, reachable only
         through ``transport`` (normally a
-        :class:`~repro.edge.socket_transport.TcpTransport` over an
+        :class:`~repro.edge.event_loop.ReactorTransport` over an
         accepted connection).
 
         Re-attaching an already known name replaces its link and

@@ -23,6 +23,14 @@ README's Deployment section)::
         response = deploy.range_query("edge-0", "items", low=1, high=50)
         assert central.make_client().verify(response).ok
 
+A relay tier (DESIGN.md §13) is the same supervisor one level deeper:
+``deploy.launch_relay("relay-0")`` starts an unkeyed store-and-forward
+process that dials this listener like an edge and re-listens on a
+pinned port; ``deploy.launch_edge("edge-0", relay="relay-0")`` starts
+an edge dialing *that* listener instead of this one.  Kill, restart
+and storms treat both kinds alike — a restart re-execs the argv the
+process was launched with.
+
 Failure handling rides entirely on the existing replication machinery:
 a killed edge's link reports ``failed`` sends (like a partitioned
 in-process link) and the central write path never blocks on it; when
@@ -40,6 +48,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
@@ -48,23 +57,21 @@ from repro.core.wire import predicate_to_bytes, result_from_bytes
 from repro.edge.central import CentralServer
 from repro.edge.edge_server import EdgeResponse
 from repro.edge.event_loop import EdgeEventLoop, ReactorTransport
-from repro.edge import telemetry
-from repro.edge.socket_transport import TcpTransport, recv_frame, send_frame
+from repro.edge.socket_transport import listen_on, serve_handshakes
 from repro.edge.transport import (
+    ConfigFrame,
     HelloFrame,
     Transport,
     QueryRequestFrame,
     QueryResponseFrame,
     config_to_frame,
-    frame_from_bytes,
-    frame_to_bytes,
     range_query_frame,
     secondary_query_frame,
     select_query_frame,
 )
 from repro.exceptions import TransportError
 
-__all__ = ["EdgeProcess", "Deployment", "ShardedDeployment", "RelayDeployment"]
+__all__ = ["EdgeProcess", "Deployment", "ShardedDeployment"]
 
 
 def _src_root() -> str:
@@ -76,18 +83,30 @@ def _src_root() -> str:
 
 @dataclass
 class EdgeProcess:
-    """One managed edge: its OS process and its current link.
+    """One managed dialer — an edge or a relay: its OS process and,
+    when it dials *this* deployment's listener, its current link.
 
     Attributes:
-        name: Edge server name.
+        name: Edge/relay name (its hello identity).
         process: The ``python -m repro.edge.serve`` subprocess (``None``
-            for externally launched edges that just dialed in).
-        transport: Link over the edge's most recent connection.
-        registered: Set each time the edge completes a handshake.
+            for externally launched dialers that just registered).
+        transport: Link over the most recent connection accepted from
+            this name (``None`` for an edge behind a relay — it
+            registers with the relay process, not here).
+        registered: Set each time the dialer completes a handshake
+            with this deployment's listener.
         log: The open log-file handle the current process writes to
-            (``None`` when logging to ``/dev/null``).  Kept per edge so
-            a restart closes the superseded handle instead of leaking
-            one file descriptor per relaunch.
+            (``None`` when logging to ``/dev/null``).  Kept per handle
+            so a restart closes the superseded handle instead of
+            leaking one file descriptor per relaunch.
+        argv: The ``repro.edge.serve`` arguments the process was
+            spawned with — a restart is "kill, re-exec the same argv",
+            so whatever it was launched with (relay store cap, the
+            listener it dials, retry budget) survives by construction.
+        relay: Name of the relay whose listener this process dials
+            (``None`` = the central listener).
+        listen: The pinned ``(host, port)`` a relay re-listens on for
+            its own edges (``None`` for edges).
     """
 
     name: str
@@ -95,6 +114,9 @@ class EdgeProcess:
     transport: Optional[Transport] = None
     registered: threading.Event = field(default_factory=threading.Event)
     log: Any = None
+    argv: tuple[str, ...] = ()
+    relay: Optional[str] = None
+    listen: Optional[tuple[str, int]] = None
 
     @property
     def connected(self) -> bool:
@@ -105,35 +127,54 @@ class EdgeProcess:
         """True while the subprocess is running."""
         return self.process is not None and self.process.poll() is None
 
+    def close_log(self) -> None:
+        if self.log is not None:
+            try:
+                self.log.close()
+            except OSError:
+                pass
+            self.log = None
+
 
 class Deployment:
-    """Run a central listener and manage edge server processes.
+    """Run a central listener and supervise the processes dialing it.
+
+    Every accepted link is served from one shared
+    :class:`~repro.edge.event_loop.EdgeEventLoop` — single-threaded,
+    non-blocking, vectored writes; the fan-out engine's settle points
+    are readiness-driven.  A managed process is either an **edge**
+    (:meth:`launch_edge`) dialing *some* listener — this one, or a
+    relay's — or a **relay** (:meth:`launch_relay`): an unkeyed
+    store-and-forward process (DESIGN.md §13) that dials this listener
+    with ``role="relay"`` and re-listens on a pinned port for its own
+    edges.  The central sees only its direct dialers — with k relays
+    in front of n edges its egress scales with k, not n — while every
+    edge still verifies the byte-identical signed frames end-to-end,
+    so relays need no trust.
 
     Args:
         central: The trusted central server (lives in this process).
-        host: Listen address (loopback by default).
+        host: Listen address (loopback by default); relays launched
+            here listen on it too.
         port: Listen port (``0`` = ephemeral; read :attr:`address`).
-        io_timeout: Receive timeout on every accepted edge link.
-        log_dir: Directory for per-edge stdout/stderr logs; edges are
-            silenced (``/dev/null``) when not given.
-        io_mode: ``"reactor"`` (default) serves every accepted edge
-            link from one shared :class:`~repro.edge.event_loop.EdgeEventLoop`
-            — single-threaded, non-blocking, vectored writes; the
-            fan-out engine's settle points become readiness-driven.
-            ``"threaded"`` is the blocking-``sendall``
-            :class:`~repro.edge.socket_transport.TcpTransport` path,
-            kept as a selectable fallback (every deployment test runs
-            against both; see the ``REPRO_IO_MODE`` env override).
+        io_timeout: Settle/receive timeout on every accepted link.
+        log_dir: Directory for per-process stdout/stderr logs;
+            processes are silenced (``/dev/null``) when not given.
         reactor: Share an existing :class:`EdgeEventLoop` instead of
-            owning a private one (reactor mode only).  A sharded
-            deployment runs one ``Deployment`` per signer shard on one
-            machine; sharing the loop keeps every shard's accepted
-            links on a single selector.  A shared reactor is *not*
-            closed by :meth:`shutdown` — its owner closes it.
+            owning a private one.  A sharded deployment runs one
+            ``Deployment`` per signer shard on one machine; sharing
+            the loop keeps every shard's accepted links on a single
+            selector.  A shared reactor is *not* closed by
+            :meth:`shutdown` — its owner closes it.
         shard_map: A :class:`~repro.edge.sharding.ShardMap` to push to
             every registering edge in the handshake ``ConfigFrame``
             (optional trailing fields — absent, the handshake is
             byte-identical to the unsharded protocol).
+
+    Raises:
+        OSError: If the listener cannot bind — nothing is left behind
+            (no reactor, no thread, ``central.fanout.reactor``
+            untouched).
     """
 
     def __init__(
@@ -143,39 +184,33 @@ class Deployment:
         port: int = 0,
         io_timeout: float = 10.0,
         log_dir: str | None = None,
-        io_mode: str | None = None,
         reactor: EdgeEventLoop | None = None,
         shard_map=None,
     ) -> None:
         self.central = central
+        self.host = host
         self.io_timeout = io_timeout
         self.log_dir = log_dir
         self.shard_map = shard_map
-        self.io_mode = (
-            io_mode or os.environ.get("REPRO_IO_MODE", "reactor")
-        ).lower()
-        if self.io_mode not in ("reactor", "threaded"):
-            raise ValueError(
-                f"io_mode must be 'reactor' or 'threaded', got {self.io_mode!r}"
-            )
-        self.reactor: EdgeEventLoop | None = None
-        self._owns_reactor = reactor is None
-        if self.io_mode == "reactor":
-            self.reactor = reactor if reactor is not None else EdgeEventLoop()
-            central.fanout.reactor = self.reactor
         self.edges: dict[str, EdgeProcess] = {}
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen()
+        # Bind first: a failed bind must not leave an orphaned loop
+        # assigned to the fan-out engine.
+        self._listener = listen_on(host, port)
+        self._owns_reactor = reactor is None
+        self.reactor = reactor if reactor is not None else EdgeEventLoop()
+        central.fanout.reactor = self.reactor
         self._closed = False
         self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="deploy-accept", daemon=True
+            target=serve_handshakes,
+            args=(self._listener, "deploy", io_timeout,
+                  self._config_frame, self._attach),
+            name="deploy-accept",
+            daemon=True,
         )
         self._accept_thread.start()
 
     # ------------------------------------------------------------------
-    # Listener / handshake
+    # Listener side of the handshake (runs on the accept thread)
     # ------------------------------------------------------------------
 
     @property
@@ -184,42 +219,8 @@ class Deployment:
         host, port = self._listener.getsockname()[:2]
         return host, port
 
-    def _accept_loop(self) -> None:
-        while not self._closed:
-            try:
-                conn, _addr = self._listener.accept()
-            except OSError:
-                return  # listener closed: shutdown
-            try:
-                self._handshake(conn)
-            except (TransportError, OSError) as exc:
-                # A broken dialer must not take the listener down.
-                telemetry.note("deploy.accept_loop.handshake", exc)
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-            except Exception as exc:  # broad by design: anything else is
-                # a bug worth counting, not a torn socket.
-                telemetry.note("deploy.accept_loop.unexpected", exc)
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-
-    def _handshake(self, conn: socket.socket) -> None:
-        """Serve one edge registration (runs on the accept thread)."""
-        conn.settimeout(self.io_timeout)
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        data = recv_frame(conn)
-        if data is None:
-            raise TransportError("edge closed during handshake")
-        hello = frame_from_bytes(data)
-        if not isinstance(hello, HelloFrame):
-            raise TransportError(
-                f"expected HelloFrame, got {type(hello).__name__}"
-            )
-        config = config_to_frame(
+    def _config_frame(self) -> ConfigFrame:
+        return config_to_frame(
             self.central.edge_config(),
             ack_every=self.central.ack_every,
             ack_bytes=self.central.ack_bytes,
@@ -228,20 +229,18 @@ class Deployment:
                 self.shard_map.to_wire() if self.shard_map is not None else None
             ),
         )
-        send_frame(conn, frame_to_bytes(config))
-        transport: Transport
-        if self.reactor is not None:
-            transport = ReactorTransport(
-                hello.edge, self.reactor, conn, timeout=self.io_timeout
-            )
-        else:
-            transport = TcpTransport(hello.edge, conn, timeout=self.io_timeout)
+
+    def _attach(
+        self, conn: socket.socket, hello: HelloFrame, sent: ConfigFrame
+    ) -> None:
+        """Adopt one registered dialer into the reactor and fan-out."""
+        transport = ReactorTransport(
+            hello.edge, self.reactor, conn, timeout=self.io_timeout
+        )
         # Seed the peer with the epoch of the bundle we *actually sent*
         # — a rotation racing this handshake must still trigger a
         # refresh on the next pump.
-        sent_epoch = max(
-            (record[0] for record in config.epochs), default=-1
-        )
+        sent_epoch = max((record[0] for record in sent.epochs), default=-1)
         self.central.attach_remote_edge(
             hello.edge, transport, cursors=hello.cursors,
             config_epoch=sent_epoch,
@@ -251,47 +250,33 @@ class Deployment:
         handle.registered.set()
 
     # ------------------------------------------------------------------
-    # Edge process management
+    # Process supervision
     # ------------------------------------------------------------------
 
-    def launch_edge(
-        self, name: str, *, extra_args: Sequence[str] = ()
-    ) -> EdgeProcess:
-        """Start ``python -m repro.edge.serve`` for ``name``.
+    def _spawn(self, handle: EdgeProcess) -> EdgeProcess:
+        """(Re-)exec ``python -m repro.edge.serve`` with ``handle.argv``.
 
         The subprocess inherits this interpreter and gets the package's
-        source root prepended to ``PYTHONPATH``.  Call
-        :meth:`wait_for_edge` before relying on its replicas.
+        source root prepended to ``PYTHONPATH``.
         """
-        host, port = self.address
         env = dict(os.environ)
         env["PYTHONPATH"] = _src_root() + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
-        handle = self.edges.setdefault(name, EdgeProcess(name))
-        if handle.log is not None:
-            # Relaunch under the same name: the dead process's log
-            # handle is superseded — close it now or every restart
-            # leaks one file descriptor.
-            try:
-                handle.log.close()
-            except OSError:
-                pass
-            handle.log = None
+        # Relaunch under the same name: the dead process's log handle
+        # is superseded — close it now or every restart leaks one file
+        # descriptor.
+        handle.close_log()
         stdout: Any = subprocess.DEVNULL
         if self.log_dir is not None:
             os.makedirs(self.log_dir, exist_ok=True)
             stdout = open(  # not a context manager: closed on relaunch/shutdown
-                os.path.join(self.log_dir, f"{name}.log"), "ab"
+                os.path.join(self.log_dir, f"{handle.name}.log"), "ab"
             )
             handle.log = stdout
         handle.registered.clear()
         handle.process = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.edge.serve",
-                "--name", name, "--host", host, "--port", str(port),
-                *extra_args,
-            ],
+            [sys.executable, "-m", "repro.edge.serve", *handle.argv],
             env=env,
             stdout=stdout,
             stderr=subprocess.STDOUT if stdout is not subprocess.DEVNULL
@@ -299,19 +284,87 @@ class Deployment:
         )
         return handle
 
+    def launch_edge(
+        self,
+        name: str,
+        relay: str | None = None,
+        *,
+        extra_args: Sequence[str] = (),
+    ) -> EdgeProcess:
+        """Start an edge process dialing this listener — or, with
+        ``relay``, the listener of that (already launched) relay.
+
+        Call :meth:`wait_for_edge` (or, behind a relay,
+        :meth:`wait_for_edges`) before relying on its replicas.
+        """
+        host, port = self.address if relay is None else self.relay_address(relay)
+        argv = ["--name", name, "--host", host, "--port", str(port)]
+        if relay is not None:
+            # A generous retry budget keeps the edge re-dialing through
+            # a relay kill/restart window instead of giving up.
+            argv += ["--retry-attempts", "120"]
+        handle = self.edges.setdefault(name, EdgeProcess(name))
+        handle.argv = (*argv, *extra_args)
+        handle.relay = relay
+        return self._spawn(handle)
+
+    def launch_relay(
+        self, name: str, *, spot_check_every: int = 0,
+        max_store_bytes: int = 0,
+    ) -> EdgeProcess:
+        """Start a relay process dialing this listener.
+
+        The relay's downstream listen port is reserved on the first
+        launch and *pinned to the name*: a replacement (relaunch or
+        :meth:`restart_edge`) rebinds the same address, so its edges'
+        reconnect loops find it again without any coordination.  A
+        SIGKILLed relay loses its frame store; the replacement
+        registers empty, heals via snapshot and re-seeds its whole
+        subtree — the escalation a killed edge exercises, one level up.
+        """
+        chost, cport = self.address
+        handle = self.edges.setdefault(name, EdgeProcess(name))
+        if handle.listen is None:
+            # Probably-free: the probe closes before the relay binds —
+            # fine on loopback, and what makes restarts address-stable.
+            probe = listen_on(self.host, 0)
+            handle.listen = (self.host, probe.getsockname()[1])
+            probe.close()
+        handle.argv = (
+            "--relay", "--name", name,
+            "--host", chost, "--port", str(cport),
+            "--listen-host", handle.listen[0],
+            "--listen-port", str(handle.listen[1]),
+            "--spot-check-every", str(spot_check_every),
+            "--max-store-bytes", str(max_store_bytes),
+            "--retry-attempts", "120",
+        )
+        return self._spawn(handle)
+
+    def relay_address(self, name: str) -> tuple[str, int]:
+        """The ``(host, port)`` edges of relay ``name`` dial."""
+        listen = self.edges[name].listen
+        if listen is None:
+            raise TransportError(f"{name!r} is not a launched relay")
+        return listen
+
     def wait_for_edge(
         self, name: str, timeout: float = 30.0, sync: bool = True
     ) -> EdgeProcess:
-        """Block until ``name`` has completed its handshake.
+        """Block until ``name`` (an edge or relay dialing this
+        listener) has completed its handshake.
+
+        A relay binds its downstream listener before dialing, so its
+        registration also means its edges can reach it.
 
         Args:
-            name: Edge to wait for.
+            name: Dialer to wait for.
             timeout: Registration deadline.
-            sync: Also run a :meth:`sync` round so the edge's replicas
-                are current when this returns.
+            sync: Also run a :meth:`sync` round so the replicas are
+                current when this returns.
 
         Raises:
-            TransportError: If the edge does not register in time.
+            TransportError: If it does not register in time.
         """
         handle = self.edges.setdefault(name, EdgeProcess(name))
         if not handle.registered.wait(timeout):
@@ -322,22 +375,61 @@ class Deployment:
             self.sync()
         return handle
 
+    def wait_for_edges(
+        self,
+        relay: str,
+        names: Sequence[str],
+        table: str,
+        timeout: float = 30.0,
+    ) -> None:
+        """Block until every named edge answers a query through
+        ``relay``.
+
+        Edges behind a relay register with the relay *process*, which
+        this process cannot observe directly — so readiness is probed
+        the way it will be used: round-robin queries through the relay
+        until every name has answered, interleaved with sync rounds so
+        the probed replicas exist.
+
+        Raises:
+            TransportError: If some edge never answered in time.
+        """
+        deadline = time.monotonic() + timeout
+        missing = set(names)
+        while missing:
+            if time.monotonic() > deadline:
+                raise TransportError(
+                    f"edges {sorted(missing)} behind relay {relay!r} did not "
+                    f"answer within {timeout}s"
+                )
+            self.sync()
+            for _ in range(len(missing) + 1):
+                try:
+                    response = self.range_query(relay, table)
+                except TransportError:
+                    time.sleep(0.2)
+                    break
+                missing.discard(response.edge_name)
+
     def kill_edge(self, name: str) -> None:
-        """SIGKILL the edge's process — the mid-stream crash scenario.
+        """SIGKILL the managed process — the mid-stream crash scenario.
 
         The central side is *not* told: its next send discovers the
-        reset, exactly as with a remote machine failure.
+        reset, exactly as with a remote machine failure.  Killing a
+        relay takes its frame store with it; its edges re-dial the
+        pinned listen address until a replacement binds it.
         """
         handle = self.edges[name]
-        if handle.process is not None and handle.process.poll() is None:
+        if handle.alive:
             handle.process.kill()
             handle.process.wait(timeout=10)
         handle.registered.clear()
 
     def restart_edge(self, name: str) -> EdgeProcess:
-        """Relaunch a (killed) edge process under the same name."""
+        """Kill the process and re-exec the argv it was launched with
+        (same name, same listener, same options)."""
         self.kill_edge(name)
-        return self.launch_edge(name)
+        return self._spawn(self.edges[name])
 
     def restart_storm(
         self,
@@ -347,7 +439,7 @@ class Deployment:
         wait: bool = True,
         timeout: float = 30.0,
     ) -> list[str]:
-        """Seeded SIGKILL/relaunch storm over the named edges.
+        """Seeded SIGKILL/relaunch storm over the named processes.
 
         Each cycle kills and relaunches every target once, in an order
         drawn from ``random.Random(seed)`` — the same seed always
@@ -355,18 +447,23 @@ class Deployment:
         failure replayable (see ``src/repro/chaos``).
 
         Args:
-            names: Edges to storm (default: every managed edge).
+            names: Processes to storm (default: every managed one).
             cycles: Kill/relaunch passes over the whole target set.
             seed: Shuffle seed; the schedule is a pure function of it.
             wait: Re-wait for registration (and sync) after each cycle,
-                so the storm ends with a healed fleet.
-            timeout: Per-edge registration deadline when waiting.
+                so the storm ends with a healed fleet.  Only direct
+                dialers register here; an edge behind a relay is
+                probed through it (:meth:`wait_for_edges`).
+            timeout: Per-process registration deadline when waiting.
 
         Returns:
             The kill order actually applied, one entry per kill.
         """
         rng = random.Random(seed)
-        targets = list(names) if names is not None else sorted(self.edges)
+        targets = list(names) if names is not None else sorted(
+            name for name, handle in self.edges.items()
+            if handle.process is not None
+        )
         order: list[str] = []
         for _ in range(max(0, cycles)):
             shuffled = list(targets)
@@ -376,7 +473,8 @@ class Deployment:
                 order.append(name)
             if wait:
                 for name in shuffled:
-                    self.wait_for_edge(name, timeout=timeout)
+                    if self.edges[name].relay is None:
+                        self.wait_for_edge(name, timeout=timeout)
         return order
 
     # ------------------------------------------------------------------
@@ -389,11 +487,14 @@ class Deployment:
         Each round pumps the fan-out engine and then drains the
         pipelined acks; multiple rounds let the nack→retry→snapshot
         escalation run to quiescence (a heal needs one round to learn
-        of the problem and one to ship the fix).  Under the reactor
-        the drain is readiness-driven: every edge's queued frames and
-        its cursor probe leave in one vectored write, and one shared
-        ``select`` loop settles the whole fleet as acks land — no
-        per-peer probe→poll rounds, no busy polling.
+        of the problem and one to ship the fix).  The drain is
+        readiness-driven: every edge's queued frames and its cursor
+        probe leave in one vectored write, and one shared ``select``
+        loop settles the whole fleet as acks land — no per-peer
+        probe→poll rounds, no busy polling.  A relay's cumulative acks
+        carry min-cursor aggregates over its connected edges, so "all
+        connected peers current" is transitively a statement about the
+        whole tree.
 
         Returns:
             Total frames shipped.
@@ -460,17 +561,21 @@ class Deployment:
         **kwargs,
     ):
         """A :class:`~repro.edge.router.VerifyingRouter` over this
-        deployment's edge processes, on real TCP query channels.
+        deployment's direct dialers, on real TCP query channels.
 
-        Channels resolve each edge's *current* connection per request,
+        Channels resolve each peer's *current* connection per request,
         so a killed edge fails fast (and enters router cooldown) while
         a restarted one is routable again right after re-registering.
-        Staleness hints are seeded from the fan-out engine's cursors.
+        A relay's channel queries the relay, which round-robins the
+        request over its own edges — a killed relay cools down and its
+        sibling serves: failover one tier up, verification still
+        end-to-end.  Staleness hints are seeded from the fan-out
+        engine's cursors.
 
         Args:
-            names: Edges to route over (default: every edge known to
-                the deployment, connected or not — an unreachable edge
-                just starts in the failure path).
+            names: Peers to route over (default: every edge or relay
+                dialing this listener, connected or not — an
+                unreachable one just starts in the failure path).
             policy: Routing policy name or enum.
             **kwargs: Forwarded to :class:`~repro.edge.router.EdgeRouter`.
         """
@@ -481,7 +586,7 @@ class Deployment:
         )
 
         if names is None:
-            names = list(self.edges)
+            names = [n for n, h in self.edges.items() if h.relay is None]
         channels = [DeploymentQueryChannel(self, name) for name in names]
         router = EdgeRouter(channels, policy=policy, **kwargs)
         router.seed_from_fanout(self.central.fanout)
@@ -556,368 +661,25 @@ class Deployment:
         for handle in handles:
             if handle.transport is not None:
                 handle.transport.close()
-        if self.reactor is not None:
-            if self._owns_reactor:
-                self.reactor.close()
-            if self.central.fanout.reactor is self.reactor:
-                self.central.fanout.reactor = None
-        for handle in handles:
-            proc = handle.process
-            if proc is None or proc.poll() is not None:
-                continue
+        if self._owns_reactor:
+            self.reactor.close()
+        if self.central.fanout.reactor is self.reactor:
+            self.central.fanout.reactor = None
+        # SIGTERM the whole tree at once, then reap (SIGKILL laggards).
+        running = [h.process for h in handles if h.alive]
+        for proc in running:
             proc.terminate()
+        for proc in running:
             try:
                 proc.wait(timeout=timeout)
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait(timeout=timeout)
         for handle in handles:
-            if handle.log is not None:
-                try:
-                    handle.log.close()
-                except OSError:
-                    pass
-                handle.log = None
+            handle.close_log()
         self._accept_thread.join(timeout=timeout)
 
     def __enter__(self) -> "Deployment":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
-
-class RelayDeployment:
-    """Central → k relay processes → n edge processes (DESIGN.md §13).
-
-    The hierarchical face of the fabric: the trusted central runs in
-    this process behind a :class:`Deployment` listener; each **relay**
-    is a separate OS process (``python -m repro.edge.serve --relay``)
-    that dials the central like an edge (``role="relay"`` in its hello)
-    and re-listens for its own downstream edge processes.  The central
-    sees only the k relays — its egress scales with k, not n — while
-    every edge still verifies the byte-identical signed frames
-    end-to-end, so the relays need no trust.
-
-    Relay listen ports are reserved up front and *pinned per name*: a
-    killed relay's replacement rebinds the same address, so its
-    downstream edges' reconnect loops find it again without any
-    coordination.  A relay SIGKILL loses the relay's frame store; its
-    restart re-registers empty, heals from the central via snapshot,
-    and re-seeds the whole subtree — the exact escalation path a killed
-    edge already exercises, one level up.
-
-    Args:
-        central: The trusted central server (lives in this process).
-        host: Listen address for the central and every relay.
-        io_timeout / log_dir / io_mode: As for :class:`Deployment`.
-    """
-
-    def __init__(
-        self,
-        central: CentralServer,
-        host: str = "127.0.0.1",
-        io_timeout: float = 10.0,
-        log_dir: str | None = None,
-        io_mode: str | None = None,
-    ) -> None:
-        self.host = host
-        self.log_dir = log_dir
-        self.deploy = Deployment(
-            central, host=host, io_timeout=io_timeout,
-            log_dir=log_dir, io_mode=io_mode,
-        )
-        self.central = central
-        self.relays: dict[str, EdgeProcess] = {}
-        self.relay_ports: dict[str, int] = {}
-        #: Launch kwargs pinned per relay name, so a restart rebuilds
-        #: the process with the same store cap / spot-check policy.
-        self.relay_opts: dict[str, dict] = {}
-        self.edge_procs: dict[str, EdgeProcess] = {}
-        self.edge_relay: dict[str, str] = {}
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """The central listener's ``(host, port)``."""
-        return self.deploy.address
-
-    def relay_address(self, name: str) -> tuple[str, int]:
-        """The ``(host, port)`` edges of relay ``name`` dial."""
-        return (self.host, self.relay_ports[name])
-
-    def _reserve_port(self) -> int:
-        """Pick a currently-free port the relay process will rebind.
-
-        The reservation socket closes before the relay binds, so this
-        is only *probably* free — fine for tests/benches on loopback,
-        and what makes relay restart address-stable.
-        """
-        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        probe.bind((self.host, 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        return port
-
-    def _spawn(
-        self, handles: dict[str, EdgeProcess], name: str, args: list[str]
-    ) -> EdgeProcess:
-        """Popen a serve subprocess with the same env/log discipline as
-        :meth:`Deployment.launch_edge`."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = _src_root() + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        handle = handles.setdefault(name, EdgeProcess(name))
-        if handle.log is not None:
-            try:
-                handle.log.close()
-            except OSError:
-                pass
-            handle.log = None
-        stdout: Any = subprocess.DEVNULL
-        if self.log_dir is not None:
-            os.makedirs(self.log_dir, exist_ok=True)
-            stdout = open(  # not a context manager: closed on relaunch/shutdown
-                os.path.join(self.log_dir, f"{name}.log"), "ab"
-            )
-            handle.log = stdout
-        handle.registered.clear()
-        handle.process = subprocess.Popen(
-            [sys.executable, "-m", "repro.edge.serve", *args],
-            env=env,
-            stdout=stdout,
-            stderr=subprocess.STDOUT if stdout is not subprocess.DEVNULL
-            else subprocess.DEVNULL,
-        )
-        return handle
-
-    # ------------------------------------------------------------------
-    # Topology management
-    # ------------------------------------------------------------------
-
-    def launch_relay(
-        self, name: str, *, spot_check_every: int = 0,
-        max_store_bytes: int = 0,
-    ) -> EdgeProcess:
-        """Start a relay process dialing the central listener.
-
-        The relay's downstream listen port is reserved on the first
-        launch and reused on every relaunch under the same name.
-        """
-        chost, cport = self.deploy.address
-        port = self.relay_ports.get(name)
-        if port is None:
-            port = self._reserve_port()
-            self.relay_ports[name] = port
-        self.relay_opts[name] = {
-            "spot_check_every": spot_check_every,
-            "max_store_bytes": max_store_bytes,
-        }
-        return self._spawn(
-            self.relays,
-            name,
-            [
-                "--relay", "--name", name,
-                "--host", chost, "--port", str(cport),
-                "--listen-host", self.host, "--listen-port", str(port),
-                "--spot-check-every", str(spot_check_every),
-                "--max-store-bytes", str(max_store_bytes),
-                "--retry-attempts", "120",
-            ],
-        )
-
-    def launch_edge(self, name: str, relay: str) -> EdgeProcess:
-        """Start an edge process dialing relay ``relay``'s listener.
-
-        The generous retry budget keeps the edge re-dialing through a
-        relay kill/restart window instead of giving up.
-        """
-        self.edge_relay[name] = relay
-        return self._spawn(
-            self.edge_procs,
-            name,
-            [
-                "--name", name,
-                "--host", self.host,
-                "--port", str(self.relay_ports[relay]),
-                "--retry-attempts", "120",
-            ],
-        )
-
-    def wait_for_relay(self, name: str, timeout: float = 30.0) -> EdgeProcess:
-        """Block until relay ``name`` has registered with the central.
-
-        Registration is observed at the central listener (the relay's
-        upstream hello), so this also guarantees the relay's downstream
-        listener is up — it binds before dialing.
-        """
-        handle = self.deploy.edges.setdefault(name, EdgeProcess(name))
-        if not handle.registered.wait(timeout):
-            raise TransportError(
-                f"relay {name!r} did not register within {timeout}s"
-            )
-        return self.relays[name]
-
-    def wait_for_edges(
-        self,
-        relay: str,
-        names: Sequence[str],
-        table: str,
-        timeout: float = 30.0,
-    ) -> None:
-        """Block until every named edge answers a query through the
-        relay.
-
-        Edges register with the relay *process*, which this process
-        cannot observe directly — so readiness is probed the way it
-        will be used: round-robin queries through the relay until every
-        name has answered, interleaved with sync rounds so the probed
-        replicas exist.
-
-        Raises:
-            TransportError: If some edge never answered in time.
-        """
-        import time as _time
-
-        deadline = _time.monotonic() + timeout
-        missing = set(names)
-        while missing:
-            if _time.monotonic() > deadline:
-                raise TransportError(
-                    f"edges {sorted(missing)} behind relay {relay!r} did not "
-                    f"answer within {timeout}s"
-                )
-            self.sync()
-            for _ in range(len(missing) + 1):
-                try:
-                    response = self.deploy.range_query(relay, table)
-                except TransportError:
-                    _time.sleep(0.2)
-                    break
-                missing.discard(response.edge_name)
-            else:
-                continue
-
-    def kill_relay(self, name: str) -> None:
-        """SIGKILL the relay — its frame store dies with it; the
-        central discovers the reset on its next send and the subtree's
-        edges re-dial the (pinned) listen address until a replacement
-        binds it."""
-        handle = self.relays[name]
-        if handle.process is not None and handle.process.poll() is None:
-            handle.process.kill()
-            handle.process.wait(timeout=10)
-        central_handle = self.deploy.edges.get(name)
-        if central_handle is not None:
-            central_handle.registered.clear()
-
-    def restart_relay(self, name: str) -> EdgeProcess:
-        """Relaunch a (killed) relay on the same listen port, with the
-        same launch options it was first given."""
-        self.kill_relay(name)
-        return self.launch_relay(name, **self.relay_opts.get(name, {}))
-
-    def restart_storm(
-        self,
-        names: Sequence[str] | None = None,
-        cycles: int = 1,
-        seed: int = 0,
-    ) -> list[str]:
-        """Seeded SIGKILL/relaunch storm over the named relays.
-
-        The relay-tier sibling of :meth:`Deployment.restart_storm`:
-        the kill order is a pure function of ``seed``.  Waiting is the
-        caller's job (:meth:`wait_for_edges` probes the subtree the
-        way it will be used), because a relay's readiness is only
-        observable through its edges.
-
-        Returns:
-            The kill order actually applied, one entry per kill.
-        """
-        rng = random.Random(seed)
-        targets = list(names) if names is not None else sorted(self.relays)
-        order: list[str] = []
-        for _ in range(max(0, cycles)):
-            shuffled = list(targets)
-            rng.shuffle(shuffled)
-            for name in shuffled:
-                self.restart_relay(name)
-                order.append(name)
-        return order
-
-    def kill_edge(self, name: str) -> None:
-        """SIGKILL a downstream edge process."""
-        handle = self.edge_procs[name]
-        if handle.process is not None and handle.process.poll() is None:
-            handle.process.kill()
-            handle.process.wait(timeout=10)
-
-    def restart_edge(self, name: str) -> EdgeProcess:
-        """Relaunch a (killed) edge under the same name and relay."""
-        self.kill_edge(name)
-        return self.launch_edge(name, self.edge_relay[name])
-
-    # ------------------------------------------------------------------
-    # Replication & queries
-    # ------------------------------------------------------------------
-
-    def sync(self, table: str | None = None, max_rounds: int = 16) -> int:
-        """Propagate until the whole *tree* is current.
-
-        The relay's cumulative acks carry min-cursor aggregates over
-        its connected edges, so the central's ``_settled`` check — all
-        connected peers current — is transitively a statement about the
-        subtree.  The extra rounds (vs a flat deployment) cover the
-        store-and-forward hop: one round lands frames on the relays,
-        later rounds let the relays pump them down and the aggregate
-        acks ride back.
-        """
-        return self.deploy.sync(table, max_rounds=max_rounds)
-
-    def make_router(self, names: Sequence[str] | None = None, **kwargs):
-        """A :class:`~repro.edge.router.VerifyingRouter` over the relay
-        links: each channel queries one relay, which round-robins the
-        request over its own connected edges.  A killed relay fails
-        fast into router cooldown and its sibling serves — failover one
-        tier up, verification still end-to-end."""
-        return self.deploy.make_router(
-            names=list(self.relays) if names is None else names, **kwargs
-        )
-
-    def range_query(self, relay: str, table: str, **kwargs):
-        """Range query routed through ``relay`` to one of its edges."""
-        return self.deploy.range_query(relay, table, **kwargs)
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def shutdown(self, timeout: float = 10.0) -> None:
-        """Stop edges, then relays, then the central listener."""
-        for handles in (self.edge_procs, self.relays):
-            for handle in handles.values():
-                proc = handle.process
-                if proc is not None and proc.poll() is None:
-                    proc.terminate()
-            for handle in handles.values():
-                proc = handle.process
-                if proc is None:
-                    continue
-                try:
-                    proc.wait(timeout=timeout)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait(timeout=timeout)
-                if handle.log is not None:
-                    try:
-                        handle.log.close()
-                    except OSError:
-                        pass
-                    handle.log = None
-        self.deploy.shutdown(timeout=timeout)
-
-    def __enter__(self) -> "RelayDeployment":
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -930,8 +692,8 @@ class ShardedDeployment:
     The multi-process face of
     :class:`~repro.edge.sharding.ShardedCentral`: every shard gets its
     own :class:`Deployment` (own TCP listener, own fan-out engine, own
-    edge processes), while reactor mode shares a single
-    :class:`~repro.edge.event_loop.EdgeEventLoop` across all of them —
+    edge processes), all sharing a single
+    :class:`~repro.edge.event_loop.EdgeEventLoop` —
     N signer shards' worth of accepted links on one selector.  Each
     shard's handshake ``ConfigFrame`` carries the plane's versioned
     shard map plus that shard's id and public keys, so a registering
@@ -941,7 +703,12 @@ class ShardedDeployment:
     Args:
         sharded: The sharded central plane.
         host: Listen address for every shard listener.
-        io_mode / io_timeout / log_dir: As for :class:`Deployment`.
+        io_timeout / log_dir: As for :class:`Deployment`.
+
+    Raises:
+        OSError: If any shard's listener cannot bind — all or nothing:
+            the shards already listening are shut down and the shared
+            reactor is closed before the error propagates.
     """
 
     def __init__(
@@ -950,25 +717,25 @@ class ShardedDeployment:
         host: str = "127.0.0.1",
         io_timeout: float = 10.0,
         log_dir: str | None = None,
-        io_mode: str | None = None,
     ) -> None:
         self.sharded = sharded
-        mode = (io_mode or os.environ.get("REPRO_IO_MODE", "reactor")).lower()
-        self.reactor: EdgeEventLoop | None = (
-            EdgeEventLoop() if mode == "reactor" else None
-        )
-        self.deployments: list[Deployment] = [
-            Deployment(
-                shard,
-                host=host,
-                io_timeout=io_timeout,
-                log_dir=log_dir,
-                io_mode=mode,
-                reactor=self.reactor,
-                shard_map=sharded.shard_map,
-            )
-            for shard in sharded.shards
-        ]
+        self.reactor = EdgeEventLoop()
+        self.deployments: list[Deployment] = []
+        try:
+            for shard in sharded.shards:
+                self.deployments.append(
+                    Deployment(
+                        shard,
+                        host=host,
+                        io_timeout=io_timeout,
+                        log_dir=log_dir,
+                        reactor=self.reactor,
+                        shard_map=sharded.shard_map,
+                    )
+                )
+        except OSError:
+            self.shutdown()
+            raise
 
     def deployment(self, shard_id: int) -> Deployment:
         """The per-shard deployment (IndexError if unknown)."""
@@ -1014,8 +781,7 @@ class ShardedDeployment:
         """Shut down every shard deployment, then the shared reactor."""
         for deploy in self.deployments:
             deploy.shutdown(timeout=timeout)
-        if self.reactor is not None:
-            self.reactor.close()
+        self.reactor.close()
 
     def __enter__(self) -> "ShardedDeployment":
         return self

@@ -1,10 +1,10 @@
 """Single-threaded non-blocking fan-out: the reactor hot path.
 
-The threaded deployment spends one blocking ``sendall`` (and, at settle
-points, one blocking reply read) per edge per frame — fine for tens of
-edges, hopeless for the fleet sizes the paper's edge model targets.
-This module rewrites the central-side delivery hot path as a classic
-reactor (DESIGN.md section 11):
+A blocking link spends one ``sendall`` (and, at settle points, one
+blocking reply read) per edge per frame — fine for tens of edges,
+hopeless for the fleet sizes the paper's edge model targets.  The
+central-side delivery hot path is therefore a classic reactor
+(DESIGN.md section 11), and it is the *only* central-side TCP path:
 
 * :class:`EdgeEventLoop` — a ``selectors``-based event loop owning all
   edge sockets in non-blocking mode.  Each connection keeps an
@@ -28,9 +28,10 @@ reactor (DESIGN.md section 11):
   drive hundreds of TCP edges without hundreds of threads or OS
   processes.
 
-The wire protocol is byte-identical to the threaded path: the same
-frames, the same cumulative-ack and monotonic-cursor semantics
-(DESIGN.md section 10) — only *when* syscalls happen changes.
+The wire protocol is the one every medium speaks: the same frames,
+the same cumulative-ack and monotonic-cursor semantics (DESIGN.md
+section 10) as the in-process link — only *when* syscalls happen is
+this module's business.
 
 Role and ownership: this module is plumbing, not policy — it moves
 bytes for whichever seat owns the loop.  Every socket registered with
@@ -66,8 +67,7 @@ from repro.edge.socket_transport import (
     FrameDecoder,
     MAX_FRAME_BYTES,
     connect_with_retry,
-    recv_frame,
-    send_frame,
+    dial_handshake,
 )
 from repro.edge.transport import (
     CursorAckFrame,
@@ -401,11 +401,11 @@ class EdgeEventLoop:
 class ReactorTransport(Transport):
     """Central-side transport over one :class:`EdgeEventLoop` connection.
 
-    The event-driven sibling of
-    :class:`~repro.edge.socket_transport.TcpTransport`: the same frame
-    protocol, the same pipelined surface, but ``send`` never performs a
-    syscall — frames queue on the connection and ship in vectored
-    batches when the loop spins (drain, settle, or query time).  Fault
+    Every accepted TCP link is one of these.  The surface is
+    pipelined: ``send`` never performs a syscall — frames queue on the
+    connection and ship in vectored batches when the loop spins
+    (drain, settle, or query time) — and replies are matched to sends
+    by cumulative cursors, never one-for-one.  Fault
     semantics and byte metering mirror
     :class:`~repro.edge.transport.InProcessTransport` outcome-for-outcome
     so parity benches compare equals:
@@ -426,9 +426,9 @@ class ReactorTransport(Transport):
         down_channel / up_channel: Byte accounting, as for every
             :class:`~repro.edge.transport.Transport`.
         faults: Initial fault state (healthy by default).
-        timeout: Settle deadline for :meth:`flush(wait=True) <flush>`,
-            :meth:`poll`, and :meth:`request` — a peer silent for
-            longer counts as wedged (the reply just isn't coming).
+        timeout: Settle deadline for :meth:`poll` and :meth:`request`
+            — a peer silent for longer counts as wedged (the reply
+            just isn't coming).
     """
 
     def __init__(
@@ -521,8 +521,10 @@ class ReactorTransport(Transport):
                 self._loop.close_conn(self._conn)
                 break
             if isinstance(reply, CursorAckFrame):
-                # Cumulative: answers everything received before it
-                # (same accounting as TcpTransport._read_reply).
+                # Cumulative: answers *everything* the peer received
+                # before emitting it (FIFO link, cursors cover the
+                # lot) — one-for-one accounting would drift upward
+                # forever on a coalescing link.
                 self._pending = 0
             else:
                 self._pending = max(0, self._pending - 1)
@@ -530,35 +532,17 @@ class ReactorTransport(Transport):
             replies.append(reply)
         return replies
 
-    def flush(self, wait: bool = False) -> list:
-        """Collect outstanding reply frames.
+    def flush(self) -> list:
+        """Collect reply frames previous loop spins already delivered.
 
-        ``wait=False`` (the per-pump drain) performs **no I/O at
-        all** — it only decodes what previous loop spins already
-        delivered, so draining five hundred peers costs five hundred
-        list-swaps, not five hundred selects.  ``wait=True`` spins the
-        loop until every pending frame is answered one-for-one or a
-        cumulative ack zeroes the count (the
-        :meth:`TcpTransport.flush <repro.edge.socket_transport.TcpTransport.flush>`
-        contract), bounded by ``timeout``.
+        Performs **no I/O at all** — draining five hundred peers costs
+        five hundred list-swaps, not five hundred selects — so a slow
+        edge can never stall the write path: its unacknowledged frames
+        simply keep occupying the in-flight window.  :meth:`poll` is
+        the blocking settle primitive.
         """
         with self._lock:
-            replies = self._collect()
-            if not wait:
-                return replies
-            deadline = time.monotonic() + self.timeout
-            while (
-                self._pending
-                and not self._conn.closed
-                and not self.faults.blocks_delivery
-            ):
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self._loop.close_conn(self._conn)
-                    break
-                self._loop.run_once(min(remaining, 0.2))
-                replies.extend(self._collect())
-            return replies
+            return self._collect()
 
     def poll(self) -> list:
         """Spin the loop until at least one reply lands (or the link
@@ -583,10 +567,13 @@ class ReactorTransport(Transport):
     def request(self, frame: Frame) -> Frame:
         """One synchronous request/reply round-trip (query path).
 
-        Matches by *type* like the threaded transport: the first
+        Replies arrive strictly in order, so the answer is the first
         :class:`~repro.edge.transport.QueryResponseFrame` after the
-        send is the answer; replication replies read on the way are
-        stashed for the next :meth:`flush`.  Driving :meth:`run_once`
+        send; replication replies read on the way (acks a coalescing
+        edge was holding) are stashed for the next :meth:`flush`.
+        Matching by *type* instead of by count matters under batched
+        acks: a peer with deferred acks outstanding answers fewer
+        frames than it received.  Driving :meth:`run_once`
         here also flushes any queued replication frames first — the
         link is FIFO, so the query cannot overtake a delta.
 
@@ -670,11 +657,11 @@ class EdgeHost:
 
         sock = connect_with_retry(self.host, self.port, timeout=io_timeout)
         sock.settimeout(io_timeout)
-        send_frame(sock, frame_to_bytes(HelloFrame(edge=name, cursors=())))
-        data = recv_frame(sock)
-        if data is None:
-            raise TransportError("central closed during handshake")
-        config = frame_from_bytes(data)
+        try:
+            config = dial_handshake(sock, HelloFrame(edge=name, cursors=()))
+        except (TransportError, OSError):
+            sock.close()
+            raise
         edge = EdgeServer(
             name=name,
             config=config_from_frame(config),

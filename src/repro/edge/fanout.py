@@ -5,7 +5,7 @@ edge synchronously inside the write path — a diverged replica was healed
 with an O(tree) snapshot *before* the insert returned, and one wedged
 edge delayed all the others.  The fan-out engine decouples that:
 mutations only *record* deltas; delivery happens in :meth:`pump` cycles
-that walk the attached edges (serially or on a thread pool), with
+that walk the attached edges in one deterministic sweep, with
 
 * **per-edge cumulative cursors** — each peer's delta cursor is
   central-side state fed exclusively by the edge's acknowledgements
@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
@@ -239,8 +238,6 @@ class FanoutEngine:
         central: The owning central server (same trust domain).
         window: Initial per-edge bound on unacknowledged in-flight
             frames (each peer's :class:`AdaptiveWindow` starts here).
-        workers: Thread-pool size for concurrent per-edge delivery;
-            ``1`` (default) uses a deterministic serial sweep.
         window_min: Adaptive-window floor.
         window_max: Adaptive-window ceiling; ``None`` pins it to
             ``window`` (a fixed window — the deterministic default).
@@ -252,7 +249,6 @@ class FanoutEngine:
         self,
         central: "CentralServer",
         window: int = 8,
-        workers: int = 1,
         window_min: int = 1,
         window_max: Optional[int] = None,
         ack_latency_target: float = 0.05,
@@ -262,12 +258,10 @@ class FanoutEngine:
         self.window_min = min(window_min, window)
         self.window_max = max(window_max or window, window)
         self.ack_latency_target = ack_latency_target
-        self.workers = workers
         self.peers: dict[str, PeerState] = {}
         self._payload_lock = threading.Lock()
-        #: The event loop owning this engine's remote links, when the
-        #: deployment runs the reactor path (``None`` = threaded /
-        #: in-process only).  Set by
+        #: The event loop owning this engine's remote links (``None`` =
+        #: in-process links only).  Set by
         #: :class:`~repro.edge.deploy.Deployment`; pumps then collect
         #: already-ready acks without flushing (frames keep coalescing
         #: per connection), and ``drain(wait=True)`` becomes one
@@ -497,8 +491,9 @@ class FanoutEngine:
 
         Each peer is first drained (queued frames flushed, pending acks
         applied), then brought up to date on ``tables`` (default: all
-        replicated trees) subject to its in-flight window.  Peers are
-        processed concurrently when ``workers > 1``.
+        replicated trees) subject to its in-flight window.  The sweep
+        is serial: over TCP a send only enqueues (the reactor writes),
+        so there is no per-peer blocking to overlap.
         """
         peers = self._peer_order()
         if not peers:
@@ -512,15 +507,6 @@ class FanoutEngine:
             self.reactor.run_once(0.0, flush_writes=False)
         names = list(tables) if tables is not None else self._tables()
         payloads: dict = {}
-        if self.workers > 1 and len(peers) > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(self.workers, len(peers))
-            ) as pool:
-                counts = pool.map(
-                    lambda p: self._sync_peer(p, names, force_snapshot, payloads),
-                    peers,
-                )
-                return sum(counts)
         return sum(
             self._sync_peer(peer, names, force_snapshot, payloads)
             for peer in peers
@@ -542,8 +528,8 @@ class FanoutEngine:
     def drain(self, name: Optional[str] = None, wait: bool = False) -> None:
         """Collect and apply outstanding acks without sending deltas.
 
-        Pipelining transports (the socket transport's non-blocking
-        sends) leave acks in the link until the next pump; deployments
+        Pipelining transports (the reactor link's enqueue-only sends)
+        leave acks in the link until the next pump; deployments
         call this to settle cursors after a propagation round.  With
         ``wait=True`` this is the batched-ack settle loop: apply what
         is buffered, and while frames remain outstanding on a live
@@ -575,8 +561,8 @@ class FanoutEngine:
     def _drain_reactor(self, peers: list) -> None:
         """Settle every reactor peer off the loop's readiness signal.
 
-        The threaded settle is per-peer probe→poll rounds — over N
-        edges that is N blocking reply waits per drain.  Here the
+        A per-peer probe→poll settle is N blocking reply waits per
+        drain over N edges.  Here the
         probes for *all* peers are enqueued first (each rides the same
         vectored write as the peer's queued deltas), then one
         ``select`` loop waits for whichever edges answer, applying
@@ -590,7 +576,7 @@ class FanoutEngine:
         pending: list = []
         for peer in peers:
             with peer.lock:
-                self._process_replies(peer, peer.transport.flush(wait=False))
+                self._process_replies(peer, peer.transport.flush())
                 if not peer.outstanding and not peer.probe_inflight:
                     continue
                 if not peer.transport.connected:
@@ -614,9 +600,7 @@ class FanoutEngine:
             still: list = []
             for peer in pending:
                 with peer.lock:
-                    self._process_replies(
-                        peer, peer.transport.flush(wait=False)
-                    )
+                    self._process_replies(peer, peer.transport.flush())
                     if not peer.outstanding and not peer.probe_inflight:
                         continue
                     if not peer.transport.connected:
@@ -640,7 +624,7 @@ class FanoutEngine:
                     self._forget_outstanding(peer)
 
     def _drain(self, peer: PeerState, wait: bool = False) -> None:
-        self._process_replies(peer, peer.transport.flush(wait=False))
+        self._process_replies(peer, peer.transport.flush())
         if not wait:
             return
         rounds = 0

@@ -86,8 +86,9 @@ from repro.edge.event_loop import EdgeEventLoop, ReactorTransport
 from repro.edge.fanout import FanoutEngine, PeerState
 from repro.edge.socket_transport import (
     connect_with_retry,
-    recv_frame,
-    send_frame,
+    dial_handshake,
+    listen_on,
+    serve_handshakes,
 )
 from repro.edge.transport import (
     AckFrame,
@@ -252,8 +253,7 @@ class RelayServer:
 
     Args:
         name: Relay name (its upstream link label / hello identity).
-        window / workers / ack settings: Forwarded to the downstream
-            :class:`RelayFanout`.
+        window: Forwarded to the downstream :class:`RelayFanout`.
         spot_check_every: Verify the signature of every Nth ingested
             delta frame (``0`` = never).  Purely a detection
             accelerator — edges re-verify everything regardless.
@@ -276,7 +276,6 @@ class RelayServer:
         self,
         name: str,
         window: int = 8,
-        workers: int = 1,
         spot_check_every: int = 0,
         max_store_bytes: int = 0,
     ) -> None:
@@ -300,7 +299,7 @@ class RelayServer:
         self._upstream_config: Optional[ConfigFrame] = None
         self.ack_every = 1
         self.ack_bytes = 1 << 18
-        self.fanout = RelayFanout(self, window=window, workers=workers)
+        self.fanout = RelayFanout(self, window=window)
         self._lock = threading.RLock()
         #: Deltas ingested since the last spot check.
         self._ingested = 0
@@ -838,31 +837,18 @@ def run_relay(
         spot_check_every=spot_check_every,
         max_store_bytes=max_store_bytes,
     )
+    stop = stop_event if stop_event is not None else threading.Event()
+    # Bind before building the loop: a port in use must not leak one.
+    listener = listen_on(listen_host, listen_port)
+    bound = listener.getsockname()[:2]
     loop = EdgeEventLoop()
     relay.fanout.reactor = loop
-    stop = stop_event if stop_event is not None else threading.Event()
-
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind((listen_host, listen_port))
-    listener.listen()
-    bound = listener.getsockname()[:2]
     if ready is not None:
         ready(relay, bound)
     if verbose:
         print(f"[relay {name}] listening on {bound[0]}:{bound[1]}", flush=True)
 
-    def _downstream_handshake(conn: socket.socket) -> None:
-        conn.settimeout(io_timeout)
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        data = recv_frame(conn)
-        if data is None:
-            raise TransportError("edge closed during handshake")
-        hello = frame_from_bytes(data)
-        if not isinstance(hello, HelloFrame):
-            raise TransportError(
-                f"expected HelloFrame, got {type(hello).__name__}"
-            )
+    def _downstream_config() -> ConfigFrame:
         # An edge may dial before the upstream handshake delivered the
         # config; make it wait briefly instead of failing its dial.
         deadline = time.monotonic() + io_timeout
@@ -870,37 +856,22 @@ def run_relay(
             if stop.is_set() or time.monotonic() > deadline:
                 raise TransportError("relay has no upstream config yet")
             time.sleep(0.05)
-        send_frame(conn, frame_to_bytes(relay.downstream_config_frame()))
+        return relay.downstream_config_frame()
+
+    def _attach_downstream(
+        conn: socket.socket, hello: HelloFrame, _sent: ConfigFrame
+    ) -> None:
         transport = ReactorTransport(hello.edge, loop, conn, timeout=io_timeout)
         relay.attach_edge(hello.edge, transport, cursors=hello.cursors)
         if verbose:
             print(f"[relay {name}] edge {hello.edge} attached", flush=True)
 
-    def _accept_loop() -> None:
-        while not stop.is_set():
-            try:
-                conn, _addr = listener.accept()
-            except OSError:
-                return  # listener closed: shutdown
-            try:
-                _downstream_handshake(conn)
-            except (TransportError, OSError) as exc:
-                # A broken dialer must not take the listener down.
-                telemetry.note("relay.accept_loop.handshake", exc)
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-            except Exception as exc:  # broad by design: anything else is
-                # a bug worth counting, not weather.
-                telemetry.note("relay.accept_loop.unexpected", exc)
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-
     accept_thread = threading.Thread(
-        target=_accept_loop, name=f"relay-{name}-accept", daemon=True
+        target=serve_handshakes,
+        args=(listener, "relay", io_timeout, _downstream_config,
+              _attach_downstream),
+        name=f"relay-{name}-accept",
+        daemon=True,
     )
     accept_thread.start()
 
@@ -918,25 +889,16 @@ def run_relay(
                 raise
             sock.settimeout(io_timeout)
             try:
-                send_frame(
-                    sock,
-                    frame_to_bytes(
+                relay.adopt_config(
+                    dial_handshake(
+                        sock,
                         HelloFrame(
                             edge=name,
                             cursors=relay.store_cursors(),
                             role="relay",
-                        )
-                    ),
-                )
-                data = recv_frame(sock)
-                if data is None:
-                    raise TransportError("upstream closed during handshake")
-                reply = frame_from_bytes(data)
-                if not isinstance(reply, ConfigFrame):
-                    raise TransportError(
-                        f"expected ConfigFrame, got {type(reply).__name__}"
+                        ),
                     )
-                relay.adopt_config(reply)
+                )
             except (TransportError, OSError) as exc:
                 telemetry.note("relay.upstream.handshake", exc)
                 try:

@@ -199,7 +199,7 @@ class TransportQueryChannel:
         transport: A connected transport whose peer answers query
             frames (an in-process link wired to
             :meth:`~repro.edge.edge_server.EdgeServer.handle_frame`, or
-            an accepted :class:`~repro.edge.socket_transport.TcpTransport`).
+            an accepted :class:`~repro.edge.event_loop.ReactorTransport`).
         simulated_latency: Report the channel model's deterministic
             transfer seconds (request + reply —
             :class:`~repro.edge.network.Channel`'s rtt/bandwidth math)

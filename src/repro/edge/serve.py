@@ -25,16 +25,14 @@ import sys
 from repro.edge import telemetry
 from repro.edge.socket_transport import (
     connect_with_retry,
+    dial_handshake,
     recv_frame,
-    send_frame,
     send_frames,
 )
 from repro.edge.transport import (
-    ConfigFrame,
     HelloFrame,
     QueryResponseFrame,
     config_from_frame,
-    frame_from_bytes,
     frame_to_bytes,
 )
 from repro.exceptions import TransportError
@@ -67,15 +65,7 @@ def serve_connection(sock: socket.socket, name: str, edge=None):
     from repro.edge.edge_server import EdgeServer
 
     cursors = edge.replication_cursors() if edge is not None else ()
-    send_frame(sock, frame_to_bytes(HelloFrame(edge=name, cursors=cursors)))
-    data = recv_frame(sock)
-    if data is None:
-        raise TransportError("central closed during handshake")
-    reply = frame_from_bytes(data)
-    if not isinstance(reply, ConfigFrame):
-        raise TransportError(
-            f"expected ConfigFrame, got {type(reply).__name__}"
-        )
+    reply = dial_handshake(sock, HelloFrame(edge=name, cursors=cursors))
     if edge is None:
         edge = EdgeServer(
             name=name,

@@ -1,4 +1,4 @@
-"""Real-socket transport: the frame codec over TCP.
+"""Real-socket framing: the frame codec over TCP, and the handshake.
 
 The in-process transport proves the central↔edge boundary is
 message-shaped; this module makes it *physical*.  Frames travel
@@ -10,22 +10,25 @@ servers on untrusted machines reachable only over a network).
 
 Wire protocol per connection (see DESIGN.md section 8):
 
-1. The *edge* connects to the central listener and sends a
-   :class:`~repro.edge.transport.HelloFrame` — its name plus the
-   replica cursors it already holds (empty for a fresh process).
-2. The *central* replies with a
-   :class:`~repro.edge.transport.ConfigFrame` (the public verification
-   bundle) and attaches a :class:`TcpTransport` over the accepted
-   socket, seeding the fan-out engine's cursors from the hello.
-3. From then on the central pushes snapshot / delta / query frames;
-   the edge answers every frame with exactly one reply frame (ack or
-   query response), in order.
+1. The *dialer* (an edge, or a relay posing as one) connects to a
+   listener and sends a :class:`~repro.edge.transport.HelloFrame` — its
+   name plus the replica cursors it already holds (empty for a fresh
+   process).  :func:`dial_handshake` is the one implementation.
+2. The *listener* (the central, or a relay's downstream face) replies
+   with a :class:`~repro.edge.transport.ConfigFrame` (the public
+   verification bundle) and hands the accepted socket to its reactor
+   as a :class:`~repro.edge.event_loop.ReactorTransport`, seeding the
+   fan-out engine's cursors from the hello.  :func:`serve_handshakes`
+   is the one implementation.
+3. From then on the listener side pushes snapshot / delta / query
+   frames; the dialer answers in order (acks may be coalesced into
+   cumulative cursor acks, DESIGN.md section 10).
 
-Because replies are strictly ordered, the central side can *pipeline*:
-:meth:`TcpTransport.send` only writes (it never waits for the ack), and
-the fan-out engine's bounded in-flight window provides flow control
-exactly as it does for a slow in-process link.  Outstanding acks are
-collected by :meth:`TcpTransport.flush` at the start of the next pump.
+What lives here is only what must *block*: the handshake on both sides
+and the edge process's serve loop (:mod:`repro.edge.serve`) use
+:func:`send_frame` / :func:`recv_frame` on a blocking socket; every
+established central-side link is non-blocking and owned by the event
+loop (:mod:`repro.edge.event_loop`), which shares :class:`FrameDecoder`.
 
 Failure mapping — every socket-level fault lands in the machinery that
 already exists for in-process faults, so a killed or wedged edge
@@ -38,7 +41,7 @@ socket condition                       mapped onto
                                        (like a partitioned link)
 EOF or reset while awaiting replies    link closed; in-flight frames
                                        forgotten, cursors stay behind
-receive timeout (hung peer)            link closed (wedged edge)
+settle deadline passed (hung peer)     link closed (wedged edge)
 mid-frame disconnect                   :class:`TransportError` →
                                        link closed
 reconnect with cursors                 delta resume from the hello's
@@ -49,22 +52,15 @@ reconnect without cursors (restart)    epoch mismatch → snapshot heal
 
 from __future__ import annotations
 
-import select
 import socket
 import struct
-import threading
 import time
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.edge import telemetry
-from repro.edge.network import Channel
 from repro.edge.transport import (
-    CursorAckFrame,
-    FaultInjector,
-    Frame,
-    QueryResponseFrame,
-    SendOutcome,
-    Transport,
+    ConfigFrame,
+    HelloFrame,
     frame_from_bytes,
     frame_to_bytes,
 )
@@ -78,7 +74,9 @@ __all__ = [
     "send_frames",
     "recv_frame",
     "connect_with_retry",
-    "TcpTransport",
+    "listen_on",
+    "dial_handshake",
+    "serve_handshakes",
 ]
 
 #: 4-byte big-endian frame length prefix.
@@ -95,15 +93,11 @@ _RECV_CHUNK = 1 << 16
 #: every platform we run on; staying at half leaves headroom).
 _IOV_MAX = 512
 
-#: Sentinel: no complete reply buffered yet (non-blocking read path).
-_NOT_READY = object()
-
-
 class FrameDecoder:
     """Incremental zero-copy decoder for length-prefixed frame streams.
 
-    Shared by :class:`TcpTransport` and the event-loop reactor
-    (:mod:`repro.edge.event_loop`).  Bytes land directly in a growable
+    The event-loop reactor's (:mod:`repro.edge.event_loop`) read
+    buffer.  Bytes land directly in a growable
     ``bytearray`` via :meth:`writable` + ``recv_into`` (no per-``recv``
     ``bytes`` concatenation), and :meth:`next_frame` pops complete
     frames with exactly one copy per frame — the ``bytes`` handed to
@@ -335,319 +329,100 @@ def connect_with_retry(
     )
 
 
-class TcpTransport(Transport):
-    """Central-side transport over one accepted edge connection.
+def listen_on(host: str, port: int) -> socket.socket:
+    """A bound, listening TCP socket (closed again if the bind fails)."""
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind((host, port))
+        listener.listen()
+    except OSError:
+        listener.close()
+        raise
+    return listener
 
-    Implements the same surface the fan-out engine drives in-process,
-    with pipelined (non-blocking) sends:
 
-    * :meth:`send` serializes and writes the frame, then returns
-      ``status="queued"`` without waiting for the edge's reply — the
-      caller's in-flight window bounds how far ahead it may run.
-    * :meth:`flush` collects every outstanding reply (the protocol
-      guarantees one in-order reply per frame), so a pump cycle starts
-      from a drained link.
-    * :meth:`request` is the synchronous path used for client queries:
-      it first drains outstanding replication acks (stashing them for
-      the next :meth:`flush`), then performs one request/reply
-      round-trip.
+def dial_handshake(sock: socket.socket, hello: HelloFrame) -> ConfigFrame:
+    """Dialer side of the registration handshake (blocking).
 
-    Any socket-level failure closes the link: subsequent sends report
-    ``status="failed"`` (exactly like a partitioned in-process link)
-    and the deployment layer heals by re-attaching the peer when the
-    edge reconnects.
+    Sends ``hello`` and returns the listener's
+    :class:`~repro.edge.transport.ConfigFrame`.  Every dialer — an edge
+    process (:func:`repro.edge.serve.serve_connection`), a hosted edge
+    (:meth:`EdgeHost.launch <repro.edge.event_loop.EdgeHost.launch>`)
+    and a relay's upstream face (:func:`repro.edge.relay.run_relay`) —
+    registers through here.
+
+    Raises:
+        TransportError: If the listener hangs up mid-handshake or
+            answers with anything but a config.
+    """
+    send_frame(sock, frame_to_bytes(hello))
+    data = recv_frame(sock)
+    if data is None:
+        raise TransportError("listener closed during handshake")
+    reply = frame_from_bytes(data)
+    if not isinstance(reply, ConfigFrame):
+        raise TransportError(
+            f"expected ConfigFrame, got {type(reply).__name__}"
+        )
+    return reply
+
+
+def serve_handshakes(
+    listener: socket.socket,
+    site: str,
+    io_timeout: float,
+    config: Callable[[], ConfigFrame],
+    attach: Callable[[socket.socket, HelloFrame, ConfigFrame], None],
+) -> None:
+    """Listener side of the registration handshake: the accept loop.
+
+    Runs (on the caller's accept thread) until ``listener`` is closed.
+    Each dialer's :class:`~repro.edge.transport.HelloFrame` is received
+    and type-checked, answered with ``config()``, and the connection is
+    handed to ``attach(conn, hello, sent_config)`` — which adopts the
+    socket into the listener's reactor and registers the peer.  A
+    broken dialer never takes the listener down: handshake faults are
+    counted at ``<site>.accept_loop.handshake``, anything else at
+    ``<site>.accept_loop.unexpected`` (the chaos gate), and the
+    connection is dropped either way.
 
     Args:
-        name: The edge's name (link label).
-        sock: The connected socket (ownership transfers here).
-        down_channel / up_channel: Byte accounting, as for every
-            :class:`~repro.edge.transport.Transport`.
-        timeout: Receive timeout; a peer silent for longer is treated
-            as wedged and the link is closed.
-        faults: Fault-injection state (healthy by default) — the same
-            :class:`~repro.edge.transport.FaultInjector` the in-process
-            link honors, applied at the TCP level: ``partitioned``
-            fails sends without touching the socket (a flap, not a
-            close — clearing it resumes the link), ``drop_next`` meters
-            then discards frames before the write, ``hold`` parks
-            serialized frames in the transport until :meth:`flush`
-            after the fault clears, and ``delay`` sleeps before each
-            write (latency shaping on a blocking link).
+        listener: Bound, listening socket.
+        site: Telemetry site prefix (``"deploy"`` / ``"relay"``).
+        io_timeout: Receive timeout for the blocking exchange.
+        config: Produces the verification bundle to reply with (may
+            block briefly, e.g. a relay still waiting for its own
+            upstream config; raise ``TransportError`` to refuse).
+        attach: Adopts the registered connection.
     """
-
-    def __init__(
-        self,
-        name: str,
-        sock: socket.socket,
-        down_channel: Channel | None = None,
-        up_channel: Channel | None = None,
-        timeout: float = 10.0,
-        faults: FaultInjector | None = None,
-    ) -> None:
-        super().__init__(name, down_channel, up_channel)
-        self._sock = sock
-        self._sock.settimeout(timeout)
-        self._lock = threading.RLock()
-        self.faults = faults or FaultInjector()
-        self._held: list[bytes] = []
-        self._pending = 0
-        self._stray: list[Frame] = []
-        self._decoder = FrameDecoder()
-        self._closed = False
-        #: Syscall tally (``send``/``recv``/``select``) — the threaded
-        #: baseline the event-loop bench compares its reactor against.
-        self.syscalls: dict[str, int] = {"send": 0, "recv": 0, "select": 0}
-
-    # ------------------------------------------------------------------
-    # State
-    # ------------------------------------------------------------------
-
-    @property
-    def connected(self) -> bool:
-        """False once a socket fault has closed this link."""
-        return not self._closed
-
-    @property
-    def queued_frames(self) -> int:
-        """Frames written but not yet matched with a reply."""
-        return self._pending
-
-    def close(self) -> None:
-        """Close the underlying socket (idempotent)."""
-        with self._lock:
-            self._mark_closed()
-
-    def _mark_closed(self) -> None:
-        if not self._closed:
-            self._closed = True
+    while True:
+        try:
+            conn, _addr = listener.accept()
+        except OSError:
+            return  # listener closed: shutdown
+        try:
+            conn.settimeout(io_timeout)
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            data = recv_frame(conn)
+            if data is None:
+                raise TransportError("dialer closed during handshake")
+            hello = frame_from_bytes(data)
+            if not isinstance(hello, HelloFrame):
+                raise TransportError(
+                    f"expected HelloFrame, got {type(hello).__name__}"
+                )
+            sent = config()
+            send_frame(conn, frame_to_bytes(sent))
+            attach(conn, hello, sent)
+        except Exception as exc:  # broad by design: a broken dialer
+            # must not take the listener down.  A torn or off-protocol
+            # handshake is weather; anything else is a bug worth
+            # counting at the site the chaos gate watches.
+            weather = isinstance(exc, (TransportError, OSError))
+            kind = "handshake" if weather else "unexpected"
+            telemetry.note(f"{site}.accept_loop.{kind}", exc)
             try:
-                self._sock.shutdown(socket.SHUT_RDWR)
+                conn.close()
             except OSError:
                 pass
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-        self._pending = 0
-
-    # ------------------------------------------------------------------
-    # Transport surface
-    # ------------------------------------------------------------------
-
-    def send(self, frame: Frame) -> SendOutcome:
-        """Write one frame without waiting for the reply.
-
-        Returns ``status="queued"`` on success (ack pending — the
-        fan-out engine counts it against the in-flight window) or
-        ``status="failed"`` when the link is down.
-        """
-        with self._lock:
-            if self._closed:
-                return SendOutcome(status="failed")
-            if self.faults.partitioned:
-                # A flap, not a death: nothing leaves the sender and
-                # the socket stays open for when the link heals.
-                return SendOutcome(status="failed")
-            data = frame_to_bytes(frame)
-            if self.faults.drop_next > 0:
-                self.faults.drop_next -= 1
-                transfer = self._record_send(data, frame)
-                return SendOutcome(status="dropped", transfer=transfer)
-            if self.faults.hold:
-                transfer = self._record_send(data, frame)
-                self._held.append(data)
-                return SendOutcome(status="queued", transfer=transfer)
-            if self.faults.delay > 0:
-                time.sleep(self.faults.delay)
-            try:
-                send_frame(self._sock, data)
-            except (OSError, TransportError) as exc:
-                telemetry.note("tcp.send", exc, detail=self.name)
-                self._mark_closed()
-                return SendOutcome(status="failed")
-            self.syscalls["send"] += 1
-            transfer = self._record_send(data, frame)
-            self._pending += 1
-            return SendOutcome(status="queued", transfer=transfer)
-
-    def flush(self, wait: bool = False) -> list:
-        """Collect outstanding reply frames.
-
-        With ``wait=False`` (the default — what the fan-out engine's
-        per-pump drain uses) only replies *already buffered* are
-        collected — including the no-complete-frame-yet case, where
-        the partial bytes stay in the receive buffer for next time —
-        so a slow edge can never stall the write path: its
-        unacknowledged frames simply keep occupying the in-flight
-        window and the engine skips it, exactly like a frame-holding
-        in-process link.
-
-        With ``wait=True`` this blocks until the link *settles*:
-        either every sent frame has been answered one-for-one (the
-        pre-batching cadence) or a cumulative
-        :class:`~repro.edge.transport.CursorAckFrame` arrives — a
-        cumulative ack zeroes the pending count, so replies its
-        cursors do not yet cover (frames still queued behind the ack
-        point) surface on a *later* flush rather than being blocked
-        for here.  Settle points that must cover a coalescing peer's
-        whole pipeline therefore use the probe-then-:meth:`poll` drain
-        (the fan-out engine's), not this.  On EOF / reset / timeout
-        the link is closed and whatever was collected is returned —
-        in-flight frames are forgotten, leaving the peer's cursors
-        behind so a later pump (or a reconnect handshake) retries or
-        heals.
-        """
-        with self._lock:
-            replies = list(self._stray)
-            self._stray.clear()
-            if self.faults.blocks_delivery:
-                # Mirror the in-process link: a partitioned/held link
-                # neither writes nor blocks waiting for replies.
-                return replies
-            self._write_held()
-            while True:
-                if wait and not self._pending:
-                    break
-                reply = self._read_reply(wait=wait)
-                if reply is _NOT_READY or reply is None:
-                    break
-                replies.append(reply)
-            return replies
-
-    def _write_held(self) -> None:
-        """Write frames parked by a (now cleared) ``hold`` fault."""
-        while self._held and not self._closed:
-            data = self._held.pop(0)
-            try:
-                send_frame(self._sock, data)
-            except (OSError, TransportError) as exc:
-                telemetry.note("tcp.send", exc, detail=self.name)
-                self._mark_closed()
-                return
-            self.syscalls["send"] += 1
-            self._pending += 1
-
-    def poll(self) -> list:
-        """Block for at least one reply frame; return all available.
-
-        The batched-ack settle primitive (see
-        :meth:`Transport.poll <repro.edge.transport.Transport.poll>`):
-        the caller has just solicited a cursor ack and knows *a* reply
-        is coming, but not how many frames it will cover.  A receive
-        timeout or EOF closes the link and returns whatever arrived.
-        """
-        with self._lock:
-            replies = list(self._stray)
-            self._stray.clear()
-            if not replies:
-                reply = self._read_reply(wait=True)
-                if reply is not None and reply is not _NOT_READY:
-                    replies.append(reply)
-            while True:  # drain whatever else is already buffered
-                reply = self._read_reply(wait=False)
-                if reply is _NOT_READY or reply is None:
-                    break
-                replies.append(reply)
-            return replies
-
-    def _readable(self) -> bool:
-        """True if at least one reply byte is waiting in the buffer."""
-        if self._closed:
-            return False
-        self.syscalls["select"] += 1
-        try:
-            ready, _, _ = select.select([self._sock], [], [], 0)
-        except (OSError, ValueError):
-            return False
-        return bool(ready)
-
-    def request(self, frame: Frame) -> Frame:
-        """One synchronous request/reply round-trip (query path).
-
-        Replies arrive strictly in order, so the query's answer is the
-        first :class:`~repro.edge.transport.QueryResponseFrame` to
-        arrive after the send; replication replies read on the way
-        (acks a coalescing edge was holding, or pipelined per-frame
-        acks) are stashed for the next :meth:`flush`.  Matching by
-        *type* instead of by count matters under batched acks: a peer
-        with deferred acks outstanding answers fewer frames than it
-        received, and the old drain-``pending``-replies-first protocol
-        would block on acks that are never coming.
-
-        Raises:
-            TransportError: If the link is down or drops mid-exchange.
-        """
-        with self._lock:
-            outcome = self.send(frame)
-            if outcome.status == "dropped":
-                raise TransportError(
-                    f"request to {self.name!r} lost in flight"
-                )
-            if outcome.status != "queued":
-                raise TransportError(f"link to {self.name!r} is down")
-            if self.faults.hold:
-                # The frame stays parked in the link (metered, will be
-                # written on flush once the fault clears), but a
-                # synchronous caller cannot wait for it.
-                raise TransportError(
-                    f"link to {self.name!r} timed out (peer holding frames)"
-                )
-            while True:
-                reply = self._read_reply()
-                if reply is None:
-                    raise TransportError(
-                        f"link to {self.name!r} lost awaiting reply"
-                    )
-                if isinstance(reply, QueryResponseFrame):
-                    return reply
-                self._stray.append(reply)
-
-    def _read_reply(self, wait: bool = True) -> Optional[Frame]:
-        """One reply frame through the shared :class:`FrameDecoder`.
-
-        Returns ``_NOT_READY`` when ``wait=False`` and no *complete*
-        frame has arrived (partial bytes stay buffered — never handed
-        to a blocking read), or ``None`` (and close) on any fault.
-        """
-        while True:
-            try:
-                data = self._decoder.next_frame()
-            except TransportError as exc:
-                # Misaligned stream: never routine, always traced.
-                telemetry.note("tcp.framing", exc, detail=self.name)
-                self._mark_closed()
-                return None
-            if data is not None:
-                break
-            if not wait and not self._readable():
-                return _NOT_READY
-            view = self._decoder.writable(_RECV_CHUNK)
-            self.syscalls["recv"] += 1
-            try:
-                n = self._sock.recv_into(view)
-            except (OSError, TransportError) as exc:
-                telemetry.note("tcp.recv", exc, detail=self.name)
-                self._mark_closed()
-                return None
-            if n == 0:  # clean EOF
-                self._mark_closed()
-                return None
-            self._decoder.wrote(n)
-        try:
-            reply = frame_from_bytes(data)
-        except TransportError as exc:
-            telemetry.note("tcp.framing", exc, detail=self.name)
-            self._mark_closed()
-            return None
-        if isinstance(reply, CursorAckFrame):
-            # A cumulative ack answers *everything* the peer received
-            # before emitting it (FIFO link, cursors cover the lot) —
-            # one-for-one pending accounting would otherwise drift
-            # upward forever on a coalescing link, and a later
-            # ``flush(wait=True)`` would block on replies that are
-            # never coming until the timeout tore the link down.
-            self._pending = 0
-        else:
-            self._pending = max(0, self._pending - 1)
-        self._record_reply(data, reply)
-        return reply

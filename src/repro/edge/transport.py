@@ -22,12 +22,12 @@ control and healing paths can be exercised deterministically:
   fault clears.  Combined with the fan-out engine's bounded in-flight
   window this models per-edge backpressure.
 
-A real-socket transport only needs to reimplement ``send``/``flush``
-over its medium; the frame codec is already byte-exact.  Two exist:
-the thread-per-edge :class:`~repro.edge.socket_transport.TcpTransport`
-and the event-loop :class:`~repro.edge.event_loop.ReactorTransport`,
-which honours the same three fault states by gating its connection's
-outbound queue (see :attr:`FaultInjector.blocks_delivery`).
+A real-socket transport only needs to reimplement
+``send``/``flush``/``poll``/``request`` over its medium; the frame
+codec is already byte-exact.  One exists: the event-loop
+:class:`~repro.edge.event_loop.ReactorTransport`, which honours the
+same three fault states by gating its connection's outbound queue (see
+:attr:`FaultInjector.blocks_delivery`).
 
 Role and ownership: the codec is shared vocabulary, not a seat — the
 same nine frames serve central→edge links, central→relay links, and
@@ -757,10 +757,8 @@ class FaultInjector:
             link models it as a one-flush delivery delay (the frame is
             queued like a held frame but drains on the *next* flush
             even while the fault persists — a slow link, not a wedged
-            one); :class:`~repro.edge.socket_transport.TcpTransport`
-            sleeps before each write; the reactor parks the
-            connection's queue until the deadline passes without ever
-            blocking the loop.
+            one); the reactor parks the connection's queue until the
+            deadline passes without ever blocking the loop.
     """
 
     partitioned: bool = False
@@ -878,19 +876,17 @@ class Transport:
         """Ship one frame; never raises on link faults (see outcome)."""
         raise NotImplementedError
 
-    def flush(self, wait: bool = False) -> list:
+    def flush(self) -> list:
         """Deliver/collect queued frames; returns the peer's replies.
 
-        ``wait`` only matters to transports whose replies arrive
-        asynchronously (the socket transport): ``False`` collects what
-        is already available without blocking the caller (safe on a
-        write path), ``True`` blocks until every outstanding reply has
-        arrived (a settle point, e.g. before checking staleness).
-        ``wait=True`` assumes the pre-batching one-reply-per-frame
-        cadence; callers settling a *coalescing* peer must instead
-        drive :meth:`poll` themselves (the fan-out engine's
-        probe-then-poll drain), because the number of replies is no
-        longer knowable from the number of sends.
+        Never blocks: a transport whose replies arrive asynchronously
+        (the reactor link) returns only what has already landed, so
+        this is safe on a write path.  Callers that must *wait* for a
+        settle drive :meth:`poll` (the fan-out engine's
+        probe-then-poll drain) — under coalesced acks the number of
+        replies is not knowable from the number of sends, so "block
+        until every reply arrived" is not a question a link can
+        answer.
         """
         raise NotImplementedError
 
@@ -905,7 +901,7 @@ class Transport:
         nothing can arrive anymore — the link is dead, held, or timed
         out — never as "not yet".
         """
-        return self.flush(wait=True)
+        return self.flush()
 
     def request(self, frame: Frame) -> Frame:
         """One synchronous request/reply round-trip (the query path).
@@ -991,12 +987,11 @@ class InProcessTransport(Transport):
             transfer=transfer,
         )
 
-    def flush(self, wait: bool = False) -> list:
+    def flush(self) -> list:
         """Drain held frames once faults have cleared.
 
         Returns the peer's accumulated reply frames; a no-op (empty
         list) while the link is still partitioned or holding.
-        (Delivery is synchronous in-process, so ``wait`` is moot.)
         """
         if self.faults.partitioned or self.faults.hold:
             return []
@@ -1008,8 +1003,8 @@ class InProcessTransport(Transport):
     def request(self, frame: Frame) -> Frame:
         """One synchronous round-trip, with fault injection applied.
 
-        The query-path mirror of :meth:`TcpTransport.request
-        <repro.edge.socket_transport.TcpTransport.request>`: a
+        The query-path mirror of :meth:`ReactorTransport.request
+        <repro.edge.event_loop.ReactorTransport.request>`: a
         partitioned link raises, a dropped request raises (the reply
         will never come), and a held request raises too — the frame
         stays queued in the slow link (it was metered as sent and the

@@ -12,7 +12,7 @@ import os
 import pytest
 
 from repro.edge.central import CentralServer
-from repro.edge.deploy import Deployment, RelayDeployment
+from repro.edge.deploy import Deployment
 from repro.workloads.generator import TableSpec, generate_table
 
 pytestmark = [pytest.mark.socket, pytest.mark.timeout(240)]
@@ -93,22 +93,24 @@ class TestRelayRestartStorm:
         if not os.path.isdir("/proc/self/fd"):
             pytest.skip("needs /proc (Linux)")
         central = make_central()
-        rd = RelayDeployment(central, log_dir=str(tmp_path / "logs"))
+        rd = Deployment(central, log_dir=str(tmp_path / "logs"))
         try:
             client = central.make_client()
             rd.launch_relay("relay-0", max_store_bytes=200_000)
-            rd.wait_for_relay("relay-0")
+            rd.wait_for_edge("relay-0")
             rd.launch_edge("edge-0", "relay-0")
             rd.launch_edge("edge-1", "relay-0")
             rd.wait_for_edges("relay-0", ["edge-0", "edge-1"], TABLE)
-            assert rd.relay_opts["relay-0"]["max_store_bytes"] == 200_000
+            launched_with = rd.edges["relay-0"].argv
+            assert "200000" == launched_with[
+                launched_with.index("--max-store-bytes") + 1
+            ]
             baseline = fd_count()
 
             unverified = 0
             for round_, seed in enumerate((3, 4)):
-                order = rd.restart_storm(cycles=1, seed=seed)
+                order = rd.restart_storm(["relay-0"], cycles=1, seed=seed)
                 assert order == ["relay-0"]
-                rd.wait_for_relay("relay-0")
                 rd.wait_for_edges(
                     "relay-0", ["edge-0", "edge-1"], TABLE, timeout=60.0
                 )
@@ -122,8 +124,9 @@ class TestRelayRestartStorm:
                 if not client.verify(resp).ok:
                     unverified += 1
             assert unverified == 0
-            # The restart rebuilt the relay with its pinned options.
-            assert rd.relay_opts["relay-0"]["max_store_bytes"] == 200_000
+            # Every restart re-exec'd the argv of the first launch:
+            # same store cap, same pinned listen port.
+            assert rd.edges["relay-0"].argv == launched_with
 
             assert fd_count() <= baseline + 1, (
                 f"fd leak under relay storm: baseline {baseline}, "

@@ -495,23 +495,27 @@ class TestAdaptiveWindow:
         doubles the regrow time after the edge heals)."""
         import socket as socket_mod
 
-        from repro.edge.socket_transport import TcpTransport
+        from repro.edge.event_loop import EdgeEventLoop, ReactorTransport
 
         server = make_central(fanout_window=8)
         left, right = socket_mod.socketpair()
-        transport = TcpTransport("dead", left, timeout=1)
-        lsn = server.replicator.log_for("t").last_lsn
-        epoch = server.keyring.current_epoch
-        server.attach_remote_edge(
-            "dead", transport, cursors=[("t", lsn, epoch)],
-            config_epoch=epoch,
-        )
-        right.close()
-        transport.close()  # the link dies with the window configured
-        server.insert("t", (9001, "a", "b", "c"))  # one failed-send pump
-        peer = server.fanout.peer("dead")
-        assert peer.window.size == 4  # halved once, not quartered
-        assert peer.inflight == 0
+        loop = EdgeEventLoop()
+        try:
+            transport = ReactorTransport("dead", loop, left, timeout=1)
+            lsn = server.replicator.log_for("t").last_lsn
+            epoch = server.keyring.current_epoch
+            server.attach_remote_edge(
+                "dead", transport, cursors=[("t", lsn, epoch)],
+                config_epoch=epoch,
+            )
+            right.close()
+            transport.close()  # the link dies with the window configured
+            server.insert("t", (9001, "a", "b", "c"))  # one failed-send pump
+            peer = server.fanout.peer("dead")
+            assert peer.window.size == 4  # halved once, not quartered
+            assert peer.inflight == 0
+        finally:
+            loop.close()
 
     def test_fixed_window_by_default(self):
         """Without a raised ceiling the window is the classic constant
@@ -576,7 +580,7 @@ class TestBatchedAcksOverTcp:
         return deploy, thread
 
     def test_query_does_not_hang_behind_deferred_acks(self):
-        """Regression: the old ``TcpTransport.request`` drained one
+        """Regression: a socket link's ``request`` once drained one
         reply per sent frame before querying — under coalescing those
         acks are never coming and the query blocked until the receive
         timeout tore the link down.  Matching replies by type must keep

@@ -159,15 +159,9 @@ class TestMultiProcessDeployment:
 
 
 class TestKillMidWindow:
-    @pytest.mark.parametrize(
-        "io_mode",
-        [
-            "threaded",
-            pytest.param("reactor", marks=pytest.mark.event_loop),
-        ],
-    )
+    @pytest.mark.event_loop
     def test_peer_killed_mid_window_nacks_heals_and_drops_no_tail(
-        self, tmp_path, io_mode
+        self, tmp_path
     ):
         """Satellite regression (DESIGN.md section 10.4): pipelined
         sends under *deferred* acks, then SIGKILL the edge with the
@@ -176,16 +170,13 @@ class TestKillMidWindow:
         (the old one-reply-per-frame drain would block on acks that
         are never coming) and never a silently-dropped tail: after the
         restart the snapshot heal must reach cursor parity with every
-        committed row present.  Runs against both I/O paths: under the
-        reactor the kill is discovered by a failed vectored flush (or
-        the RST read event) instead of a failed ``sendall``, and the
-        readiness-driven settle must forget the tail just as fast."""
+        committed row present.  The kill is discovered by a failed
+        vectored flush (or the RST read event), and the
+        readiness-driven settle must forget the tail at once."""
         import time
 
         central = make_central(ack_every=64)  # acks far beyond the window
-        deploy = Deployment(
-            central, log_dir=str(tmp_path / "edge-logs"), io_mode=io_mode
-        )
+        deploy = Deployment(central, log_dir=str(tmp_path / "edge-logs"))
         try:
             client = central.make_client()
             deploy.launch_edge("edge-0")
@@ -266,6 +257,40 @@ class TestRestartHygiene:
             )
         finally:
             deploy.shutdown()
+
+
+    def test_failed_bind_leaks_no_reactor_and_no_fds(self):
+        """Regression: ``Deployment.__init__`` used to create the event
+        loop and assign ``central.fanout.reactor`` *before* binding, so
+        a port already in use raised ``OSError`` and left the fan-out
+        engine pointing at an orphaned, never-closed loop (+4 fds: the
+        selector, the wake pipe pair and the listener).  The bind goes
+        first; a failed construction leaves nothing behind."""
+        import gc
+        import os
+        import socket
+
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("needs /proc (Linux)")
+
+        def fd_count() -> int:
+            return len(os.listdir("/proc/self/fd"))
+
+        central = make_central()
+        squatter = socket.socket()
+        squatter.bind(("127.0.0.1", 0))
+        squatter.listen()
+        try:
+            gc.collect()
+            baseline = fd_count()
+            for _ in range(3):
+                with pytest.raises(OSError):
+                    Deployment(central, port=squatter.getsockname()[1])
+            gc.collect()
+            assert central.fanout.reactor is None
+            assert fd_count() == baseline
+        finally:
+            squatter.close()
 
 
 class TestServeCli:

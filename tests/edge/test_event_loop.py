@@ -14,17 +14,17 @@ section 11) end to end:
   outcome and byte-metering parity with
   :class:`~repro.edge.transport.InProcessTransport`.
 * Reactor deployments — :class:`~repro.edge.event_loop.EdgeHost` edges
-  over real loopback TCP against a :class:`~repro.edge.deploy.Deployment`
-  in both I/O modes: end-to-end replication + verified queries, the
-  slow-edge backpressure regression (a held edge parks its queue and
-  never delays a healthy edge), syscall coalescing, and exact
-  delta/snapshot byte parity across in-process / reactor / threaded
-  media.
+  over real loopback TCP against a :class:`~repro.edge.deploy.Deployment`:
+  end-to-end replication + verified queries, the slow-edge
+  backpressure regression (a held edge parks its queue and never
+  delays a healthy edge), syscall coalescing, and exact
+  delta/snapshot byte parity between in-process links and reactor
+  TCP.
 
 Everything here is single-process and hermetic (socketpairs and
 loopback listeners, no subprocesses), so unlike ``test_deploy.py``
 these tests run in tier-1; the ``event_loop`` marker additionally
-selects them for the dedicated CI job.
+selects them as the first step of CI's ``socket`` job.
 """
 
 import random
@@ -359,9 +359,9 @@ def make_central(rows=60, **kwargs):
     return server
 
 
-def _tcp_fleet(io_mode, n_edges, **central_kwargs):
+def _tcp_fleet(n_edges, **central_kwargs):
     central = make_central(**central_kwargs)
-    deploy = Deployment(central, io_mode=io_mode)
+    deploy = Deployment(central)
     host_addr, port = deploy.address
     host = EdgeHost(host_addr, port)
     names = [f"edge-{i}" for i in range(n_edges)]
@@ -372,12 +372,10 @@ def _tcp_fleet(io_mode, n_edges, **central_kwargs):
 
 
 class TestReactorDeployment:
-    @pytest.mark.parametrize("io_mode", ["reactor", "threaded"])
-    def test_end_to_end_replication_and_queries(self, io_mode):
-        """The same EdgeHost fleet works against both central I/O
-        paths: replicate, settle to cursor parity, answer verified
-        queries — the threaded fallback stays a drop-in."""
-        central, deploy, host, names = _tcp_fleet(io_mode, 4)
+    def test_end_to_end_replication_and_queries(self):
+        """An EdgeHost fleet against the central listener: replicate,
+        settle to cursor parity, answer verified queries."""
+        central, deploy, host, names = _tcp_fleet(4)
         try:
             client = central.make_client()
             for key in range(9001, 9006):
@@ -398,7 +396,7 @@ class TestReactorDeployment:
         edges' delivery is never delayed beyond one loop iteration.
         Timing-asserted: a blocking path would eat the held peer's
         drain timeout (5 s) or the socket timeout (10 s) per round."""
-        central, deploy, host, names = _tcp_fleet("reactor", 2)
+        central, deploy, host, names = _tcp_fleet(2)
         try:
             held = deploy.edges["edge-0"].transport
             assert isinstance(held, ReactorTransport)
@@ -434,10 +432,10 @@ class TestReactorDeployment:
     def test_delta_batches_coalesce_into_few_syscalls(self):
         """The tentpole's acceptance shape at test scale: an 8-edge
         fleet absorbing 8 eager inserts settles with far fewer
-        ``sendmsg`` calls than the 64 blocking ``sendall``\\ s the
-        threaded path would issue — queued frames ride one vectored
-        write per edge — and without busy polling (bounded selects)."""
-        central, deploy, host, names = _tcp_fleet("reactor", 8)
+        ``sendmsg`` calls than the 64 frames it ships — queued frames
+        ride one vectored write per edge — and without busy polling
+        (bounded selects)."""
+        central, deploy, host, names = _tcp_fleet(8)
         try:
             before = dict(deploy.reactor.syscalls)
             for key in range(9001, 9009):
@@ -460,12 +458,11 @@ class TestReactorDeployment:
     def test_delta_and_snapshot_bytes_identical_across_media(self):
         """Exact byte parity (ISSUE acceptance): the same workload
         ships byte-identical snapshot and delta traffic whether edges
-        are in-process objects, reactor TCP links, or threaded TCP
-        links — same frames on the wire, only the syscall schedule
-        differs."""
+        are in-process objects or reactor TCP links — same frames on
+        the wire, only the syscall schedule differs."""
 
-        def run_tcp(io_mode):
-            central, deploy, host, names = _tcp_fleet(io_mode, 2)
+        def run_tcp():
+            central, deploy, host, names = _tcp_fleet(2)
             try:
                 for key in range(9001, 9006):
                     central.insert("items", (key, "a", "b", "c"))
@@ -493,13 +490,11 @@ class TestReactorDeployment:
             }
 
         in_process = run_in_process()
-        reactor = run_tcp("reactor")
-        threaded = run_tcp("threaded")
+        reactor = run_tcp()
         for name in in_process:
             for kind in ("snapshot", "delta"):
                 assert (
                     in_process[name].get(kind, 0)
                     == reactor[name].get(kind, 0)
-                    == threaded[name].get(kind, 0)
                 ), f"{kind} bytes diverge across media for {name}"
             assert in_process[name].get("delta", 0) > 0

@@ -169,9 +169,8 @@ class TestNackEscalation:
 
 
 class TestConcurrentDelivery:
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_all_edges_converge(self, workers):
-        server = make_central(fanout_workers=workers)
+    def test_all_edges_converge(self):
+        server = make_central()
         edges = [server.spawn_edge_server(f"e{i}") for i in range(5)]
         client = server.make_client()
         for key in range(9001, 9021):

@@ -5,8 +5,9 @@ Two layers of realism:
 * :class:`RelayHost` — the relay's actual :func:`run_relay` serve loop
   (upstream dial + downstream listener on one reactor) on a background
   thread, with an :class:`EdgeHost` fleet dialing it over loopback TCP.
-* :class:`RelayDeployment` — the full central → k relay *processes* →
-  n edge *processes* topology, including the acceptance scenario:
+* :class:`Deployment` supervising a tree — the full central → k relay
+  *processes* → n edge *processes* topology (``launch_relay`` /
+  ``launch_edge(name, relay)``), including the acceptance scenario:
   SIGKILL a relay mid-stream, keep writing and querying (verified,
   with failover), restart it, and watch the whole subtree heal via
   snapshot to cursor parity.
@@ -15,7 +16,7 @@ Two layers of realism:
 import pytest
 
 from repro.edge.central import CentralServer
-from repro.edge.deploy import Deployment, RelayDeployment
+from repro.edge.deploy import Deployment
 from repro.edge.event_loop import EdgeHost
 from repro.edge.relay import RelayHost
 from repro.exceptions import RouterError, TransportError
@@ -78,7 +79,7 @@ class TestRelayHost:
             deploy.shutdown()
 
 
-class TestRelayDeployment:
+class TestRelayTree:
     def test_relay_tree_kill_restart_subtree_heal(self, tmp_path):
         """The acceptance scenario: 1 central × 2 relay processes × 4
         edge processes.  Writes replicate through both relays; queries
@@ -90,12 +91,12 @@ class TestRelayDeployment:
         same listen address, and the whole subtree returns to cursor
         parity."""
         central = make_central()
-        rd = RelayDeployment(central, log_dir=str(tmp_path / "logs"))
+        rd = Deployment(central, log_dir=str(tmp_path / "logs"))
         try:
             for relay in ("relay-0", "relay-1"):
                 rd.launch_relay(relay)
             for relay in ("relay-0", "relay-1"):
-                rd.wait_for_relay(relay)
+                rd.wait_for_edge(relay)
             rd.launch_edge("edge-0", "relay-0")
             rd.launch_edge("edge-1", "relay-0")
             rd.launch_edge("edge-2", "relay-1")
@@ -119,7 +120,8 @@ class TestRelayDeployment:
             verifying = rd.make_router(
                 policy="round_robin", failure_threshold=1, cooldown=30.0
             )
-            rd.kill_relay("relay-0")
+            assert set(verifying.router.edge_names) == {"relay-0", "relay-1"}
+            rd.kill_edge("relay-0")
             for key in range(9006, 9011):
                 central.insert(TABLE, (key, "x", "y", "z"))
             rd.sync()
@@ -142,8 +144,8 @@ class TestRelayDeployment:
 
             # --- Restart: same listen port, empty store, snapshot
             # heal; the subtree's edges re-dial and settle.
-            rd.restart_relay("relay-0")
-            rd.wait_for_relay("relay-0")
+            rd.restart_edge("relay-0")
+            rd.wait_for_edge("relay-0")
             rd.wait_for_edges(
                 "relay-0", ["edge-0", "edge-1"], TABLE, timeout=60.0
             )

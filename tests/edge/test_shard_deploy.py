@@ -100,3 +100,43 @@ class TestShardedDeployment:
             central.shard(0).client_config().keyring.export_records()
             != central.shard(1).client_config().keyring.export_records()
         )
+
+
+class TestAllOrNothingConstruction:
+    def test_failed_shard_listener_unwinds_the_whole_plane(self, monkeypatch):
+        """Shard k's listener failing to bind must not strand shards
+        0..k-1: their listeners and accept threads are shut down, the
+        shared reactor is closed, and no shard's fan-out engine is
+        left pointing at it."""
+        import gc
+        import os
+
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("needs /proc (Linux)")
+
+        def fd_count() -> int:
+            return len(os.listdir("/proc/self/fd"))
+
+        central = ShardedCentral(DB, shards=SHARDS, seed=51, rsa_bits=512)
+        schema, rows = generate_table(SPEC)
+        central.create_table(schema, rows, partition="range", fanout_override=6)
+
+        real_bind = socket.socket.bind
+        binds = []
+
+        def bind_until_last_shard(sock, address):
+            binds.append(address)
+            if len(binds) == SHARDS:
+                raise OSError("address already in use (injected)")
+            return real_bind(sock, address)
+
+        gc.collect()
+        baseline = fd_count()
+        monkeypatch.setattr(socket.socket, "bind", bind_until_last_shard)
+        with pytest.raises(OSError, match="injected"):
+            ShardedDeployment(central)
+        monkeypatch.undo()
+        gc.collect()
+        assert len(binds) == SHARDS  # shard 0 really was listening
+        assert all(shard.fanout.reactor is None for shard in central.shards)
+        assert fd_count() == baseline

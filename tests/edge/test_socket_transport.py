@@ -2,9 +2,11 @@
 
 Everything here runs in one process (socketpairs and threads — no
 subprocesses), so it belongs to the tier-1 suite: the framing layer's
-partial-read / short-write / torn-frame behaviour, the TcpTransport's
-pipelined send/flush/request surface, and a full handshake cycle with
-the edge served from a thread.  The multi-*process* deployment tests
+partial-read / short-write / torn-frame behaviour, the accepted link's
+(``ReactorTransport``) pipelined send/flush/poll/request surface against
+a blocking stub peer, the Hello→Config handshake's error contract for
+every dialer, and a full handshake cycle with the edge served from a
+thread.  The multi-*process* deployment tests
 live in ``test_deploy.py`` behind the ``socket`` marker.
 """
 
@@ -14,20 +16,25 @@ import time
 
 import pytest
 
+from repro.edge import telemetry
 from repro.edge.central import CentralServer
 from repro.edge.deploy import Deployment
 from repro.edge.serve import run_edge
+from repro.edge.event_loop import EdgeEventLoop, EdgeHost, ReactorTransport
+from repro.edge.relay import run_relay
+from repro.edge.serve import serve_connection
 from repro.edge.socket_transport import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
-    TcpTransport,
     connect_with_retry,
     recv_frame,
     send_frame,
 )
 from repro.edge.transport import (
     AckFrame,
+    CursorAckFrame,
     DeltaFrame,
+    QueryRequestFrame,
     QueryResponseFrame,
     frame_from_bytes,
     frame_to_bytes,
@@ -157,7 +164,8 @@ class TestFraming:
 
 
 # ---------------------------------------------------------------------------
-# TcpTransport: pipelined sends, flush, request, failure mapping
+# The accepted link (ReactorTransport): pipelined sends, flush/poll,
+# request, failure mapping — against a blocking stub peer
 # ---------------------------------------------------------------------------
 
 
@@ -173,10 +181,32 @@ def _echo_acks(sock, count, *, lsn_of=lambda i: i + 1):
         send_frame(sock, frame_to_bytes(ack))
 
 
-class TestTcpTransport:
-    def test_pipelined_sends_then_flush(self, pair):
-        left, right = pair
-        transport = TcpTransport("stub", left, timeout=5)
+def _poll_until(transport, count, deadline=5.0):
+    """Poll (the one blocking settle primitive) until ``count`` replies
+    have been collected."""
+    replies = []
+    end = time.monotonic() + deadline
+    while len(replies) < count and time.monotonic() < end:
+        got = transport.poll()
+        if not got:
+            break  # dead / held / timed out: nothing more is coming
+        replies.extend(got)
+    return replies
+
+
+@pytest.fixture
+def link(pair):
+    """A ``ReactorTransport`` over one end of a socketpair; the other
+    end is a plain blocking socket the test plays the edge on."""
+    left, right = pair
+    loop = EdgeEventLoop()
+    yield ReactorTransport("stub", loop, left, timeout=5), right, loop
+    loop.close()
+
+
+class TestReactorLink:
+    def test_pipelined_sends_then_flush(self, link):
+        transport, right, _loop = link
         peer = threading.Thread(target=_echo_acks, args=(right, 3))
         peer.start()
         try:
@@ -184,7 +214,7 @@ class TestTcpTransport:
                 outcome = transport.send(DeltaFrame("t", b"d%d" % i))
                 assert outcome.status == "queued"
             assert transport.queued_frames == 3
-            replies = transport.flush(wait=True)
+            replies = _poll_until(transport, 3)
         finally:
             peer.join()
         assert [r.lsn for r in replies] == [1, 2, 3]
@@ -193,57 +223,54 @@ class TestTcpTransport:
         assert transport.down_channel.bytes_by_kind().keys() == {"delta"}
         assert transport.up_channel.bytes_by_kind().keys() == {"ack"}
 
-    def test_send_after_peer_close_maps_to_failed(self, pair):
-        left, right = pair
-        transport = TcpTransport("stub", left, timeout=5)
+    def test_send_after_peer_close_maps_to_failed(self, link):
+        transport, right, loop = link
         right.close()
-        # The first send may land in the socket buffer before the reset
-        # is visible; the link must report failed within a few sends and
-        # never raise.
+        # Sends only enqueue; the reset surfaces on a loop spin.  The
+        # link must report failed within a few sends and never raise.
         for _ in range(20):
             outcome = transport.send(DeltaFrame("t", b"x" * 4096))
             if outcome.status == "failed":
                 break
-            time.sleep(0.01)
+            loop.run_once(0.01)
         else:
             pytest.fail("send never observed the dead peer")
         assert not transport.connected
 
-    def test_flush_on_dead_link_forgets_inflight(self, pair):
-        left, right = pair
-        transport = TcpTransport("stub", left, timeout=5)
+    def test_flush_on_dead_link_forgets_inflight(self, link):
+        transport, right, _loop = link
         assert transport.send(DeltaFrame("t", b"d")).status == "queued"
         right.close()  # peer dies with the ack outstanding
-        assert transport.flush(wait=True) == []
+        assert transport.poll() == []
         assert transport.queued_frames == 0
         assert not transport.connected
         assert transport.send(DeltaFrame("t", b"d2")).status == "failed"
 
-    def test_nonblocking_flush_leaves_pending_acks(self, pair):
-        """The write-path drain (``wait=False``) must return instantly
-        when the peer has not answered yet — a slow edge's frames keep
-        occupying the window instead of stalling the caller."""
-        left, right = pair
-        transport = TcpTransport("stub", left, timeout=5)
+    def test_nonblocking_flush_leaves_pending_acks(self, link):
+        """The write-path drain must return instantly when the peer has
+        not answered yet — a slow edge's frames keep occupying the
+        window instead of stalling the caller."""
+        transport, right, loop = link
         assert transport.send(DeltaFrame("t", b"d")).status == "queued"
+        loop.run_once(0.0)  # the frame is on the wire, the peer silent
         start = time.perf_counter()
-        assert transport.flush() == []  # peer silent: nothing to collect
+        assert transport.flush() == []  # nothing to collect
         assert time.perf_counter() - start < 0.5
         assert transport.queued_frames == 1
         assert transport.connected
         # The ack is picked up once the peer answers.
         _echo_acks(right, 1)
-        replies = transport.flush(wait=True)
+        replies = _poll_until(transport, 1)
         assert [r.lsn for r in replies] == [1]
         assert transport.queued_frames == 0
 
-    def test_partial_reply_does_not_block_or_tear_the_link(self, pair):
+    def test_partial_reply_does_not_block_or_tear_the_link(self, link):
         """A reply that has only half-arrived must neither block the
         non-blocking drain nor be mistaken for a fault — the fragment
         waits in the receive buffer until the rest shows up."""
-        left, right = pair
-        transport = TcpTransport("stub", left, timeout=5)
+        transport, right, loop = link
         assert transport.send(DeltaFrame("t", b"d")).status == "queued"
+        loop.run_once(0.0)
         data = recv_frame(right)
         frame = frame_from_bytes(data)
         ack = frame_to_bytes(
@@ -251,27 +278,22 @@ class TestTcpTransport:
         )
         wire = FRAME_HEADER.pack(len(ack)) + ack
         right.sendall(wire[:7])  # header + a sliver of the body
-        time.sleep(0.05)
         start = time.perf_counter()
+        loop.run_once(0.05)  # the fragment lands in the decoder
         assert transport.flush() == []  # non-blocking, fragment buffered
         assert time.perf_counter() - start < 0.5
         assert transport.connected
         assert transport.queued_frames == 1
         right.sendall(wire[7:])  # the rest arrives
-        replies = transport.flush(wait=True)
+        replies = _poll_until(transport, 1)
         assert [r.lsn for r in replies] == [1]
         assert transport.queued_frames == 0
 
-    def test_cumulative_ack_settles_all_pending(self, pair):
+    def test_cumulative_ack_settles_all_pending(self, link):
         """A coalescing peer answers many sends with one cumulative
         ack.  Per-frame pending accounting would drift upward forever
-        and make ``flush(wait=True)`` block (then tear down the healthy
-        link) waiting for replies that are never coming — the
-        cumulative ack must zero the pending count."""
-        from repro.edge.transport import CursorAckFrame
-
-        left, right = pair
-        transport = TcpTransport("stub", left, timeout=5)
+        — the cumulative ack must zero the pending count."""
+        transport, right, _loop = link
 
         def coalescing_peer():
             for _ in range(3):
@@ -285,20 +307,20 @@ class TestTcpTransport:
             for i in range(3):
                 transport.send(DeltaFrame("t", b"d%d" % i))
             start = time.perf_counter()
-            replies = transport.flush(wait=True)
+            replies = transport.poll()
             elapsed = time.perf_counter() - start
         finally:
             thread.join()
-        assert elapsed < 3.0, f"flush blocked {elapsed:.1f}s on a settled link"
+        assert elapsed < 3.0, f"poll blocked {elapsed:.1f}s on a settled link"
         assert [type(r).__name__ for r in replies] == ["CursorAckFrame"]
         assert transport.queued_frames == 0
         assert transport.connected
 
-    def test_request_round_trip_and_stray_replies(self, pair):
+    def test_request_round_trip_and_stray_replies(self, link):
         """A query issued while replication acks are outstanding gets
-        *its* reply; the drained acks surface on the next flush."""
-        left, right = pair
-        transport = TcpTransport("stub", left, timeout=5)
+        *its* reply (matched by type); the acks read on the way are
+        stashed and surface on the next flush."""
+        transport, right, _loop = link
 
         def peer():
             _echo_acks(right, 2)
@@ -315,8 +337,6 @@ class TestTcpTransport:
         try:
             transport.send(DeltaFrame("t", b"d1"))
             transport.send(DeltaFrame("t", b"d2"))
-            from repro.edge.transport import QueryRequestFrame
-
             reply = transport.request(
                 QueryRequestFrame(kind="range", table="t", low=1, high=2)
             )
@@ -327,15 +347,95 @@ class TestTcpTransport:
         strays = transport.flush()
         assert [r.lsn for r in strays] == [1, 2]
 
-    def test_request_on_dead_link_raises(self, pair):
-        left, right = pair
-        transport = TcpTransport("stub", left, timeout=5)
+    def test_request_on_dead_link_raises(self, link):
+        transport, right, _loop = link
         right.close()
         transport.close()
-        from repro.edge.transport import QueryRequestFrame
-
         with pytest.raises(TransportError):
             transport.request(QueryRequestFrame(kind="range", table="t"))
+
+
+# ---------------------------------------------------------------------------
+# The Hello→Config handshake: one dialer-side implementation, one
+# error contract for every dialer
+# ---------------------------------------------------------------------------
+
+
+def _misbehaving_listener(misbehave):
+    """A listener that reads one hello and then breaks the protocol."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen()
+
+    def serve():
+        conn, _addr = listener.accept()
+        conn.settimeout(5)
+        try:
+            recv_frame(conn)  # the hello
+            if misbehave == "wrong_frame":
+                ack = AckFrame(edge="x", table="t", ok=True, lsn=1, epoch=0)
+                send_frame(conn, frame_to_bytes(ack))
+                recv_frame(conn)  # hold the link open until the dialer hangs up
+        except (TransportError, OSError):
+            pass
+        finally:
+            conn.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener, thread
+
+
+def _dial_serve_connection(host, port):
+    sock = connect_with_retry(host, port, attempts=5, delay=0.05, timeout=5)
+    try:
+        serve_connection(sock, "dialer")
+    finally:
+        sock.close()
+
+
+def _dial_edge_host(host, port):
+    with EdgeHost(host, port) as edge_host:
+        edge_host.launch("dialer", io_timeout=5)
+
+
+def _dial_relay_upstream(host, port):
+    # run_relay outlives a failed upstream handshake by design (it
+    # counts the error and re-dials until the budget runs out), so the
+    # TransportError surfaces at its telemetry site, not as a raise.
+    telemetry.reset()
+    try:
+        relay = run_relay(
+            "dialer", host, port, max_reconnects=0,
+            retry_attempts=2, retry_delay=0.05, io_timeout=5,
+        )
+        assert relay.config is None
+        noted = telemetry.counters()
+    finally:
+        telemetry.reset()
+    assert set(noted) == {"relay.upstream.handshake:TransportError"}, noted
+    raise TransportError("relay.upstream.handshake")
+
+
+class TestDialerHandshake:
+    @pytest.mark.parametrize("misbehave", ["wrong_frame", "eof"])
+    @pytest.mark.parametrize(
+        "dial",
+        [_dial_serve_connection, _dial_edge_host, _dial_relay_upstream],
+        ids=["serve_connection", "edge_host", "run_relay"],
+    )
+    def test_bad_handshake_reply_is_a_transport_error(self, dial, misbehave):
+        """A listener answering the hello with anything but a config —
+        or hanging up instead — is a ``TransportError`` from every
+        dialer (``EdgeHost.launch`` used to skip the type check and
+        die with ``AttributeError`` inside ``config_from_frame``)."""
+        listener, thread = _misbehaving_listener(misbehave)
+        try:
+            with pytest.raises(TransportError):
+                dial(*listener.getsockname()[:2])
+        finally:
+            listener.close()
+            thread.join(timeout=5)
 
 
 # ---------------------------------------------------------------------------
