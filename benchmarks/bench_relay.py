@@ -44,7 +44,6 @@ from repro.edge.transport import (
     InProcessTransport,
     SnapshotFrame,
     config_from_frame,
-    config_to_frame,
     frame_from_bytes,
     range_query_frame,
 )
@@ -101,11 +100,7 @@ def _attach_relay(central, name, taps=None):
             return relay.handle_frame(data)
 
         up.connect(tap)
-    cfg = config_to_frame(
-        central.edge_config(),
-        ack_every=central.ack_every,
-        ack_bytes=central.ack_bytes,
-    )
+    cfg = central.config_frame()
     relay.adopt_config(cfg)
     sent_epoch = max((record[0] for record in cfg.epochs), default=-1)
     central.attach_remote_edge(name, up, config_epoch=sent_epoch)
@@ -114,7 +109,7 @@ def _attach_relay(central, name, taps=None):
 
 def _attach_edge(relay, name, taps=None):
     edge = EdgeServer(
-        name=name, config=config_from_frame(relay.downstream_config_frame())
+        name=name, config=config_from_frame(relay.config_frame())
     )
     down = InProcessTransport(name)
     if taps is None:

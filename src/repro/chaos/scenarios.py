@@ -30,7 +30,6 @@ from repro.edge.relay import RelayServer
 from repro.edge.transport import (
     InProcessTransport,
     config_from_frame,
-    config_to_frame,
     frame_from_bytes,
     frame_to_bytes,
     range_query_frame,
@@ -244,11 +243,7 @@ class _RelayHarness:
         )
         up = InProcessTransport("relay-0")
         up.connect(relay.handle_frame)
-        cfg = config_to_frame(
-            self.central.edge_config(),
-            ack_every=self.central.ack_every,
-            ack_bytes=self.central.ack_bytes,
-        )
+        cfg = self.central.config_frame()
         relay.adopt_config(cfg)
         sent_epoch = max((rec[0] for rec in cfg.epochs), default=-1)
         self.central.attach_remote_edge(
@@ -259,7 +254,7 @@ class _RelayHarness:
     def _attach_edge(self, name: str) -> None:
         edge = EdgeServer(
             name=name,
-            config=config_from_frame(self.relay.downstream_config_frame()),
+            config=config_from_frame(self.relay.config_frame()),
         )
         down = InProcessTransport(name)
         down.connect(edge.handle_frame)
@@ -269,11 +264,7 @@ class _RelayHarness:
     def push_config(self) -> None:
         """Deliver the central's current ConfigFrame to the relay
         (what the socket serve loop does after a key rotation)."""
-        cfg = config_to_frame(
-            self.central.edge_config(),
-            ack_every=self.central.ack_every,
-            ack_bytes=self.central.ack_bytes,
-        )
+        cfg = self.central.config_frame()
         self.relay.handle_frame(frame_to_bytes(cfg))
 
     def kill_relay(self) -> None:

@@ -25,6 +25,7 @@ from repro.core.digests import DigestEngine, DigestPolicy, SigningDigestEngine
 from repro.core.secondary import SecondaryVBTree, secondary_index_name
 from repro.core.update import AuthenticatedUpdater
 from repro.core.vbtree import VBTree
+from repro.core.wire import snapshot_to_bytes
 from repro.baselines.naive import NaiveStore
 from repro.crypto.keyring import KeyRing
 from repro.crypto.rsa import RSAKeyPair, generate_keypair
@@ -36,7 +37,13 @@ from repro.db.table import Table
 from repro.db.transactions import TransactionManager
 from repro.edge.fanout import FanoutEngine
 from repro.edge.replication import Replicator
-from repro.edge.transport import FaultInjector, InProcessTransport
+from repro.edge.transport import (
+    ConfigFrame,
+    FaultInjector,
+    InProcessTransport,
+    SnapshotFrame,
+    config_to_frame,
+)
 from repro.exceptions import (
     DuplicateKeyError,
     ReplicationError,
@@ -96,8 +103,6 @@ class CentralServer:
         fanout_window: Initial per-edge bound on unacknowledged
             in-flight replication frames (flow control — see
             :class:`~repro.edge.fanout.FanoutEngine`).
-        fanout_window_min: Adaptive-window floor (see
-            :class:`~repro.edge.fanout.AdaptiveWindow`).
         fanout_window_max: Adaptive-window ceiling; ``None`` pins the
             window at ``fanout_window`` — the fixed, deterministic
             default.  Raise it to let fast links grow their pipeline.
@@ -123,7 +128,6 @@ class CentralServer:
         enable_naive: bool = False,
         max_log_entries: int = 1024,
         fanout_window: int = 8,
-        fanout_window_min: int = 1,
         fanout_window_max: int | None = None,
         ack_every: int = 1,
         ack_bytes: int = 1 << 18,
@@ -153,10 +157,7 @@ class CentralServer:
         self.txn_manager = TransactionManager()
         self._edges: list = []
         self.fanout = FanoutEngine(
-            self,
-            window=fanout_window,
-            window_min=fanout_window_min,
-            window_max=fanout_window_max,
+            self, window=fanout_window, window_max=fanout_window_max
         )
 
     # ------------------------------------------------------------------
@@ -555,6 +556,69 @@ class CentralServer:
         return self.keyring.current_epoch
 
     # ------------------------------------------------------------------
+    # The fan-out engine's frame source (``FanoutEngine(source)``):
+    # everything the delivery engine reads from, or reports to, this
+    # server — the live signer seals one batch up to the log head.
+    # ------------------------------------------------------------------
+
+    def replica_tables(self) -> list:
+        return list(self.vbtrees)
+
+    def has_replica(self, table: str) -> bool:
+        return table in self.vbtrees
+
+    def log_head(self, table: str) -> int | None:
+        log = self.replicator.logs.get(table)
+        return None if log is None else log.last_lsn
+
+    def bootstrap_lag(self, table: str) -> int:
+        # Every version is missing, plus one for the snapshot itself.
+        return self.vbtrees[table].version + 1
+
+    def current_epoch(self) -> int:
+        return self.keyring.current_epoch
+
+    def issue_epoch(self, table: str) -> int:
+        return self.keyring.current_epoch  # everything is signed under it
+
+    def peer_names(self) -> list:
+        # The edge listing, so detached edges drop out of the sweep.
+        return [edge.name for edge in self._edges]
+
+    def config_frame(self) -> ConfigFrame:
+        return config_to_frame(
+            self.edge_config(),
+            ack_every=self.ack_every,
+            ack_bytes=self.ack_bytes,
+        )
+
+    def shares_live_ring(self, peer) -> bool:
+        return isinstance(peer.transport, InProcessTransport)
+
+    def delta_payload(self, table: str, cursor: int) -> tuple:
+        payload = self.replicator.batch_since(
+            table, cursor, self._signer, self.public_key.signature_len
+        )
+        return payload, self.log_head(table) or 0
+
+    def snapshot_frame(self, table: str) -> SnapshotFrame:
+        return SnapshotFrame(
+            table=table,
+            lsn=self.replicator.log_for(table).last_lsn,
+            epoch=self.keyring.current_epoch,
+            naive=table in self.naive_stores,
+            payload=snapshot_to_bytes(
+                self.vbtrees[table], self.public_key.signature_len
+            ),
+        )
+
+    def on_cursors_advanced(self, peer) -> None:
+        """Nothing to recompute: the engine's cursors *are* the state."""
+
+    def on_peer_nack(self, peer, ack, verdict: str) -> None:
+        """Nothing to verify: the engine's own escalation heals."""
+
+    # ------------------------------------------------------------------
     # Edge servers & replication
     # ------------------------------------------------------------------
 
@@ -574,20 +638,8 @@ class CentralServer:
             transport: A pre-built link (custom channels); one is
                 created if not given.
         """
-        from repro.edge.edge_server import EdgeServer
-
-        edge = EdgeServer(
-            name=name,
-            config=self.edge_config(),
-            ack_every=self.ack_every,
-            ack_bytes=self.ack_bytes,
-        )
         link = transport or InProcessTransport(name, faults=faults)
-        edge.attach_transport(link)
-        self.fanout.attach(name, link)
-        self._edges.append(edge)
-        self.fanout.bootstrap(name)
-        return edge
+        return self._spawn_edge(name, link, None)
 
     def spawn_edge_fleet(self, names: Sequence[str]) -> list:
         """Spawn many in-process edge servers, sharing bootstrap work.
@@ -602,24 +654,26 @@ class CentralServer:
         Returns:
             The edge servers, in ``names`` order.
         """
+        payloads: dict = {}
+        return [
+            self._spawn_edge(name, InProcessTransport(name), payloads)
+            for name in names
+        ]
+
+    def _spawn_edge(self, name: str, link: InProcessTransport, payloads):
         from repro.edge.edge_server import EdgeServer
 
-        payloads: dict = {}
-        edges = []
-        for name in names:
-            edge = EdgeServer(
-                name=name,
-                config=self.edge_config(),
-                ack_every=self.ack_every,
-                ack_bytes=self.ack_bytes,
-            )
-            link = InProcessTransport(name)
-            edge.attach_transport(link)
-            self.fanout.attach(name, link)
-            self._edges.append(edge)
-            self.fanout.bootstrap(name, payloads)
-            edges.append(edge)
-        return edges
+        edge = EdgeServer(
+            name=name,
+            config=self.edge_config(),
+            ack_every=self.ack_every,
+            ack_bytes=self.ack_bytes,
+        )
+        edge.attach_transport(link)
+        self.fanout.attach(name, link)
+        self._edges.append(edge)
+        self.fanout.bootstrap(name, payloads)
+        return edge
 
     def attach_remote_edge(
         self,
@@ -654,13 +708,11 @@ class CentralServer:
         # server does not have, and clamp each LSN to the log head — a
         # lying (or central-restart-surviving) cursor ahead of the log
         # would otherwise suppress every future send for that table.
-        sane: list[tuple[str, int, int]] = []
-        for table, lsn, epoch in cursors:
-            if table not in self.vbtrees:
-                continue
-            log = self.replicator.logs.get(table)
-            limit = log.last_lsn if log is not None else 0
-            sane.append((table, min(lsn, limit), epoch))
+        sane = [
+            (table, min(lsn, self.log_head(table) or 0), epoch)
+            for table, lsn, epoch in cursors
+            if table in self.vbtrees
+        ]
         self.fanout.attach(
             name, transport, cursors=sane, config_epoch=config_epoch
         )

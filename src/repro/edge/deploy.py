@@ -49,7 +49,7 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Sequence
 
 from repro.core.vo import VOFormat
@@ -64,7 +64,6 @@ from repro.edge.transport import (
     Transport,
     QueryRequestFrame,
     QueryResponseFrame,
-    config_to_frame,
     range_query_frame,
     secondary_query_frame,
     select_query_frame,
@@ -220,10 +219,8 @@ class Deployment:
         return host, port
 
     def _config_frame(self) -> ConfigFrame:
-        return config_to_frame(
-            self.central.edge_config(),
-            ack_every=self.central.ack_every,
-            ack_bytes=self.central.ack_bytes,
+        return replace(
+            self.central.config_frame(),
             shard_id=self.central.shard_id,
             shard_map=(
                 self.shard_map.to_wire() if self.shard_map is not None else None

@@ -175,6 +175,14 @@ class EdgeServer:
         transport.connect(self.handle_frame)
         self.replication_channel = transport.down_channel
 
+    def adopt_config(self, frame: ConfigFrame) -> None:
+        """Replace the verification bundle (an in-stream key-ring
+        refresh, or a reconnect handshake's reply); the central's
+        ack-coalescing policy travels with it."""
+        self.config = config_from_frame(frame)
+        self.ack_every = max(1, frame.ack_every)
+        self.ack_bytes = max(1, frame.ack_bytes)
+
     def replication_cursors(self) -> tuple[tuple[str, int, int], ...]:
         """``(table, lsn, epoch)`` for every replica this edge holds —
         what a reconnecting edge reports in its registration handshake
@@ -288,11 +296,8 @@ class EdgeServer:
             # Key-ring refresh (rotation reached this edge): replace the
             # verification bundle — the paper's "well-known location"
             # re-fetched, pushed over the same channel.  The ack's empty
-            # table marks it as a control ack (no cursor to move).  The
-            # frame also carries the central's ack-coalescing policy.
-            self.config = config_from_frame(frame)
-            self.ack_every = max(1, frame.ack_every)
-            self.ack_bytes = max(1, frame.ack_bytes)
+            # table marks it as a control ack (no cursor to move).
+            self.adopt_config(frame)
             reply = AckFrame(
                 edge=self.name, table="", ok=True, lsn=0,
                 epoch=self.config.keyring.current_epoch, reason="config",

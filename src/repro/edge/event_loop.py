@@ -22,6 +22,10 @@ central-side delivery hot path is therefore a classic reactor
   queue instead of blocking a thread.  Fault injection mirrors
   :class:`~repro.edge.transport.InProcessTransport` exactly, byte
   metering included, so every byte-parity bench holds across media.
+* The dialing seats — :func:`guarded_handler`, :func:`join_as_edge`
+  and :func:`serve_dialed`: after the (blocking) handshake a dialer is
+  served from a loop too, by one guarded frame handler and one redial
+  loop shared by the edge process, hosted edges and the relay.
 * :class:`EdgeHost` — many in-process :class:`~repro.edge.edge_server.EdgeServer`\\ s
   behind *real* loopback TCP sockets, all served from one background
   thread running its own reactor.  This is what lets one test process
@@ -83,7 +87,14 @@ from repro.edge.transport import (
 )
 from repro.exceptions import TransportError
 
-__all__ = ["EdgeEventLoop", "ReactorTransport", "EdgeHost"]
+__all__ = [
+    "EdgeEventLoop",
+    "ReactorTransport",
+    "guarded_handler",
+    "join_as_edge",
+    "serve_dialed",
+    "EdgeHost",
+]
 
 
 class _Connection:
@@ -612,81 +623,158 @@ class ReactorTransport(Transport):
                 self._loop.run_once(min(remaining, 0.2))
 
 
+#: Selector timeout of an edge seat's serving spins (readiness wakes
+#: the loop; the timeout only bounds how long a stop request waits).
+_EDGE_SPIN = 0.2
+
+
+def guarded_handler(node) -> Callable[[bytes], Sequence[bytes]]:
+    """The frame handler of every dialed seat — a subprocess edge, a
+    hosted edge, a relay's upstream face: ``node.handle_frame``, with
+    one bad frame answered by an error reply instead of a dead node
+    (the listener expects a reply per request, and garbage or off-role
+    bytes from upstream must not take a whole subtree down)."""
+
+    def handler(data: bytes) -> Sequence[bytes]:
+        try:
+            return node.handle_frame(data)
+        except Exception as exc:  # broad by design; counted per FL002
+            telemetry.note("dialed.handle_frame", exc, detail=node.name)
+            return [
+                frame_to_bytes(
+                    QueryResponseFrame(
+                        edge=node.name,
+                        payload=b"",
+                        error=f"{type(exc).__name__}: {exc}",
+                    )
+                )
+            ]
+
+    return handler
+
+
+def join_as_edge(loop: EdgeEventLoop, sock: socket.socket, name: str, edge=None):
+    """Join ``loop`` as edge ``name`` over the connected ``sock``:
+    the registration handshake (blocking — the one thing a dialer
+    blocks on; resume cursors ride the hello when ``edge`` already
+    holds replicas), then the edge server — built from the reply, or
+    ``edge`` refreshed with it, so a rotation missed while disconnected
+    is known before any frame — serves from ``loop`` behind
+    :func:`guarded_handler`.  Returns ``(edge, connection)``; on a
+    ``TransportError`` ``sock`` stays the caller's to close."""
+    from repro.edge.edge_server import EdgeServer
+
+    cursors = edge.replication_cursors() if edge is not None else ()
+    reply = dial_handshake(sock, HelloFrame(edge=name, cursors=cursors))
+    if edge is None:
+        edge = EdgeServer(name=name, config=config_from_frame(reply))
+    edge.adopt_config(reply)  # bundle + the listener's ack policy
+    return edge, loop.register(name, sock, handler=guarded_handler(edge))
+
+
+def serve_dialed(
+    loop: EdgeEventLoop,
+    host: str,
+    port: int,
+    join: Callable[[socket.socket], _Connection],
+    *,
+    label: str,
+    spin: float = _EDGE_SPIN,
+    each_spin: Optional[Callable[[_Connection], None]] = None,
+    stop: Optional[threading.Event] = None,
+    max_reconnects: int | None = None,
+    retry_attempts: int = 40,
+    retry_delay: float = 0.25,
+    io_timeout: float = 30.0,
+    verbose: bool = False,
+) -> None:
+    """The dial → handshake → serve → redial loop of a dialing process.
+
+    ``join(sock) -> connection`` is the seat: which hello to send, what
+    to do with the reply config, whose handler to register on ``loop``.
+    A ``TransportError``/``OSError`` out of it is a failed handshake —
+    counted at ``dialed.handshake`` and re-dialed, never fatal.  The
+    connection is then served (``spin`` = selector timeout; ``each_spin``
+    runs after every spin, e.g. a relay's downstream pump) until it
+    closes or ``stop`` is set, and re-dialed up to ``max_reconnects``
+    times (``None`` = until dialing itself fails, ``retry_attempts`` ×
+    ``retry_delay`` per dial).  ``io_timeout`` bounds connect and
+    handshake only: a served link has no timeout, an idle one is just
+    a quiet selector.  ``label`` tags the ``verbose`` narration.
+
+    Raises:
+        TransportError: If the listener cannot be reached before the
+            seat was ever served (after that, the upstream going away
+            for good is a normal shutdown).
+    """
+    stop = stop if stop is not None else threading.Event()
+    served = False
+    reconnects = 0
+    while not stop.is_set():
+        try:
+            sock = connect_with_retry(
+                host, port, attempts=retry_attempts, delay=retry_delay,
+                timeout=io_timeout,
+            )
+        except TransportError:
+            if served:
+                return
+            raise
+        sock.settimeout(io_timeout)
+        try:
+            conn = join(sock)
+        except (TransportError, OSError) as exc:
+            # Timed out / tore mid-frame / wrong reply (e.g. the
+            # listener's accept loop was busy): a disconnect, re-dial.
+            telemetry.note("dialed.handshake", exc, detail=label)
+            sock.close()
+        else:
+            served = True
+            if verbose:
+                print(f"[{label}] connected to {host}:{port}", flush=True)
+            while not stop.is_set() and not conn.closed:
+                loop.run_once(spin)
+                if each_spin is not None:
+                    each_spin(conn)
+            loop.close_conn(conn)
+            if verbose:
+                print(f"[{label}] disconnected", flush=True)
+        reconnects += 1
+        if max_reconnects is not None and reconnects > max_reconnects:
+            return
+
+
 class EdgeHost:
     """A fleet of edge servers over real TCP, one thread, one reactor.
 
-    Each hosted edge dials the central listener, performs the standard
-    registration handshake (blocking, exactly like
-    :func:`repro.edge.serve.serve_connection`), builds its
-    :class:`~repro.edge.edge_server.EdgeServer` from the received
-    config, and then hands its socket to a private
-    :class:`EdgeEventLoop` served by one background thread — hundreds
-    of connected TCP edges for the price of one thread and a selector.
+    Each hosted edge dials the central listener and joins the host's
+    private :class:`EdgeEventLoop` through :func:`join_as_edge` —
+    exactly the seat a ``python -m repro.edge.serve`` process takes —
+    so hundreds of connected TCP edges cost one serving thread and a
+    selector.
 
     Args:
         host / port: The central listener's address (a
             :class:`~repro.edge.deploy.Deployment`'s ``address``).
-        spin: Select timeout of the serving thread's loop spins.
-        loop: Share an existing reactor instead of owning a private
-            one.  A sharded deployment runs one host per signer shard;
-            passing the same loop to every host keeps the whole edge
-            side on a single selector and a single serving thread (the
-            owner's).  A host given a shared loop neither starts a
-            serving thread nor closes the loop.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        spin: float = 0.2,
-        loop: Optional[EdgeEventLoop] = None,
-    ) -> None:
+    def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
-        self.spin = spin
-        self._owns_loop = loop is None
-        self.loop = loop if loop is not None else EdgeEventLoop()
+        self.loop = EdgeEventLoop()
         self.edges: dict = {}
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
 
     def launch(self, name: str, io_timeout: float = 10.0) -> None:
         """Dial, handshake, and adopt one edge into the reactor."""
-        from repro.edge.edge_server import EdgeServer
-
         sock = connect_with_retry(self.host, self.port, timeout=io_timeout)
         sock.settimeout(io_timeout)
         try:
-            config = dial_handshake(sock, HelloFrame(edge=name, cursors=()))
+            self.edges[name], _conn = join_as_edge(self.loop, sock, name)
         except (TransportError, OSError):
             sock.close()
             raise
-        edge = EdgeServer(
-            name=name,
-            config=config_from_frame(config),
-            ack_every=config.ack_every,
-            ack_bytes=config.ack_bytes,
-        )
-        self.edges[name] = edge
-
-        def handler(frame_bytes: bytes, _edge=edge, _name=name):
-            try:
-                return _edge.handle_frame(frame_bytes)
-            except Exception as exc:  # broad by design, mirror serve.py:
-                # one bad frame answers with an error, not a dead edge.
-                telemetry.note("edge_host.handler", exc, detail=_name)
-                return [
-                    frame_to_bytes(
-                        QueryResponseFrame(
-                            edge=_name,
-                            payload=b"",
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-                    )
-                ]
-
-        self.loop.register(name, sock, handler=handler)
 
     def launch_fleet(self, names: Sequence[str], io_timeout: float = 10.0) -> None:
         """Dial and register many edges, then start serving."""
@@ -695,9 +783,7 @@ class EdgeHost:
         self.start()
 
     def start(self) -> None:
-        if self._thread is not None or not self._owns_loop:
-            # A shared loop is served by its owning host's thread;
-            # spinning a second one would double-drive the selector.
+        if self._thread is not None:
             return
         self._stop.clear()
         self._thread = threading.Thread(
@@ -708,7 +794,7 @@ class EdgeHost:
     def _serve(self) -> None:
         while not self._stop.is_set():
             try:
-                self.loop.run_once(self.spin)
+                self.loop.run_once(_EDGE_SPIN)
             except OSError as exc:
                 # A torn socket mid-spin must not kill the host
                 # thread; its conn was closed.
@@ -726,8 +812,7 @@ class EdgeHost:
         if self._thread is not None:
             self._thread.join(timeout=10)
             self._thread = None
-        if self._owns_loop:
-            self.loop.close()
+        self.loop.close()
 
     def __enter__(self) -> "EdgeHost":
         return self

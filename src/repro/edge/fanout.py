@@ -36,21 +36,26 @@ behind; a later pump retries, and if the delta log has been truncated
 past the cursor by then, the peer heals via the snapshot path — the
 standard lazy-catch-up machinery, no special recovery code.
 
-The engine's *frame source* is pluggable: every read of the owning
-server (table list, log heads, key epoch, batch/snapshot payloads,
-config bundles) goes through overridable ``_``-hooks, so the same
-delivery machinery — windows, cursors, nack escalation, settle — fans
-out either the central signer's freshly sealed batches (the default
-wiring here) or a relay's verbatim stored frames
-(:class:`~repro.edge.relay.RelayFanout`, DESIGN.md section 13).
+The engine's *frame source* is a collaborator, not a base class: every
+read of the owning server (table list, log heads, key epochs, peer
+order, ack policy, config bundle, delta payloads, snapshot frames) and
+both feedback signals (cursor advances, peer nacks) go through the
+``source`` object it was built with (:class:`FanoutEngine` lists the
+surface).  The same delivery machinery — windows, cursors, nack
+escalation, settle — therefore fans out either the central signer's
+freshly sealed batches (:class:`~repro.edge.central.CentralServer` is
+a source) or a relay's verbatim stored frames
+(:class:`~repro.edge.relay.RelayServer` is the other, DESIGN.md section
+13), and a test can drive it from a thirty-line fake.
 
 Thread/loop ownership: pumps and drains run on whatever thread calls
 them (the deployment's sync loop, or a reactor tick); per-peer state is
 guarded by ``PeerState.lock`` because piggybacked query-response
 cursors arrive on query threads.  Trust: this module runs **central
 side** — in the default wiring the owning server holds the signing
-key, but the engine itself never touches it except through the payload
-hooks, which is exactly what lets an unkeyed relay reuse it verbatim.
+key, but the engine itself never touches it: payloads arrive sealed
+from the source, which is exactly what lets an unkeyed relay reuse it
+verbatim.
 """
 
 from __future__ import annotations
@@ -58,23 +63,16 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from repro.core.wire import snapshot_to_bytes
 from repro.edge.transport import (
     AckFrame,
     CursorAckFrame,
     CursorProbeFrame,
     DeltaFrame,
-    InProcessTransport,
-    SnapshotFrame,
     Transport,
-    config_to_frame,
 )
 from repro.exceptions import DeltaGapError, ReplicationError, StaleKeyError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.edge.central import CentralServer
 
 __all__ = ["AdaptiveWindow", "SentRecord", "PeerState", "FanoutEngine"]
 
@@ -235,29 +233,47 @@ class FanoutEngine:
     """Concurrent, flow-controlled delta/snapshot delivery to all edges.
 
     Args:
-        central: The owning central server (same trust domain).
+        source: The owning server (same trust domain) — the *frame
+            source*, the engine's only view of its owner:
+
+            * ``replica_tables()`` — tables, in pump order;
+            * ``has_replica(table)`` — untrusted-ack sanitization;
+            * ``log_head(table)`` — ``None`` if never logged;
+            * ``bootstrap_lag(table)`` — staleness of a never-
+              bootstrapped peer of a never-logged table;
+            * ``current_epoch()`` — ``StaleKeyError`` before the first;
+            * ``issue_epoch(table)`` — a relay's stored chain may lag
+              the ring after a rotation; not a peer needing a snapshot;
+            * ``peer_names()`` — delivery order (attached peers missing
+              from it are skipped);
+            * ``ack_every`` — the peers' ack-coalescing threshold;
+            * ``config_frame()`` — the key-ring refresh;
+            * ``shares_live_ring(peer)`` — never refresh that peer;
+            * ``delta_payload(table, cursor)`` — ``(payload, lsn_last)``
+              of the next frame (may stop short of the head) or
+              ``(None, cursor)``; ``DeltaGapError`` → snapshot;
+            * ``snapshot_frame(table)`` — ``ReplicationError`` when none
+              can be built now (the table stays flagged);
+            * ``on_cursors_advanced(peer)``, ``on_peer_nack(peer, ack,
+              verdict)`` — feedback, the peer's lock held.
         window: Initial per-edge bound on unacknowledged in-flight
             frames (each peer's :class:`AdaptiveWindow` starts here).
-        window_min: Adaptive-window floor.
         window_max: Adaptive-window ceiling; ``None`` pins it to
             ``window`` (a fixed window — the deterministic default).
-        ack_latency_target: Smoothed ack latency (seconds) at or under
-            which a link counts as fast and its window grows.
     """
 
     def __init__(
         self,
-        central: "CentralServer",
+        source,
         window: int = 8,
-        window_min: int = 1,
         window_max: Optional[int] = None,
-        ack_latency_target: float = 0.05,
     ) -> None:
-        self.central = central
+        self.source = source
         self.window = window
-        self.window_min = min(window_min, window)
         self.window_max = max(window_max or window, window)
-        self.ack_latency_target = ack_latency_target
+        #: Smoothed ack latency (seconds) at or under which a link
+        #: counts as fast and its window grows.
+        self.ack_latency_target = 0.05
         self.peers: dict[str, PeerState] = {}
         self._payload_lock = threading.Lock()
         #: The event loop owning this engine's remote links (``None`` =
@@ -270,97 +286,6 @@ class FanoutEngine:
         self.reactor = None
         #: Settle deadline for the reactor drain (seconds).
         self.drain_timeout = 5.0
-
-    # ------------------------------------------------------------------
-    # Frame source hooks
-    #
-    # Everything the delivery machinery needs to know about the frame
-    # *source* funnels through these overridables.  The defaults read
-    # the owning CentralServer (live signer); RelayFanout overrides
-    # them to read a relay's verbatim frame store instead — same
-    # windows, cursors, and escalation, different upstream truth.
-    # ------------------------------------------------------------------
-
-    def _tables(self) -> list:
-        """Replicated tables, in pump order."""
-        return list(self.central.vbtrees)
-
-    def _has_table(self, table: str) -> bool:
-        """Whether ``table`` is a replica this source can serve (the
-        untrusted-ack sanitization predicate)."""
-        return table in self.central.vbtrees
-
-    def _log_head(self, table: str) -> Optional[int]:
-        """Highest LSN the source holds for ``table``; ``None`` when
-        the table has never been logged (bootstrap-only state)."""
-        log = self.central.replicator.logs.get(table)
-        return None if log is None else log.last_lsn
-
-    def _bootstrap_lag(self, table: str) -> int:
-        """Staleness reported for a never-bootstrapped peer of a
-        never-logged table (every version is missing, plus one for the
-        snapshot itself)."""
-        return self.central.vbtrees[table].version + 1
-
-    def _current_epoch(self) -> int:
-        """The key epoch of the source's verification bundle.
-
-        Raises:
-            StaleKeyError: If the source has no registered epoch yet.
-        """
-        return self.central.keyring.current_epoch
-
-    def _issue_epoch(self, table: str) -> int:
-        """The key epoch the next frame for ``table`` will be issued
-        under.  The central wiring signs everything under the ring's
-        current epoch; a relay serves whatever epoch its stored chain
-        carries — which may lag the ring right after a rotation, and
-        must not be mistaken for a peer needing a (same-chain) snapshot
-        on every pump.
-
-        Raises:
-            StaleKeyError: As :meth:`_current_epoch`.
-        """
-        return self._current_epoch()
-
-    def _peer_order(self) -> list:
-        """Attached peers in delivery order (the central wiring follows
-        the server's edge listing so detached edges drop out)."""
-        return [
-            self.peers[edge.name]
-            for edge in self.central._edges
-            if edge.name in self.peers
-        ]
-
-    def _ack_every(self) -> int:
-        """The ack-coalescing frame threshold peers run with (drives
-        window-full probe solicitation)."""
-        return self.central.ack_every
-
-    def _config_frame(self):
-        """A fresh verification-bundle frame for a config refresh."""
-        return config_to_frame(
-            self.central.edge_config(),
-            ack_every=self.central.ack_every,
-            ack_bytes=self.central.ack_bytes,
-        )
-
-    def _shares_live_ring(self, peer: PeerState) -> bool:
-        """Whether ``peer`` sees the source's *live* key ring (an
-        in-process edge) and must never have it swapped for a
-        frozen-clock copy via a config refresh."""
-        return isinstance(peer.transport, InProcessTransport)
-
-    def _on_cursors_advanced(self, peer: PeerState) -> None:
-        """Called after any ack/settle application for ``peer`` (its
-        lock held).  Default: nothing.  A relay overrides this to
-        recompute its aggregated upstream cursor."""
-
-    def _on_peer_nack(self, peer: PeerState, ack, verdict: str) -> None:
-        """Called when ``peer`` nacked a frame (its lock held);
-        ``verdict`` is the escalation chosen (``gap``/``snapshot``).
-        Default: nothing.  A relay overrides this to spot-check its
-        store and escalate upstream when the store itself is bad."""
 
     # ------------------------------------------------------------------
     # Peer management
@@ -390,7 +315,6 @@ class FanoutEngine:
             transport=transport,
             window=AdaptiveWindow(
                 size=self.window,
-                floor=self.window_min,
                 ceiling=self.window_max,
                 target=self.ack_latency_target,
             ),
@@ -399,7 +323,7 @@ class FanoutEngine:
             peer.config_epoch = config_epoch
         else:
             try:
-                peer.config_epoch = self._current_epoch()
+                peer.config_epoch = self.source.current_epoch()
             except StaleKeyError:
                 pass  # no epoch registered yet (bare central in unit tests)
         for table, lsn, epoch in cursors:
@@ -434,7 +358,7 @@ class FanoutEngine:
             payloads = {}
         with peer.lock:
             shipped = 0
-            for table in self._tables():
+            for table in self.source.replica_tables():
                 shipped += self._send_snapshot(peer, table, payloads)
             return shipped
 
@@ -444,12 +368,12 @@ class FanoutEngine:
         barrier per table, so a replica that missed a rotation reports
         as stale even though no tuple changed."""
         peer = self.peer(name)
-        head = self._log_head(table)
+        head = self.source.log_head(table)
         if head is None:
             # Never logged: stale only if the edge was never bootstrapped.
             if table in peer.acked_epochs:
                 return 0
-            return self._bootstrap_lag(table)
+            return self.source.bootstrap_lag(table)
         return head - peer.acked_lsns.get(table, 0)
 
     def stats(self) -> dict[str, dict]:
@@ -495,7 +419,11 @@ class FanoutEngine:
         is serial: over TCP a send only enqueues (the reactor writes),
         so there is no per-peer blocking to overlap.
         """
-        peers = self._peer_order()
+        peers = [
+            self.peers[name]
+            for name in self.source.peer_names()
+            if name in self.peers
+        ]
         if not peers:
             return 0
         if self.reactor is not None:
@@ -505,7 +433,10 @@ class FanoutEngine:
             # stacking frames per connection, and the next settle ships
             # each edge's whole batch in one vectored write.
             self.reactor.run_once(0.0, flush_writes=False)
-        names = list(tables) if tables is not None else self._tables()
+        names = (
+            list(tables) if tables is not None
+            else self.source.replica_tables()
+        )
         payloads: dict = {}
         return sum(
             self._sync_peer(peer, names, force_snapshot, payloads)
@@ -721,19 +652,19 @@ class FanoutEngine:
         while True:
             needs_snapshot = (
                 table in peer.needs_snapshot
-                or peer.acked_epochs.get(table) != self._issue_epoch(table)
+                or peer.acked_epochs.get(table) != self.source.issue_epoch(table)
             )
             if needs_snapshot:
                 return shipped + self._send_snapshot(peer, table, payloads)
             cursor = peer.cursor(table)
-            head = self._log_head(table) or 0
+            head = self.source.log_head(table) or 0
             if cursor >= head:
                 return shipped
             if self._window_blocked(peer):
                 return shipped  # flow control: revisit on a later pump
             try:
-                payload, lsn_last = self._delta_payload(
-                    table, cursor, payloads
+                payload, lsn_last = self._cached(
+                    payloads, self.source.delta_payload, table, cursor
                 )
             except DeltaGapError:
                 return shipped + self._send_snapshot(peer, table, payloads)
@@ -783,7 +714,7 @@ class FanoutEngine:
                 continue
             if table in peer.needs_snapshot:
                 return shipped + self._send_snapshot(peer, table, payloads)
-            if peer.cursor(table) >= (self._log_head(table) or 0):
+            if peer.cursor(table) >= (self.source.log_head(table) or 0):
                 return shipped
             # Delivered mid-stream with ground still to cover (stored
             # frames ahead): keep forwarding.
@@ -803,7 +734,7 @@ class FanoutEngine:
         """
         if peer.inflight < peer.window.size:
             return False
-        if self._ack_every() > 1:
+        if self.source.ack_every > 1:
             self._solicit(peer)
             return peer.inflight >= peer.window.size
         return True
@@ -823,12 +754,12 @@ class FanoutEngine:
         # (expiry clock included) and must never have it swapped for a
         # frozen-clock copy, so the refresh is strictly a
         # process-boundary affair.
-        current_epoch = self._current_epoch()
+        current_epoch = self.source.current_epoch()
         if (
             peer.config_epoch != current_epoch
-            and not self._shares_live_ring(peer)
+            and not self.source.shares_live_ring(peer)
         ):
-            outcome = peer.transport.send(self._config_frame())
+            outcome = peer.transport.send(self.source.config_frame())
             if outcome.status in ("failed", "dropped"):
                 peer.window.on_fault()
                 return 0  # link is down; retry the heal on a later pump
@@ -848,7 +779,7 @@ class FanoutEngine:
             else:
                 self._process_replies(peer, outcome.replies)
         try:
-            frame = self._snapshot_frame(table, payloads)
+            frame = self._cached(payloads, self.source.snapshot_frame, table)
         except ReplicationError:
             # A source that cannot produce the snapshot right now (a
             # relay whose store was dropped after a tamper escalation)
@@ -944,11 +875,11 @@ class FanoutEngine:
         regression the pre-batching engine allowed by assigning
         cursors unconditionally).
         """
-        if not self._has_table(table):
+        if not self.source.has_replica(table):
             return
-        lsn = min(lsn, self._log_head(table) or 0)
+        lsn = min(lsn, self.source.log_head(table) or 0)
         try:
-            epoch = min(epoch, self._current_epoch())
+            epoch = min(epoch, self.source.current_epoch())
         except StaleKeyError:
             pass  # no epoch registered yet (bare central in unit tests)
         current = peer.acked_lsns.get(table)
@@ -1014,7 +945,7 @@ class FanoutEngine:
             self._advance_cursor(peer, table, lsn, epoch)
         peer.probe_inflight = False
         self._settle(peer, credit_latency=not solicited)
-        self._on_cursors_advanced(peer)
+        self.source.on_cursors_advanced(peer)
 
     def observe_response_cursors(
         self, name: str, cursors: Sequence[tuple[str, int, int]]
@@ -1035,11 +966,11 @@ class FanoutEngine:
             for table, lsn, epoch in cursors:
                 self._advance_cursor(peer, table, lsn, epoch)
             self._settle(peer, credit_latency=False)
-            self._on_cursors_advanced(peer)
+            self.source.on_cursors_advanced(peer)
 
     def _apply_ack(self, peer: PeerState, ack: AckFrame) -> str:
         table = ack.table
-        if table and not self._has_table(table):
+        if table and not self.source.has_replica(table):
             # Untrusted input: a fabricated replica name must not grow
             # needs_snapshot (or any per-table state) without bound.
             return "ok"
@@ -1060,7 +991,7 @@ class FanoutEngine:
             # carried cursor still advances central state (monotonic).
             self._advance_cursor(peer, table, ack.lsn, ack.epoch)
             self._settle(peer)
-            self._on_cursors_advanced(peer)
+            self.source.on_cursors_advanced(peer)
             return "ok"
         if ack.reason == "gap":
             if ack.lsn < peer.acked_lsns.get(table, 0):
@@ -1078,7 +1009,7 @@ class FanoutEngine:
                 self._drop_outstanding(peer, table)
                 peer.reset_cursor(table)
                 peer.window.on_fault()
-                self._on_peer_nack(peer, ack, "snapshot")
+                self.source.on_peer_nack(peer, ack, "snapshot")
                 return "snapshot"
             # Trust the reported cursor as a routing hint only; the
             # retried batch is signed, so a lying edge gains nothing.
@@ -1089,7 +1020,7 @@ class FanoutEngine:
             peer.reset_cursor(table)
             self._drop_outstanding(peer, table)
             peer.window.on_fault()
-            self._on_peer_nack(peer, ack, "gap")
+            self.source.on_peer_nack(peer, ack, "gap")
             return "gap"
         # tamper / diverged / unknown: the replica cannot be trusted to
         # extend — replace it wholesale.
@@ -1097,52 +1028,15 @@ class FanoutEngine:
         self._drop_outstanding(peer, table)
         peer.reset_cursor(table)
         peer.window.on_fault()
-        self._on_peer_nack(peer, ack, "snapshot")
+        self.source.on_peer_nack(peer, ack, "snapshot")
         return "snapshot"
 
     # ------------------------------------------------------------------
-    # Payload construction (shared across peers within one pump)
+    # Payloads (built once per pump, shared across peers)
     # ------------------------------------------------------------------
 
-    def _delta_payload(
-        self, table: str, cursor: int, payloads: dict
-    ) -> tuple[bytes | None, int]:
-        """The next delta payload to send past ``cursor`` and the
-        highest LSN it carries, or ``(None, cursor)`` when there is
-        nothing to ship.  The central wiring seals one batch covering
-        everything up to the log head; a stored-frame source returns
-        its next verbatim frame instead (which may stop short of the
-        head — ``_sync_table`` keeps forwarding).
-
-        Raises:
-            DeltaGapError: When the source cannot bridge from
-                ``cursor`` (log truncated / store gap) — the caller
-                escalates to a snapshot.
-        """
-        key = ("delta", table, cursor)
+    def _cached(self, payloads: dict, build, *key):
         with self._payload_lock:
             if key not in payloads:
-                central = self.central
-                payload = central.replicator.batch_since(
-                    table, cursor, central._signer,
-                    central.public_key.signature_len,
-                )
-                payloads[key] = (payload, self._log_head(table) or 0)
-            return payloads[key]
-
-    def _snapshot_frame(self, table: str, payloads: dict) -> SnapshotFrame:
-        key = ("snapshot", table)
-        with self._payload_lock:
-            if key not in payloads:
-                central = self.central
-                vbt = central.vbtrees[table]
-                payloads[key] = SnapshotFrame(
-                    table=table,
-                    lsn=central.replicator.log_for(table).last_lsn,
-                    epoch=central.keyring.current_epoch,
-                    naive=table in central.naive_stores,
-                    payload=snapshot_to_bytes(
-                        vbt, central.public_key.signature_len
-                    ),
-                )
+                payloads[key] = build(*key)
             return payloads[key]

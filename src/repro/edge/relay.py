@@ -6,9 +6,9 @@ deployment model assumes.  It dials upstream exactly like an edge
 (:class:`~repro.edge.transport.HelloFrame` with ``role="relay"``),
 receives the very same signed snapshot/delta frames, and re-fans them
 out **byte-identical** to its downstream edges through its own
-:class:`~repro.edge.fanout.FanoutEngine` (the :class:`RelayFanout`
-subclass, which swaps the engine's frame source from "the live signer"
-to "this relay's verbatim frame store" via the ``_``-hooks).
+:class:`~repro.edge.fanout.FanoutEngine`, built with the relay itself
+as its frame ``source`` — "this relay's verbatim frame store" where the
+central's engine reads "the live signer".
 
 Trust level: a relay holds **no private signing key** and is exactly as
 untrusted as an edge.  It cannot forge a frame (every delta body and
@@ -52,8 +52,8 @@ What a relay adds to the protocol:
 
 Thread/loop ownership: a relay is **single-thread-owned**.  The serving
 loop thread (:func:`run_relay`, or a :class:`RelayHost`'s thread) runs
-the upstream frame handler, the downstream :meth:`RelayFanout.pump`,
-query forwarding, and the upstream outbox drain; both socket directions
+the upstream frame handler, the downstream ``fanout.pump()``, query
+forwarding, and the upstream outbox drain; both socket directions
 live on one :class:`~repro.edge.event_loop.EdgeEventLoop` (the upstream
 dial is a handler-mode connection, each downstream accept is a
 :class:`~repro.edge.event_loop.ReactorTransport`), so one ``select``
@@ -76,16 +76,20 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from repro.core.delta import delta_digest
 from repro.core.digests import DigestEngine, VerifyOnlyDigestEngine
 from repro.core.wire import delta_body_bytes, delta_from_bytes, snapshot_from_bytes
 from repro.crypto.signatures import DigestVerifier
-from repro.edge.event_loop import EdgeEventLoop, ReactorTransport
+from repro.edge.event_loop import (
+    EdgeEventLoop,
+    ReactorTransport,
+    guarded_handler,
+    serve_dialed,
+)
 from repro.edge.fanout import FanoutEngine, PeerState
 from repro.edge.socket_transport import (
-    connect_with_retry,
     dial_handshake,
     listen_on,
     serve_handshakes,
@@ -113,7 +117,7 @@ from repro.exceptions import (
     TransportError,
 )
 
-__all__ = ["RelayFanout", "RelayServer", "RelayHost", "run_relay"]
+__all__ = ["RelayServer", "RelayHost", "run_relay"]
 
 
 @dataclass
@@ -148,112 +152,12 @@ class _TableStore:
         return total + sum(len(d.payload) for d in self.deltas)
 
 
-class RelayFanout(FanoutEngine):
-    """Downstream delivery engine reading a relay's frame store.
-
-    Same windows, cursors, probe/settle machinery and nack escalation
-    as the central's engine — only the frame *source* hooks differ:
-    tables, log heads, payloads and snapshots come from the owning
-    :class:`RelayServer`'s verbatim store, the config bundle is the
-    stashed upstream frame, and cursor movement / downstream nacks are
-    reported back to the relay (aggregate recomputation, store
-    spot-verify).
-    """
-
-    def __init__(self, relay: "RelayServer", **kwargs) -> None:
-        # The base engine only touches its owner through the hooks
-        # below, so the relay takes the ``central`` seat wholesale.
-        super().__init__(relay, **kwargs)
-        self.relay = relay
-
-    # -- frame source: the verbatim store -------------------------------
-
-    def _tables(self) -> list:
-        return [
-            table
-            for table, st in self.relay.store.items()
-            if st.snapshot is not None
-        ]
-
-    def _has_table(self, table: str) -> bool:
-        return table in self.relay.store
-
-    def _log_head(self, table: str) -> Optional[int]:
-        st = self.relay.store.get(table)
-        if st is None or st.snapshot is None:
-            return None
-        return st.head
-
-    def _bootstrap_lag(self, table: str) -> int:
-        return 1
-
-    def _current_epoch(self) -> int:
-        config = self.relay.config
-        if config is None:
-            raise StaleKeyError("relay has no upstream config yet")
-        return config.keyring.current_epoch
-
-    def _issue_epoch(self, table: str) -> int:
-        st = self.relay.store.get(table)
-        if st is None or st.snapshot is None:
-            # No chain to issue from: fall back to the ring (the
-            # needs-snapshot path will fail to build a frame and flag
-            # the table until the store is re-seeded).
-            return self._current_epoch()
-        return st.epoch
-
-    def _peer_order(self) -> list:
-        return list(self.peers.values())
-
-    def _ack_every(self) -> int:
-        return self.relay.ack_every
-
-    def _config_frame(self) -> ConfigFrame:
-        return self.relay.downstream_config_frame()
-
-    def _shares_live_ring(self, peer: PeerState) -> bool:
-        # Every downstream ring is a copy decoded from the stashed
-        # frame; refreshes are always real sends.
-        return False
-
-    def _delta_payload(
-        self, table: str, cursor: int, payloads: dict
-    ) -> tuple[bytes | None, int]:
-        st = self.relay.store.get(table)
-        if st is None or st.snapshot is None:
-            raise DeltaGapError(f"relay holds no chain for {table!r}")
-        if cursor >= st.head:
-            return (None, cursor)
-        for stored in st.deltas:
-            if stored.lsn_first == cursor + 1:
-                return (stored.payload, stored.lsn_last)
-        # The cursor does not sit on a stored frame boundary (an edge
-        # resumed from state this chain generation never produced).
-        raise DeltaGapError(
-            f"no stored frame extends cursor {cursor} for {table!r}"
-        )
-
-    def _snapshot_frame(self, table: str, payloads: dict) -> SnapshotFrame:
-        st = self.relay.store.get(table)
-        if st is None or st.snapshot is None:
-            raise ReplicationError(f"relay holds no snapshot for {table!r}")
-        return st.snapshot
-
-    # -- feedback into the relay ----------------------------------------
-
-    def _on_cursors_advanced(self, peer: PeerState) -> None:
-        self.relay._note_downstream_progress()
-
-    def _on_peer_nack(self, peer: PeerState, ack, verdict: str) -> None:
-        self.relay._on_downstream_nack(peer, ack, verdict)
-
-
 class RelayServer:
     """Unkeyed store-and-forward node between central and its edges.
 
     Args:
         name: Relay name (its upstream link label / hello identity).
-        window: Forwarded to the downstream :class:`RelayFanout`.
+        window: Forwarded to the downstream fan-out engine.
         spot_check_every: Verify the signature of every Nth ingested
             delta frame (``0`` = never).  Purely a detection
             accelerator — edges re-verify everything regardless.
@@ -299,7 +203,7 @@ class RelayServer:
         self._upstream_config: Optional[ConfigFrame] = None
         self.ack_every = 1
         self.ack_bytes = 1 << 18
-        self.fanout = RelayFanout(self, window=window)
+        self.fanout = FanoutEngine(self, window=window)
         self._lock = threading.RLock()
         #: Deltas ingested since the last spot check.
         self._ingested = 0
@@ -329,7 +233,7 @@ class RelayServer:
             self.ack_every = max(1, frame.ack_every)
             self.ack_bytes = max(1, frame.ack_bytes)
 
-    def downstream_config_frame(self) -> ConfigFrame:
+    def config_frame(self) -> ConfigFrame:
         """The stashed upstream ConfigFrame, byte-identical.
 
         Raises:
@@ -340,6 +244,71 @@ class RelayServer:
                 f"relay {self.name!r} has no upstream config yet"
             )
         return self._upstream_config
+
+    # ------------------------------------------------------------------
+    # The fan-out engine's frame source (``FanoutEngine(source)``): the
+    # verbatim store, one pre-sealed frame at a time.  These run on the
+    # pump path — nothing here may block (fabriclint FL004).
+    # ------------------------------------------------------------------
+
+    def _chain(self, table: str) -> Optional[_TableStore]:
+        """``table``'s store if it currently holds a snapshot."""
+        st = self.store.get(table)
+        return st if st is not None and st.snapshot is not None else None
+
+    def replica_tables(self) -> list:
+        return [t for t, st in self.store.items() if st.snapshot is not None]
+
+    def has_replica(self, table: str) -> bool:
+        return table in self.store
+
+    def log_head(self, table: str) -> Optional[int]:
+        st = self._chain(table)
+        return None if st is None else st.head
+
+    def bootstrap_lag(self, table: str) -> int:
+        return 1
+
+    def current_epoch(self) -> int:
+        if self.config is None:
+            raise StaleKeyError("relay has no upstream config yet")
+        return self.config.keyring.current_epoch
+
+    def issue_epoch(self, table: str) -> int:
+        # No chain to issue from: fall back to the ring (the snapshot
+        # path then fails to build a frame and flags the table until
+        # the store is re-seeded).
+        st = self._chain(table)
+        return self.current_epoch() if st is None else st.epoch
+
+    def peer_names(self) -> list:
+        return list(self.fanout.peers)
+
+    def shares_live_ring(self, peer: PeerState) -> bool:
+        # Every downstream ring is a copy decoded from the stashed
+        # frame; refreshes are always real sends.
+        return False
+
+    def delta_payload(self, table: str, cursor: int) -> tuple:
+        st = self._chain(table)
+        if st is None:
+            raise DeltaGapError(f"relay holds no chain for {table!r}")
+        if cursor >= st.head:
+            return (None, cursor)
+        for stored in st.deltas:
+            if stored.lsn_first == cursor + 1:
+                return (stored.payload, stored.lsn_last)
+        # The cursor does not sit on a stored frame boundary (an edge
+        # resumed from state this chain generation never produced).
+        raise DeltaGapError(
+            f"no stored frame extends cursor {cursor} for {table!r}"
+        )
+
+    def snapshot_frame(self, table: str) -> SnapshotFrame:
+        st = self._chain(table)
+        if st is None:
+            raise ReplicationError(f"relay holds no snapshot for {table!r}")
+        return st.snapshot
 
     # ------------------------------------------------------------------
     # Downstream peer management
@@ -362,15 +331,15 @@ class RelayServer:
         kept = []
         with self._lock:
             for table, lsn, epoch in cursors:
-                st = self.store.get(table)
-                if st is None or st.snapshot is None or epoch != st.epoch:
+                st = self._chain(table)
+                if st is None or epoch != st.epoch:
                     continue
                 boundaries = {st.snapshot.lsn}
                 boundaries.update(d.lsn_last for d in st.deltas)
                 if lsn in boundaries:
                     kept.append((table, lsn, epoch))
         peer = self.fanout.attach(name, transport, cursors=kept)
-        self._note_downstream_progress()
+        self.on_cursors_advanced()
         return peer
 
     def prune_disconnected(self) -> None:
@@ -385,7 +354,7 @@ class RelayServer:
             return
         for name in dead:
             del self.fanout.peers[name]
-        self._note_downstream_progress()
+        self.on_cursors_advanced()
 
     # ------------------------------------------------------------------
     # Upstream frame handling
@@ -442,15 +411,15 @@ class RelayServer:
         self.counters["compacted_frames"] += len(st.deltas) - len(kept)
         st.deltas = kept
         st.head = head
-        self._note_downstream_progress()
+        self.on_cursors_advanced()
         # Heal boundary: the sender is waiting on this O(tree) transfer
         # — always answer immediately with the aggregate.
         return [frame_to_bytes(self._aggregate_ack())]
 
     def _ingest_delta(self, frame: DeltaFrame) -> list[bytes]:
         table = frame.table
-        st = self.store.get(table)
-        if st is None or st.snapshot is None:
+        st = self._chain(table)
+        if st is None:
             # Nothing to extend: ask for a (re-)seed.
             return [frame_to_bytes(self._nack(table, "diverged"))]
         try:
@@ -583,7 +552,7 @@ class RelayServer:
             self._last_agg = agg
         return CursorAckFrame(edge=self.name, cursors=agg)
 
-    def _note_downstream_progress(self) -> None:
+    def on_cursors_advanced(self, peer: Optional[PeerState] = None) -> None:
         """Mark the aggregate dirty if it moved — the serving loop's
         :meth:`pending_upstream` drain turns that into at most one
         spontaneous upstream :class:`CursorAckFrame` per spin."""
@@ -626,7 +595,7 @@ class RelayServer:
     # Downstream nack escalation & spot-checks
     # ------------------------------------------------------------------
 
-    def _on_downstream_nack(self, peer: PeerState, ack, verdict: str) -> None:
+    def on_peer_nack(self, peer: PeerState, ack, verdict: str) -> None:
         """A downstream edge rejected a stored frame.
 
         ``gap`` verdicts stay local (the engine retries / heals from
@@ -644,15 +613,7 @@ class RelayServer:
         if self._verify_table(table):
             return  # store is fine; the engine already heals the edge
         self._evict_table(self.store[table])
-        with self._outbox_lock:
-            self._outbox.append(
-                frame_to_bytes(
-                    AckFrame(
-                        edge=self.name, table=table, ok=False,
-                        lsn=0, epoch=0, reason="diverged",
-                    )
-                )
-            )
+        self._queue_diverged(table)
 
     def _evict_table(self, st: _TableStore) -> None:
         """Deterministically drop one table's chain (snapshot heal path)."""
@@ -660,6 +621,16 @@ class RelayServer:
         st.deltas = []
         st.head = 0
         self.counters["store_evictions"] += 1
+
+    def _queue_diverged(self, table: str) -> None:
+        """Queue an immediate (never aggregated) upstream request for a
+        fresh snapshot of ``table``."""
+        nack = AckFrame(
+            edge=self.name, table=table, ok=False, lsn=0, epoch=0,
+            reason="diverged",
+        )
+        with self._outbox_lock:
+            self._outbox.append(frame_to_bytes(nack))
 
     def drop_store(self, table: str) -> bool:
         """Chaos hook: lose one table's stored chain as a fault.
@@ -671,20 +642,12 @@ class RelayServer:
         snapshot heal.  Returns False when there was nothing to drop.
         """
         with self._lock:
-            st = self.store.get(table)
-            if st is None or st.snapshot is None:
+            st = self._chain(table)
+            if st is None:
                 return False
             self._evict_table(st)
-            with self._outbox_lock:
-                self._outbox.append(
-                    frame_to_bytes(
-                        AckFrame(
-                            edge=self.name, table=table, ok=False,
-                            lsn=0, epoch=0, reason="diverged",
-                        )
-                    )
-                )
-            self._note_downstream_progress()
+            self._queue_diverged(table)
+            self.on_cursors_advanced()
             return True
 
     def _verify_table(self, table: str) -> bool:
@@ -693,8 +656,8 @@ class RelayServer:
         stored delta's body signature.  A relay cannot verify *query
         semantics* (it holds no replicas) — this is the same wire-level
         check an edge performs, run over the store."""
-        st = self.store.get(table)
-        if st is None or st.snapshot is None or self.config is None:
+        st = self._chain(table)
+        if st is None or self.config is None:
             return False
         try:
             public_key = self.config.keyring.public_key_for(st.snapshot.epoch)
@@ -780,6 +743,11 @@ class RelayServer:
 # ---------------------------------------------------------------------------
 
 
+#: Selector timeout per serving-loop spin (readiness wakes the loop;
+#: this bounds how long a cross-thread ``drop_store`` or stop waits).
+_SPIN = 0.05
+
+
 def run_relay(
     name: str,
     host: str,
@@ -787,7 +755,6 @@ def run_relay(
     listen_host: str = "127.0.0.1",
     listen_port: int = 0,
     *,
-    spin: float = 0.05,
     io_timeout: float = 30.0,
     max_reconnects: int | None = None,
     retry_attempts: int = 40,
@@ -803,12 +770,15 @@ def run_relay(
     Both socket directions share a single
     :class:`~repro.edge.event_loop.EdgeEventLoop`: the upstream
     connection is a handler-mode registration (incoming frames are
-    answered inline by :meth:`RelayServer.handle_frame`), each accepted
+    answered inline by :meth:`RelayServer.handle_frame` behind
+    :func:`~repro.edge.event_loop.guarded_handler`), each accepted
     downstream edge becomes a
-    :class:`~repro.edge.event_loop.ReactorTransport` the
-    :class:`RelayFanout` pumps.  Each loop spin: run the selector, pump
-    stored frames downstream, drain the upstream outbox (spontaneous
-    aggregate acks and escalation nacks).
+    :class:`~repro.edge.event_loop.ReactorTransport` the relay's
+    fan-out engine pumps.  The dial → handshake → serve → redial loop
+    is :func:`~repro.edge.event_loop.serve_dialed`, shared with the
+    edge process; each spin additionally pumps stored frames
+    downstream and drains the upstream outbox (spontaneous aggregate
+    acks and escalation nacks).
 
     Args:
         name: Relay name (upstream hello identity).
@@ -816,14 +786,11 @@ def run_relay(
         listen_host / listen_port: Where downstream edges dial
             (``0`` = ephemeral; the bound address is reported through
             ``ready``).
-        spin: Selector timeout per loop spin.
-        io_timeout: Socket receive timeout (both directions).
-        max_reconnects: Upstream re-dial budget after disconnects
-            (``None`` = until dialing itself fails).
-        retry_attempts / retry_delay: Per-dial retry budget.
-        spot_check_every: See :class:`RelayServer`.
-        max_store_bytes: See :class:`RelayServer`.
-        verbose: Narrate connections on stdout.
+        io_timeout: Connect/handshake timeout (both directions) and
+            the downstream links' settle deadline.
+        max_reconnects / retry_attempts / retry_delay / verbose: The
+            upstream dial budget, as for ``serve_dialed``.
+        spot_check_every / max_store_bytes: See :class:`RelayServer`.
         stop_event: Cooperative shutdown signal.
         ready: Called once with ``(relay, (host, port))`` after the
             downstream listener is bound (before the upstream dial).
@@ -856,7 +823,7 @@ def run_relay(
             if stop.is_set() or time.monotonic() > deadline:
                 raise TransportError("relay has no upstream config yet")
             time.sleep(0.05)
-        return relay.downstream_config_frame()
+        return relay.config_frame()
 
     def _attach_downstream(
         conn: socket.socket, hello: HelloFrame, _sent: ConfigFrame
@@ -875,61 +842,30 @@ def run_relay(
     )
     accept_thread.start()
 
-    reconnects = 0
-    try:
-        while not stop.is_set():
-            try:
-                sock = connect_with_retry(
-                    host, port, attempts=retry_attempts, delay=retry_delay,
-                    timeout=io_timeout,
-                )
-            except TransportError:
-                if reconnects:
-                    break  # upstream gone for good: normal shutdown
-                raise
-            sock.settimeout(io_timeout)
-            try:
-                relay.adopt_config(
-                    dial_handshake(
-                        sock,
-                        HelloFrame(
-                            edge=name,
-                            cursors=relay.store_cursors(),
-                            role="relay",
-                        ),
-                    )
-                )
-            except (TransportError, OSError) as exc:
-                telemetry.note("relay.upstream.handshake", exc)
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-                reconnects += 1
-                if max_reconnects is not None and reconnects > max_reconnects:
-                    break
-                continue
-            if verbose:
-                print(f"[relay {name}] connected to {host}:{port}", flush=True)
-            sock.setblocking(False)
-            upstream = loop.register(
-                f"upstream:{name}", sock, handler=relay.handle_frame
-            )
-            while not stop.is_set() and not upstream.closed:
-                loop.run_once(spin)
-                relay.prune_disconnected()
-                relay.fanout.pump()
-                for frame_bytes in relay.pending_upstream():
-                    if upstream.closed:
-                        break
-                    loop.enqueue(upstream, frame_bytes)
-            if not upstream.closed:
-                loop.close_conn(upstream)
-            if verbose:
-                print(f"[relay {name}] upstream disconnected", flush=True)
-            reconnects += 1
-            if max_reconnects is not None and reconnects > max_reconnects:
+    def _join_upstream(sock: socket.socket):
+        hello = HelloFrame(
+            edge=name, cursors=relay.store_cursors(), role="relay"
+        )
+        relay.adopt_config(dial_handshake(sock, hello))
+        return loop.register(
+            f"upstream:{name}", sock, handler=guarded_handler(relay)
+        )
+
+    def _each_spin(upstream) -> None:
+        relay.prune_disconnected()
+        relay.fanout.pump()
+        for frame_bytes in relay.pending_upstream():
+            if upstream.closed:
                 break
+            loop.enqueue(upstream, frame_bytes)
+
+    try:
+        serve_dialed(
+            loop, host, port, _join_upstream, label=f"relay {name}",
+            spin=_SPIN, each_spin=_each_spin, stop=stop,
+            max_reconnects=max_reconnects, retry_attempts=retry_attempts,
+            retry_delay=retry_delay, io_timeout=io_timeout, verbose=verbose,
+        )
     finally:
         stop.set()
         try:
@@ -949,8 +885,8 @@ class RelayHost:
     """Run one socket relay on a background thread (tests / benches).
 
     The in-process counterpart of ``python -m repro.edge.serve
-    --relay``: same :func:`run_relay` loop, same wire traffic, no
-    subprocess.  Use as a context manager::
+    --relay``: same :func:`run_relay` loop with the CLI's defaults,
+    same wire traffic, no subprocess.  Use as a context manager::
 
         with RelayHost("relay-0", upstream=deploy.address) as host:
             host.wait_ready()
@@ -958,25 +894,9 @@ class RelayHost:
             ...
     """
 
-    def __init__(
-        self,
-        name: str,
-        upstream: tuple[str, int],
-        listen_host: str = "127.0.0.1",
-        listen_port: int = 0,
-        spin: float = 0.01,
-        io_timeout: float = 30.0,
-        spot_check_every: int = 0,
-        max_store_bytes: int = 0,
-    ) -> None:
+    def __init__(self, name: str, upstream: tuple[str, int]) -> None:
         self.name = name
         self.upstream = upstream
-        self.listen_host = listen_host
-        self.listen_port = listen_port
-        self.spin = spin
-        self.io_timeout = io_timeout
-        self.spot_check_every = spot_check_every
-        self.max_store_bytes = max_store_bytes
         self.relay: Optional[RelayServer] = None
         self.address: Optional[tuple[str, int]] = None
         self._stop = threading.Event()
@@ -992,25 +912,16 @@ class RelayHost:
         self._thread.start()
         return self
 
-    def _run(self) -> None:
-        def _on_ready(relay: RelayServer, address: tuple[str, int]) -> None:
-            self.relay = relay
-            self.address = address
-            self._ready.set()
+    def _on_ready(self, relay: RelayServer, address: tuple[str, int]) -> None:
+        self.relay = relay
+        self.address = address
+        self._ready.set()
 
+    def _run(self) -> None:
         try:
             run_relay(
-                self.name,
-                self.upstream[0],
-                self.upstream[1],
-                listen_host=self.listen_host,
-                listen_port=self.listen_port,
-                spin=self.spin,
-                io_timeout=self.io_timeout,
-                spot_check_every=self.spot_check_every,
-                max_store_bytes=self.max_store_bytes,
-                stop_event=self._stop,
-                ready=_on_ready,
+                self.name, *self.upstream,
+                stop_event=self._stop, ready=self._on_ready,
             )
         finally:
             self._ready.set()  # never leave a waiter hanging on a crash

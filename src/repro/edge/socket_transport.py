@@ -24,11 +24,12 @@ Wire protocol per connection (see DESIGN.md section 8):
    frames; the dialer answers in order (acks may be coalesced into
    cumulative cursor acks, DESIGN.md section 10).
 
-What lives here is only what must *block*: the handshake on both sides
-and the edge process's serve loop (:mod:`repro.edge.serve`) use
-:func:`send_frame` / :func:`recv_frame` on a blocking socket; every
-established central-side link is non-blocking and owned by the event
-loop (:mod:`repro.edge.event_loop`), which shares :class:`FrameDecoder`.
+What lives here is only what must *block*, and that is the handshake:
+both sides of it use :func:`send_frame` / :func:`recv_frame` on a
+blocking socket.  Every established link — the listener's accepted
+sockets and the dialer's served one alike — is non-blocking and owned
+by an event loop (:mod:`repro.edge.event_loop`), which shares
+:class:`FrameDecoder`.
 
 Failure mapping — every socket-level fault lands in the machinery that
 already exists for in-process faults, so a killed or wedged edge
@@ -71,7 +72,6 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "FrameDecoder",
     "send_frame",
-    "send_frames",
     "recv_frame",
     "connect_with_retry",
     "listen_on",
@@ -208,40 +208,6 @@ def send_frame(sock: socket.socket, data: bytes) -> int:
     return len(payload)
 
 
-def send_frames(sock: socket.socket, frames) -> int:
-    """Write many length-prefixed frames with vectored (gathered) I/O.
-
-    Packs every header+payload pair into as few ``sendmsg`` syscalls as
-    the iovec limit allows — an edge answering a pipelined delta batch
-    ships all its acks in one syscall instead of one ``sendall`` per
-    reply.  Semantics match :func:`send_frame`: all bytes ship or
-    ``OSError`` is raised (blocking socket assumed).
-
-    Returns:
-        Total bytes put on the wire.
-    """
-    bufs: list = []
-    total = 0
-    for data in frames:
-        if len(data) > MAX_FRAME_BYTES:
-            raise TransportError(f"frame of {len(data)} bytes exceeds limit")
-        bufs.append(FRAME_HEADER.pack(len(data)))
-        bufs.append(data)
-        total += FRAME_HEADER.size + len(data)
-    if not hasattr(sock, "sendmsg"):  # pragma: no cover - exotic platform
-        for i in range(0, len(bufs), 2):
-            sock.sendall(bufs[i] + bufs[i + 1])
-        return total
-    while bufs:
-        sent = sock.sendmsg(bufs[:_IOV_MAX])
-        while bufs and sent >= len(bufs[0]):
-            sent -= len(bufs[0])
-            bufs.pop(0)
-        if sent:
-            bufs[0] = memoryview(bufs[0])[sent:]
-    return total
-
-
 def _recv_exactly(sock: socket.socket, n: int, *, at_boundary: bool) -> Optional[bytes]:
     """Read exactly ``n`` bytes, across as many partial reads as needed.
 
@@ -346,10 +312,9 @@ def dial_handshake(sock: socket.socket, hello: HelloFrame) -> ConfigFrame:
     """Dialer side of the registration handshake (blocking).
 
     Sends ``hello`` and returns the listener's
-    :class:`~repro.edge.transport.ConfigFrame`.  Every dialer — an edge
-    process (:func:`repro.edge.serve.serve_connection`), a hosted edge
-    (:meth:`EdgeHost.launch <repro.edge.event_loop.EdgeHost.launch>`)
-    and a relay's upstream face (:func:`repro.edge.relay.run_relay`) —
+    :class:`~repro.edge.transport.ConfigFrame`.  Every dialer — an edge,
+    process or hosted (:func:`repro.edge.event_loop.join_as_edge`), and
+    a relay's upstream face (:func:`repro.edge.relay.run_relay`) —
     registers through here.
 
     Raises:

@@ -45,6 +45,9 @@ EXPECTED_BAD = {
         # Class scope: module-level time.sleep on line 18 must NOT be
         # flagged — only FanoutEngine's body is reactor code.
         "repro/edge/fanout.py": [13, 14],
+        # Source scope: the engine's frame sources are reactor code
+        # too; run_relay's sleep on line 18 must NOT be flagged.
+        "repro/edge/relay.py": [13, 14],
     },
     "FL005": {
         "repro/edge/fanout.py": [6, 7, 8, 12],

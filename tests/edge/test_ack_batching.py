@@ -315,17 +315,17 @@ class TestMonotonicCursors:
                 cursors=(("t", 10**9, 10**6), ("no_such_table", 7, 0)),
             )],
         )
-        head = fanout.central.replicator.log_for("t").last_lsn
+        head = fanout.source.replicator.log_for("t").last_lsn
         assert peer.acked_lsns["t"] <= head
         assert peer.sent_lsns["t"] <= head
-        assert peer.acked_epochs["t"] <= fanout.central.keyring.current_epoch
+        assert peer.acked_epochs["t"] <= fanout.source.keyring.current_epoch
         assert "no_such_table" not in peer.acked_lsns
         # Same rules via the piggyback path.
         fanout.observe_response_cursors(
             "x", (("u", 10**9, 0), ("fake", 1, 0))
         )
         assert peer.acked_lsns["u"] <= \
-            fanout.central.replicator.log_for("u").last_lsn
+            fanout.source.replicator.log_for("u").last_lsn
         assert "fake" not in peer.acked_lsns
         # A nack for a fabricated table must not grow needs_snapshot.
         fanout._process_replies(

@@ -4,7 +4,15 @@ and concurrent delivery (DESIGN.md section 7)."""
 import pytest
 
 from repro.edge.central import CentralServer, ReplicationMode
-from repro.edge.transport import FaultInjector
+from repro.edge.fanout import FanoutEngine
+from repro.edge.transport import (
+    AckFrame,
+    FaultInjector,
+    InProcessTransport,
+    SnapshotFrame,
+    frame_from_bytes,
+    frame_to_bytes,
+)
 from repro.workloads.generator import TableSpec, generate_table
 
 DB = "fanoutdb"
@@ -228,3 +236,85 @@ class TestSpawnWithFaults:
         assert server.staleness(edge, "t") == 0
         client = server.make_client()
         assert client.verify(edge.range_query("t", low=0, high=10)).ok
+
+
+class FakeSource:
+    """The whole ``FanoutEngine(source)`` surface in thirty lines: one
+    snapshot at LSN 1 and a chain of one-LSN frames (two to begin
+    with) — no server, no keys, no store."""
+
+    ack_every = 1
+
+    def __init__(self):
+        self.chain = {2: b"d2", 3: b"d3"}
+        self.engine = FanoutEngine(self, window=4)
+        self.nacks = []
+
+    def replica_tables(self): return ["t"]
+    def has_replica(self, table): return table == "t"
+    def log_head(self, table): return max(self.chain)
+    def bootstrap_lag(self, table): return 1
+    def current_epoch(self): return 0
+    def issue_epoch(self, table): return 0
+    def peer_names(self): return list(self.engine.peers)
+    def config_frame(self): raise AssertionError("no rotation here")
+    def shares_live_ring(self, peer): return True
+    def on_cursors_advanced(self, peer): pass
+    def on_peer_nack(self, peer, ack, verdict): self.nacks.append(verdict)
+
+    def delta_payload(self, table, cursor):
+        if cursor + 1 in self.chain:
+            return self.chain[cursor + 1], cursor + 1
+        return None, cursor
+
+    def snapshot_frame(self, table):
+        return SnapshotFrame(table="t", lsn=1, epoch=0, naive=False, payload=b"s1")
+
+
+class FakeEdge:
+    """Applies the fake frames in order; gap-nacks anything else."""
+
+    def __init__(self):
+        self.cursor = 0
+        self.seen = []
+
+    def handle(self, data):
+        frame = frame_from_bytes(data)
+        self.seen.append(frame.payload)
+        lsn = int(frame.payload[1:])
+        ok = isinstance(frame, SnapshotFrame) or lsn == self.cursor + 1
+        if ok:
+            self.cursor = lsn
+        ack = AckFrame(edge="e", table="t", ok=ok, lsn=self.cursor, epoch=0,
+                       reason="" if ok else "gap")
+        return [frame_to_bytes(ack)]
+
+
+class TestFrameSourceSeam:
+    def test_engine_delivers_settles_and_heals_from_a_fake_source(self):
+        """The engine's only view of its owner is the ``source``
+        surface, so a test can substitute a fake: bootstrap by
+        snapshot, forward the stored chain frame by frame, settle every
+        frame, and — when the edge loses its replica — rewind it
+        through the snapshot and replay the chain."""
+        source, edge = FakeSource(), FakeEdge()
+        engine = source.engine
+        link = InProcessTransport("e")
+        link.connect(edge.handle)
+        peer = engine.attach("e", link)
+
+        assert engine.staleness("e", "t") == 3  # never bootstrapped
+        assert engine.pump() == 1  # no acked epoch yet: the snapshot
+        assert engine.pump() == 2  # then the two stored frames
+        assert edge.seen == [b"s1", b"d2", b"d3"]
+        assert engine.staleness("e", "t") == 0
+        assert peer.outstanding == [] and peer.acked_lsns == {"t": 3}
+
+        edge.cursor = 0  # the replica regressed underneath us
+        source.chain[4] = b"d4"
+        engine.pump()  # d4 gap-nacks behind the acked cursor → rewind
+        assert source.nacks == ["snapshot"]
+        assert edge.seen[-2:] == [b"d4", b"s1"] and peer.acked_lsns == {"t": 1}
+        assert engine.pump() == 3  # chain replayed past the snapshot
+        assert edge.cursor == 4 and engine.staleness("e", "t") == 0
+        assert peer.outstanding == [] and not peer.needs_snapshot

@@ -2,7 +2,7 @@
 
 The relay is wired exactly as over a socket — central → relay over one
 :class:`InProcessTransport` (the relay's ``handle_frame`` as handler),
-relay → edges over per-edge links its own :class:`RelayFanout` pumps —
+relay → edges over per-edge links its own fan-out engine pumps —
 but everything runs in this process so the tests can inspect byte
 streams, shuffle ack orderings, and corrupt the store directly.
 
@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.wire import result_from_bytes
-from repro.edge.central import CentralServer
+from repro.edge.central import CentralServer, ReplicationMode
 from repro.edge.edge_server import EdgeServer
 from repro.edge.relay import RelayServer, _TableStore
 from repro.edge.sharding import ShardMap
@@ -58,11 +58,7 @@ def attach_relay(central, name="relay-0", **kwargs):
     relay = RelayServer(name, **kwargs)
     up = InProcessTransport(name)
     up.connect(relay.handle_frame)
-    cfg = config_to_frame(
-        central.edge_config(),
-        ack_every=central.ack_every,
-        ack_bytes=central.ack_bytes,
-    )
+    cfg = central.config_frame()
     relay.adopt_config(cfg)
     sent_epoch = max((record[0] for record in cfg.epochs), default=-1)
     central.attach_remote_edge(name, up, config_epoch=sent_epoch)
@@ -72,7 +68,7 @@ def attach_relay(central, name="relay-0", **kwargs):
 def attach_edge(relay, name):
     """Relay → edge link, mirroring the downstream handshake."""
     edge = EdgeServer(
-        name=name, config=config_from_frame(relay.downstream_config_frame())
+        name=name, config=config_from_frame(relay.config_frame())
     )
     down = InProcessTransport(name)
     down.connect(edge.handle_frame)
@@ -396,6 +392,49 @@ class TestTamperThroughRelay:
         assert len(result.keys) == 3
 
 
+class TestSpotCheck:
+    @pytest.mark.parametrize("position, caught", [(1, False), (2, True)])
+    def test_every_nth_ingested_delta_is_verified(self, position, caught):
+        """``spot_check_every=2`` verifies the 2nd, 4th, … ingested
+        delta: a flipped signature byte is nacked ``tamper`` upstream
+        when it lands on a checked ingest, and stored verbatim when it
+        does not — where the edge still rejects it end to end (the
+        spot check only ever shortens the detection path)."""
+        central = make_central(replication=ReplicationMode.LAZY)
+        relay, _up = attach_relay(central, spot_check_every=2)
+        edge, _down = attach_edge(relay, "edge-0")
+        assert tree_sync(central, relay, {"edge-0": edge})
+        rows_before = len(edge.replica(TABLE).tree)
+
+        replies = []
+        for n in (1, 2)[:position]:
+            cursor = relay.store[TABLE].head
+            central.insert(TABLE, (4000 + n, "a", "b"))
+            payload, _head = central.delta_payload(TABLE, cursor)
+            if n == position:
+                payload = payload[:-1] + bytes([payload[-1] ^ 0x01])
+            replies = [
+                frame_from_bytes(b)
+                for b in relay.handle_frame(
+                    frame_to_bytes(DeltaFrame(TABLE, payload))
+                )
+            ]
+        stored = [d.payload for d in relay.store[TABLE].deltas]
+        if caught:
+            assert [(r.ok, r.reason) for r in replies] == [(False, "tamper")]
+            assert payload not in stored and len(stored) == 1
+            return
+        assert isinstance(replies[0], CursorAckFrame)
+        assert stored == [payload]
+        relay.fanout.pump()
+        relay.fanout.drain(wait=True)
+        assert len(edge.replica(TABLE).tree) == rows_before
+        assert relay.store[TABLE].snapshot is None  # store condemned
+        assert [
+            frame_from_bytes(b).reason for b in relay.pending_upstream()
+        ] == ["diverged"]
+
+
 class TestRouterQuarantineThroughRelay:
     def test_adversarial_edge_quarantines_its_relay_channel(self):
         """An adversarial edge behind one relay corrupts its query
@@ -477,11 +516,7 @@ class TestRotationAndConfigPassThrough:
         old_epoch = relay.store[TABLE].epoch
 
         central.rotate_key()
-        cfg = config_to_frame(
-            central.edge_config(),
-            ack_every=central.ack_every,
-            ack_bytes=central.ack_bytes,
-        )
+        cfg = central.config_frame()
         replies = relay.handle_frame(frame_to_bytes(cfg))
         assert frame_from_bytes(replies[0]).reason == "config"
 
@@ -504,7 +539,7 @@ class TestRotationAndConfigPassThrough:
         )
         relay = RelayServer("relay-0")
         relay.adopt_config(cfg)
-        out = relay.downstream_config_frame()
+        out = relay.config_frame()
         assert frame_to_bytes(out) == frame_to_bytes(cfg)
         assert out.shard_id == 0
         assert relay.ack_every == 3 and relay.ack_bytes == 4096

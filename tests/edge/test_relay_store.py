@@ -19,7 +19,6 @@ from repro.edge.relay import RelayServer
 from repro.edge.transport import (
     InProcessTransport,
     config_from_frame,
-    config_to_frame,
     frame_from_bytes,
     frame_to_bytes,
     range_query_frame,
@@ -43,11 +42,7 @@ def attach_relay(central, name="relay-0", **kwargs):
     relay = RelayServer(name, **kwargs)
     up = InProcessTransport(name)
     up.connect(relay.handle_frame)
-    cfg = config_to_frame(
-        central.edge_config(),
-        ack_every=central.ack_every,
-        ack_bytes=central.ack_bytes,
-    )
+    cfg = central.config_frame()
     relay.adopt_config(cfg)
     sent_epoch = max((record[0] for record in cfg.epochs), default=-1)
     central.attach_remote_edge(name, up, config_epoch=sent_epoch)
@@ -56,7 +51,7 @@ def attach_relay(central, name="relay-0", **kwargs):
 
 def attach_edge(relay, name):
     edge = EdgeServer(
-        name=name, config=config_from_frame(relay.downstream_config_frame())
+        name=name, config=config_from_frame(relay.config_frame())
     )
     down = InProcessTransport(name)
     down.connect(edge.handle_frame)
@@ -173,11 +168,7 @@ class TestCompaction:
         assert chain >= 1
 
         central.rotate_key()
-        cfg = config_to_frame(
-            central.edge_config(),
-            ack_every=central.ack_every,
-            ack_bytes=central.ack_bytes,
-        )
+        cfg = central.config_frame()
         relay.handle_frame(frame_to_bytes(cfg))
         assert tree_sync(central, relay, edges)
         assert relay.counters["compacted_frames"] >= chain

@@ -5,8 +5,8 @@ subprocesses), so it belongs to the tier-1 suite: the framing layer's
 partial-read / short-write / torn-frame behaviour, the accepted link's
 (``ReactorTransport``) pipelined send/flush/poll/request surface against
 a blocking stub peer, the Hello→Config handshake's error contract for
-every dialer, and a full handshake cycle with the edge served from a
-thread.  The multi-*process* deployment tests
+every dialer, the dialed seats' one-bad-frame guard, and a full
+handshake cycle with the edge served from a thread.  The multi-*process* deployment tests
 live in ``test_deploy.py`` behind the ``socket`` marker.
 """
 
@@ -19,10 +19,16 @@ import pytest
 from repro.edge import telemetry
 from repro.edge.central import CentralServer
 from repro.edge.deploy import Deployment
+from repro.edge.edge_server import EdgeServer
+from repro.edge.event_loop import (
+    EdgeEventLoop,
+    EdgeHost,
+    ReactorTransport,
+    guarded_handler,
+    join_as_edge,
+)
+from repro.edge.relay import RelayServer, run_relay
 from repro.edge.serve import run_edge
-from repro.edge.event_loop import EdgeEventLoop, EdgeHost, ReactorTransport
-from repro.edge.relay import run_relay
-from repro.edge.serve import serve_connection
 from repro.edge.socket_transport import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
@@ -33,7 +39,9 @@ from repro.edge.socket_transport import (
 from repro.edge.transport import (
     AckFrame,
     CursorAckFrame,
+    CursorProbeFrame,
     DeltaFrame,
+    HelloFrame,
     QueryRequestFrame,
     QueryResponseFrame,
     frame_from_bytes,
@@ -356,6 +364,68 @@ class TestReactorLink:
 
 
 # ---------------------------------------------------------------------------
+# The dialed seats (edge, relay upstream): one bad frame from the
+# listener answers with an error, never a dead node
+# ---------------------------------------------------------------------------
+
+
+def _relay_seat(central):
+    relay = RelayServer("seat")
+    relay.adopt_config(central.config_frame())
+    return relay
+
+
+def _edge_seat(central):
+    return EdgeServer(name="seat", config=central.edge_config())
+
+
+_BAD_FRAMES = {
+    "garbage_tag": b"\xff" + b"junk" * 4,
+    "hello_frame": frame_to_bytes(HelloFrame(edge="x", cursors=())),
+    "truncated_delta": frame_to_bytes(DeltaFrame("t", b"x" * 40))[:-7],
+}
+
+
+class TestDialedSeatGuard:
+    @pytest.mark.parametrize("bad", sorted(_BAD_FRAMES))
+    @pytest.mark.parametrize(
+        "seat", [_relay_seat, _edge_seat], ids=["relay_upstream", "edge"]
+    )
+    def test_bad_upstream_frame_is_answered_not_fatal(self, pair, seat, bad):
+        """A malformed, off-role or truncated frame on the dialed
+        connection used to raise out of ``run_once`` on the relay's
+        (unguarded) seat and take the whole subtree's relay down.  On
+        every seat the loop keeps spinning, the link stays open, the
+        sender gets an error reply, the swallow is counted (and not as
+        ``unexpected``), and the next valid frame is still answered."""
+        left, right = pair
+        node = seat(make_central())
+        loop = EdgeEventLoop()
+        telemetry.reset()
+        try:
+            conn = loop.register(
+                "seat", left, handler=guarded_handler(node)
+            )
+            send_frame(right, _BAD_FRAMES[bad])
+            for _ in range(3):
+                loop.run_once(0.2)
+            assert not conn.closed
+            reply = frame_from_bytes(recv_frame(right))
+            assert isinstance(reply, QueryResponseFrame)
+            assert reply.edge == "seat" and "TransportError" in reply.error
+            noted = telemetry.counters()
+            assert noted == {"dialed.handle_frame:TransportError": 1}, noted
+            assert telemetry.unexpected_total() == 0
+            send_frame(right, frame_to_bytes(CursorProbeFrame()))
+            loop.run_once(0.2)
+            answer = frame_from_bytes(recv_frame(right))
+            assert isinstance(answer, CursorAckFrame) and answer.edge == "seat"
+        finally:
+            telemetry.reset()
+            loop.close()
+
+
+# ---------------------------------------------------------------------------
 # The Hello→Config handshake: one dialer-side implementation, one
 # error contract for every dialer
 # ---------------------------------------------------------------------------
@@ -386,12 +456,14 @@ def _misbehaving_listener(misbehave):
     return listener, thread
 
 
-def _dial_serve_connection(host, port):
+def _dial_join_as_edge(host, port):
     sock = connect_with_retry(host, port, attempts=5, delay=0.05, timeout=5)
+    loop = EdgeEventLoop()
     try:
-        serve_connection(sock, "dialer")
+        join_as_edge(loop, sock, "dialer")
     finally:
         sock.close()
+        loop.close()
 
 
 def _dial_edge_host(host, port):
@@ -413,16 +485,16 @@ def _dial_relay_upstream(host, port):
         noted = telemetry.counters()
     finally:
         telemetry.reset()
-    assert set(noted) == {"relay.upstream.handshake:TransportError"}, noted
-    raise TransportError("relay.upstream.handshake")
+    assert set(noted) == {"dialed.handshake:TransportError"}, noted
+    raise TransportError("dialed.handshake")
 
 
 class TestDialerHandshake:
     @pytest.mark.parametrize("misbehave", ["wrong_frame", "eof"])
     @pytest.mark.parametrize(
         "dial",
-        [_dial_serve_connection, _dial_edge_host, _dial_relay_upstream],
-        ids=["serve_connection", "edge_host", "run_relay"],
+        [_dial_join_as_edge, _dial_edge_host, _dial_relay_upstream],
+        ids=["join_as_edge", "edge_host", "run_relay"],
     )
     def test_bad_handshake_reply_is_a_transport_error(self, dial, misbehave):
         """A listener answering the hello with anything but a config —
@@ -436,6 +508,27 @@ class TestDialerHandshake:
         finally:
             listener.close()
             thread.join(timeout=5)
+
+
+    def test_run_edge_counts_a_swallowed_handshake_failure(self):
+        """``run_edge`` outlives a failed handshake exactly like
+        ``run_relay`` (shared redial loop) — and, like it, leaves a
+        trace: the edge seat used to drop the error with a bare
+        ``pass``."""
+        listener, thread = _misbehaving_listener("eof")
+        telemetry.reset()
+        try:
+            edge = run_edge(
+                "dialer", *listener.getsockname()[:2], max_reconnects=0,
+                retry_attempts=2, retry_delay=0.05, io_timeout=5,
+            )
+            noted = telemetry.counters()
+        finally:
+            telemetry.reset()
+            listener.close()
+            thread.join(timeout=5)
+        assert edge is None
+        assert set(noted) == {"dialed.handshake:TransportError"}, noted
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +570,9 @@ class TestHelloCursorSanitizing:
 
 class TestThreadedDeployment:
     """The deployment handshake and sync protocol over real TCP, with
-    the edge's serve loop in a thread — same wire traffic as the
-    multi-process tests, fast enough for tier-1."""
+    the edge process's ``run_edge`` (reactor-served, like every seat)
+    in a thread — same wire traffic as the multi-process tests, fast
+    enough for tier-1."""
 
     def test_bootstrap_sync_query_and_verify(self):
         central = make_central()
@@ -541,7 +635,7 @@ class TestThreadedDeployment:
                 thread.join(timeout=10)
 
     def test_edge_survives_idle_link(self):
-        """No traffic for longer than the receive timeout is *idle*,
+        """No traffic for longer than the handshake timeout is *idle*,
         not a fault: the serve loop must keep waiting, not crash."""
         central = make_central()
         client = central.make_client()
@@ -556,7 +650,7 @@ class TestThreadedDeployment:
             thread.start()
             try:
                 deploy.wait_for_edge("idle-edge", timeout=15)
-                time.sleep(1.0)  # > 3x the edge's receive timeout
+                time.sleep(1.0)  # > 3x the edge's io_timeout
                 assert thread.is_alive(), "edge died on an idle link"
                 resp = deploy.range_query("idle-edge", "t", low=1, high=50)
                 assert client.verify(resp).ok

@@ -62,3 +62,15 @@ def test_socket_deployment_example_runs(capsys):
     out = capsys.readouterr().out
     assert "snapshot heal to cursor parity" in out
     assert "verified: True" in out
+
+
+@pytest.mark.socket
+@pytest.mark.timeout(180)
+def test_relay_deployment_example_runs(capsys):
+    """The one script that runs subprocess relays *and* subprocess
+    edges through SIGKILL/restart; rides in the socket job too."""
+    module = _load("relay_deployment")
+    module.main()
+    out = capsys.readouterr().out
+    assert "relay-0 healed; staleness 0" in out
+    assert "verified: False" not in out

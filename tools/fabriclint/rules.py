@@ -391,9 +391,12 @@ class ReactorDisciplineRule(Rule):
     precisely because no callback ever blocks: one ``time.sleep``, one
     blocking ``recv``, one un-timed lock acquisition and every
     connected edge stalls together.  Scope: the whole of
-    ``event_loop.py`` plus the :class:`FanoutEngine` /
-    :class:`RelayFanout` classes (their pump/settle paths run on the
-    reactor).  A ``recv``/``accept``-family call is allowed when its
+    ``event_loop.py`` plus the :class:`FanoutEngine` class and its two
+    frame sources, :class:`CentralServer` and :class:`RelayServer`
+    (the engine's pump/settle paths run on the reactor and call into
+    the source's payload and feedback methods; a relay's socket
+    serving functions outside the class may block on the handshake).
+    A ``recv``/``accept``-family call is allowed when its
     enclosing ``try`` catches ``BlockingIOError`` — that is the
     positive proof the socket is non-blocking.
     """
@@ -405,7 +408,8 @@ class ReactorDisciplineRule(Rule):
     MODULE_SCOPES = ("repro/edge/event_loop.py",)
     CLASS_SCOPES = {
         "repro/edge/fanout.py": {"FanoutEngine"},
-        "repro/edge/relay.py": {"RelayFanout"},
+        "repro/edge/central.py": {"CentralServer"},
+        "repro/edge/relay.py": {"RelayServer"},
     }
     BLOCKING_SOCKET_ATTRS = {
         "recv",
