@@ -269,26 +269,26 @@ def apply_delta(vbt: VBTree, delta: ReplicaDelta) -> None:
             f"delta for {delta.table!r} expects replica version "
             f"{delta.base_version}, replica is at {vbt.version}"
         )
+    # Ops come off the wire (or out of ``TupleOp.insert``) already
+    # holding tuples of exactly what the replica stores: install them
+    # as they are.
+    schema, key_of, tree = vbt.schema, vbt.key_of, vbt.tree
     for op in delta.ops:
         try:
             if op.kind is DeltaOpKind.INSERT:
-                assert op.values is not None
-                row = Row(vbt.schema, op.values)
-                key = vbt.key_of(row)
-                vbt.tree.insert(key, row)
+                row = Row(schema, op.values)
+                key = key_of(row)
+                tree.insert(key, row)
                 vbt.install_tuple_auth(
                     key,
                     TupleAuth(
-                        digests=TupleDigests(
-                            attribute_values=tuple(op.attribute_values or ()),
-                            tuple_value=op.tuple_value or 0,
-                        ),
-                        signed_tuple=op.signed_tuple,  # type: ignore[arg-type]
-                        signed_attrs=tuple(op.signed_attrs or ()),
+                        TupleDigests(op.attribute_values, op.tuple_value),
+                        op.signed_tuple,
+                        op.signed_attrs,
                     ),
                 )
             else:
-                vbt.tree.delete(op.key)
+                tree.delete(op.key)
                 vbt.drop_tuple_auth(op.key)
         except ReplicaDeltaError:
             raise

@@ -30,6 +30,7 @@ from repro.core.delta import (
     NodeDigestUpdate,
     ReplicaDelta,
     TupleOp,
+    delta_digest,
 )
 from repro.core.digests import DigestPolicy
 from repro.core.vo import (
@@ -47,8 +48,16 @@ from repro.crypto.encoding import (
     encode_value,
     encode_values,
 )
-from repro.crypto.signatures import SignedDigest
-from repro.exceptions import EncodingError, ReplicaDeltaError, VOFormatError
+from repro.crypto.meter import NULL_METER, CostMeter
+from repro.crypto.signatures import DigestVerifier, SignedDigest
+from repro.exceptions import (
+    CryptoError,
+    DeltaTamperError,
+    EncodingError,
+    ReplicaDeltaError,
+    StaleKeyError,
+    VOFormatError,
+)
 
 __all__ = [
     "result_to_bytes",
@@ -57,6 +66,7 @@ __all__ = [
     "delta_body_bytes",
     "delta_to_bytes",
     "delta_from_bytes",
+    "authenticate_delta",
     "snapshot_to_bytes",
     "snapshot_from_bytes",
     "predicate_to_bytes",
@@ -317,8 +327,14 @@ def wire_breakdown(result: AuthenticatedResult, sig_len: int) -> dict[str, int]:
 # comparisons are apples-to-apples.
 # ---------------------------------------------------------------------------
 
-_OP_TAGS = {DeltaOpKind.INSERT: 0, DeltaOpKind.DELETE: 1}
-_OP_FROM_TAG = {v: k for k, v in _OP_TAGS.items()}
+_OP_INSERT = 0
+_OP_DELETE = 1
+_OP_TAGS = {DeltaOpKind.INSERT: _OP_INSERT, DeltaOpKind.DELETE: _OP_DELETE}
+#: op tag + key flag + an empty composite key's count: the narrowest op.
+_MIN_OP_WIDTH = 6
+#: lsn_first | lsn_last | epoch | base_version | new_version | structural
+#: | op count — what follows ``sig_len | table`` in a delta body.
+_DELTA_HEADER = struct.Struct(">5IBI")
 
 # Tree search keys are scalars for primary VB-trees but composite
 # ``(attribute, primary key)`` tuples for secondary VB-trees.
@@ -333,6 +349,8 @@ def _encode_key(key: Any) -> bytes:
 
 
 def _decode_key(data: bytes, offset: int) -> tuple[Any, int]:
+    if offset >= len(data):
+        raise EncodingError("truncated key")
     flag = data[offset]
     offset += 1
     if flag == _KEY_COMPOSITE:
@@ -366,41 +384,6 @@ def _encode_tuple_op(op: TupleOp, sig_len: int) -> bytes:
     return b"".join(out)
 
 
-def _decode_tuple_op(
-    data: bytes, offset: int, sig_len: int
-) -> tuple[TupleOp, int]:
-    kind = _OP_FROM_TAG.get(data[offset])
-    if kind is None:
-        raise EncodingError(f"unknown delta op tag {data[offset]}")
-    offset += 1
-    if kind is DeltaOpKind.DELETE:
-        key, offset = _decode_key(data, offset)
-        return TupleOp.delete(key), offset
-    values, offset = decode_values(data, offset)
-    attr_values, offset = decode_values(data, offset)
-    tuple_value, offset = decode_value(data, offset)
-    signed_tuple = SignedDigest.from_bytes(
-        data[offset : offset + sig_len + 2], sig_len
-    )
-    offset += sig_len + 2
-    attr_count, offset = decode_uint(data, offset)
-    signed_attrs = []
-    for _ in range(attr_count):
-        signed_attrs.append(
-            SignedDigest.from_bytes(data[offset : offset + sig_len + 2], sig_len)
-        )
-        offset += sig_len + 2
-    op = TupleOp(
-        kind=DeltaOpKind.INSERT,
-        values=tuple(values),
-        attribute_values=tuple(attr_values),
-        tuple_value=tuple_value,
-        signed_tuple=signed_tuple,
-        signed_attrs=tuple(signed_attrs),
-    )
-    return op, offset
-
-
 def _encode_node_update(update: NodeDigestUpdate, sig_len: int) -> bytes:
     return (
         encode_uint(update.node_id)
@@ -408,30 +391,6 @@ def _encode_node_update(update: NodeDigestUpdate, sig_len: int) -> bytes:
         + update.signed.to_bytes(sig_len)
         + encode_value(update.display)
         + update.signed_display.to_bytes(sig_len)
-    )
-
-
-def _decode_node_update(
-    data: bytes, offset: int, sig_len: int
-) -> tuple[NodeDigestUpdate, int]:
-    node_id, offset = decode_uint(data, offset)
-    value, offset = decode_value(data, offset)
-    signed = SignedDigest.from_bytes(data[offset : offset + sig_len + 2], sig_len)
-    offset += sig_len + 2
-    display, offset = decode_value(data, offset)
-    signed_display = SignedDigest.from_bytes(
-        data[offset : offset + sig_len + 2], sig_len
-    )
-    offset += sig_len + 2
-    return (
-        NodeDigestUpdate(
-            node_id=node_id,
-            value=value,
-            signed=signed,
-            display=display,
-            signed_display=signed_display,
-        ),
-        offset,
     )
 
 
@@ -478,40 +437,115 @@ def delta_to_bytes(delta: ReplicaDelta, sig_len: int) -> bytes:
 def delta_from_bytes(data: bytes) -> ReplicaDelta:
     """Parse the serialization produced by :func:`delta_to_bytes`.
 
-    Parsing performs **no** authentication; callers must verify the
-    signature over :func:`delta_body_bytes` of the parsed delta (the
-    encoding is canonical, so re-serializing reproduces the body).
+    Parsing performs **no** authentication.  The authenticated object
+    is the byte string the central server signed — ``data`` minus its
+    trailing ``sig_len + 2`` signature bytes — so a caller that is
+    about to trust the result goes through :func:`authenticate_delta`,
+    which checks the signature over that received slice.  Nothing is
+    re-serialised to verify: that the encoding is canonical (a payload
+    the central server emits re-encodes to itself) is a property the
+    codec tests pin, not an assumption verification rests on.
+
+    One pass, every read bounded, every count checked against the bytes
+    that remain before its loop runs.
+
+    Raises:
+        EncodingError: On any malformed, truncated or over-long buffer
+            — never ``IndexError``.
     """
-    sig_len, offset = decode_uint(data, 0)
-    table, offset = decode_value(data, offset)
-    lsn_first, offset = decode_uint(data, offset)
-    lsn_last, offset = decode_uint(data, offset)
-    epoch, offset = decode_uint(data, offset)
-    base_version, offset = decode_uint(data, offset)
-    new_version, offset = decode_uint(data, offset)
-    structural = bool(data[offset])
-    offset += 1
-    op_count, offset = decode_uint(data, offset)
-    ops = []
-    for _ in range(op_count):
-        op, offset = _decode_tuple_op(data, offset, sig_len)
-        ops.append(op)
-    update_count, offset = decode_uint(data, offset)
-    updates = []
-    for _ in range(update_count):
-        update, offset = _decode_node_update(data, offset, sig_len)
-        updates.append(update)
-    freed_count, offset = decode_uint(data, offset)
-    freed = []
-    for _ in range(freed_count):
-        node_id, offset = decode_uint(data, offset)
-        freed.append(node_id)
-    signature = SignedDigest.from_bytes(
-        data[offset : offset + sig_len + 2], sig_len
-    )
-    offset += sig_len + 2
-    if offset != len(data):
-        raise EncodingError(f"{len(data) - offset} trailing delta bytes")
+    size = len(data)
+    from_bytes = int.from_bytes
+    try:
+        sig_len, offset = decode_uint(data, 0)
+        width = sig_len + 2
+        if width > size:
+            raise EncodingError(f"{sig_len}-byte signatures cannot fit the payload")
+        # ``signature | epoch``, the one record every signed digest is.
+        signed_records = struct.Struct(f">{sig_len}sH")
+        read_signed = signed_records.unpack_from
+        table, offset = decode_value(data, offset)
+        (
+            lsn_first, lsn_last, epoch, base_version, new_version, flag, op_count,
+        ) = _DELTA_HEADER.unpack_from(data, offset)
+        offset += _DELTA_HEADER.size
+        if flag > 1:
+            raise EncodingError(f"non-canonical structural flag {flag}")
+        if op_count * _MIN_OP_WIDTH > size - offset:
+            raise EncodingError(f"{op_count} ops cannot fit the remaining bytes")
+        ops = []
+        for _ in range(op_count):
+            if offset >= size:
+                raise EncodingError("truncated delta op")
+            tag = data[offset]
+            if tag == _OP_DELETE:
+                key, offset = _decode_key(data, offset + 1)
+                ops.append(TupleOp(DeltaOpKind.DELETE, None, key))
+                continue
+            if tag != _OP_INSERT:
+                raise EncodingError(f"unknown delta op tag {tag}")
+            values, offset = decode_values(data, offset + 1)
+            attr_values, offset = decode_values(data, offset)
+            tuple_value, offset = decode_value(data, offset)
+            signature, sig_epoch = read_signed(data, offset)
+            offset += width
+            (attr_count,) = _U32.unpack_from(data, offset)
+            offset += 4
+            end = offset + attr_count * width
+            if end > size:
+                raise EncodingError(
+                    f"{attr_count} attribute signatures cannot fit the "
+                    "remaining bytes"
+                )
+            ops.append(
+                TupleOp(
+                    DeltaOpKind.INSERT,
+                    tuple(values),
+                    None,
+                    tuple(attr_values),
+                    tuple_value,
+                    SignedDigest(from_bytes(signature, "big"), sig_epoch),
+                    tuple([
+                        SignedDigest(from_bytes(sig, "big"), ep)
+                        for sig, ep in signed_records.iter_unpack(data[offset:end])
+                    ]),
+                )
+            )
+            offset = end
+        update_count, offset = decode_uint(data, offset)
+        # node id + two values + two signed digests.
+        if update_count * (14 + 2 * width) > size - offset:
+            raise EncodingError(
+                f"{update_count} node updates cannot fit the remaining bytes"
+            )
+        updates = []
+        for _ in range(update_count):
+            (node_id,) = _U32.unpack_from(data, offset)
+            value, offset = decode_value(data, offset + 4)
+            signature, sig_epoch = read_signed(data, offset)
+            display, offset = decode_value(data, offset + width)
+            display_signature, display_epoch = read_signed(data, offset)
+            offset += width
+            updates.append(
+                NodeDigestUpdate(
+                    node_id,
+                    value,
+                    SignedDigest(from_bytes(signature, "big"), sig_epoch),
+                    display,
+                    SignedDigest(from_bytes(display_signature, "big"), display_epoch),
+                )
+            )
+        freed_count, offset = decode_uint(data, offset)
+        if freed_count * 4 > size - offset:
+            raise EncodingError(
+                f"{freed_count} freed node ids cannot fit the remaining bytes"
+            )
+        freed = struct.unpack_from(f">{freed_count}I", data, offset)
+        offset += 4 * freed_count
+        signature, sig_epoch = read_signed(data, offset)
+    except struct.error:  # a fixed-width read ran off the end
+        raise EncodingError("truncated delta") from None
+    if offset + width != size:
+        raise EncodingError(f"{size - offset - width} trailing delta bytes")
     return ReplicaDelta(
         table=table,
         lsn_first=lsn_first,
@@ -519,12 +553,60 @@ def delta_from_bytes(data: bytes) -> ReplicaDelta:
         epoch=epoch,
         base_version=base_version,
         new_version=new_version,
-        structural=structural,
+        structural=flag == 1,
         ops=tuple(ops),
         node_updates=tuple(updates),
-        freed_nodes=tuple(freed),
-        signature=signature,
+        freed_nodes=freed,
+        signature=SignedDigest(from_bytes(signature, "big"), sig_epoch),
     )
+
+
+def authenticate_delta(
+    payload: bytes, table: str, keyring, meter: CostMeter = NULL_METER
+) -> ReplicaDelta:
+    """The one definition of "this delta verifies": parse ``payload`` and
+    check the central server's signature over **the bytes that arrived**.
+
+    A sealed delta is ``body ‖ signature``; the signer's input was the
+    body, so the verifier's is ``payload[:-(sig_len + 2)]`` — the
+    received slice, not a re-serialisation of the parsed copy.  In
+    order: the payload parses (no trailing bytes, no non-canonical
+    flag); it is addressed to ``table``; ``keyring`` serves a public
+    key for the claimed epoch (an expired epoch is refused the way a
+    stale query signature is); the payload's declared signature width
+    is that key's — so the slice boundary is the signer's, checked
+    before any public-key operation; the signature recovers to the
+    digest of the slice.
+
+    Raises:
+        DeltaTamperError: If any of those fails.
+    """
+    try:
+        delta = delta_from_bytes(payload)
+    except CryptoError as exc:
+        raise DeltaTamperError(f"delta for {table!r} does not parse: {exc}") from exc
+    if delta.table != table:
+        raise DeltaTamperError(
+            f"delta addressed to {delta.table!r}, applied to {table!r}"
+        )
+    try:
+        public_key = keyring.public_key_for(delta.epoch)
+    except StaleKeyError as exc:
+        raise DeltaTamperError(f"delta epoch {delta.epoch} rejected: {exc}") from exc
+    sig_len = public_key.signature_len
+    if _U32.unpack_from(payload)[0] != sig_len:
+        raise DeltaTamperError(
+            f"delta declares a signature width other than epoch "
+            f"{delta.epoch}'s {sig_len} bytes"
+        )
+    body = payload[: -(sig_len + 2)]
+    if not DigestVerifier(public_key, meter=meter).verify_value(
+        delta.signature, delta_digest(body)
+    ):
+        raise DeltaTamperError(
+            f"delta signature over {table!r} body does not verify"
+        )
+    return delta
 
 
 def _encode_schema(schema) -> bytes:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from repro.baselines.naive import NaiveResult, NaiveStore
-from repro.core.delta import DeltaOpKind, ReplicaDelta, apply_delta, delta_digest
+from repro.core.delta import DeltaOpKind, ReplicaDelta, apply_delta
 from repro.core.digests import DigestEngine, VerifyOnlyDigestEngine
 from repro.core.query_auth import QueryAuthenticator
 from repro.core.secondary import (
@@ -34,8 +34,7 @@ from repro.core.secondary import (
 from repro.core.vbtree import VBTree
 from repro.core.vo import AuthenticatedResult, VOFormat
 from repro.core.wire import (
-    delta_body_bytes,
-    delta_from_bytes,
+    authenticate_delta,
     predicate_from_bytes,
     predicate_to_bytes,
     result_from_bytes,
@@ -43,7 +42,6 @@ from repro.core.wire import (
     snapshot_from_bytes,
 )
 from repro.crypto.meter import CostMeter, NULL_METER
-from repro.crypto.signatures import DigestVerifier
 from repro.db.expressions import Predicate
 from repro.edge import telemetry
 from repro.edge.central import ClientConfig
@@ -71,7 +69,6 @@ from repro.exceptions import (
     ReplicationError,
     SchemaError,
     StaleDeltaError,
-    StaleKeyError,
     TransportError,
 )
 
@@ -358,17 +355,18 @@ class EdgeServer:
     def apply_delta(self, table: str, payload: bytes) -> ReplicaDelta:
         """Authenticate and apply one wire-serialized replica delta.
 
-        The full check sequence (DESIGN.md section 6): parse, verify the
-        central server's signature over the body under the delta's
-        claimed key epoch (via the key ring, so expired epochs are
-        rejected too), match the epoch against the replica's, then
-        enforce LSN contiguity before any mutation.  A delta that fails
-        any of these *wire checks* leaves the replica untouched.  A
-        delta that fails mid-*application* (replica divergence — e.g.
-        at-rest tampering changed the tree underneath) can leave the
-        replica partially mutated; the cursor does not advance, and the
-        central server heals such replicas with a snapshot resync (the
-        fan-out engine's nack escalation —
+        The full check sequence (DESIGN.md section 6.2): parse, then
+        verify the central server's signature over the received body
+        bytes under the delta's claimed key epoch
+        (:func:`repro.core.wire.authenticate_delta` — via the key ring,
+        so expired epochs are rejected too), enforce LSN contiguity,
+        then match the epoch against the replica's — all before any
+        mutation.  A delta that fails any of these *wire checks* leaves
+        the replica untouched.  A delta that fails mid-*application*
+        (replica divergence — e.g. at-rest tampering changed the tree
+        underneath) can leave the replica partially mutated; the cursor
+        does not advance, and the central server heals such replicas
+        with a snapshot resync (the fan-out engine's nack escalation —
         :class:`repro.edge.fanout.FanoutEngine`).
 
         Returns:
@@ -383,31 +381,9 @@ class EdgeServer:
                 edge must resync via snapshot.
         """
         vbt = self.replica(table)
-        try:
-            delta = delta_from_bytes(payload)
-        except Exception as exc:
-            raise DeltaTamperError(
-                f"delta for {table!r} does not parse: {exc}"
-            ) from exc
-        if delta.table != table:
-            raise DeltaTamperError(
-                f"delta addressed to {delta.table!r}, applied to {table!r}"
-            )
-        if delta.signature is None:
-            raise DeltaTamperError("delta carries no signature")
-        try:
-            public_key = self.config.keyring.public_key_for(delta.epoch)
-        except StaleKeyError as exc:
-            raise DeltaTamperError(
-                f"delta epoch {delta.epoch} rejected: {exc}"
-            ) from exc
-        sig_len = public_key.signature_len
-        body = delta_body_bytes(delta, sig_len)
-        verifier = DigestVerifier(public_key, meter=self.meter)
-        if not verifier.verify_value(delta.signature, delta_digest(body)):
-            raise DeltaTamperError(
-                f"delta signature over {table!r} body does not verify"
-            )
+        delta = authenticate_delta(
+            payload, table, self.config.keyring, self.meter
+        )
         cursor = self.replica_lsns.get(table, 0)
         if delta.lsn_last <= cursor:
             raise StaleDeltaError(

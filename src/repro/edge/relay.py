@@ -78,10 +78,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from repro.core.delta import delta_digest
 from repro.core.digests import DigestEngine, VerifyOnlyDigestEngine
-from repro.core.wire import delta_body_bytes, delta_from_bytes, snapshot_from_bytes
-from repro.crypto.signatures import DigestVerifier
+from repro.core.wire import authenticate_delta, delta_from_bytes, snapshot_from_bytes
 from repro.edge.event_loop import (
     EdgeEventLoop,
     ReactorTransport,
@@ -112,6 +110,7 @@ from repro.edge.transport import (
 from repro.edge import telemetry
 from repro.exceptions import (
     DeltaGapError,
+    DeltaTamperError,
     ReplicationError,
     StaleKeyError,
     TransportError,
@@ -679,21 +678,11 @@ class RelayServer:
         if self.config is None:
             return False
         try:
-            delta = delta_from_bytes(payload)
-        except Exception as exc:  # broad by design, same: corrupt bytes
-            # are a verification failure, not a crash.
+            authenticate_delta(payload, table, self.config.keyring)
+        except DeltaTamperError as exc:
             telemetry.note("relay.verify_delta", exc, detail=table)
             return False
-        if delta.table != table or delta.signature is None:
-            return False
-        try:
-            public_key = self.config.keyring.public_key_for(delta.epoch)
-        except StaleKeyError:
-            return False
-        body = delta_body_bytes(delta, public_key.signature_len)
-        return DigestVerifier(public_key).verify_value(
-            delta.signature, delta_digest(body)
-        )
+        return True
 
     # ------------------------------------------------------------------
     # Query forwarding

@@ -1,5 +1,7 @@
 """Shared fixtures for the VB-tree core tests."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.digests import DigestEngine, DigestPolicy, SigningDigestEngine
@@ -102,4 +104,83 @@ def golden_results(schema, keypair):
             DigestPolicy.NESTED,
             nested.range_query(low=10, high=90, columns=("name", "stock")),
         ),
+    }
+
+
+def seal_delta(delta, keypair, **stamp):
+    """Stamp an updater-emitted (or coalesced) delta — ``table``,
+    ``lsn_first``, ``lsn_last`` — and sign its body: what
+    ``Replicator.record`` / ``batch_since`` do, spelled with core
+    primitives only."""
+    from repro.core.delta import delta_digest
+    from repro.core.wire import delta_body_bytes
+
+    signer = DigestSigner.from_keypair(keypair)
+    stamped = replace(delta, epoch=signer.epoch, **stamp)
+    body = delta_body_bytes(stamped, keypair.public.signature_len)
+    return replace(stamped, signature=signer.sign(delta_digest(body)))
+
+
+@pytest.fixture(scope="session")
+def golden_deltas(schema, keypair):
+    """Seeded sealed deltas whose wire bytes are pinned
+    (tests/core/test_wire_golden.py): ``name -> ReplicaDelta``."""
+    from repro.core.delta import coalesce
+    from repro.core.secondary import SecondaryVBTree
+    from repro.core.update import AuthenticatedUpdater
+
+    def row(key):
+        return Row(schema, (key, f"item-{key}", (key * 7) % 100, (key * 3) % 50))
+
+    def emit(updater, mutate, args):
+        out = []
+        for arg in args:
+            mutate(arg)
+            out.append(updater.take_delta())
+        return out
+
+    def batch(deltas):
+        stamped = [
+            replace(d, lsn_first=i, lsn_last=i) for i, d in enumerate(deltas, 1)
+        ]
+        return seal_delta(
+            coalesce(stamped), keypair, lsn_first=1, lsn_last=len(stamped)
+        )
+
+    tree = build_tree(schema, keypair, DigestPolicy.FLATTENED, fanout=4, n=60)
+    updater = AuthenticatedUpdater(tree)
+    (insert,) = emit(updater, updater.insert, [row(1001)])
+    (delete,) = emit(updater, updater.delete, [10])
+
+    signing = SigningDigestEngine(
+        DigestEngine(DB_NAME, policy=DigestPolicy.FLATTENED),
+        DigestSigner.from_keypair(keypair),
+    )
+    secondary = SecondaryVBTree.build_on(
+        schema, "price", make_rows(schema, n=40), signing, fanout_override=4
+    )
+    sec_updater = AuthenticatedUpdater(secondary)
+    victim = make_rows(schema, n=40)[7]
+    (sec_delete,) = emit(sec_updater, sec_updater.delete, [secondary.key_of(victim)])
+
+    wide = build_tree(schema, keypair, DigestPolicy.FLATTENED, n=120)
+    wide_updater = AuthenticatedUpdater(wide)
+    appends = emit(wide_updater, wide_updater.insert, map(row, range(5001, 5033)))
+    appends += emit(wide_updater, wide_updater.delete, [5001, 5002])
+
+    small = build_tree(schema, keypair, DigestPolicy.FLATTENED, fanout=4, n=12)
+    small_updater = AuthenticatedUpdater(small)
+    structural = emit(small_updater, small_updater.insert, map(row, range(1, 16, 2)))
+    structural += emit(
+        small_updater, small_updater.delete, [r.key for r in list(small.rows())[:14]]
+    )
+
+    return {
+        "insert": seal_delta(insert, keypair, lsn_first=1, lsn_last=1),
+        "delete": seal_delta(delete, keypair, lsn_first=2, lsn_last=2),
+        "secondary_delete": seal_delta(
+            sec_delete, keypair, table="items__by_price", lsn_first=1, lsn_last=1
+        ),
+        "batch_32_2": batch(appends),
+        "structural": batch(structural),
     }

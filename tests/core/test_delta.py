@@ -1,9 +1,12 @@
 """Tests for replica deltas: emission, wire round-trip, apply, coalesce."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.delta import (
     DeltaOpKind,
+    NodeDigestUpdate,
     ReplicaDelta,
     TupleOp,
     apply_delta,
@@ -13,11 +16,11 @@ from repro.core.delta import (
 from repro.core.digests import DigestPolicy
 from repro.core.update import AuthenticatedUpdater
 from repro.core.wire import delta_body_bytes, delta_from_bytes, delta_to_bytes
-from repro.crypto.signatures import DigestSigner, DigestVerifier, SignedDigest
+from repro.crypto.signatures import DigestVerifier, SignedDigest
 from repro.db.rows import Row
-from repro.exceptions import ReplicaDeltaError
+from repro.exceptions import EncodingError, ReplicaDeltaError
 
-from tests.core.conftest import build_tree, make_rows
+from tests.core.conftest import build_tree, make_rows, seal_delta
 
 
 @pytest.fixture
@@ -32,14 +35,6 @@ def updater(tree):
 
 def make_row(schema, key):
     return Row(schema, (key, f"item-{key}", (key * 7) % 100, (key * 3) % 50))
-
-
-def sign(delta, keypair, sig_len):
-    from dataclasses import replace
-
-    signer = DigestSigner.from_keypair(keypair)
-    body = delta_body_bytes(delta, sig_len)
-    return replace(delta, signature=signer.sign(delta_digest(body)))
 
 
 class TestEmission:
@@ -93,7 +88,7 @@ class TestWireRoundTrip:
     def test_round_trip_insert(self, tree, updater, schema, keypair):
         sig_len = keypair.public.signature_len
         updater.insert(make_row(schema, 1001))
-        delta = sign(updater.take_delta(), keypair, sig_len)
+        delta = seal_delta(updater.take_delta(), keypair)
         payload = delta_to_bytes(delta, sig_len)
         parsed = delta_from_bytes(payload)
         assert parsed == delta
@@ -113,7 +108,7 @@ class TestWireRoundTrip:
         composite = replace(
             delta, ops=(TupleOp.delete((7, "x", 10)),)
         )
-        composite = sign(composite, keypair, sig_len)
+        composite = seal_delta(composite, keypair)
         parsed = delta_from_bytes(delta_to_bytes(composite, sig_len))
         assert parsed.ops[0].key == (7, "x", 10)
 
@@ -125,10 +120,84 @@ class TestWireRoundTrip:
     def test_signature_verifies_over_body(self, updater, schema, keypair):
         sig_len = keypair.public.signature_len
         updater.insert(make_row(schema, 1001))
-        delta = sign(updater.take_delta(), keypair, sig_len)
+        delta = seal_delta(updater.take_delta(), keypair)
         verifier = DigestVerifier(keypair.public)
         body = delta_body_bytes(delta, sig_len)
         assert verifier.verify_value(delta.signature, delta_digest(body))
+
+
+# Arbitrary deltas: every value type the canonical encoding supports
+# (ints far outside 64 bits included), scalar and composite delete keys.
+_SIG_LEN = 8
+_U32S = st.integers(0, 0xFFFFFFFF)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**200), 2**200),
+    st.sampled_from([2**200, -(2**200), 0, -1, 255, 256, -128, -129]),
+    st.floats(allow_nan=False),
+    st.text(max_size=12),
+    st.binary(max_size=12),
+)
+_DIGESTS = st.integers(0, 2**200)
+_SIGNED = st.builds(
+    SignedDigest, st.integers(0, 2 ** (8 * _SIG_LEN) - 1), st.integers(0, 0xFFFF)
+)
+_INSERTS = st.builds(
+    TupleOp,
+    kind=st.just(DeltaOpKind.INSERT),
+    values=st.lists(_SCALARS, max_size=5).map(tuple),
+    attribute_values=st.lists(_DIGESTS, max_size=5).map(tuple),
+    tuple_value=_DIGESTS,
+    signed_tuple=_SIGNED,
+    signed_attrs=st.lists(_SIGNED, max_size=5).map(tuple),
+)
+_DELETES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3).map(tuple)).map(
+    TupleOp.delete
+)
+_DELTAS = st.builds(
+    ReplicaDelta,
+    table=st.text(max_size=10),
+    lsn_first=_U32S,
+    lsn_last=_U32S,
+    epoch=_U32S,
+    base_version=_U32S,
+    new_version=_U32S,
+    structural=st.booleans(),
+    ops=st.lists(st.one_of(_INSERTS, _DELETES), max_size=6).map(tuple),
+    node_updates=st.lists(
+        st.builds(NodeDigestUpdate, _U32S, _DIGESTS, _SIGNED, _DIGESTS, _SIGNED),
+        max_size=4,
+    ).map(tuple),
+    freed_nodes=st.lists(_U32S, max_size=4).map(tuple),
+    signature=_SIGNED,
+)
+
+
+class TestWireProperties:
+    @given(_DELTAS)
+    @settings(max_examples=300, deadline=None)
+    def test_round_trip_and_reencode_identity(self, delta):
+        payload = delta_to_bytes(delta, _SIG_LEN)
+        parsed = delta_from_bytes(payload)
+        assert parsed == delta
+        assert delta_to_bytes(parsed, _SIG_LEN) == payload
+        assert delta_body_bytes(parsed, _SIG_LEN) == payload[: -(_SIG_LEN + 2)]
+
+    @given(_DELTAS, st.integers(0, 10**9), st.integers(1, 255))
+    @settings(max_examples=300, deadline=None)
+    def test_corruption_parses_or_fails_closed(self, delta, position, xor):
+        """Any one corrupted byte, and any cut: a parse or an
+        ``EncodingError`` — no other exception type reaches the caller
+        (which authenticates whatever does parse)."""
+        payload = bytearray(delta_to_bytes(delta, _SIG_LEN))
+        position %= len(payload)
+        payload[position] ^= xor
+        for data in (bytes(payload), bytes(payload[:position])):
+            try:
+                delta_from_bytes(data)
+            except EncodingError:
+                pass
 
 
 class TestApply:

@@ -277,6 +277,165 @@ class TestDeltaAdversary:
             edge.apply_delta("t", old_payload)
 
 
+    # -- the check sequence, verified over the received bytes ----------
+
+    def _sealed_batch(self):
+        """One coalesced lazy batch that reaches every region of the
+        wire format: inserts, deletes that free nodes, node updates."""
+        from repro.core.wire import delta_from_bytes
+
+        server, edge, client = self._server_with_edge()
+        for key in range(9001, 9004):
+            server.insert("t", (key, "a", "b", "c"))
+        for key in range(0, 14):  # empties leaves at fanout 6
+            server.delete("t", key)
+        payload, _head = server.delta_payload("t", edge.replica_lsns["t"])
+        delta = delta_from_bytes(payload)
+        assert delta.freed_nodes and delta.node_updates and len(delta.ops) == 17
+        return server, edge, client, payload, delta
+
+    @staticmethod
+    def _region_offsets(payload, delta, sig_len):
+        from repro.crypto.encoding import encode_value
+
+        header = 4 + 5 + len(delta.table.encode())
+        insert = delta.ops[0]
+        return {
+            "declared sig_len": 3,
+            "table": 4 + 5,
+            "lsn_first": header + 3,
+            "lsn_last": header + 7,
+            "epoch": header + 11,
+            "row value": payload.index(encode_value(insert.values[1])) + 5,
+            "attribute digest": payload.index(
+                encode_value(insert.attribute_values[2])
+            ) + 9,
+            "attribute signature": payload.index(
+                insert.signed_attrs[1].to_bytes(sig_len)
+            ) + 7,
+            "node update": payload.index(
+                delta.node_updates[0].signed.to_bytes(sig_len)
+            ) + 11,
+            "freed id": len(payload) - (sig_len + 2) - 1,
+            "signature": len(payload) - 3,
+            "signature epoch": len(payload) - 1,
+        }
+
+    def test_flipped_byte_in_any_region_is_tamper_and_touches_nothing(self):
+        from repro.exceptions import DeltaTamperError
+
+        server, edge, client, payload, delta = self._sealed_batch()
+        sig_len = server.public_key.signature_len
+        vbt = edge.replica("t")
+        before = (
+            vbt.version,
+            edge.replica_lsns["t"],
+            edge.replica_versions["t"],
+            [r.key for r in vbt.rows()],
+        )
+        for region, offset in self._region_offsets(payload, delta, sig_len).items():
+            forged = bytearray(payload)
+            forged[offset] ^= 0x01
+            with pytest.raises(DeltaTamperError):
+                edge.apply_delta("t", bytes(forged))
+            after = (
+                vbt.version,
+                edge.replica_lsns["t"],
+                edge.replica_versions["t"],
+                [r.key for r in vbt.rows()],
+            )
+            assert after == before, region
+            vbt.audit()
+        # ... and the untouched payload still applies, with one recovery.
+        verifies = edge.meter.verifies
+        edge.apply_delta("t", payload)
+        assert edge.meter.verifies == verifies + 1
+        vbt.audit()
+        assert client.verify(edge.range_query("t", low=9001, high=9003)).ok
+
+    def test_rejected_delta_is_nacked_and_leaves_naive_store_alone(self):
+        from repro.edge.transport import DeltaFrame, frame_from_bytes, frame_to_bytes
+
+        server = CentralServer(
+            db_name=DB, rsa_bits=512, seed=29,
+            replication=ReplicationMode.LAZY, enable_naive=True,
+        )
+        schema, rows = generate_table(TableSpec(name="t", rows=80, columns=4))
+        server.create_table(schema, rows, fanout_override=6)
+        edge = server.spawn_edge_server("victim")
+        server.insert("t", (9001, "a", "b", "c"))
+        payload, _head = server.delta_payload("t", edge.replica_lsns["t"])
+        naive = edge.naive_replicas["t"]
+        before = dict(naive._auth)
+        forged = payload[:-1] + bytes([payload[-1] ^ 0x01])
+        (reply,) = edge.handle_frame(frame_to_bytes(DeltaFrame("t", forged)))
+        ack = frame_from_bytes(reply)
+        assert (ack.ok, ack.reason, ack.lsn) == (False, "tamper", 0)
+        assert dict(naive._auth) == before
+
+    def test_declared_width_mismatch_rejected_before_any_public_key_op(self):
+        """A payload that parses, but whose declared signature width is
+        not the claimed epoch key's, names a slice boundary the signer
+        never used: refused without spending a ``pow`` on it."""
+        from repro.core.wire import delta_from_bytes, delta_to_bytes
+        from repro.exceptions import DeltaTamperError
+
+        server, edge, _client = self._server_with_edge()
+        server.insert("t", (9001, "a", "b", "c"))
+        entry = server.replicator.log_for("t").entries_since(0)[0]
+        sig_len = server.public_key.signature_len
+        for width in (sig_len + 1, sig_len + 64):
+            widened = delta_to_bytes(entry.delta, width)
+            assert delta_from_bytes(widened) == entry.delta  # it parses
+            verifies = edge.meter.verifies
+            with pytest.raises(DeltaTamperError, match="signature width"):
+                edge.apply_delta("t", widened)
+            assert edge.meter.verifies == verifies
+        edge.apply_delta("t", entry.payload)
+        assert edge.meter.verifies == verifies + 1
+
+    def test_check_order_signature_then_replay_then_gap_then_epoch(self):
+        """§6.2's order: a delta that is *both* unauthentic and stale /
+        out of order is a tamper; an authentic one is classified by its
+        LSNs first and its epoch second."""
+        from repro.exceptions import (
+            DeltaGapError,
+            DeltaTamperError,
+            StaleDeltaError,
+        )
+
+        server, edge, _client = self._server_with_edge()
+        for key in (9001, 9002, 9003):
+            server.insert("t", (key, "a", "b", "c"))
+        first, second, third = (
+            e.payload for e in server.replicator.log_for("t").entries_since(0)
+        )
+
+        def flip(payload):
+            return payload[:-1] + bytes([payload[-1] ^ 0x01])
+
+        edge.apply_delta("t", first)
+        for authentic, error in ((first, StaleDeltaError), (third, DeltaGapError)):
+            with pytest.raises(error):
+                edge.apply_delta("t", authentic)
+            with pytest.raises(DeltaTamperError):
+                edge.apply_delta("t", flip(authentic))
+        # An authentic, contiguous delta under an epoch the key ring
+        # still serves but the replica was not built under: gap.
+        edge.replica_epochs["t"] = 7
+        with pytest.raises(DeltaGapError, match="epoch"):
+            edge.apply_delta("t", second)
+        # Stale wins over the epoch mismatch (LSN checks come first).
+        with pytest.raises(StaleDeltaError):
+            edge.apply_delta("t", first)
+        edge.replica_epochs["t"] = 0
+        verifies = edge.meter.verifies
+        edge.apply_delta("t", second)
+        assert edge.meter.verifies == verifies + 1
+        assert edge.replica_lsns["t"] == 2
+        edge.replica("t").audit()
+
+
 class TestAdversaryErrors:
     def test_value_tamper_missing_key(self, setup):
         from repro.exceptions import EdgeError
