@@ -12,9 +12,9 @@ A delta carries everything the edge needs and nothing it could forge:
 
 * the tuple operations (inserted row values with their centrally-signed
   tuple/attribute digests; deleted search keys);
-* the re-signed digest material of every VB-tree node the mutation
-  touched (the root-to-leaf fold path, or the dirty set of a
-  split/merge), addressed by stable node id;
+* the re-signed digests of every VB-tree node the mutation touched (the
+  root-to-leaf fold path, or the dirty set of a split/merge), addressed
+  by stable node id;
 * the ids of nodes freed by structural changes;
 * a per-table, monotonically increasing **log sequence number** (LSN)
   range and the key epoch, both bound under the central server's
@@ -27,6 +27,11 @@ operations against its own tree and the resulting splits/frees match
 the central server's byte-for-byte.  The signed node digests then
 overwrite the edge's stale entries; the edge never computes — and could
 never sign — a digest itself.
+
+Digests travel in signed form **only**.  The signature scheme recovers
+its message (``s⁻¹(s(x)) = x``, Section 3.2), so an unsigned value
+beside its signature says nothing the signature does not, and nothing
+on an edge reads one: a replica holds exactly what its VOs ship.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Sequence
 
-from repro.core.digests import TupleDigests
 from repro.core.vbtree import NodeAuth, TupleAuth, VBTree
 from repro.crypto.signatures import SignedDigest
 from repro.db.rows import Row
@@ -70,26 +74,23 @@ class TupleOp:
     """One tuple operation.
 
     For an INSERT the op carries the row values plus the central
-    server's signed digest material (the edge cannot sign).  For a
-    DELETE it carries only the tree search key — digests of removed
-    tuples are dropped, not recomputed.
+    server's signed digests — a :class:`TupleAuth`'s two fields, which
+    the edge installs as they are (it cannot sign).  For a DELETE it
+    carries only the tree search key — digests of removed tuples are
+    dropped, not recomputed.
 
     Attributes:
         kind: INSERT or DELETE.
         values: Row values in schema column order (INSERT only).
         key: Tree search key (DELETE only; may be a composite tuple for
             secondary VB-trees).
-        attribute_values: Unsigned attribute digest values (INSERT).
-        tuple_value: Unsigned tuple digest value (INSERT).
-        signed_tuple: Signature over ``tuple_value`` (INSERT).
-        signed_attrs: Per-attribute signatures (INSERT).
+        signed_tuple: Signed tuple digest (INSERT).
+        signed_attrs: Signed attribute digests, schema order (INSERT).
     """
 
     kind: DeltaOpKind
     values: tuple[Any, ...] | None = None
     key: Any = None
-    attribute_values: tuple[int, ...] | None = None
-    tuple_value: int | None = None
     signed_tuple: SignedDigest | None = None
     signed_attrs: tuple[SignedDigest, ...] | None = None
 
@@ -99,8 +100,6 @@ class TupleOp:
         return cls(
             kind=DeltaOpKind.INSERT,
             values=tuple(row.values),
-            attribute_values=auth.digests.attribute_values,
-            tuple_value=auth.digests.tuple_value,
             signed_tuple=auth.signed_tuple,
             signed_attrs=auth.signed_attrs,
         )
@@ -113,33 +112,21 @@ class TupleOp:
 
 @dataclass(frozen=True)
 class NodeDigestUpdate:
-    """Re-signed digest material for one VB-tree node, by node id."""
+    """One VB-tree node's re-signed digests — a :class:`NodeAuth`'s two
+    fields, addressed by node id."""
 
     node_id: int
-    value: int
     signed: SignedDigest
-    display: int
     signed_display: SignedDigest
 
     @classmethod
     def from_auth(cls, node_id: int, auth: NodeAuth) -> "NodeDigestUpdate":
         """Snapshot a node's current :class:`NodeAuth`."""
-        return cls(
-            node_id=node_id,
-            value=auth.value,
-            signed=auth.signed,
-            display=auth.display,
-            signed_display=auth.signed_display,
-        )
+        return cls(node_id, auth.signed, auth.signed_display)
 
     def to_auth(self) -> NodeAuth:
         """The :class:`NodeAuth` to install on a replica."""
-        return NodeAuth(
-            value=self.value,
-            signed=self.signed,
-            display=self.display,
-            signed_display=self.signed_display,
-        )
+        return NodeAuth(self.signed, self.signed_display)
 
 
 @dataclass(frozen=True)
@@ -280,12 +267,7 @@ def apply_delta(vbt: VBTree, delta: ReplicaDelta) -> None:
                 key = key_of(row)
                 tree.insert(key, row)
                 vbt.install_tuple_auth(
-                    key,
-                    TupleAuth(
-                        TupleDigests(op.attribute_values, op.tuple_value),
-                        op.signed_tuple,
-                        op.signed_attrs,
-                    ),
+                    key, TupleAuth(op.signed_tuple, op.signed_attrs)
                 )
             else:
                 tree.delete(op.key)

@@ -160,7 +160,7 @@ class AuthenticatedUpdater:
                 # into each node digest from the root down, releasing
                 # each digest's lock right after it is modified.
                 for node in trace.path:
-                    self._fold(node, auth.digests.tuple_value)
+                    self._fold(node, key)
                     if self.short_insert_locks:
                         self._release_node(txn, node, acquired)
                 touched = list(trace.path)
@@ -176,10 +176,12 @@ class AuthenticatedUpdater:
         vbt.version += 1
         self._emit_delta(TupleOp.insert(row, auth), trace, touched, base_version)
 
-    def _fold(self, node: _Node, tuple_value: int) -> None:
+    def _fold(self, node: _Node, key: Any) -> None:
+        """``D_N' = h(D_N, D_T)`` on the central tree's working values."""
         vbt = self.vbtree
-        current = vbt.node_auth(node)
-        folded = vbt.signing.engine.fold_into_node(current.value, tuple_value)
+        folded = vbt.signing.engine.fold_into_node(
+            vbt._node_values[node.node_id], vbt._tuple_values[key]
+        )
         vbt.set_node_value(node, folded)
 
     # ------------------------------------------------------------------

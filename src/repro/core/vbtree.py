@@ -4,13 +4,20 @@ A :class:`VBTree` is a B+-tree over ``key -> Row`` whose geometry
 includes the per-child signed digest (formula 6's reduced fan-out), plus
 the digest material of formulas (1)-(3):
 
-* per tuple: attribute digest values + signatures, tuple digest value +
-  signature (stored with the leaf entry);
-* per node: node digest value + signature (stored with the child
-  pointer in the parent), and — under the FLATTENED policy — the
-  *display* form ``g^x mod n`` with its own signature, which is what an
-  enveloping subtree's top digest ``D_N`` ships as;
+* per tuple: the signed tuple digest and one signed digest per
+  attribute (stored with the leaf entry);
+* per node: the signed node digest (stored with the child pointer in
+  the parent), and — under the FLATTENED policy — the signed *display*
+  form ``g^x mod n``, which is what an enveloping subtree's top digest
+  ``D_N`` ships as;
 * tree metadata: the root's signed display digest and a version number.
+
+Signatures are message-recovering (``s⁻¹(s(x)) = x``), so the signed
+form is all a tree stores, ships or serves — one signed digest per
+attribute, tuple and child pointer, the paper's Section 4.1 storage
+model.  The central server additionally keeps the *unsigned* tuple and
+node values it folds and recomputes from, in two private maps a replica
+never fills (it cannot sign, so it never needs them).
 
 Digest maintenance on updates lives in :mod:`repro.core.update`; this
 module owns the data structure, bulk build, and digest recomputation.
@@ -21,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.core.digests import DigestPolicy, SigningDigestEngine, TupleDigests
-from repro.crypto.signatures import SignedDigest
+from repro.core.digests import DigestPolicy, SigningDigestEngine
+from repro.crypto.signatures import DigestVerifier, SignedDigest
 from repro.db.btree import BPlusTree, InternalNode, LeafNode, MutationTrace, _Node
 from repro.db.page import PageGeometry
 from repro.db.rows import Row
@@ -34,31 +41,34 @@ __all__ = ["VBTree", "NodeAuth", "TupleAuth"]
 
 @dataclass
 class TupleAuth:
-    """Digest material for one stored tuple."""
+    """Signed digest material for one stored tuple — the same on the
+    central server, on the replication wire and on an edge replica.
 
-    digests: TupleDigests
+    Attributes:
+        signed_tuple: Signed tuple digest (formula 2) — what D_S ships
+            for a tuple the selection filters out.
+        signed_attrs: Signed attribute digests (formula 1), in schema
+            column order — what D_P ships for projected-out columns.
+    """
+
     signed_tuple: SignedDigest
     signed_attrs: tuple[SignedDigest, ...]
 
 
 @dataclass
 class NodeAuth:
-    """Digest material for one VB-tree node.
+    """Signed digest material for one VB-tree node.
 
     Attributes:
-        value: The propagating digest value (exponent product under
-            FLATTENED; combined hash under NESTED).
-        signed: Signature over ``value`` — what D_S ships for pruned
-            branches.
-        display: The comparison form (``g^value`` under FLATTENED;
-            ``value`` under NESTED).
-        signed_display: Signature over ``display`` — what D_N ships for
-            the enveloping subtree's top node.
+        signed: Signed node digest value (exponent product under
+            FLATTENED; combined hash under NESTED) — what D_S ships for
+            pruned branches.
+        signed_display: Signed comparison form (``g^value`` under
+            FLATTENED; the value itself under NESTED) — what D_N ships
+            for the enveloping subtree's top node.
     """
 
-    value: int
     signed: SignedDigest
-    display: int
     signed_display: SignedDigest
 
 
@@ -103,6 +113,11 @@ class VBTree:
         )
         self._tuple_auth: dict[Any, TupleAuth] = {}
         self._node_auth: dict[int, NodeAuth] = {}
+        #: The signer's working state: unsigned tuple value per key and
+        #: node value per node id, read by folds and recomputation.
+        #: Empty on a replica.
+        self._tuple_values: dict[Any, int] = {}
+        self._node_values: dict[int, int] = {}
         self.version = 0
 
     # ------------------------------------------------------------------
@@ -160,12 +175,10 @@ class VBTree:
         digests, signed_tuple, signed_attrs = self.signing.sign_tuple(
             self.table_name, row
         )
-        auth = TupleAuth(
-            digests=digests,
-            signed_tuple=signed_tuple,
-            signed_attrs=signed_attrs,
-        )
-        self._tuple_auth[self.key_of(row)] = auth
+        auth = TupleAuth(signed_tuple, signed_attrs)
+        key = self.key_of(row)
+        self._tuple_auth[key] = auth
+        self._tuple_values[key] = digests.tuple_value
         return auth
 
     # ------------------------------------------------------------------
@@ -222,12 +235,10 @@ class VBTree:
         """Digest value of ``node`` from its children's current values."""
         engine = self.signing.engine
         if node.is_leaf:
-            child_values = [
-                self._tuple_auth[k].digests.tuple_value for k in node.keys
-            ]
+            child_values = [self._tuple_values[k] for k in node.keys]
         else:
             child_values = [
-                self._node_auth[c.node_id].value
+                self._node_values[c.node_id]
                 for c in node.children  # type: ignore[attr-defined]
             ]
         return engine.node_value(child_values)
@@ -241,13 +252,9 @@ class VBTree:
             signed_display = signed
         else:
             signed_display = self.signing.sign_value(display)
-        auth = NodeAuth(
-            value=value,
-            signed=signed,
-            display=display,
-            signed_display=signed_display,
-        )
+        auth = NodeAuth(signed, signed_display)
         self._node_auth[node.node_id] = auth
+        self._node_values[node.node_id] = value
         return auth
 
     def recompute_node(self, node: _Node) -> NodeAuth:
@@ -257,6 +264,7 @@ class VBTree:
     def recompute_all_nodes(self) -> None:
         """Recompute every node digest bottom-up (bulk build / repair)."""
         self._node_auth.clear()
+        self._node_values.clear()
         self._recompute_subtree(self.tree.root)
 
     def _recompute_subtree(self, node: _Node) -> None:
@@ -274,6 +282,7 @@ class VBTree:
         """
         for node in trace.freed:
             self._node_auth.pop(node.node_id, None)
+            self._node_values.pop(node.node_id, None)
         dirty: dict[int, _Node] = {}
 
         def add_with_ancestors(node: _Node) -> None:
@@ -310,44 +319,47 @@ class VBTree:
     # ------------------------------------------------------------------
 
     def audit(self) -> None:
-        """Recompute every digest from scratch and compare with stored
-        values; raises :class:`AuthenticationError` on any mismatch.
-        Also checks that tuple digest material exists for every row and
-        carries valid signatures."""
-        verifier_key = self.signing.signer.public_key
-        from repro.crypto.signatures import DigestVerifier
+        """Recompute every digest from the stored rows — tuple values
+        from the rows, node values bottom-up from those — and check by
+        recovery that each ``signed_tuple``, ``signed`` and
+        ``signed_display`` is the central server's signature over the
+        recomputed value.  Nothing stored is trusted, so the same audit
+        holds on the central tree and on a replica.
 
-        verifier = DigestVerifier(verifier_key)
+        Raises:
+            AuthenticationError: On a row without digest material or any
+                signature that does not recover to its recomputed value.
+        """
+        engine = self.signing.engine
+        verify = DigestVerifier(self.signing.signer.public_key).verify_value
+        tuple_values: dict[Any, int] = {}
         for key, row in self.tree.items():
             auth = self._tuple_auth.get(key)
             if auth is None:
                 raise AuthenticationError(f"missing tuple digests for {key!r}")
-            fresh = self.signing.engine.tuple_digests(self.table_name, row)
-            if fresh != auth.digests:
-                raise AuthenticationError(f"stale tuple digest at {key!r}")
-            if not verifier.verify_value(auth.signed_tuple, auth.digests.tuple_value):
+            value = engine.tuple_digests(self.table_name, row).tuple_value
+            if not verify(auth.signed_tuple, value):
                 raise AuthenticationError(f"bad tuple signature at {key!r}")
+            tuple_values[key] = value
 
         def check(node: _Node) -> int:
             if node.is_leaf:
-                child_values = [
-                    self._tuple_auth[k].digests.tuple_value for k in node.keys
-                ]
+                child_values = [tuple_values[k] for k in node.keys]
             else:
                 child_values = [
                     check(c) for c in node.children  # type: ignore[attr-defined]
                 ]
-            expected = self.signing.engine.node_value(child_values)
+            value = engine.node_value(child_values)
             stored = self.node_auth(node)
-            if stored.value != expected:
-                raise AuthenticationError(
-                    f"node {node.node_id} digest mismatch"
-                )
-            if not verifier.verify_value(stored.signed, stored.value):
+            if not verify(stored.signed, value):
                 raise AuthenticationError(
                     f"node {node.node_id} signature invalid"
                 )
-            return stored.value
+            if not verify(stored.signed_display, engine.display_value(value)):
+                raise AuthenticationError(
+                    f"node {node.node_id} display signature invalid"
+                )
+            return value
 
         check(self.tree.root)
 
@@ -367,6 +379,7 @@ class VBTree:
         updated here (see :mod:`repro.core.update`)."""
         trace = self.tree.delete(key)
         auth = self._tuple_auth.pop(key)
+        del self._tuple_values[key]
         return trace, auth
 
     # ------------------------------------------------------------------
@@ -403,24 +416,18 @@ class VBTree:
     def clone(self) -> "VBTree":
         """Replica copy for distribution to an edge server.
 
-        The tree structure and digest maps are copied (so at-rest
-        tampering on the replica cannot corrupt the master); rows and
-        signed digests are immutable and shared."""
+        The tree structure and signed-digest maps are copied (so
+        at-rest tampering on the replica cannot corrupt the master);
+        rows and signed digests are immutable and shared.  Like any
+        replica it holds none of the signer's working values."""
         new = self.__class__.__new__(self.__class__)
-        new.__dict__.update(
-            {k: v for k, v in self.__dict__.items()
-             if k not in ("tree", "_tuple_auth", "_node_auth")}
-        )
+        new.__dict__.update(self.__dict__)
         new.tree = self.tree.clone()
         new._tuple_auth = dict(self._tuple_auth)
         new._node_auth = {
-            node_id: NodeAuth(
-                value=a.value,
-                signed=a.signed,
-                display=a.display,
-                signed_display=a.signed_display,
-            )
+            node_id: NodeAuth(a.signed, a.signed_display)
             for node_id, a in self._node_auth.items()
         }
-        new.version = self.version
+        new._tuple_values = {}
+        new._node_values = {}
         return new

@@ -52,6 +52,7 @@ from repro.crypto.meter import NULL_METER, CostMeter
 from repro.crypto.signatures import DigestVerifier, SignedDigest
 from repro.exceptions import (
     CryptoError,
+    DatabaseError,
     DeltaTamperError,
     EncodingError,
     ReplicaDeltaError,
@@ -330,8 +331,10 @@ def wire_breakdown(result: AuthenticatedResult, sig_len: int) -> dict[str, int]:
 _OP_INSERT = 0
 _OP_DELETE = 1
 _OP_TAGS = {DeltaOpKind.INSERT: _OP_INSERT, DeltaOpKind.DELETE: _OP_DELETE}
-#: op tag + key flag + an empty composite key's count: the narrowest op.
-_MIN_OP_WIDTH = 6
+#: key flag + an empty composite key's count: the narrowest key.
+_MIN_KEY_WIDTH = 5
+#: op tag + the narrowest key: the narrowest op.
+_MIN_OP_WIDTH = 1 + _MIN_KEY_WIDTH
 #: lsn_first | lsn_last | epoch | base_version | new_version | structural
 #: | op count — what follows ``sig_len | table`` in a delta body.
 _DELTA_HEADER = struct.Struct(">5IBI")
@@ -361,37 +364,58 @@ def _decode_key(data: bytes, offset: int) -> tuple[Any, int]:
     raise EncodingError(f"unknown key flag {flag}")
 
 
+def _encode_tuple_auth(
+    parts: list[bytes],
+    signed_tuple: SignedDigest,
+    signed_attrs: tuple[SignedDigest, ...],
+    sig_len: int,
+) -> None:
+    """Append ``signed_tuple | attr count | signed_attrs`` — a tuple's
+    whole digest material, in deltas and snapshots alike.  Only signed
+    digests travel: the signatures recover their messages, so the
+    unsigned values would be a second copy of what these bytes say."""
+    parts.append(signed_tuple.to_bytes(sig_len))
+    parts.append(encode_uint(len(signed_attrs)))
+    parts.extend(signed.to_bytes(sig_len) for signed in signed_attrs)
+
+
+def _decode_tuple_auth(
+    data: bytes, offset: int, signed_records: struct.Struct
+) -> tuple[SignedDigest, tuple[SignedDigest, ...], int]:
+    """Parse what :func:`_encode_tuple_auth` wrote; ``signed_records``
+    is the payload's ``signature | epoch`` record.  The attribute count
+    is refused against the bytes that remain before anything is built;
+    a short fixed-width read raises ``struct.error`` for the caller."""
+    from_bytes = int.from_bytes
+    signature, sig_epoch = signed_records.unpack_from(data, offset)
+    offset += signed_records.size
+    (attr_count,) = _U32.unpack_from(data, offset)
+    offset += 4
+    end = offset + attr_count * signed_records.size
+    if end > len(data):
+        raise EncodingError(
+            f"{attr_count} attribute signatures cannot fit the remaining bytes"
+        )
+    return (
+        SignedDigest(from_bytes(signature, "big"), sig_epoch),
+        tuple([
+            SignedDigest(from_bytes(sig, "big"), ep)
+            for sig, ep in signed_records.iter_unpack(data[offset:end])
+        ]),
+        end,
+    )
+
+
 def _encode_tuple_op(op: TupleOp, sig_len: int) -> bytes:
     out = [bytes([_OP_TAGS[op.kind]])]
     if op.kind is DeltaOpKind.INSERT:
-        if (
-            op.values is None
-            or op.attribute_values is None
-            or op.tuple_value is None
-            or op.signed_tuple is None
-            or op.signed_attrs is None
-        ):
+        if op.values is None or op.signed_tuple is None or op.signed_attrs is None:
             raise ReplicaDeltaError("insert op missing digest material")
         out.append(encode_values(op.values))
-        out.append(encode_values(op.attribute_values))
-        out.append(encode_value(op.tuple_value))
-        out.append(op.signed_tuple.to_bytes(sig_len))
-        out.append(encode_uint(len(op.signed_attrs)))
-        for signed in op.signed_attrs:
-            out.append(signed.to_bytes(sig_len))
+        _encode_tuple_auth(out, op.signed_tuple, op.signed_attrs, sig_len)
     else:
         out.append(_encode_key(op.key))
     return b"".join(out)
-
-
-def _encode_node_update(update: NodeDigestUpdate, sig_len: int) -> bytes:
-    return (
-        encode_uint(update.node_id)
-        + encode_value(update.value)
-        + update.signed.to_bytes(sig_len)
-        + encode_value(update.display)
-        + update.signed_display.to_bytes(sig_len)
-    )
 
 
 def delta_body_bytes(delta: ReplicaDelta, sig_len: int) -> bytes:
@@ -416,7 +440,9 @@ def delta_body_bytes(delta: ReplicaDelta, sig_len: int) -> bytes:
         parts.append(_encode_tuple_op(op, sig_len))
     parts.append(encode_uint(len(delta.node_updates)))
     for update in delta.node_updates:
-        parts.append(_encode_node_update(update, sig_len))
+        parts.append(encode_uint(update.node_id))
+        parts.append(update.signed.to_bytes(sig_len))
+        parts.append(update.signed_display.to_bytes(sig_len))
     parts.append(encode_uint(len(delta.freed_nodes)))
     for node_id in delta.freed_nodes:
         parts.append(encode_uint(node_id))
@@ -460,9 +486,10 @@ def delta_from_bytes(data: bytes) -> ReplicaDelta:
         width = sig_len + 2
         if width > size:
             raise EncodingError(f"{sig_len}-byte signatures cannot fit the payload")
-        # ``signature | epoch``, the one record every signed digest is.
+        # ``signature | epoch``, the one record every signed digest is,
+        # and ``node id | signed | signed_display``, one node update.
         signed_records = struct.Struct(f">{sig_len}sH")
-        read_signed = signed_records.unpack_from
+        update_records = struct.Struct(f">I{sig_len}sH{sig_len}sH")
         table, offset = decode_value(data, offset)
         (
             lsn_first, lsn_last, epoch, base_version, new_version, flag, op_count,
@@ -484,56 +511,30 @@ def delta_from_bytes(data: bytes) -> ReplicaDelta:
             if tag != _OP_INSERT:
                 raise EncodingError(f"unknown delta op tag {tag}")
             values, offset = decode_values(data, offset + 1)
-            attr_values, offset = decode_values(data, offset)
-            tuple_value, offset = decode_value(data, offset)
-            signature, sig_epoch = read_signed(data, offset)
-            offset += width
-            (attr_count,) = _U32.unpack_from(data, offset)
-            offset += 4
-            end = offset + attr_count * width
-            if end > size:
-                raise EncodingError(
-                    f"{attr_count} attribute signatures cannot fit the "
-                    "remaining bytes"
-                )
+            signed_tuple, signed_attrs, offset = _decode_tuple_auth(
+                data, offset, signed_records
+            )
             ops.append(
                 TupleOp(
-                    DeltaOpKind.INSERT,
-                    tuple(values),
-                    None,
-                    tuple(attr_values),
-                    tuple_value,
-                    SignedDigest(from_bytes(signature, "big"), sig_epoch),
-                    tuple([
-                        SignedDigest(from_bytes(sig, "big"), ep)
-                        for sig, ep in signed_records.iter_unpack(data[offset:end])
-                    ]),
+                    DeltaOpKind.INSERT, tuple(values), None, signed_tuple, signed_attrs
                 )
             )
-            offset = end
         update_count, offset = decode_uint(data, offset)
-        # node id + two values + two signed digests.
-        if update_count * (14 + 2 * width) > size - offset:
+        end = offset + update_count * update_records.size
+        if end > size:
             raise EncodingError(
                 f"{update_count} node updates cannot fit the remaining bytes"
             )
-        updates = []
-        for _ in range(update_count):
-            (node_id,) = _U32.unpack_from(data, offset)
-            value, offset = decode_value(data, offset + 4)
-            signature, sig_epoch = read_signed(data, offset)
-            display, offset = decode_value(data, offset + width)
-            display_signature, display_epoch = read_signed(data, offset)
-            offset += width
-            updates.append(
-                NodeDigestUpdate(
-                    node_id,
-                    value,
-                    SignedDigest(from_bytes(signature, "big"), sig_epoch),
-                    display,
-                    SignedDigest(from_bytes(display_signature, "big"), display_epoch),
-                )
+        updates = tuple([
+            NodeDigestUpdate(
+                node_id,
+                SignedDigest(from_bytes(signature, "big"), sig_epoch),
+                SignedDigest(from_bytes(display_signature, "big"), display_epoch),
             )
+            for node_id, signature, sig_epoch, display_signature, display_epoch
+            in update_records.iter_unpack(data[offset:end])
+        ])
+        offset = end
         freed_count, offset = decode_uint(data, offset)
         if freed_count * 4 > size - offset:
             raise EncodingError(
@@ -541,7 +542,7 @@ def delta_from_bytes(data: bytes) -> ReplicaDelta:
             )
         freed = struct.unpack_from(f">{freed_count}I", data, offset)
         offset += 4 * freed_count
-        signature, sig_epoch = read_signed(data, offset)
+        signature, sig_epoch = signed_records.unpack_from(data, offset)
     except struct.error:  # a fixed-width read ran off the end
         raise EncodingError("truncated delta") from None
     if offset + width != size:
@@ -555,7 +556,7 @@ def delta_from_bytes(data: bytes) -> ReplicaDelta:
         new_version=new_version,
         structural=flag == 1,
         ops=tuple(ops),
-        node_updates=tuple(updates),
+        node_updates=updates,
         freed_nodes=freed,
         signature=SignedDigest(from_bytes(signature, "big"), sig_epoch),
     )
@@ -609,6 +610,15 @@ def authenticate_delta(
     return delta
 
 
+#: block_size | key_len | pointer_len | digest_len | max_children |
+#: leaf_capacity | next node id | node count — the snapshot's tree header.
+_SNAPSHOT_TREE = struct.Struct(">8I")
+#: node id | leaf flag | key count — what opens every snapshot node.
+_SNAPSHOT_NODE = struct.Struct(">IBI")
+#: three values of at least ``tag | length`` each: the narrowest column.
+_MIN_COLUMN_WIDTH = 15
+
+
 def _encode_schema(schema) -> bytes:
     """Serialize a table schema (name, key column, typed columns)."""
     parts = [
@@ -630,6 +640,8 @@ def _decode_schema(data: bytes, offset: int):
     name, offset = decode_value(data, offset)
     key, offset = decode_value(data, offset)
     count, offset = decode_uint(data, offset)
+    if count * _MIN_COLUMN_WIDTH > len(data) - offset:
+        raise EncodingError(f"{count} columns cannot fit the remaining bytes")
     columns = []
     for _ in range(count):
         col_name, offset = decode_value(data, offset)
@@ -650,55 +662,53 @@ def snapshot_to_bytes(vbtree, sig_len: int) -> bytes:
     reconstruct the replica from bytes alone — see
     :func:`snapshot_from_bytes` — without sharing any Python objects
     with the central server.  Layout: header, pre-order node structure
-    (ids, keys, child ids, signed digests), per-row values + signed
-    tuple digests.
+    (id, leaf flag, keys, child ids, ``signed | signed_display``), then
+    per row its key, values and ``signed_tuple | signed_attrs``.  As in
+    a delta, digests travel in signed form only.
     """
     from repro.core.secondary import SecondaryVBTree
 
     geometry = vbtree.geometry
-    parts = [
-        encode_uint(sig_len),
-        encode_value(vbtree.table_name),
-        encode_uint(vbtree.version),
-        _encode_schema(vbtree.schema),
-        encode_value(
-            vbtree.attribute if isinstance(vbtree, SecondaryVBTree) else None
-        ),
-        encode_uint(geometry.block_size),
-        encode_uint(geometry.key_len),
-        encode_uint(geometry.pointer_len),
-        encode_uint(geometry.digest_len),
-        encode_uint(vbtree.tree.max_children),
-        encode_uint(vbtree.tree.leaf_capacity),
-        encode_uint(vbtree.tree._next_node_id),
-    ]
     nodes = list(vbtree.tree.walk_nodes())
-    parts.append(encode_uint(len(nodes)))
-    for node in nodes:
-        parts.append(encode_uint(node.node_id))
-        parts.append(bytes([1 if node.is_leaf else 0]))
-        parts.append(encode_uint(len(node.keys)))
-        for key in node.keys:
-            parts.append(_encode_key(key))
-        if not node.is_leaf:
-            for child in node.children:
-                parts.append(encode_uint(child.node_id))
-        auth = vbtree.node_auth(node)
-        parts.append(encode_value(auth.value))
-        parts.append(auth.signed.to_bytes(sig_len))
-        parts.append(encode_value(auth.display))
-        parts.append(auth.signed_display.to_bytes(sig_len))
+    try:
+        parts = [
+            encode_uint(sig_len),
+            encode_value(vbtree.table_name),
+            encode_uint(vbtree.version),
+            _encode_schema(vbtree.schema),
+            encode_value(
+                vbtree.attribute if isinstance(vbtree, SecondaryVBTree) else None
+            ),
+            _SNAPSHOT_TREE.pack(
+                geometry.block_size,
+                geometry.key_len,
+                geometry.pointer_len,
+                geometry.digest_len,
+                vbtree.tree.max_children,
+                vbtree.tree.leaf_capacity,
+                vbtree.tree._next_node_id,
+                len(nodes),
+            ),
+        ]
+        for node in nodes:
+            parts.append(
+                _SNAPSHOT_NODE.pack(node.node_id, node.is_leaf, len(node.keys))
+            )
+            parts.extend(map(_encode_key, node.keys))
+            if not node.is_leaf:
+                ids = [child.node_id for child in node.children]
+                parts.append(struct.pack(f">{len(ids)}I", *ids))
+            auth = vbtree.node_auth(node)
+            parts.append(auth.signed.to_bytes(sig_len))
+            parts.append(auth.signed_display.to_bytes(sig_len))
+    except struct.error as exc:
+        raise EncodingError(f"uint out of range: {exc}") from None
     parts.append(encode_uint(len(vbtree.tree)))
     for key, row in vbtree.tree.items():
         parts.append(_encode_key(key))
         parts.append(encode_values(row.values))
         auth = vbtree.tuple_auth(key)
-        parts.append(encode_values(auth.digests.attribute_values))
-        parts.append(encode_value(auth.digests.tuple_value))
-        parts.append(auth.signed_tuple.to_bytes(sig_len))
-        parts.append(encode_uint(len(auth.signed_attrs)))
-        for signed in auth.signed_attrs:
-            parts.append(signed.to_bytes(sig_len))
+        _encode_tuple_auth(parts, auth.signed_tuple, auth.signed_attrs, sig_len)
     return b"".join(parts)
 
 
@@ -715,89 +725,106 @@ def snapshot_from_bytes(data: bytes, signing):
     The reconstruction is exact: node ids, the node-id counter, and the
     tree geometry are restored byte-for-byte so that replaying deltas
     against the replica reproduces the central server's structural
-    changes (DESIGN.md section 6's determinism argument).
+    changes (DESIGN.md section 6's determinism argument).  The replica
+    holds signed digests only; the central server's working value maps
+    stay empty on it.
+
+    One pass in :func:`delta_from_bytes`'s style: every read bounded,
+    every node, key, row and attribute count refused against the bytes
+    that remain before its loop runs.
 
     Raises:
-        EncodingError: On a malformed payload.
+        EncodingError: On any malformed, truncated or over-long buffer
+            — never ``IndexError`` or ``SignatureError``.
     """
-    from repro.core.digests import TupleDigests
     from repro.core.secondary import SecondaryVBTree
     from repro.core.vbtree import NodeAuth, TupleAuth, VBTree
     from repro.db.btree import BPlusTree, InternalNode, LeafNode
     from repro.db.page import PageGeometry
     from repro.db.rows import Row
 
-    sig_len, offset = decode_uint(data, 0)
-    table_name, offset = decode_value(data, offset)
-    version, offset = decode_uint(data, offset)
-    schema, offset = _decode_schema(data, offset)
-    attribute, offset = decode_value(data, offset)
-    block_size, offset = decode_uint(data, offset)
-    key_len, offset = decode_uint(data, offset)
-    pointer_len, offset = decode_uint(data, offset)
-    digest_len, offset = decode_uint(data, offset)
-    max_children, offset = decode_uint(data, offset)
-    leaf_capacity, offset = decode_uint(data, offset)
-    next_node_id, offset = decode_uint(data, offset)
-
-    tree = BPlusTree.__new__(BPlusTree)
-    tree.geometry = PageGeometry(
-        block_size=block_size,
-        key_len=key_len,
-        pointer_len=pointer_len,
-        digest_len=digest_len,
-    )
-    tree.max_children = max_children
-    tree.leaf_capacity = leaf_capacity
-    tree._next_node_id = next_node_id
-    tree.io_reads = 0
-
-    node_count, offset = decode_uint(data, offset)
+    size = len(data)
+    from_bytes = int.from_bytes
     nodes: dict[int, Any] = {}
     order: list[Any] = []
-    child_ids: dict[int, list[int]] = {}
+    child_ids: dict[int, tuple[int, ...]] = {}
     node_auths: dict[int, NodeAuth] = {}
-    for _ in range(node_count):
-        node_id, offset = decode_uint(data, offset)
-        is_leaf = bool(data[offset])
-        offset += 1
-        key_count, offset = decode_uint(data, offset)
-        keys = []
-        for _ in range(key_count):
+    row_map: dict[Any, Row] = {}
+    tuple_auth: dict[Any, TupleAuth] = {}
+    try:
+        sig_len, offset = decode_uint(data, 0)
+        width = sig_len + 2
+        if width > size:
+            raise EncodingError(f"{sig_len}-byte signatures cannot fit the payload")
+        signed_records = struct.Struct(f">{sig_len}sH")
+        # ``signed | signed_display``, what closes every node.
+        node_records = struct.Struct(f">{sig_len}sH{sig_len}sH")
+        table_name, offset = decode_value(data, offset)
+        version, offset = decode_uint(data, offset)
+        schema, offset = _decode_schema(data, offset)
+        attribute, offset = decode_value(data, offset)
+        attr_index = None if attribute is None else schema.column_index(attribute)
+        (
+            block_size, key_len, pointer_len, digest_len,
+            max_children, leaf_capacity, next_node_id, node_count,
+        ) = _SNAPSHOT_TREE.unpack_from(data, offset)
+        offset += _SNAPSHOT_TREE.size
+        geometry = PageGeometry(block_size, key_len, pointer_len, digest_len)
+        if node_count * (_SNAPSHOT_NODE.size + node_records.size) > size - offset:
+            raise EncodingError(f"{node_count} nodes cannot fit the remaining bytes")
+        for _ in range(node_count):
+            node_id, leaf_flag, key_count = _SNAPSHOT_NODE.unpack_from(data, offset)
+            offset += _SNAPSHOT_NODE.size
+            if leaf_flag > 1:
+                raise EncodingError(f"non-canonical leaf flag {leaf_flag}")
+            if key_count * _MIN_KEY_WIDTH > size - offset:
+                raise EncodingError(f"{key_count} keys cannot fit the remaining bytes")
+            node = LeafNode(node_id) if leaf_flag else InternalNode(node_id)
+            for _ in range(key_count):
+                key, offset = _decode_key(data, offset)
+                node.keys.append(key)
+            if not leaf_flag:
+                child_ids[node_id] = struct.unpack_from(
+                    f">{key_count + 1}I", data, offset
+                )
+                offset += 4 * (key_count + 1)
+            signature, sig_epoch, display_signature, display_epoch = (
+                node_records.unpack_from(data, offset)
+            )
+            offset += node_records.size
+            node_auths[node_id] = NodeAuth(
+                SignedDigest(from_bytes(signature, "big"), sig_epoch),
+                SignedDigest(from_bytes(display_signature, "big"), display_epoch),
+            )
+            nodes[node_id] = node
+            order.append(node)
+        row_count, offset = decode_uint(data, offset)
+        # key | value count | signed tuple | attribute count
+        if row_count * (_MIN_KEY_WIDTH + 8 + width) > size - offset:
+            raise EncodingError(f"{row_count} rows cannot fit the remaining bytes")
+        for _ in range(row_count):
             key, offset = _decode_key(data, offset)
-            keys.append(key)
-        node = LeafNode(node_id) if is_leaf else InternalNode(node_id)
-        node.keys = keys
-        if not is_leaf:
-            ids = []
-            for _ in range(key_count + 1):
-                cid, offset = decode_uint(data, offset)
-                ids.append(cid)
-            child_ids[node_id] = ids
-        value, offset = decode_value(data, offset)
-        signed = SignedDigest.from_bytes(
-            data[offset : offset + sig_len + 2], sig_len
-        )
-        offset += sig_len + 2
-        display, offset = decode_value(data, offset)
-        signed_display = SignedDigest.from_bytes(
-            data[offset : offset + sig_len + 2], sig_len
-        )
-        offset += sig_len + 2
-        node_auths[node_id] = NodeAuth(
-            value=value,
-            signed=signed,
-            display=display,
-            signed_display=signed_display,
-        )
-        nodes[node_id] = node
-        order.append(node)
+            values, offset = decode_values(data, offset)
+            signed_tuple, signed_attrs, offset = _decode_tuple_auth(
+                data, offset, signed_records
+            )
+            row_map[key] = Row(schema, values)
+            tuple_auth[key] = TupleAuth(signed_tuple, signed_attrs)
+    except struct.error:  # a fixed-width read ran off the end
+        raise EncodingError("truncated snapshot") from None
+    except DatabaseError as exc:  # schema, geometry or row does not validate
+        raise EncodingError(f"snapshot does not describe a table: {exc}") from exc
+    if offset != size:
+        raise EncodingError(f"{size - offset} trailing snapshot bytes")
     if not order:
         raise EncodingError("snapshot carries no nodes")
+    if schema.name != table_name and attribute is None:
+        raise EncodingError(
+            f"snapshot table {table_name!r} does not match schema {schema.name!r}"
+        )
+
     for node in order:
-        if node.is_leaf:
-            continue
-        for cid in child_ids[node.node_id]:
+        for cid in child_ids.get(node.node_id, ()):
             try:
                 child = nodes[cid]
             except KeyError:
@@ -812,42 +839,6 @@ def snapshot_from_bytes(data: bytes, signing):
     for prev, cur in zip(leaves, leaves[1:], strict=False):
         prev.next_leaf = cur
         cur.prev_leaf = prev
-    tree._root = order[0]
-
-    row_count, offset = decode_uint(data, offset)
-    tree._size = row_count
-    row_map: dict[Any, Row] = {}
-    tuple_auth: dict[Any, TupleAuth] = {}
-    for _ in range(row_count):
-        key, offset = _decode_key(data, offset)
-        values, offset = decode_values(data, offset)
-        attr_values, offset = decode_values(data, offset)
-        tuple_value, offset = decode_value(data, offset)
-        signed_tuple = SignedDigest.from_bytes(
-            data[offset : offset + sig_len + 2], sig_len
-        )
-        offset += sig_len + 2
-        attr_count, offset = decode_uint(data, offset)
-        signed_attrs = []
-        for _ in range(attr_count):
-            signed_attrs.append(
-                SignedDigest.from_bytes(
-                    data[offset : offset + sig_len + 2], sig_len
-                )
-            )
-            offset += sig_len + 2
-        row = Row(schema, tuple(values))
-        row_map[key] = row
-        tuple_auth[key] = TupleAuth(
-            digests=TupleDigests(
-                attribute_values=tuple(attr_values),
-                tuple_value=tuple_value,
-            ),
-            signed_tuple=signed_tuple,
-            signed_attrs=tuple(signed_attrs),
-        )
-    if offset != len(data):
-        raise EncodingError(f"{len(data) - offset} trailing snapshot bytes")
     for leaf in leaves:
         try:
             leaf.values = [row_map[k] for k in leaf.keys]
@@ -856,26 +847,31 @@ def snapshot_from_bytes(data: bytes, signing):
                 f"snapshot leaf references unknown row key {exc}"
             ) from None
 
+    tree = BPlusTree.__new__(BPlusTree)
+    tree.geometry = geometry
+    tree.max_children = max_children
+    tree.leaf_capacity = leaf_capacity
+    tree._next_node_id = next_node_id
+    tree.io_reads = 0
+    tree._root = order[0]
+    tree._size = row_count
+
     if attribute is not None:
         vbt = SecondaryVBTree.__new__(SecondaryVBTree)
         vbt.attribute = attribute
-        attr_index = schema.column_index(attribute)
         vbt.key_of = lambda row: (row.values[attr_index], row.key)
     else:
         vbt = VBTree.__new__(VBTree)
         vbt.key_of = lambda row: row.key
     vbt.schema = schema
     vbt.signing = signing
-    vbt.geometry = tree.geometry
+    vbt.geometry = geometry
     vbt.tree = tree
     vbt._tuple_auth = tuple_auth
     vbt._node_auth = node_auths
+    vbt._tuple_values = {}
+    vbt._node_values = {}
     vbt.version = version
-    if schema.name != table_name and attribute is None:
-        raise EncodingError(
-            f"snapshot table {table_name!r} does not match schema "
-            f"{schema.name!r}"
-        )
     return vbt
 
 

@@ -96,15 +96,12 @@ class SpuriousTuple:
         leaf.values.insert(idx, row)
         vbt.tree._size += 1
         rng = random.Random(self.seed)
-        engine = vbt.signing.engine
-        digests = engine.tuple_digests(vbt.table_name, row)
         fake = lambda: SignedDigest(
             signature=rng.getrandbits(256), epoch=0
         )
         from repro.core.vbtree import TupleAuth
 
         vbt._tuple_auth[row.key] = TupleAuth(
-            digests=digests,
             signed_tuple=fake(),
             signed_attrs=tuple(fake() for _ in row.values),
         )

@@ -1,10 +1,16 @@
 """Shared fixtures for the VB-tree core tests."""
 
+import struct
 from dataclasses import replace
 
 import pytest
 
-from repro.core.digests import DigestEngine, DigestPolicy, SigningDigestEngine
+from repro.core.digests import (
+    DigestEngine,
+    DigestPolicy,
+    SigningDigestEngine,
+    VerifyOnlyDigestEngine,
+)
 from repro.core.query_auth import QueryAuthenticator
 from repro.core.vbtree import VBTree
 from repro.core.verify import ResultVerifier
@@ -45,12 +51,25 @@ def make_rows(schema, n=N_ROWS, start=0, step=2):
     ]
 
 
+def make_signing(keypair, policy):
+    return SigningDigestEngine(
+        DigestEngine(DB_NAME, policy=policy), DigestSigner.from_keypair(keypair)
+    )
+
+
+def replica_signing(keypair, policy):
+    """What an edge installs on a replica: the engine, no private key."""
+    return VerifyOnlyDigestEngine(
+        DigestEngine(DB_NAME, policy=policy), keypair.public, 0
+    )
+
+
 def build_tree(schema, keypair, policy, fanout=5, n=N_ROWS):
-    signer = DigestSigner.from_keypair(keypair)
-    engine = DigestEngine(DB_NAME, policy=policy)
-    signing = SigningDigestEngine(engine, signer)
     return VBTree.build(
-        schema, make_rows(schema, n=n), signing, fanout_override=fanout
+        schema,
+        make_rows(schema, n=n),
+        make_signing(keypair, policy),
+        fanout_override=fanout,
     )
 
 
@@ -152,12 +171,12 @@ def golden_deltas(schema, keypair):
     (insert,) = emit(updater, updater.insert, [row(1001)])
     (delete,) = emit(updater, updater.delete, [10])
 
-    signing = SigningDigestEngine(
-        DigestEngine(DB_NAME, policy=DigestPolicy.FLATTENED),
-        DigestSigner.from_keypair(keypair),
-    )
     secondary = SecondaryVBTree.build_on(
-        schema, "price", make_rows(schema, n=40), signing, fanout_override=4
+        schema,
+        "price",
+        make_rows(schema, n=40),
+        make_signing(keypair, DigestPolicy.FLATTENED),
+        fanout_override=4,
     )
     sec_updater = AuthenticatedUpdater(secondary)
     victim = make_rows(schema, n=40)[7]
@@ -183,4 +202,30 @@ def golden_deltas(schema, keypair):
         ),
         "batch_32_2": batch(appends),
         "structural": batch(structural),
+    }
+
+
+def snapshot_node_count_offset(payload, tree):
+    """Where a snapshot states its node count: the last of the tree
+    header's eight uints, right after the next node id."""
+    marker = struct.pack(">II", tree._next_node_id, tree.node_count())
+    return payload.index(marker) + 4
+
+
+@pytest.fixture(scope="session")
+def golden_snapshots(schema, keypair):
+    """Seeded trees whose snapshot bytes are pinned
+    (tests/core/test_wire_golden.py): a three-level primary tree and a
+    composite-key secondary-index tree, ``name -> VBTree``."""
+    from repro.core.secondary import SecondaryVBTree
+
+    return {
+        "primary": build_tree(schema, keypair, DigestPolicy.FLATTENED, fanout=4, n=24),
+        "secondary": SecondaryVBTree.build_on(
+            schema,
+            "price",
+            make_rows(schema, n=16),
+            make_signing(keypair, DigestPolicy.FLATTENED),
+            fanout_override=4,
+        ),
     }

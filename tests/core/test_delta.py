@@ -53,7 +53,7 @@ class TestEmission:
         assert root_id in {u.node_id for u in delta.node_updates}
         # Node updates match the tree's current (signed) digest state.
         for update in delta.node_updates:
-            assert tree._node_auth[update.node_id].value == update.value
+            assert tree._node_auth[update.node_id] == update.to_auth()
 
     def test_take_delta_pops(self, updater, schema):
         updater.insert(make_row(schema, 1003))
@@ -139,7 +139,6 @@ _SCALARS = st.one_of(
     st.text(max_size=12),
     st.binary(max_size=12),
 )
-_DIGESTS = st.integers(0, 2**200)
 _SIGNED = st.builds(
     SignedDigest, st.integers(0, 2 ** (8 * _SIG_LEN) - 1), st.integers(0, 0xFFFF)
 )
@@ -147,8 +146,6 @@ _INSERTS = st.builds(
     TupleOp,
     kind=st.just(DeltaOpKind.INSERT),
     values=st.lists(_SCALARS, max_size=5).map(tuple),
-    attribute_values=st.lists(_DIGESTS, max_size=5).map(tuple),
-    tuple_value=_DIGESTS,
     signed_tuple=_SIGNED,
     signed_attrs=st.lists(_SIGNED, max_size=5).map(tuple),
 )
@@ -166,7 +163,7 @@ _DELTAS = st.builds(
     structural=st.booleans(),
     ops=st.lists(st.one_of(_INSERTS, _DELETES), max_size=6).map(tuple),
     node_updates=st.lists(
-        st.builds(NodeDigestUpdate, _U32S, _DIGESTS, _SIGNED, _DIGESTS, _SIGNED),
+        st.builds(NodeDigestUpdate, _U32S, _SIGNED, _SIGNED),
         max_size=4,
     ).map(tuple),
     freed_nodes=st.lists(_U32S, max_size=4).map(tuple),

@@ -4,12 +4,16 @@ import pytest
 
 from repro.core.digests import DigestPolicy
 from repro.core.vbtree import VBTree
-from repro.crypto.signatures import DigestVerifier
+from repro.crypto.signatures import DigestVerifier, SignedDigest
 from repro.db.page import PageGeometry
 from repro.db.rows import Row
 from repro.exceptions import AuthenticationError, KeyNotFoundError
 
 from tests.core.conftest import build_tree, make_rows
+
+
+def _flipped(signed: SignedDigest) -> SignedDigest:
+    return SignedDigest(signed.signature ^ 1, signed.epoch)
 
 
 class TestBuild:
@@ -23,10 +27,11 @@ class TestBuild:
             auth = vbtree.tuple_auth(row.key)
             assert len(auth.signed_attrs) == len(row.values)
 
-    def test_every_node_has_auth(self, vbtree):
+    def test_every_node_has_auth(self, vbtree, keypair):
+        verifier = DigestVerifier(keypair.public)
         for node in vbtree.tree.walk_nodes():
             auth = vbtree.node_auth(node)
-            assert auth.value > 0
+            assert verifier.recover(auth.signed) > 0
 
     def test_missing_key_raises(self, vbtree):
         with pytest.raises(KeyNotFoundError):
@@ -36,18 +41,35 @@ class TestBuild:
         vbtree.audit()
 
     def test_signatures_verify(self, vbtree, keypair):
+        """The signed forms recover to the values the central tree folds
+        from: the signature *is* the stored digest."""
         verifier = DigestVerifier(keypair.public)
         root = vbtree.root_auth()
-        assert verifier.recover(root.signed) == root.value
-        assert verifier.recover(root.signed_display) == root.display
+        value = vbtree.compute_node_value(vbtree.tree.root)
+        assert verifier.recover(root.signed) == value
+        for row in list(vbtree.rows())[:5]:
+            auth = vbtree.tuple_auth(row.key)
+            digests = vbtree.signing.engine.tuple_digests(vbtree.table_name, row)
+            assert verifier.recover(auth.signed_tuple) == digests.tuple_value
+            assert (
+                tuple(map(verifier.recover, auth.signed_attrs))
+                == digests.attribute_values
+            )
 
-    def test_display_form(self, vbtree):
+    def test_display_form(self, vbtree, keypair):
+        verifier = DigestVerifier(keypair.public)
         root = vbtree.root_auth()
         engine = vbtree.signing.engine
-        assert root.display == engine.display_value(root.value)
+        value = verifier.recover(root.signed)
+        assert verifier.recover(root.signed_display) == engine.display_value(value)
         if vbtree.policy is DigestPolicy.NESTED:
-            assert root.display == root.value
             assert root.signed_display == root.signed
+
+    def test_auth_is_signed_material_only(self, vbtree):
+        """``TupleAuth`` / ``NodeAuth`` are exactly what a VO can ship."""
+        assert set(vars(vbtree.root_auth())) == {"signed", "signed_display"}
+        key = next(iter(vbtree.rows())).key
+        assert set(vars(vbtree.tuple_auth(key))) == {"signed_tuple", "signed_attrs"}
 
     def test_geometry_uses_signature_width(self, vbtree, keypair):
         expected_digest_len = keypair.public.signature_len + 2
@@ -58,50 +80,52 @@ class TestBuild:
         assert vbtree.geometry.internal_fanout() < plain.internal_fanout()
 
 
+def _tuple_value(vbt, row):
+    return vbt.signing.engine.tuple_digests(vbt.table_name, row).tuple_value
+
+
 class TestNodeDigestStructure:
-    def test_leaf_value_is_combination_of_tuples(self, vbtree):
+    """What each signature recovers to, recomputed from the rows."""
+
+    def test_leaf_value_is_combination_of_tuples(self, vbtree, keypair):
+        recover = DigestVerifier(keypair.public).recover
         engine = vbtree.signing.engine
         leaf = vbtree.tree.first_leaf()
-        expected = engine.node_value(
-            [vbtree.tuple_auth(k).digests.tuple_value for k in leaf.keys]
-        )
-        assert vbtree.node_auth(leaf).value == expected
+        expected = engine.node_value([_tuple_value(vbtree, r) for r in leaf.values])
+        assert recover(vbtree.node_auth(leaf).signed) == expected
 
-    def test_internal_value_is_combination_of_children(self, vbtree):
+    def test_internal_value_is_combination_of_children(self, vbtree, keypair):
+        recover = DigestVerifier(keypair.public).recover
         engine = vbtree.signing.engine
         root = vbtree.tree.root
         if root.is_leaf:
             pytest.skip("tree too small")
         expected = engine.node_value(
-            [vbtree.node_auth(c).value for c in root.children]
+            [recover(vbtree.node_auth(c).signed) for c in root.children]
         )
-        assert vbtree.node_auth(root).value == expected
+        assert recover(vbtree.node_auth(root).signed) == expected
 
     def test_flattened_root_is_product_of_all_tuples(self, schema, keypair):
         """FLATTENED: the root exponent is the product of every tuple
         digest in the table — the flattening property that makes the
         paper's set-only VO work."""
         vbt = build_tree(schema, keypair, DigestPolicy.FLATTENED, n=40)
-        engine = vbt.signing.engine
-        modulus = engine.commutative.modulus
+        modulus = vbt.signing.engine.commutative.modulus
         product = 1
         for row in vbt.rows():
-            product = (
-                product * vbt.tuple_auth(row.key).digests.tuple_value
-            ) % modulus
-        assert vbt.root_auth().value == product
+            product = (product * _tuple_value(vbt, row)) % modulus
+        recover = DigestVerifier(keypair.public).recover
+        assert recover(vbt.root_auth().signed) == product
 
     def test_nested_root_differs_from_flat_product(self, schema, keypair):
         vbt = build_tree(schema, keypair, DigestPolicy.NESTED, n=40)
-        engine = vbt.signing.engine
-        modulus = engine.commutative.modulus
+        modulus = vbt.signing.engine.commutative.modulus
         product = 1
         for row in vbt.rows():
-            product = (
-                product * vbt.tuple_auth(row.key).digests.tuple_value
-            ) % modulus
+            product = (product * _tuple_value(vbt, row)) % modulus
         if not vbt.tree.root.is_leaf:
-            assert vbt.root_auth().value != product
+            recover = DigestVerifier(keypair.public).recover
+            assert recover(vbt.root_auth().signed) != product
 
 
 class TestAudit:
@@ -117,15 +141,46 @@ class TestAudit:
     def test_audit_detects_tampered_node_digest(self, schema, keypair, policy):
         vbt = build_tree(schema, keypair, policy, n=30)
         root_auth = vbt.root_auth()
-        root_auth.value ^= 1
+        root_auth.signed = _flipped(root_auth.signed)
+        with pytest.raises(AuthenticationError):
+            vbt.audit()
+
+    def test_audit_detects_tampered_display_signature(
+        self, schema, keypair, policy
+    ):
+        """``signed_display`` is what every VO's envelope top ships; the
+        audit used to leave it to clients."""
+        vbt = build_tree(schema, keypair, policy, n=30)
+        leaf_auth = vbt.node_auth(vbt.tree.first_leaf())
+        leaf_auth.signed_display = _flipped(leaf_auth.signed_display)
+        with pytest.raises(AuthenticationError, match="display"):
+            vbt.audit()
+
+    def test_audit_detects_tampered_tuple_signature(self, schema, keypair, policy):
+        vbt = build_tree(schema, keypair, policy, n=30)
+        auth = vbt.tuple_auth(next(iter(vbt.rows())).key)
+        auth.signed_tuple = _flipped(auth.signed_tuple)
         with pytest.raises(AuthenticationError):
             vbt.audit()
 
     def test_recompute_all_restores_audit(self, schema, keypair, policy):
         vbt = build_tree(schema, keypair, policy, n=30)
-        vbt.root_auth().value ^= 1
+        root_auth = vbt.root_auth()
+        root_auth.signed = _flipped(root_auth.signed)
         vbt.recompute_all_nodes()
         vbt.audit()
+
+    def test_clone_audits_without_the_signers_working_values(
+        self, schema, keypair, policy
+    ):
+        """One audit for central and replica: it recomputes from the
+        rows, so the value maps a replica never fills are not needed."""
+        vbt = build_tree(schema, keypair, policy, n=30)
+        assert len(vbt._tuple_values) == 30
+        assert set(vbt._node_values) == set(vbt._node_auth)
+        replica = vbt.clone()
+        assert not replica._tuple_values and not replica._node_values
+        replica.audit()
 
 
 class TestRawMutation:

@@ -1,26 +1,42 @@
-"""Golden vectors for the result and delta wire formats.
+"""Golden vectors for the result, delta and snapshot wire formats.
 
-The SHA-256 values below were taken from ``result_to_bytes`` and
-``delta_to_bytes`` *before* the one-pass codecs replaced the
-slice-per-value ones; a codec may get faster, the bytes may not change.
-The decoder regressions are the deterministic form of the
-``test_wire_fuzz`` byte-flip flake: a corrupted count or a cut buffer
-must surface as ``VOFormatError`` / ``EncodingError``, never
-``IndexError``."""
+The result SHA-256 values below were taken from ``result_to_bytes``
+*before* the one-pass codec replaced the slice-per-value one; a codec
+may get faster, the bytes may not change.  The delta vectors were
+frozen the same way (PR 16) and **re-frozen on purpose** when the
+replication payloads stopped carrying unsigned digest values beside
+their signatures (DESIGN.md §18): they were confirmed green at the
+parent commit first, then replaced in the same commit as the codec,
+with the first snapshot vectors beside them.  The decoder regressions
+are the deterministic form of the ``test_wire_fuzz`` byte-flip flake: a
+corrupted count or a cut buffer must surface as ``VOFormatError`` /
+``EncodingError``, never ``IndexError``."""
 
 import hashlib
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.digests import DigestPolicy
 from repro.core.wire import (
     delta_body_bytes,
     delta_from_bytes,
     delta_to_bytes,
     result_from_bytes,
     result_to_bytes,
+    snapshot_from_bytes,
+    snapshot_to_bytes,
 )
 from repro.exceptions import EncodingError, VOFormatError
+
+from tests.core.conftest import (
+    make_rows,
+    make_signing,
+    replica_signing,
+    snapshot_node_count_offset,
+)
 
 #: name -> (wire length, SHA-256 of the wire bytes)
 GOLDEN = {
@@ -47,6 +63,16 @@ GOLDEN = {
 }
 
 CLEAN = (VOFormatError, EncodingError)
+
+
+def _inflated(data: bytes, counts: set):
+    """``data`` with each 4-byte field that equals one of ``counts``
+    bumped by one, then set to the maximum."""
+    for offset in range(0, len(data) - 4):
+        value = struct.unpack_from(">I", data, offset)[0]
+        if value in counts:
+            for forged in (value + 1, 0xFFFFFFFF):
+                yield data[:offset] + struct.pack(">I", forged) + data[offset + 4 :]
 
 
 @pytest.fixture(scope="module")
@@ -128,16 +154,11 @@ def test_structured_counts_inflated(golden_results, sig_len, name):
         len(vo.projection_entries),
         len(vo.result_positions),
     }
-    for offset in range(0, len(data) - 4):
-        value = struct.unpack_from(">I", data, offset)[0]
-        if value not in counts:
-            continue
-        for forged in (value + 1, 0xFFFFFFFF):
-            mutated = data[:offset] + struct.pack(">I", forged) + data[offset + 4 :]
-            try:
-                result_from_bytes(mutated)
-            except CLEAN:
-                pass
+    for mutated in _inflated(data, counts):
+        try:
+            result_from_bytes(mutated)
+        except CLEAN:
+            pass
 
 
 # ---------------------------------------------------------------------------
@@ -147,24 +168,24 @@ def test_structured_counts_inflated(golden_results, sig_len, name):
 #: name -> (wire length, SHA-256 of the sealed payload)
 GOLDEN_DELTAS = {
     "insert": (
-        1490,
-        "8dd480aba3fd9853cfcf70a620e14a256b179f0c188788d3ba0829f045cf7b60",
+        1165,
+        "88ddc310620d2b374e419267a4bbbf30ae44dd0459ab9656a45a80e878fa2d75",
     ),
     "delete": (
-        837,
-        "f66f492179a92311023665101478a52a3a43a9dfcd925951f4118e7a69e43012",
+        665,
+        "12a72fe50b3c9e995795c1470c2ca67e5ada6b6230f3d995e82082361eb6362a",
     ),
     "secondary_delete": (
-        676,
-        "e23b72b8352ab3521f2ecbba358311f16edf2415c617f7251ad7029b40fef0d3",
+        549,
+        "59221570eca2c412e3bb4f65689a1320c3640bf0e6ca85f6ff92079057ee39ce",
     ),
     "batch_32_2": (
-        18825,
-        "90540befb1fb3726515c565e752654be877ee09269350e5d17c8822258c7476e",
+        14483,
+        "97729c4de5222d6e27f55769266df5fb625616ef41e9a20f7c5bdd87b2af98c0",
     ),
     "structural": (
-        4435,
-        "b56301dfdacdac8f4849fb173842d863c2e6ae93ddc64e980288c7e6f639e93a",
+        3464,
+        "f6c16193e092c1efdb20b2b5a9b4c16b2139d16fc9e0ed0318962c751bdb22a2",
     ),
 }
 
@@ -202,18 +223,11 @@ class TestGoldenDeltas:
         data = delta_to_bytes(delta, sig_len)
         counts = {len(delta.ops), len(delta.node_updates), len(delta.freed_nodes)}
         counts |= {len(op.values) for op in delta.ops if op.values is not None}
-        for offset in range(0, len(data) - 4):
-            value = struct.unpack_from(">I", data, offset)[0]
-            if value not in counts:
-                continue
-            for forged in (value + 1, 0xFFFFFFFF):
-                mutated = (
-                    data[:offset] + struct.pack(">I", forged) + data[offset + 4 :]
-                )
-                try:
-                    delta_from_bytes(mutated)
-                except EncodingError:
-                    pass
+        for mutated in _inflated(data, counts):
+            try:
+                delta_from_bytes(mutated)
+            except EncodingError:
+                pass
 
 
 def test_golden_deltas_cover_the_shapes(golden_deltas):
@@ -248,3 +262,173 @@ def test_non_canonical_structural_flag_rejected(golden_deltas, sig_len, flag):
     data[offset] = flag
     with pytest.raises(EncodingError):
         delta_from_bytes(bytes(data))
+
+
+# ---------------------------------------------------------------------------
+# Snapshots
+# ---------------------------------------------------------------------------
+
+#: name -> (wire length, SHA-256 of the snapshot payload)
+GOLDEN_SNAPSHOTS = {
+    "primary": (
+        11722,
+        "e63d3bffcf3cc706b71c48718c6bac5a3f643016f816c00d0056ef562456e461",
+    ),
+    "secondary": (
+        7991,
+        "3b37a6ba5cd4204c9f004c140d45bf80adebcf544d48d5ad83546715f434284e",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def replica_engine(keypair):
+    return replica_signing(keypair, DigestPolicy.FLATTENED)
+
+
+def _assert_replica_of(replica, vbtree):
+    """Same tree, signed material only, and it audits on its own."""
+    assert type(replica) is type(vbtree)
+    assert replica.version == vbtree.version
+    assert list(replica.tree.items()) == list(vbtree.tree.items())
+    assert replica._tuple_auth == vbtree._tuple_auth
+    assert replica._node_auth == vbtree._node_auth
+    assert not replica._tuple_values and not replica._node_values
+    replica.tree.validate()
+    replica.audit()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SNAPSHOTS))
+class TestGoldenSnapshots:
+    def test_bytes_frozen(self, golden_snapshots, sig_len, name):
+        data = snapshot_to_bytes(golden_snapshots[name], sig_len)
+        assert (len(data), hashlib.sha256(data).hexdigest()) == GOLDEN_SNAPSHOTS[name]
+
+    def test_round_trip_is_identity(
+        self, golden_snapshots, replica_engine, sig_len, name
+    ):
+        vbtree = golden_snapshots[name]
+        data = snapshot_to_bytes(vbtree, sig_len)
+        replica = snapshot_from_bytes(data, replica_engine)
+        _assert_replica_of(replica, vbtree)
+        assert snapshot_to_bytes(replica, sig_len) == data
+
+    def test_every_prefix_rejected_cleanly(
+        self, golden_snapshots, replica_engine, sig_len, name
+    ):
+        """The leaf flag used to be an unbounded read (``IndexError``)
+        and a short signature slice a ``SignatureError``."""
+        data = snapshot_to_bytes(golden_snapshots[name], sig_len)
+        for cut in range(len(data)):
+            with pytest.raises(EncodingError):
+                snapshot_from_bytes(data[:cut], replica_engine)
+
+    def test_trailing_byte_rejected(
+        self, golden_snapshots, replica_engine, sig_len, name
+    ):
+        data = snapshot_to_bytes(golden_snapshots[name], sig_len)
+        with pytest.raises(EncodingError):
+            snapshot_from_bytes(data + b"\x00", replica_engine)
+
+    def test_node_and_row_counts_inflated(
+        self, golden_snapshots, replica_engine, sig_len, name
+    ):
+        """The two counts that size the decoder's outer loops, bumped by
+        one or set to the maximum, are refused — ``EncodingError`` and
+        nothing else, before anything is allocated for them."""
+        from repro.core.wire import _encode_key
+        from repro.crypto.encoding import encode_values
+
+        vbtree = golden_snapshots[name]
+        data = snapshot_to_bytes(vbtree, sig_len)
+        nodes = vbtree.tree.node_count()
+        first_key, first_row = next(iter(vbtree.tree.items()))
+        node_count_at = snapshot_node_count_offset(data, vbtree.tree)
+        row_count_at = data.index(
+            _encode_key(first_key) + encode_values(first_row.values)
+        ) - 4
+        for offset, count in ((node_count_at, nodes), (row_count_at, len(vbtree))):
+            assert struct.unpack_from(">I", data, offset)[0] == count
+            for forged in (count + 1, 0xFFFFFFFF):
+                with pytest.raises(EncodingError):
+                    snapshot_from_bytes(
+                        data[:offset] + struct.pack(">I", forged) + data[offset + 4 :],
+                        replica_engine,
+                    )
+
+    def test_counts_inflated(self, golden_snapshots, replica_engine, sig_len, name):
+        """Every 4-byte field that equals one of the snapshot's counts
+        (nodes, keys per node, rows, columns, attribute signatures),
+        bumped by one or set to the maximum: a clean error or a parse,
+        never a crash and never an allocation sized by the forged count."""
+        vbtree = golden_snapshots[name]
+        data = snapshot_to_bytes(vbtree, sig_len)
+        counts = {vbtree.tree.node_count(), len(vbtree), vbtree.schema.num_columns}
+        counts |= {len(node.keys) for node in vbtree.tree.walk_nodes()}
+        for mutated in _inflated(data, counts):
+            try:
+                snapshot_from_bytes(mutated, replica_engine)
+            except EncodingError:
+                pass
+
+
+def test_golden_snapshots_cover_the_shapes(golden_snapshots):
+    """Internal nodes with child ids, scalar and composite keys."""
+    from repro.core.secondary import SecondaryVBTree
+
+    primary, secondary = golden_snapshots["primary"], golden_snapshots["secondary"]
+    assert primary.height() >= 2 and secondary.height() >= 2
+    assert isinstance(secondary, SecondaryVBTree)
+    assert all(isinstance(key, tuple) for key, _row in secondary.tree.items())
+    assert not any(isinstance(key, tuple) for key, _row in primary.tree.items())
+
+
+@pytest.mark.parametrize("flag", [2, 0x80, 0xFF])
+def test_non_canonical_leaf_flag_rejected(
+    golden_snapshots, replica_engine, sig_len, flag
+):
+    vbtree = golden_snapshots["primary"]
+    data = bytearray(snapshot_to_bytes(vbtree, sig_len))
+    # node count | root id | leaf flag
+    offset = snapshot_node_count_offset(bytes(data), vbtree.tree) + 4 + 4
+    assert data[offset] == 0  # the root of a three-level tree
+    data[offset] = flag
+    with pytest.raises(EncodingError):
+        snapshot_from_bytes(bytes(data), replica_engine)
+
+
+class TestSnapshotProperties:
+    @given(
+        keys=st.sets(st.integers(0, 400), max_size=20),
+        deleted=st.sets(st.integers(0, 400), max_size=8),
+        fanout=st.integers(3, 6),
+        policy=st.sampled_from(list(DigestPolicy)),
+        secondary=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_round_trip_and_reencode_identity(
+        self, schema, keypair, keys, deleted, fanout, policy, secondary
+    ):
+        """``snapshot_to_bytes(snapshot_from_bytes(b)) == b`` over built
+        *and* updated trees (deletes leave under-full and freed nodes)."""
+        from repro.core.secondary import SecondaryVBTree
+        from repro.core.update import AuthenticatedUpdater
+        from repro.core.vbtree import VBTree
+
+        rows = [r for r in make_rows(schema, n=401, step=1) if r.key in keys]
+        signing = make_signing(keypair, policy)
+        if secondary:
+            vbtree = SecondaryVBTree.build_on(
+                schema, "price", rows, signing, fanout_override=fanout
+            )
+        else:
+            vbtree = VBTree.build(schema, rows, signing, fanout_override=fanout)
+        updater = AuthenticatedUpdater(vbtree)
+        for row in rows:
+            if row.key in deleted:
+                updater.delete(vbtree.key_of(row))
+        sig_len = keypair.public.signature_len
+        data = snapshot_to_bytes(vbtree, sig_len)
+        replica = snapshot_from_bytes(data, replica_signing(keypair, policy))
+        _assert_replica_of(replica, vbtree)
+        assert snapshot_to_bytes(replica, sig_len) == data

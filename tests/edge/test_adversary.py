@@ -159,8 +159,6 @@ class TestDeltaAdversary:
         rng = random.Random(5)
         fake_sig = lambda: SignedDigest(signature=rng.getrandbits(256), epoch=0)
         row = Row(vbt.schema, (6666, "f", "a", "ke"))
-        engine = vbt.signing.engine
-        digests = engine.tuple_digests("t", row)
         forged = ReplicaDelta(
             table="t",
             lsn_first=1,
@@ -173,8 +171,6 @@ class TestDeltaAdversary:
                 TupleOp(
                     kind=DeltaOpKind.INSERT,
                     values=tuple(row.values),
-                    attribute_values=digests.attribute_values,
-                    tuple_value=digests.tuple_value,
                     signed_tuple=fake_sig(),
                     signed_attrs=tuple(fake_sig() for _ in row.values),
                 ),
@@ -182,9 +178,7 @@ class TestDeltaAdversary:
             node_updates=(
                 NodeDigestUpdate(
                     node_id=vbt.tree.root.node_id,
-                    value=1,
                     signed=fake_sig(),
-                    display=1,
                     signed_display=fake_sig(),
                 ),
             ),
@@ -217,7 +211,6 @@ class TestDeltaAdversary:
         rng = random.Random(7)
         fake_sig = lambda: SignedDigest(signature=rng.getrandbits(256), epoch=0)
         row = Row(vbt.schema, (6666, "f", "a", "ke"))
-        digests = vbt.signing.engine.tuple_digests("t", row)
         forged = ReplicaDelta(
             table="t",
             lsn_first=1,
@@ -230,8 +223,6 @@ class TestDeltaAdversary:
                 TupleOp(
                     kind=DeltaOpKind.INSERT,
                     values=tuple(row.values),
-                    attribute_values=digests.attribute_values,
-                    tuple_value=digests.tuple_value,
                     signed_tuple=fake_sig(),
                     signed_attrs=tuple(fake_sig() for _ in row.values),
                 ),
@@ -307,8 +298,8 @@ class TestDeltaAdversary:
             "lsn_last": header + 7,
             "epoch": header + 11,
             "row value": payload.index(encode_value(insert.values[1])) + 5,
-            "attribute digest": payload.index(
-                encode_value(insert.attribute_values[2])
+            "tuple signature": payload.index(
+                insert.signed_tuple.to_bytes(sig_len)
             ) + 9,
             "attribute signature": payload.index(
                 insert.signed_attrs[1].to_bytes(sig_len)
@@ -316,6 +307,9 @@ class TestDeltaAdversary:
             "node update": payload.index(
                 delta.node_updates[0].signed.to_bytes(sig_len)
             ) + 11,
+            "node display signature": payload.index(
+                delta.node_updates[-1].signed_display.to_bytes(sig_len)
+            ) + 13,
             "freed id": len(payload) - (sig_len + 2) - 1,
             "signature": len(payload) - 3,
             "signature epoch": len(payload) - 1,
