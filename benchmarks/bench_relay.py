@@ -39,9 +39,9 @@ from repro.bench.series import emit, results_dir
 from repro.edge.central import CentralServer, ReplicationMode
 from repro.edge.edge_server import EdgeServer
 from repro.edge.relay import RelayServer
+from repro.edge.link import InProcessTransport
 from repro.edge.transport import (
     DeltaFrame,
-    InProcessTransport,
     SnapshotFrame,
     config_from_frame,
     frame_from_bytes,

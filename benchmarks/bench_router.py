@@ -33,7 +33,7 @@ from repro.edge.adversary import ValueTamper
 from repro.edge.central import CentralServer
 from repro.edge.network import Channel
 from repro.edge.router import TransportQueryChannel
-from repro.edge.transport import InProcessTransport
+from repro.edge.link import InProcessTransport
 from repro.workloads.generator import TableSpec, generate_table
 from repro.workloads.queries import QueryWorkload
 

@@ -21,9 +21,7 @@ MEASURED_ATTR = 20
 @pytest.fixture(scope="session")
 def deployment():
     """central + edge + client over a 5k-row, 10-column table."""
-    central = CentralServer(
-        db_name="benchdb", rsa_bits=512, seed=1234, enable_naive=True
-    )
+    central = CentralServer(db_name="benchdb", rsa_bits=512, seed=1234)
     spec = TableSpec(
         name="items",
         rows=MEASURED_ROWS,

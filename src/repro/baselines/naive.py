@@ -27,7 +27,7 @@ component but pays one signature per tuple instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.core.digests import DigestEngine, SigningDigestEngine
 from repro.crypto.encoding import encode_uint, encode_value, encode_values
@@ -40,7 +40,13 @@ from repro.db.rows import Row
 from repro.db.schema import TableSchema
 from repro.exceptions import SignatureError, StaleKeyError, VOFormatError
 
-__all__ = ["NaiveTupleAuth", "NaiveResult", "NaiveStore", "NaiveVerifier"]
+__all__ = [
+    "NaiveTupleAuth",
+    "NaiveResult",
+    "NaiveStore",
+    "NaiveVerifier",
+    "assemble_result",
+]
 
 
 @dataclass
@@ -105,7 +111,16 @@ class NaiveResult:
 
 
 class NaiveStore:
-    """Central-server side: per-tuple signed digests for a table.
+    """The scheme on its own: per-tuple signed digests for a table.
+
+    The standalone reference — what a central server running *only*
+    the naive scheme would keep.  The live fabric keeps none: the
+    VB-tree's :class:`~repro.core.vbtree.TupleAuth` already holds the
+    same two signatures per tuple, so
+    :meth:`EdgeServer.naive_range_query
+    <repro.edge.edge_server.EdgeServer.naive_range_query>` assembles
+    its result from the replica (:func:`assemble_result`) and is tested
+    equal to this class.
 
     Args:
         schema: The table's schema.
@@ -142,23 +157,6 @@ class NaiveStore:
             signed_tuple=signed_tuple, signed_attrs=signed_attrs
         )
 
-    def install_signed(
-        self,
-        key: Any,
-        signed_tuple: SignedDigest,
-        signed_attrs: tuple[SignedDigest, ...],
-    ) -> None:
-        """Install centrally-signed digests for ``key`` without signing.
-
-        Replica-side counterpart of :meth:`add`: edge servers cannot
-        sign, so delta replication ships the central server's signatures
-        (identical to what :meth:`add` would produce — raw RSA signing
-        is deterministic) and installs them here.
-        """
-        self._auth[key] = NaiveTupleAuth(
-            signed_tuple=signed_tuple, signed_attrs=signed_attrs
-        )
-
     def remove(self, key: Any) -> None:
         """Drop a deleted row's digests."""
         self._auth.pop(key, None)
@@ -170,12 +168,6 @@ class NaiveStore:
         except KeyError:
             raise VOFormatError(f"no naive digests for key {key!r}") from None
 
-    def clone(self) -> "NaiveStore":
-        """Replica copy (signed digests are immutable and shared)."""
-        new = NaiveStore(self.schema, self.signing)
-        new._auth = dict(self._auth)
-        return new
-
     # ------------------------------------------------------------------
     # Edge-side result construction
     # ------------------------------------------------------------------
@@ -186,27 +178,48 @@ class NaiveStore:
         columns: Optional[Sequence[str]] = None,
     ) -> NaiveResult:
         """Assemble the naive wire object for ``rows``."""
-        all_columns = self.schema.column_names
-        returned = tuple(columns) if columns is not None else all_columns
-        returned_set = set(returned)
-        filtered_idx = [
-            i for i, c in enumerate(all_columns) if c not in returned_set
-        ]
-        result = NaiveResult(
-            table=self.schema.name,
-            columns=returned,
-            all_columns=all_columns,
-            key_column=self.schema.key,
-            rows=[tuple(r[c] for c in returned) for r in rows],
-            keys=[r.key for r in rows],
+        return assemble_result(
+            self.schema, rows, lambda row: self.auth_for(row.key), columns
         )
-        for row in rows:
-            auth = self.auth_for(row.key)
-            result.tuple_digests.append(auth.signed_tuple)
-            result.filtered_attr_digests.append(
-                tuple(auth.signed_attrs[i] for i in filtered_idx)
-            )
-        return result
+
+
+def assemble_result(
+    schema: TableSchema,
+    rows: Sequence[Row],
+    auth_of: Callable[[Row], Any],
+    columns: Optional[Sequence[str]] = None,
+) -> NaiveResult:
+    """The naive wire object for ``rows``, whoever holds the signatures.
+
+    ``auth_of(row)`` yields the row's signed digests — anything with
+    ``signed_tuple`` and ``signed_attrs`` (schema column order): a
+    :class:`NaiveStore` entry, or the
+    :class:`~repro.core.vbtree.TupleAuth` an edge replica already holds
+    for the same tuple (the two schemes sign the same formulas (1)-(2),
+    so the edge serves the baseline from its replica instead of a
+    shadow store).
+    """
+    all_columns = schema.column_names
+    returned = tuple(columns) if columns is not None else all_columns
+    returned_set = set(returned)
+    filtered_idx = [
+        i for i, c in enumerate(all_columns) if c not in returned_set
+    ]
+    result = NaiveResult(
+        table=schema.name,
+        columns=returned,
+        all_columns=all_columns,
+        key_column=schema.key,
+        rows=[tuple(r[c] for c in returned) for r in rows],
+        keys=[r.key for r in rows],
+    )
+    for row in rows:
+        auth = auth_of(row)
+        result.tuple_digests.append(auth.signed_tuple)
+        result.filtered_attr_digests.append(
+            tuple(auth.signed_attrs[i] for i in filtered_idx)
+        )
+    return result
 
 
 class NaiveVerifier:

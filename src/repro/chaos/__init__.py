@@ -1,7 +1,7 @@
 """Deterministic, seedable chaos orchestration (DESIGN.md §14).
 
 The package turns the fabric's existing fault hooks — in-process
-:class:`~repro.edge.transport.FaultInjector` links, adversary tamper
+:class:`~repro.edge.link.FaultInjector` links, adversary tamper
 modes, key rotation, relay store drops, deployment SIGKILL storms —
 into *named, replayable scenarios* that run concurrently under
 sustained query load and assert the paper's standing invariant: a

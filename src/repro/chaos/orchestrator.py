@@ -32,7 +32,7 @@ from repro.chaos.plan import FaultEvent, FaultPlan
 from repro.edge.adversary import ValueTamper
 from repro.edge.central import CentralServer
 from repro.edge.router import TransportQueryChannel
-from repro.edge.transport import FaultInjector, InProcessTransport
+from repro.edge.link import FaultInjector, InProcessTransport
 from repro.exceptions import RouterError
 from repro.workloads.generator import TableSpec, generate_table
 from repro.workloads.load_gen import LoadGenerator, LoadProfile
@@ -46,7 +46,7 @@ class InProcessFleet:
     """Central + n in-process edges wired for fault injection.
 
     Each edge's replication link *and* its dedicated query link share
-    one :class:`~repro.edge.transport.FaultInjector`, so a partition
+    one :class:`~repro.edge.link.FaultInjector`, so a partition
     severs the edge completely — replication stalls and queries fail
     over — exactly like pulling a network cable, not like two
     half-broken links.

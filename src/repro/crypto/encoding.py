@@ -25,6 +25,8 @@ __all__ = [
     "decode_values",
     "encode_uint",
     "decode_uint",
+    "VALUE_HEADER",
+    "decode_payload",
     "digest_input",
 ]
 
@@ -47,7 +49,11 @@ _NONE_TAG, _TRUE_TAG, _FALSE_TAG, _INT_TAG, _FLOAT_TAG, _STR_TAG, _BYTES_TAG = (
 
 _U32 = struct.Struct(">I")
 _pack_u32 = _U32.pack
-_TAG_LEN = struct.Struct(">BI")
+#: ``tag | length`` — what precedes every payload.  Public, with
+#: :func:`decode_payload`, for decoders that must refuse an announced
+#: length *before* touching the payload (the frame schema's bounded
+#: fields, :mod:`repro.edge.transport`).
+VALUE_HEADER = struct.Struct(">BI")
 _F64 = struct.Struct(">d")
 
 # Whole encodings of the payload-free values.
@@ -118,7 +124,7 @@ def encode_value(value: Any) -> bytes:
     raise EncodingError(f"cannot encode value of type {type(value).__name__}")
 
 
-def _decode_payload(tag: int, payload: bytes) -> Any:
+def decode_payload(tag: int, payload: bytes) -> Any:
     """Value of one ``tag | length | payload`` field; ``payload`` is
     already known to be whole."""
     if tag == _STR_TAG:
@@ -155,12 +161,12 @@ def decode_value(data: bytes, offset: int = 0) -> tuple[Any, int]:
     """
     if offset + 5 > len(data):
         raise EncodingError("truncated value: missing tag or length")
-    tag, length = _TAG_LEN.unpack_from(data, offset)
+    tag, length = VALUE_HEADER.unpack_from(data, offset)
     start = offset + 5
     end = start + length
     if end > len(data):
         raise EncodingError("truncated value payload")
-    return _decode_payload(tag, data[start:end]), end
+    return decode_payload(tag, data[start:end]), end
 
 
 def encode_values(values: Iterable[Any]) -> bytes:
@@ -177,7 +183,7 @@ def decode_values(data: bytes, offset: int = 0) -> tuple[list[Any], int]:
     size = len(data)
     if count * 5 > size - cursor:
         raise EncodingError(f"{count} values cannot fit the remaining bytes")
-    unpack = _TAG_LEN.unpack_from
+    unpack = VALUE_HEADER.unpack_from
     out: list[Any] = []
     append = out.append
     try:
@@ -187,7 +193,7 @@ def decode_values(data: bytes, offset: int = 0) -> tuple[list[Any], int]:
             cursor = start + length
             if cursor > size:
                 raise EncodingError("truncated value payload")
-            append(_decode_payload(tag, data[start:cursor]))
+            append(decode_payload(tag, data[start:cursor]))
     except struct.error:  # fewer than 5 bytes left for tag + length
         raise EncodingError("truncated value: missing tag or length") from None
     return out, cursor

@@ -38,19 +38,17 @@ from repro.edge.router import (
     in_process_query_channel,
 )
 from repro.edge.sharding import ShardMap, ShardedCentral, stable_hash
+from repro.edge.link import FaultInjector, InProcessTransport, Transport
 from repro.edge.transport import (
     AckFrame,
     ConfigFrame,
     CursorAckFrame,
     CursorProbeFrame,
     DeltaFrame,
-    FaultInjector,
     HelloFrame,
-    InProcessTransport,
     QueryRequestFrame,
     QueryResponseFrame,
     SnapshotFrame,
-    Transport,
 )
 
 __all__ = [

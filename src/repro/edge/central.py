@@ -26,7 +26,6 @@ from repro.core.secondary import SecondaryVBTree, secondary_index_name
 from repro.core.update import AuthenticatedUpdater
 from repro.core.vbtree import VBTree
 from repro.core.wire import snapshot_to_bytes
-from repro.baselines.naive import NaiveStore
 from repro.crypto.keyring import KeyRing
 from repro.crypto.rsa import RSAKeyPair, generate_keypair
 from repro.crypto.signatures import DigestSigner
@@ -36,14 +35,9 @@ from repro.db.schema import Catalog, TableSchema
 from repro.db.table import Table
 from repro.db.transactions import TransactionManager
 from repro.edge.fanout import FanoutEngine
+from repro.edge.link import FaultInjector, InProcessTransport
 from repro.edge.replication import Replicator
-from repro.edge.transport import (
-    ConfigFrame,
-    FaultInjector,
-    InProcessTransport,
-    SnapshotFrame,
-    config_to_frame,
-)
+from repro.edge.transport import ConfigFrame, SnapshotFrame, config_to_frame
 from repro.exceptions import (
     DuplicateKeyError,
     ReplicationError,
@@ -95,9 +89,6 @@ class CentralServer:
         seed: Deterministic key generation seed.
         policy: Digest policy for all VB-trees.
         replication: Eager or lazy replica maintenance.
-        enable_naive: Also maintain the Naive baseline's per-tuple
-            signature store for every table (needed by the comparison
-            benches; costs one extra signature pass per insert).
         max_log_entries: Per-table delta-log retention; edges that fall
             further behind than this resync via full snapshot.
         fanout_window: Initial per-edge bound on unacknowledged
@@ -125,7 +116,6 @@ class CentralServer:
         seed: int | None = None,
         policy: DigestPolicy = DigestPolicy.FLATTENED,
         replication: ReplicationMode = ReplicationMode.EAGER,
-        enable_naive: bool = False,
         max_log_entries: int = 1024,
         fanout_window: int = 8,
         fanout_window_max: int | None = None,
@@ -137,7 +127,6 @@ class CentralServer:
         self.shard_id = shard_id
         self.policy = policy
         self.replication = replication
-        self.enable_naive = enable_naive
         self.ack_every = max(1, ack_every)
         self.ack_bytes = max(1, ack_bytes)
         self.replicator = Replicator(max_log_entries=max_log_entries)
@@ -150,7 +139,6 @@ class CentralServer:
         self.catalog = Catalog(db_name)
         self.tables: dict[str, Table] = {}
         self.vbtrees: dict[str, VBTree] = {}
-        self.naive_stores: dict[str, NaiveStore] = {}
         self.views: dict[str, MaterializedJoinView] = {}
         self._updaters: dict[str, AuthenticatedUpdater] = {}
         self._secondary_of: dict[str, list[str]] = {}
@@ -259,10 +247,6 @@ class CentralServer:
         )
         self.vbtrees[schema.name] = vbt
         self._updaters[schema.name] = AuthenticatedUpdater(vbt)
-        if self.enable_naive:
-            self.naive_stores[schema.name] = NaiveStore.build(
-                schema, table.scan(), self._signing_engine()
-            )
         return table
 
     def create_join_view(
@@ -294,10 +278,6 @@ class CentralServer:
         )
         self.vbtrees[name] = vbt
         self._updaters[name] = AuthenticatedUpdater(vbt)
-        if self.enable_naive:
-            self.naive_stores[name] = NaiveStore.build(
-                view.schema, view.table.scan(), self._signing_engine()
-            )
         return view
 
     def create_secondary_index(
@@ -360,9 +340,9 @@ class CentralServer:
     # ------------------------------------------------------------------
 
     def insert(self, table: str, values: Sequence[Any]) -> Row:
-        """Insert one row: base table, VB-tree digests, naive store,
-        secondary indexes, join views — atomically — then (eager)
-        replica propagation."""
+        """Insert one row: base table, VB-tree digests, secondary
+        indexes, join views — atomically — then (eager) replica
+        propagation."""
         tbl = self._table(table)
         row = Row(tbl.schema, tbl.schema.validate_row(values))
         if row.key in tbl:
@@ -401,8 +381,6 @@ class CentralServer:
             # Phase 2 — mutate everything under the held locks.
             tbl.insert(row)
             self._updaters[table].insert(row, txn=txn)
-            if table in self.naive_stores:
-                self.naive_stores[table].add(row)
             for index_name in index_names:
                 self._updaters[index_name].insert(row, txn=txn)
             for view, joined in view_plan:
@@ -410,8 +388,6 @@ class CentralServer:
                 for joined_values in joined:
                     vrow = view.materialize(joined_values)
                     updater.insert(vrow, txn=txn)
-                    if view.name in self.naive_stores:
-                        self.naive_stores[view.name].add(vrow)
                 affected.append(view.name)
             txn.commit()
         except BaseException:
@@ -457,8 +433,6 @@ class CentralServer:
         try:
             self._updaters[table].delete(key, txn=txn)
             tbl.delete(key)
-            if table in self.naive_stores:
-                self.naive_stores[table].remove(key)
             for index_name in index_names:
                 secondary = self.vbtrees[index_name]
                 self._updaters[index_name].delete(secondary.key_of(row), txn=txn)
@@ -467,8 +441,6 @@ class CentralServer:
                 view.drop_rows(removed)
                 for vrow in removed:
                     updater.delete(vrow.key, txn=txn)
-                    if view.name in self.naive_stores:
-                        self.naive_stores[view.name].remove(vrow.key)
                 affected.append(view.name)
             txn.commit()
         except BaseException:
@@ -541,11 +513,6 @@ class CentralServer:
             rebuilt.version = vbt.version + 1
             self.vbtrees[name] = rebuilt
             self._updaters[name] = AuthenticatedUpdater(rebuilt)
-        for name, table in self.tables.items():
-            if name in self.naive_stores:
-                self.naive_stores[name] = NaiveStore.build(
-                    table.schema, table.scan(), self._signing_engine()
-                )
         # Every signature in every log entry is now obsolete: consume an
         # LSN barrier per table so laggard edges detect the gap and
         # resync via snapshot (their epoch check catches it too).
@@ -606,7 +573,7 @@ class CentralServer:
             table=table,
             lsn=self.replicator.log_for(table).last_lsn,
             epoch=self.keyring.current_epoch,
-            naive=table in self.naive_stores,
+            naive=False,
             payload=snapshot_to_bytes(
                 self.vbtrees[table], self.public_key.signature_len
             ),

@@ -57,11 +57,11 @@ from repro.core.wire import predicate_to_bytes, result_from_bytes
 from repro.edge.central import CentralServer
 from repro.edge.edge_server import EdgeResponse
 from repro.edge.event_loop import EdgeEventLoop, ReactorTransport
+from repro.edge.link import Transport
 from repro.edge.socket_transport import listen_on, serve_handshakes
 from repro.edge.transport import (
     ConfigFrame,
     HelloFrame,
-    Transport,
     QueryRequestFrame,
     QueryResponseFrame,
     range_query_frame,
@@ -71,6 +71,9 @@ from repro.edge.transport import (
 from repro.exceptions import TransportError
 
 __all__ = ["EdgeProcess", "Deployment", "ShardedDeployment"]
+
+#: Pump-then-drain rounds one :meth:`Deployment.sync` may take.
+_SYNC_ROUNDS = 8
 
 
 def _src_root() -> str:
@@ -285,8 +288,6 @@ class Deployment:
         self,
         name: str,
         relay: str | None = None,
-        *,
-        extra_args: Sequence[str] = (),
     ) -> EdgeProcess:
         """Start an edge process dialing this listener — or, with
         ``relay``, the listener of that (already launched) relay.
@@ -301,7 +302,7 @@ class Deployment:
             # a relay kill/restart window instead of giving up.
             argv += ["--retry-attempts", "120"]
         handle = self.edges.setdefault(name, EdgeProcess(name))
-        handle.argv = (*argv, *extra_args)
+        handle.argv = tuple(argv)
         handle.relay = relay
         return self._spawn(handle)
 
@@ -478,13 +479,14 @@ class Deployment:
     # Replication & queries over the wire
     # ------------------------------------------------------------------
 
-    def sync(self, table: str | None = None, max_rounds: int = 8) -> int:
+    def sync(self, table: str | None = None) -> int:
         """Propagate until every *connected* edge is current.
 
         Each round pumps the fan-out engine and then drains the
-        pipelined acks; multiple rounds let the nack→retry→snapshot
-        escalation run to quiescence (a heal needs one round to learn
-        of the problem and one to ship the fix).  The drain is
+        pipelined acks; multiple rounds (at most :data:`_SYNC_ROUNDS`)
+        let the nack→retry→snapshot escalation run to quiescence (a
+        heal needs one round to learn of the problem and one to ship
+        the fix).  The drain is
         readiness-driven: every edge's queued frames and its cursor
         probe leave in one vectored write, and one shared ``select``
         loop settles the whole fleet as acks land — no per-peer
@@ -497,7 +499,7 @@ class Deployment:
             Total frames shipped.
         """
         shipped = 0
-        for _ in range(max_rounds):
+        for _ in range(_SYNC_ROUNDS):
             shipped += self.central.propagate(table)
             self.central.fanout.drain(wait=True)
             if self._settled(table):

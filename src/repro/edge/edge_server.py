@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
-from repro.baselines.naive import NaiveResult, NaiveStore
-from repro.core.delta import DeltaOpKind, ReplicaDelta, apply_delta
+from repro.baselines.naive import NaiveResult, assemble_result
+from repro.core.delta import ReplicaDelta, apply_delta
 from repro.core.digests import DigestEngine, VerifyOnlyDigestEngine
 from repro.core.query_auth import QueryAuthenticator
 from repro.core.secondary import (
@@ -56,6 +56,7 @@ from repro.edge.transport import (
     QueryResponseFrame,
     SnapshotFrame,
     config_from_frame,
+    error_response,
     frame_from_bytes,
     frame_to_bytes,
     range_query_frame,
@@ -67,7 +68,6 @@ from repro.exceptions import (
     DeltaTamperError,
     ReplicaDeltaError,
     ReplicationError,
-    SchemaError,
     StaleDeltaError,
     TransportError,
 )
@@ -152,7 +152,6 @@ class EdgeServer:
         #: :meth:`attach_transport`; standalone edges get a private one.
         self.replication_channel = Channel()
         self.replicas: dict[str, VBTree] = {}
-        self.naive_replicas: dict[str, NaiveStore] = {}
         self.replica_versions: dict[str, int] = {}
         #: Last applied log sequence number per table (delta cursor).
         self.replica_lsns: dict[str, int] = {}
@@ -283,10 +282,8 @@ class EdgeServer:
                 # long-lived edge whose errors arrive via transports.
                 telemetry.note("edge_server.query", exc)
                 self._last_query_exc = exc.with_traceback(None)
-                reply = QueryResponseFrame(
-                    edge=self.name,
-                    payload=b"",
-                    error=f"{type(exc).__name__}: {exc}",
+                reply = error_response(
+                    self.name, f"{type(exc).__name__}: {exc}"
                 )
             return [frame_to_bytes(reply)]
         if isinstance(frame, ConfigFrame):
@@ -343,14 +340,6 @@ class EdgeServer:
         self.replica_lsns[table] = frame.lsn
         self.replica_epochs[table] = frame.epoch
         self.replica_sig_lens[table] = public_key.signature_len
-        if frame.naive:
-            naive = NaiveStore(vbt.schema, signing)
-            for key, row in vbt.tree.items():
-                auth = vbt.tuple_auth(key)
-                naive.install_signed(
-                    row.key, auth.signed_tuple, tuple(auth.signed_attrs)
-                )
-            self.naive_replicas[table] = naive
 
     def apply_delta(self, table: str, payload: bytes) -> ReplicaDelta:
         """Authenticate and apply one wire-serialized replica delta.
@@ -403,25 +392,7 @@ class EdgeServer:
         apply_delta(vbt, delta)
         self.replica_lsns[table] = delta.lsn_last
         self.replica_versions[table] = delta.new_version
-        self._maintain_naive(table, delta)
         return delta
-
-    def _maintain_naive(self, table: str, delta: ReplicaDelta) -> None:
-        """Keep the naive baseline replica in step with an applied delta
-        (the delta's tuple signatures are exactly what the naive store
-        holds — see :class:`repro.baselines.naive.NaiveStore`)."""
-        naive = self.naive_replicas.get(table)
-        if naive is None:
-            return
-        for op in delta.ops:
-            if op.kind is DeltaOpKind.INSERT:
-                assert op.values is not None and op.signed_tuple is not None
-                key = op.values[naive.schema.key_index]
-                naive.install_signed(
-                    key, op.signed_tuple, tuple(op.signed_attrs or ())
-                )
-            else:
-                naive.remove(op.key)
 
     def replica(self, table: str) -> VBTree:
         """The local VB-tree replica for ``table``.
@@ -610,18 +581,19 @@ class EdgeServer:
     ) -> tuple[NaiveResult, int]:
         """Same query under the Naive scheme; returns (result, bytes).
 
-        Raises:
-            SchemaError: If the naive store was not enabled centrally.
+        The scheme ships exactly the per-tuple signed digests the
+        replica already holds (:meth:`VBTree.tuple_auth
+        <repro.core.vbtree.VBTree.tuple_auth>`), so the result is
+        assembled from the replica — the function
+        :meth:`NaiveStore.build_result
+        <repro.baselines.naive.NaiveStore.build_result>` uses, fed from
+        here instead of from a second store.
         """
-        store = self.naive_replicas.get(table)
-        if store is None:
-            raise SchemaError(
-                f"naive store not replicated for {table!r} "
-                "(construct CentralServer with enable_naive=True)"
-            )
         vbt = self.replica(table)
         rows = [row for _k, row in vbt.tree.range_items(low=low, high=high)]
-        result = store.build_result(rows, columns=columns)
+        result = assemble_result(
+            vbt.schema, rows, lambda row: vbt.tuple_auth(vbt.key_of(row)), columns
+        )
         nbytes = result.wire_size(self._sig_len(table))
         self.channel.send(nbytes)
         return result, nbytes

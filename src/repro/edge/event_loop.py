@@ -15,12 +15,12 @@ central-side delivery hot path is therefore a classic reactor
   (no per-frame ``bytes`` concatenation).  Write interest is
   registered only while a send would block (``EWOULDBLOCK`` / partial
   write) — the selector never spins on always-writable sockets.
-* :class:`ReactorTransport` — the :class:`~repro.edge.transport.Transport`
+* :class:`ReactorTransport` — the :class:`~repro.edge.link.Transport`
   over one reactor connection.  ``send`` only *enqueues* (bytes reach
   the socket on the next loop spin), so the fan-out engine's AIMD
   window is the backpressure signal: a full window parks the edge's
   queue instead of blocking a thread.  Fault injection mirrors
-  :class:`~repro.edge.transport.InProcessTransport` exactly, byte
+  :class:`~repro.edge.link.InProcessTransport` exactly, byte
   metering included, so every byte-parity bench holds across media.
 * The dialing seats — :func:`guarded_handler`, :func:`join_as_edge`
   and :func:`serve_dialed`: after the (blocking) handshake a dialer is
@@ -64,24 +64,23 @@ from typing import Callable, Optional, Sequence
 
 from repro.edge import telemetry
 from repro.edge.network import Channel
+from repro.edge.link import FaultInjector, SendOutcome, Transport
 from repro.edge.socket_transport import (
     _IOV_MAX,
     _RECV_CHUNK,
     FRAME_HEADER,
     FrameDecoder,
-    MAX_FRAME_BYTES,
     connect_with_retry,
     dial_handshake,
 )
 from repro.edge.transport import (
+    MAX_FRAME_BYTES,
     CursorAckFrame,
-    FaultInjector,
     Frame,
     HelloFrame,
     QueryResponseFrame,
-    SendOutcome,
-    Transport,
     config_from_frame,
+    error_response,
     frame_from_bytes,
     frame_to_bytes,
 )
@@ -418,7 +417,7 @@ class ReactorTransport(Transport):
     (drain, settle, or query time) — and replies are matched to sends
     by cumulative cursors, never one-for-one.  Fault
     semantics and byte metering mirror
-    :class:`~repro.edge.transport.InProcessTransport` outcome-for-outcome
+    :class:`~repro.edge.link.InProcessTransport` outcome-for-outcome
     so parity benches compare equals:
 
     * ``partitioned`` — ``failed``, nothing metered, nothing queued.
@@ -435,7 +434,7 @@ class ReactorTransport(Transport):
         loop: The owning reactor.
         sock: Connected socket (ownership transfers to the loop).
         down_channel / up_channel: Byte accounting, as for every
-            :class:`~repro.edge.transport.Transport`.
+            :class:`~repro.edge.link.Transport`.
         faults: Initial fault state (healthy by default).
         timeout: Settle deadline for :meth:`poll` and :meth:`request`
             — a peer silent for longer counts as wedged (the reply
@@ -642,11 +641,7 @@ def guarded_handler(node) -> Callable[[bytes], Sequence[bytes]]:
             telemetry.note("dialed.handle_frame", exc, detail=node.name)
             return [
                 frame_to_bytes(
-                    QueryResponseFrame(
-                        edge=node.name,
-                        payload=b"",
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
+                    error_response(node.name, f"{type(exc).__name__}: {exc}")
                 )
             ]
 

@@ -65,12 +65,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+from repro.edge.link import Transport
 from repro.edge.transport import (
     AckFrame,
     CursorAckFrame,
     CursorProbeFrame,
     DeltaFrame,
-    Transport,
 )
 from repro.exceptions import DeltaGapError, ReplicationError, StaleKeyError
 

@@ -1,0 +1,344 @@
+"""A link: what carries frames between two fabric nodes.
+
+:mod:`repro.edge.transport` says what the bytes *are*; a
+:class:`Transport` is one point-to-point way of moving them — with the
+per-direction byte/latency accounting every bench reads
+(:class:`~repro.edge.network.Channel`, one per direction) in exactly
+one place, whichever medium carries the frames.
+
+The in-process implementation (:class:`InProcessTransport`) adds
+**fault injection** so the fan-out engine's flow control and healing
+paths can be exercised deterministically:
+
+* ``partitioned`` — the link is down; sends fail outright.
+* ``drop_next`` — the next N frames are lost in flight (bytes leave the
+  sender but never reach the edge, and no ack comes back).
+* ``hold`` — a slow edge: frames queue in the link instead of being
+  delivered; they drain on :meth:`InProcessTransport.flush` once the
+  fault clears.  Combined with the fan-out engine's bounded in-flight
+  window this models per-edge backpressure.
+
+A real-socket transport only needs to reimplement
+``send``/``flush``/``poll``/``request`` over its medium; the frame
+codec is already byte-exact.  One exists: the event-loop
+:class:`~repro.edge.event_loop.ReactorTransport`, which honours the
+same three fault states by gating its connection's outbound queue (see
+:attr:`FaultInjector.blocks_delivery`).
+
+A ``Transport`` instance belongs to the single sender thread that calls
+``send``/``flush``; concurrency, where it exists, is the medium's
+concern (the reactor's queue lock), never the codec's.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence
+
+from repro.edge.network import Channel, Transfer
+from repro.edge.transport import (
+    Frame,
+    frame_from_bytes,
+    frame_kind,
+    frame_to_bytes,
+)
+from repro.exceptions import TransportError
+
+__all__ = [
+    "FaultInjector",
+    "SendOutcome",
+    "Transport",
+    "InProcessTransport",
+]
+
+
+@dataclass
+class FaultInjector:
+    """Mutable fault state of one link (see module docstring).
+
+    Attributes:
+        partitioned: Link down; sends fail, nothing leaves the sender.
+        drop_next: Lose the next N frames in flight.
+        hold: Queue frames instead of delivering (slow edge); they
+            drain on :meth:`InProcessTransport.flush` once cleared.
+        delay: Per-frame latency shaping, in seconds.  The in-process
+            link models it as a one-flush delivery delay (the frame is
+            queued like a held frame but drains on the *next* flush
+            even while the fault persists — a slow link, not a wedged
+            one); the reactor parks the connection's queue until the
+            deadline passes without ever blocking the loop.
+    """
+
+    partitioned: bool = False
+    drop_next: int = 0
+    hold: bool = False
+    delay: float = 0.0
+
+    @property
+    def blocks_delivery(self) -> bool:
+        """True while queued frames must stay in the link.
+
+        Both the held (slow-edge) and partitioned states park a
+        reactor connection's outbound queue — the event loop skips it
+        entirely, so a faulted edge costs zero syscalls per spin and
+        can never delay a healthy edge's flush (DESIGN.md section 11).
+        """
+        return self.partitioned or self.hold
+
+    def clear(self) -> None:
+        """Return the link to healthy operation."""
+        self.partitioned = False
+        self.drop_next = 0
+        self.hold = False
+        self.delay = 0.0
+
+
+@dataclass
+class SendOutcome:
+    """What happened to one sent frame.
+
+    Attributes:
+        status: ``delivered`` (processed by the peer, ``replies``
+            populated), ``queued`` (in the link, ack pending),
+            ``dropped`` (lost in flight), or ``failed`` (partitioned —
+            nothing left the sender).
+        replies: Frames the peer sent back (delivered sends only).
+        transfer: Byte/latency accounting record (absent when failed).
+    """
+
+    status: str
+    replies: list = field(default_factory=list)
+    transfer: Optional[Transfer] = None
+
+    @property
+    def delivered(self) -> bool:
+        return self.status == "delivered"
+
+
+class Transport:
+    """Abstract point-to-point frame transport (central/client side).
+
+    Concrete transports implement :meth:`send` and :meth:`flush`; the
+    edge side registers a frame handler via :meth:`connect` (in-process)
+    or speaks the same frames over a socket
+    (:mod:`repro.edge.socket_transport`).
+
+    Byte metering lives *here*, not in the concrete transports: every
+    implementation records outbound frames through :meth:`_record_send`
+    and inbound replies through :meth:`_record_reply`, so the
+    per-direction :class:`~repro.edge.network.Channel` accounting
+    (and therefore every byte-based bench) is identical whichever
+    medium carries the frames.
+
+    Args:
+        name: Link label (usually the edge server's name).
+        down_channel: Sender→peer byte accounting (snapshots, deltas,
+            queries); created if not given.
+        up_channel: Peer→sender byte accounting (acks, query
+            responses); created if not given.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        down_channel: Channel | None = None,
+        up_channel: Channel | None = None,
+    ) -> None:
+        self.name = name
+        self.down_channel = down_channel or Channel()
+        self.up_channel = up_channel or Channel()
+
+    # -- metering (one implementation for every medium) -----------------
+
+    def _record_send(self, data: bytes, frame: Frame) -> Transfer:
+        """Meter one outbound serialized frame."""
+        return self.down_channel.send(len(data), kind=frame_kind(frame))
+
+    def _record_reply(self, data: bytes, frame: Frame) -> Transfer:
+        """Meter one inbound serialized reply frame."""
+        return self.up_channel.send(len(data), kind=frame_kind(frame))
+
+    # -- the transport surface ------------------------------------------
+
+    @property
+    def queued_frames(self) -> int:
+        """Frames in the link (sent, not yet acknowledged/processed)."""
+        return 0
+
+    @property
+    def connected(self) -> bool:
+        """False once the link is known dead (socket fault, closed).
+
+        A *faulted but recoverable* link (partitioned/held in-process
+        injection) still reports True — connectedness is about whether
+        replies can ever arrive on this object, not about the current
+        weather.
+        """
+        return True
+
+    def connect(self, handler: Callable[[bytes], Sequence[bytes]]) -> None:
+        """Register the peer's handler (receives and returns *bytes*)."""
+        raise NotImplementedError
+
+    def send(self, frame: Frame) -> SendOutcome:
+        """Ship one frame; never raises on link faults (see outcome)."""
+        raise NotImplementedError
+
+    def flush(self) -> list:
+        """Deliver/collect queued frames; returns the peer's replies.
+
+        Never blocks: a transport whose replies arrive asynchronously
+        (the reactor link) returns only what has already landed, so
+        this is safe on a write path.  Callers that must *wait* for a
+        settle drive :meth:`poll` (the fan-out engine's
+        probe-then-poll drain) — under coalesced acks the number of
+        replies is not knowable from the number of sends, so "block
+        until every reply arrived" is not a question a link can
+        answer.
+        """
+        raise NotImplementedError
+
+    def poll(self) -> list:
+        """Block until at least one reply frame is available (or the
+        link dies), then return everything available.
+
+        The settle primitive for the batched-ack protocol (DESIGN.md
+        section 10): after soliciting a :class:`CursorProbeFrame`, the
+        fan-out engine polls for the cumulative ack instead of
+        counting one reply per sent frame.  Returns ``[]`` only when
+        nothing can arrive anymore — the link is dead, held, or timed
+        out — never as "not yet".
+        """
+        return self.flush()
+
+    def request(self, frame: Frame) -> Frame:
+        """One synchronous request/reply round-trip (the query path).
+
+        Every transport must offer this so client-side query code (the
+        router, the deployment layer) is medium-agnostic and query
+        traffic is metered identically over every medium — the same
+        consolidation the ABC already provides for send-path metering.
+
+        Raises:
+            TransportError: If the link is down, drops the exchange, or
+                (in-process fault injection) holds the reply past the
+                caller's patience — the in-flight equivalent of a
+                receive timeout.
+        """
+        raise NotImplementedError
+
+    def close(self) -> None:
+        """Release any underlying resources (no-op by default)."""
+
+
+class InProcessTransport(Transport):
+    """Same-process transport with byte accounting and fault injection.
+
+    Args:
+        name: Link label (usually the edge server's name).
+        down_channel: Sender→peer byte accounting (snapshots, deltas,
+            queries); created if not given.
+        up_channel: Peer→sender byte accounting (acks, query
+            responses); created if not given.
+        faults: Initial fault state (healthy by default).
+
+    The peer handler is wired with :meth:`connect` and exchanges only
+    serialized bytes — the two endpoints share no mutable objects, which
+    is what makes the trust boundary real even in-process.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        down_channel: Channel | None = None,
+        up_channel: Channel | None = None,
+        faults: FaultInjector | None = None,
+    ) -> None:
+        super().__init__(name, down_channel, up_channel)
+        self.faults = faults or FaultInjector()
+        self._handler: Callable[[bytes], Sequence[bytes]] | None = None
+        self._queue: list[bytes] = []
+
+    def connect(self, handler: Callable[[bytes], Sequence[bytes]]) -> None:
+        self._handler = handler
+
+    @property
+    def queued_frames(self) -> int:
+        """Frames sitting in the link awaiting :meth:`flush`."""
+        return len(self._queue)
+
+    @property
+    def connected(self) -> bool:
+        """An in-process link is alive once a handler is wired; fault
+        injection (partition/hold) is weather, not death."""
+        return self._handler is not None
+
+    def send(self, frame: Frame) -> SendOutcome:
+        if self._handler is None:
+            raise TransportError(f"transport {self.name!r} is not connected")
+        if self.faults.partitioned:
+            return SendOutcome(status="failed")
+        data = frame_to_bytes(frame)
+        transfer = self._record_send(data, frame)
+        if self.faults.drop_next > 0:
+            self.faults.drop_next -= 1
+            return SendOutcome(status="dropped", transfer=transfer)
+        if self.faults.hold or self.faults.delay > 0:
+            # A held frame waits for the fault to clear; a delayed
+            # frame merely waits for the next flush — the in-process
+            # model of a slow link is "delivered one tick late".
+            self._queue.append(data)
+            return SendOutcome(status="queued", transfer=transfer)
+        return SendOutcome(
+            status="delivered",
+            replies=self._deliver(data),
+            transfer=transfer,
+        )
+
+    def flush(self) -> list:
+        """Drain held frames once faults have cleared.
+
+        Returns the peer's accumulated reply frames; a no-op (empty
+        list) while the link is still partitioned or holding.
+        """
+        if self.faults.partitioned or self.faults.hold:
+            return []
+        replies: list = []
+        while self._queue:
+            replies.extend(self._deliver(self._queue.pop(0)))
+        return replies
+
+    def request(self, frame: Frame) -> Frame:
+        """One synchronous round-trip, with fault injection applied.
+
+        The query-path mirror of :meth:`ReactorTransport.request
+        <repro.edge.event_loop.ReactorTransport.request>`: a
+        partitioned link raises, a dropped request raises (the reply
+        will never come), and a held request raises too — the frame
+        stays queued in the slow link (it was metered as sent and the
+        edge will eventually process it on :meth:`flush`), but a
+        synchronous caller cannot wait for it, exactly like a receive
+        timeout against a wedged TCP peer.
+        """
+        outcome = self.send(frame)
+        if outcome.status == "failed":
+            raise TransportError(f"link to {self.name!r} is down")
+        if outcome.status == "dropped":
+            raise TransportError(
+                f"request to {self.name!r} lost in flight"
+            )
+        if outcome.status == "queued":
+            raise TransportError(
+                f"link to {self.name!r} timed out (peer holding frames)"
+            )
+        (reply,) = outcome.replies
+        return reply
+
+    def _deliver(self, data: bytes) -> list:
+        assert self._handler is not None
+        replies = []
+        for reply_bytes in self._handler(data):
+            reply = frame_from_bytes(reply_bytes)
+            self._record_reply(reply_bytes, reply)
+            replies.append(reply)
+        return replies

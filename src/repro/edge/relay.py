@@ -92,6 +92,7 @@ from repro.edge.socket_transport import (
     listen_on,
     serve_handshakes,
 )
+from repro.edge.link import Transport
 from repro.edge.transport import (
     AckFrame,
     ConfigFrame,
@@ -102,8 +103,8 @@ from repro.edge.transport import (
     QueryRequestFrame,
     QueryResponseFrame,
     SnapshotFrame,
-    Transport,
     config_from_frame,
+    error_response,
     frame_from_bytes,
     frame_to_bytes,
 )
@@ -156,7 +157,6 @@ class RelayServer:
 
     Args:
         name: Relay name (its upstream link label / hello identity).
-        window: Forwarded to the downstream fan-out engine.
         spot_check_every: Verify the signature of every Nth ingested
             delta frame (``0`` = never).  Purely a detection
             accelerator — edges re-verify everything regardless.
@@ -178,7 +178,6 @@ class RelayServer:
     def __init__(
         self,
         name: str,
-        window: int = 8,
         spot_check_every: int = 0,
         max_store_bytes: int = 0,
     ) -> None:
@@ -202,7 +201,7 @@ class RelayServer:
         self._upstream_config: Optional[ConfigFrame] = None
         self.ack_every = 1
         self.ack_bytes = 1 << 18
-        self.fanout = FanoutEngine(self, window=window)
+        self.fanout = FanoutEngine(self)
         self._lock = threading.RLock()
         #: Deltas ingested since the last spot check.
         self._ingested = 0
@@ -701,9 +700,8 @@ class RelayServer:
             p for p in self.fanout.peers.values() if p.transport.connected
         ]
         if not peers:
-            return QueryResponseFrame(
-                edge=self.name, payload=b"",
-                error=f"relay {self.name!r} has no connected edges",
+            return error_response(
+                self.name, f"relay {self.name!r} has no connected edges"
             )
         last_error = ""
         for i in range(len(peers)):
@@ -721,9 +719,8 @@ class RelayServer:
             return dataclasses.replace(
                 reply, cursors=self.aggregated_cursors()
             )
-        return QueryResponseFrame(
-            edge=self.name, payload=b"",
-            error=f"no downstream edge answered: {last_error}",
+        return error_response(
+            self.name, f"no downstream edge answered: {last_error}"
         )
 
 

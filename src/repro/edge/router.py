@@ -57,27 +57,22 @@ from repro.core.secondary import secondary_index_name
 from repro.core.vo import AuthenticatedResult
 from repro.core.wire import predicate_to_bytes, result_from_bytes
 from repro.edge import telemetry
+from repro.edge.link import InProcessTransport, Transport
 from repro.edge.transport import (
-    InProcessTransport,
+    MAX_CURSORS,
     QueryRequestFrame,
     QueryResponseFrame,
-    Transport,
     range_query_frame,
     secondary_query_frame,
     select_query_frame,
 )
 from repro.exceptions import RouterError, TransportError
 
-#: Bound on per-edge staleness-hint entries a router will hold.
-#: Piggybacked cursors are untrusted input: a hostile edge appending
-#: fabricated replica names to every response must not grow a
-#: long-lived client's state without limit.  Real fleets replicate far
-#: fewer tables than this; once full, hints for *known* replicas keep
-#: updating and unknown names are dropped.
-MAX_CURSOR_HINTS = 512
+#: Smoothing factor of the per-edge latency EWMA (higher = reacts
+#: faster).
+_EWMA_ALPHA = 0.3
 
 __all__ = [
-    "MAX_CURSOR_HINTS",
     "RoutingPolicy",
     "EdgeStats",
     "RoutedResponse",
@@ -192,7 +187,7 @@ class VerifiedResponse:
 
 
 class TransportQueryChannel:
-    """Query channel over a fixed :class:`~repro.edge.transport.Transport`.
+    """Query channel over a fixed :class:`~repro.edge.link.Transport`.
 
     Args:
         name: The edge's name.
@@ -207,7 +202,6 @@ class TransportQueryChannel:
             fabrics, where wall-clock differences are noise but a
             per-link ``rtt_seconds`` makes "the slow edge" an exact,
             reproducible quantity.
-        clock: Wall-clock source when ``simulated_latency`` is off.
     """
 
     def __init__(
@@ -215,12 +209,10 @@ class TransportQueryChannel:
         name: str,
         transport: Transport,
         simulated_latency: bool = True,
-        clock: Callable[[], float] = time.perf_counter,
     ) -> None:
         self.name = name
         self.transport = transport
         self.simulated_latency = simulated_latency
-        self._clock = clock
 
     def request(self, frame: QueryRequestFrame) -> tuple[QueryResponseFrame, float]:
         """One query round-trip; returns ``(response, latency_seconds)``.
@@ -229,7 +221,7 @@ class TransportQueryChannel:
             TransportError: If the link is down/faulted or the peer
                 answered with something other than a query response.
         """
-        start = self._clock()
+        start = time.perf_counter()
         reply = self.transport.request(frame)
         if not isinstance(reply, QueryResponseFrame):
             raise TransportError(
@@ -242,7 +234,7 @@ class TransportQueryChannel:
                 + self.transport.up_channel.transfers[-1].seconds
             )
         else:
-            latency = self._clock() - start
+            latency = time.perf_counter() - start
         return reply, latency
 
 
@@ -258,15 +250,9 @@ class DeploymentQueryChannel:
     round-trip is exactly what a latency-aware policy should route on.
     """
 
-    def __init__(
-        self,
-        deployment,
-        name: str,
-        clock: Callable[[], float] = time.perf_counter,
-    ) -> None:
+    def __init__(self, deployment, name: str) -> None:
         self.deployment = deployment
         self.name = name
-        self._clock = clock
 
     def request(self, frame: QueryRequestFrame) -> tuple[QueryResponseFrame, float]:
         """One query round-trip over the edge's current connection.
@@ -278,7 +264,7 @@ class DeploymentQueryChannel:
         handle = self.deployment.edges.get(self.name)
         if handle is None or handle.transport is None or not handle.transport.connected:
             raise TransportError(f"edge {self.name!r} is not connected")
-        start = self._clock()
+        start = time.perf_counter()
         reply = handle.transport.request(frame)
         if not isinstance(reply, QueryResponseFrame):
             raise TransportError(
@@ -292,7 +278,7 @@ class DeploymentQueryChannel:
         self.deployment.central.fanout.observe_response_cursors(
             self.name, reply.cursors
         )
-        return reply, self._clock() - start
+        return reply, time.perf_counter() - start
 
 
 def in_process_query_channel(
@@ -370,8 +356,6 @@ class EdgeRouter(_QuerySurface):
         channels: Query channels, one per edge (anything with a
             ``.name`` and a ``.request(frame) -> (response, seconds)``).
         policy: Candidate ordering policy (name or enum).
-        ewma_alpha: Smoothing factor for observed latency (higher =
-            reacts faster).
         failure_threshold: Consecutive transport failures before an
             edge enters cooldown.
         cooldown: Seconds (on ``clock``) an edge sits out after
@@ -384,7 +368,6 @@ class EdgeRouter(_QuerySurface):
         self,
         channels: Sequence,
         policy: RoutingPolicy | str = RoutingPolicy.ROUND_ROBIN,
-        ewma_alpha: float = 0.3,
         failure_threshold: int = 3,
         cooldown: float = 1.0,
         clock: Callable[[], float] = time.monotonic,
@@ -392,7 +375,6 @@ class EdgeRouter(_QuerySurface):
         if not channels:
             raise RouterError("a router needs at least one edge channel")
         self.policy = RoutingPolicy(policy)
-        self.ewma_alpha = ewma_alpha
         self.failure_threshold = failure_threshold
         self.cooldown = cooldown
         self.clock = clock
@@ -694,8 +676,9 @@ class EdgeRouter(_QuerySurface):
         if stats.ewma_latency is None:
             stats.ewma_latency = latency
         else:
-            alpha = self.ewma_alpha
-            stats.ewma_latency = alpha * latency + (1 - alpha) * stats.ewma_latency
+            stats.ewma_latency = (
+                _EWMA_ALPHA * latency + (1 - _EWMA_ALPHA) * stats.ewma_latency
+            )
         if reply.lsn >= stats.cursors.get(replica, 0):
             stats.cursors[replica] = reply.lsn
             stats.epochs[replica] = reply.epoch
@@ -703,12 +686,13 @@ class EdgeRouter(_QuerySurface):
         # staleness hint for *every* replica this edge holds, so a
         # `freshest` router learns about tables it has never queried
         # there.  Monotonic, like every hint, and bounded — the names
-        # come from an untrusted edge.
+        # come from an untrusted edge, and fabricated ones spread over
+        # many responses must not grow a long-lived client's state
+        # without limit.  One frame carries at most MAX_CURSORS
+        # (replicas per node); so does the table: once full, hints for
+        # *known* replicas keep updating and unknown names are dropped.
         for table, lsn, epoch in reply.cursors:
-            if (
-                table not in stats.cursors
-                and len(stats.cursors) >= MAX_CURSOR_HINTS
-            ):
+            if table not in stats.cursors and len(stats.cursors) >= MAX_CURSORS:
                 continue
             if lsn >= stats.cursors.get(table, 0):
                 stats.cursors[table] = lsn

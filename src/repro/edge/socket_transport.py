@@ -60,16 +60,17 @@ from typing import Callable, Optional
 
 from repro.edge import telemetry
 from repro.edge.transport import (
+    MAX_FRAME_BYTES,
     ConfigFrame,
     HelloFrame,
     frame_from_bytes,
+    frame_limit,
     frame_to_bytes,
 )
 from repro.exceptions import TransportError
 
 __all__ = [
     "FRAME_HEADER",
-    "MAX_FRAME_BYTES",
     "FrameDecoder",
     "send_frame",
     "recv_frame",
@@ -81,10 +82,6 @@ __all__ = [
 
 #: 4-byte big-endian frame length prefix.
 FRAME_HEADER = struct.Struct(">I")
-
-#: Upper bound on one frame (a snapshot of a large replica is a few MB;
-#: anything near this limit is a corrupted or hostile length header).
-MAX_FRAME_BYTES = 1 << 30
 
 #: Read granularity for :func:`recv_frame`.
 _RECV_CHUNK = 1 << 16
@@ -208,63 +205,79 @@ def send_frame(sock: socket.socket, data: bytes) -> int:
     return len(payload)
 
 
-def _recv_exactly(sock: socket.socket, n: int, *, at_boundary: bool) -> Optional[bytes]:
-    """Read exactly ``n`` bytes, across as many partial reads as needed.
+def _time_left(deadline: float) -> float:
+    """Seconds until ``deadline`` (``time.monotonic`` seconds).
 
-    Returns ``None`` on a clean EOF **before the first byte** when
-    ``at_boundary`` (the peer closed between frames — a normal
-    shutdown).  EOF anywhere else is a torn frame and raises
-    :class:`TransportError`.
+    Raises:
+        TransportError: Once it has passed.
+    """
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TransportError("handshake deadline passed")
+    return left
 
-    A receive timeout at a frame boundary propagates as
-    ``TimeoutError`` — the link is merely *idle* and the caller may
-    keep waiting (an edge between writes sees no traffic at all).  A
-    timeout after bytes have been consumed would desynchronize the
-    stream if retried, so it is a :class:`TransportError` like any
-    other torn frame.
+
+def _recv_up_to(sock: socket.socket, n: int, deadline: Optional[float]) -> bytes:
+    """Read ``n`` bytes, across as many partial reads as needed; fewer
+    come back only when the peer closed first.
+
+    ``deadline`` (``time.monotonic`` seconds) covers the *whole* read:
+    each ``recv`` waits only for what is left of it, so a peer that
+    trickles a byte per timeout cannot hold the caller past it.  With
+    ``None`` the socket's own timeout applies per ``recv``.
     """
     chunks: list[bytes] = []
     received = 0
     while received < n:
+        if deadline is not None:
+            sock.settimeout(_time_left(deadline))
         try:
             chunk = sock.recv(min(_RECV_CHUNK, n - received))
         except TimeoutError:
-            if at_boundary and received == 0:
-                raise  # idle link, stream still aligned: caller's call
             raise TransportError(
-                f"timed out mid-frame ({received}/{n} bytes)"
+                f"timed out mid-read ({received}/{n} bytes)"
             ) from None
         if not chunk:
-            if at_boundary and received == 0:
-                return None
-            raise TransportError(
-                f"connection closed mid-frame ({received}/{n} bytes)"
-            )
+            break
         chunks.append(chunk)
         received += len(chunk)
     return b"".join(chunks)
 
 
-def recv_frame(sock: socket.socket) -> Optional[bytes]:
+def recv_frame(
+    sock: socket.socket,
+    limit: int = MAX_FRAME_BYTES,
+    deadline: Optional[float] = None,
+) -> Optional[bytes]:
     """Read one length-prefixed frame; ``None`` on clean EOF.
 
     Handles arbitrarily fragmented delivery (the header and body may
-    arrive in any number of TCP segments).
+    arrive in any number of TCP segments).  ``limit`` is the most the
+    caller is prepared to buffer — a reader that knows which frame
+    comes next passes :func:`~repro.edge.transport.frame_limit` of it —
+    and an announce above it is refused at the 4-byte header, before a
+    byte of body is read.  ``deadline`` bounds the whole read (see
+    :func:`_recv_up_to`).
 
     Raises:
-        TransportError: On a mid-frame disconnect or an implausible
-            length header.
+        TransportError: On a mid-frame disconnect, a timeout, or a
+            length header above ``limit``.
     """
-    header = _recv_exactly(sock, FRAME_HEADER.size, at_boundary=True)
-    if header is None:
+    header = _recv_up_to(sock, FRAME_HEADER.size, deadline)
+    if not header:
         return None
+    if len(header) < FRAME_HEADER.size:
+        raise TransportError("connection closed mid-frame (inside the header)")
     (length,) = FRAME_HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise TransportError(f"declared frame length {length} exceeds limit")
-    if length == 0:
-        return b""
-    body = _recv_exactly(sock, length, at_boundary=False)
-    assert body is not None
+    if length > limit:
+        raise TransportError(
+            f"declared frame length {length} exceeds limit {limit}"
+        )
+    body = _recv_up_to(sock, length, deadline)
+    if len(body) < length:
+        raise TransportError(
+            f"connection closed mid-frame ({len(body)}/{length} bytes)"
+        )
     return body
 
 
@@ -315,14 +328,18 @@ def dial_handshake(sock: socket.socket, hello: HelloFrame) -> ConfigFrame:
     :class:`~repro.edge.transport.ConfigFrame`.  Every dialer — an edge,
     process or hosted (:func:`repro.edge.event_loop.join_as_edge`), and
     a relay's upstream face (:func:`repro.edge.relay.run_relay`) —
-    registers through here.
+    registers through here.  ``sock``'s timeout is the budget of the
+    whole exchange, not of each ``recv``, and the reply is refused at
+    its header above the largest config the schema admits.
 
     Raises:
-        TransportError: If the listener hangs up mid-handshake or
-            answers with anything but a config.
+        TransportError: If the listener hangs up mid-handshake, runs
+            out the budget, or answers with anything but a config.
     """
+    timeout = sock.gettimeout()
+    deadline = None if timeout is None else time.monotonic() + timeout
     send_frame(sock, frame_to_bytes(hello))
-    data = recv_frame(sock)
+    data = recv_frame(sock, frame_limit(ConfigFrame), deadline)
     if data is None:
         raise TransportError("listener closed during handshake")
     reply = frame_from_bytes(data)
@@ -346,7 +363,11 @@ def serve_handshakes(
     Each dialer's :class:`~repro.edge.transport.HelloFrame` is received
     and type-checked, answered with ``config()``, and the connection is
     handed to ``attach(conn, hello, sent_config)`` — which adopts the
-    socket into the listener's reactor and registers the peer.  A
+    socket into the listener's reactor and registers the peer.  The
+    loop is serial, so what one dialer can cost the next is bounded by
+    the schema: an announce above the largest hello it admits is
+    refused at the header, and one ``io_timeout`` deadline covers the
+    whole hello → config exchange, however slowly the bytes trickle.  A
     broken dialer never takes the listener down: handshake faults are
     counted at ``<site>.accept_loop.handshake``, anything else at
     ``<site>.accept_loop.unexpected`` (the chaos gate), and the
@@ -355,7 +376,7 @@ def serve_handshakes(
     Args:
         listener: Bound, listening socket.
         site: Telemetry site prefix (``"deploy"`` / ``"relay"``).
-        io_timeout: Receive timeout for the blocking exchange.
+        io_timeout: Budget of one whole blocking exchange.
         config: Produces the verification bundle to reply with (may
             block briefly, e.g. a relay still waiting for its own
             upstream config; raise ``TransportError`` to refuse).
@@ -367,9 +388,9 @@ def serve_handshakes(
         except OSError:
             return  # listener closed: shutdown
         try:
-            conn.settimeout(io_timeout)
+            deadline = time.monotonic() + io_timeout
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            data = recv_frame(conn)
+            data = recv_frame(conn, frame_limit(HelloFrame), deadline)
             if data is None:
                 raise TransportError("dialer closed during handshake")
             hello = frame_from_bytes(data)
@@ -378,6 +399,7 @@ def serve_handshakes(
                     f"expected HelloFrame, got {type(hello).__name__}"
                 )
             sent = config()
+            conn.settimeout(_time_left(deadline))
             send_frame(conn, frame_to_bytes(sent))
             attach(conn, hello, sent)
         except Exception as exc:  # broad by design: a broken dialer

@@ -1,33 +1,31 @@
-"""Message transport between the central server and its edge servers.
+"""The wire: nine typed frames, each declared once, as data.
 
 The paper's security model (Section 3.1, Figure 2) places edge servers
 *outside* the trust boundary: the central DBMS must be reachable from an
 edge only through an authenticated message channel, never through shared
-objects.  This module is that boundary.  All central↔edge traffic —
-snapshot transfers, replica delta batches, acknowledgements, and query
-request/responses — travels as typed, wire-serializable **frames** over
-a pluggable :class:`Transport`.
+objects.  This module is the vocabulary of that channel.  All
+central↔edge traffic — snapshot transfers, replica delta batches,
+acknowledgements, and query request/responses — travels as typed,
+wire-serializable **frames**; what carries them is a *link*
+(:mod:`repro.edge.link` in-process, :mod:`repro.edge.event_loop` over
+TCP).
 
-The in-process implementation (:class:`InProcessTransport`) absorbs the
-byte/latency accounting that used to live on raw
-:class:`~repro.edge.network.Channel` objects (one channel per
-direction), and adds **fault injection** so the fan-out engine's flow
-control and healing paths can be exercised deterministically:
-
-* ``partitioned`` — the link is down; sends fail outright.
-* ``drop_next`` — the next N frames are lost in flight (bytes leave the
-  sender but never reach the edge, and no ack comes back).
-* ``hold`` — a slow edge: frames queue in the link instead of being
-  delivered; they drain on :meth:`InProcessTransport.flush` once the
-  fault clears.  Combined with the fan-out engine's bounded in-flight
-  window this models per-edge backpressure.
-
-A real-socket transport only needs to reimplement
-``send``/``flush``/``poll``/``request`` over its medium; the frame
-codec is already byte-exact.  One exists: the event-loop
-:class:`~repro.edge.event_loop.ReactorTransport`, which honours the
-same three fault states by gating its connection's outbound queue (see
-:attr:`FaultInjector.blocks_delivery`).
+It is also the one piece of code that parses bytes from a party the
+system assumes hostile, so "well-formed" has exactly one definition:
+:data:`FRAMES`, one row per frame — tag, dataclass, direction,
+accounting kind, and per field a name, a **primitive** and a one-line
+meaning.  A primitive is a wire type *with its bound*: it refuses a
+wrong Python type, a non-canonical flag byte, and any length or count
+above its schema constant or above what the remaining bytes can hold —
+before any loop or allocation, in the encoder and the decoder alike, so
+a frame that encodes always decodes.  Everything else is derived from
+the table at import: :func:`frame_to_bytes` / :func:`frame_from_bytes`
+(one closure pair per frame), :func:`frame_kind`, :func:`frame_limit`
+and :data:`MAX_FRAME_BYTES`, the ``docs/ARCHITECTURE.md`` section 2
+tables (:func:`frame_reference`, diffed by ``tools/check_docs.py``) and
+the fuzzers' strategies (``tests/edge/test_frame_schema.py``).  Adding
+a field is one schema row plus one dataclass field; the two are tied
+together at import (DESIGN.md section 19).
 
 Role and ownership: the codec is shared vocabulary, not a seat — the
 same nine frames serve central→edge links, central→relay links, and
@@ -36,29 +34,18 @@ which is why byte-exactness is a protocol property and not a bench
 nicety).  Nothing in this module holds a signing key or verifies a
 signature: integrity lives inside the payloads (signed deltas,
 snapshots, VOs), so the transport layer — and anything that can
-read/modify it, a relay included — is untrusted by construction.  A
-``Transport`` instance belongs to the single sender thread that calls
-``send``/``flush``; concurrency, where it exists, is the medium's
-concern (the reactor's queue lock, the TCP transport's per-connection
-thread), never the codec's.  The authoritative field tables for every
-frame live in ``docs/ARCHITECTURE.md`` (enforced by
-``tools/check_docs.py``).
+read/modify it, a relay included — is untrusted by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+import dataclasses
+import struct
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
-from repro.crypto.encoding import (
-    decode_uint,
-    decode_value,
-    decode_values,
-    encode_uint,
-    encode_value,
-    encode_values,
-)
-from repro.edge.network import Channel, Transfer
+from repro.crypto.encoding import VALUE_HEADER, decode_payload, encode_value
 from repro.exceptions import TransportError
 
 __all__ = [
@@ -76,34 +63,28 @@ __all__ = [
     "range_query_frame",
     "secondary_query_frame",
     "select_query_frame",
+    "error_response",
+    "FRAMES",
+    "MAX_CURSORS",
+    "MAX_FRAME_BYTES",
     "frame_to_bytes",
     "frame_from_bytes",
-    "FaultInjector",
-    "SendOutcome",
-    "Transport",
-    "InProcessTransport",
+    "frame_kind",
+    "frame_limit",
+    "frame_reference",
 ]
 
 
 # ---------------------------------------------------------------------------
-# Frames
+# Frames — the field-by-field reference is the schema table below (and,
+# generated from it, docs/ARCHITECTURE.md section 2); the docstrings
+# here keep only what a table row cannot say.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SnapshotFrame:
-    """A full replica transfer (bootstrap / gap / rotation / heal).
-
-    Attributes:
-        table: Replica name (base table, join view, or secondary index).
-        lsn: Delta-log cursor the snapshot corresponds to.
-        epoch: Key epoch every signature in the payload was issued under.
-        naive: Whether the edge should also maintain the Naive
-            baseline's per-tuple signature store for this replica (the
-            payload already carries the signed tuple/attribute digests
-            the store needs).
-        payload: :func:`repro.core.wire.snapshot_to_bytes` output.
-    """
+    """A full replica transfer (bootstrap / gap / rotation / heal)."""
 
     table: str
     lsn: int
@@ -124,15 +105,11 @@ class DeltaFrame:
 class AckFrame:
     """Edge→central acknowledgement carrying the edge's cursor.
 
-    Attributes:
-        edge: Responding edge server's name.
-        table: Replica the ack refers to.
-        ok: True if the frame was applied.
-        lsn: The edge's delta cursor for ``table`` *after* processing.
-        epoch: Key epoch of the edge's replica after processing.
-        reason: Nack reason code (``""`` when ok) — one of ``stale``,
-            ``gap``, ``tamper``, ``diverged``, ``config`` (unknown key
-            epoch: re-send the config bundle, then retry), ``error``.
+    Since cumulative acks (DESIGN.md section 10) this is the *immediate*
+    reply: every rejection, and the control ack of a config refresh
+    (``table == ""``).  ``reason`` is a code, not prose — ``stale``,
+    ``gap``, ``tamper``, ``diverged``, ``config`` (unknown key epoch:
+    re-send the config bundle, then retry), ``error``.
     """
 
     edge: str
@@ -156,11 +133,6 @@ class CursorAckFrame:
     :class:`CursorProbeFrame`; rejections still travel as immediate
     :class:`AckFrame` nacks, so coalescing can never mask a
     tamper/gap signal.
-
-    Attributes:
-        edge: Responding edge server's name.
-        cursors: ``(table, lsn, epoch)`` for every replica the edge
-            holds — cumulative, never incremental.
     """
 
     edge: str
@@ -182,20 +154,11 @@ class CursorProbeFrame:
 
 @dataclass(frozen=True)
 class QueryRequestFrame:
-    """A client query addressed to an edge server.
-
-    Attributes:
-        kind: ``range`` (primary-key range), ``select`` (general
-            predicate), or ``secondary`` (range on an indexed
-            attribute).
-        table: Base table / view name.
-        attribute: Indexed attribute (``secondary`` only).
-        low/high: Range bounds (``range``/``secondary``).
-        columns: Projection, or ``None`` for all columns.
-        predicate: Serialized predicate (``select`` only) — see
-            :func:`repro.core.wire.predicate_to_bytes`.
-        vo_format: VO format name override, or ``None`` for the default.
-    """
+    """A client query addressed to an edge server: ``kind`` is
+    ``range`` (primary-key range), ``select`` (general predicate, the
+    only kind that carries ``predicate`` —
+    :func:`repro.core.wire.predicate_to_bytes`) or ``secondary`` (range
+    on an indexed ``attribute``)."""
 
     kind: str
     table: str
@@ -211,29 +174,18 @@ class QueryRequestFrame:
 class QueryResponseFrame:
     """An edge server's answer: a serialized authenticated result.
 
-    Attributes:
-        edge: Responding edge server's name.
-        payload: :func:`repro.core.wire.result_to_bytes` output (empty
-            when the query was rejected).
-        error: Why the query could not be answered (``""`` on
-            success) — e.g. a replica this edge does not hold.  Over a
-            socket the edge *must* answer every frame, so failures
-            travel as data instead of killing the serve loop.
-        lsn: Cursor echo — the responding replica's delta cursor at
-            answer time.  Clients (the query router) use it as a
-            staleness hint: it costs two varint bytes and saves a
-            central round-trip per freshness decision.  Untrusted like
-            everything from an edge — a lying cursor can only skew
-            routing, never verification.
-        epoch: Cursor echo — the replica's key epoch at answer time.
-        cursors: Piggybacked cumulative cursors — the same
-            ``(table, lsn, epoch)`` payload a
-            :class:`CursorAckFrame` carries, riding on a response the
-            edge was sending anyway (DESIGN.md section 10).  Routers
-            feed them into per-edge staleness hints for *every* replica
-            (not just the queried one), and the deployment layer feeds
-            them back into the fan-out engine's ack cursors.  Untrusted,
-            exactly like the ``lsn`` echo.
+    Over a socket the edge *must* answer every frame, so failures
+    travel as data (``error``, clipped to its bound where it is built —
+    :func:`error_response`) instead of killing the serve loop.
+
+    ``lsn`` / ``epoch`` echo the responding replica's cursor at answer
+    time, and ``cursors`` piggybacks the same cumulative payload a
+    :class:`CursorAckFrame` carries on a response the edge was sending
+    anyway (DESIGN.md sections 9 and 10): routers use them as staleness
+    hints for *every* replica, the deployment layer feeds them back
+    into the fan-out engine's ack cursors.  Untrusted like everything
+    from an edge — a lying cursor can only skew routing, never
+    verification.
     """
 
     edge: str
@@ -254,16 +206,12 @@ class HelloFrame:
     cursors it already holds so the central server can resume delta
     delivery instead of re-shipping snapshots.
 
-    Attributes:
-        edge: The edge server's name (transport link label).
-        cursors: ``(table, lsn, epoch)`` per replica the edge holds.
-        role: ``"edge"`` (the default) or ``"relay"``.  A relay dials
-            upstream exactly like an edge but holds no replicas of its
-            own — it stores and re-fans-out the signed frames verbatim
-            (DESIGN.md section 13).  The field rides as *optional
-            trailing bytes*: it is encoded only for non-default roles,
-            so every plain edge's hello stays byte-identical to the
-            pre-relay wire protocol.
+    ``role`` is ``"edge"`` (the default) or ``"relay"``.  A relay dials
+    upstream exactly like an edge but holds no replicas of its own — it
+    stores and re-fans-out the signed frames verbatim (DESIGN.md
+    section 13).  The field rides as *optional trailing bytes*: it is
+    encoded only for non-default roles, so every plain edge's hello
+    stays byte-identical to the pre-relay wire protocol.
     """
 
     edge: str
@@ -277,31 +225,16 @@ class ConfigFrame:
 
     Carries exactly what :class:`~repro.edge.central.ClientConfig`
     holds — database name, digest policy, and the PKI key-ring records
-    (public keys only).  In a one-process simulation the bundle is
-    passed as an object; over a socket it has to travel as bytes.
+    (public keys only) — plus the ack-coalescing policy the central
+    server wants this edge to run with.  In a one-process simulation
+    the bundle is passed as an object; over a socket it has to travel
+    as bytes.
 
-    Attributes:
-        db_name: Logical database name (hashed into every digest).
-        policy: Digest policy value string.
-        grace: Key-ring grace window.
-        clock: Key-ring logical clock.
-        epochs: ``(epoch, n, e, issued_at, expires_at)`` records;
-            ``expires_at`` is ``-1`` for still-current epochs.
-        ack_every: Ack-coalescing frame threshold the central server
-            wants this edge to run with (1 = acknowledge every frame,
-            the pre-batching cadence).
-        ack_bytes: Ack-coalescing byte threshold — an ack is emitted
-            once this many replication payload bytes have been absorbed
-            unacknowledged, whatever the frame count.
-        shard_id: Which signer shard this bundle belongs to (``-1`` =
-            unsharded central — the default, and the only value a
-            pre-sharding peer ever sees).
-        shard_map: The sharded plane's versioned placement map as
-            :meth:`~repro.edge.sharding.ShardMap.to_wire` tuples, or
-            ``None``.  Both shard fields ride as *optional trailing
-            bytes*: they are encoded only when a map is present, so a
-            single-shard deployment's config frame is byte-identical
-            to the pre-sharding wire protocol.
+    ``shard_id`` (``-1`` = unsharded central) and ``shard_map``
+    (:meth:`~repro.edge.sharding.ShardMap.to_wire` tuples, or ``None``)
+    ride together as *optional trailing bytes*: they are encoded only
+    when a map is present, so a single-shard deployment's config frame
+    is byte-identical to the pre-sharding wire protocol.
     """
 
     db_name: str
@@ -421,616 +354,518 @@ def config_from_frame(frame: ConfigFrame):
 
 Frame = Any  # union of the nine frame dataclasses
 
-_FRAME_SNAPSHOT = 0
-_FRAME_DELTA = 1
-_FRAME_ACK = 2
-_FRAME_QUERY = 3
-_FRAME_RESPONSE = 4
-_FRAME_HELLO = 5
-_FRAME_CONFIG = 6
-_FRAME_CURSOR_ACK = 7
-_FRAME_CURSOR_PROBE = 8
 
-#: Channel transfer kind per frame type (byte accounting breakdown).
-_FRAME_KINDS = {
-    SnapshotFrame: "snapshot",
-    DeltaFrame: "delta",
-    AckFrame: "ack",
-    CursorAckFrame: "ack",
-    CursorProbeFrame: "control",
-    QueryRequestFrame: "query",
-    QueryResponseFrame: "payload",
-    HelloFrame: "control",
-    ConfigFrame: "control",
-}
+# ---------------------------------------------------------------------------
+# Schema bounds — every length and count the frame layer reads is
+# refused above one of these (why each: DESIGN.md section 19).
+# ---------------------------------------------------------------------------
+
+#: Node, replica, column, policy, kind and reason-code names.
+MAX_NAME_BYTES = 255
+#: Error text of a :class:`QueryResponseFrame`.
+MAX_TEXT_BYTES = 1 << 10
+#: A range bound or a serialized predicate.
+MAX_SCALAR_BYTES = 1 << 16
+#: A snapshot, delta or result payload — what keeps the socket ceiling
+#: (:data:`MAX_FRAME_BYTES`) where the 1 GiB literal used to put it.
+MAX_PAYLOAD_BYTES = 1 << 30
+#: Entries in a cursor list (= replicas per node; the router bounds its
+#: per-edge staleness hints by the same fact) and in a shard map.
+MAX_CURSORS = 512
+#: Names in a projection.
+MAX_COLUMNS = 1024
+#: Key-ring records in a config; each integer of a record fits an
+#: 8192-bit modulus.
+MAX_EPOCHS = 256
+MAX_KEY_INT_BYTES = 1025
+#: Integers per shard-map entry (a range entry holds ``nshards - 1``
+#: boundaries), each a 64-bit key.
+MAX_SHARDS = 256
+MAX_SHARD_INT_BYTES = 9
+
+_U32 = struct.Struct(">I")
+_NONE = type(None)
 
 
-def _encode_cursors(cursors: Sequence[tuple[str, int, int]]) -> bytes:
-    """Shared ``(table, lsn, epoch)`` list encoding (hello / acks)."""
-    parts = [encode_uint(len(cursors))]
-    for table, lsn, epoch in cursors:
-        parts.append(encode_value(table))
-        parts.append(encode_uint(lsn))
-        parts.append(encode_uint(epoch))
-    return b"".join(parts)
+# ---------------------------------------------------------------------------
+# Primitives
+# ---------------------------------------------------------------------------
 
 
-def _decode_cursors(
-    data: bytes, offset: int
-) -> tuple[tuple[tuple[str, int, int], ...], int]:
-    count, offset = decode_uint(data, offset)
-    cursors = []
-    for _ in range(count):
-        table, offset = decode_value(data, offset)
-        lsn, offset = decode_uint(data, offset)
-        epoch, offset = decode_uint(data, offset)
-        cursors.append((table, lsn, epoch))
-    return tuple(cursors), offset
+class Primitive(NamedTuple):
+    """One wire type: how a field is written, read, documented, bounded.
+
+    ``encode(value, parts)`` appends the field's bytes to ``parts`` and
+    ``decode(data, offset, out) -> offset`` appends what it read to
+    ``out``; the two refuse the same values.  Whatever either raises that is not a ``TransportError`` —
+    a decoder running off the end of ``data`` (``struct.error``,
+    ``IndexError``), an encoder handed something it cannot even
+    measure — :func:`frame_from_bytes` / :func:`frame_to_bytes` report
+    as the ``TransportError`` it is.
+    """
+
+    wire: str        # "wire type" column of the generated doc tables
+    bound: str       # "bound" column
+    min_bytes: int   # fewest / most bytes one encoded field occupies
+    max_bytes: int
+    encode: Callable[[Any, list], None]
+    decode: Callable[[bytes, int, list], int]
+
+
+def _size(n: int) -> str:
+    for unit, step in (("GiB", 1 << 30), ("KiB", 1 << 10)):
+        if n % step == 0:
+            return f"{n // step} {unit}"
+    return f"{n} B"
+
+
+def _encode_uint(value: Any, parts: list) -> None:
+    if type(value) is not int or not 0 <= value <= 0xFFFFFFFF:
+        raise TransportError(f"not a uint: {value!r:.40}")
+    parts.append(_U32.pack(value))
+
+
+def _decode_uint(data: bytes, offset: int, out: list) -> int:
+    out.append(_U32.unpack_from(data, offset)[0])
+    return offset + 4
+
+
+def _byte(values: tuple) -> Primitive:
+    """One raw byte, the index of the field's value in ``values`` — any
+    other byte is non-canonical and refused."""
+    kind = type(values[0])
+    encoded = {value: bytes([index]) for index, value in enumerate(values)}
+
+    def encode(value: Any, parts: list) -> None:
+        if type(value) is not kind or value not in encoded:
+            raise TransportError(f"not one of {values}: {value!r:.40}")
+        parts.append(encoded[value])
+
+    def decode(data: bytes, offset: int, out: list) -> int:
+        if data[offset] >= len(values):
+            raise TransportError(f"non-canonical byte {data[offset]} for {values}")
+        out.append(values[data[offset]])
+        return offset + 1
+
+    bound = ", ".join(f"`{i}` = {v}" for i, v in enumerate(values))
+    return Primitive("1 raw byte", bound, 1, 1, encode, decode)
+
+
+def _value(kinds: tuple[type, ...], bound: int) -> Primitive:
+    """A ``value`` field (tag + uint length + payload,
+    :mod:`repro.crypto.encoding`) holding exactly one of ``kinds`` in
+    at most ``bound`` payload bytes — the announced length is checked
+    before the payload is touched."""
+
+    def encode(value: Any, parts: list) -> None:
+        if type(value) not in kinds:
+            raise TransportError(f"{wire} cannot hold a {type(value).__name__}")
+        data = encode_value(value)
+        if len(data) - 5 > bound:
+            raise TransportError(f"{wire} exceeds {_size(bound)}")
+        parts.append(data)
+
+    def decode(data: bytes, offset: int, out: list) -> int:
+        tag, length = header(data, offset)
+        start = offset + 5
+        end = start + length
+        if length > bound or end > len(data):
+            raise TransportError(f"{wire} exceeds {_size(bound)} or the frame")
+        value = decode_payload(tag, data[start:end])
+        if type(value) not in kinds:
+            raise TransportError(f"{wire} cannot hold a {type(value).__name__}")
+        out.append(value)
+        return end
+
+    header = VALUE_HEADER.unpack_from
+    names = "/".join("None" if k is _NONE else k.__name__ for k in kinds)
+    wire = "value" if len(kinds) > 2 else f"value ({names})"
+    return Primitive(wire, f"≤ {_size(bound)}", 5, 5 + bound, encode, decode)
+
+
+def _record(*prims: Primitive) -> Primitive:
+    """A fixed run of fields, as a tuple."""
+    writers = tuple(p.encode for p in prims)
+    readers = tuple(p.decode for p in prims)
+
+    def encode(values: Sequence, parts: list) -> None:
+        for write, value in zip(writers, values, strict=True):
+            write(value, parts)
+
+    def decode(data: bytes, offset: int, out: list) -> int:
+        fields: list = []
+        for read in readers:
+            offset = read(data, offset, fields)
+        out.append(tuple(fields))
+        return offset
+
+    return Primitive(
+        ", ".join(p.wire for p in prims),
+        ", ".join(p.bound for p in prims),
+        sum(p.min_bytes for p in prims),
+        sum(p.max_bytes for p in prims),
+        encode, decode,
+    )
+
+
+def _listof(item: Primitive, most: int) -> Primitive:
+    """``uint count`` then ``count`` items, as a tuple.  The count is
+    refused above ``most`` and above what the remaining bytes can hold
+    — before the loop runs."""
+    write, read, least = item.encode, item.decode, item.min_bytes
+
+    def encode(items: Sequence, parts: list) -> None:
+        if len(items) > most:
+            raise TransportError(f"{len(items)} entries exceed the bound {most}")
+        parts.append(_U32.pack(len(items)))
+        for item in items:
+            write(item, parts)
+
+    def decode(data: bytes, offset: int, out: list) -> int:
+        count = _U32.unpack_from(data, offset)[0]
+        offset += 4
+        if count > most or count * least > len(data) - offset:
+            raise TransportError(f"implausible count {count} (bound {most})")
+        items: list = []
+        for _ in range(count):
+            offset = read(data, offset, items)
+        out.append(tuple(items))
+        return offset
+
+    return Primitive(
+        f"uint count, then count × ({item.wire})",
+        f"≤ {most} entries ({item.bound})",
+        4, 4 + most * item.max_bytes, encode, decode,
+    )
+
+
+UINT = Primitive("uint", "< 2³²", 4, 4, _encode_uint, _decode_uint)
+FLAG = _byte((False, True))
+NAME = _value((str,), MAX_NAME_BYTES)
+OPT_NAME = _value((str, _NONE), MAX_NAME_BYTES)
+TEXT = _value((str,), MAX_TEXT_BYTES)
+PAYLOAD = _value((bytes,), MAX_PAYLOAD_BYTES)
+OPT_BYTES = _value((bytes, _NONE), MAX_SCALAR_BYTES)
+SCALAR = _value((_NONE, bool, int, float, str, bytes), MAX_SCALAR_BYTES)
+CURSORS = _listof(_record(NAME, UINT, UINT), MAX_CURSORS)._replace(
+    wire="cursor list (section 1)", bound=f"≤ {MAX_CURSORS} entries"
+)
+_KEY_INT = _value((int,), MAX_KEY_INT_BYTES)
+EPOCHS = _listof(_record(*[_KEY_INT] * 5), MAX_EPOCHS)._replace(
+    wire="uint count, then 5 × value (int) per record",
+    bound=f"≤ {MAX_EPOCHS} records, each int {_KEY_INT.bound}",
+)
+
+_NAMES = _listof(NAME, MAX_COLUMNS)
+
+
+def _encode_columns(columns: Optional[Sequence[str]], parts: list) -> None:
+    parts.append(b"\x00" if columns is None else b"\x01")
+    _NAMES.encode(columns or (), parts)
+
+
+def _decode_columns(data: bytes, offset: int, out: list) -> int:
+    present = data[offset]
+    if present > 1:
+        raise TransportError(f"non-canonical projection flag {present}")
+    offset = _NAMES.decode(data, offset + 1, out)
+    if not present:
+        if out[-1]:
+            raise TransportError("an absent projection carries no names")
+        out[-1] = None
+    return offset
+
+
+COLUMNS = Primitive(
+    "1 raw byte (`1` = a projection; `0` = all columns, count 0), "
+    + _NAMES.wire,
+    f"≤ {MAX_COLUMNS} names",
+    5, 1 + _NAMES.max_bytes, _encode_columns, _decode_columns,
+)
+
+_SHARD_INT = _value((int,), MAX_SHARD_INT_BYTES)
+_PLACEMENT = _record(  # one ShardMap.to_wire() entry
+    NAME, _byte(("hash", "range")), _listof(_SHARD_INT, MAX_SHARDS)
+)
+_SHARD_MAP = _record(  # version, nshards, seed, entries
+    UINT, UINT, _SHARD_INT, _listof(_PLACEMENT, MAX_CURSORS)
+)
+
+
+def _encode_shards(group: tuple[int, Optional[tuple]], parts: list) -> None:
+    shard_id, shard_map = group
+    if shard_map is not None:  # a shard id travels only alongside a map
+        _encode_uint(shard_id + 1, parts)  # -1 → 0
+        _SHARD_MAP.encode(shard_map, parts)
+
+
+def _decode_shards(data: bytes, offset: int, out: list) -> int:
+    if offset == len(data):  # absent: exactly the pre-sharding encoding
+        out += (-1, None)
+        return offset
+    offset = _decode_uint(data, offset, out)
+    out[-1] -= 1
+    return _SHARD_MAP.decode(data, offset, out)
+
+
+SHARDS = Primitive(
+    "uint shard id + 1, then the shard map (layout below); "
+    "**optional trailing**, both or neither",
+    f"≤ {MAX_CURSORS} entries of ≤ {MAX_SHARDS} ints, each {_SHARD_INT.bound}",
+    0, 4 + _SHARD_MAP.max_bytes, _encode_shards, _decode_shards,
+)
+
+_ROLES = ("edge", "relay")  # the first is the default and never encoded
+
+
+def _encode_role(role: Any, parts: list) -> None:
+    if role not in _ROLES:
+        raise TransportError(f"unknown role {role!r:.40}")
+    if role != _ROLES[0]:
+        NAME.encode(role, parts)
+
+
+def _decode_role(data: bytes, offset: int, out: list) -> int:
+    if offset == len(data):  # absent: exactly the pre-relay encoding
+        out.append(_ROLES[0])
+        return offset
+    offset = NAME.decode(data, offset, out)
+    if out[-1] not in _ROLES[1:]:
+        raise TransportError(f"unknown or non-canonical role {out[-1]!r:.40}")
+    return offset
+
+
+ROLE = Primitive(
+    "value (str), **optional trailing**", "`relay` (absent = `edge`)",
+    0, NAME.max_bytes, _encode_role, _decode_role,
+)
+
+
+# ---------------------------------------------------------------------------
+# The table
+# ---------------------------------------------------------------------------
+
+
+class FrameSpec(NamedTuple):
+    """One frame, declared once.
+
+    ``direction`` is ``down`` (central → relay → edge) or ``up``;
+    ``kind`` is the byte-accounting kind of
+    :class:`~repro.edge.network.Channel` transfers.  A field row is
+    ``(name, primitive, meaning)``; the one primitive that spans two
+    dataclass fields (:data:`SHARDS`) names both, space-separated.
+    """
+
+    tag: int
+    cls: type
+    direction: str
+    kind: str
+    purpose: str
+    fields: tuple[tuple[str, Primitive, str], ...]
+
+
+FRAMES: tuple[FrameSpec, ...] = (
+    FrameSpec(0, SnapshotFrame, "down", "snapshot", "full replica transfer", (
+        ("table", NAME, "replica name (table, join view, or index)"),
+        ("lsn", UINT, "delta-log cursor the snapshot corresponds to"),
+        ("epoch", UINT, "key epoch of every signature in the payload"),
+        ("naive", FLAG, "1 = also maintain the Naive baseline store"),
+        ("payload", PAYLOAD, "`snapshot_to_bytes` output (layout below)"),
+    )),
+    FrameSpec(1, DeltaFrame, "down", "delta", "sealed replica delta (or batch)", (
+        ("table", NAME, "replica the delta applies to"),
+        ("payload", PAYLOAD, "sealed body + signature (layout below)"),
+    )),
+    FrameSpec(2, AckFrame, "up", "ack", "per-table ack / immediate nack", (
+        ("edge", NAME, "responding peer's name"),
+        ("table", NAME, 'replica the ack refers to (`""` = control ack)'),
+        ("ok", FLAG, "applied, or rejected"),
+        ("lsn", UINT, "the peer's cursor for `table` after processing"),
+        ("epoch", UINT, "the peer's replica epoch after processing"),
+        ("reason", NAME, '`""` when ok, else a reason code (listed below)'),
+    )),
+    FrameSpec(3, QueryRequestFrame, "down", "query", "client query to an edge", (
+        ("kind", NAME, "`range`, `select`, or `secondary`"),
+        ("table", NAME, "base table / view name"),
+        ("attribute", OPT_NAME, "indexed attribute (`secondary` only)"),
+        ("low", SCALAR, "range lower bound (or None)"),
+        ("high", SCALAR, "range upper bound (or None)"),
+        ("columns", COLUMNS, "projection column names, or None for all"),
+        ("predicate", OPT_BYTES, "serialized predicate (`select` only)"),
+        ("vo_format", OPT_NAME, "VO format override"),
+    )),
+    FrameSpec(4, QueryResponseFrame, "up", "payload", "authenticated result", (
+        ("edge", NAME, "responding edge's name"),
+        ("payload", PAYLOAD, '`result_to_bytes` output (`b""` on error)'),
+        ("error", TEXT, 'why the query failed (`""` on success)'),
+        ("lsn", UINT, "cursor echo: replica cursor at answer time"),
+        ("epoch", UINT, "cursor echo: replica epoch at answer time"),
+        ("cursors", CURSORS, "piggybacked cumulative cursors (untrusted)"),
+    )),
+    FrameSpec(5, HelloFrame, "up", "control", "registration handshake (first)", (
+        ("edge", NAME, "the dialing peer's name"),
+        ("cursors", CURSORS, "replica cursors held (empty = fresh start)"),
+        ("role", ROLE, '`"edge"` (default) or `"relay"`'),
+    )),
+    FrameSpec(6, ConfigFrame, "down", "control", "verification bundle (reply)", (
+        ("db_name", NAME, "logical database name (hashed into digests)"),
+        ("policy", NAME, "digest policy value string"),
+        ("grace", UINT, "key-ring grace window"),
+        ("clock", UINT, "key-ring logical clock"),
+        ("epochs", EPOCHS, "`(epoch, n, e, issued_at, expires_at or −1)`"),
+        ("ack_every", UINT, "ack-coalescing frame threshold (1 = every)"),
+        ("ack_bytes", UINT, "ack-coalescing byte threshold"),
+        ("shard_id shard_map", SHARDS, "owning shard (−1 = none) and map"),
+    )),
+    FrameSpec(7, CursorAckFrame, "up", "ack", "cumulative batched ack", (
+        ("edge", NAME, "responding peer's name"),
+        ("cursors", CURSORS, "per-table `(lsn, epoch)`, cumulative"),
+    )),
+    FrameSpec(8, CursorProbeFrame, "down", "control", "ack solicitation", ()),
+)
+
+
+# ---------------------------------------------------------------------------
+# Derived: codec, accounting kinds, size limits, doc tables
+# ---------------------------------------------------------------------------
+
+
+def _codec(spec: FrameSpec) -> tuple[Callable, Callable]:
+    """The ``(encode, decode)`` closures of one schema row.
+
+    Raises:
+        TypeError: If the row's field names are not exactly the
+            dataclass's fields, in order — at import, so the two
+            cannot drift.
+    """
+    declared = [n for name, _prim, _meaning in spec.fields for n in name.split()]
+    actual = [f.name for f in dataclasses.fields(spec.cls)]
+    if declared != actual:
+        raise TypeError(
+            f"schema row of {spec.cls.__name__} names {declared}, "
+            f"the dataclass has {actual}"
+        )
+    tag = bytes([spec.tag])
+    cls = spec.cls
+    writers = tuple(
+        (prim.encode, attrgetter(*name.split()))
+        for name, prim, _meaning in spec.fields
+    )
+    readers = tuple(prim.decode for _name, prim, _meaning in spec.fields)
+
+    def encode(frame: Frame) -> bytes:
+        parts = [tag]
+        for write, get in writers:
+            write(get(frame), parts)
+        return b"".join(parts)
+
+    def decode(data: bytes) -> Frame:
+        out: list = []
+        offset = 1
+        for read in readers:
+            offset = read(data, offset, out)
+        if offset != len(data):
+            raise TransportError(f"{len(data) - offset} trailing frame bytes")
+        return cls(*out)
+
+    return encode, decode
+
+
+_ENCODERS, _DECODERS, _KINDS, _LIMITS = {}, {}, {}, {}
+for _spec in FRAMES:
+    _ENCODERS[_spec.cls], _DECODERS[_spec.tag] = _codec(_spec)
+    _KINDS[_spec.cls] = _spec.kind
+    _LIMITS[_spec.cls] = 1 + sum(prim.max_bytes for _n, prim, _m in _spec.fields)
+
+#: The largest frame the schema admits — the ceiling of every served
+#: link's length header (a snapshot of a large replica is a few MB;
+#: anything near this is a corrupted or hostile announce).
+MAX_FRAME_BYTES = max(_LIMITS.values())
 
 
 def frame_kind(frame: Frame) -> str:
     """The transfer-accounting kind for ``frame``."""
-    return _FRAME_KINDS[type(frame)]
+    return _KINDS[type(frame)]
+
+
+def frame_limit(cls: type) -> int:
+    """The most bytes a well-formed frame of type ``cls`` can occupy —
+    what a reader that knows which frame comes next (the handshake)
+    accepts at the length header."""
+    return _LIMITS[cls]
 
 
 def frame_to_bytes(frame: Frame) -> bytes:
-    """Serialize any transport frame (1-byte tag + typed fields)."""
-    if isinstance(frame, SnapshotFrame):
-        return b"".join(
-            (
-                bytes([_FRAME_SNAPSHOT]),
-                encode_value(frame.table),
-                encode_uint(frame.lsn),
-                encode_uint(frame.epoch),
-                bytes([1 if frame.naive else 0]),
-                encode_value(frame.payload),
-            )
-        )
-    if isinstance(frame, DeltaFrame):
-        return b"".join(
-            (
-                bytes([_FRAME_DELTA]),
-                encode_value(frame.table),
-                encode_value(frame.payload),
-            )
-        )
-    if isinstance(frame, AckFrame):
-        return b"".join(
-            (
-                bytes([_FRAME_ACK]),
-                encode_value(frame.edge),
-                encode_value(frame.table),
-                bytes([1 if frame.ok else 0]),
-                encode_uint(frame.lsn),
-                encode_uint(frame.epoch),
-                encode_value(frame.reason),
-            )
-        )
-    if isinstance(frame, QueryRequestFrame):
-        return b"".join(
-            (
-                bytes([_FRAME_QUERY]),
-                encode_value(frame.kind),
-                encode_value(frame.table),
-                encode_value(frame.attribute),
-                encode_value(frame.low),
-                encode_value(frame.high),
-                bytes([0 if frame.columns is None else 1]),
-                encode_values(frame.columns or ()),
-                encode_value(frame.predicate),
-                encode_value(frame.vo_format),
-            )
-        )
-    if isinstance(frame, QueryResponseFrame):
-        return b"".join(
-            (
-                bytes([_FRAME_RESPONSE]),
-                encode_value(frame.edge),
-                encode_value(frame.payload),
-                encode_value(frame.error),
-                encode_uint(frame.lsn),
-                encode_uint(frame.epoch),
-                _encode_cursors(frame.cursors),
-            )
-        )
-    if isinstance(frame, CursorAckFrame):
-        return b"".join(
-            (
-                bytes([_FRAME_CURSOR_ACK]),
-                encode_value(frame.edge),
-                _encode_cursors(frame.cursors),
-            )
-        )
-    if isinstance(frame, CursorProbeFrame):
-        return bytes([_FRAME_CURSOR_PROBE])
-    if isinstance(frame, HelloFrame):
-        parts = [
-            bytes([_FRAME_HELLO]),
-            encode_value(frame.edge),
-            _encode_cursors(frame.cursors),
-        ]
-        if frame.role != "edge":
-            # Optional trailing role byte(s): absent for plain edges,
-            # so their hello stays byte-identical to the pre-relay
-            # protocol (and a pre-relay decoder would accept it).
-            parts.append(encode_value(frame.role))
-        return b"".join(parts)
-    if isinstance(frame, ConfigFrame):
-        parts = [
-            bytes([_FRAME_CONFIG]),
-            encode_value(frame.db_name),
-            encode_value(frame.policy),
-            encode_uint(frame.grace),
-            encode_uint(frame.clock),
-            encode_uint(len(frame.epochs)),
-        ]
-        for record in frame.epochs:
-            parts.extend(encode_value(field_) for field_ in record)
-        parts.append(encode_uint(frame.ack_every))
-        parts.append(encode_uint(frame.ack_bytes))
-        if frame.shard_map is not None:
-            # Optional trailing shard fields: absent for an unsharded
-            # central, so the single-shard frame stays byte-identical
-            # to the pre-sharding protocol (and a pre-sharding decoder
-            # would accept it unchanged).
-            parts.append(encode_uint(frame.shard_id + 1))  # -1 → 0
-            parts.append(_encode_shard_map(frame.shard_map))
-        return b"".join(parts)
-    raise TransportError(f"cannot serialize frame {type(frame).__name__}")
+    """Serialize any transport frame (1-byte tag + typed fields).
 
-
-def _encode_shard_map(wire: tuple) -> bytes:
-    """Encode :meth:`~repro.edge.sharding.ShardMap.to_wire` tuples."""
-    version, nshards, seed, entries = wire
-    parts = [
-        encode_uint(version),
-        encode_uint(nshards),
-        encode_value(seed),
-        encode_uint(len(entries)),
-    ]
-    for name, kind, payload in entries:
-        parts.append(encode_value(name))
-        parts.append(bytes([0 if kind == "hash" else 1]))
-        parts.append(encode_uint(len(payload)))
-        parts.extend(encode_value(v) for v in payload)
-    return b"".join(parts)
-
-
-def _decode_shard_map(data: bytes, offset: int) -> tuple[tuple, int]:
-    version, offset = decode_uint(data, offset)
-    nshards, offset = decode_uint(data, offset)
-    seed, offset = decode_value(data, offset)
-    count, offset = decode_uint(data, offset)
-    entries = []
-    for _ in range(count):
-        name, offset = decode_value(data, offset)
-        kind = "hash" if data[offset] == 0 else "range"
-        offset += 1
-        width, offset = decode_uint(data, offset)
-        payload = []
-        for _ in range(width):
-            value, offset = decode_value(data, offset)
-            payload.append(value)
-        entries.append((name, kind, tuple(payload)))
-    return (version, nshards, seed, tuple(entries)), offset
+    Raises:
+        TransportError: For a non-frame, a field of the wrong type, or
+            a length or count above its schema bound — whatever
+            :func:`frame_from_bytes` would refuse.
+    """
+    try:
+        encode = _ENCODERS[type(frame)]
+    except KeyError:
+        raise TransportError(
+            f"cannot serialize frame {type(frame).__name__}"
+        ) from None
+    try:
+        return encode(frame)
+    except TransportError:
+        raise
+    except Exception as exc:
+        raise TransportError(f"unencodable frame: {exc}") from exc
 
 
 def frame_from_bytes(data: bytes) -> Frame:
     """Parse the serialization produced by :func:`frame_to_bytes`.
 
     Raises:
-        TransportError: On an empty, unknown-tag, or trailing-byte
-            payload.
+        TransportError: On an empty, unknown-tag, truncated, mistyped,
+            over-bound or trailing-byte payload — never anything else.
     """
     if not data:
         raise TransportError("empty frame")
-    tag = data[0]
-    offset = 1
     try:
-        if tag == _FRAME_SNAPSHOT:
-            table, offset = decode_value(data, offset)
-            lsn, offset = decode_uint(data, offset)
-            epoch, offset = decode_uint(data, offset)
-            naive = bool(data[offset])
-            offset += 1
-            payload, offset = decode_value(data, offset)
-            frame: Frame = SnapshotFrame(
-                table=table, lsn=lsn, epoch=epoch, naive=naive, payload=payload
-            )
-        elif tag == _FRAME_DELTA:
-            table, offset = decode_value(data, offset)
-            payload, offset = decode_value(data, offset)
-            frame = DeltaFrame(table=table, payload=payload)
-        elif tag == _FRAME_ACK:
-            edge, offset = decode_value(data, offset)
-            table, offset = decode_value(data, offset)
-            ok = bool(data[offset])
-            offset += 1
-            lsn, offset = decode_uint(data, offset)
-            epoch, offset = decode_uint(data, offset)
-            reason, offset = decode_value(data, offset)
-            frame = AckFrame(
-                edge=edge, table=table, ok=ok, lsn=lsn, epoch=epoch,
-                reason=reason,
-            )
-        elif tag == _FRAME_QUERY:
-            kind, offset = decode_value(data, offset)
-            table, offset = decode_value(data, offset)
-            attribute, offset = decode_value(data, offset)
-            low, offset = decode_value(data, offset)
-            high, offset = decode_value(data, offset)
-            has_columns = bool(data[offset])
-            offset += 1
-            columns, offset = decode_values(data, offset)
-            predicate, offset = decode_value(data, offset)
-            vo_format, offset = decode_value(data, offset)
-            frame = QueryRequestFrame(
-                kind=kind,
-                table=table,
-                attribute=attribute,
-                low=low,
-                high=high,
-                columns=tuple(columns) if has_columns else None,
-                predicate=predicate,
-                vo_format=vo_format,
-            )
-        elif tag == _FRAME_RESPONSE:
-            edge, offset = decode_value(data, offset)
-            payload, offset = decode_value(data, offset)
-            error, offset = decode_value(data, offset)
-            lsn, offset = decode_uint(data, offset)
-            epoch, offset = decode_uint(data, offset)
-            cursors, offset = _decode_cursors(data, offset)
-            frame = QueryResponseFrame(
-                edge=edge, payload=payload, error=error, lsn=lsn,
-                epoch=epoch, cursors=cursors,
-            )
-        elif tag == _FRAME_CURSOR_ACK:
-            edge, offset = decode_value(data, offset)
-            cursors, offset = _decode_cursors(data, offset)
-            frame = CursorAckFrame(edge=edge, cursors=cursors)
-        elif tag == _FRAME_CURSOR_PROBE:
-            frame = CursorProbeFrame()
-        elif tag == _FRAME_HELLO:
-            edge, offset = decode_value(data, offset)
-            cursors, offset = _decode_cursors(data, offset)
-            # Optional trailing role field (relays only) — its absence
-            # is exactly the pre-relay encoding.
-            role = "edge"
-            if offset < len(data):
-                role, offset = decode_value(data, offset)
-            frame = HelloFrame(edge=edge, cursors=cursors, role=role)
-        elif tag == _FRAME_CONFIG:
-            db_name, offset = decode_value(data, offset)
-            policy, offset = decode_value(data, offset)
-            grace, offset = decode_uint(data, offset)
-            clock, offset = decode_uint(data, offset)
-            count, offset = decode_uint(data, offset)
-            epochs = []
-            for _ in range(count):
-                record = []
-                for _field in range(5):
-                    value, offset = decode_value(data, offset)
-                    record.append(value)
-                epochs.append(tuple(record))
-            ack_every, offset = decode_uint(data, offset)
-            ack_bytes, offset = decode_uint(data, offset)
-            # Optional trailing shard fields (sharded planes only) —
-            # their absence is exactly the pre-sharding encoding.
-            shard_id, shard_map = -1, None
-            if offset < len(data):
-                raw_shard, offset = decode_uint(data, offset)
-                shard_id = raw_shard - 1
-                shard_map, offset = _decode_shard_map(data, offset)
-            frame = ConfigFrame(
-                db_name=db_name, policy=policy, grace=grace, clock=clock,
-                epochs=tuple(epochs), ack_every=ack_every,
-                ack_bytes=ack_bytes, shard_id=shard_id,
-                shard_map=shard_map,
-            )
-        else:
-            raise TransportError(f"unknown frame tag {tag}")
+        decode = _DECODERS[data[0]]
+    except KeyError:
+        raise TransportError(f"unknown frame tag {data[0]}") from None
+    try:
+        return decode(data)
     except TransportError:
         raise
     except Exception as exc:
         raise TransportError(f"malformed frame: {exc}") from exc
-    if offset != len(data):
-        raise TransportError(f"{len(data) - offset} trailing frame bytes")
-    return frame
 
 
-# ---------------------------------------------------------------------------
-# Transport
-# ---------------------------------------------------------------------------
+def _table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    lines = [header, ["---"] * len(header), *rows]
+    return "\n".join("| " + " | ".join(cells) + " |" for cells in lines)
 
 
-@dataclass
-class FaultInjector:
-    """Mutable fault state of one link (see module docstring).
-
-    Attributes:
-        partitioned: Link down; sends fail, nothing leaves the sender.
-        drop_next: Lose the next N frames in flight.
-        hold: Queue frames instead of delivering (slow edge); they
-            drain on :meth:`InProcessTransport.flush` once cleared.
-        delay: Per-frame latency shaping, in seconds.  The in-process
-            link models it as a one-flush delivery delay (the frame is
-            queued like a held frame but drains on the *next* flush
-            even while the fault persists — a slow link, not a wedged
-            one); the reactor parks the connection's queue until the
-            deadline passes without ever blocking the loop.
-    """
-
-    partitioned: bool = False
-    drop_next: int = 0
-    hold: bool = False
-    delay: float = 0.0
-
-    @property
-    def blocks_delivery(self) -> bool:
-        """True while queued frames must stay in the link.
-
-        Both the held (slow-edge) and partitioned states park a
-        reactor connection's outbound queue — the event loop skips it
-        entirely, so a faulted edge costs zero syscalls per spin and
-        can never delay a healthy edge's flush (DESIGN.md section 11).
-        """
-        return self.partitioned or self.hold
-
-    def clear(self) -> None:
-        """Return the link to healthy operation."""
-        self.partitioned = False
-        self.drop_next = 0
-        self.hold = False
-        self.delay = 0.0
+def frame_reference() -> dict[str, str]:
+    """The generated blocks of ``docs/ARCHITECTURE.md`` section 2:
+    ``"catalog"`` plus one field table per frame class name."""
+    blocks = {"catalog": _table(
+        ["tag", "frame", "direction", "accounting kind", "at most", "purpose"],
+        [[str(s.tag), f"`{s.cls.__name__}`", s.direction, s.kind,
+          f"{_LIMITS[s.cls]} B", s.purpose] for s in FRAMES],
+    )}
+    for spec in FRAMES:
+        blocks[spec.cls.__name__] = _table(
+            ["field", "wire type", "bound", "meaning"],
+            [[", ".join(f"`{n}`" for n in name.split()), prim.wire,
+              prim.bound, meaning] for name, prim, meaning in spec.fields],
+        ) if spec.fields else "Tag byte only — no fields."
+    return blocks
 
 
-@dataclass
-class SendOutcome:
-    """What happened to one sent frame.
-
-    Attributes:
-        status: ``delivered`` (processed by the peer, ``replies``
-            populated), ``queued`` (in the link, ack pending),
-            ``dropped`` (lost in flight), or ``failed`` (partitioned —
-            nothing left the sender).
-        replies: Frames the peer sent back (delivered sends only).
-        transfer: Byte/latency accounting record (absent when failed).
-    """
-
-    status: str
-    replies: list = field(default_factory=list)
-    transfer: Optional[Transfer] = None
-
-    @property
-    def delivered(self) -> bool:
-        return self.status == "delivered"
-
-
-class Transport:
-    """Abstract point-to-point frame transport (central/client side).
-
-    Concrete transports implement :meth:`send` and :meth:`flush`; the
-    edge side registers a frame handler via :meth:`connect` (in-process)
-    or speaks the same frames over a socket
-    (:mod:`repro.edge.socket_transport`).
-
-    Byte metering lives *here*, not in the concrete transports: every
-    implementation records outbound frames through :meth:`_record_send`
-    and inbound replies through :meth:`_record_reply`, so the
-    per-direction :class:`~repro.edge.network.Channel` accounting
-    (and therefore every byte-based bench) is identical whichever
-    medium carries the frames.
-
-    Args:
-        name: Link label (usually the edge server's name).
-        down_channel: Sender→peer byte accounting (snapshots, deltas,
-            queries); created if not given.
-        up_channel: Peer→sender byte accounting (acks, query
-            responses); created if not given.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        down_channel: Channel | None = None,
-        up_channel: Channel | None = None,
-    ) -> None:
-        self.name = name
-        self.down_channel = down_channel or Channel()
-        self.up_channel = up_channel or Channel()
-
-    # -- metering (one implementation for every medium) -----------------
-
-    def _record_send(self, data: bytes, frame: Frame) -> Transfer:
-        """Meter one outbound serialized frame."""
-        return self.down_channel.send(len(data), kind=frame_kind(frame))
-
-    def _record_reply(self, data: bytes, frame: Frame) -> Transfer:
-        """Meter one inbound serialized reply frame."""
-        return self.up_channel.send(len(data), kind=frame_kind(frame))
-
-    # -- the transport surface ------------------------------------------
-
-    @property
-    def queued_frames(self) -> int:
-        """Frames in the link (sent, not yet acknowledged/processed)."""
-        return 0
-
-    @property
-    def connected(self) -> bool:
-        """False once the link is known dead (socket fault, closed).
-
-        A *faulted but recoverable* link (partitioned/held in-process
-        injection) still reports True — connectedness is about whether
-        replies can ever arrive on this object, not about the current
-        weather.
-        """
-        return True
-
-    def connect(self, handler: Callable[[bytes], Sequence[bytes]]) -> None:
-        """Register the peer's handler (receives and returns *bytes*)."""
-        raise NotImplementedError
-
-    def send(self, frame: Frame) -> SendOutcome:
-        """Ship one frame; never raises on link faults (see outcome)."""
-        raise NotImplementedError
-
-    def flush(self) -> list:
-        """Deliver/collect queued frames; returns the peer's replies.
-
-        Never blocks: a transport whose replies arrive asynchronously
-        (the reactor link) returns only what has already landed, so
-        this is safe on a write path.  Callers that must *wait* for a
-        settle drive :meth:`poll` (the fan-out engine's
-        probe-then-poll drain) — under coalesced acks the number of
-        replies is not knowable from the number of sends, so "block
-        until every reply arrived" is not a question a link can
-        answer.
-        """
-        raise NotImplementedError
-
-    def poll(self) -> list:
-        """Block until at least one reply frame is available (or the
-        link dies), then return everything available.
-
-        The settle primitive for the batched-ack protocol (DESIGN.md
-        section 10): after soliciting a :class:`CursorProbeFrame`, the
-        fan-out engine polls for the cumulative ack instead of
-        counting one reply per sent frame.  Returns ``[]`` only when
-        nothing can arrive anymore — the link is dead, held, or timed
-        out — never as "not yet".
-        """
-        return self.flush()
-
-    def request(self, frame: Frame) -> Frame:
-        """One synchronous request/reply round-trip (the query path).
-
-        Every transport must offer this so client-side query code (the
-        router, the deployment layer) is medium-agnostic and query
-        traffic is metered identically over every medium — the same
-        consolidation the ABC already provides for send-path metering.
-
-        Raises:
-            TransportError: If the link is down, drops the exchange, or
-                (in-process fault injection) holds the reply past the
-                caller's patience — the in-flight equivalent of a
-                receive timeout.
-        """
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release any underlying resources (no-op by default)."""
-
-
-class InProcessTransport(Transport):
-    """Same-process transport with byte accounting and fault injection.
-
-    Args:
-        name: Link label (usually the edge server's name).
-        down_channel: Sender→peer byte accounting (snapshots, deltas,
-            queries); created if not given.
-        up_channel: Peer→sender byte accounting (acks, query
-            responses); created if not given.
-        faults: Initial fault state (healthy by default).
-
-    The peer handler is wired with :meth:`connect` and exchanges only
-    serialized bytes — the two endpoints share no mutable objects, which
-    is what makes the trust boundary real even in-process.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        down_channel: Channel | None = None,
-        up_channel: Channel | None = None,
-        faults: FaultInjector | None = None,
-    ) -> None:
-        super().__init__(name, down_channel, up_channel)
-        self.faults = faults or FaultInjector()
-        self._handler: Callable[[bytes], Sequence[bytes]] | None = None
-        self._queue: list[bytes] = []
-
-    def connect(self, handler: Callable[[bytes], Sequence[bytes]]) -> None:
-        self._handler = handler
-
-    @property
-    def queued_frames(self) -> int:
-        """Frames sitting in the link awaiting :meth:`flush`."""
-        return len(self._queue)
-
-    @property
-    def connected(self) -> bool:
-        """An in-process link is alive once a handler is wired; fault
-        injection (partition/hold) is weather, not death."""
-        return self._handler is not None
-
-    def send(self, frame: Frame) -> SendOutcome:
-        if self._handler is None:
-            raise TransportError(f"transport {self.name!r} is not connected")
-        if self.faults.partitioned:
-            return SendOutcome(status="failed")
-        data = frame_to_bytes(frame)
-        transfer = self._record_send(data, frame)
-        if self.faults.drop_next > 0:
-            self.faults.drop_next -= 1
-            return SendOutcome(status="dropped", transfer=transfer)
-        if self.faults.hold or self.faults.delay > 0:
-            # A held frame waits for the fault to clear; a delayed
-            # frame merely waits for the next flush — the in-process
-            # model of a slow link is "delivered one tick late".
-            self._queue.append(data)
-            return SendOutcome(status="queued", transfer=transfer)
-        return SendOutcome(
-            status="delivered",
-            replies=self._deliver(data),
-            transfer=transfer,
-        )
-
-    def flush(self) -> list:
-        """Drain held frames once faults have cleared.
-
-        Returns the peer's accumulated reply frames; a no-op (empty
-        list) while the link is still partitioned or holding.
-        """
-        if self.faults.partitioned or self.faults.hold:
-            return []
-        replies: list = []
-        while self._queue:
-            replies.extend(self._deliver(self._queue.pop(0)))
-        return replies
-
-    def request(self, frame: Frame) -> Frame:
-        """One synchronous round-trip, with fault injection applied.
-
-        The query-path mirror of :meth:`ReactorTransport.request
-        <repro.edge.event_loop.ReactorTransport.request>`: a
-        partitioned link raises, a dropped request raises (the reply
-        will never come), and a held request raises too — the frame
-        stays queued in the slow link (it was metered as sent and the
-        edge will eventually process it on :meth:`flush`), but a
-        synchronous caller cannot wait for it, exactly like a receive
-        timeout against a wedged TCP peer.
-        """
-        outcome = self.send(frame)
-        if outcome.status == "failed":
-            raise TransportError(f"link to {self.name!r} is down")
-        if outcome.status == "dropped":
-            raise TransportError(
-                f"request to {self.name!r} lost in flight"
-            )
-        if outcome.status == "queued":
-            raise TransportError(
-                f"link to {self.name!r} timed out (peer holding frames)"
-            )
-        (reply,) = outcome.replies
-        return reply
-
-    def _deliver(self, data: bytes) -> list:
-        assert self._handler is not None
-        replies = []
-        for reply_bytes in self._handler(data):
-            reply = frame_from_bytes(reply_bytes)
-            self._record_reply(reply_bytes, reply)
-            replies.append(reply)
-        return replies
+def error_response(edge: str, error: str) -> QueryResponseFrame:
+    """The reply to a request that could not be answered.  The text is
+    usually an exception message, which a peer can make arbitrarily
+    long, so it is clipped to the ``error`` field's bound here, where
+    it is built — the reply must always encode."""
+    raw = error.encode("utf-8", "replace")[:MAX_TEXT_BYTES]
+    return QueryResponseFrame(
+        edge=edge, payload=b"", error=raw.decode("utf-8", "ignore")
+    )

@@ -1,4 +1,5 @@
-"""Golden vectors for the nine transport frames.
+"""Golden vectors for the nine transport frames, and the mistyped
+frames the hand-written decoder used to accept.
 
 Frozen from ``frame_to_bytes`` at commit 7b3d5eb, *before* the frame
 codec was derived from the schema table (DESIGN.md §19): a codec may be
@@ -9,6 +10,7 @@ each optional-trailing group present (the relay hello, a sharded
 config with a hash and a range entry) and each query kind.
 """
 
+from repro.crypto.encoding import encode_uint, encode_value
 from repro.edge.transport import (
     AckFrame,
     ConfigFrame,
@@ -115,5 +117,38 @@ GOLDEN_FRAMES = {
         CursorProbeFrame(),
         1,
         "beead77994cf573341ec17b58bbf7eb34d2711c993c1d976b128b3188dc1829a",
+    ),
+}
+
+
+def _raw(tag: int, *parts: bytes) -> bytes:
+    return bytes([tag]) + b"".join(parts)
+
+
+_V, _U = encode_value, encode_uint
+
+#: name -> wire bytes the hand-written decoder (commit 7b3d5eb) accepted
+#: as a frame although a field has the wrong type or a non-canonical
+#: encoding — built by hand, because the schema's encoder refuses them.
+#: Every one is a ``TransportError`` at the decoder now.
+MISTYPED_FRAMES = {
+    # SnapshotFrame(table=5): installed as replica ``5`` and bricked
+    # ``sorted(replicas)`` on every later ack.
+    "snapshot_table_int": _raw(0, _V(5), _U(0), _U(0), b"\x00", _V(b"")),
+    "delta_payload_str": _raw(1, _V("t"), _V("p")),
+    "hello_edge_none": _raw(5, _V(None), _U(0)),
+    "response_error_int": _raw(
+        4, _V("e"), _V(b""), _V(7), _U(0), _U(0), _U(0)
+    ),
+    "flag_byte_2": _raw(2, _V("e"), _V("t"), b"\x02", _U(0), _U(0), _V("")),
+    "flag_byte_255": _raw(2, _V("e"), _V("t"), b"\xff", _U(0), _U(0), _V("")),
+    # has-columns = 0 ("all columns"), yet one name follows.
+    "absent_projection_with_names": _raw(
+        3, _V("range"), _V("t"), _V(None), _V(None), _V(None),
+        b"\x00", _U(1), _V("id"), _V(None), _V(None),
+    ),
+    "epoch_record_of_strings": _raw(
+        6, _V("db"), _V("flattened"), _U(0), _U(0),
+        _U(1), _V("0"), _V("n"), _V("e"), _V("0"), _V("-1"), _U(1), _U(1),
     ),
 }

@@ -25,11 +25,11 @@ from repro.edge.central import CentralServer, ReplicationMode
 from repro.edge.deploy import Deployment
 from repro.edge.fanout import AdaptiveWindow
 from repro.edge.serve import run_edge
+from repro.edge.link import InProcessTransport
 from repro.edge.transport import (
     AckFrame,
     CursorAckFrame,
     CursorProbeFrame,
-    InProcessTransport,
     frame_from_bytes,
     frame_to_bytes,
     range_query_frame,

@@ -352,20 +352,23 @@ class TestDeltaAdversary:
 
         server = CentralServer(
             db_name=DB, rsa_bits=512, seed=29,
-            replication=ReplicationMode.LAZY, enable_naive=True,
+            replication=ReplicationMode.LAZY,
         )
         schema, rows = generate_table(TableSpec(name="t", rows=80, columns=4))
         server.create_table(schema, rows, fanout_override=6)
         edge = server.spawn_edge_server("victim")
         server.insert("t", (9001, "a", "b", "c"))
         payload, _head = server.delta_payload("t", edge.replica_lsns["t"])
-        naive = edge.naive_replicas["t"]
-        before = dict(naive._auth)
+        # The naive baseline is served from the replica's TupleAuth map
+        # (there is no second store to keep in step).
+        before = dict(edge.replica("t")._tuple_auth)
+        served, _nbytes = edge.naive_range_query("t")
         forged = payload[:-1] + bytes([payload[-1] ^ 0x01])
         (reply,) = edge.handle_frame(frame_to_bytes(DeltaFrame("t", forged)))
         ack = frame_from_bytes(reply)
         assert (ack.ok, ack.reason, ack.lsn) == (False, "tamper", 0)
-        assert dict(naive._auth) == before
+        assert dict(edge.replica("t")._tuple_auth) == before
+        assert edge.naive_range_query("t")[0] == served
 
     def test_declared_width_mismatch_rejected_before_any_public_key_op(self):
         """A payload that parses, but whose declared signature width is

@@ -11,7 +11,7 @@ DB = "edgedb"
 
 @pytest.fixture(scope="module")
 def central():
-    server = CentralServer(db_name=DB, rsa_bits=512, seed=11, enable_naive=True)
+    server = CentralServer(db_name=DB, rsa_bits=512, seed=11)
     spec = TableSpec(name="items", rows=200, columns=6, seed=3)
     schema, rows = generate_table(spec)
     server.create_table(schema, rows, fanout_override=8)
@@ -60,6 +60,37 @@ class TestQueryFlow:
         result, nbytes = edge.naive_range_query("items", low=10, high=40)
         assert client.verify_naive(result)
         assert nbytes > 0
+
+    @pytest.mark.parametrize("columns", [None, ("id", "a2")])
+    def test_naive_query_equals_the_standalone_reference(self, columns):
+        """The edge assembles the baseline from its replica's TupleAuth;
+        ``NaiveStore.build`` — the scheme run on its own, signing every
+        row itself — must produce the same wire object, digest for
+        digest (an insert and a delete in, so deltas are covered too)."""
+        from repro.baselines.naive import NaiveStore
+
+        server = CentralServer(db_name=DB, rsa_bits=512, seed=12)
+        schema, rows = generate_table(
+            TableSpec(name="items", rows=60, columns=4, seed=3)
+        )
+        table = server.create_table(schema, rows, fanout_override=4)
+        edge = server.spawn_edge_server("edge-naive")
+        server.insert("items", (9001, "a", "b", "c"))
+        server.delete("items", 25)
+        reference = NaiveStore.build(
+            schema, table.scan(), server._signing_engine()
+        ).build_result(
+            [row for row in table.scan() if 10 <= row.key <= 9001], columns
+        )
+        result, nbytes = edge.naive_range_query(
+            "items", low=10, high=9001, columns=columns
+        )
+        assert len(result.rows) == 50
+        assert result.tuple_digests == reference.tuple_digests
+        assert result.filtered_attr_digests == reference.filtered_attr_digests
+        sig_len = server.public_key.signature_len
+        assert nbytes == reference.wire_size(sig_len) == result.wire_size(sig_len)
+        assert result == reference
 
     def test_missing_replica_raises(self, central, edge):
         from repro.exceptions import ReplicationError

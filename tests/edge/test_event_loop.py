@@ -12,7 +12,7 @@ section 11) end to end:
   decoding, gate parking, and same-spin handler replies.
 * :class:`~repro.edge.event_loop.ReactorTransport` — fault-injection
   outcome and byte-metering parity with
-  :class:`~repro.edge.transport.InProcessTransport`.
+  :class:`~repro.edge.link.InProcessTransport`.
 * Reactor deployments — :class:`~repro.edge.event_loop.EdgeHost` edges
   over real loopback TCP against a :class:`~repro.edge.deploy.Deployment`:
   end-to-end replication + verified queries, the slow-edge
@@ -37,17 +37,9 @@ import pytest
 from repro.edge.central import CentralServer
 from repro.edge.deploy import Deployment
 from repro.edge.event_loop import EdgeEventLoop, EdgeHost, ReactorTransport
-from repro.edge.socket_transport import (
-    FRAME_HEADER,
-    MAX_FRAME_BYTES,
-    FrameDecoder,
-)
-from repro.edge.transport import (
-    DeltaFrame,
-    FaultInjector,
-    InProcessTransport,
-    frame_to_bytes,
-)
+from repro.edge.link import FaultInjector, InProcessTransport
+from repro.edge.socket_transport import FRAME_HEADER, FrameDecoder
+from repro.edge.transport import MAX_FRAME_BYTES, DeltaFrame, frame_to_bytes
 from repro.exceptions import TransportError
 from repro.workloads.generator import TableSpec, generate_table
 

@@ -5,10 +5,9 @@ import pytest
 
 from repro.edge.central import CentralServer, ReplicationMode
 from repro.edge.fanout import FanoutEngine
+from repro.edge.link import FaultInjector, InProcessTransport
 from repro.edge.transport import (
     AckFrame,
-    FaultInjector,
-    InProcessTransport,
     SnapshotFrame,
     frame_from_bytes,
     frame_to_bytes,

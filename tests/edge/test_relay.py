@@ -26,11 +26,11 @@ from repro.edge.central import CentralServer, ReplicationMode
 from repro.edge.edge_server import EdgeServer
 from repro.edge.relay import RelayServer, _TableStore
 from repro.edge.sharding import ShardMap
+from repro.edge.link import InProcessTransport
 from repro.edge.transport import (
     CursorAckFrame,
     DeltaFrame,
     HelloFrame,
-    InProcessTransport,
     SnapshotFrame,
     config_from_frame,
     config_to_frame,

@@ -16,8 +16,8 @@ from repro.core.wire import result_from_bytes
 from repro.edge.central import CentralServer
 from repro.edge.edge_server import EdgeServer
 from repro.edge.relay import RelayServer
+from repro.edge.link import InProcessTransport
 from repro.edge.transport import (
-    InProcessTransport,
     config_from_frame,
     frame_from_bytes,
     frame_to_bytes,

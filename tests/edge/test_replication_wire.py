@@ -34,7 +34,6 @@ from tests.edge.parent_format_fixtures import (
 
 def _replica_state(edge, table):
     vbt = edge.replica(table)
-    naive = edge.naive_replicas.get(table)
     return (
         vbt,
         vbt.version,
@@ -44,7 +43,6 @@ def _replica_state(edge, table):
         list(vbt.tree.items()),
         dict(vbt._tuple_auth),
         dict(vbt._node_auth),
-        None if naive is None else dict(naive._auth),
     )
 
 
@@ -202,7 +200,7 @@ def test_canaries_are_still_rejected():
 @pytest.fixture
 def victim():
     server = CentralServer(
-        db_name="dietdb", rsa_bits=512, seed=47, enable_naive=True,
+        db_name="dietdb", rsa_bits=512, seed=47,
         replication=ReplicationMode.LAZY,
     )
     schema, rows = generate_table(TableSpec(name="t", rows=30, columns=4, seed=7))
@@ -210,7 +208,7 @@ def victim():
     edge = server.spawn_edge_server("victim")
     server.insert("t", (9001, "a", "b", "c"))
     server.propagate()
-    assert edge.replica_lsns["t"] == 1 and "t" in edge.naive_replicas
+    assert edge.replica_lsns["t"] == 1
     return server, edge
 
 

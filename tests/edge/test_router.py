@@ -34,8 +34,8 @@ from repro.edge.router import (
     VerifyingRouter,
     in_process_query_channel,
 )
+from repro.edge.link import InProcessTransport
 from repro.edge.transport import (
-    InProcessTransport,
     QueryRequestFrame,
     QueryResponseFrame,
     frame_from_bytes,
@@ -573,7 +573,7 @@ class TestFailureAccounting:
         """Piggybacked cursors are untrusted: an edge flooding every
         response with fabricated replica names must not grow a
         long-lived router's per-edge state without bound."""
-        from repro.edge.router import MAX_CURSOR_HINTS
+        from repro.edge.transport import MAX_CURSORS
 
         router = make_router([ScriptedChannel("a", payload=result_payload)])
         stats = router.edge_stats("a")
@@ -582,11 +582,11 @@ class TestFailureAccounting:
             payload=result_payload,
             lsn=1,
             cursors=tuple(
-                (f"fake-{i}", 1, 0) for i in range(MAX_CURSOR_HINTS + 200)
+                (f"fake-{i}", 1, 0) for i in range(MAX_CURSORS + 200)
             ),
         )
         router._record_success(stats, flood, 0.01, "items")
-        assert len(stats.cursors) <= MAX_CURSOR_HINTS + 1  # + queried echo
+        assert len(stats.cursors) <= MAX_CURSORS + 1  # + queried echo
         # Known replicas keep updating even once the bound is hit.
         update = QueryResponseFrame(
             edge="a", payload=result_payload, lsn=9,

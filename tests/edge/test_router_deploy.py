@@ -17,7 +17,8 @@ import pytest
 
 from repro.edge.central import CentralServer
 from repro.edge.deploy import Deployment
-from repro.edge.transport import InProcessTransport, range_query_frame
+from repro.edge.link import InProcessTransport
+from repro.edge.transport import range_query_frame
 from repro.workloads.generator import TableSpec, generate_table
 from repro.workloads.queries import QueryWorkload
 

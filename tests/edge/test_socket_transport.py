@@ -31,12 +31,12 @@ from repro.edge.relay import RelayServer, run_relay
 from repro.edge.serve import run_edge
 from repro.edge.socket_transport import (
     FRAME_HEADER,
-    MAX_FRAME_BYTES,
     connect_with_retry,
     recv_frame,
     send_frame,
 )
 from repro.edge.transport import (
+    MAX_FRAME_BYTES,
     AckFrame,
     CursorAckFrame,
     CursorProbeFrame,
@@ -45,10 +45,13 @@ from repro.edge.transport import (
     QueryRequestFrame,
     QueryResponseFrame,
     frame_from_bytes,
+    frame_limit,
     frame_to_bytes,
 )
 from repro.exceptions import TransportError
 from repro.workloads.generator import TableSpec, generate_table
+
+from tests.edge.golden_frames import MISTYPED_FRAMES
 
 DB = "socketdb"
 
@@ -149,6 +152,14 @@ class TestFraming:
         left.sendall(FRAME_HEADER.pack(MAX_FRAME_BYTES + 1))
         with pytest.raises(TransportError, match="exceeds limit"):
             recv_frame(right)
+
+    def test_a_reader_that_knows_the_next_frame_passes_its_limit(self, pair):
+        """Refused at the header — no byte of the body is waited for."""
+        left, right = pair
+        right.settimeout(5)
+        left.sendall(FRAME_HEADER.pack(101))
+        with pytest.raises(TransportError, match="exceeds limit 100"):
+            recv_frame(right, limit=100)
 
     def test_oversized_send_rejected_locally(self, pair):
         left, _right = pair
@@ -383,6 +394,8 @@ _BAD_FRAMES = {
     "garbage_tag": b"\xff" + b"junk" * 4,
     "hello_frame": frame_to_bytes(HelloFrame(edge="x", cursors=())),
     "truncated_delta": frame_to_bytes(DeltaFrame("t", b"x" * 40))[:-7],
+    # What the hand-written decoder used to let through to the node.
+    **MISTYPED_FRAMES,
 }
 
 
@@ -542,7 +555,7 @@ class TestHelloCursorSanitizing:
         edge, or an edge that outlived a central restart) is clamped —
         replication must keep flowing, never silently stop."""
         from repro.edge.edge_server import EdgeServer
-        from repro.edge.transport import InProcessTransport
+        from repro.edge.link import InProcessTransport
 
         central = make_central()
         edge = EdgeServer(name="liar", config=central.edge_config())
@@ -566,6 +579,59 @@ class TestHelloCursorSanitizing:
         central.propagate("t")
         assert central.staleness("liar", "t") == 0
         assert len(edge.replica("t").tree) == len(central.tables["t"])
+
+
+class TestHandshakeBounds:
+    """``serve_handshakes`` is a serial accept loop: what one dialer can
+    cost the next is bounded by the schema, in bytes and in time."""
+
+    @pytest.mark.parametrize(
+        "announce", [(1 << 30) - 1, 600], ids=["huge", "plausible"]
+    )
+    def test_slow_announce_cannot_hold_the_accept_thread(self, announce):
+        """One socket announces a hello and then trickles a byte every
+        half ``io_timeout``.  Per-``recv`` timeouts never fired, and any
+        announce up to 1 GiB was honoured: the accept thread was held
+        indefinitely and an honest edge timed out behind it.  Now a
+        hello announce above the largest the schema admits is refused
+        at its 4-byte header, a plausible one runs into the one deadline
+        that covers the whole exchange — and the honest edge is in
+        within two seconds either way."""
+        assert (announce > frame_limit(HelloFrame)) == (announce > 600)
+        central = make_central(rows=20)
+        stop = threading.Event()
+        telemetry.reset()
+        try:
+            with Deployment(central, io_timeout=0.5) as deploy:
+                slow = socket.create_connection(deploy.address, timeout=5)
+
+                def trickle():
+                    try:
+                        slow.sendall(FRAME_HEADER.pack(announce))
+                        while not stop.wait(0.25):
+                            slow.sendall(b"\x05")
+                    except OSError:
+                        pass  # refused: the listener hung up on us
+
+                thread = threading.Thread(target=trickle, daemon=True)
+                thread.start()
+                time.sleep(0.1)  # the slow dialer is accepted first
+                started = time.monotonic()
+                with EdgeHost(*deploy.address) as host:
+                    host.launch("honest", io_timeout=5)
+                    deploy.wait_for_edge("honest", timeout=5, sync=False)
+                    assert time.monotonic() - started < 2.0
+                    assert deploy.edges["honest"].connected
+                    noted = telemetry.counters()
+                    assert noted == {
+                        "deploy.accept_loop.handshake:TransportError": 1
+                    }, noted
+                stop.set()
+                thread.join(timeout=5)
+                slow.close()
+        finally:
+            stop.set()
+            telemetry.reset()
 
 
 class TestThreadedDeployment:

@@ -11,23 +11,27 @@ from repro.core.wire import (
     result_from_bytes,
     snapshot_to_bytes,
 )
+from repro.crypto.encoding import encode_value
 from repro.db.expressions import AlwaysTrue, And, Comparison, Not, Or
+from repro.edge import telemetry
 from repro.edge.central import CentralServer
+from repro.edge.edge_server import EdgeServer
+from repro.edge.event_loop import guarded_handler
+from repro.edge.link import InProcessTransport
+from repro.edge.relay import RelayServer
 from repro.edge.transport import (
-    AckFrame,
-    ConfigFrame,
-    CursorAckFrame,
-    CursorProbeFrame,
+    MAX_TEXT_BYTES,
     DeltaFrame,
-    InProcessTransport,
     QueryRequestFrame,
     QueryResponseFrame,
-    SnapshotFrame,
+    error_response,
     frame_from_bytes,
     frame_to_bytes,
 )
 from repro.exceptions import SignatureError, TransportError
 from repro.workloads.generator import TableSpec, generate_table
+
+from tests.edge.golden_frames import GOLDEN_FRAMES, MISTYPED_FRAMES
 
 DB = "transportdb"
 
@@ -40,32 +44,16 @@ def make_central(**kwargs):
 
 
 class TestFrameCodec:
+    """The codec's properties are derived from the schema table in
+    ``tests/edge/test_frame_schema.py``; what is pinned here by hand is
+    only what no table row says."""
+
     @pytest.mark.parametrize(
-        "frame",
-        [
-            SnapshotFrame(table="t", lsn=7, epoch=2, naive=True, payload=b"abc"),
-            DeltaFrame(table="t__by_a1", payload=b"\x00\xff" * 9),
-            AckFrame(edge="e1", table="t", ok=False, lsn=3, epoch=1,
-                     reason="gap"),
-            QueryRequestFrame(kind="range", table="t", low=5, high=90,
-                              columns=("id", "a1"), vo_format="flat"),
-            QueryRequestFrame(kind="select", table="t",
-                              predicate=b"\x01", columns=None),
-            QueryRequestFrame(kind="secondary", table="t", attribute="a2",
-                              low="aa", high=None),
-            QueryResponseFrame(edge="e1", payload=b"result-bytes"),
-            QueryResponseFrame(edge="e1", payload=b"r", lsn=12, epoch=1,
-                               cursors=(("t", 12, 1), ("t__by_a1", 9, 1))),
-            CursorAckFrame(edge="e1"),
-            CursorAckFrame(edge="e1",
-                           cursors=(("t", 7, 0), ("u", 1234567, 3))),
-            CursorProbeFrame(),
-            ConfigFrame(db_name="db", policy="flattened", grace=2, clock=9,
-                        epochs=((0, 12345, 3, 1, -1),),
-                        ack_every=16, ack_bytes=1 << 20),
-        ],
+        "frame", [frame for frame, _len, _sha in GOLDEN_FRAMES.values()]
     )
     def test_round_trip(self, frame):
+        """Over the golden instances (every frame, every query kind,
+        both trailing groups) — the frozen bytes are next to them."""
         assert frame_from_bytes(frame_to_bytes(frame)) == frame
 
     def test_empty_and_unknown_frames_rejected(self):
@@ -222,3 +210,139 @@ class TestQueryOverTransport:
 def _walk_ids(vbt):
     for node in vbt.tree.walk_nodes():
         yield node.node_id, node.is_leaf
+
+
+# ---------------------------------------------------------------------------
+# Hostile frames: a mistyped field stops at the decoder, and whatever a
+# handler raises still yields a reply that encodes
+# ---------------------------------------------------------------------------
+
+
+def _edge_seat(server):
+    edge = server.spawn_edge_server("seat")
+    return edge, lambda: (
+        dict(edge.replicas), edge.replication_cursors(),
+        dict(edge.replica_lsns), dict(edge.replica_epochs),
+    )
+
+
+def _relay_seat(server):
+    relay = RelayServer("seat")
+    relay.adopt_config(server.config_frame())
+    relay.handle_frame(frame_to_bytes(server.snapshot_frame("t")))
+    leaf = EdgeServer(name="leaf", config=server.edge_config())
+    link = InProcessTransport("leaf")
+    leaf.attach_transport(link)
+    relay.attach_edge("leaf", link)
+    return relay, lambda: (
+        {t: (st.snapshot, list(st.deltas), st.head) for t, st in relay.store.items()},
+        relay.aggregated_cursors(), sorted(relay.fanout.peers),
+    )
+
+
+class TestMistypedFrames:
+    def test_int_named_snapshot_cannot_brick_an_edge(self):
+        """``SnapshotFrame`` whose ``table`` is the encoded int 5 used
+        to install as replica ``5``; from then on ``sorted(replicas)``
+        raised ``TypeError`` on every cumulative ack and query
+        response — over an in-process link, out of
+        ``CentralServer.insert`` itself."""
+        server = make_central()
+        edge = server.spawn_edge_server("e1")
+        real = frame_to_bytes(server.snapshot_frame("t"))
+        forged = real[:1] + encode_value(5) + real[1 + len(encode_value("t")):]
+        cursors = edge.replication_cursors()
+        with pytest.raises(TransportError):
+            edge.handle_frame(forged)
+        assert list(edge.replicas) == ["t"]
+        assert edge.replication_cursors() == cursors
+        server.insert("t", (9001, "a", "b", "c"))  # acks still flow
+        assert server.staleness(edge, "t") == 0
+        assert server.make_client().verify(
+            edge.range_query("t", low=9001, high=9001)
+        ).ok
+
+    @pytest.mark.parametrize("name", sorted(MISTYPED_FRAMES))
+    @pytest.mark.parametrize("seat", [_edge_seat, _relay_seat], ids=["edge", "relay"])
+    def test_answered_counted_and_nothing_touched(self, seat, name):
+        """Behind ``guarded_handler`` (every dialed seat): one error
+        reply, the swallow counted as weather, and the node's replicas
+        / store, cursors and peer table exactly as they were."""
+        node, state = seat(make_central())
+        before = state()
+        telemetry.reset()
+        try:
+            (reply,) = guarded_handler(node)(MISTYPED_FRAMES[name])
+            answer = frame_from_bytes(reply)
+            assert isinstance(answer, QueryResponseFrame)
+            assert answer.edge == "seat" and "TransportError" in answer.error
+            assert telemetry.counters() == {"dialed.handle_frame:TransportError": 1}
+            assert telemetry.unexpected_total() == 0
+        finally:
+            telemetry.reset()
+        assert state() == before
+
+
+class TestErrorTextIsClipped:
+    """An exception message is as long as a peer cares to make it; the
+    reply that carries it must still encode (``error_response``)."""
+
+    LONG = "é" * (1 << 19)  # 1 MiB of UTF-8
+
+    def _assert_decodable(self, reply: bytes):
+        answer = frame_from_bytes(reply)
+        assert isinstance(answer, QueryResponseFrame) and answer.payload == b""
+        assert 0 < len(answer.error.encode()) <= MAX_TEXT_BYTES
+        return answer
+
+    def test_guarded_handler(self):
+        class Node:
+            name = "seat"
+
+            def handle_frame(self, data):
+                raise RuntimeError(TestErrorTextIsClipped.LONG)
+
+        telemetry.reset()
+        try:
+            (reply,) = guarded_handler(Node())(b"\x08")
+        finally:
+            telemetry.reset()
+        assert self._assert_decodable(reply).error.startswith("RuntimeError: é")
+
+    def test_edge_query_path(self):
+        edge = make_central().spawn_edge_server("e1")
+
+        def explode(result):
+            raise RuntimeError(self.LONG)
+
+        edge.add_interceptor(explode)
+        telemetry.reset()
+        try:
+            (reply,) = edge.handle_frame(
+                frame_to_bytes(QueryRequestFrame(kind="range", table="t"))
+            )
+        finally:
+            telemetry.reset()
+        self._assert_decodable(reply)
+
+    def test_relay_forwarding(self):
+        class DeadLink(InProcessTransport):
+            def request(self, frame):
+                raise TransportError(TestErrorTextIsClipped.LONG)
+
+        relay = RelayServer("seat")
+        relay.adopt_config(make_central().config_frame())
+        link = DeadLink("leaf")
+        link.connect(lambda data: [])
+        relay.attach_edge("leaf", link)
+        (reply,) = relay.handle_frame(
+            frame_to_bytes(QueryRequestFrame(kind="range", table="t"))
+        )
+        answer = self._assert_decodable(reply)
+        assert answer.error.startswith("no downstream edge answered: é")
+
+    def test_clip_lands_on_a_character_boundary(self):
+        text = "x" + "é" * MAX_TEXT_BYTES  # the cut falls inside an é
+        clipped = error_response("e", text).error
+        assert text.startswith(clipped)
+        assert len(clipped.encode()) == MAX_TEXT_BYTES - 1

@@ -1,12 +1,15 @@
 """The wire-protocol reference stays complete (tools/check_docs.py).
 
-Tier-1 twin of the CI lint step: every frame class and wire tag in
-``repro.edge.transport`` must be documented in
-``docs/ARCHITECTURE.md``, every fabriclint ``rule_id`` must have its
-ARCHITECTURE.md section 7 table row (and vice versa), and the checker
-itself must be able to fail (a gate that cannot fail gates nothing).
+Tier-1 twin of the CI lint step: the ``docs/ARCHITECTURE.md`` section 2
+catalog and field tables must be exactly what the imported frame table
+(``repro.edge.transport.FRAMES``) generates, every ``FaultInjector``
+field (``repro.edge.link``) must have its fault-hook row, every
+fabriclint ``rule_id`` must have its section 7 table row (and vice
+versa), and the checker itself must be able to fail (a gate that cannot
+fail gates nothing).
 """
 
+import dataclasses
 import importlib.util
 import os
 
@@ -23,12 +26,17 @@ def _load_checker():
     return module
 
 
-def _empty_rules(tmp_path):
-    """A fabriclint rules file registering no rules — lets the frame
-    and fault-hook tests isolate their own drift axis."""
-    fake_rules = tmp_path / "rules.py"
-    fake_rules.write_text("")
-    return str(fake_rules)
+def _edited_doc(tmp_path, edit):
+    """A copy of the real ARCHITECTURE.md with ``edit(text)`` applied —
+    every other axis stays consistent, so a test sees only its own
+    drift."""
+    with open(os.path.join(ROOT, "docs", "ARCHITECTURE.md")) as fh:
+        text = fh.read()
+    edited = edit(text)
+    assert edited != text
+    path = tmp_path / "ARCHITECTURE.md"
+    path.write_text(edited)
+    return str(path)
 
 
 def test_every_frame_is_documented():
@@ -37,93 +45,64 @@ def test_every_frame_is_documented():
 
 
 def test_checker_can_fail(tmp_path):
-    """An undocumented frame class and an undocumented tag are both
-    reported — the gate is live, not vacuous."""
+    """A stale generated block, a missing one and a left-over one are
+    each reported, the stale one with a diff against the table — the
+    gate is live, not vacuous."""
     checker = _load_checker()
-    fake_transport = tmp_path / "transport.py"
-    fake_transport.write_text(
-        "class DocumentedFrame:\n    pass\n\n"
-        "class PhantomFrame:\n    pass\n\n"
-        "_FRAME_DOCUMENTED = 0\n"
-        "_FRAME_PHANTOM = 99\n"
+    stale = _edited_doc(
+        tmp_path,
+        lambda doc: doc.replace(
+            "| `lsn` | uint | < 2³² | delta-log cursor",
+            "| `lsn` | varint | < 2³² | delta-log cursor",
+        ),
     )
-    fake_doc = tmp_path / "ARCHITECTURE.md"
-    fake_rules = _empty_rules(tmp_path)
-    fake_doc.write_text("DocumentedFrame\n\n| 0 | DocumentedFrame |\n")
-    problems = checker.check(str(fake_transport), str(fake_doc), fake_rules)
-    assert any("PhantomFrame" in p for p in problems)
-    assert any("99" in p for p in problems)
+    (problem,) = checker.check(stale)
+    assert "frames:SnapshotFrame" in problem and "stale" in problem
+    assert "-| `lsn` | varint" in problem and "+| `lsn` | uint" in problem
 
-    fake_doc.write_text(
-        "DocumentedFrame PhantomFrame\n\n"
-        "| 0 | DocumentedFrame |\n| 99 | PhantomFrame |\n"
+    missing = _edited_doc(
+        tmp_path, lambda doc: doc.replace("<!-- frames:DeltaFrame -->\n", "")
     )
-    assert checker.check(str(fake_transport), str(fake_doc), fake_rules) == []
+    (problem,) = checker.check(missing)
+    assert "no generated block" in problem and "frames:DeltaFrame" in problem
+
+    extra = _edited_doc(
+        tmp_path,
+        lambda doc: doc
+        + "\n<!-- frames:PhantomFrame -->\n| x |\n<!-- /frames -->\n",
+    )
+    (problem,) = checker.check(extra)
+    assert "PhantomFrame" in problem
 
 
 def test_fault_hook_table_gated(tmp_path):
-    """A FaultInjector field without a fault-hook table row is
-    reported; documenting it clears the problem."""
+    """A FaultInjector field (read from the imported ``edge/link.py``
+    dataclass) without a fault-hook table row is reported."""
     checker = _load_checker()
-    fake_transport = tmp_path / "transport.py"
-    fake_transport.write_text(
-        "class DocumentedFrame:\n    pass\n\n"
-        "_FRAME_DOCUMENTED = 0\n\n"
-        "class FaultInjector:\n"
-        "    partitioned: bool = False\n"
-        "    vanish: bool = False\n\n"
-        "    def clear(self) -> None:\n"
-        "        pass\n"
+    undocumented = _edited_doc(
+        tmp_path,
+        lambda doc: "\n".join(
+            line for line in doc.splitlines()
+            if not line.startswith("| `delay` |")
+        ),
     )
-    fake_doc = tmp_path / "ARCHITECTURE.md"
-    fake_rules = _empty_rules(tmp_path)
-    fake_doc.write_text(
-        "DocumentedFrame\n\n| 0 | DocumentedFrame |\n\n"
-        "| `partitioned` | link down |\n"
-    )
-    problems = checker.check(str(fake_transport), str(fake_doc), fake_rules)
-    assert any("vanish" in p for p in problems)
-    assert not any("partitioned" in p for p in problems)
-
-    fake_doc.write_text(
-        "DocumentedFrame\n\n| 0 | DocumentedFrame |\n\n"
-        "| `partitioned` | link down |\n| `vanish` | gone |\n"
-    )
-    assert checker.check(str(fake_transport), str(fake_doc), fake_rules) == []
+    (problem,) = checker.check(undocumented)
+    assert "'delay'" in problem and "edge/link.py" in problem
 
 
 def test_fabriclint_rule_table_gated(tmp_path):
     """Both drift directions are reported: a registered rule without a
     table row, and a table row naming an unregistered rule."""
     checker = _load_checker()
-    fake_transport = tmp_path / "transport.py"
-    fake_transport.write_text(
-        "class DocumentedFrame:\n    pass\n\n_FRAME_DOCUMENTED = 0\n"
-    )
     fake_rules = tmp_path / "rules.py"
     fake_rules.write_text(
         "class A:\n    rule_id = \"FL001\"\n\n"
         "class B:\n    rule_id = \"FL999\"\n"
     )
-    fake_doc = tmp_path / "ARCHITECTURE.md"
-    fake_doc.write_text(
-        "DocumentedFrame\n\n| 0 | DocumentedFrame |\n\n"
-        "| `FL001` | documented |\n| `FL777` | ghost rule |\n"
-    )
-    problems = checker.check(
-        str(fake_transport), str(fake_doc), str(fake_rules)
-    )
+    problems = checker.check(rules_path=str(fake_rules))
     assert any("FL999" in p for p in problems)  # enforced, undocumented
-    assert any("FL777" in p for p in problems)  # documented, dead
+    assert any("FL002" in p for p in problems)  # documented, dead
     assert not any("FL001" in p for p in problems)
-
-    fake_doc.write_text(
-        "DocumentedFrame\n\n| 0 | DocumentedFrame |\n\n"
-        "| `FL001` | documented |\n| `FL999` | documented |\n"
-    )
-    assert checker.check(
-        str(fake_transport), str(fake_doc), str(fake_rules)
-    ) == []
 
 
 def test_rule_ids_extracted_from_real_catalog():
@@ -138,12 +117,15 @@ def test_rule_ids_extracted_from_real_catalog():
 
 
 def test_fault_fields_extracted_from_real_transport():
-    """The extractor sees the real FaultInjector's fields (the gate is
-    wired to the live class, not a stale list)."""
+    """The fault-hook gate reads the live ``FaultInjector`` dataclass,
+    and every one of its fields is a documented row today."""
+    from repro.edge.link import FaultInjector
+
+    names = [f.name for f in dataclasses.fields(FaultInjector)]
+    assert names == ["partitioned", "drop_next", "hold", "delay"]
     checker = _load_checker()
-    with open(
-        os.path.join(ROOT, "src", "repro", "edge", "transport.py")
-    ) as fh:
-        fields = checker.fault_fields(fh.read())
-    assert "partitioned" in fields
-    assert "delay" in fields
+    with open(os.path.join(ROOT, "docs", "ARCHITECTURE.md")) as fh:
+        doc = fh.read()
+    for name in names:
+        assert f"\n| `{name}` |" in doc
+    assert not any("FaultInjector" in p for p in checker.check())

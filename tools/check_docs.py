@@ -2,19 +2,28 @@
 
 ``docs/ARCHITECTURE.md`` claims to be the authoritative reference for
 every frame that crosses the trust boundary.  This check makes the
-claim enforceable: every ``*Frame`` class defined in
-``src/repro/edge/transport.py`` must be mentioned (by exact class
-name) in the document, and every frame *tag* assigned there
-(``_FRAME_* = n``) must appear as a catalog row ``| n |``.  The same
-holds for the fault-hook table: every :class:`FaultInjector` field
-must have a row ``| `field` | ...`` so the documented chaos surface
-(DESIGN.md section 14) cannot drift from the injectable faults the
-battery actually composes.  Likewise the fabriclint rule table
+claim enforceable, and since the frames are declared once as data
+(``repro.edge.transport.FRAMES``) it does so without reading a line of
+source: the section 2 catalog and the nine field tables are
+**generated** from the imported table
+(:func:`repro.edge.transport.frame_reference`) and must appear in the
+document verbatim, each between its markers::
+
+    <!-- frames:SnapshotFrame -->
+    ...generated table...
+    <!-- /frames -->
+
+A stale, missing or left-over block fails with a diff of what the table
+says against what the document says.  The same holds for the fault-hook
+table: every :class:`~repro.edge.link.FaultInjector` field must have a
+row ``| `field` | ...`` so the documented chaos surface (DESIGN.md
+section 14) cannot drift from the injectable faults the battery
+actually composes.  Likewise the fabriclint rule table
 (ARCHITECTURE.md section 7): every ``rule_id`` registered in
 ``tools/fabriclint/rules.py`` must have a row ``| `FLnnn` | ...``,
 and every row must name a registered rule — the documented invariant
 catalog and the enforced one stay the same catalog.  Adding a frame
-type, a fault hook, or a lint rule without documenting it fails CI's
+field, a fault hook, or a lint rule without documenting it fails CI's
 lint job — and the tier-1 suite
 (``tests/test_docs_consistency.py``), so the gap is caught before the
 push.
@@ -26,52 +35,55 @@ Usage::
 
 from __future__ import annotations
 
+import dataclasses
+import difflib
 import os
 import re
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-TRANSPORT = os.path.join(ROOT, "src", "repro", "edge", "transport.py")
+sys.path.insert(0, os.path.join(ROOT, "src"))  # the table is imported
 ARCHITECTURE = os.path.join(ROOT, "docs", "ARCHITECTURE.md")
 FABRICLINT_RULES = os.path.join(HERE, "fabriclint", "rules.py")
 
 
-def frame_classes(source: str) -> list[str]:
-    """Every frame dataclass defined in the transport module."""
-    return re.findall(r"^class (\w+Frame)\b", source, flags=re.MULTILINE)
-
-
-def frame_tags(source: str) -> dict[str, int]:
-    """Every wire tag assignment (``_FRAME_NAME = n``)."""
+def frame_blocks(doc: str) -> dict[str, str]:
+    """The marked generated blocks of the document, by name."""
     return {
-        name: int(value)
-        for name, value in re.findall(
-            r"^(_FRAME_\w+) = (\d+)$", source, flags=re.MULTILINE
+        name: body.strip("\n")
+        for name, body in re.findall(
+            r"^<!-- frames:(\w+) -->\n(.*?)^<!-- /frames -->",
+            doc, flags=re.MULTILINE | re.DOTALL,
         )
     }
 
 
-def fault_fields(source: str) -> list[str]:
-    """The :class:`FaultInjector` dataclass field names, in order.
-
-    Empty list when the class is absent (nothing to check — the frame
-    checks above already catch gross transport-layout changes).
-    """
-    match = re.search(
-        r"^class FaultInjector\b.*?(?=^\S|\Z)", source,
-        flags=re.MULTILINE | re.DOTALL,
-    )
-    if match is None:
-        return []
-    body = match.group(0)
-    # Fields end where methods/properties begin.
-    cut = re.search(r"^    (?:@|def )", body, flags=re.MULTILINE)
-    if cut is not None:
-        body = body[: cut.start()]
-    return re.findall(
-        r"^    (\w+): [\w\[\]\. |]+ = ", body, flags=re.MULTILINE
-    )
+def frame_problems(doc: str, reference: dict[str, str]) -> list[str]:
+    """Where the document's blocks differ from the generated ones."""
+    found = frame_blocks(doc)
+    problems = [
+        f"docs/ARCHITECTURE.md has a generated block 'frames:{name}' "
+        "that the frame table no longer produces"
+        for name in found.keys() - reference.keys()
+    ]
+    for name, want in reference.items():
+        have = found.get(name)
+        if have is None:
+            problems.append(
+                f"docs/ARCHITECTURE.md has no generated block "
+                f"'<!-- frames:{name} -->' (paste the table below)\n{want}"
+            )
+        elif have != want:
+            diff = difflib.unified_diff(
+                have.splitlines(), want.splitlines(),
+                "docs/ARCHITECTURE.md", "generated from transport.FRAMES",
+                lineterm="",
+            )
+            problems.append(
+                f"generated block 'frames:{name}' is stale:\n" + "\n".join(diff)
+            )
+    return problems
 
 
 def fabriclint_rule_ids(source: str) -> list[str]:
@@ -87,50 +99,27 @@ def fabriclint_table_rows(doc: str) -> list[str]:
     return re.findall(r"^\| `(FL\d+)` \|", doc, flags=re.MULTILINE)
 
 
-def check(transport_path: str = TRANSPORT,
-          architecture_path: str = ARCHITECTURE,
+def check(architecture_path: str = ARCHITECTURE,
           rules_path: str = FABRICLINT_RULES) -> list[str]:
     """Return a list of human-readable problems (empty = consistent)."""
-    problems: list[str] = []
-    try:
-        with open(transport_path) as fh:
-            source = fh.read()
-    except OSError as exc:
-        return [f"cannot read transport module: {exc}"]
+    from repro.edge.link import FaultInjector
+    from repro.edge.transport import frame_reference
+
     try:
         with open(architecture_path) as fh:
             doc = fh.read()
     except OSError as exc:
         return [f"cannot read docs/ARCHITECTURE.md: {exc}"]
 
-    classes = frame_classes(source)
-    if not classes:
-        problems.append(f"no frame classes found in {transport_path} "
-                        "(did the layout change?)")
-    for name in classes:
-        if name not in doc:
-            problems.append(
-                f"frame class {name} (transport.py) is not documented in "
-                "docs/ARCHITECTURE.md"
-            )
-
-    tags = frame_tags(source)
-    if not tags:
-        problems.append("no _FRAME_* tag assignments found in transport.py")
-    for tag_name, tag in tags.items():
-        if not re.search(rf"^\| {tag} \|", doc, flags=re.MULTILINE):
-            problems.append(
-                f"wire tag {tag} ({tag_name}) has no catalog row "
-                f"'| {tag} | ...' in docs/ARCHITECTURE.md"
-            )
+    problems = frame_problems(doc, frame_reference())
 
     # The fault-hook table (chaos battery, DESIGN.md section 14): every
     # FaultInjector field must have a row '| `field` | ...' so the doc
     # cannot drift from the injectable faults the battery composes.
-    for field in fault_fields(source):
+    for field in (f.name for f in dataclasses.fields(FaultInjector)):
         if not re.search(rf"^\| `{field}` \|", doc, flags=re.MULTILINE):
             problems.append(
-                f"FaultInjector field {field!r} (transport.py) has no "
+                f"FaultInjector field {field!r} (edge/link.py) has no "
                 "fault-hook table row '| `" + field + "` | ...' in "
                 "docs/ARCHITECTURE.md"
             )
@@ -169,12 +158,12 @@ def main() -> int:
     if problems:
         print(
             f"\ndocs-consistency check FAILED ({len(problems)} problem(s)). "
-            "Document the frame's wire layout in docs/ARCHITECTURE.md.",
+            "Bring docs/ARCHITECTURE.md back in line with the code.",
             file=sys.stderr,
         )
         return 1
-    print("docs-consistency check passed: every transport frame and "
-          "fabriclint rule is documented in docs/ARCHITECTURE.md")
+    print("docs-consistency check passed: the frame tables, fault hooks and "
+          "fabriclint rules in docs/ARCHITECTURE.md match the code")
     return 0
 
 
