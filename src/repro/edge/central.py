@@ -573,7 +573,6 @@ class CentralServer:
             table=table,
             lsn=self.replicator.log_for(table).last_lsn,
             epoch=self.keyring.current_epoch,
-            naive=False,
             payload=snapshot_to_bytes(
                 self.vbtrees[table], self.public_key.signature_len
             ),

@@ -89,7 +89,6 @@ class SnapshotFrame:
     table: str
     lsn: int
     epoch: int
-    naive: bool
     payload: bytes
 
 
@@ -669,7 +668,6 @@ FRAMES: tuple[FrameSpec, ...] = (
         ("table", NAME, "replica name (table, join view, or index)"),
         ("lsn", UINT, "delta-log cursor the snapshot corresponds to"),
         ("epoch", UINT, "key epoch of every signature in the payload"),
-        ("naive", FLAG, "1 = also maintain the Naive baseline store"),
         ("payload", PAYLOAD, "`snapshot_to_bytes` output (layout below)"),
     )),
     FrameSpec(1, DeltaFrame, "down", "delta", "sealed replica delta (or batch)", (

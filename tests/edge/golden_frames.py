@@ -3,7 +3,9 @@ frames the hand-written decoder used to accept.
 
 Frozen from ``frame_to_bytes`` at commit 7b3d5eb, *before* the frame
 codec was derived from the schema table (DESIGN.md §19): a codec may be
-rewritten, the bytes may not move.  ``tests/core/test_wire_golden.py``
+rewritten, the bytes may not move.  One vector has been re-frozen on
+purpose since, in the commit that took the unread ``naive`` flag byte
+off ``SnapshotFrame``: ``snapshot``, 24 → 23 bytes.  ``tests/core/test_wire_golden.py``
 is the pattern — ``(wire length, SHA-256 of the wire bytes)`` beside
 the value that must produce them.  One instance of every frame, plus
 each optional-trailing group present (the relay hello, a sharded
@@ -26,9 +28,9 @@ from repro.edge.transport import (
 #: name -> (frame, wire length, SHA-256 of the wire bytes)
 GOLDEN_FRAMES = {
     "snapshot": (
-        SnapshotFrame(table="t", lsn=7, epoch=2, naive=True, payload=b"abc"),
-        24,
-        "8c2ab3610925a3eab7b2bb8debc56455691c4b51195a8162dc802dd41bd84e89",
+        SnapshotFrame(table="t", lsn=7, epoch=2, payload=b"abc"),
+        23,
+        "149097d142aed7dcbcbac90abe8d4cab784d657665a7b5bcac06f58a02e15692",
     ),
     "delta": (
         DeltaFrame(table="t__by_a1", payload=b"\x00\xff" * 9),
@@ -134,7 +136,7 @@ _V, _U = encode_value, encode_uint
 MISTYPED_FRAMES = {
     # SnapshotFrame(table=5): installed as replica ``5`` and bricked
     # ``sorted(replicas)`` on every later ack.
-    "snapshot_table_int": _raw(0, _V(5), _U(0), _U(0), b"\x00", _V(b"")),
+    "snapshot_table_int": _raw(0, _V(5), _U(0), _U(0), _V(b"")),
     "delta_payload_str": _raw(1, _V("t"), _V("p")),
     "hello_edge_none": _raw(5, _V(None), _U(0)),
     "response_error_int": _raw(

@@ -267,7 +267,7 @@ class FakeSource:
         return None, cursor
 
     def snapshot_frame(self, table):
-        return SnapshotFrame(table="t", lsn=1, epoch=0, naive=False, payload=b"s1")
+        return SnapshotFrame(table="t", lsn=1, epoch=0, payload=b"s1")
 
 
 class FakeEdge:

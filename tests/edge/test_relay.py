@@ -316,7 +316,7 @@ class TestAggregationMonotonicity:
         epoch = relay.config.keyring.current_epoch
         relay.store[TABLE] = _TableStore(
             snapshot=SnapshotFrame(
-                table=TABLE, lsn=0, epoch=epoch, naive=False, payload=b""
+                table=TABLE, lsn=0, epoch=epoch, payload=b""
             ),
             head=HEAD,
             epoch=epoch,

@@ -243,7 +243,7 @@ def test_malformed_snapshot_is_nacked_and_touches_nothing(victim):
     for label, payload in _malformed_snapshots(frame.payload, tree):
         with pytest.raises(EncodingError):
             snapshot_from_bytes(payload, edge.replica("t").signing)
-        ack = _nack(edge, SnapshotFrame("t", frame.lsn, frame.epoch, True, payload))
+        ack = _nack(edge, SnapshotFrame("t", frame.lsn, frame.epoch, payload))
         assert (ack.reason, ack.lsn) == ("error", 1), label
         assert _replica_state(edge, "t") == before, label
         cases += 1
@@ -314,7 +314,7 @@ def test_parent_format_snapshot_is_refused_as_error(parent_fleet):
         snapshot_from_bytes(parent_snapshot, edge.replica("t").signing)
     before = _replica_state(edge, "t")
     ack = _nack(
-        edge, SnapshotFrame("t", current.lsn, current.epoch, False, parent_snapshot)
+        edge, SnapshotFrame("t", current.lsn, current.epoch, parent_snapshot)
     )
     assert (ack.reason, ack.lsn) == ("error", 0)
     assert _replica_state(edge, "t") == before
