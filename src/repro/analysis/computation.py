@@ -9,8 +9,9 @@
    each at ``Cost_v``;
 3. combines everything back into the top digest — ``Cost_c`` per
    pairwise fold: ``N_c - 1`` folds per tuple, plus one fold per tuple
-   digest and per ``D_S`` entry into the envelope product, plus the
-   final exponentiation.
+   digest and per ``D_S`` entry into the envelope product.  The product
+   is compared with the value recovered from ``D_N`` as it stands; there
+   is no final exponentiation.
 
 For large results the hash term dominates and the whole thing is
 O(``Q_r``) — the linearity the paper observes.
@@ -60,7 +61,6 @@ def vbtree_comp_cost(params: Parameters, selectivity: float) -> CompCost:
         qr * (params.num_cols - 1)  # fold attr digests into tuple digests
         + qr                        # fold tuple digests into the envelope
         + ds                        # fold D_S digests into the envelope
-        + 1                         # final display exponentiation
     )
     total = (
         hashes * params.cost_hash

@@ -27,7 +27,7 @@ from repro.core.secondary import (
     SecondaryVBTree,
 )
 from repro.core.update import AuthenticatedUpdater, digest_resource
-from repro.core.vbtree import NodeAuth, TupleAuth, VBTree
+from repro.core.vbtree import TupleAuth, VBTree
 from repro.core.verify import ResultVerifier, Verdict
 from repro.core.vo import (
     AuthenticatedResult,
@@ -44,7 +44,6 @@ __all__ = [
     "DigestEngine",
     "DigestPolicy",
     "Envelope",
-    "NodeAuth",
     "MAX_KEY",
     "MIN_KEY",
     "QueryAuthenticator",

@@ -12,9 +12,9 @@ A delta carries everything the edge needs and nothing it could forge:
 
 * the tuple operations (inserted row values with their centrally-signed
   tuple/attribute digests; deleted search keys);
-* the re-signed digests of every VB-tree node the mutation touched (the
-  root-to-leaf fold path, or the dirty set of a split/merge), addressed
-  by stable node id;
+* the re-signed digest — one per node — of every VB-tree node the
+  mutation touched (the root-to-leaf fold path, or the dirty set of a
+  split/merge), addressed by stable node id;
 * the ids of nodes freed by structural changes;
 * a per-table, monotonically increasing **log sequence number** (LSN)
   range and the key epoch, both bound under the central server's
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Sequence
 
-from repro.core.vbtree import NodeAuth, TupleAuth, VBTree
+from repro.core.vbtree import TupleAuth, VBTree
 from repro.crypto.signatures import SignedDigest
 from repro.db.rows import Row
 from repro.exceptions import ReplicaDeltaError
@@ -112,21 +112,10 @@ class TupleOp:
 
 @dataclass(frozen=True)
 class NodeDigestUpdate:
-    """One VB-tree node's re-signed digests — a :class:`NodeAuth`'s two
-    fields, addressed by node id."""
+    """One VB-tree node's re-signed digest, addressed by node id."""
 
     node_id: int
     signed: SignedDigest
-    signed_display: SignedDigest
-
-    @classmethod
-    def from_auth(cls, node_id: int, auth: NodeAuth) -> "NodeDigestUpdate":
-        """Snapshot a node's current :class:`NodeAuth`."""
-        return cls(node_id, auth.signed, auth.signed_display)
-
-    def to_auth(self) -> NodeAuth:
-        """The :class:`NodeAuth` to install on a replica."""
-        return NodeAuth(self.signed, self.signed_display)
 
 
 @dataclass(frozen=True)
@@ -282,5 +271,5 @@ def apply_delta(vbt: VBTree, delta: ReplicaDelta) -> None:
     for node_id in delta.freed_nodes:
         vbt.drop_node_auth(node_id)
     for update in delta.node_updates:
-        vbt.install_node_auth(update.node_id, update.to_auth())
+        vbt.install_node_auth(update.node_id, update.signed)
     vbt.version = delta.new_version

@@ -12,8 +12,12 @@ full discussion):
   - node exponent     ``x_N = ∏_child (child exponent)  (mod n)``
     (a leaf's children are tuple exponents, an internal node's are the
     child nodes' exponents)
-  - display digest    ``U_N = g^{x_N} mod n`` — what Lemma 1's equation
-    compares against.
+
+  Lemma 1's equation compares ``g^{x_N} mod n`` with ``g`` raised to the
+  product of the VO's values; with ``n = 2^k`` the exponents are reduced
+  mod ``n`` anyway, so the verifier compares the exponents themselves —
+  the stronger check — and ``g^{x_N}`` is never computed, signed or
+  shipped (DESIGN.md §20).
 
   Because every constituent multiplies into every ancestor's exponent,
   the verification object can be an **unordered set** of signed values
@@ -245,22 +249,6 @@ class DigestEngine:
         modulus = self.commutative.modulus
         self.meter.count_combine(1)
         return (node_value * (tuple_value | 1)) % modulus
-
-    # ------------------------------------------------------------------
-    # Display digests (the `g^x` side of the FLATTENED policy)
-    # ------------------------------------------------------------------
-
-    def display_value(self, node_value: int) -> int:
-        """The digest a verifier compares against.
-
-        FLATTENED: ``g^{x} mod n`` (Lemma 1's left-hand side).
-        NESTED: the node value itself.
-        """
-        if self.policy is DigestPolicy.FLATTENED:
-            exp = self.commutative  # type: ignore[assignment]
-            self.meter.count_combine(1)
-            return pow(exp.generator, node_value, exp.modulus)
-        return node_value
 
     def _product(self, values: Sequence[int]) -> int:
         """Odd-forced product modulo the hash modulus (exponent ring)."""

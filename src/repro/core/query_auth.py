@@ -160,14 +160,13 @@ class QueryAuthenticator:
         self, envelope: Envelope, fmt: VOFormat
     ) -> VerificationObject:
         vbt = self.vbtree
-        top_auth = vbt.node_auth(envelope.top)
         entries: list[VOEntry] = []
         for gap in envelope.gaps:
             if gap.kind == "tuple":
                 signed = vbt.tuple_auth(gap.ref).signed_tuple
                 kind = VOEntryKind.TUPLE
             else:
-                signed = vbt.node_auth(gap.ref).signed
+                signed = vbt.node_auth(gap.ref)
                 kind = VOEntryKind.NODE
             if fmt is VOFormat.FLAT_SET:
                 entries.append(VOEntry(kind=kind, signed=signed))
@@ -186,7 +185,7 @@ class QueryAuthenticator:
             format=fmt,
             policy=vbt.policy,
             table=vbt.table_name,
-            top_signed=top_auth.signed_display,
+            top_signed=vbt.node_auth(envelope.top),
             selection_entries=entries,
             result_positions=positions,
             envelope_height=envelope.height,

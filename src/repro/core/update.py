@@ -95,7 +95,7 @@ class AuthenticatedUpdater:
         for node in touched:
             if node.node_id in freed_ids or node.node_id in updates:
                 continue
-            updates[node.node_id] = NodeDigestUpdate.from_auth(
+            updates[node.node_id] = NodeDigestUpdate(
                 node.node_id, vbt.node_auth(node)
             )
         delta = ReplicaDelta(

@@ -7,14 +7,13 @@ the digest material of formulas (1)-(3):
 * per tuple: the signed tuple digest and one signed digest per
   attribute (stored with the leaf entry);
 * per node: the signed node digest (stored with the child pointer in
-  the parent), and — under the FLATTENED policy — the signed *display*
-  form ``g^x mod n``, which is what an enveloping subtree's top digest
-  ``D_N`` ships as;
-* tree metadata: the root's signed display digest and a version number.
+  the parent) — what ``D_S`` ships for a pruned branch and what ``D_N``
+  ships for an enveloping subtree's top node;
+* tree metadata: the root's signed digest and a version number.
 
 Signatures are message-recovering (``s⁻¹(s(x)) = x``), so the signed
-form is all a tree stores, ships or serves — one signed digest per
-attribute, tuple and child pointer, the paper's Section 4.1 storage
+form is all a tree stores, ships or serves — exactly one signed digest
+per attribute, tuple and child pointer, the paper's Section 4.1 storage
 model.  The central server additionally keeps the *unsigned* tuple and
 node values it folds and recomputes from, in two private maps a replica
 never fills (it cannot sign, so it never needs them).
@@ -36,7 +35,7 @@ from repro.db.rows import Row
 from repro.db.schema import TableSchema
 from repro.exceptions import AuthenticationError, KeyNotFoundError
 
-__all__ = ["VBTree", "NodeAuth", "TupleAuth"]
+__all__ = ["VBTree", "TupleAuth"]
 
 
 @dataclass
@@ -53,23 +52,6 @@ class TupleAuth:
 
     signed_tuple: SignedDigest
     signed_attrs: tuple[SignedDigest, ...]
-
-
-@dataclass
-class NodeAuth:
-    """Signed digest material for one VB-tree node.
-
-    Attributes:
-        signed: Signed node digest value (exponent product under
-            FLATTENED; combined hash under NESTED) — what D_S ships for
-            pruned branches.
-        signed_display: Signed comparison form (``g^value`` under
-            FLATTENED; the value itself under NESTED) — what D_N ships
-            for the enveloping subtree's top node.
-    """
-
-    signed: SignedDigest
-    signed_display: SignedDigest
 
 
 class VBTree:
@@ -112,7 +94,10 @@ class VBTree:
             geometry=self.geometry, min_fanout_override=fanout_override
         )
         self._tuple_auth: dict[Any, TupleAuth] = {}
-        self._node_auth: dict[int, NodeAuth] = {}
+        #: One signed digest per node: the node value (exponent product
+        #: under FLATTENED, combined hash under NESTED) under the
+        #: central signature.
+        self._node_auth: dict[int, SignedDigest] = {}
         #: The signer's working state: unsigned tuple value per key and
         #: node value per node id, read by folds and recomputation.
         #: Empty on a replica.
@@ -196,8 +181,8 @@ class VBTree:
         except KeyError:
             raise KeyNotFoundError(f"no tuple digest for key {key!r}") from None
 
-    def node_auth(self, node: _Node) -> NodeAuth:
-        """Digest material of a node.
+    def node_auth(self, node: _Node) -> SignedDigest:
+        """The signed digest of a node.
 
         Raises:
             AuthenticationError: If the node has no digest (tree
@@ -210,8 +195,8 @@ class VBTree:
                 f"no digest recorded for node {node.node_id}"
             ) from None
 
-    def root_auth(self) -> NodeAuth:
-        """Digest material of the root (tree metadata's signed digest)."""
+    def root_auth(self) -> SignedDigest:
+        """Signed digest of the root (tree metadata's signed digest)."""
         return self.node_auth(self.tree.root)
 
     def get_row(self, key: Any) -> Row:
@@ -243,21 +228,14 @@ class VBTree:
             ]
         return engine.node_value(child_values)
 
-    def set_node_value(self, node: _Node, value: int) -> NodeAuth:
-        """Record (and sign) a node's digest value and display form."""
-        engine = self.signing.engine
+    def set_node_value(self, node: _Node, value: int) -> SignedDigest:
+        """Record a node's digest value and sign it — once."""
         signed = self.signing.sign_value(value)
-        display = engine.display_value(value)
-        if display == value:
-            signed_display = signed
-        else:
-            signed_display = self.signing.sign_value(display)
-        auth = NodeAuth(signed, signed_display)
-        self._node_auth[node.node_id] = auth
+        self._node_auth[node.node_id] = signed
         self._node_values[node.node_id] = value
-        return auth
+        return signed
 
-    def recompute_node(self, node: _Node) -> NodeAuth:
+    def recompute_node(self, node: _Node) -> SignedDigest:
         """Recompute one node's digest from its children."""
         return self.set_node_value(node, self.compute_node_value(node))
 
@@ -321,9 +299,9 @@ class VBTree:
     def audit(self) -> None:
         """Recompute every digest from the stored rows — tuple values
         from the rows, node values bottom-up from those — and check by
-        recovery that each ``signed_tuple``, ``signed`` and
-        ``signed_display`` is the central server's signature over the
-        recomputed value.  Nothing stored is trusted, so the same audit
+        recovery that each ``signed_tuple`` and each node's signed
+        digest is the central server's signature over the recomputed
+        value.  Nothing stored is trusted, so the same audit
         holds on the central tree and on a replica.
 
         Raises:
@@ -350,14 +328,9 @@ class VBTree:
                     check(c) for c in node.children  # type: ignore[attr-defined]
                 ]
             value = engine.node_value(child_values)
-            stored = self.node_auth(node)
-            if not verify(stored.signed, value):
+            if not verify(self.node_auth(node), value):
                 raise AuthenticationError(
                     f"node {node.node_id} signature invalid"
-                )
-            if not verify(stored.signed_display, engine.display_value(value)):
-                raise AuthenticationError(
-                    f"node {node.node_id} display signature invalid"
                 )
             return value
 
@@ -400,17 +373,17 @@ class VBTree:
         """Remove a deleted tuple's digest material (replica side)."""
         self._tuple_auth.pop(key, None)
 
-    def install_node_auth(self, node_id: int, auth: NodeAuth) -> None:
-        """Install centrally-signed node digest material by node id.
+    def install_node_auth(self, node_id: int, signed: SignedDigest) -> None:
+        """Install a centrally-signed node digest by node id.
 
         Node ids are stable across replicas (see :meth:`clone` and the
         deterministic-mutation argument in DESIGN.md section 6), so a
         delta can address nodes it re-signed without shipping structure.
         """
-        self._node_auth[node_id] = auth
+        self._node_auth[node_id] = signed
 
     def drop_node_auth(self, node_id: int) -> None:
-        """Forget the digest material of a freed node (replica side)."""
+        """Forget the signed digest of a freed node (replica side)."""
         self._node_auth.pop(node_id, None)
 
     def clone(self) -> "VBTree":
@@ -424,10 +397,7 @@ class VBTree:
         new.__dict__.update(self.__dict__)
         new.tree = self.tree.clone()
         new._tuple_auth = dict(self._tuple_auth)
-        new._node_auth = {
-            node_id: NodeAuth(a.signed, a.signed_display)
-            for node_id, a in self._node_auth.items()
-        }
+        new._node_auth = dict(self._node_auth)
         new._tuple_values = {}
         new._node_values = {}
         return new

@@ -4,13 +4,17 @@ The client trusts only the central server's public key(s).  Given an
 :class:`~repro.core.vo.AuthenticatedResult` from an edge server, it
 recomputes digests from the returned values, folds in the signed
 digests from ``D_S``/``D_P`` (after decrypting them with the public
-key), and compares the outcome against the signed top digest ``D_N``.
+key), and compares the outcome against the value recovered from the
+signed top digest ``D_N``, the top node's own signature (comparing the
+values is strictly stronger than comparing ``g^value``: DESIGN.md §20).
 
 Any of the following makes verification fail:
 
 * a tampered attribute value (the recomputed attribute digest changes);
 * a spurious / duplicated / reordered-across-leaves tuple;
-* a forged or corrupted signature;
+* a forged or corrupted signature, including one that recovers to a
+  value no digest can take (``>=`` the commutative-hash modulus — what a
+  product of two textbook-RSA signatures yields);
 * a signature from an expired key epoch (stale-data replay, Section
   3.4) — when a :class:`~repro.crypto.keyring.KeyRing` is supplied;
 * a malformed VO (slot collisions, missing positions, ...).
@@ -110,8 +114,15 @@ class ResultVerifier:
         return self._fixed_verifier
 
     def _recover(self, signed: SignedDigest) -> int:
-        """Decrypt a signed digest, enforcing epoch validity."""
-        return self._verifier_for(signed).recover(signed)
+        """Decrypt a signed digest, enforcing epoch validity and that
+        the recovered value is one a digest can take."""
+        value = self._verifier_for(signed).recover(signed)
+        if value >= self.engine.commutative.modulus:
+            raise SignatureError(
+                "recovered value is wider than any digest the central "
+                "server signs"
+            )
+        return value
 
     # ------------------------------------------------------------------
     # Entry point
@@ -259,9 +270,7 @@ class ResultVerifier:
             v = self._recover(entry.signed)
             product = (product * (v | 1)) % modulus
             self.meter.count_combine(1)
-        candidate = self.engine.display_value(product)
-        expected = self._recover(vo.top_signed)
-        return candidate == expected
+        return product == self._recover(vo.top_signed)
 
     # ------------------------------------------------------------------
     # STRUCTURED verification (node-by-node rebuild)
@@ -314,6 +323,4 @@ class ResultVerifier:
         top_value = self.engine.node_value(
             top_slots[s] for s in sorted(top_slots)
         )
-        candidate = self.engine.display_value(top_value)
-        expected = self._recover(vo.top_signed)
-        return candidate == expected
+        return top_value == self._recover(vo.top_signed)

@@ -4,8 +4,9 @@ A VO carries everything a client needs — beyond the result tuples
 themselves — to check a query result against the central server's
 signatures (Section 3.3):
 
-* ``D_N`` — the signed *display* digest of the enveloping subtree's top
-  node;
+* ``D_N`` — the signed digest of the enveloping subtree's top node (the
+  one signature that node has; the client compares what it recovers
+  with the value it folded);
 * ``D_S`` — signed digests for the envelope constituents that are not
   part of the result: filtered tuples (gaps) and pruned child subtrees;
 * ``D_P`` — signed digests for attributes removed by projection.

@@ -442,7 +442,6 @@ def delta_body_bytes(delta: ReplicaDelta, sig_len: int) -> bytes:
     for update in delta.node_updates:
         parts.append(encode_uint(update.node_id))
         parts.append(update.signed.to_bytes(sig_len))
-        parts.append(update.signed_display.to_bytes(sig_len))
     parts.append(encode_uint(len(delta.freed_nodes)))
     for node_id in delta.freed_nodes:
         parts.append(encode_uint(node_id))
@@ -487,9 +486,9 @@ def delta_from_bytes(data: bytes) -> ReplicaDelta:
         if width > size:
             raise EncodingError(f"{sig_len}-byte signatures cannot fit the payload")
         # ``signature | epoch``, the one record every signed digest is,
-        # and ``node id | signed | signed_display``, one node update.
+        # and ``node id | signed``, one node update.
         signed_records = struct.Struct(f">{sig_len}sH")
-        update_records = struct.Struct(f">I{sig_len}sH{sig_len}sH")
+        update_records = struct.Struct(f">I{sig_len}sH")
         table, offset = decode_value(data, offset)
         (
             lsn_first, lsn_last, epoch, base_version, new_version, flag, op_count,
@@ -527,11 +526,9 @@ def delta_from_bytes(data: bytes) -> ReplicaDelta:
             )
         updates = tuple([
             NodeDigestUpdate(
-                node_id,
-                SignedDigest(from_bytes(signature, "big"), sig_epoch),
-                SignedDigest(from_bytes(display_signature, "big"), display_epoch),
+                node_id, SignedDigest(from_bytes(signature, "big"), sig_epoch)
             )
-            for node_id, signature, sig_epoch, display_signature, display_epoch
+            for node_id, signature, sig_epoch
             in update_records.iter_unpack(data[offset:end])
         ])
         offset = end
@@ -662,7 +659,7 @@ def snapshot_to_bytes(vbtree, sig_len: int) -> bytes:
     reconstruct the replica from bytes alone — see
     :func:`snapshot_from_bytes` — without sharing any Python objects
     with the central server.  Layout: header, pre-order node structure
-    (id, leaf flag, keys, child ids, ``signed | signed_display``), then
+    (id, leaf flag, keys, child ids, the node's signed digest), then
     per row its key, values and ``signed_tuple | signed_attrs``.  As in
     a delta, digests travel in signed form only.
     """
@@ -698,9 +695,7 @@ def snapshot_to_bytes(vbtree, sig_len: int) -> bytes:
             if not node.is_leaf:
                 ids = [child.node_id for child in node.children]
                 parts.append(struct.pack(f">{len(ids)}I", *ids))
-            auth = vbtree.node_auth(node)
-            parts.append(auth.signed.to_bytes(sig_len))
-            parts.append(auth.signed_display.to_bytes(sig_len))
+            parts.append(vbtree.node_auth(node).to_bytes(sig_len))
     except struct.error as exc:
         raise EncodingError(f"uint out of range: {exc}") from None
     parts.append(encode_uint(len(vbtree.tree)))
@@ -738,7 +733,7 @@ def snapshot_from_bytes(data: bytes, signing):
             — never ``IndexError`` or ``SignatureError``.
     """
     from repro.core.secondary import SecondaryVBTree
-    from repro.core.vbtree import NodeAuth, TupleAuth, VBTree
+    from repro.core.vbtree import TupleAuth, VBTree
     from repro.db.btree import BPlusTree, InternalNode, LeafNode
     from repro.db.page import PageGeometry
     from repro.db.rows import Row
@@ -748,7 +743,7 @@ def snapshot_from_bytes(data: bytes, signing):
     nodes: dict[int, Any] = {}
     order: list[Any] = []
     child_ids: dict[int, tuple[int, ...]] = {}
-    node_auths: dict[int, NodeAuth] = {}
+    node_auths: dict[int, SignedDigest] = {}
     row_map: dict[Any, Row] = {}
     tuple_auth: dict[Any, TupleAuth] = {}
     try:
@@ -756,9 +751,9 @@ def snapshot_from_bytes(data: bytes, signing):
         width = sig_len + 2
         if width > size:
             raise EncodingError(f"{sig_len}-byte signatures cannot fit the payload")
+        # ``signature | epoch``: what closes every node, and every
+        # tuple and attribute digest after them.
         signed_records = struct.Struct(f">{sig_len}sH")
-        # ``signed | signed_display``, what closes every node.
-        node_records = struct.Struct(f">{sig_len}sH{sig_len}sH")
         table_name, offset = decode_value(data, offset)
         version, offset = decode_uint(data, offset)
         schema, offset = _decode_schema(data, offset)
@@ -770,7 +765,7 @@ def snapshot_from_bytes(data: bytes, signing):
         ) = _SNAPSHOT_TREE.unpack_from(data, offset)
         offset += _SNAPSHOT_TREE.size
         geometry = PageGeometry(block_size, key_len, pointer_len, digest_len)
-        if node_count * (_SNAPSHOT_NODE.size + node_records.size) > size - offset:
+        if node_count * (_SNAPSHOT_NODE.size + width) > size - offset:
             raise EncodingError(f"{node_count} nodes cannot fit the remaining bytes")
         for _ in range(node_count):
             node_id, leaf_flag, key_count = _SNAPSHOT_NODE.unpack_from(data, offset)
@@ -788,13 +783,10 @@ def snapshot_from_bytes(data: bytes, signing):
                     f">{key_count + 1}I", data, offset
                 )
                 offset += 4 * (key_count + 1)
-            signature, sig_epoch, display_signature, display_epoch = (
-                node_records.unpack_from(data, offset)
-            )
-            offset += node_records.size
-            node_auths[node_id] = NodeAuth(
-                SignedDigest(from_bytes(signature, "big"), sig_epoch),
-                SignedDigest(from_bytes(display_signature, "big"), display_epoch),
+            signature, sig_epoch = signed_records.unpack_from(data, offset)
+            offset += width
+            node_auths[node_id] = SignedDigest(
+                from_bytes(signature, "big"), sig_epoch
             )
             nodes[node_id] = node
             order.append(node)

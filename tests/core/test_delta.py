@@ -53,7 +53,7 @@ class TestEmission:
         assert root_id in {u.node_id for u in delta.node_updates}
         # Node updates match the tree's current (signed) digest state.
         for update in delta.node_updates:
-            assert tree._node_auth[update.node_id] == update.to_auth()
+            assert tree._node_auth[update.node_id] == update.signed
 
     def test_take_delta_pops(self, updater, schema):
         updater.insert(make_row(schema, 1003))
@@ -163,7 +163,7 @@ _DELTAS = st.builds(
     structural=st.booleans(),
     ops=st.lists(st.one_of(_INSERTS, _DELETES), max_size=6).map(tuple),
     node_updates=st.lists(
-        st.builds(NodeDigestUpdate, _U32S, _SIGNED, _SIGNED),
+        st.builds(NodeDigestUpdate, _U32S, _SIGNED),
         max_size=4,
     ).map(tuple),
     freed_nodes=st.lists(_U32S, max_size=4).map(tuple),

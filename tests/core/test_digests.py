@@ -111,15 +111,18 @@ class TestNodeDigests:
         with pytest.raises(AuthenticationError):
             engine.fold_into_node(1, 2)
 
-    def test_display_value_flattened(self):
-        engine = DigestEngine(DB_NAME, policy=DigestPolicy.FLATTENED)
-        h = engine.commutative
+    def test_equal_exponents_give_equal_powers_never_the_converse(self):
+        """What comparing ``D_N`` as a value rests on (DESIGN.md §20):
+        ``g``'s order divides ``2^(k-2)``, which divides the modulus the
+        exponents are reduced by — so equal exponent products always
+        had equal ``g^x`` "display" forms, while two products one order
+        apart shared a display form and are now told apart."""
+        h = DigestEngine(DB_NAME, policy=DigestPolicy.FLATTENED).commutative
+        order = h.modulus >> 2
+        assert pow(h.generator, order, h.modulus) == 1
         x = 12345
-        assert engine.display_value(x) == pow(h.generator, x, h.modulus)
-
-    def test_display_value_nested_identity(self):
-        engine = DigestEngine(DB_NAME, policy=DigestPolicy.NESTED)
-        assert engine.display_value(777) == 777
+        assert pow(h.generator, x + order, h.modulus) == pow(h.generator, x, h.modulus)
+        assert (x + order) % h.modulus != x
 
     def test_negative_values_rejected(self, engine):
         with pytest.raises(AuthenticationError):

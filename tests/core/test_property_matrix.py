@@ -7,10 +7,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.digests import DigestEngine, DigestPolicy
+from repro.core.envelope import find_envelope
 from repro.core.query_auth import QueryAuthenticator
 from repro.core.update import AuthenticatedUpdater
 from repro.core.verify import ResultVerifier
 from repro.core.vo import VOFormat
+from repro.core.wire import result_from_bytes, result_to_bytes
+from repro.crypto.signatures import DigestVerifier
 from repro.db.rows import Row
 
 from tests.core.conftest import DB_NAME, build_tree
@@ -23,6 +26,19 @@ projections = st.one_of(
         tuple
     ),
 )
+
+
+def _value_from_rows(tree, node):
+    """A node's digest value recomputed from nothing but the rows."""
+    engine = tree.signing.engine
+    if node.is_leaf:
+        children = [
+            engine.tuple_digests(tree.table_name, row).tuple_value
+            for row in node.values
+        ]
+    else:
+        children = [_value_from_rows(tree, child) for child in node.children]
+    return engine.node_value(children)
 
 
 @pytest.fixture(scope="module", params=[DigestPolicy.FLATTENED, DigestPolicy.NESTED])
@@ -105,3 +121,45 @@ class TestVerificationMatrix:
         assert result.keys == sorted(
             k for k in present if probe <= k <= probe + 60
         )
+
+    @given(
+        st.sampled_from(list(DigestPolicy)),
+        st.integers(min_value=1, max_value=48),
+        st.integers(min_value=3, max_value=7),
+        st.integers(min_value=-4, max_value=100),
+        st.integers(min_value=0, max_value=60),
+        projections,
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_top_signature_recovers_to_the_value_the_client_folds(
+        self, schema, keypair, policy, n, fanout, low, span, cols
+    ):
+        """``D_N`` has one form (DESIGN.md §20): over random trees and
+        ranges, what the envelope top's one signature recovers to is the
+        node's value recomputed from the rows, and — the verdict being
+        exactly that comparison — the value the client folds from the
+        answer as it came off the wire, in every VO format the policy
+        admits."""
+        tree = build_tree(schema, keypair, policy, fanout=fanout, n=n)
+        auth = QueryAuthenticator(tree)
+        verifier = ResultVerifier(
+            DigestEngine(DB_NAME, policy=policy), public_key=keypair.public
+        )
+        recover = DigestVerifier(keypair.public).recover
+        sig_len = keypair.public.signature_len
+        formats = [VOFormat.STRUCTURED]
+        if policy is DigestPolicy.FLATTENED:
+            formats.append(VOFormat.FLAT_SET)
+        for fmt in formats:
+            result = auth.range_query(
+                low=low, high=low + span, columns=cols, vo_format=fmt
+            )
+            top = find_envelope(tree.tree, result.keys).top
+            assert result.vo.top_signed is tree.node_auth(top)
+            assert recover(result.vo.top_signed) == _value_from_rows(tree, top)
+            received = result_from_bytes(result_to_bytes(result, sig_len))
+            verdict = verifier.verify(received)
+            assert verdict.ok, f"{policy} {fmt} n={n} fanout={fanout}: {verdict.reason}"
+            if received.rows:
+                received.keys[0] += 1  # formula (1) binds the key
+                assert not verifier.verify(received).ok

@@ -5,6 +5,8 @@ adversarial side: honest results always verify; tampered values,
 spurious tuples, and misassembled VOs never do.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from repro.core.digests import DigestEngine, DigestPolicy
 from repro.core.query_auth import QueryAuthenticator
 from repro.core.verify import ResultVerifier
 from repro.core.vo import VOFormat
+from repro.crypto.signatures import DigestVerifier, SignedDigest
 from repro.db.expressions import Comparison, between
 from repro.exceptions import VOFormatError
 
@@ -245,6 +248,60 @@ class TestTamperDetection:
         assert not verifier.verify(result).ok
 
 
+def _product_in_ds(result, forge):
+    a, b = result.vo.selection_entries[:2]
+    result.vo.selection_entries[0] = dataclasses.replace(
+        a, signed=forge(a.signed, b.signed)
+    )
+
+
+def _product_in_dp(result, forge):
+    a, b = result.vo.projection_entries[:2]
+    result.vo.projection_entries[0] = dataclasses.replace(
+        a, signed=forge(a.signed, b.signed)
+    )
+
+
+def _product_as_dn(result, forge):
+    # The envelope top times a pruned branch beside it.
+    result.vo.top_signed = forge(
+        result.vo.top_signed, result.vo.selection_entries[0].signed
+    )
+
+
+class TestRecoveredValueBound:
+    """Textbook RSA is multiplicative: the product of two epoch-0
+    signatures is a "signature" nobody made that recovers, without
+    error, to ``v1 * v2 * 2^16`` — wider than any digest.  Wherever it
+    is offered the verifier refuses it as a bad signature instead of
+    reducing it mod ``2^k`` and folding it in."""
+
+    @pytest.mark.parametrize(
+        "place",
+        [_product_in_ds, _product_in_dp, _product_as_dn],
+        ids=["D_S", "D_P", "D_N"],
+    )
+    def test_signature_product_is_a_bad_signature(
+        self, authenticator, verifier, keypair, place
+    ):
+        recovered = []
+
+        def forge(a, b):
+            assert a.epoch == b.epoch == 0
+            forged = SignedDigest((a.signature * b.signature) % keypair.public.n, 0)
+            # No error from the recovery itself: the low 16 bits say epoch 0.
+            recovered.append(DigestVerifier(keypair.public).recover(forged))
+            return forged
+
+        result = authenticator.range_query(low=22, high=70, columns=("id", "name"))
+        assert verifier.verify(result).ok
+        place(result, forge)
+        assert recovered[0] >= verifier.engine.commutative.modulus
+        verdict = verifier.verify(result)
+        assert not verdict.ok
+        assert verdict.reason.startswith("bad signature")
+
+
 class TestColludingDrop:
     """The paper's trust-model boundary: an edge server that drops a
     qualifying tuple AND re-covers it as a gap digest produces a VO that
@@ -272,6 +329,29 @@ class TestColludingDrop:
             public_key=keypair.public,
         )
         assert verifier.verify(result).ok  # documented model boundary
+
+    def test_tuple_signature_as_dn_is_the_same_boundary(self, schema, keypair):
+        """``D_N`` has one form, so any central signature whose value
+        equals the folded product can stand as it (DESIGN.md §20): a
+        tuple's own signed digest tops a one-row "envelope".  That is
+        drop-and-cover taken to its end — every returned value is still
+        under a central signature, and a value the owner did not sign
+        is still refused."""
+        tree = build_tree(schema, keypair, DigestPolicy.FLATTENED, n=60)
+        result = QueryAuthenticator(tree).range_query(
+            low=0, high=60, vo_format=VOFormat.FLAT_SET
+        )
+        kept = result.keys[1]
+        result.rows, result.keys = [result.rows[1]], [kept]
+        result.vo.selection_entries.clear()
+        result.vo.top_signed = tree.tuple_auth(kept).signed_tuple
+        verifier = ResultVerifier(
+            DigestEngine(DB_NAME, policy=DigestPolicy.FLATTENED),
+            public_key=keypair.public,
+        )
+        assert verifier.verify(result).ok  # documented model boundary
+        result.rows[0] = (*result.rows[0][:-1], result.rows[0][-1] + 1)
+        assert not verifier.verify(result).ok
 
 
 class TestPropertyBasedRanges:

@@ -5,14 +5,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.digests import DigestEngine, DigestPolicy
+from repro.analysis.params import Parameters
+from repro.analysis.updates import delete_cost, insert_cost
+from repro.core.digests import DigestEngine, DigestPolicy, SigningDigestEngine
 from repro.core.query_auth import QueryAuthenticator
 from repro.core.update import AuthenticatedUpdater, digest_resource
+from repro.core.vbtree import VBTree
 from repro.core.verify import ResultVerifier
+from repro.crypto.meter import CostMeter
+from repro.crypto.signatures import DigestSigner
 from repro.db.locks import LockMode
 from repro.db.rows import Row
 from repro.db.transactions import TransactionManager
 from repro.exceptions import DuplicateKeyError, LockError
+from repro.workloads.generator import TableSpec, generate_table
 
 from tests.core.conftest import DB_NAME, build_tree, make_rows
 
@@ -122,6 +128,88 @@ class TestInterleavedUpdates:
                 present.discard(key)
         tree.audit()
         assert {r.key for r in tree.rows()} == present
+
+
+class TestSignaturesAtThePapersFormulas:
+    """Section 4.4 prices a write in signatures; with one signature per
+    node the running system makes exactly that many.  The tree is the
+    e2e fabric recipe's — 10 columns × 20 B, keys on a step-4 lattice,
+    default page geometry — at the fewest rows that give its height."""
+
+    COLUMNS = 10
+    KEY_STEP = 4
+
+    @pytest.fixture(scope="class")
+    def metered(self, keypair):
+        schema, rows = generate_table(
+            TableSpec(
+                name="items", rows=1400, columns=self.COLUMNS, attr_size=20,
+                key_step=self.KEY_STEP, seed=1,
+            )
+        )
+        meter = CostMeter()
+        signing = SigningDigestEngine(
+            DigestEngine(DB_NAME, meter=meter),
+            DigestSigner.from_keypair(keypair, meter=meter),
+        )
+        tree = VBTree.build(schema, [Row(schema, v) for v in rows], signing)
+        assert tree.height() == 3
+        # A build signs every attribute, tuple and node once.
+        assert meter.signs == 1400 * (self.COLUMNS + 1) + tree.tree.node_count()
+        geometry = tree.geometry
+        # The formulas assume full nodes; a tree built by inserts is
+        # half full, so give them the fewest rows whose *packed* height
+        # is the height this tree has.
+        params = Parameters(
+            digest_len=geometry.digest_len,
+            key_len=geometry.key_len,
+            num_cols=self.COLUMNS,
+            num_rows=geometry.leaf_capacity() * geometry.internal_fanout() + 1,
+        )
+        assert params.vbtree_geometry().height_for(params.num_rows) == 3
+        return schema, tree, AuthenticatedUpdater(tree), meter, params
+
+    def _signs(self, meter, mutate, *args):
+        before = meter.signs
+        mutate(*args)
+        return meter.signs - before
+
+    def _row(self, schema, key):
+        return Row(schema, (key, *[f"{key}-{c}".ljust(20, "x") for c in range(1, 10)]))
+
+    def test_no_split_insert_signs_formula_11(self, metered):
+        schema, _tree, updater, meter, params = metered
+        key = 10 * self.KEY_STEP + 1  # a hole in a half-full leaf
+        signs = self._signs(meter, updater.insert, self._row(schema, key))
+        delta = updater.take_delta()
+        assert not delta.structural and len(delta.node_updates) == 3
+        assert signs == insert_cost(params).signs == self.COLUMNS + 1 + 3
+
+    def test_single_row_delete_signs_its_dirty_nodes(self, metered):
+        _schema, _tree, updater, meter, params = metered
+        signs = self._signs(meter, updater.delete, 700 * self.KEY_STEP)
+        delta = updater.take_delta()
+        assert not delta.structural
+        assert signs == len(delta.node_updates) == 3
+        assert signs <= delete_cost(params, 1).signs
+
+    def test_split_insert_signs_each_dirty_node_once(self, metered):
+        schema, tree, updater, meter, _params = metered
+        leaf = tree.tree.find_leaf(300 * self.KEY_STEP)
+        base = leaf.keys[0]
+        for hole in range(1, 200):
+            if hole % self.KEY_STEP == 0:
+                continue
+            signs = self._signs(meter, updater.insert, self._row(schema, base + hole))
+            delta = updater.take_delta()
+            assert signs == self.COLUMNS + 1 + len(delta.node_updates)
+            if delta.structural:
+                # leaf, its new sibling, their parent, the root
+                assert len(delta.node_updates) == 4
+                break
+        else:
+            pytest.fail("the leaf never split")
+        tree.audit()
 
 
 class TestLockingProtocol:

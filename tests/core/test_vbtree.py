@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.digests import DigestPolicy
+from repro.core.query_auth import QueryAuthenticator
 from repro.core.vbtree import VBTree
 from repro.crypto.signatures import DigestVerifier, SignedDigest
 from repro.db.page import PageGeometry
@@ -30,8 +31,7 @@ class TestBuild:
     def test_every_node_has_auth(self, vbtree, keypair):
         verifier = DigestVerifier(keypair.public)
         for node in vbtree.tree.walk_nodes():
-            auth = vbtree.node_auth(node)
-            assert verifier.recover(auth.signed) > 0
+            assert verifier.recover(vbtree.node_auth(node)) > 0
 
     def test_missing_key_raises(self, vbtree):
         with pytest.raises(KeyNotFoundError):
@@ -44,9 +44,8 @@ class TestBuild:
         """The signed forms recover to the values the central tree folds
         from: the signature *is* the stored digest."""
         verifier = DigestVerifier(keypair.public)
-        root = vbtree.root_auth()
         value = vbtree.compute_node_value(vbtree.tree.root)
-        assert verifier.recover(root.signed) == value
+        assert verifier.recover(vbtree.root_auth()) == value
         for row in list(vbtree.rows())[:5]:
             auth = vbtree.tuple_auth(row.key)
             digests = vbtree.signing.engine.tuple_digests(vbtree.table_name, row)
@@ -56,18 +55,23 @@ class TestBuild:
                 == digests.attribute_values
             )
 
-    def test_display_form(self, vbtree, keypair):
-        verifier = DigestVerifier(keypair.public)
-        root = vbtree.root_auth()
-        engine = vbtree.signing.engine
-        value = verifier.recover(root.signed)
-        assert verifier.recover(root.signed_display) == engine.display_value(value)
-        if vbtree.policy is DigestPolicy.NESTED:
-            assert root.signed_display == root.signed
+    def test_one_signature_per_node_is_what_the_vo_top_ships(self, vbtree):
+        """No second "display" form, under either policy: ``D_N`` for an
+        envelope top is the very signature ``D_S`` ships for that node
+        when it is pruned, and a build signs each node once."""
+        assert len(vbtree._node_auth) == vbtree.tree.node_count()
+        whole_table = QueryAuthenticator(vbtree).range_query()
+        assert whole_table.vo.top_signed is vbtree.root_auth()
+        leaf = vbtree.tree.first_leaf()
+        one_row = QueryAuthenticator(vbtree).range_query(
+            low=leaf.keys[0], high=leaf.keys[0]
+        )
+        assert one_row.vo.top_signed is vbtree.node_auth(leaf)
 
     def test_auth_is_signed_material_only(self, vbtree):
-        """``TupleAuth`` / ``NodeAuth`` are exactly what a VO can ship."""
-        assert set(vars(vbtree.root_auth())) == {"signed", "signed_display"}
+        """A node's auth is its signed digest and a ``TupleAuth`` is two
+        signed fields: exactly what a VO can ship."""
+        assert type(vbtree.root_auth()) is SignedDigest
         key = next(iter(vbtree.rows())).key
         assert set(vars(vbtree.tuple_auth(key))) == {"signed_tuple", "signed_attrs"}
 
@@ -92,7 +96,7 @@ class TestNodeDigestStructure:
         engine = vbtree.signing.engine
         leaf = vbtree.tree.first_leaf()
         expected = engine.node_value([_tuple_value(vbtree, r) for r in leaf.values])
-        assert recover(vbtree.node_auth(leaf).signed) == expected
+        assert recover(vbtree.node_auth(leaf)) == expected
 
     def test_internal_value_is_combination_of_children(self, vbtree, keypair):
         recover = DigestVerifier(keypair.public).recover
@@ -101,9 +105,9 @@ class TestNodeDigestStructure:
         if root.is_leaf:
             pytest.skip("tree too small")
         expected = engine.node_value(
-            [recover(vbtree.node_auth(c).signed) for c in root.children]
+            [recover(vbtree.node_auth(c)) for c in root.children]
         )
-        assert recover(vbtree.node_auth(root).signed) == expected
+        assert recover(vbtree.node_auth(root)) == expected
 
     def test_flattened_root_is_product_of_all_tuples(self, schema, keypair):
         """FLATTENED: the root exponent is the product of every tuple
@@ -115,7 +119,7 @@ class TestNodeDigestStructure:
         for row in vbt.rows():
             product = (product * _tuple_value(vbt, row)) % modulus
         recover = DigestVerifier(keypair.public).recover
-        assert recover(vbt.root_auth().signed) == product
+        assert recover(vbt.root_auth()) == product
 
     def test_nested_root_differs_from_flat_product(self, schema, keypair):
         vbt = build_tree(schema, keypair, DigestPolicy.NESTED, n=40)
@@ -125,7 +129,7 @@ class TestNodeDigestStructure:
             product = (product * _tuple_value(vbt, row)) % modulus
         if not vbt.tree.root.is_leaf:
             recover = DigestVerifier(keypair.public).recover
-            assert recover(vbt.root_auth().signed) != product
+            assert recover(vbt.root_auth()) != product
 
 
 class TestAudit:
@@ -140,20 +144,20 @@ class TestAudit:
 
     def test_audit_detects_tampered_node_digest(self, schema, keypair, policy):
         vbt = build_tree(schema, keypair, policy, n=30)
-        root_auth = vbt.root_auth()
-        root_auth.signed = _flipped(root_auth.signed)
+        vbt.install_node_auth(vbt.tree.root.node_id, _flipped(vbt.root_auth()))
         with pytest.raises(AuthenticationError):
             vbt.audit()
 
-    def test_audit_detects_tampered_display_signature(
-        self, schema, keypair, policy
-    ):
-        """``signed_display`` is what every VO's envelope top ships; the
-        audit used to leave it to clients."""
+    def test_audit_detects_a_tampered_envelope_top(self, schema, keypair, policy):
+        """A node's one signature is what a VO ships as ``D_N`` when the
+        node tops an envelope; the audit checks it on every node, not
+        only the root."""
         vbt = build_tree(schema, keypair, policy, n=30)
-        leaf_auth = vbt.node_auth(vbt.tree.first_leaf())
-        leaf_auth.signed_display = _flipped(leaf_auth.signed_display)
-        with pytest.raises(AuthenticationError, match="display"):
+        leaf = vbt.tree.first_leaf()
+        vbt.install_node_auth(leaf.node_id, _flipped(vbt.node_auth(leaf)))
+        with pytest.raises(
+            AuthenticationError, match=f"node {leaf.node_id} signature invalid"
+        ):
             vbt.audit()
 
     def test_audit_detects_tampered_tuple_signature(self, schema, keypair, policy):
@@ -165,8 +169,7 @@ class TestAudit:
 
     def test_recompute_all_restores_audit(self, schema, keypair, policy):
         vbt = build_tree(schema, keypair, policy, n=30)
-        root_auth = vbt.root_auth()
-        root_auth.signed = _flipped(root_auth.signed)
+        vbt.install_node_auth(vbt.tree.root.node_id, _flipped(vbt.root_auth()))
         vbt.recompute_all_nodes()
         vbt.audit()
 

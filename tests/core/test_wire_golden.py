@@ -7,7 +7,13 @@ frozen the same way (PR 16) and **re-frozen on purpose** when the
 replication payloads stopped carrying unsigned digest values beside
 their signatures (DESIGN.md §18): they were confirmed green at the
 parent commit first, then replaced in the same commit as the codec,
-with the first snapshot vectors beside them.  The decoder regressions
+with the first snapshot vectors beside them.  They moved once more,
+the same way, when a node stopped carrying a second ("display")
+signature (DESIGN.md §20): every delta and snapshot vector shrank by
+exactly one signed digest per node record
+(``test_refreeze_dropped_one_signature_per_node_record``), and the four
+FLATTENED result vectors kept their lengths — only the bytes of the
+``top_signed`` field changed, ``nested`` not at all.  The decoder regressions
 are the deterministic form of the ``test_wire_fuzz`` byte-flip flake: a
 corrupted count or a cut buffer must surface as ``VOFormatError`` /
 ``EncodingError``, never ``IndexError``."""
@@ -42,19 +48,19 @@ from tests.core.conftest import (
 GOLDEN = {
     "full_row": (
         2365,
-        "15aa7c01559934e66b4acdb96da490c7988e0366188e37495a76d670875e0711",
+        "8c55a3fb7f7da298b6f394889437864f8dbf1da00475d769fd8aa5d9aaa25d6c",
     ),
     "projected": (
         4984,
-        "b75067871d12ec964941d098fd509c6c27bfa712a7150a4083ff0b41fba9a7df",
+        "5cda028a1f66d33b657d6152bc36c351a3e42c9e21845c590c275ca1c6194500",
     ),
     "empty": (
         390,
-        "f5bea5f824c037d27d31c33b0b76984712add0ca9884a376b7c10ad67c5ba026",
+        "4851cd8397261af1285b9ed1585b77a69af37db50483e66c8b7197943f8cdac2",
     ),
     "structured": (
         8718,
-        "df58f8995f2a6a0bd733bdb7adc6b596aeb85a5c324f98aa65e5031ae63853fd",
+        "4ffec6f55a8e98051bdb6b50de9c8fdb506567d45bd18ad1f6b0b430806c6687",
     ),
     "nested": (
         8966,
@@ -168,24 +174,24 @@ def test_structured_counts_inflated(golden_results, sig_len, name):
 #: name -> (wire length, SHA-256 of the sealed payload)
 GOLDEN_DELTAS = {
     "insert": (
-        1165,
-        "88ddc310620d2b374e419267a4bbbf30ae44dd0459ab9656a45a80e878fa2d75",
+        835,
+        "f8ee4d774168e931bff30cf02a127823ddd385a9abff7956f87ee473d390e0bd",
     ),
     "delete": (
-        665,
-        "12a72fe50b3c9e995795c1470c2ca67e5ada6b6230f3d995e82082361eb6362a",
+        401,
+        "883b5c43817ccbfb8078077c5b11271869f2911ca3a0a47c7fdd02f14fe7afb1",
     ),
     "secondary_delete": (
-        549,
-        "59221570eca2c412e3bb4f65689a1320c3640bf0e6ca85f6ff92079057ee39ce",
+        351,
+        "5cd54b8d8e11e562140577238b885d478ee2b1b67ddfd66b01c57cad35ae8319",
     ),
     "batch_32_2": (
-        14483,
-        "97729c4de5222d6e27f55769266df5fb625616ef41e9a20f7c5bdd87b2af98c0",
+        13295,
+        "6138b7c4cb3e660aa575f0d5d74a4371a7eb89f0e008d0e8135c91f8c6738415",
     ),
     "structural": (
-        3464,
-        "f6c16193e092c1efdb20b2b5a9b4c16b2139d16fc9e0ed0318962c751bdb22a2",
+        3332,
+        "69f2e3293bab6f310e3a8dd206150a6cd317c78542b142c4108604f20c39f696",
     ),
 }
 
@@ -271,14 +277,42 @@ def test_non_canonical_structural_flag_rejected(golden_deltas, sig_len, flag):
 #: name -> (wire length, SHA-256 of the snapshot payload)
 GOLDEN_SNAPSHOTS = {
     "primary": (
-        11722,
-        "e63d3bffcf3cc706b71c48718c6bac5a3f643016f816c00d0056ef562456e461",
+        10666,
+        "b4e53398a6493648c49214f910a89b550662266f005582fbddee69215edc3f79",
     ),
     "secondary": (
-        7991,
-        "3b37a6ba5cd4204c9f004c140d45bf80adebcf544d48d5ad83546715f434284e",
+        7397,
+        "4440cf426da1246621e4b6487cd823ca2b5bf0a9bebeb825b53139f53d293245",
     ),
 }
+
+
+#: Lengths at the parent commit, where every node record was ``signed |
+#: signed_display``.
+TWO_SIGNATURE_LENGTHS = {
+    "insert": 1165,
+    "delete": 665,
+    "secondary_delete": 549,
+    "batch_32_2": 14483,
+    "structural": 3464,
+    "primary": 11722,
+    "secondary": 7991,
+}
+
+
+def test_refreeze_dropped_one_signature_per_node_record(
+    golden_deltas, golden_snapshots, sig_len
+):
+    """The re-freeze moved each vector by the dropped signature and by
+    nothing else: ``sig_len + 2`` bytes per node update in a delta, per
+    node in a snapshot."""
+    records = {name: len(d.node_updates) for name, d in golden_deltas.items()}
+    records |= {n: t.tree.node_count() for n, t in golden_snapshots.items()}
+    frozen = GOLDEN_DELTAS | GOLDEN_SNAPSHOTS
+    assert sorted(records) == sorted(frozen) == sorted(TWO_SIGNATURE_LENGTHS)
+    for name, count in records.items():
+        assert count > 0
+        assert frozen[name][0] == TWO_SIGNATURE_LENGTHS[name] - (sig_len + 2) * count
 
 
 @pytest.fixture(scope="module")

@@ -179,7 +179,6 @@ class TestDeltaAdversary:
                 NodeDigestUpdate(
                     node_id=vbt.tree.root.node_id,
                     signed=fake_sig(),
-                    signed_display=fake_sig(),
                 ),
             ),
             freed_nodes=(),
@@ -307,8 +306,8 @@ class TestDeltaAdversary:
             "node update": payload.index(
                 delta.node_updates[0].signed.to_bytes(sig_len)
             ) + 11,
-            "node display signature": payload.index(
-                delta.node_updates[-1].signed_display.to_bytes(sig_len)
+            "last node update": payload.index(
+                delta.node_updates[-1].signed.to_bytes(sig_len)
             ) + 13,
             "freed id": len(payload) - (sig_len + 2) - 1,
             "signature": len(payload) - 3,

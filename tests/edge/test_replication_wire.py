@@ -10,7 +10,12 @@ import pytest
 from repro.core.delta import delta_digest
 from repro.core.query_auth import QueryAuthenticator
 from repro.core.vo import VOFormat
-from repro.core.wire import result_to_bytes, snapshot_from_bytes
+from repro.core.wire import (
+    authenticate_delta,
+    delta_from_bytes,
+    result_to_bytes,
+    snapshot_from_bytes,
+)
 from repro.crypto.signatures import DigestVerifier, SignedDigest
 from repro.edge import telemetry
 from repro.edge.adversary import DropTuple, SpuriousTuple, ValueTamper
@@ -21,7 +26,7 @@ from repro.edge.transport import (
     frame_from_bytes,
     frame_to_bytes,
 )
-from repro.exceptions import EncodingError
+from repro.exceptions import DeltaTamperError, EncodingError
 from repro.workloads.generator import TableSpec, generate_table
 
 from tests.core.conftest import snapshot_node_count_offset
@@ -29,6 +34,8 @@ from tests.edge.parent_format_fixtures import (
     PARENT_INSERT_DELTA_HEX,
     PARENT_RECIPE,
     PARENT_SNAPSHOT_HEX,
+    TWO_SIGNATURE_INSERT_DELTA_HEX,
+    TWO_SIGNATURE_SNAPSHOT_HEX,
 )
 
 
@@ -93,9 +100,10 @@ def fleet():
 
 def test_single_insert_delta_size_is_pinned(fleet):
     """10 columns × 20 B, a three-node path, table ``items``: the e2e
-    recipe's insert delta, to the byte — 1 858 B before the diet."""
+    recipe's insert delta, to the byte — 1 858 B before the diet,
+    1 488 B while each of the three path nodes shipped two signatures."""
     _server, _edges, insert_bytes = fleet
-    assert insert_bytes == 1488
+    assert insert_bytes == 1488 - 3 * 66
 
 
 def test_replica_holds_signed_digests_only(fleet):
@@ -110,10 +118,12 @@ def test_replica_holds_signed_digests_only(fleet):
                 assert set(vars(auth)) == {"signed_tuple", "signed_attrs"}
                 assert type(auth.signed_tuple) is SignedDigest
                 assert all(type(s) is SignedDigest for s in auth.signed_attrs)
-            for auth in replica._node_auth.values():
-                assert set(vars(auth)) == {"signed", "signed_display"}
-                assert type(auth.signed) is SignedDigest
-                assert type(auth.signed_display) is SignedDigest
+            # One signed digest per node, and nothing beside it.
+            assert len(replica._node_auth) == replica.tree.node_count()
+            assert all(
+                type(signed) is SignedDigest
+                for signed in replica._node_auth.values()
+            )
             # Every signature a VO can ship arrived bit for bit.
             assert replica._tuple_auth == central_tree._tuple_auth
             assert replica._node_auth == central_tree._node_auth
@@ -275,17 +285,30 @@ def parent_fleet():
     return server, edge
 
 
-def test_parent_format_delta_is_refused_as_tamper(parent_fleet):
+#: Both earlier layouts of the one payload format, oldest first.
+_EARLIER_LAYOUTS = ["values beside signatures", "two node signatures"]
+
+
+@pytest.mark.parametrize(
+    "delta_hex",
+    [PARENT_INSERT_DELTA_HEX, TWO_SIGNATURE_INSERT_DELTA_HEX],
+    ids=_EARLIER_LAYOUTS,
+)
+def test_parent_format_delta_is_refused_as_tamper(parent_fleet, delta_hex):
     """The parent's delta is authentic — signed by this very key over
     its own bytes — so the parser is the only gate: it must not read
-    the old layout as the new one."""
+    an old layout as the new one."""
     server, edge = parent_fleet
-    parent_delta = bytes.fromhex(PARENT_INSERT_DELTA_HEX)
+    parent_delta = bytes.fromhex(delta_hex)
     width = server.public_key.signature_len + 2
     assert DigestVerifier(server.public_key).verify_value(
         SignedDigest.from_bytes(parent_delta[-width:], width - 2),
         delta_digest(parent_delta[:-width]),
     )
+    with pytest.raises(EncodingError):
+        delta_from_bytes(parent_delta)
+    with pytest.raises(DeltaTamperError):
+        authenticate_delta(parent_delta, "t", edge.config.keyring)
     before = _replica_state(edge, "t")
     telemetry.reset()
     ack = _nack(edge, DeltaFrame("t", parent_delta))
@@ -294,7 +317,7 @@ def test_parent_format_delta_is_refused_as_tamper(parent_fleet):
     edge.replica("t").audit()
     assert telemetry.unexpected_total() == 0
     # The same insert in today's format: same header, same row, same
-    # signatures, minus the unsigned copies — and it applies.
+    # signatures, minus the copies — and it applies.
     server.insert("t", PARENT_RECIPE["insert"])
     payload, _head = server.delta_payload("t", 0)
     assert len(payload) < len(parent_delta)
@@ -304,9 +327,14 @@ def test_parent_format_delta_is_refused_as_tamper(parent_fleet):
     edge.replica("t").audit()
 
 
-def test_parent_format_snapshot_is_refused_as_error(parent_fleet):
+@pytest.mark.parametrize(
+    "snapshot_hex",
+    [PARENT_SNAPSHOT_HEX, TWO_SIGNATURE_SNAPSHOT_HEX],
+    ids=_EARLIER_LAYOUTS,
+)
+def test_parent_format_snapshot_is_refused_as_error(parent_fleet, snapshot_hex):
     server, edge = parent_fleet
-    parent_snapshot = bytes.fromhex(PARENT_SNAPSHOT_HEX)
+    parent_snapshot = bytes.fromhex(snapshot_hex)
     current = server.snapshot_frame("t")
     assert len(current.payload) < len(parent_snapshot)
     assert current.payload[:64] == parent_snapshot[:64]  # same tree, same header
