@@ -30,8 +30,9 @@ def merkle(deployment):
     )
 
 
-def test_granularity_bytes(benchmark, deployment, merkle):
+def test_granularity_bytes(benchmark, deployment, naive_baseline, merkle):
     central, edge, _client, spec = deployment
+    naive_query, _verifier = naive_baseline
     sig_len = central.public_key.signature_len
 
     series = []
@@ -41,7 +42,7 @@ def test_granularity_bytes(benchmark, deployment, merkle):
         for sel in SELECTIVITIES:
             q = range_for_selectivity(spec, sel)
             resp = edge.range_query("items", q.low, q.high)
-            _naive, naive_bytes = edge.naive_range_query("items", q.low, q.high)
+            naive_bytes = naive_query(q.low, q.high).wire_size(sig_len)
             proof = merkle.prove_key_range(q.low, q.high)
             series.append(
                 (
@@ -62,8 +63,9 @@ def test_granularity_bytes(benchmark, deployment, merkle):
     )
 
 
-def test_granularity_decryptions(benchmark, deployment, merkle):
+def test_granularity_decryptions(benchmark, deployment, naive_baseline, merkle):
     central, edge, _client, spec = deployment
+    naive_query, naive_verifier = naive_baseline
 
     series = []
 
@@ -76,9 +78,8 @@ def test_granularity_decryptions(benchmark, deployment, merkle):
         vb_meter = CostMeter()
         assert central.make_client(meter=vb_meter).verify(resp).ok
 
-        naive_result, _b = edge.naive_range_query("items", q.low, q.high)
         naive_meter = CostMeter()
-        assert central.make_client(meter=naive_meter).verify_naive(naive_result)
+        assert naive_verifier(naive_meter).verify(naive_query(q.low, q.high))
 
         proof = merkle.prove_key_range(q.low, q.high)
         merkle_meter = CostMeter()

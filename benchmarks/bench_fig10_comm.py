@@ -31,13 +31,15 @@ def test_fig10_analytic(benchmark, qc):
 
 
 @pytest.mark.parametrize("qc", [2, 5, 8])
-def test_fig10_measured(benchmark, deployment, qc):
+def test_fig10_measured(benchmark, deployment, naive_baseline, qc):
     """Measured serialized bytes from the running system (5k rows).
 
     Absolute values differ from the paper (real 512-bit signatures, not
     16 B digests) — the *shape* must hold: VB-tree below Naive at every
     selectivity, both linear, gap = Q_r per-tuple signatures."""
     central, edge, _client, spec = deployment
+    naive_query, _verifier = naive_baseline
+    sig_len = central.public_key.signature_len
     columns = ("id", *(f"a{i}" for i in range(1, qc)))
 
     series = []
@@ -47,9 +49,7 @@ def test_fig10_measured(benchmark, deployment, qc):
         for sel in MEASURED_SELECTIVITIES:
             q = range_for_selectivity(spec, sel)
             resp = edge.range_query("items", q.low, q.high, columns=columns)
-            _naive, naive_bytes = edge.naive_range_query(
-                "items", q.low, q.high, columns=columns
-            )
+            naive_bytes = naive_query(q.low, q.high, columns).wire_size(sig_len)
             series.append((sel * 100, naive_bytes, resp.wire_bytes))
         return series
 

@@ -34,10 +34,11 @@ def test_fig12_analytic(benchmark, x):
 
 
 @pytest.mark.parametrize("x", [5, 10, 100])
-def test_fig12_measured(benchmark, deployment, x):
+def test_fig12_measured(benchmark, deployment, naive_baseline, x):
     """Measured client op-counts from the 5k-row deployment, weighted
     at ratio X — same unit as the paper's y-axis."""
     central, edge, _client, spec = deployment
+    naive_query, naive_verifier = naive_baseline
     weights = CostWeights(
         cost_hash=1.0, cost_combine=0.1, cost_verify=float(x), cost_sign=0.0
     )
@@ -49,15 +50,15 @@ def test_fig12_measured(benchmark, deployment, x):
         for sel in MEASURED_SELECTIVITIES:
             q = range_for_selectivity(spec, sel)
             resp = edge.range_query("items", q.low, q.high)
-            naive_result, _bytes = edge.naive_range_query("items", q.low, q.high)
+            naive_result = naive_query(q.low, q.high)
 
             vb_client = central.make_client(meter=CostMeter())
             assert vb_client.verify(resp).ok
             vb_cost = vb_client.meter.cost(weights)
 
-            naive_client = central.make_client(meter=CostMeter())
-            assert naive_client.verify_naive(naive_result)
-            naive_cost = naive_client.meter.cost(weights)
+            naive_meter = CostMeter()
+            assert naive_verifier(naive_meter).verify(naive_result)
+            naive_cost = naive_meter.cost(weights)
 
             series.append((sel * 100, naive_cost, vb_cost))
         return series

@@ -9,7 +9,7 @@ within the envelope's boundary effects."""
 import pytest
 
 from repro.analysis.communication import naive_comm_cost, vbtree_comm_cost
-from repro.analysis.computation import vbtree_comp_cost
+from repro.analysis.computation import vbtree_comp_cost, vbtree_comp_cost_as_built
 from repro.analysis.params import Parameters
 from repro.bench.series import emit
 from repro.core.wire import wire_breakdown
@@ -101,40 +101,51 @@ def test_verify_opcounts_vs_formula(benchmark, deployment):
             meter = CostMeter()
             client = central.make_client(meter=meter)
             assert client.verify(resp).ok
-            analytic = vbtree_comp_cost(params, sel)
+            paper = vbtree_comp_cost(params, sel)
+            as_built = vbtree_comp_cost_as_built(params, sel)
             series.append(
                 (
                     sel * 100,
-                    analytic.hashes,
+                    paper.hashes,
+                    as_built.hashes,
                     meter.hashes,
-                    analytic.decryptions,
+                    as_built.decryptions,
                     meter.verifies,
+                    as_built.combines,
+                    meter.combines,
                 )
             )
         return series
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)
     emit(
-        "Client op-counts vs formula (10) at deployment parameters",
+        "Client op-counts vs formula (10), the paper's and as built "
+        "(one row hash per tuple, no attribute folds), at deployment parameters",
         "measured_vs_analytic_comp",
-        ["sel %", "hashes (f)", "hashes (m)", "decrypts (f)", "decrypts (m)"],
+        [
+            "sel %", "hashes (paper)", "hashes (f)", "hashes (m)",
+            "decrypts (f)", "decrypts (m)", "combines (f)", "combines (m)",
+        ],
         series,
     )
-    for _sel, f_hash, m_hash, f_dec, m_dec in series:
-        assert m_hash == f_hash            # exact: Q_r x Q_c hashes
+    for _sel, p_hash, f_hash, m_hash, f_dec, m_dec, f_comb, m_comb in series:
+        assert m_hash == f_hash            # exact: Q_r x Q_c + Q_r hashes
+        assert f_hash - p_hash == m_hash // (MEASURED_COLS + 1)  # one per row
         assert m_dec <= f_dec              # formula is the worst case
+        assert m_comb <= f_comb            # Q_r + |D_S|, same bound
 
 
-def test_naive_bytes_vs_formula(benchmark, deployment):
-    central, edge, _client, spec = deployment
+def test_naive_bytes_vs_formula(benchmark, deployment, naive_baseline):
+    central, _edge, _client, spec = deployment
+    naive_query, _verifier = naive_baseline
     params = _measured_params(central)
     sel = 0.4
     q = range_for_selectivity(spec, sel)
 
     def run():
-        return edge.naive_range_query("items", q.low, q.high)
+        return naive_query(q.low, q.high).wire_size(central.public_key.signature_len)
 
-    _result, measured = benchmark.pedantic(run, rounds=1, iterations=1)
+    measured = benchmark.pedantic(run, rounds=1, iterations=1)
     analytic = naive_comm_cost(params, sel).total
     print(f"\nnaive: formula={analytic:,.0f} measured={measured:,}")
     assert measured == pytest.approx(analytic, rel=0.35)

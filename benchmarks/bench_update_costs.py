@@ -10,7 +10,7 @@ claim rests on."""
 import pytest
 
 from repro.analysis.params import Parameters
-from repro.analysis.updates import delete_series, insert_cost
+from repro.analysis.updates import delete_series, insert_cost, insert_cost_as_built
 from repro.bench.series import emit
 from repro.core.digests import DigestEngine, DigestPolicy, SigningDigestEngine
 from repro.core.update import AuthenticatedUpdater
@@ -76,7 +76,8 @@ def test_insert_measured(benchmark, policy):
 
 def test_insert_fold_vs_recompute_opcounts(benchmark):
     """Op-count comparison behind the paper's insert claim, with the
-    signatures measured beside formula 11's ``N_c + 1 + H_vb``."""
+    signatures measured beside formula 11's ``N_c + 1 + H_vb`` and the
+    as-built ``1 + H_vb`` (DESIGN.md D5: no attribute is signed)."""
     results = {}
 
     def measure():
@@ -91,9 +92,24 @@ def test_insert_fold_vs_recompute_opcounts(benchmark):
             updater = AuthenticatedUpdater(tree)
             meter.reset()
             updater.insert(Row(schema, (key, "new", "row")))
+            # The formulas take the height from a packed tree at the
+            # default page geometry; give them the fewest rows whose
+            # packed height is this (fan-out 16, half-full) tree's.
+            params = Parameters(
+                digest_len=tree.geometry.digest_len,
+                key_len=tree.geometry.key_len,
+                num_cols=schema.num_columns,
+            )
+            packed = params.vbtree_geometry()
+            params = params.with_(
+                num_rows=packed.leaf_capacity()
+                * packed.internal_fanout() ** (tree.height() - 2) + 1
+            )
+            assert packed.height_for(params.num_rows) == tree.height()
             results[policy.value] = {
                 **meter.snapshot(),
-                "formula_signs": schema.num_columns + 1 + tree.height(),
+                "formula_signs": insert_cost(params).signs,
+                "as_built_signs": insert_cost_as_built(params).signs,
             }
         return results
 
@@ -101,20 +117,27 @@ def test_insert_fold_vs_recompute_opcounts(benchmark):
     emit(
         "Insert maintenance op-counts: FLATTENED fold vs NESTED recompute",
         "update_insert_opcounts",
-        ["policy", "hashes", "combines", "signs", "formula 11 signs"],
+        ["policy", "hashes", "combines", "signs", "as-built signs", "formula 11 signs"],
         [
             (
                 name,
-                *(snap[k] for k in ("hashes", "combines", "signs", "formula_signs")),
+                *(
+                    snap[k]
+                    for k in (
+                        "hashes", "combines", "signs", "as_built_signs", "formula_signs"
+                    )
+                ),
             )
             for name, snap in results.items()
         ],
     )
     assert results["flattened"]["combines"] < results["nested"]["combines"]
-    # One signature per attribute, per tuple and per path node: the
-    # no-split fold signs exactly what formula 11 prices.
+    # One signature per tuple and per path node: the no-split fold signs
+    # exactly the as-built closed form, which is formula 11 less its
+    # N_c attribute signatures.
     flattened = results["flattened"]
-    assert flattened["signs"] == flattened["formula_signs"]
+    assert flattened["signs"] == flattened["as_built_signs"]
+    assert flattened["as_built_signs"] == flattened["formula_signs"] - 3
 
 
 def test_propagation_cost_end_to_end(benchmark):

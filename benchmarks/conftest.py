@@ -7,6 +7,8 @@ the deployment below."""
 
 import pytest
 
+from repro.baselines.naive import NaiveStore, NaiveVerifier
+from repro.core.digests import DigestEngine
 from repro.edge.central import CentralServer
 from repro.workloads.generator import TableSpec, generate_table
 
@@ -34,3 +36,27 @@ def deployment():
     edge = central.spawn_edge_server("bench-edge")
     client = central.make_client()
     return central, edge, client, spec
+
+
+@pytest.fixture(scope="session")
+def naive_baseline(deployment):
+    """The appendix's Naive scheme over the same table under the same
+    key, in a store of its own: the fabric signs one digest per tuple
+    (DESIGN.md D5), so the comparison builds the per-attribute baseline
+    explicitly from the central signing engine.  Returns ``(query,
+    verifier)``: ``query(low, high, columns=None)`` answers a range from
+    the rows the edge replica holds, ``verifier(meter)`` is a metered
+    :class:`NaiveVerifier`."""
+    central, edge, _client, _spec = deployment
+    vbt = central.vbtrees["items"]
+    store = NaiveStore.build(vbt.schema, vbt.rows(), central.signing_engine())
+
+    def query(low, high, columns=None):
+        held = edge.replica("items").tree.range_items(low=low, high=high)
+        return store.build_result([row for _key, row in held], columns)
+
+    def verifier(meter):
+        engine = DigestEngine(central.db_name, policy=central.policy, meter=meter)
+        return NaiveVerifier(engine, keyring=central.keyring, meter=meter)
+
+    return query, verifier

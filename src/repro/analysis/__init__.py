@@ -12,6 +12,7 @@ from repro.analysis.communication import (
     fig11_series,
     naive_comm_cost,
     vbtree_comm_cost,
+    vbtree_comm_cost_as_built,
 )
 from repro.analysis.computation import (
     CompCost,
@@ -20,6 +21,7 @@ from repro.analysis.computation import (
     fig13b_series,
     naive_comp_cost,
     vbtree_comp_cost,
+    vbtree_comp_cost_as_built,
 )
 from repro.analysis.params import Parameters
 from repro.analysis.storage import (
@@ -33,6 +35,7 @@ from repro.analysis.updates import (
     delete_cost,
     delete_series,
     insert_cost,
+    insert_cost_as_built,
 )
 
 __all__ = [
@@ -53,9 +56,12 @@ __all__ = [
     "fig8_series",
     "fig9_series",
     "insert_cost",
+    "insert_cost_as_built",
     "naive_comm_cost",
     "naive_comp_cost",
     "storage_costs",
     "vbtree_comm_cost",
+    "vbtree_comm_cost_as_built",
     "vbtree_comp_cost",
+    "vbtree_comp_cost_as_built",
 ]

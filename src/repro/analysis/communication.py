@@ -11,6 +11,12 @@
   in a fully packed tree (Section 4.2);
 * ``D_N`` — the one signed digest of the envelope's top node.
 
+**VB-tree as built** (DESIGN.md D5).  ``D_P`` is the hidden attributes'
+*bare* digests — ``Q_r (N_c - Q_c) |h|`` bytes at the commutative hash's
+width ``|h|`` instead of the signed width ``|D|`` —
+:func:`vbtree_comm_cost_as_built`.  In the paper's Table 1 the two
+widths are equal; in a deployment ``|D|`` is an RSA signature.
+
 **Naive** (appendix).  Per result tuple: the tuple's signed digest, the
 returned attribute values, and one signed digest per filtered
 attribute::
@@ -25,14 +31,16 @@ converge *relatively* but not absolutely as attributes grow
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
+from repro import constants
 from repro.analysis.params import Parameters
 
 __all__ = [
     "CommCost",
     "vbtree_comm_cost",
+    "vbtree_comm_cost_as_built",
     "naive_comm_cost",
     "fig10_series",
     "fig11_series",
@@ -83,6 +91,18 @@ def vbtree_comm_cost(params: Parameters, selectivity: float) -> CommCost:
     ds = envelope_digests(params, qr) * params.digest_len
     dn = params.digest_len if qr > 0 else params.digest_len  # D_N always ships
     return CommCost(data_bytes=data, dp_bytes=dp, ds_bytes=ds, dn_bytes=dn)
+
+
+def vbtree_comm_cost_as_built(params: Parameters, selectivity: float) -> CommCost:
+    """Formula (9) for the system as it runs: ``D_P`` at ``|h|`` bytes
+    a digest (the 16-byte commutative hash), everything else as the
+    paper has it."""
+    hash_len = constants.COMMUTATIVE_HASH_BITS // 8
+    hidden = params.num_cols - params.query_cols
+    return replace(
+        vbtree_comm_cost(params, selectivity),
+        dp_bytes=params.result_rows(selectivity) * hidden * hash_len,
+    )
 
 
 def naive_comm_cost(params: Parameters, selectivity: float) -> CommCost:

@@ -16,6 +16,12 @@
 For large results the hash term dominates and the whole thing is
 O(``Q_r``) — the linearity the paper observes.
 
+**VB-tree as built** (DESIGN.md D5).  The tuple digest is a hash of the
+ordered row, so ``D_P`` carries bare digests: ``Q_r`` more hashes (one
+row hash per tuple), ``Q_r (N_c - Q_c)`` fewer decryptions, and the
+``N_c - 1`` attribute folds per tuple are gone —
+:func:`vbtree_comp_cost_as_built`.
+
 **Naive** (appendix).  Per result tuple: ``Q_c`` hashes, ``N_c - Q_c``
 filtered-attribute decryptions, **one tuple-digest decryption**, and
 ``N_c - 1`` combines.  The extra ``Q_r * Cost_v`` term is the entire
@@ -33,6 +39,7 @@ from repro.analysis.params import Parameters
 __all__ = [
     "CompCost",
     "vbtree_comp_cost",
+    "vbtree_comp_cost_as_built",
     "naive_comp_cost",
     "fig12_series",
     "fig13a_series",
@@ -62,6 +69,25 @@ def vbtree_comp_cost(params: Parameters, selectivity: float) -> CompCost:
         + qr                        # fold tuple digests into the envelope
         + ds                        # fold D_S digests into the envelope
     )
+    total = (
+        hashes * params.cost_hash
+        + decryptions * params.cost_verify
+        + combines * params.cost_combine
+    )
+    return CompCost(
+        hashes=hashes, decryptions=decryptions, combines=combines, total=total
+    )
+
+
+def vbtree_comp_cost_as_built(params: Parameters, selectivity: float) -> CompCost:
+    """Formula (10) for the system as it runs: hash each returned value
+    and each row, decrypt ``D_S`` and ``D_N`` only, fold one value per
+    tuple and per ``D_S`` entry."""
+    paper = vbtree_comp_cost(params, selectivity)
+    qr = params.result_rows(selectivity)
+    hashes = paper.hashes + qr
+    decryptions = paper.decryptions - qr * (params.num_cols - params.query_cols)
+    combines = paper.combines - qr * (params.num_cols - 1)
     total = (
         hashes * params.cost_hash
         + decryptions * params.cost_verify

@@ -27,6 +27,8 @@ class StorageCosts:
 
     table_bytes: int
     table_digest_overhead: int
+    #: As built (DESIGN.md D5): one signed digest per *tuple*.
+    tuple_digest_overhead: int
     btree_fanout: int
     vbtree_fanout: int
     btree_height: int
@@ -55,7 +57,7 @@ def storage_costs(params: Parameters) -> StorageCosts:
     """All Section 4.1 storage quantities for ``params``.
 
     * Base-table digest overhead: one signed digest per attribute —
-      ``N_r * N_c * |D|`` bytes.
+      ``N_r * N_c * |D|`` bytes; as built, one per tuple — ``N_r * |D|``.
     * Index sizes: node count x block size for fully packed trees.
     """
     b = params.btree_geometry()
@@ -69,6 +71,7 @@ def storage_costs(params: Parameters) -> StorageCosts:
     return StorageCosts(
         table_bytes=table_bytes,
         table_digest_overhead=overhead,
+        tuple_digest_overhead=params.num_rows * params.digest_len,
         btree_fanout=b.internal_fanout(),
         vbtree_fanout=vb.internal_fanout(),
         btree_height=b.height_for(params.num_rows),

@@ -19,7 +19,13 @@ rare (lazy deletion per Johnson & Shasha [9]) and excludes them.
 
 The paper gives the formulas but plots no figure; the update bench
 generates the table the formulas imply and cross-checks the measured
-system against the shapes."""
+system against the shapes.
+
+**As built** (DESIGN.md D5).  The running system hashes the ordered row
+into the tuple digest instead of folding the attribute digests, so no
+attribute digest is signed: :func:`insert_cost_as_built` is formula 11
+with one more hash, ``N_c - 1`` fewer combines and ``N_c`` fewer
+signatures.  A delete signs no tuple, so formula 12 is as built."""
 
 from __future__ import annotations
 
@@ -31,6 +37,7 @@ from repro.analysis.params import Parameters
 __all__ = [
     "UpdateCost",
     "insert_cost",
+    "insert_cost_as_built",
     "delete_cost",
     "delete_series",
 ]
@@ -52,6 +59,24 @@ def insert_cost(params: Parameters, include_signing: bool = True) -> UpdateCost:
     hashes = params.num_cols
     combines = (params.num_cols - 1) + height
     signs = (params.num_cols + 1 + height) if include_signing else 0
+    total = (
+        hashes * params.cost_hash
+        + combines * params.cost_combine
+        + signs * params.cost_sign
+    )
+    return UpdateCost(hashes=hashes, combines=combines, signs=signs, total=total)
+
+
+def insert_cost_as_built(
+    params: Parameters, include_signing: bool = True
+) -> UpdateCost:
+    """Insert as the system runs it: ``N_c`` attribute hashes and the
+    row hash, one fold per path node, and ``1 + H_vb`` signatures — the
+    tuple's and the path's."""
+    paper = insert_cost(params, include_signing)
+    hashes = paper.hashes + 1
+    combines = paper.combines - (params.num_cols - 1)
+    signs = paper.signs - params.num_cols if include_signing else 0
     total = (
         hashes * params.cost_hash
         + combines * params.cost_combine

@@ -16,7 +16,6 @@ from repro.baselines.merkle import (
 from repro.baselines.naive import (
     NaiveResult,
     NaiveStore,
-    NaiveTupleAuth,
     NaiveVerifier,
 )
 
@@ -26,7 +25,6 @@ __all__ = [
     "MerkleVerifier",
     "NaiveResult",
     "NaiveStore",
-    "NaiveTupleAuth",
     "NaiveVerifier",
     "ROOT_SPACE",
 ]

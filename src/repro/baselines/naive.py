@@ -22,12 +22,20 @@ There is no node-level structure, hence no protection against an edge
 server *omitting* tuples (same trust model as the paper) and no
 envelope — the scheme's communication cost has no ``D_S``/``D_N``
 component but pays one signature per tuple instead.
+
+This module is also the one place the paper's **per-attribute** form
+still lives: every attribute digest signed, the tuple digest the
+commutative fold of them (formula 2 as written — the same fold formula 3
+applies to a node's children).  The fabric's VB-trees hash the ordered
+row instead and sign the tuple only (DESIGN.md D5), so Figures 10-12
+build a :class:`NaiveStore` explicitly, from the central server's
+signing engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.core.digests import DigestEngine, SigningDigestEngine
 from repro.crypto.encoding import encode_uint, encode_value, encode_values
@@ -45,7 +53,6 @@ __all__ = [
     "NaiveResult",
     "NaiveStore",
     "NaiveVerifier",
-    "assemble_result",
 ]
 
 
@@ -110,24 +117,22 @@ class NaiveResult:
         return total
 
 
-class NaiveStore:
-    """The scheme on its own: per-tuple signed digests for a table.
+def _paper_tuple_value(engine: DigestEngine, attribute_values: Sequence[int]) -> int:
+    """Formula (2) as the paper writes it: the attribute digests folded
+    by the commutative combinator, exactly as formula (3) folds a
+    node's children."""
+    return engine.node_value(attribute_values)
 
-    The standalone reference — what a central server running *only*
-    the naive scheme would keep.  The live fabric keeps none: the
-    VB-tree's :class:`~repro.core.vbtree.TupleAuth` already holds the
-    same two signatures per tuple, so
-    :meth:`EdgeServer.naive_range_query
-    <repro.edge.edge_server.EdgeServer.naive_range_query>` assembles
-    its result from the replica (:func:`assemble_result`) and is tested
-    equal to this class.
+
+class NaiveStore:
+    """The scheme on its own: per-tuple signed digests for a table —
+    what a central server running *only* the naive scheme would keep,
+    ``N_c + 1`` signatures per row.
 
     Args:
         schema: The table's schema.
-        signing: The central server's signing engine (the same digest
-            formulas (1)-(2) as the VB-tree, so the two schemes differ
-            only in what they *ship*, exactly like the paper's
-            comparison).
+        signing: The central server's signing engine (the same
+            attribute digests, formula (1), as the VB-tree).
     """
 
     def __init__(self, schema: TableSchema, signing: SigningDigestEngine) -> None:
@@ -149,12 +154,15 @@ class NaiveStore:
         return store
 
     def add(self, row: Row) -> None:
-        """Sign a newly inserted row's digests."""
-        _digests, signed_tuple, signed_attrs = self.signing.sign_tuple(
-            self.schema.name, row
+        """Sign a newly inserted row's digests: one per attribute, one
+        for the tuple."""
+        engine, sign = self.signing.engine, self.signing.sign_value
+        attribute_values = engine.row_attribute_values(
+            self.schema.name, self.schema.column_names, row.key, row.values
         )
         self._auth[row.key] = NaiveTupleAuth(
-            signed_tuple=signed_tuple, signed_attrs=signed_attrs
+            signed_tuple=sign(_paper_tuple_value(engine, attribute_values)),
+            signed_attrs=tuple(sign(value) for value in attribute_values),
         )
 
     def remove(self, key: Any) -> None:
@@ -178,48 +186,27 @@ class NaiveStore:
         columns: Optional[Sequence[str]] = None,
     ) -> NaiveResult:
         """Assemble the naive wire object for ``rows``."""
-        return assemble_result(
-            self.schema, rows, lambda row: self.auth_for(row.key), columns
+        all_columns = self.schema.column_names
+        returned = tuple(columns) if columns is not None else all_columns
+        returned_set = set(returned)
+        filtered_idx = [
+            i for i, c in enumerate(all_columns) if c not in returned_set
+        ]
+        result = NaiveResult(
+            table=self.schema.name,
+            columns=returned,
+            all_columns=all_columns,
+            key_column=self.schema.key,
+            rows=[tuple(r[c] for c in returned) for r in rows],
+            keys=[r.key for r in rows],
         )
-
-
-def assemble_result(
-    schema: TableSchema,
-    rows: Sequence[Row],
-    auth_of: Callable[[Row], Any],
-    columns: Optional[Sequence[str]] = None,
-) -> NaiveResult:
-    """The naive wire object for ``rows``, whoever holds the signatures.
-
-    ``auth_of(row)`` yields the row's signed digests — anything with
-    ``signed_tuple`` and ``signed_attrs`` (schema column order): a
-    :class:`NaiveStore` entry, or the
-    :class:`~repro.core.vbtree.TupleAuth` an edge replica already holds
-    for the same tuple (the two schemes sign the same formulas (1)-(2),
-    so the edge serves the baseline from its replica instead of a
-    shadow store).
-    """
-    all_columns = schema.column_names
-    returned = tuple(columns) if columns is not None else all_columns
-    returned_set = set(returned)
-    filtered_idx = [
-        i for i, c in enumerate(all_columns) if c not in returned_set
-    ]
-    result = NaiveResult(
-        table=schema.name,
-        columns=returned,
-        all_columns=all_columns,
-        key_column=schema.key,
-        rows=[tuple(r[c] for c in returned) for r in rows],
-        keys=[r.key for r in rows],
-    )
-    for row in rows:
-        auth = auth_of(row)
-        result.tuple_digests.append(auth.signed_tuple)
-        result.filtered_attr_digests.append(
-            tuple(auth.signed_attrs[i] for i in filtered_idx)
-        )
-    return result
+        for row in rows:
+            auth = self.auth_for(row.key)
+            result.tuple_digests.append(auth.signed_tuple)
+            result.filtered_attr_digests.append(
+                tuple(auth.signed_attrs[i] for i in filtered_idx)
+            )
+        return result
 
 
 class NaiveVerifier:
@@ -286,6 +273,6 @@ class NaiveVerifier:
             )
             attr_values.extend(self._recover(s) for s in filtered_sigs)
             expected = self._recover(signed_tuple)
-            if self.engine.tuple_value(attr_values) != expected:
+            if _paper_tuple_value(self.engine, attr_values) != expected:
                 return False
         return True

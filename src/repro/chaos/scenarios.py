@@ -339,7 +339,7 @@ def relay_storm(seed: int = 0) -> ChaosReport:
     # the rotation snapshot to have deltas to compact.  The cap is
     # sized to this table's payloads (three evictions, seven compacted
     # frames): a format change that moves their size moves it too.
-    harness = _RelayHarness(seed, max_store_bytes=24_000)
+    harness = _RelayHarness(seed, max_store_bytes=12_000)
     trace: list[str] = []
     report = ChaosReport(
         scenario="relay_storm",

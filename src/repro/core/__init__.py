@@ -27,7 +27,7 @@ from repro.core.secondary import (
     SecondaryVBTree,
 )
 from repro.core.update import AuthenticatedUpdater, digest_resource
-from repro.core.vbtree import TupleAuth, VBTree
+from repro.core.vbtree import VBTree
 from repro.core.verify import ResultVerifier, Verdict
 from repro.core.vo import (
     AuthenticatedResult,
@@ -52,7 +52,6 @@ __all__ = [
     "ResultPosition",
     "ResultVerifier",
     "SigningDigestEngine",
-    "TupleAuth",
     "TupleDigests",
     "VBTree",
     "Verdict",

@@ -11,7 +11,7 @@ O(path) work — see DESIGN.md section 6 for the protocol.
 A delta carries everything the edge needs and nothing it could forge:
 
 * the tuple operations (inserted row values with their centrally-signed
-  tuple/attribute digests; deleted search keys);
+  tuple digest; deleted search keys);
 * the re-signed digest — one per node — of every VB-tree node the
   mutation touched (the root-to-leaf fold path, or the dirty set of a
   split/merge), addressed by stable node id;
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Sequence
 
-from repro.core.vbtree import TupleAuth, VBTree
+from repro.core.vbtree import VBTree
 from repro.crypto.signatures import SignedDigest
 from repro.db.rows import Row
 from repro.exceptions import ReplicaDeltaError
@@ -74,10 +74,9 @@ class TupleOp:
     """One tuple operation.
 
     For an INSERT the op carries the row values plus the central
-    server's signed digests — a :class:`TupleAuth`'s two fields, which
-    the edge installs as they are (it cannot sign).  For a DELETE it
-    carries only the tree search key — digests of removed tuples are
-    dropped, not recomputed.
+    server's signed tuple digest, which the edge installs as it is (it
+    cannot sign).  For a DELETE it carries only the tree search key —
+    digests of removed tuples are dropped, not recomputed.
 
     Attributes:
         kind: INSERT or DELETE.
@@ -85,23 +84,20 @@ class TupleOp:
         key: Tree search key (DELETE only; may be a composite tuple for
             secondary VB-trees).
         signed_tuple: Signed tuple digest (INSERT).
-        signed_attrs: Signed attribute digests, schema order (INSERT).
     """
 
     kind: DeltaOpKind
     values: tuple[Any, ...] | None = None
     key: Any = None
     signed_tuple: SignedDigest | None = None
-    signed_attrs: tuple[SignedDigest, ...] | None = None
 
     @classmethod
-    def insert(cls, row: Row, auth: TupleAuth) -> "TupleOp":
-        """Build an INSERT op from a row and its signed digest material."""
+    def insert(cls, row: Row, signed_tuple: SignedDigest) -> "TupleOp":
+        """Build an INSERT op from a row and its signed tuple digest."""
         return cls(
             kind=DeltaOpKind.INSERT,
             values=tuple(row.values),
-            signed_tuple=auth.signed_tuple,
-            signed_attrs=auth.signed_attrs,
+            signed_tuple=signed_tuple,
         )
 
     @classmethod
@@ -255,9 +251,7 @@ def apply_delta(vbt: VBTree, delta: ReplicaDelta) -> None:
                 row = Row(schema, op.values)
                 key = key_of(row)
                 tree.insert(key, row)
-                vbt.install_tuple_auth(
-                    key, TupleAuth(op.signed_tuple, op.signed_attrs)
-                )
+                vbt.install_tuple_auth(key, op.signed_tuple)
             else:
                 tree.delete(op.key)
                 vbt.drop_tuple_auth(op.key)

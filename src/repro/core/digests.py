@@ -1,16 +1,22 @@
 """Digest computation — formulas (1), (2), (3) of the paper.
 
-Two digest *policies* are provided (see DESIGN.md, deviation D3, for the
-full discussion):
+Attribute digests are formula (1) as written.  The **tuple** digest is
+not the paper's fold of them but a hash over the ordered row (DESIGN.md,
+deviation D5 and §21)::
+
+    t = h( ROW | db | table | key | N_c | a_1 ‖ … ‖ a_Nc )
+
+so a hidden attribute is bound as a string inside a hash input — it
+cannot be divided out of a product — and the only signature a tuple
+needs is its own.  Above the tuple, two digest *policies* are provided
+(DESIGN.md, deviation D3):
 
 * :attr:`DigestPolicy.FLATTENED` — our reading of the paper's actual
   scheme.  With the commutative hash ``h(x) = g^x mod n``, the digest
   value that propagates upward is the **exponent product**:
 
-  - attribute value   ``a = h_base(db|table|attr|key|value)``
-  - tuple exponent    ``y_T = ∏_j a_j  (mod n)``
   - node exponent     ``x_N = ∏_child (child exponent)  (mod n)``
-    (a leaf's children are tuple exponents, an internal node's are the
+    (a leaf's children are tuple digests, an internal node's are the
     child nodes' exponents)
 
   Lemma 1's equation compares ``g^{x_N} mod n`` with ``g`` raised to the
@@ -20,15 +26,15 @@ full discussion):
   shipped (DESIGN.md §20).
 
   Because every constituent multiplies into every ancestor's exponent,
-  the verification object can be an **unordered set** of signed values
-  (the paper's headline simplicity claim), and inserts fold into each
-  node digest with a single multiplication (Section 3.4's cheap insert).
+  ``D_S`` can be an **unordered set** of signed values (the paper's
+  headline simplicity claim), and inserts fold into each node digest
+  with a single multiplication (Section 3.4's cheap insert).
 
 * :attr:`DigestPolicy.NESTED` — the conservative hash-of-hashes reading
-  (à la Merkle): ``t = H(a_1,…,a_m)``, ``n = H(child digests)``.  Upward
-  flattening is impossible, so verification objects must carry node
-  grouping (structured VO) and ancestor digests must be recomputed on
-  insert.  Included as the baseline reading and for ablations.
+  (à la Merkle): ``n = H(child digests)``.  Upward flattening is
+  impossible, so verification objects must carry node grouping
+  (structured VO) and ancestor digests must be recomputed on insert.
+  Included as the baseline reading and for ablations.
 
 The :class:`DigestEngine` computes unsigned values; the central server
 signs them through :class:`SigningDigestEngine`.
@@ -41,7 +47,7 @@ from enum import Enum
 from typing import Any, Iterable, Sequence
 
 from repro.crypto.commutative import CommutativeHash, ExponentialCommutativeHash
-from repro.crypto.encoding import encode_value
+from repro.crypto.encoding import encode_uint, encode_value
 from repro.crypto.meter import CostMeter, NULL_METER
 from repro.crypto.signatures import DigestSigner, SignedDigest
 from repro.db.rows import Row
@@ -52,6 +58,11 @@ from repro.exceptions import AuthenticationError
 #: deployment stays far below it; it only keeps results that name
 #: ever-new column sets from growing a verifier without bound.
 _PREFIX_CACHE_MAX = 1024
+
+#: What opens every row string (formula 2's input).  Every formula-(1)
+#: input opens with ``encode_value(db_name)``, i.e. with the string tag
+#: ``S``, so no byte string is both.
+_ROW_TAG = b"ROW"
 
 __all__ = [
     "DigestPolicy",
@@ -76,9 +87,9 @@ class TupleDigests:
     Attributes:
         attribute_values: Unsigned attribute digest values, in schema
             column order (formula 1, pre-signature).
-        tuple_value: Unsigned tuple digest value (formula 2,
-            pre-signature) — the exponent product under FLATTENED, the
-            combined hash under NESTED.
+        tuple_value: Unsigned tuple digest value (formula 2 as built,
+            pre-signature): the hash of the row string over those
+            attribute digests, under either policy.
     """
 
     attribute_values: tuple[int, ...]
@@ -117,6 +128,7 @@ class DigestEngine:
         self._prefixes: dict[
             tuple[str, str, tuple[str, ...]], tuple[bytes, ...]
         ] = {}
+        self._row_heads: dict[tuple[str, str], bytes] = {}
         if policy is DigestPolicy.FLATTENED and not isinstance(
             self.commutative, ExponentialCommutativeHash
         ):
@@ -197,24 +209,61 @@ class DigestEngine:
     # Formula (2): tuple digests
     # ------------------------------------------------------------------
 
-    def tuple_value(self, attribute_values: Sequence[int]) -> int:
-        """Unsigned tuple digest from its attribute digest values."""
-        if not attribute_values:
-            raise AuthenticationError("a tuple needs at least one attribute")
-        if self.policy is DigestPolicy.FLATTENED:
-            return self._product(attribute_values)
-        return self.commutative.combine(attribute_values)
+    def pack_digests(self, values: Sequence[int]) -> bytes:
+        """``values`` end to end at ``commutative.digest_len`` bytes
+        each — the form attribute digests take inside a row string and
+        inside ``D_P``."""
+        width = self.commutative.digest_len
+        return b"".join([value.to_bytes(width, "big") for value in values])
+
+    def tuple_value(self, table: str, key: Any, attribute_digests: bytes) -> int:
+        """Unsigned tuple digest ``h(ROW | db | table | key | N_c |
+        a_1 ‖ … ‖ a_Nc)`` over the row's packed attribute digests, in
+        schema column order (DESIGN.md D5).
+
+        Raises:
+            AuthenticationError: If ``attribute_digests`` is empty or
+                not a whole number of digests, or ``table`` is not a
+                ``str``.
+        """
+        count, rest = divmod(
+            len(attribute_digests), self.commutative.digest_len
+        )
+        if rest or not count:
+            raise AuthenticationError(
+                "a tuple needs at least one whole attribute digest"
+            )
+        return self.commutative.digest_of_bytes(
+            self._row_head(table)
+            + encode_value(key)
+            + encode_uint(count)
+            + attribute_digests
+        )
+
+    def _row_head(self, table: str) -> bytes:
+        """``ROW | encode(db) | encode(table)``, cached like the
+        attribute prefixes and for the same reason exact-``str`` only."""
+        cache_key = (self.db_name, table)
+        head = self._row_heads.get(cache_key)
+        if head is None:
+            if type(self.db_name) is not str or type(table) is not str:
+                raise AuthenticationError("database and table names must be str")
+            head = _ROW_TAG + encode_value(self.db_name) + encode_value(table)
+            if len(self._row_heads) >= _PREFIX_CACHE_MAX:
+                self._row_heads.clear()
+            self._row_heads[cache_key] = head
+        return head
 
     def tuple_digests(self, table: str, row: Row) -> TupleDigests:
         """Attribute + tuple digest values for ``row`` (formulas 1-2)."""
-        attr_values = tuple(
-            self.row_attribute_values(
-                table, row.schema.column_names, row.key, row.values
-            )
+        attr_values = self.row_attribute_values(
+            table, row.schema.column_names, row.key, row.values
         )
         return TupleDigests(
-            attribute_values=attr_values,
-            tuple_value=self.tuple_value(attr_values),
+            attribute_values=tuple(attr_values),
+            tuple_value=self.tuple_value(
+                table, row.key, self.pack_digests(attr_values)
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -279,21 +328,18 @@ class SigningDigestEngine:
         return self.engine.policy
 
     def sign_value(self, value: int) -> SignedDigest:
-        """Sign any digest value (attribute / tuple / node)."""
+        """Sign any digest value (tuple / node)."""
         return self.signer.sign(value)
 
-    def sign_tuple(self, table: str, row: Row) -> tuple[TupleDigests, SignedDigest, tuple[SignedDigest, ...]]:
-        """Digest and sign one tuple.
+    def sign_tuple(self, table: str, row: Row) -> tuple[TupleDigests, SignedDigest]:
+        """Digest one tuple and sign its digest — the only signature a
+        tuple carries.
 
         Returns:
-            ``(digests, signed_tuple, signed_attributes)``.
+            ``(digests, signed_tuple)``.
         """
         digests = self.engine.tuple_digests(table, row)
-        signed_attrs = tuple(
-            self.signer.sign(v) for v in digests.attribute_values
-        )
-        signed_tuple = self.signer.sign(digests.tuple_value)
-        return digests, signed_tuple, signed_attrs
+        return digests, self.signer.sign(digests.tuple_value)
 
 
 class _PublicOnlySigner:

@@ -6,11 +6,14 @@ Section 3.3:
 
 * selection on the key → contiguous result, envelope boundary digests;
 * selection on non-key attributes → gaps become extra ``D_S`` digests;
-* projection → filtered attributes' signed digests become ``D_P``;
+* projection → the hidden attributes' digests, recomputed from the rows
+  this replica holds, become the bare ``D_P`` block (DESIGN.md D5);
 * joins → run against the VB-tree of a materialized join view
   (Section 3.3's join strategy), which needs no extra machinery here.
 
-The edge server holds *signed* digests only; it cannot forge new ones.
+The edge server holds *signed* tuple and node digests only; it cannot
+forge new ones, and an attribute digest it miscomputes changes the row
+hash the client folds.
 Per Section 3.4, a query may S-lock the digests of its enveloping
 subtree so concurrent delete transactions cannot invalidate them
 mid-read; pass a transaction to enable that protocol.
@@ -136,7 +139,7 @@ class QueryAuthenticator:
             self._lock_envelope(envelope, txn)
 
         vo = self._vo_from_envelope(envelope, fmt)
-        self._add_projection_entries(vo, tree_keys, set(indices), fmt)
+        vo.projection_digests = self._projection_digests(items, set(indices))
 
         if returned == all_columns:
             # Nothing projected away: rows are immutable, share them.
@@ -163,7 +166,7 @@ class QueryAuthenticator:
         entries: list[VOEntry] = []
         for gap in envelope.gaps:
             if gap.kind == "tuple":
-                signed = vbt.tuple_auth(gap.ref).signed_tuple
+                signed = vbt.tuple_auth(gap.ref)
                 kind = VOEntryKind.TUPLE
             else:
                 signed = vbt.node_auth(gap.ref)
@@ -191,42 +194,28 @@ class QueryAuthenticator:
             envelope_height=envelope.height,
         )
 
-    def _add_projection_entries(
-        self,
-        vo: VerificationObject,
-        tree_keys: list[Any],
-        returned_indices: set[int],
-        fmt: VOFormat,
-    ) -> None:
-        """``D_P``: the signed digest of every attribute projected away,
-        row by row."""
-        filtered_indices = [
-            i
-            for i in range(len(self.vbtree.schema.column_names))
-            if i not in returned_indices
+    def _projection_digests(
+        self, items: list[tuple[Any, Row]], returned_indices: set[int]
+    ) -> bytes:
+        """``D_P``: the digest of every attribute projected away, row by
+        row in schema column order, hashed from the stored rows."""
+        schema = self.vbtree.schema
+        hidden = [
+            i for i in range(schema.num_columns) if i not in returned_indices
         ]
-        if not filtered_indices:
-            return
-        entries = vo.projection_entries
-        for row_index, tree_key in enumerate(tree_keys):
-            signed_attrs = self.vbtree.tuple_auth(tree_key).signed_attrs
-            for attr_index in filtered_indices:
-                if fmt is VOFormat.FLAT_SET:
-                    entries.append(
-                        VOEntry(
-                            kind=VOEntryKind.ATTRIBUTE,
-                            signed=signed_attrs[attr_index],
-                        )
-                    )
-                else:
-                    entries.append(
-                        VOEntry(
-                            kind=VOEntryKind.ATTRIBUTE,
-                            signed=signed_attrs[attr_index],
-                            row_index=row_index,
-                            attr_index=attr_index,
-                        )
-                    )
+        if not hidden:
+            return b""
+        engine = self.vbtree.signing.engine
+        table = self.vbtree.table_name
+        names = tuple(schema.column_names[i] for i in hidden)
+        return b"".join([
+            engine.pack_digests(
+                engine.row_attribute_values(
+                    table, names, row.key, [row.values[i] for i in hidden]
+                )
+            )
+            for _key, row in items
+        ])
 
     def _lock_envelope(self, envelope: Envelope, txn: Transaction) -> None:
         """S-lock every digest in the enveloping subtree (Section 3.4's

@@ -2,8 +2,9 @@
 
 All updates run at the central server (only it can sign new digests).
 
-**Insert.**  The DBMS computes the new tuple's digests (formulas 1-2),
-then updates each node digest on the root-to-leaf path.  Under the
+**Insert.**  The DBMS computes the new tuple's digest (formulas 1-2)
+and signs it — the tuple's one signature (DESIGN.md D5) — then updates
+each node digest on the root-to-leaf path.  Under the
 FLATTENED policy this is the paper's cheap fold::
 
     D_N' = h(D_N, D_T)     (one modular multiplication per node)
@@ -140,7 +141,7 @@ class AuthenticatedUpdater:
         acquired: list[tuple[str, str, int]] = []
         self._lock_nodes(txn, path, exclusive=True, acquired=acquired)
         try:
-            trace, auth = vbt.raw_insert(row)
+            trace, signed = vbt.raw_insert(row)
         except Exception:
             self._release_all(txn, acquired)
             raise
@@ -174,7 +175,7 @@ class AuthenticatedUpdater:
             if self.short_insert_locks:
                 self._release_all(txn, acquired)
         vbt.version += 1
-        self._emit_delta(TupleOp.insert(row, auth), trace, touched, base_version)
+        self._emit_delta(TupleOp.insert(row, signed), trace, touched, base_version)
 
     def _fold(self, node: _Node, key: Any) -> None:
         """``D_N' = h(D_N, D_T)`` on the central tree's working values."""

@@ -4,8 +4,9 @@ A :class:`VBTree` is a B+-tree over ``key -> Row`` whose geometry
 includes the per-child signed digest (formula 6's reduced fan-out), plus
 the digest material of formulas (1)-(3):
 
-* per tuple: the signed tuple digest and one signed digest per
-  attribute (stored with the leaf entry);
+* per tuple: the signed tuple digest (stored with the leaf entry) —
+  the one signature a tuple has; attribute digests are recomputed from
+  the row wherever they are needed (DESIGN.md D5);
 * per node: the signed node digest (stored with the child pointer in
   the parent) — what ``D_S`` ships for a pruned branch and what ``D_N``
   ships for an enveloping subtree's top node;
@@ -13,8 +14,8 @@ the digest material of formulas (1)-(3):
 
 Signatures are message-recovering (``s⁻¹(s(x)) = x``), so the signed
 form is all a tree stores, ships or serves — exactly one signed digest
-per attribute, tuple and child pointer, the paper's Section 4.1 storage
-model.  The central server additionally keeps the *unsigned* tuple and
+per tuple and child pointer.  The central server additionally keeps the
+*unsigned* tuple and
 node values it folds and recomputes from, in two private maps a replica
 never fills (it cannot sign, so it never needs them).
 
@@ -24,7 +25,6 @@ module owns the data structure, bulk build, and digest recomputation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.core.digests import DigestPolicy, SigningDigestEngine
@@ -35,23 +35,7 @@ from repro.db.rows import Row
 from repro.db.schema import TableSchema
 from repro.exceptions import AuthenticationError, KeyNotFoundError
 
-__all__ = ["VBTree", "TupleAuth"]
-
-
-@dataclass
-class TupleAuth:
-    """Signed digest material for one stored tuple — the same on the
-    central server, on the replication wire and on an edge replica.
-
-    Attributes:
-        signed_tuple: Signed tuple digest (formula 2) — what D_S ships
-            for a tuple the selection filters out.
-        signed_attrs: Signed attribute digests (formula 1), in schema
-            column order — what D_P ships for projected-out columns.
-    """
-
-    signed_tuple: SignedDigest
-    signed_attrs: tuple[SignedDigest, ...]
+__all__ = ["VBTree"]
 
 
 class VBTree:
@@ -93,7 +77,10 @@ class VBTree:
         self.tree = BPlusTree(
             geometry=self.geometry, min_fanout_override=fanout_override
         )
-        self._tuple_auth: dict[Any, TupleAuth] = {}
+        #: One signed digest per tuple: formula (2)'s row hash under the
+        #: central signature — what ``D_S`` ships for a tuple the
+        #: selection filters out.
+        self._tuple_auth: dict[Any, SignedDigest] = {}
         #: One signed digest per node: the node value (exponent product
         #: under FLATTENED, combined hash under NESTED) under the
         #: central signature.
@@ -156,22 +143,19 @@ class VBTree:
         vbt.recompute_all_nodes()
         return vbt
 
-    def _store_tuple(self, row: Row) -> TupleAuth:
-        digests, signed_tuple, signed_attrs = self.signing.sign_tuple(
-            self.table_name, row
-        )
-        auth = TupleAuth(signed_tuple, signed_attrs)
+    def _store_tuple(self, row: Row) -> SignedDigest:
+        digests, signed = self.signing.sign_tuple(self.table_name, row)
         key = self.key_of(row)
-        self._tuple_auth[key] = auth
+        self._tuple_auth[key] = signed
         self._tuple_values[key] = digests.tuple_value
-        return auth
+        return signed
 
     # ------------------------------------------------------------------
     # Digest access
     # ------------------------------------------------------------------
 
-    def tuple_auth(self, key: Any) -> TupleAuth:
-        """Digest material of the tuple at ``key``.
+    def tuple_auth(self, key: Any) -> SignedDigest:
+        """The signed digest of the tuple at ``key``.
 
         Raises:
             KeyNotFoundError: If no such tuple.
@@ -299,8 +283,8 @@ class VBTree:
     def audit(self) -> None:
         """Recompute every digest from the stored rows — tuple values
         from the rows, node values bottom-up from those — and check by
-        recovery that each ``signed_tuple`` and each node's signed
-        digest is the central server's signature over the recomputed
+        recovery that each tuple's and each node's signed digest is the
+        central server's signature over the recomputed
         value.  Nothing stored is trusted, so the same audit
         holds on the central tree and on a replica.
 
@@ -312,11 +296,11 @@ class VBTree:
         verify = DigestVerifier(self.signing.signer.public_key).verify_value
         tuple_values: dict[Any, int] = {}
         for key, row in self.tree.items():
-            auth = self._tuple_auth.get(key)
-            if auth is None:
-                raise AuthenticationError(f"missing tuple digests for {key!r}")
+            signed = self._tuple_auth.get(key)
+            if signed is None:
+                raise AuthenticationError(f"missing tuple digest for {key!r}")
             value = engine.tuple_digests(self.table_name, row).tuple_value
-            if not verify(auth.signed_tuple, value):
+            if not verify(signed, value):
                 raise AuthenticationError(f"bad tuple signature at {key!r}")
             tuple_values[key] = value
 
@@ -340,37 +324,35 @@ class VBTree:
     # Raw mutation + digest bookkeeping (used by core.update)
     # ------------------------------------------------------------------
 
-    def raw_insert(self, row: Row) -> tuple[MutationTrace, TupleAuth]:
-        """Insert a row and its tuple digests; node digests are NOT
-        updated here (see :mod:`repro.core.update`)."""
+    def raw_insert(self, row: Row) -> tuple[MutationTrace, SignedDigest]:
+        """Insert a row and its signed tuple digest; node digests are
+        NOT updated here (see :mod:`repro.core.update`)."""
         trace = self.tree.insert(self.key_of(row), row)
-        auth = self._store_tuple(row)
-        return trace, auth
+        return trace, self._store_tuple(row)
 
-    def raw_delete(self, key: Any) -> tuple[MutationTrace, TupleAuth]:
-        """Delete a row and its tuple digests; node digests are NOT
-        updated here (see :mod:`repro.core.update`)."""
+    def raw_delete(self, key: Any) -> tuple[MutationTrace, SignedDigest]:
+        """Delete a row and its signed tuple digest; node digests are
+        NOT updated here (see :mod:`repro.core.update`)."""
         trace = self.tree.delete(key)
-        auth = self._tuple_auth.pop(key)
         del self._tuple_values[key]
-        return trace, auth
+        return trace, self._tuple_auth.pop(key)
 
     # ------------------------------------------------------------------
     # Replication
     # ------------------------------------------------------------------
 
-    def install_tuple_auth(self, key: Any, auth: TupleAuth) -> None:
-        """Install centrally-signed tuple digest material on a replica.
+    def install_tuple_auth(self, key: Any, signed: SignedDigest) -> None:
+        """Install a centrally-signed tuple digest on a replica.
 
         Replica-side counterpart of :meth:`_store_tuple`: edge servers
         cannot sign, so delta application ships the central server's
-        :class:`TupleAuth` over the wire and installs it verbatim (see
+        signature over the wire and installs it verbatim (see
         :func:`repro.core.delta.apply_delta`).
         """
-        self._tuple_auth[key] = auth
+        self._tuple_auth[key] = signed
 
     def drop_tuple_auth(self, key: Any) -> None:
-        """Remove a deleted tuple's digest material (replica side)."""
+        """Remove a deleted tuple's signed digest (replica side)."""
         self._tuple_auth.pop(key, None)
 
     def install_node_auth(self, node_id: int, signed: SignedDigest) -> None:

@@ -2,15 +2,20 @@
 
 The client trusts only the central server's public key(s).  Given an
 :class:`~repro.core.vo.AuthenticatedResult` from an edge server, it
-recomputes digests from the returned values, folds in the signed
-digests from ``D_S``/``D_P`` (after decrypting them with the public
-key), and compares the outcome against the value recovered from the
-signed top digest ``D_N``, the top node's own signature (comparing the
-values is strictly stronger than comparing ``g^value``: DESIGN.md §20).
+recomputes the attribute digests of the returned values, splices the
+hidden attributes' bare digests from ``D_P`` between them at the
+positions ``all_columns`` assigns, hashes each row into its tuple digest
+(DESIGN.md D5), folds those with the signed digests from ``D_S`` (after
+decrypting them with the public key), and compares the outcome against
+the value recovered from the signed top digest ``D_N``, the top node's
+own signature (comparing the values is strictly stronger than comparing
+``g^value``: DESIGN.md §20).
 
 Any of the following makes verification fail:
 
-* a tampered attribute value (the recomputed attribute digest changes);
+* a tampered attribute value (the recomputed attribute digest changes),
+  a value moved to another column, or any changed byte of ``D_P`` (the
+  row hash changes);
 * a spurious / duplicated / reordered-across-leaves tuple;
 * a forged or corrupted signature, including one that recovers to a
   value no digest can take (``>=`` the commutative-hash modulus — what a
@@ -29,13 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.core.digests import DigestEngine, DigestPolicy
-from repro.core.vo import (
-    AuthenticatedResult,
-    VerificationObject,
-    VOEntry,
-    VOEntryKind,
-    VOFormat,
-)
+from repro.core.vo import AuthenticatedResult, VOFormat
 from repro.crypto.keyring import KeyRing
 from repro.crypto.meter import CostMeter, NULL_METER
 from repro.crypto.rsa import RSAPublicKey
@@ -183,6 +182,13 @@ class ResultVerifier:
             type(name) is not str for name in result.all_columns
         ):
             raise VOFormatError("table and column names must be strings")
+        # The row hash is positional, so name -> position must be a map.
+        if not result.all_columns:
+            raise VOFormatError("result declares a table without columns")
+        if len(set(result.all_columns)) != len(result.all_columns):
+            raise VOFormatError("duplicate schema columns")
+        if result.key_column not in result.all_columns:
+            raise VOFormatError(f"key column {result.key_column!r} not in schema")
         for name in result.columns:
             if name not in result.all_columns:
                 raise VOFormatError(f"returned column {name!r} not in schema")
@@ -191,53 +197,54 @@ class ResultVerifier:
         width = len(result.columns)
         if any(len(row) != width for row in result.rows):
             raise VOFormatError("result row width differs from column count")
+        hidden = len(result.all_columns) - width
+        if len(vo.projection_digests) != (
+            len(result.rows) * hidden * self.engine.commutative.digest_len
+        ):
+            raise VOFormatError("D_P length does not match projection width")
 
-    def _attribute_values_for_row(
-        self,
-        result: AuthenticatedResult,
-        row_index: int,
-        projection_by_row: dict[int, list[int]],
-    ) -> list[int]:
-        """Attribute digest values of one result tuple: recomputed for
-        returned columns, recovered from ``D_P`` for filtered ones."""
-        values = self.engine.row_attribute_values(
-            result.table,
-            result.columns,
-            result.keys[row_index],
-            result.rows[row_index],
-        )
-        values.extend(projection_by_row.get(row_index, ()))
-        expected = len(result.all_columns)
-        if len(values) != expected:
-            raise VOFormatError(
-                f"row {row_index}: {len(values)} attribute digests for "
-                f"{expected} columns"
+    def _tuple_values(self, result: AuthenticatedResult) -> list[int]:
+        """Formula (2) of every result tuple: the digests of returned
+        columns recomputed, those of hidden columns spliced — as bytes,
+        never parsed — from ``D_P``, each at the position
+        ``all_columns`` assigns it, and the row hashed."""
+        engine = self.engine
+        row_values, pack = engine.row_attribute_values, engine.pack_digests
+        tuple_value = engine.tuple_value
+        table, columns = result.table, result.columns
+        if columns == result.all_columns:
+            return [
+                tuple_value(table, key, pack(row_values(table, columns, key, row)))
+                for key, row in zip(result.keys, result.rows, strict=True)
+            ]
+        width = engine.commutative.digest_len
+        returned = {name: i for i, name in enumerate(columns)}
+        # Per schema position: the index of a returned column, or the
+        # slice of the row's D_P stride that holds a hidden one.
+        plan: list[int | slice] = []
+        hidden = 0
+        for name in result.all_columns:
+            if name in returned:
+                plan.append(returned[name])
+            else:
+                plan.append(slice(hidden * width, (hidden + 1) * width))
+                hidden += 1
+        stride = hidden * width
+        block = result.vo.projection_digests
+        values = []
+        for i, (key, row) in enumerate(zip(result.keys, result.rows, strict=True)):
+            own = [v.to_bytes(width, "big") for v in row_values(table, columns, key, row)]
+            theirs = block[i * stride : (i + 1) * stride]
+            values.append(
+                tuple_value(
+                    table,
+                    key,
+                    b"".join([
+                        own[at] if type(at) is int else theirs[at] for at in plan
+                    ]),
+                )
             )
         return values
-
-    def _projection_by_row(
-        self, result: AuthenticatedResult
-    ) -> dict[int, list[int]]:
-        """Group recovered D_P values by result row (STRUCTURED only)."""
-        grouped: dict[int, list[int]] = {}
-        filtered_count = len(result.all_columns) - len(result.columns)
-        for entry in result.vo.projection_entries:
-            if entry.row_index is None:
-                raise VOFormatError("structured D_P entry missing row index")
-            grouped.setdefault(entry.row_index, []).append(
-                self._recover(entry.signed)
-            )
-        for row_index, values in grouped.items():
-            if row_index >= len(result.rows):
-                raise VOFormatError("D_P entry references missing row")
-            if len(values) != filtered_count:
-                raise VOFormatError(
-                    f"row {row_index}: {len(values)} projection digests for "
-                    f"{filtered_count} filtered columns"
-                )
-        if filtered_count and len(grouped) != len(result.rows):
-            raise VOFormatError("projection digests missing for some rows")
-        return grouped
 
     # ------------------------------------------------------------------
     # FLAT_SET verification (the paper's equations 4-5)
@@ -246,30 +253,15 @@ class ResultVerifier:
     def _verify_flat(self, result: AuthenticatedResult) -> bool:
         vo = result.vo
         modulus = self.engine.commutative.modulus
-        row_values = self.engine.row_attribute_values
-        table, columns = result.table, result.columns
         product = 1
-        # Result tuples: recomputed attribute digests of returned columns.
-        for key, row in zip(result.keys, result.rows, strict=True):
-            for a in row_values(table, columns, key, row):
-                product = (product * (a | 1)) % modulus
-        self.meter.count_combine(len(columns) * len(result.rows))
-        # D_P: filtered attribute digests (unordered — the flattening
-        # makes per-row grouping unnecessary, Lemma 2).
-        filtered_count = len(result.all_columns) - len(result.columns)
-        if len(vo.projection_entries) != filtered_count * len(result.rows):
-            raise VOFormatError(
-                "D_P cardinality does not match projection width"
-            )
-        for entry in vo.projection_entries:
-            v = self._recover(entry.signed)
-            product = (product * (v | 1)) % modulus
-            self.meter.count_combine(1)
+        # Result tuples: one row hash each (already odd: a unit of the
+        # ring).
+        for value in self._tuple_values(result):
+            product = (product * value) % modulus
         # D_S: filtered tuples and pruned branches (unordered, Lemma 1).
         for entry in vo.selection_entries:
-            v = self._recover(entry.signed)
-            product = (product * (v | 1)) % modulus
-            self.meter.count_combine(1)
+            product = (product * (self._recover(entry.signed) | 1)) % modulus
+        self.meter.count_combine(len(result.rows) + len(vo.selection_entries))
         return product == self._recover(vo.top_signed)
 
     # ------------------------------------------------------------------
@@ -278,7 +270,6 @@ class ResultVerifier:
 
     def _verify_structured(self, result: AuthenticatedResult) -> bool:
         vo = result.vo
-        projection_by_row = self._projection_by_row(result)
         # path -> slot -> digest value
         slots: dict[tuple[int, ...], dict[int, int]] = {}
 
@@ -291,11 +282,10 @@ class ResultVerifier:
             node[slot] = value
 
         assert vo.result_positions is not None
-        for row_index, (path, slot) in enumerate(vo.result_positions):
-            attr_values = self._attribute_values_for_row(
-                result, row_index, projection_by_row
-            )
-            place(tuple(path), slot, self.engine.tuple_value(attr_values))
+        for (path, slot), value in zip(
+            vo.result_positions, self._tuple_values(result), strict=True
+        ):
+            place(tuple(path), slot, value)
 
         for entry in vo.selection_entries:
             if entry.path is None or entry.slot is None:

@@ -9,20 +9,25 @@ signatures (Section 3.3):
   with the value it folded);
 * ``D_S`` — signed digests for the envelope constituents that are not
   part of the result: filtered tuples (gaps) and pruned child subtrees;
-* ``D_P`` — signed digests for attributes removed by projection.
+* ``D_P`` — the **bare** digests of the attributes removed by
+  projection, one block: row-major, in schema column order, each at the
+  commutative hash's digest width, no tags.  The tuple digest is a hash
+  over the ordered attribute digests (DESIGN.md D5), so the client
+  splices these bytes between the digests it recomputes and hashes the
+  row; position says what a tag used to, and nothing is signed because
+  nothing can be divided out of a hash input.
 
 Two formats:
 
-* :attr:`VOFormat.FLAT_SET` — the paper's encoding: ``D_S`` and ``D_P``
-  are unordered multisets of signed digests.  Sufficient under the
-  FLATTENED digest policy, where every constituent multiplies into the
-  top node's exponent regardless of position.
-* :attr:`VOFormat.STRUCTURED` — every entry is tagged with its node
-  path/slot (and projection entries with their row/column), so the
-  client can rebuild intermediate node digests.  Required under the
-  NESTED digest policy; also usable under FLATTENED (and is what a
-  system would ship if it wanted the client to pinpoint *where*
-  tampering happened).
+* :attr:`VOFormat.FLAT_SET` — the paper's encoding: ``D_S`` is an
+  unordered multiset of signed digests.  Sufficient under the FLATTENED
+  digest policy, where every constituent multiplies into the top node's
+  exponent regardless of position.
+* :attr:`VOFormat.STRUCTURED` — every ``D_S`` entry is tagged with its
+  node path/slot, so the client can rebuild intermediate node digests.
+  Required under the NESTED digest policy; also usable under FLATTENED
+  (and is what a system would ship if it wanted the client to pinpoint
+  *where* tampering happened).
 """
 
 from __future__ import annotations
@@ -51,31 +56,25 @@ class VOFormat(Enum):
 
 
 class VOEntryKind(Enum):
-    """What a ``D_S``/``D_P`` entry stands for."""
+    """What a ``D_S`` entry stands for."""
 
-    NODE = "node"          # pruned child subtree (D_S)
-    TUPLE = "tuple"        # filtered tuple in a boundary leaf (D_S)
-    ATTRIBUTE = "attr"     # projected-away attribute (D_P)
+    NODE = "node"          # pruned child subtree
+    TUPLE = "tuple"        # filtered tuple in a boundary leaf
 
 
 @dataclass(frozen=True)
 class VOEntry:
-    """One signed digest in a VO.
+    """One signed digest in ``D_S``.
 
-    Structured-format tags (``None`` in FLAT_SET):
-
-    * NODE / TUPLE entries: ``path`` (child indices from the envelope
-      top) and ``slot`` (index within that node).
-    * ATTRIBUTE entries: ``row_index`` (position in the result list) and
-      ``attr_index`` (column position in the *full* table schema).
+    Structured-format tags (``None`` in FLAT_SET): ``path`` (child
+    indices from the envelope top) and ``slot`` (index within that
+    node).
     """
 
     kind: VOEntryKind
     signed: SignedDigest
     path: Optional[tuple[int, ...]] = None
     slot: Optional[int] = None
-    row_index: Optional[int] = None
-    attr_index: Optional[int] = None
 
 
 @dataclass
@@ -87,7 +86,9 @@ class VerificationObject:
     table: str
     top_signed: SignedDigest
     selection_entries: list[VOEntry] = field(default_factory=list)
-    projection_entries: list[VOEntry] = field(default_factory=list)
+    #: ``D_P``: ``Q_r × (N_c − Q_c)`` bare attribute digests, row-major
+    #: in schema column order (empty when nothing is projected away).
+    projection_digests: bytes = b""
     #: STRUCTURED only: (path, slot) per result row, aligned with the
     #: result row order.
     result_positions: Optional[list[tuple[tuple[int, ...], int]]] = None
@@ -98,14 +99,9 @@ class VerificationObject:
         """|D_S| — digests covering gaps and pruned branches."""
         return len(self.selection_entries)
 
-    @property
-    def num_projection_digests(self) -> int:
-        """|D_P| — digests covering projected-away attributes."""
-        return len(self.projection_entries)
-
     def digest_count(self) -> int:
-        """Total signed digests shipped (D_N + D_S + D_P)."""
-        return 1 + self.num_selection_digests + self.num_projection_digests
+        """Total signed digests shipped (D_N + D_S; D_P is unsigned)."""
+        return 1 + self.num_selection_digests
 
 
 @dataclass

@@ -12,12 +12,15 @@ Layout (all integers big-endian, lengths 4 bytes):
     keys     : values
     vo       : top_signed
                D_S count, entries
-               D_P count, entries
+               D_P byte length, bare digests
                result positions (STRUCTURED only)
 
-Entries carry positional tags only in the STRUCTURED format, which is
-exactly the encoding-size difference between the two formats that the
-``bench_ablation_granularity`` bench reports.
+``D_S`` entries carry positional tags only in the STRUCTURED format,
+which is exactly the encoding-size difference between the two formats
+that the ``bench_ablation_granularity`` bench reports.  ``D_P`` is one
+block in both: ``Q_r × (N_c − Q_c)`` digests at the commutative hash's
+width, row-major in schema column order, no kind, row or attribute tags
+(DESIGN.md D5) — four zero bytes when nothing is projected away.
 """
 
 from __future__ import annotations
@@ -78,12 +81,11 @@ _FORMAT_TAGS = {VOFormat.FLAT_SET: 0, VOFormat.STRUCTURED: 1}
 _FORMAT_FROM_TAG = {v: k for k, v in _FORMAT_TAGS.items()}
 _POLICY_TAGS = {DigestPolicy.FLATTENED: 0, DigestPolicy.NESTED: 1}
 _POLICY_FROM_TAG = {v: k for k, v in _POLICY_TAGS.items()}
-_KIND_TAGS = {VOEntryKind.NODE: 0, VOEntryKind.TUPLE: 1, VOEntryKind.ATTRIBUTE: 2}
+_KIND_TAGS = {VOEntryKind.NODE: 0, VOEntryKind.TUPLE: 1}
 _KIND_FROM_TAG = {v: k for k, v in _KIND_TAGS.items()}
 _KIND_BYTES = {kind: bytes([tag]) for kind, tag in _KIND_TAGS.items()}
 
 _U32 = struct.Struct(">I")
-_U32_PAIR = struct.Struct(">II")
 #: sig_len | format | policy | envelope_height
 _RESULT_HEADER = struct.Struct(">IBBI")
 
@@ -120,18 +122,12 @@ def _decode_signed(
 def _encode_entries(
     parts: list[bytes], entries: list[VOEntry], structured: bool, sig_len: int
 ) -> None:
-    """Append ``count | entries`` for one of ``D_S`` / ``D_P``."""
+    """Append ``count | entries`` for ``D_S``."""
     parts.append(_U32.pack(len(entries)))
     for entry in entries:
         parts.append(_KIND_BYTES[entry.kind])
         parts.append(entry.signed.to_bytes(sig_len))
-        if not structured:
-            continue
-        if entry.kind is VOEntryKind.ATTRIBUTE:
-            if entry.row_index is None or entry.attr_index is None:
-                raise VOFormatError("structured attribute entry missing tags")
-            parts.append(_U32_PAIR.pack(entry.row_index, entry.attr_index))
-        else:
+        if structured:
             if entry.path is None or entry.slot is None:
                 raise VOFormatError("structured entry missing position tags")
             parts.append(_encode_path(entry.path))
@@ -159,19 +155,6 @@ def _decode_entries(
         signed, offset = _decode_signed(data, offset + 1, sig_len)
         if not structured:
             entries.append(VOEntry(kind=kind, signed=signed))
-        elif kind is VOEntryKind.ATTRIBUTE:
-            if offset + 8 > size:
-                raise VOFormatError("truncated VO entry tags")
-            row_index, attr_index = _U32_PAIR.unpack_from(data, offset)
-            offset += 8
-            entries.append(
-                VOEntry(
-                    kind=kind,
-                    signed=signed,
-                    row_index=row_index,
-                    attr_index=attr_index,
-                )
-            )
         else:
             path, offset = _decode_path(data, offset)
             slot, offset = decode_uint(data, offset)
@@ -208,7 +191,8 @@ def result_to_bytes(result: AuthenticatedResult, sig_len: int) -> bytes:
         parts.append(encode_values(result.keys))
         parts.append(vo.top_signed.to_bytes(sig_len))
         _encode_entries(parts, vo.selection_entries, structured, sig_len)
-        _encode_entries(parts, vo.projection_entries, structured, sig_len)
+        parts.append(_U32.pack(len(vo.projection_digests)))
+        parts.append(vo.projection_digests)
         if structured:
             positions = vo.result_positions or []
             parts.append(_U32.pack(len(positions)))
@@ -251,7 +235,11 @@ def result_from_bytes(data: bytes) -> AuthenticatedResult:
     keys, offset = decode_values(data, offset)
     top_signed, offset = _decode_signed(data, offset, sig_len)
     selection, offset = _decode_entries(data, offset, structured, sig_len)
-    projection, offset = _decode_entries(data, offset, structured, sig_len)
+    dp_len, offset = decode_uint(data, offset)
+    if dp_len > len(data) - offset:
+        raise VOFormatError(f"{dp_len} D_P bytes cannot fit the remaining bytes")
+    projection = data[offset : offset + dp_len]
+    offset += dp_len
     positions = None
     if structured:
         pos_count, offset = decode_uint(data, offset)
@@ -272,7 +260,7 @@ def result_from_bytes(data: bytes) -> AuthenticatedResult:
         table=table,
         top_signed=top_signed,
         selection_entries=selection,
-        projection_entries=projection,
+        projection_digests=projection,
         result_positions=positions,
         envelope_height=envelope_height,
     )
@@ -291,14 +279,15 @@ def wire_breakdown(result: AuthenticatedResult, sig_len: int) -> dict[str, int]:
     """Byte counts per component — the measured analogue of formula (9).
 
     Keys: ``data`` (result tuple values), ``keys``, ``dn``, ``ds``,
-    ``dp``, ``structure`` (positions and tags), ``header``, ``total``.
+    ``dp`` (the bare digest block), ``structure`` (positions and tags),
+    ``header``, ``total``.
     """
     vo = result.vo
     data_bytes = sum(len(encode_values(row)) for row in result.rows)
     key_bytes = len(encode_values(result.keys))
     dn_bytes = sig_len + 2
     ds_sig = vo.num_selection_digests * (sig_len + 2 + 1)
-    dp_sig = vo.num_projection_digests * (sig_len + 2 + 1)
+    dp_bytes = len(vo.projection_digests)
     total = len(result_to_bytes(result, sig_len))
     header = (
         4 + 2 + 4
@@ -307,15 +296,15 @@ def wire_breakdown(result: AuthenticatedResult, sig_len: int) -> dict[str, int]:
         + len(encode_values(result.columns))
         + len(encode_values(result.all_columns))
         + 4  # row count
-        + 4 + 4  # D_S / D_P counts
+        + 4 + 4  # D_S count / D_P byte length
     )
-    structure = total - data_bytes - key_bytes - dn_bytes - ds_sig - dp_sig - header
+    structure = total - data_bytes - key_bytes - dn_bytes - ds_sig - dp_bytes - header
     return {
         "data": data_bytes,
         "keys": key_bytes,
         "dn": dn_bytes,
         "ds": ds_sig,
-        "dp": dp_sig,
+        "dp": dp_bytes,
         "structure": structure,
         "header": header,
         "total": total,
@@ -364,55 +353,13 @@ def _decode_key(data: bytes, offset: int) -> tuple[Any, int]:
     raise EncodingError(f"unknown key flag {flag}")
 
 
-def _encode_tuple_auth(
-    parts: list[bytes],
-    signed_tuple: SignedDigest,
-    signed_attrs: tuple[SignedDigest, ...],
-    sig_len: int,
-) -> None:
-    """Append ``signed_tuple | attr count | signed_attrs`` — a tuple's
-    whole digest material, in deltas and snapshots alike.  Only signed
-    digests travel: the signatures recover their messages, so the
-    unsigned values would be a second copy of what these bytes say."""
-    parts.append(signed_tuple.to_bytes(sig_len))
-    parts.append(encode_uint(len(signed_attrs)))
-    parts.extend(signed.to_bytes(sig_len) for signed in signed_attrs)
-
-
-def _decode_tuple_auth(
-    data: bytes, offset: int, signed_records: struct.Struct
-) -> tuple[SignedDigest, tuple[SignedDigest, ...], int]:
-    """Parse what :func:`_encode_tuple_auth` wrote; ``signed_records``
-    is the payload's ``signature | epoch`` record.  The attribute count
-    is refused against the bytes that remain before anything is built;
-    a short fixed-width read raises ``struct.error`` for the caller."""
-    from_bytes = int.from_bytes
-    signature, sig_epoch = signed_records.unpack_from(data, offset)
-    offset += signed_records.size
-    (attr_count,) = _U32.unpack_from(data, offset)
-    offset += 4
-    end = offset + attr_count * signed_records.size
-    if end > len(data):
-        raise EncodingError(
-            f"{attr_count} attribute signatures cannot fit the remaining bytes"
-        )
-    return (
-        SignedDigest(from_bytes(signature, "big"), sig_epoch),
-        tuple([
-            SignedDigest(from_bytes(sig, "big"), ep)
-            for sig, ep in signed_records.iter_unpack(data[offset:end])
-        ]),
-        end,
-    )
-
-
 def _encode_tuple_op(op: TupleOp, sig_len: int) -> bytes:
     out = [bytes([_OP_TAGS[op.kind]])]
     if op.kind is DeltaOpKind.INSERT:
-        if op.values is None or op.signed_tuple is None or op.signed_attrs is None:
-            raise ReplicaDeltaError("insert op missing digest material")
+        if op.values is None or op.signed_tuple is None:
+            raise ReplicaDeltaError("insert op missing its signed digest")
         out.append(encode_values(op.values))
-        _encode_tuple_auth(out, op.signed_tuple, op.signed_attrs, sig_len)
+        out.append(op.signed_tuple.to_bytes(sig_len))
     else:
         out.append(_encode_key(op.key))
     return b"".join(out)
@@ -510,12 +457,14 @@ def delta_from_bytes(data: bytes) -> ReplicaDelta:
             if tag != _OP_INSERT:
                 raise EncodingError(f"unknown delta op tag {tag}")
             values, offset = decode_values(data, offset + 1)
-            signed_tuple, signed_attrs, offset = _decode_tuple_auth(
-                data, offset, signed_records
-            )
+            signature, sig_epoch = signed_records.unpack_from(data, offset)
+            offset += width
             ops.append(
                 TupleOp(
-                    DeltaOpKind.INSERT, tuple(values), None, signed_tuple, signed_attrs
+                    DeltaOpKind.INSERT,
+                    tuple(values),
+                    None,
+                    SignedDigest(from_bytes(signature, "big"), sig_epoch),
                 )
             )
         update_count, offset = decode_uint(data, offset)
@@ -660,8 +609,9 @@ def snapshot_to_bytes(vbtree, sig_len: int) -> bytes:
     :func:`snapshot_from_bytes` — without sharing any Python objects
     with the central server.  Layout: header, pre-order node structure
     (id, leaf flag, keys, child ids, the node's signed digest), then
-    per row its key, values and ``signed_tuple | signed_attrs``.  As in
-    a delta, digests travel in signed form only.
+    per row its key, values and signed tuple digest — the one signature
+    a tuple has (DESIGN.md D5).  As in a delta, digests travel in signed
+    form only.
     """
     from repro.core.secondary import SecondaryVBTree
 
@@ -702,8 +652,7 @@ def snapshot_to_bytes(vbtree, sig_len: int) -> bytes:
     for key, row in vbtree.tree.items():
         parts.append(_encode_key(key))
         parts.append(encode_values(row.values))
-        auth = vbtree.tuple_auth(key)
-        _encode_tuple_auth(parts, auth.signed_tuple, auth.signed_attrs, sig_len)
+        parts.append(vbtree.tuple_auth(key).to_bytes(sig_len))
     return b"".join(parts)
 
 
@@ -725,15 +674,15 @@ def snapshot_from_bytes(data: bytes, signing):
     stay empty on it.
 
     One pass in :func:`delta_from_bytes`'s style: every read bounded,
-    every node, key, row and attribute count refused against the bytes
-    that remain before its loop runs.
+    every node, key and row count refused against the bytes that remain
+    before its loop runs.
 
     Raises:
         EncodingError: On any malformed, truncated or over-long buffer
             — never ``IndexError`` or ``SignatureError``.
     """
     from repro.core.secondary import SecondaryVBTree
-    from repro.core.vbtree import TupleAuth, VBTree
+    from repro.core.vbtree import VBTree
     from repro.db.btree import BPlusTree, InternalNode, LeafNode
     from repro.db.page import PageGeometry
     from repro.db.rows import Row
@@ -745,14 +694,14 @@ def snapshot_from_bytes(data: bytes, signing):
     child_ids: dict[int, tuple[int, ...]] = {}
     node_auths: dict[int, SignedDigest] = {}
     row_map: dict[Any, Row] = {}
-    tuple_auth: dict[Any, TupleAuth] = {}
+    tuple_auth: dict[Any, SignedDigest] = {}
     try:
         sig_len, offset = decode_uint(data, 0)
         width = sig_len + 2
         if width > size:
             raise EncodingError(f"{sig_len}-byte signatures cannot fit the payload")
-        # ``signature | epoch``: what closes every node, and every
-        # tuple and attribute digest after them.
+        # ``signature | epoch``: what closes every node, and every row
+        # after them.
         signed_records = struct.Struct(f">{sig_len}sH")
         table_name, offset = decode_value(data, offset)
         version, offset = decode_uint(data, offset)
@@ -791,17 +740,16 @@ def snapshot_from_bytes(data: bytes, signing):
             nodes[node_id] = node
             order.append(node)
         row_count, offset = decode_uint(data, offset)
-        # key | value count | signed tuple | attribute count
-        if row_count * (_MIN_KEY_WIDTH + 8 + width) > size - offset:
+        # key | value count | signed tuple
+        if row_count * (_MIN_KEY_WIDTH + 4 + width) > size - offset:
             raise EncodingError(f"{row_count} rows cannot fit the remaining bytes")
         for _ in range(row_count):
             key, offset = _decode_key(data, offset)
             values, offset = decode_values(data, offset)
-            signed_tuple, signed_attrs, offset = _decode_tuple_auth(
-                data, offset, signed_records
-            )
+            signature, sig_epoch = signed_records.unpack_from(data, offset)
+            offset += width
             row_map[key] = Row(schema, values)
-            tuple_auth[key] = TupleAuth(signed_tuple, signed_attrs)
+            tuple_auth[key] = SignedDigest(from_bytes(signature, "big"), sig_epoch)
     except struct.error:  # a fixed-width read ran off the end
         raise EncodingError("truncated snapshot") from None
     except DatabaseError as exc:  # schema, geometry or row does not validate

@@ -164,10 +164,12 @@ class ExponentialCommutativeHash:
 
     def digest_of_many(self, chunks: Sequence[bytes]) -> list[int]:
         """:meth:`digest_of_bytes` of every chunk; one meter update."""
-        digest_int = self._base_hash.digest_int
+        new, from_bytes = self._base_hash.new, int.from_bytes
         mask = self._mask
         self.meter.count_hash(sum(map(len, chunks)), len(chunks))
-        return [(digest_int(chunk) & mask) | 1 for chunk in chunks]
+        return [
+            (from_bytes(new(chunk).digest(), "big") & mask) | 1 for chunk in chunks
+        ]
 
     def combine(self, values: Iterable[int]) -> int:
         """``g`` raised to the product of ``values`` (odd-forced), mod 2^bits."""
@@ -229,10 +231,12 @@ class MultiplicativeSetHash:
 
     def digest_of_many(self, chunks: Sequence[bytes]) -> list[int]:
         """:meth:`digest_of_bytes` of every chunk; one meter update."""
-        digest_int = self._base_hash.digest_int
+        new, from_bytes = self._base_hash.new, int.from_bytes
         order = self.modulus - 1
         self.meter.count_hash(sum(map(len, chunks)), len(chunks))
-        return [digest_int(chunk) % order + 1 for chunk in chunks]
+        return [
+            from_bytes(new(chunk).digest(), "big") % order + 1 for chunk in chunks
+        ]
 
     def combine(self, values: Iterable[int]) -> int:
         """Product of re-randomized digests mod ``p``."""
@@ -295,10 +299,12 @@ class AdditiveSetHash:
 
     def digest_of_many(self, chunks: Sequence[bytes]) -> list[int]:
         """:meth:`digest_of_bytes` of every chunk; one meter update."""
-        digest_int = self._base_hash.digest_int
+        new, from_bytes = self._base_hash.new, int.from_bytes
         mask = self._mask
         self.meter.count_hash(sum(map(len, chunks)), len(chunks))
-        return [(digest_int(chunk) & mask) | 1 for chunk in chunks]
+        return [
+            (from_bytes(new(chunk).digest(), "big") & mask) | 1 for chunk in chunks
+        ]
 
     def combine(self, values: Iterable[int]) -> int:
         """Sum of re-randomized digests mod ``2^bits``."""

@@ -35,6 +35,10 @@ class BaseHash(Protocol):
     name: str
     #: Digest width in bytes.
     digest_len: int
+    #: ``new(data).digest()`` is :meth:`digest_bytes` — the constructor
+    #: itself, for kernels that hash a row's worth of strings in one
+    #: comprehension and cannot afford a Python frame per string.
+    new: Callable[[bytes], "hashlib._Hash"]
 
     def digest_bytes(self, data: bytes) -> bytes:
         """Hash ``data`` to :attr:`digest_len` bytes."""
@@ -48,16 +52,16 @@ class BaseHash(Protocol):
 class _HashlibHash:
     """Base hash backed by a :mod:`hashlib` construction."""
 
-    def __init__(self, name: str, factory: Callable[[], "hashlib._Hash"]) -> None:
+    def __init__(self, name: str, factory: Callable[..., "hashlib._Hash"]) -> None:
         self.name = name
-        self._factory = factory
+        self.new = factory
         self.digest_len = factory().digest_size
 
     def digest_bytes(self, data: bytes) -> bytes:
-        return self._factory(data).digest()
+        return self.new(data).digest()
 
     def digest_int(self, data: bytes) -> int:
-        return int.from_bytes(self._factory(data).digest(), "big")
+        return int.from_bytes(self.new(data).digest(), "big")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -66,11 +66,13 @@ class ValueTamper:
 
 @dataclass
 class SpuriousTuple:
-    """Insert a forged tuple into the replica with fabricated digests.
+    """Insert a forged tuple into the replica with a fabricated
+    signature.
 
-    The hacker can write to the tree but cannot produce valid
-    signatures, so it fabricates random ones; verification fails on
-    signature recovery mismatch.
+    The hacker can write to the tree but cannot produce a valid
+    signature, so it fabricates a random one; the nodes above still
+    carry the central server's digests of a leaf without the tuple, and
+    verification fails on the mismatch.
     """
 
     table: str
@@ -78,7 +80,7 @@ class SpuriousTuple:
     seed: int = 0
 
     def apply(self, edge: EdgeServer) -> None:
-        """Insert the forged row + garbage digest material.
+        """Insert the forged row + a garbage tuple signature.
 
         The row is spliced directly into the leaf (a page-level hack),
         NOT inserted through the B-tree API — a real attacker edits
@@ -95,15 +97,8 @@ class SpuriousTuple:
         leaf.keys.insert(idx, row.key)
         leaf.values.insert(idx, row)
         vbt.tree._size += 1
-        rng = random.Random(self.seed)
-        fake = lambda: SignedDigest(
-            signature=rng.getrandbits(256), epoch=0
-        )
-        from repro.core.vbtree import TupleAuth
-
-        vbt._tuple_auth[row.key] = TupleAuth(
-            signed_tuple=fake(),
-            signed_attrs=tuple(fake() for _ in row.values),
+        vbt._tuple_auth[row.key] = SignedDigest(
+            signature=random.Random(self.seed).getrandbits(256), epoch=0
         )
 
 
@@ -134,38 +129,16 @@ class DropTuple:
             result.keys.pop(self.index)
             if result.vo.result_positions is not None:
                 result.vo.result_positions.pop(self.index)
-            # Remove the dropped row's projection digests and reindex.
-            filtered_count = len(result.all_columns) - len(result.columns)
-            if result.vo.projection_entries and filtered_count:
-                first = result.vo.projection_entries[0]
-                if first.row_index is None:
-                    # FLAT_SET: entries were appended row-by-row; the
-                    # malicious edge knows the construction order.
-                    start = self.index * filtered_count
-                    del result.vo.projection_entries[
-                        start : start + filtered_count
-                    ]
-                else:
-                    kept = []
-                    for entry in result.vo.projection_entries:
-                        if entry.row_index == self.index:
-                            continue
-                        if entry.row_index > self.index:
-                            kept.append(
-                                VOEntry(
-                                    kind=entry.kind,
-                                    signed=entry.signed,
-                                    row_index=entry.row_index - 1,
-                                    attr_index=entry.attr_index,
-                                )
-                            )
-                        else:
-                            kept.append(entry)
-                    result.vo.projection_entries = kept
+            # Slice the dropped row's block out of D_P (row-major).
+            block = result.vo.projection_digests
+            stride = len(block) // (len(result.rows) + 1)
+            start = self.index * stride
+            result.vo.projection_digests = block[:start] + block[start + stride :]
             if self.cover:
-                auth = vbt.tuple_auth(dropped_key)
                 result.vo.selection_entries.append(
-                    VOEntry(kind=VOEntryKind.TUPLE, signed=auth.signed_tuple)
+                    VOEntry(
+                        kind=VOEntryKind.TUPLE, signed=vbt.tuple_auth(dropped_key)
+                    )
                 )
             return result
 

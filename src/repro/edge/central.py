@@ -152,7 +152,10 @@ class CentralServer:
     # Signing plumbing
     # ------------------------------------------------------------------
 
-    def _signing_engine(self) -> SigningDigestEngine:
+    def signing_engine(self) -> SigningDigestEngine:
+        """A fresh digest engine bound to the current signing key — what
+        every VB-tree is built with, and what the comparison benches
+        build the standalone Naive baseline with."""
         engine = DigestEngine(self.db_name, policy=self.policy)
         return SigningDigestEngine(engine, self._signer)
 
@@ -242,7 +245,7 @@ class CentralServer:
         vbt = VBTree.build(
             schema,
             table.scan(),
-            self._signing_engine(),
+            self.signing_engine(),
             fanout_override=fanout_override,
         )
         self.vbtrees[schema.name] = vbt
@@ -273,7 +276,7 @@ class CentralServer:
         vbt = VBTree.build(
             view.schema,
             view.table.scan(),
-            self._signing_engine(),
+            self.signing_engine(),
             fanout_override=fanout_override,
         )
         self.vbtrees[name] = vbt
@@ -303,7 +306,7 @@ class CentralServer:
             schema,
             attribute,
             self._table(table).scan(),
-            self._signing_engine(),
+            self.signing_engine(),
             fanout_override=fanout_override,
         )
         self.vbtrees[name] = vbt
@@ -500,14 +503,14 @@ class CentralServer:
                     vbt.schema,
                     vbt.attribute,
                     list(vbt.rows()),
-                    self._signing_engine(),
+                    self.signing_engine(),
                     fanout_override=override,
                 )
             else:
                 rebuilt = VBTree.build(
                     vbt.schema,
                     list(vbt.rows()),
-                    self._signing_engine(),
+                    self.signing_engine(),
                     fanout_override=override,
                 )
             rebuilt.version = vbt.version + 1

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Union
 
-from repro.baselines.naive import NaiveResult, NaiveVerifier
 from repro.core.digests import DigestEngine
 from repro.core.verify import ResultVerifier, Verdict
 from repro.core.vo import AuthenticatedResult
@@ -41,12 +40,6 @@ class Client:
         self._verifier = ResultVerifier(
             engine, keyring=config.keyring, meter=self.meter
         )
-        naive_engine = DigestEngine(
-            config.db_name, policy=config.policy, meter=self.meter
-        )
-        self._naive_verifier = NaiveVerifier(
-            naive_engine, keyring=config.keyring, meter=self.meter
-        )
 
     def verify(
         self, response: Union[EdgeResponse, AuthenticatedResult]
@@ -56,10 +49,6 @@ class Client:
             response.result if isinstance(response, EdgeResponse) else response
         )
         return self._verifier.verify(result)
-
-    def verify_naive(self, result: NaiveResult) -> bool:
-        """Verify a result produced under the Naive baseline."""
-        return self._naive_verifier.verify(result)
 
     def cost_snapshot(self) -> dict[str, int]:
         """Crypto-operation counters accumulated by this client."""

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
-from repro.baselines.naive import NaiveResult, assemble_result
 from repro.core.delta import ReplicaDelta, apply_delta
 from repro.core.digests import DigestEngine, VerifyOnlyDigestEngine
 from repro.core.query_auth import QueryAuthenticator
@@ -567,33 +566,3 @@ class EdgeServer:
         payload = result_to_bytes(result, self._sig_len(table))
         self.channel.send(len(payload))
         return payload
-
-    # ------------------------------------------------------------------
-    # Naive-baseline query path (for the comparison benches)
-    # ------------------------------------------------------------------
-
-    def naive_range_query(
-        self,
-        table: str,
-        low: Any = None,
-        high: Any = None,
-        columns: Optional[Sequence[str]] = None,
-    ) -> tuple[NaiveResult, int]:
-        """Same query under the Naive scheme; returns (result, bytes).
-
-        The scheme ships exactly the per-tuple signed digests the
-        replica already holds (:meth:`VBTree.tuple_auth
-        <repro.core.vbtree.VBTree.tuple_auth>`), so the result is
-        assembled from the replica — the function
-        :meth:`NaiveStore.build_result
-        <repro.baselines.naive.NaiveStore.build_result>` uses, fed from
-        here instead of from a second store.
-        """
-        vbt = self.replica(table)
-        rows = [row for _k, row in vbt.tree.range_items(low=low, high=high)]
-        result = assemble_result(
-            vbt.schema, rows, lambda row: vbt.tuple_auth(vbt.key_of(row)), columns
-        )
-        nbytes = result.wire_size(self._sig_len(table))
-        self.channel.send(nbytes)
-        return result, nbytes

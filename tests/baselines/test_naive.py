@@ -120,6 +120,45 @@ class TestTamperDetection:
         assert not verifier.verify(result)
 
 
+class TestThePapersPerAttributeForm:
+    """The fabric's VB-trees sign one digest per tuple (DESIGN.md D5);
+    this baseline is where the paper's form survives."""
+
+    def test_signs_every_attribute_and_the_tuple(self, schema, rows, keypair):
+        meter = CostMeter()
+        signing = SigningDigestEngine(
+            DigestEngine(DB, meter=meter),
+            DigestSigner.from_keypair(keypair, meter=meter),
+        )
+        store = NaiveStore.build(schema, rows, signing)
+        assert meter.signs == len(rows) * (schema.num_columns + 1)
+        store.add(Row(schema, (1000, "late", 7)))
+        assert meter.signs == (len(rows) + 1) * (schema.num_columns + 1)
+        # ... while a VB-tree over the same rows signs rows + nodes.
+        from repro.core.vbtree import VBTree
+
+        meter.reset()
+        tree = VBTree.build(schema, rows, signing)
+        assert meter.signs == len(rows) + tree.tree.node_count()
+
+    def test_tuple_digest_is_the_fold_of_the_attribute_digests(
+        self, store, rows, keypair
+    ):
+        """Formula (2) as the paper writes it — under FLATTENED the
+        product a hidden factor could be divided out of, which is why
+        every factor is signed here."""
+        from repro.crypto.signatures import DigestVerifier
+
+        recover = DigestVerifier(keypair.public).recover
+        engine = DigestEngine(DB)
+        auth = store.auth_for(rows[3].key)
+        product = 1
+        for signed in auth.signed_attrs:
+            product = product * recover(signed) % engine.commutative.modulus
+        assert recover(auth.signed_tuple) == product
+        assert product != engine.tuple_digests("products", rows[3]).tuple_value
+
+
 class TestMaintenance:
     def test_add_and_remove(self, schema, keypair):
         engine = DigestEngine(DB, policy=DigestPolicy.FLATTENED)

@@ -14,6 +14,7 @@ from repro.core.digests import (
 from repro.core.query_auth import QueryAuthenticator
 from repro.core.vbtree import VBTree
 from repro.core.verify import ResultVerifier
+from repro.crypto.encoding import encode_uint, encode_value
 from repro.crypto.rsa import generate_keypair
 from repro.crypto.signatures import DigestSigner
 from repro.db.rows import Row
@@ -40,6 +41,19 @@ def schema():
             Column("stock", IntType()),
         ),
         key="id",
+    )
+
+
+def row_string(db, table, key, attribute_values, width=16):
+    """Formula (2)'s input, spelled out: the executable specification
+    ``DigestEngine.tuple_value`` is held to (DESIGN.md D5)."""
+    return (
+        b"ROW"
+        + encode_value(db)
+        + encode_value(table)
+        + encode_value(key)
+        + encode_uint(len(attribute_values))
+        + b"".join(v.to_bytes(width, "big") for v in attribute_values)
     )
 
 

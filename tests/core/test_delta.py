@@ -147,7 +147,6 @@ _INSERTS = st.builds(
     kind=st.just(DeltaOpKind.INSERT),
     values=st.lists(_SCALARS, max_size=5).map(tuple),
     signed_tuple=_SIGNED,
-    signed_attrs=st.lists(_SIGNED, max_size=5).map(tuple),
 )
 _DELETES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3).map(tuple)).map(
     TupleOp.delete

@@ -22,7 +22,7 @@ from repro.crypto.signatures import DigestSigner
 from repro.db.rows import Row
 from repro.exceptions import AuthenticationError, EncodingError
 
-from tests.core.conftest import DB_NAME, make_rows
+from tests.core.conftest import DB_NAME, make_rows, row_string
 
 #: (commutative hash, digest policy) — FLATTENED needs the exponent ring.
 ENGINES = [
@@ -56,6 +56,9 @@ class _Recording:
     def digest_of_many(self, chunks):
         self.chunks.extend(chunks)
         return self._inner.digest_of_many(chunks)
+
+    def digest_of_bytes(self, data):
+        return self.digest_of_many((data,))[0]
 
 
 def make_engine(hash_name, policy):
@@ -109,12 +112,16 @@ class TestKernelEqualsSpec:
             for name, value in zip(schema.column_names, row.values, strict=True)
         ]
         assert list(digests.attribute_values) == singles
-        assert digests.tuple_value == engine.tuple_value(singles)
+        reference = get_commutative_hash(hash_name)
+        row_spec = row_string(DB_NAME, "items", 7, singles, reference.digest_len)
+        assert digests.tuple_value == reference.digest_of_bytes(row_spec)
         spec = [
             digest_input(DB_NAME, "items", name, 7, value)
             for name, value in zip(schema.column_names, row.values, strict=True)
         ]
-        assert recording.chunks == spec + spec
+        # Formula (1) per attribute, then formula (2)'s row string —
+        # once for the row, and the singles again.
+        assert recording.chunks == spec + [row_spec] + spec
 
 
 class TestKernelEdges:
@@ -182,17 +189,51 @@ class TestKernelEdges:
 
 
 #: name -> (hashes, bytes_hashed, combines, verifies) after verifying the
-#: parsed wire form of ``golden_results[name]`` with a fresh meter.  The
-#: four FLATTENED rows lost exactly one combine — the ``g^x`` the
-#: verifier raised its product to before comparing it with ``D_N``
-#: (DESIGN.md §20) — and nothing else; NESTED never had one.
+#: parsed wire form of ``golden_results[name]`` with a fresh meter.
 PINNED_COST = {
+    "full_row": (205, 11152, 49, 9),
+    "projected": (78, 4836, 35, 10),
+    "empty": (0, 0, 3, 4),
+    "structured": (123, 7421, 72, 9),
+    "nested": (123, 7749, 72, 9),
+}
+
+#: The same five while the tuple digest was the fold of its attribute
+#: digests and every hidden attribute a signature to recover (the parent
+#: commit; read off the per-attribute loop the kernel replaced).
+PRODUCT_FORM_COST = {
     "full_row": (164, 7134, 172, 9),
     "projected": (52, 2288, 113, 62),
     "empty": (0, 0, 3, 4),
     "structured": (82, 3403, 236, 91),
     "nested": (82, 3731, 236, 91),
 }
+
+
+def test_row_hash_moved_the_pins_by_arithmetic(golden_results):
+    """Per result row: one more hash (over exactly the row string), the
+    ``N_c`` attribute folds replaced by nothing, and no recovery per
+    hidden attribute.  FLAT_SET folded the ``N_c`` attribute digests
+    straight into the envelope product where it now folds one tuple
+    digest (``N_c - 1`` fewer); STRUCTURED built a tuple value from them
+    first, counted as ``N_c`` multiplications, and that is gone whole."""
+    from repro.core.vo import VOFormat
+
+    assert sorted(PINNED_COST) == sorted(PRODUCT_FORM_COST) == sorted(golden_results)
+    for name, (_policy, result) in golden_results.items():
+        rows, n_c = len(result.rows), len(result.all_columns)
+        hidden = n_c - len(result.columns)
+        before, after = PRODUCT_FORM_COST[name], PINNED_COST[name]
+        row_bytes = sum(
+            len(row_string(DB_NAME, result.table, key, [1] * n_c)) for key in result.keys
+        )
+        folds = n_c - 1 if result.vo.format is VOFormat.FLAT_SET else n_c
+        assert after == (
+            before[0] + rows,
+            before[1] + row_bytes,
+            before[2] - folds * rows,
+            before[3] - hidden * rows,
+        ), name
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_COST))

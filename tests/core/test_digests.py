@@ -7,6 +7,7 @@ from repro.crypto.commutative import (
     AdditiveSetHash,
     ExponentialCommutativeHash,
 )
+from repro.crypto.encoding import digest_input
 from repro.crypto.meter import CostMeter
 from repro.crypto.signatures import DigestSigner, DigestVerifier
 from repro.db.rows import Row
@@ -14,7 +15,7 @@ from repro.db.schema import Column, TableSchema
 from repro.db.types import IntType, VarcharType
 from repro.exceptions import AuthenticationError
 
-from tests.core.conftest import DB_NAME
+from tests.core.conftest import DB_NAME, row_string
 
 
 @pytest.fixture
@@ -58,33 +59,79 @@ class TestAttributeDigests:
 
 
 class TestTupleDigests:
-    def test_tuple_value_commutative(self, engine):
+    def test_is_the_hash_of_the_row_string_under_both_policies(self, engine):
         vals = [engine.attribute_value("t", f"a{i}", 1, i) for i in range(5)]
-        assert engine.tuple_value(vals) == engine.tuple_value(vals[::-1])
+        got = engine.tuple_value("t", 1, engine.pack_digests(vals))
+        assert got == engine.commutative.digest_of_bytes(
+            row_string(DB_NAME, "t", 1, vals)
+        )
+        # One function, no flag: the policy does not enter.
+        other = DigestEngine(
+            DB_NAME,
+            policy=next(p for p in DigestPolicy if p is not engine.policy),
+        )
+        assert other.tuple_value("t", 1, other.pack_digests(vals)) == got
 
-    def test_flattened_is_product(self):
-        engine = DigestEngine(DB_NAME, policy=DigestPolicy.FLATTENED)
-        h = engine.commutative
-        a1 = engine.attribute_value("t", "x", 1, 1)
-        a2 = engine.attribute_value("t", "y", 1, 2)
-        assert engine.tuple_value([a1, a2]) == (a1 * a2) % h.modulus
+    def test_is_a_unit_of_the_fold_ring(self, engine):
+        vals = [engine.attribute_value("t", "v", key, "x") for key in range(50)]
+        assert all(
+            engine.tuple_value("t", key, engine.pack_digests([v])) % 2 == 1
+            for key, v in enumerate(vals)
+        )
 
-    def test_nested_is_combined_hash(self):
-        engine = DigestEngine(DB_NAME, policy=DigestPolicy.NESTED)
-        h = engine.commutative
-        a1 = engine.attribute_value("t", "x", 1, 1)
-        a2 = engine.attribute_value("t", "y", 1, 2)
-        assert engine.tuple_value([a1, a2]) == h.combine([a1, a2])
+    def test_order_matters(self, engine):
+        """The paper's tuple digest was a commutative fold; this one is
+        positional, which is what binds a value to its column."""
+        vals = [engine.attribute_value("t", f"a{i}", 1, i) for i in range(5)]
+        assert engine.tuple_value(
+            "t", 1, engine.pack_digests(vals)
+        ) != engine.tuple_value("t", 1, engine.pack_digests(vals[::-1]))
 
-    def test_empty_tuple_rejected(self, engine):
+    @pytest.mark.parametrize(
+        "table,key,drop",
+        [("t2", 1, 0), ("t", 2, 0), ("t", 1, 1)],
+        ids=["table", "key", "column count"],
+    )
+    def test_every_input_matters(self, engine, table, key, drop):
+        vals = [engine.attribute_value("t", f"a{i}", 1, i) for i in range(3)]
+        base = engine.tuple_value("t", 1, engine.pack_digests(vals))
+        assert engine.tuple_value(
+            table, key, engine.pack_digests(vals[: len(vals) - drop])
+        ) != base
+
+    def test_db_name_matters(self):
+        block = DigestEngine("db1").pack_digests([3, 5])
+        assert DigestEngine("db1").tuple_value("t", 1, block) != DigestEngine(
+            "db2"
+        ).tuple_value("t", 1, block)
+
+    def test_no_attribute_input_is_a_row_string(self, engine):
+        """Formula (1) inputs open with the string tag of the database
+        name; the row tag opens with another byte."""
+        assert digest_input(DB_NAME, "t", "v", 1, "x")[:1] == b"S"
+        assert row_string(DB_NAME, "t", 1, [3])[:1] == b"R"
+
+    @pytest.mark.parametrize("block", [b"", b"\x01" * 15, b"\x01" * 17])
+    def test_empty_or_ragged_block_rejected(self, engine, block):
         with pytest.raises(AuthenticationError):
-            engine.tuple_value([])
+            engine.tuple_value("t", 1, block)
+
+    @pytest.mark.parametrize("bad", [1, 1.0, True, b"t", None])
+    def test_table_name_must_be_a_string(self, engine, bad):
+        with pytest.raises(AuthenticationError):
+            engine.tuple_value(bad, 1, engine.pack_digests([3]))
+        assert not engine._row_heads
 
     def test_tuple_digests_from_row(self, engine, schema):
         row = Row(schema, (7, "hello"))
         d = engine.tuple_digests("t", row)
         assert len(d.attribute_values) == 2
-        assert d.tuple_value == engine.tuple_value(d.attribute_values)
+        assert d.tuple_value == engine.tuple_value(
+            "t", 7, engine.pack_digests(d.attribute_values)
+        )
+        assert d.tuple_value == engine.commutative.digest_of_bytes(
+            row_string(DB_NAME, "t", 7, d.attribute_values)
+        )
 
 
 class TestNodeDigests:
@@ -144,7 +191,13 @@ class TestPolicyConstraints:
         engine = DigestEngine(
             DB_NAME, commutative=AdditiveSetHash(), policy=DigestPolicy.NESTED
         )
-        assert engine.tuple_value([3, 5]) == engine.commutative.combine([3, 5])
+        assert engine.node_value([3, 5]) == engine.commutative.combine([3, 5])
+        # Digests travel at this hash's own width inside the row string.
+        assert engine.tuple_value(
+            "t", 1, engine.pack_digests([3, 5])
+        ) == engine.commutative.digest_of_bytes(
+            row_string(DB_NAME, "t", 1, [3, 5], width=32)
+        )
 
 
 class TestSigningEngine:
@@ -155,10 +208,8 @@ class TestSigningEngine:
         signing = SigningDigestEngine(engine, DigestSigner.from_keypair(kp))
         verifier = DigestVerifier(kp.public)
         row = Row(schema, (3, "abc"))
-        digests, signed_tuple, signed_attrs = signing.sign_tuple("t", row)
+        digests, signed_tuple = signing.sign_tuple("t", row)
         assert verifier.recover(signed_tuple) == digests.tuple_value
-        for sig, value in zip(signed_attrs, digests.attribute_values, strict=True):
-            assert verifier.recover(sig) == value
 
 
 class TestMetering:
@@ -172,5 +223,5 @@ class TestMetering:
         )
         row = Row(schema, (3, "abc"))
         engine.tuple_digests("t", row)
-        assert meter.hashes == 2      # one per attribute
-        assert meter.combines >= 2    # product folds
+        assert meter.hashes == 3      # one per attribute, one for the row
+        assert meter.combines == 0    # nothing is folded below a node

@@ -94,7 +94,7 @@ class TestHonestProjection:
     def test_dp_cardinality(self, authenticator):
         result = authenticator.range_query(low=0, high=58, columns=("id",))
         filtered = len(result.all_columns) - 1
-        assert result.vo.num_projection_digests == len(result.rows) * filtered
+        assert len(result.vo.projection_digests) == len(result.rows) * filtered * 16
 
 
 class TestVOFormats:
@@ -229,8 +229,9 @@ class TestTamperDetection:
 
     def test_dropped_dp_entry_detected(self, authenticator, verifier):
         result = authenticator.range_query(low=0, high=40, columns=("id",))
-        result.vo.projection_entries.pop(0)
-        assert not verifier.verify(result).ok
+        result.vo.projection_digests = result.vo.projection_digests[16:]
+        verdict = verifier.verify(result)
+        assert not verdict.ok and verdict.reason.startswith("malformed VO")
 
     def test_projection_value_smuggling_detected(self, authenticator, verifier):
         """Renaming a returned column (pretending a value belongs to a
@@ -255,13 +256,6 @@ def _product_in_ds(result, forge):
     )
 
 
-def _product_in_dp(result, forge):
-    a, b = result.vo.projection_entries[:2]
-    result.vo.projection_entries[0] = dataclasses.replace(
-        a, signed=forge(a.signed, b.signed)
-    )
-
-
 def _product_as_dn(result, forge):
     # The envelope top times a pruned branch beside it.
     result.vo.top_signed = forge(
@@ -274,12 +268,11 @@ class TestRecoveredValueBound:
     signatures is a "signature" nobody made that recovers, without
     error, to ``v1 * v2 * 2^16`` — wider than any digest.  Wherever it
     is offered the verifier refuses it as a bad signature instead of
-    reducing it mod ``2^k`` and folding it in."""
+    reducing it mod ``2^k`` and folding it in.  (``D_P`` carries no
+    signatures any more, so there is nothing to multiply there.)"""
 
     @pytest.mark.parametrize(
-        "place",
-        [_product_in_ds, _product_in_dp, _product_as_dn],
-        ids=["D_S", "D_P", "D_N"],
+        "place", [_product_in_ds, _product_as_dn], ids=["D_S", "D_N"]
     )
     def test_signature_product_is_a_bad_signature(
         self, authenticator, verifier, keypair, place
@@ -319,10 +312,7 @@ class TestColludingDrop:
         from repro.core.vo import VOEntry, VOEntryKind
 
         result.vo.selection_entries.append(
-            VOEntry(
-                kind=VOEntryKind.TUPLE,
-                signed=tree.tuple_auth(dropped_key).signed_tuple,
-            )
+            VOEntry(kind=VOEntryKind.TUPLE, signed=tree.tuple_auth(dropped_key))
         )
         verifier = ResultVerifier(
             DigestEngine(DB_NAME, policy=DigestPolicy.FLATTENED),
@@ -344,7 +334,7 @@ class TestColludingDrop:
         kept = result.keys[1]
         result.rows, result.keys = [result.rows[1]], [kept]
         result.vo.selection_entries.clear()
-        result.vo.top_signed = tree.tuple_auth(kept).signed_tuple
+        result.vo.top_signed = tree.tuple_auth(kept)
         verifier = ResultVerifier(
             DigestEngine(DB_NAME, policy=DigestPolicy.FLATTENED),
             public_key=keypair.public,

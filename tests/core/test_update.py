@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.params import Parameters
-from repro.analysis.updates import delete_cost, insert_cost
+from repro.analysis.updates import delete_cost, insert_cost, insert_cost_as_built
 from repro.core.digests import DigestEngine, DigestPolicy, SigningDigestEngine
 from repro.core.query_auth import QueryAuthenticator
 from repro.core.update import AuthenticatedUpdater, digest_resource
@@ -131,10 +131,13 @@ class TestInterleavedUpdates:
 
 
 class TestSignaturesAtThePapersFormulas:
-    """Section 4.4 prices a write in signatures; with one signature per
-    node the running system makes exactly that many.  The tree is the
-    e2e fabric recipe's — 10 columns × 20 B, keys on a step-4 lattice,
-    default page geometry — at the fewest rows that give its height."""
+    """Section 4.4 prices a write in signatures.  With one signature per
+    node and one per tuple (DESIGN.md D5) the running system makes
+    exactly formula 11's count minus its ``N_c`` attribute signatures —
+    the as-built closed form — and exactly formula 12's for a delete.
+    The tree is the e2e fabric recipe's — 10 columns × 20 B, keys on a
+    step-4 lattice, default page geometry — at the fewest rows that
+    give its height."""
 
     COLUMNS = 10
     KEY_STEP = 4
@@ -154,8 +157,8 @@ class TestSignaturesAtThePapersFormulas:
         )
         tree = VBTree.build(schema, [Row(schema, v) for v in rows], signing)
         assert tree.height() == 3
-        # A build signs every attribute, tuple and node once.
-        assert meter.signs == 1400 * (self.COLUMNS + 1) + tree.tree.node_count()
+        # A build signs every tuple and node once: rows + nodes.
+        assert meter.signs == 1400 + tree.tree.node_count()
         geometry = tree.geometry
         # The formulas assume full nodes; a tree built by inserts is
         # half full, so give them the fewest rows whose *packed* height
@@ -177,13 +180,20 @@ class TestSignaturesAtThePapersFormulas:
     def _row(self, schema, key):
         return Row(schema, (key, *[f"{key}-{c}".ljust(20, "x") for c in range(1, 10)]))
 
-    def test_no_split_insert_signs_formula_11(self, metered):
+    def test_no_split_insert_signs_formula_11_less_its_attributes(self, metered):
         schema, _tree, updater, meter, params = metered
         key = 10 * self.KEY_STEP + 1  # a hole in a half-full leaf
+        before = meter.snapshot()
         signs = self._signs(meter, updater.insert, self._row(schema, key))
         delta = updater.take_delta()
         assert not delta.structural and len(delta.node_updates) == 3
-        assert signs == insert_cost(params).signs == self.COLUMNS + 1 + 3
+        as_built = insert_cost_as_built(params)
+        assert signs == as_built.signs == 1 + 3
+        assert as_built.signs == insert_cost(params).signs - self.COLUMNS
+        # ... and the rest of the closed form: N_c + 1 hashes, one fold
+        # per path node.
+        assert meter.hashes - before["hashes"] == as_built.hashes == self.COLUMNS + 1
+        assert meter.combines - before["combines"] == as_built.combines == 3
 
     def test_single_row_delete_signs_its_dirty_nodes(self, metered):
         _schema, _tree, updater, meter, params = metered
@@ -202,7 +212,7 @@ class TestSignaturesAtThePapersFormulas:
                 continue
             signs = self._signs(meter, updater.insert, self._row(schema, base + hole))
             delta = updater.take_delta()
-            assert signs == self.COLUMNS + 1 + len(delta.node_updates)
+            assert signs == 1 + len(delta.node_updates)
             if delta.structural:
                 # leaf, its new sibling, their parent, the root
                 assert len(delta.node_updates) == 4

@@ -24,9 +24,10 @@ class TestBuild:
         assert len(vbtree) == len(keys) > 0
 
     def test_every_row_has_tuple_auth(self, vbtree):
+        """One signed digest per tuple, and nothing per attribute."""
+        assert len(vbtree._tuple_auth) == len(vbtree)
         for row in vbtree.rows():
-            auth = vbtree.tuple_auth(row.key)
-            assert len(auth.signed_attrs) == len(row.values)
+            assert type(vbtree.tuple_auth(row.key)) is SignedDigest
 
     def test_every_node_has_auth(self, vbtree, keypair):
         verifier = DigestVerifier(keypair.public)
@@ -47,12 +48,9 @@ class TestBuild:
         value = vbtree.compute_node_value(vbtree.tree.root)
         assert verifier.recover(vbtree.root_auth()) == value
         for row in list(vbtree.rows())[:5]:
-            auth = vbtree.tuple_auth(row.key)
             digests = vbtree.signing.engine.tuple_digests(vbtree.table_name, row)
-            assert verifier.recover(auth.signed_tuple) == digests.tuple_value
             assert (
-                tuple(map(verifier.recover, auth.signed_attrs))
-                == digests.attribute_values
+                verifier.recover(vbtree.tuple_auth(row.key)) == digests.tuple_value
             )
 
     def test_one_signature_per_node_is_what_the_vo_top_ships(self, vbtree):
@@ -69,11 +67,11 @@ class TestBuild:
         assert one_row.vo.top_signed is vbtree.node_auth(leaf)
 
     def test_auth_is_signed_material_only(self, vbtree):
-        """A node's auth is its signed digest and a ``TupleAuth`` is two
-        signed fields: exactly what a VO can ship."""
+        """A node's auth and a tuple's auth are each one signed digest:
+        exactly what a VO can ship."""
         assert type(vbtree.root_auth()) is SignedDigest
         key = next(iter(vbtree.rows())).key
-        assert set(vars(vbtree.tuple_auth(key))) == {"signed_tuple", "signed_attrs"}
+        assert type(vbtree.tuple_auth(key)) is SignedDigest
 
     def test_geometry_uses_signature_width(self, vbtree, keypair):
         expected_digest_len = keypair.public.signature_len + 2
@@ -162,8 +160,8 @@ class TestAudit:
 
     def test_audit_detects_tampered_tuple_signature(self, schema, keypair, policy):
         vbt = build_tree(schema, keypair, policy, n=30)
-        auth = vbt.tuple_auth(next(iter(vbt.rows())).key)
-        auth.signed_tuple = _flipped(auth.signed_tuple)
+        key = next(iter(vbt.rows())).key
+        vbt.install_tuple_auth(key, _flipped(vbt.tuple_auth(key)))
         with pytest.raises(AuthenticationError):
             vbt.audit()
 

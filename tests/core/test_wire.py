@@ -30,7 +30,7 @@ class TestRoundtrip:
         assert parsed.vo.policy == result.vo.policy
         assert parsed.vo.top_signed == result.vo.top_signed
         assert parsed.vo.selection_entries == result.vo.selection_entries
-        assert parsed.vo.projection_entries == result.vo.projection_entries
+        assert parsed.vo.projection_digests == result.vo.projection_digests
         assert parsed.vo.result_positions == result.vo.result_positions
         return data
 
@@ -77,7 +77,8 @@ class TestByteAccounting:
         projected = authenticator.range_query(low=0, high=100, columns=("id",))
         b_full = wire_breakdown(full, sig_len)
         b_proj = wire_breakdown(projected, sig_len)
-        assert b_proj["dp"] > 0
+        # The bare block: 16 B per hidden attribute per row, no tags.
+        assert b_proj["dp"] == len(projected.rows) * 3 * 16
         assert b_full["dp"] == 0
         # Projection trades data bytes for digest bytes.
         assert b_proj["data"] < b_full["data"]

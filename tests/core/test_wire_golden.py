@@ -13,10 +13,19 @@ signature (DESIGN.md §20): every delta and snapshot vector shrank by
 exactly one signed digest per node record
 (``test_refreeze_dropped_one_signature_per_node_record``), and the four
 FLATTENED result vectors kept their lengths — only the bytes of the
-``top_signed`` field changed, ``nested`` not at all.  The decoder regressions
-are the deterministic form of the ``test_wire_fuzz`` byte-flip flake: a
-corrupted count or a cut buffer must surface as ``VOFormatError`` /
-``EncodingError``, never ``IndexError``."""
+``top_signed`` field changed, ``nested`` not at all.  The third move is
+the tuple's (DESIGN.md §21): the tuple digest became a hash of the row,
+so every digest value and with it every signature changed, each delta /
+snapshot vector shrank by the ``attribute count | N_c signatures`` that
+followed every ``signed_tuple``, each projected result by the signature
+and tags that wrapped every hidden digest, and the two full-row result
+vectors kept their length and — with the signature fields masked —
+their bytes (``test_refreeze_left_one_signature_per_tuple``,
+``test_full_row_results_are_the_parents_bytes_but_for_signature_values``).
+The decoder regressions are the deterministic form of the
+``test_wire_fuzz`` byte-flip flake: a corrupted count or a cut buffer
+must surface as ``VOFormatError`` / ``EncodingError``, never
+``IndexError``."""
 
 import hashlib
 import struct
@@ -48,24 +57,43 @@ from tests.core.conftest import (
 GOLDEN = {
     "full_row": (
         2365,
-        "8c55a3fb7f7da298b6f394889437864f8dbf1da00475d769fd8aa5d9aaa25d6c",
+        "e93d7d628b30373d962036a39d21cfb59848e6aee085e0f716d03b3a51ac758e",
     ),
     "projected": (
-        4984,
-        "5cda028a1f66d33b657d6152bc36c351a3e42c9e21845c590c275ca1c6194500",
+        2332,
+        "493ff9ec1cc135a157f4045b3d74b2e6b6f8fc102de20d53d124e84ec0e84ba1",
     ),
     "empty": (
         390,
-        "4851cd8397261af1285b9ed1585b77a69af37db50483e66c8b7197943f8cdac2",
+        "129bb38e60c2d03b9ffe78be39af4f0793e2d1cc1eab1c20e30dc0e9d93a68d4",
     ),
     "structured": (
-        8718,
-        "4ffec6f55a8e98051bdb6b50de9c8fdb506567d45bd18ad1f6b0b430806c6687",
+        3880,
+        "639f2b7fca102e58bcf5d9b04a5c1828eb71cd1c8621c99bad93be838461bd38",
     ),
     "nested": (
-        8966,
-        "5989f3c5608271a3434ca1dc7ed9f86c9e91c6858dd9c4bc86aa17f64d86abe8",
+        4128,
+        "083d6b561035325d28a06de68bfc49136fd2b492e8c23154b88b6a4f077d7731",
     ),
+}
+
+#: Result lengths at the parent commit, where every hidden attribute was
+#: a kind-tagged signed ``D_P`` entry (row and attribute tags too under
+#: STRUCTURED).
+SIGNED_DP_LENGTHS = {
+    "full_row": 2365,
+    "projected": 4984,
+    "empty": 390,
+    "structured": 8718,
+    "nested": 8966,
+}
+
+#: SHA-256 of the two full-row vectors with every signature field
+#: (``top_signed`` and each ``D_S`` entry) zeroed — computed at the
+#: parent commit and at this one, and equal.
+MASKED_FULL_ROW = {
+    "full_row": "c26f15659516c55e61d6db0c26e49fec8c4e497014acd4a397b5d12c28a98798",
+    "empty": "6ed9f9444bd6fc2a0ea5e95c72c90bf9f97ef46a99c37ee77740a83e8f55015e",
 }
 
 CLEAN = (VOFormatError, EncodingError)
@@ -107,12 +135,7 @@ def _ds_count_offset(data: bytes, result, sig_len: int) -> int:
     vo = result.vo
     assert vo.result_positions is None  # FLAT_SET: fixed-width entries
     entry = 1 + sig_len + 2
-    tail = (
-        4
-        + entry * len(vo.selection_entries)
-        + 4
-        + entry * len(vo.projection_entries)
-    )
+    tail = 4 + entry * len(vo.selection_entries) + 4 + len(vo.projection_digests)
     offset = len(data) - tail
     assert struct.unpack_from(">I", data, offset)[0] == len(vo.selection_entries)
     return offset
@@ -139,6 +162,44 @@ class TestDecoderBounds:
 
 
 
+def test_refreeze_unwrapped_every_hidden_digest(golden_results, sig_len):
+    """Each projected result moved by the kind tag and signature that
+    wrapped every hidden digest — ``1 + (sig_len + 2) - digest_len`` —
+    plus, under STRUCTURED, its ``row | attribute`` tags; a result that
+    hides nothing did not move."""
+    digest_len = 16
+    for name, (_policy, result) in golden_results.items():
+        hidden = len(result.rows) * (len(result.all_columns) - len(result.columns))
+        assert len(result.vo.projection_digests) == hidden * digest_len
+        tags = 8 if result.vo.result_positions is not None else 0
+        assert GOLDEN[name][0] == SIGNED_DP_LENGTHS[name] - hidden * (
+            1 + sig_len + 2 - digest_len + tags
+        )
+    assert {n for n, (_p, r) in golden_results.items() if r.columns == r.all_columns} == {
+        "full_row", "empty",
+    }
+
+
+@pytest.mark.parametrize("name", sorted(MASKED_FULL_ROW))
+def test_full_row_results_are_the_parents_bytes_but_for_signature_values(
+    golden_results, sig_len, name
+):
+    """Every digest value changed, so every signature did; zero the
+    signature fields and a full-row payload is the parent's, byte for
+    byte (an empty ``D_P`` is the same four zero bytes)."""
+    _policy, result = golden_results[name]
+    data = bytearray(result_to_bytes(result, sig_len))
+    assert data[-4:] == bytes(4)
+    ds_at = _ds_count_offset(bytes(data), result, sig_len)
+    fields = [ds_at - (sig_len + 2)] + [
+        ds_at + 4 + i * (1 + sig_len + 2) + 1
+        for i in range(len(result.vo.selection_entries))
+    ]
+    for at in fields:
+        data[at : at + sig_len] = bytes(sig_len)
+    assert hashlib.sha256(data).hexdigest() == MASKED_FULL_ROW[name]
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_every_prefix_rejected_cleanly(golden_results, sig_len, name):
     _policy, result = golden_results[name]
@@ -157,7 +218,7 @@ def test_structured_counts_inflated(golden_results, sig_len, name):
     vo = result.vo
     counts = {
         len(vo.selection_entries),
-        len(vo.projection_entries),
+        len(vo.projection_digests),
         len(vo.result_positions),
     }
     for mutated in _inflated(data, counts):
@@ -174,24 +235,24 @@ def test_structured_counts_inflated(golden_results, sig_len, name):
 #: name -> (wire length, SHA-256 of the sealed payload)
 GOLDEN_DELTAS = {
     "insert": (
-        835,
-        "f8ee4d774168e931bff30cf02a127823ddd385a9abff7956f87ee473d390e0bd",
+        567,
+        "013ea3249cb4caf37518a870fb218140385892bbc7471372323c87fa68af230d",
     ),
     "delete": (
         401,
-        "883b5c43817ccbfb8078077c5b11271869f2911ca3a0a47c7fdd02f14fe7afb1",
+        "047d03e6f07216b24e5a309c37de0e47498bf250b53f936e8b1f8dc0fb49a7c7",
     ),
     "secondary_delete": (
         351,
-        "5cd54b8d8e11e562140577238b885d478ee2b1b67ddfd66b01c57cad35ae8319",
+        "73c6fe7aefa76c6540bd4f2a68bc09ce8f0e8e74a052109920ab188279361335",
     ),
     "batch_32_2": (
-        13295,
-        "6138b7c4cb3e660aa575f0d5d74a4371a7eb89f0e008d0e8135c91f8c6738415",
+        4719,
+        "a97835a6bef811f7715584950b10e52344424087392170ec4fb1812456fabdc0",
     ),
     "structural": (
-        3332,
-        "69f2e3293bab6f310e3a8dd206150a6cd317c78542b142c4108604f20c39f696",
+        1188,
+        "e8700cbf244e251a106246f8469c2550a2ec9b475bb1b6ef07a63a4e87a1cd81",
     ),
 }
 
@@ -277,18 +338,29 @@ def test_non_canonical_structural_flag_rejected(golden_deltas, sig_len, flag):
 #: name -> (wire length, SHA-256 of the snapshot payload)
 GOLDEN_SNAPSHOTS = {
     "primary": (
-        10666,
-        "b4e53398a6493648c49214f910a89b550662266f005582fbddee69215edc3f79",
+        4234,
+        "4d6aea72cc37fd6439a87e3ac2a8f53f069b3ad02cf34412ff114dc10f704211",
     ),
     "secondary": (
-        7397,
-        "4440cf426da1246621e4b6487cd823ca2b5bf0a9bebeb825b53139f53d293245",
+        3109,
+        "69c84c879eafa3ed78cb9e045586a22f69ff89d21c8498bb15948ef121df0c49",
     ),
 }
 
+#: Lengths at the parent commit, where every inserted or stored tuple
+#: was ``signed_tuple | attribute count | N_c signed attribute digests``.
+PER_ATTRIBUTE_LENGTHS = {
+    "insert": 835,
+    "delete": 401,
+    "secondary_delete": 351,
+    "batch_32_2": 13295,
+    "structural": 3332,
+    "primary": 10666,
+    "secondary": 7397,
+}
 
-#: Lengths at the parent commit, where every node record was ``signed |
-#: signed_display``.
+#: Lengths one commit earlier still, where every node record was
+#: ``signed | signed_display``.
 TWO_SIGNATURE_LENGTHS = {
     "insert": 1165,
     "delete": 665,
@@ -303,16 +375,42 @@ TWO_SIGNATURE_LENGTHS = {
 def test_refreeze_dropped_one_signature_per_node_record(
     golden_deltas, golden_snapshots, sig_len
 ):
-    """The re-freeze moved each vector by the dropped signature and by
+    """That re-freeze moved each vector by the dropped signature and by
     nothing else: ``sig_len + 2`` bytes per node update in a delta, per
     node in a snapshot."""
     records = {name: len(d.node_updates) for name, d in golden_deltas.items()}
     records |= {n: t.tree.node_count() for n, t in golden_snapshots.items()}
-    frozen = GOLDEN_DELTAS | GOLDEN_SNAPSHOTS
-    assert sorted(records) == sorted(frozen) == sorted(TWO_SIGNATURE_LENGTHS)
+    assert sorted(records) == sorted(PER_ATTRIBUTE_LENGTHS) == sorted(TWO_SIGNATURE_LENGTHS)
     for name, count in records.items():
         assert count > 0
-        assert frozen[name][0] == TWO_SIGNATURE_LENGTHS[name] - (sig_len + 2) * count
+        assert (
+            PER_ATTRIBUTE_LENGTHS[name]
+            == TWO_SIGNATURE_LENGTHS[name] - (sig_len + 2) * count
+        )
+
+
+def test_refreeze_left_one_signature_per_tuple(
+    schema, golden_deltas, golden_snapshots, sig_len
+):
+    """This re-freeze moved each vector by what followed every tuple's
+    own signature and by nothing else: the 4-byte attribute count and
+    ``N_c`` signed digests, per insert op in a delta, per row in a
+    snapshot; a delta that inserts nothing kept its length."""
+    from repro.core.delta import DeltaOpKind
+
+    tuples = {
+        name: sum(op.kind is DeltaOpKind.INSERT for op in d.ops)
+        for name, d in golden_deltas.items()
+    }
+    tuples |= {name: len(tree) for name, tree in golden_snapshots.items()}
+    frozen = GOLDEN_DELTAS | GOLDEN_SNAPSHOTS
+    assert sorted(tuples) == sorted(frozen) == sorted(PER_ATTRIBUTE_LENGTHS)
+    per_tuple = 4 + (sig_len + 2) * schema.num_columns
+    for name, count in tuples.items():
+        assert frozen[name][0] == PER_ATTRIBUTE_LENGTHS[name] - per_tuple * count
+    assert {name for name, count in tuples.items() if not count} == {
+        "delete", "secondary_delete",
+    }
 
 
 @pytest.fixture(scope="module")
@@ -392,7 +490,7 @@ class TestGoldenSnapshots:
 
     def test_counts_inflated(self, golden_snapshots, replica_engine, sig_len, name):
         """Every 4-byte field that equals one of the snapshot's counts
-        (nodes, keys per node, rows, columns, attribute signatures),
+        (nodes, keys per node, rows, columns),
         bumped by one or set to the maximum: a clean error or a parse,
         never a crash and never an allocation sized by the forged count."""
         vbtree = golden_snapshots[name]

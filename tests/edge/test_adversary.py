@@ -3,6 +3,7 @@ documented boundary it does not."""
 
 import pytest
 
+from repro.core.vo import VOFormat
 from repro.edge.adversary import (
     DropTuple,
     ResponseTamper,
@@ -34,6 +35,24 @@ class TestDetectedAttacks:
         verdict = client.verify(resp)
         assert not verdict.ok
 
+    @pytest.mark.parametrize("vo_format", list(VOFormat), ids=lambda f: f.value)
+    def test_at_rest_tamper_of_a_hidden_column_detected(self, setup, vo_format):
+        """The edge hashes what it holds (DESIGN.md §21): a projection
+        that hides the tampered column ships the digest of the tampered
+        value, and the row no longer hashes to what was signed.  While
+        hidden attributes travelled as the central server's signatures
+        this passed — the client never saw the value either way."""
+        _server, edge, client = setup
+        query = dict(low=40, high=60, columns=("id", "a1"), vo_format=vo_format)
+        assert client.verify(edge.range_query("t", **query)).ok
+        ValueTamper(table="t", key=50, column="a3", new_value="evil").apply(edge)
+        verdict = client.verify(edge.range_query("t", **query))
+        assert not verdict.ok and verdict.reason.startswith("digest mismatch")
+        # ... and still only where the tampered tuple is covered.
+        assert client.verify(
+            edge.range_query("t", low=80, high=100, columns=("id", "a1"))
+        ).ok
+
     def test_tamper_outside_query_range_not_flagged(self, setup):
         """Tampering is only visible in results that cover the tuple —
         queries elsewhere still verify."""
@@ -60,6 +79,20 @@ class TestDetectedAttacks:
         DropTuple(table="t", index=2, cover=False).install(edge)
         resp = edge.range_query("t", low=0, high=30)
         assert not client.verify(resp).ok
+
+    @pytest.mark.parametrize("vo_format", list(VOFormat), ids=lambda f: f.value)
+    def test_drop_without_cover_on_projected_query_detected(self, setup, vo_format):
+        """The dropped row's block is sliced out of ``D_P``, so the
+        result is well-formed — and a digest short."""
+        _server, edge, client = setup
+        DropTuple(table="t", index=2, cover=False).install(edge)
+        resp = edge.range_query(
+            "t", low=0, high=30, columns=("id", "a1"), vo_format=vo_format
+        )
+        assert len(resp.result.rows) == 30
+        assert len(resp.result.vo.projection_digests) == 30 * 3 * 16
+        verdict = client.verify(resp)
+        assert not verdict.ok and not verdict.reason.startswith("malformed VO")
 
     def test_stale_replay_detected_after_rotation(self):
         server = CentralServer(
@@ -140,7 +173,7 @@ class TestDeltaAdversary:
 
     def test_forged_delta_rejected_no_verifying_result(self):
         """A hacker who cannot sign fabricates a delta inserting a
-        tuple with garbage signatures; the edge rejects it outright."""
+        tuple with a garbage signature; the edge rejects it outright."""
         import random
 
         from repro.core.delta import (
@@ -172,7 +205,6 @@ class TestDeltaAdversary:
                     kind=DeltaOpKind.INSERT,
                     values=tuple(row.values),
                     signed_tuple=fake_sig(),
-                    signed_attrs=tuple(fake_sig() for _ in row.values),
                 ),
             ),
             node_updates=(
@@ -223,7 +255,6 @@ class TestDeltaAdversary:
                     kind=DeltaOpKind.INSERT,
                     values=tuple(row.values),
                     signed_tuple=fake_sig(),
-                    signed_attrs=tuple(fake_sig() for _ in row.values),
                 ),
             ),
             node_updates=(),
@@ -300,8 +331,8 @@ class TestDeltaAdversary:
             "tuple signature": payload.index(
                 insert.signed_tuple.to_bytes(sig_len)
             ) + 9,
-            "attribute signature": payload.index(
-                insert.signed_attrs[1].to_bytes(sig_len)
+            "last tuple signature": payload.index(
+                delta.ops[2].signed_tuple.to_bytes(sig_len)
             ) + 7,
             "node update": payload.index(
                 delta.node_updates[0].signed.to_bytes(sig_len)
@@ -347,6 +378,7 @@ class TestDeltaAdversary:
         assert client.verify(edge.range_query("t", low=9001, high=9003)).ok
 
     def test_rejected_delta_is_nacked_and_leaves_naive_store_alone(self):
+        from repro.baselines.naive import NaiveStore
         from repro.edge.transport import DeltaFrame, frame_from_bytes, frame_to_bytes
 
         server = CentralServer(
@@ -358,16 +390,21 @@ class TestDeltaAdversary:
         edge = server.spawn_edge_server("victim")
         server.insert("t", (9001, "a", "b", "c"))
         payload, _head = server.delta_payload("t", edge.replica_lsns["t"])
-        # The naive baseline is served from the replica's TupleAuth map
-        # (there is no second store to keep in step).
+        # The Naive baseline lives beside the fabric, in a store of its
+        # own built from the central signing engine; what it serves for
+        # the replica's rows is a second witness that nothing moved.
+        store = NaiveStore.build(
+            schema, server.vbtrees["t"].rows(), server.signing_engine()
+        )
         before = dict(edge.replica("t")._tuple_auth)
-        served, _nbytes = edge.naive_range_query("t")
+        served = store.build_result(list(edge.replica("t").rows()))
+        assert len(served.rows) == 80
         forged = payload[:-1] + bytes([payload[-1] ^ 0x01])
         (reply,) = edge.handle_frame(frame_to_bytes(DeltaFrame("t", forged)))
         ack = frame_from_bytes(reply)
         assert (ack.ok, ack.reason, ack.lsn) == (False, "tamper", 0)
         assert dict(edge.replica("t")._tuple_auth) == before
-        assert edge.naive_range_query("t")[0] == served
+        assert store.build_result(list(edge.replica("t").rows())) == served
 
     def test_declared_width_mismatch_rejected_before_any_public_key_op(self):
         """A payload that parses, but whose declared signature width is

@@ -56,18 +56,30 @@ class TestQueryFlow:
         edge.range_query("items", low=0, high=100)
         assert edge.channel.total_bytes > before
 
-    def test_naive_query_verifies(self, edge, client):
-        result, nbytes = edge.naive_range_query("items", low=10, high=40)
-        assert client.verify_naive(result)
-        assert nbytes > 0
+    def test_naive_baseline_verifies_beside_the_fabric(self, central, edge):
+        """The Naive scheme is no part of an edge any more: the
+        comparison builds a ``NaiveStore`` from the central signing
+        engine and serves it the rows a replica holds."""
+        from repro.baselines.naive import NaiveStore, NaiveVerifier
+        from repro.core.digests import DigestEngine
+
+        vbt = central.vbtrees["items"]
+        store = NaiveStore.build(vbt.schema, vbt.rows(), central.signing_engine())
+        rows = [r for _k, r in edge.replica("items").tree.range_items(10, 40)]
+        result = store.build_result(rows)
+        assert len(result.rows) == 31
+        verifier = NaiveVerifier(DigestEngine(DB), keyring=central.keyring)
+        assert verifier.verify(result)
+        assert result.wire_size(central.public_key.signature_len) > 0
 
     @pytest.mark.parametrize("columns", [None, ("id", "a2")])
-    def test_naive_query_equals_the_standalone_reference(self, columns):
-        """The edge assembles the baseline from its replica's TupleAuth;
-        ``NaiveStore.build`` — the scheme run on its own, signing every
-        row itself — must produce the same wire object, digest for
-        digest (an insert and a delete in, so deltas are covered too)."""
-        from repro.baselines.naive import NaiveStore
+    def test_naive_baseline_follows_the_replica_through_deltas(self, columns):
+        """An insert and a delete in: the store, maintained beside the
+        central table, serves the rows the edge now holds, and what it
+        ships is the appendix's — one tuple signature per row plus one
+        per hidden attribute, ``wire_size`` to the byte."""
+        from repro.baselines.naive import NaiveStore, NaiveVerifier
+        from repro.core.digests import DigestEngine
 
         server = CentralServer(db_name=DB, rsa_bits=512, seed=12)
         schema, rows = generate_table(
@@ -75,22 +87,25 @@ class TestQueryFlow:
         )
         table = server.create_table(schema, rows, fanout_override=4)
         edge = server.spawn_edge_server("edge-naive")
+        store = NaiveStore.build(schema, table.scan(), server.signing_engine())
         server.insert("items", (9001, "a", "b", "c"))
+        store.add(table.get(9001))
         server.delete("items", 25)
-        reference = NaiveStore.build(
-            schema, table.scan(), server._signing_engine()
-        ).build_result(
-            [row for row in table.scan() if 10 <= row.key <= 9001], columns
-        )
-        result, nbytes = edge.naive_range_query(
-            "items", low=10, high=9001, columns=columns
-        )
-        assert len(result.rows) == 50
-        assert result.tuple_digests == reference.tuple_digests
-        assert result.filtered_attr_digests == reference.filtered_attr_digests
+        store.remove(25)
+        held = [
+            r for _k, r in edge.replica("items").tree.range_items(low=10, high=9001)
+        ]
+        result = store.build_result(held, columns)
+        assert len(result.rows) == 50 and 25 not in result.keys
+        assert NaiveVerifier(DigestEngine(DB), keyring=server.keyring).verify(result)
+        hidden = 0 if columns is None else 2
         sig_len = server.public_key.signature_len
-        assert nbytes == reference.wire_size(sig_len) == result.wire_size(sig_len)
-        assert result == reference
+        assert all(len(sigs) == hidden for sigs in result.filtered_attr_digests)
+        # wire_size is linear in the signature width: the slope is the
+        # number of signatures shipped.
+        assert result.wire_size(sig_len) - result.wire_size(0) == (
+            50 * (1 + hidden) * sig_len
+        )
 
     def test_missing_replica_raises(self, central, edge):
         from repro.exceptions import ReplicationError

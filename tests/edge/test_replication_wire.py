@@ -13,6 +13,7 @@ from repro.core.vo import VOFormat
 from repro.core.wire import (
     authenticate_delta,
     delta_from_bytes,
+    result_from_bytes,
     result_to_bytes,
     snapshot_from_bytes,
 )
@@ -26,14 +27,19 @@ from repro.edge.transport import (
     frame_from_bytes,
     frame_to_bytes,
 )
-from repro.exceptions import DeltaTamperError, EncodingError
+from repro.exceptions import DeltaTamperError, EncodingError, VOFormatError
 from repro.workloads.generator import TableSpec, generate_table
 
 from tests.core.conftest import snapshot_node_count_offset
 from tests.edge.parent_format_fixtures import (
+    ELEVEN_SIGNATURE_INSERT_DELTA_HEX,
+    ELEVEN_SIGNATURE_RECIPE,
+    ELEVEN_SIGNATURE_SNAPSHOT_HEX,
     PARENT_INSERT_DELTA_HEX,
     PARENT_RECIPE,
     PARENT_SNAPSHOT_HEX,
+    SIGNED_DP_FLAT_RESULT_HEX,
+    SIGNED_DP_STRUCTURED_RESULT_HEX,
     TWO_SIGNATURE_INSERT_DELTA_HEX,
     TWO_SIGNATURE_SNAPSHOT_HEX,
 )
@@ -101,9 +107,11 @@ def fleet():
 def test_single_insert_delta_size_is_pinned(fleet):
     """10 columns × 20 B, a three-node path, table ``items``: the e2e
     recipe's insert delta, to the byte — 1 858 B before the diet,
-    1 488 B while each of the three path nodes shipped two signatures."""
+    1 488 B while each of the three path nodes shipped two signatures,
+    1 290 B while the tuple shipped its attribute count and ten
+    attribute signatures behind its own."""
     _server, _edges, insert_bytes = fleet
-    assert insert_bytes == 1488 - 3 * 66
+    assert insert_bytes == 1488 - 3 * 66 - (4 + 10 * 66) == 626
 
 
 def test_replica_holds_signed_digests_only(fleet):
@@ -114,11 +122,12 @@ def test_replica_holds_signed_digests_only(fleet):
             replica = edge.replica(table)
             assert not replica._tuple_values and not replica._node_values
             assert len(replica._tuple_auth) == len(replica) == len(central_tree)
-            for auth in replica._tuple_auth.values():
-                assert set(vars(auth)) == {"signed_tuple", "signed_attrs"}
-                assert type(auth.signed_tuple) is SignedDigest
-                assert all(type(s) is SignedDigest for s in auth.signed_attrs)
-            # One signed digest per node, and nothing beside it.
+            # One signed digest per tuple — nothing per attribute ...
+            assert all(
+                type(signed) is SignedDigest
+                for signed in replica._tuple_auth.values()
+            )
+            # ... one per node, and nothing beside either.
             assert len(replica._node_auth) == replica.tree.node_count()
             assert all(
                 type(signed) is SignedDigest
@@ -128,6 +137,57 @@ def test_replica_holds_signed_digests_only(fleet):
             assert replica._tuple_auth == central_tree._tuple_auth
             assert replica._node_auth == central_tree._node_auth
             replica.audit()
+
+
+def test_signatures_on_the_fabric_are_counted_in_tuples_and_nodes(monkeypatch):
+    """One signature per tuple and per node, wherever the fabric signs
+    (DESIGN.md §21): a secondary-indexed insert signs ``1 + H`` per tree
+    (plus each tree's delta seal), a delete signs no tuple, and a key
+    rotation re-signs ``rows + nodes`` per tree and nothing per
+    attribute."""
+    from repro.crypto.signatures import DigestSigner
+
+    signs = []
+    sign = DigestSigner.sign
+    monkeypatch.setattr(
+        DigestSigner, "sign", lambda self, value: signs.append(value) or sign(self, value)
+    )
+
+    def count(operation, *args, **kwargs):
+        del signs[:]
+        operation(*args, **kwargs)
+        return len(signs)
+
+    server = CentralServer(db_name="dietdb", rsa_bits=512, seed=53)
+    schema, rows = generate_table(
+        TableSpec(name="items", rows=40, columns=10, attr_size=20, key_step=4, seed=5)
+    )
+    built = count(server.create_table, schema, rows, fanout_override=5)
+    primary = server.vbtrees["items"]
+    assert built == 40 + primary.tree.node_count()
+    indexed = count(server.create_secondary_index, "items", "a1", fanout_override=4)
+    secondary = server.vbtrees["items__by_a1"]
+    assert indexed == 40 + secondary.tree.node_count()
+    server.spawn_edge_server("e0")
+
+    def last_deltas():
+        return [
+            server.replicator.log_for(t).entries_since(0)[-1].delta
+            for t in ("items", "items__by_a1")
+        ]
+
+    values = (1001, *(f"1001-{c:02d}-".ljust(20, "x") for c in range(1, 10)))
+    inserted = count(server.insert, "items", values)
+    assert not any(d.structural for d in last_deltas())
+    assert inserted == (1 + primary.height() + 1) + (1 + secondary.height() + 1)
+    deleted = count(server.delete, "items", 8)
+    # Each tree's dirty nodes and its seal; no tuple is signed.
+    assert deleted == sum(len(d.node_updates) + 1 for d in last_deltas())
+
+    rotated = count(server.rotate_key, seed=54)
+    trees = server.vbtrees.values()
+    assert rotated == sum(len(t) + t.tree.node_count() for t in trees)
+    assert all(len(t) == 40 for t in trees)
 
 
 def test_central_keeps_its_working_values_and_audits(fleet):
@@ -273,32 +333,35 @@ def test_malformed_snapshot_is_nacked_and_touches_nothing(victim):
 # ----------------------------------------------------------------------
 
 
-@pytest.fixture
-def parent_fleet():
-    """The fixtures' recipe at this commit: same keys, same rows."""
-    server = CentralServer(
-        replication=ReplicationMode.LAZY, **PARENT_RECIPE["central"]
-    )
-    schema, rows = generate_table(TableSpec(**PARENT_RECIPE["table"]))
+def _fleet_of(recipe):
+    """A fixture recipe at this commit: same keys, same rows."""
+    server = CentralServer(replication=ReplicationMode.LAZY, **recipe["central"])
+    schema, rows = generate_table(TableSpec(**recipe["table"]))
     server.create_table(schema, rows)
     edge = server.spawn_edge_server("e0")
     return server, edge
 
 
-#: Both earlier layouts of the one payload format, oldest first.
-_EARLIER_LAYOUTS = ["values beside signatures", "two node signatures"]
+#: The three earlier layouts of the one payload format, oldest first.
+_EARLIER_LAYOUTS = [
+    "values beside signatures", "two node signatures", "eleven tuple signatures",
+]
 
 
 @pytest.mark.parametrize(
-    "delta_hex",
-    [PARENT_INSERT_DELTA_HEX, TWO_SIGNATURE_INSERT_DELTA_HEX],
+    "recipe, delta_hex",
+    [
+        (PARENT_RECIPE, PARENT_INSERT_DELTA_HEX),
+        (PARENT_RECIPE, TWO_SIGNATURE_INSERT_DELTA_HEX),
+        (ELEVEN_SIGNATURE_RECIPE, ELEVEN_SIGNATURE_INSERT_DELTA_HEX),
+    ],
     ids=_EARLIER_LAYOUTS,
 )
-def test_parent_format_delta_is_refused_as_tamper(parent_fleet, delta_hex):
+def test_parent_format_delta_is_refused_as_tamper(recipe, delta_hex):
     """The parent's delta is authentic — signed by this very key over
     its own bytes — so the parser is the only gate: it must not read
     an old layout as the new one."""
-    server, edge = parent_fleet
+    server, edge = _fleet_of(recipe)
     parent_delta = bytes.fromhex(delta_hex)
     width = server.public_key.signature_len + 2
     assert DigestVerifier(server.public_key).verify_value(
@@ -318,7 +381,7 @@ def test_parent_format_delta_is_refused_as_tamper(parent_fleet, delta_hex):
     assert telemetry.unexpected_total() == 0
     # The same insert in today's format: same header, same row, same
     # signatures, minus the copies — and it applies.
-    server.insert("t", PARENT_RECIPE["insert"])
+    server.insert("t", recipe["insert"])
     payload, _head = server.delta_payload("t", 0)
     assert len(payload) < len(parent_delta)
     assert payload[:40] == parent_delta[:40]
@@ -328,12 +391,16 @@ def test_parent_format_delta_is_refused_as_tamper(parent_fleet, delta_hex):
 
 
 @pytest.mark.parametrize(
-    "snapshot_hex",
-    [PARENT_SNAPSHOT_HEX, TWO_SIGNATURE_SNAPSHOT_HEX],
+    "recipe, snapshot_hex",
+    [
+        (PARENT_RECIPE, PARENT_SNAPSHOT_HEX),
+        (PARENT_RECIPE, TWO_SIGNATURE_SNAPSHOT_HEX),
+        (ELEVEN_SIGNATURE_RECIPE, ELEVEN_SIGNATURE_SNAPSHOT_HEX),
+    ],
     ids=_EARLIER_LAYOUTS,
 )
-def test_parent_format_snapshot_is_refused_as_error(parent_fleet, snapshot_hex):
-    server, edge = parent_fleet
+def test_parent_format_snapshot_is_refused_as_error(recipe, snapshot_hex):
+    server, edge = _fleet_of(recipe)
     parent_snapshot = bytes.fromhex(snapshot_hex)
     current = server.snapshot_frame("t")
     assert len(current.payload) < len(parent_snapshot)
@@ -348,3 +415,31 @@ def test_parent_format_snapshot_is_refused_as_error(parent_fleet, snapshot_hex):
     assert _replica_state(edge, "t") == before
     edge.replica("t").audit()
     telemetry.reset()
+
+
+@pytest.mark.parametrize(
+    "result_hex, vo_format",
+    [
+        (SIGNED_DP_FLAT_RESULT_HEX, VOFormat.FLAT_SET),
+        (SIGNED_DP_STRUCTURED_RESULT_HEX, VOFormat.STRUCTURED),
+    ],
+    ids=["flat", "structured"],
+)
+def test_parent_format_projected_result_does_not_parse(result_hex, vo_format):
+    """A parent edge's projected answer — every hidden attribute a
+    kind-tagged signed ``D_P`` entry — is refused by the decoder, so a
+    client of this commit REJECTs it without folding a byte of it; the
+    same query against an edge of this commit is shorter and verifies."""
+    server, edge = _fleet_of(ELEVEN_SIGNATURE_RECIPE)
+    parent_result = bytes.fromhex(result_hex)
+    with pytest.raises(VOFormatError):
+        result_from_bytes(parent_result)
+    response = edge.range_query(
+        "t", columns=ELEVEN_SIGNATURE_RECIPE["columns"], vo_format=vo_format
+    )
+    current = result_to_bytes(response.result, server.public_key.signature_len)
+    # 2 rows x 2 hidden columns: a signature and its tags less, each.
+    tags = 8 if vo_format is VOFormat.STRUCTURED else 0
+    assert len(current) == len(parent_result) - 4 * (1 + 66 - 16 + tags)
+    assert current[:200] == parent_result[:200]  # same header, same rows
+    assert server.make_client().verify(result_from_bytes(current)).ok

@@ -90,6 +90,5 @@ class TestBlobProjection:
         breakdown = wire_breakdown(
             slim.result, central.public_key.signature_len
         )
-        assert breakdown["dp"] > 0
-        # D_P: 10 rows x 2 filtered columns.
-        assert slim.result.vo.num_projection_digests == 20
+        # D_P: 10 rows x 2 filtered columns, one bare 16-byte digest each.
+        assert breakdown["dp"] == len(slim.result.vo.projection_digests) == 20 * 16
