@@ -15,9 +15,9 @@ the digest material of formulas (1)-(3):
 Signatures are message-recovering (``s⁻¹(s(x)) = x``), so the signed
 form is all a tree stores, ships or serves — exactly one signed digest
 per tuple and child pointer.  The central server additionally keeps the
-*unsigned* tuple and
-node values it folds and recomputes from, in two private maps a replica
-never fills (it cannot sign, so it never needs them).
+*unsigned* tuple and node values it folds and recomputes from, in two
+private maps a replica never fills (it cannot sign, so it never needs
+them).
 
 Digest maintenance on updates lives in :mod:`repro.core.update`; this
 module owns the data structure, bulk build, and digest recomputation.
