@@ -57,6 +57,22 @@ class CompCost:
     total: float
 
 
+def _weighted(
+    params: Parameters, hashes: int, decryptions: int, combines: int
+) -> CompCost:
+    """The counts with their total at ``params``' unit costs."""
+    return CompCost(
+        hashes=hashes,
+        decryptions=decryptions,
+        combines=combines,
+        total=(
+            hashes * params.cost_hash
+            + decryptions * params.cost_verify
+            + combines * params.cost_combine
+        ),
+    )
+
+
 def vbtree_comp_cost(params: Parameters, selectivity: float) -> CompCost:
     """Formula (10): client cost of verifying a VB-tree result."""
     qr = params.result_rows(selectivity)
@@ -69,14 +85,7 @@ def vbtree_comp_cost(params: Parameters, selectivity: float) -> CompCost:
         + qr                        # fold tuple digests into the envelope
         + ds                        # fold D_S digests into the envelope
     )
-    total = (
-        hashes * params.cost_hash
-        + decryptions * params.cost_verify
-        + combines * params.cost_combine
-    )
-    return CompCost(
-        hashes=hashes, decryptions=decryptions, combines=combines, total=total
-    )
+    return _weighted(params, hashes, decryptions, combines)
 
 
 def vbtree_comp_cost_as_built(params: Parameters, selectivity: float) -> CompCost:
@@ -85,16 +94,11 @@ def vbtree_comp_cost_as_built(params: Parameters, selectivity: float) -> CompCos
     tuple and per ``D_S`` entry."""
     paper = vbtree_comp_cost(params, selectivity)
     qr = params.result_rows(selectivity)
-    hashes = paper.hashes + qr
-    decryptions = paper.decryptions - qr * (params.num_cols - params.query_cols)
-    combines = paper.combines - qr * (params.num_cols - 1)
-    total = (
-        hashes * params.cost_hash
-        + decryptions * params.cost_verify
-        + combines * params.cost_combine
-    )
-    return CompCost(
-        hashes=hashes, decryptions=decryptions, combines=combines, total=total
+    return _weighted(
+        params,
+        hashes=paper.hashes + qr,
+        decryptions=paper.decryptions - qr * (params.num_cols - params.query_cols),
+        combines=paper.combines - qr * (params.num_cols - 1),
     )
 
 
@@ -105,14 +109,7 @@ def naive_comp_cost(params: Parameters, selectivity: float) -> CompCost:
     hashes = qr * params.query_cols
     decryptions = qr * filtered + qr  # filtered attrs + one per tuple
     combines = qr * (params.num_cols - 1)
-    total = (
-        hashes * params.cost_hash
-        + decryptions * params.cost_verify
-        + combines * params.cost_combine
-    )
-    return CompCost(
-        hashes=hashes, decryptions=decryptions, combines=combines, total=total
-    )
+    return _weighted(params, hashes, decryptions, combines)
 
 
 def fig12_series(

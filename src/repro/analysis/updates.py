@@ -53,18 +53,29 @@ class UpdateCost:
     total: float
 
 
+def _weighted(
+    params: Parameters, hashes: int, combines: int, signs: int
+) -> UpdateCost:
+    """The counts with their total at ``params``' unit costs."""
+    return UpdateCost(
+        hashes=hashes,
+        combines=combines,
+        signs=signs,
+        total=(
+            hashes * params.cost_hash
+            + combines * params.cost_combine
+            + signs * params.cost_sign
+        ),
+    )
+
+
 def insert_cost(params: Parameters, include_signing: bool = True) -> UpdateCost:
     """Formula (11): cost of inserting one tuple."""
     height = params.vbtree_geometry().height_for(params.num_rows)
     hashes = params.num_cols
     combines = (params.num_cols - 1) + height
     signs = (params.num_cols + 1 + height) if include_signing else 0
-    total = (
-        hashes * params.cost_hash
-        + combines * params.cost_combine
-        + signs * params.cost_sign
-    )
-    return UpdateCost(hashes=hashes, combines=combines, signs=signs, total=total)
+    return _weighted(params, hashes, combines, signs)
 
 
 def insert_cost_as_built(
@@ -74,15 +85,12 @@ def insert_cost_as_built(
     row hash, one fold per path node, and ``1 + H_vb`` signatures — the
     tuple's and the path's."""
     paper = insert_cost(params, include_signing)
-    hashes = paper.hashes + 1
-    combines = paper.combines - (params.num_cols - 1)
-    signs = paper.signs - params.num_cols if include_signing else 0
-    total = (
-        hashes * params.cost_hash
-        + combines * params.cost_combine
-        + signs * params.cost_sign
+    return _weighted(
+        params,
+        hashes=paper.hashes + 1,
+        combines=paper.combines - (params.num_cols - 1),
+        signs=paper.signs - params.num_cols if include_signing else 0,
     )
-    return UpdateCost(hashes=hashes, combines=combines, signs=signs, total=total)
 
 
 def delete_cost(
@@ -98,8 +106,7 @@ def delete_cost(
     boundary_nodes = 2 * h_env + 1
     combines = boundary_nodes * (fanout - 1) + (height - h_env) * fanout
     signs = (boundary_nodes + (height - h_env)) if include_signing else 0
-    total = combines * params.cost_combine + signs * params.cost_sign
-    return UpdateCost(hashes=0, combines=combines, signs=signs, total=total)
+    return _weighted(params, 0, combines, signs)
 
 
 def delete_series(
