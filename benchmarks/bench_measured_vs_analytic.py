@@ -8,7 +8,11 @@ within the envelope's boundary effects."""
 
 import pytest
 
-from repro.analysis.communication import naive_comm_cost, vbtree_comm_cost
+from repro.analysis.communication import (
+    naive_comm_cost,
+    vbtree_comm_cost,
+    vbtree_comm_cost_as_built,
+)
 from repro.analysis.computation import vbtree_comp_cost, vbtree_comp_cost_as_built
 from repro.analysis.params import Parameters
 from repro.bench.series import emit
@@ -69,6 +73,11 @@ def test_comm_breakdown_matches_components(benchmark, deployment):
         wire_breakdown, args=(resp.result, sig_len), rounds=1, iterations=1
     )
     analytic = vbtree_comm_cost(params, sel)
+    # The same range projected to two columns: D_P as built is the bare
+    # block, Q_r (N_c - Q_c) |h| to the byte.
+    projected = edge.range_query("items", q.low, q.high, columns=("id", "a1"))
+    as_built = vbtree_comm_cost_as_built(params.with_(query_cols=2), sel)
+    dp_projected = wire_breakdown(projected.result, sig_len)["dp"]
     emit(
         "Formula (9) components vs measured breakdown (sel 40%)",
         "measured_vs_analytic_breakdown",
@@ -78,8 +87,10 @@ def test_comm_breakdown_matches_components(benchmark, deployment):
             ("D_S + D_N", analytic.ds_bytes + analytic.dn_bytes,
              breakdown["ds"] + breakdown["dn"]),
             ("D_P", analytic.dp_bytes, breakdown["dp"]),
+            ("D_P, Q_c = 2 (as built)", as_built.dp_bytes, dp_projected),
         ],
     )
+    assert dp_projected == as_built.dp_bytes > 0
     # D_S formula is an upper bound over the worst-case envelope.
     assert breakdown["ds"] + breakdown["dn"] <= (
         analytic.ds_bytes + analytic.dn_bytes

@@ -20,10 +20,13 @@ def test_storage_costs(benchmark):
             ("index bytes", s.btree_index_bytes, s.vbtree_index_bytes),
             ("table bytes", s.table_bytes, s.table_bytes),
             ("table digest overhead", 0, s.table_digest_overhead),
+            ("table digest overhead, as built", 0, s.tuple_digest_overhead),
             ("per-node overhead bytes", 0, s.node_overhead_bytes),
         ],
     )
     # Paper claims: table overhead = N_r x N_c x |D| = 160 MB here.
     assert s.table_digest_overhead == 160_000_000
+    # As built (DESIGN.md D5), one signed digest per tuple: N_r x |D|.
+    assert s.tuple_digest_overhead == 16_000_000
     assert s.vbtree_index_bytes > s.btree_index_bytes
     benchmark(storage_costs, p)

@@ -70,7 +70,8 @@ def main() -> None:
          [("fan-out", s.btree_fanout, s.vbtree_fanout),
           ("height", s.btree_height, s.vbtree_height),
           ("index bytes", s.btree_index_bytes, s.vbtree_index_bytes),
-          ("table digest overhead", 0, s.table_digest_overhead)])
+          ("table digest overhead", 0, s.table_digest_overhead),
+          ("table digest overhead, as built", 0, s.tuple_digest_overhead)])
 
     show("Section 4.4: update costs (formulas 11-12)",
          ["deleted Q_r", "delete cost", "insert cost"], delete_series(p))

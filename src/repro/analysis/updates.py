@@ -78,18 +78,16 @@ def insert_cost(params: Parameters, include_signing: bool = True) -> UpdateCost:
     return _weighted(params, hashes, combines, signs)
 
 
-def insert_cost_as_built(
-    params: Parameters, include_signing: bool = True
-) -> UpdateCost:
+def insert_cost_as_built(params: Parameters) -> UpdateCost:
     """Insert as the system runs it: ``N_c`` attribute hashes and the
     row hash, one fold per path node, and ``1 + H_vb`` signatures — the
     tuple's and the path's."""
-    paper = insert_cost(params, include_signing)
+    paper = insert_cost(params)
     return _weighted(
         params,
         hashes=paper.hashes + 1,
         combines=paper.combines - (params.num_cols - 1),
-        signs=paper.signs - params.num_cols if include_signing else 0,
+        signs=paper.signs - params.num_cols,
     )
 
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.analysis.communication import vbtree_comm_cost_as_built
+from repro.analysis.params import Parameters
 from repro.core.query_auth import QueryAuthenticator
 from repro.core.vo import VOFormat
 from repro.core.wire import result_from_bytes, result_to_bytes, wire_breakdown
@@ -80,6 +82,14 @@ class TestByteAccounting:
         # The bare block: 16 B per hidden attribute per row, no tags.
         assert b_proj["dp"] == len(projected.rows) * 3 * 16
         assert b_full["dp"] == 0
+        # ... which is the as-built formula (9), at |D| a signed digest.
+        params = Parameters(
+            digest_len=sig_len + 2, num_rows=len(projected.rows), num_cols=4
+        )
+        assert b_proj["dp"] == vbtree_comm_cost_as_built(
+            params.with_(query_cols=1), 1.0
+        ).dp_bytes
+        assert vbtree_comm_cost_as_built(params.with_(query_cols=4), 1.0).dp_bytes == 0
         # Projection trades data bytes for digest bytes.
         assert b_proj["data"] < b_full["data"]
 

@@ -56,6 +56,25 @@ class TestQueryFlow:
         edge.range_query("items", low=0, high=100)
         assert edge.channel.total_bytes > before
 
+    def test_replica_holds_the_as_built_storage_overhead(self, central, edge):
+        """One signed digest per tuple is all the authentication a
+        replica keeps per row: ``N_r |D|`` where the paper's Section 4.1
+        has ``N_r N_c |D|``."""
+        from repro.analysis.params import Parameters
+        from repro.analysis.storage import storage_costs
+
+        replica = edge.replica("items")
+        sig_len = central.public_key.signature_len
+        held = sum(
+            len(replica.tuple_auth(row.key).to_bytes(sig_len))
+            for row in replica.rows()
+        )
+        costs = storage_costs(
+            Parameters(digest_len=sig_len + 2, num_rows=len(replica), num_cols=6)
+        )
+        assert held == costs.tuple_digest_overhead
+        assert held * 6 == costs.table_digest_overhead
+
     def test_naive_baseline_verifies_beside_the_fabric(self, central, edge):
         """The Naive scheme is no part of an edge any more: the
         comparison builds a ``NaiveStore`` from the central signing
