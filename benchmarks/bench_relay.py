@@ -37,17 +37,14 @@ import os
 
 from repro.bench.series import emit, results_dir
 from repro.edge.central import CentralServer, ReplicationMode
-from repro.edge.edge_server import EdgeServer
-from repro.edge.relay import RelayServer
-from repro.edge.link import InProcessTransport
+from repro.edge.fleet import Fleet
+from repro.core.wire import result_from_bytes
 from repro.edge.transport import (
     DeltaFrame,
     SnapshotFrame,
-    config_from_frame,
     frame_from_bytes,
     range_query_frame,
 )
-from repro.core.wire import result_from_bytes
 from repro.workloads.generator import TableSpec, generate_table
 
 TABLE = "items"
@@ -83,77 +80,35 @@ def _make_central() -> CentralServer:
     return central
 
 
-def _attach_relay(central, name, taps=None):
-    """Central → relay link, mirroring the socket handshake; ``taps``
-    (upstream_bytes, downstream_bytes) collect replication frames for
-    the byte-parity assertion."""
-    relay = RelayServer(name)
-    up = InProcessTransport(name)
-    if taps is None:
-        up.connect(relay.handle_frame)
-    else:
-        upstream, _ = taps
+def _tap(fleet, name, sink) -> None:
+    """Collect the replication frames delivered to node ``name`` (for
+    the byte-parity assertion): its link is re-connected through a
+    recording wrapper before anything has crossed it."""
+    node = fleet.node(name)
 
-        def tap(data):
-            if isinstance(frame_from_bytes(data), (SnapshotFrame, DeltaFrame)):
-                upstream.add(data)
-            return relay.handle_frame(data)
+    def handler(data, inner=node.handle_frame):
+        if isinstance(frame_from_bytes(data), (SnapshotFrame, DeltaFrame)):
+            sink.append(data)
+        return inner(data)
 
-        up.connect(tap)
-    cfg = central.config_frame()
-    relay.adopt_config(cfg)
-    sent_epoch = max((record[0] for record in cfg.epochs), default=-1)
-    central.attach_remote_edge(name, up, config_epoch=sent_epoch)
-    return relay, up
+    fleet.link(name).connect(handler, node.pending_upstream)
 
 
-def _attach_edge(relay, name, taps=None):
-    edge = EdgeServer(
-        name=name, config=config_from_frame(relay.config_frame())
-    )
-    down = InProcessTransport(name)
-    if taps is None:
-        down.connect(edge.handle_frame)
-    else:
-        _, downstream = taps
-
-        def tap(data):
-            if isinstance(frame_from_bytes(data), (SnapshotFrame, DeltaFrame)):
-                downstream.append(data)
-            return edge.handle_frame(data)
-
-        down.connect(tap)
-    relay.attach_edge(name, down)
-    return edge, down
-
-
-def _tree_sync(central, relays, rounds=20) -> bool:
-    """Drive central → relays → edges to quiescence, relaying each
-    relay's spontaneous upstream acks by hand (the serve loop's job)."""
-    for _ in range(rounds):
-        central.propagate()
-        central.fanout.drain(wait=True)
-        for relay in relays:
-            relay.fanout.pump()
-            relay.fanout.drain(wait=True)
-            frames = [frame_from_bytes(b) for b in relay.pending_upstream()]
-            if frames:
-                central.fanout._process_replies(
-                    central.fanout.peer(relay.name), frames
-                )
-        settled = all(
-            central.fanout.staleness(relay.name, t) == 0
-            for relay in relays
-            for t in central.vbtrees
-        ) and all(
-            relay.fanout.staleness(peer_name, t) == 0
-            for relay in relays
-            for peer_name in relay.fanout.peers
-            for t in central.vbtrees
+def _verified_rows(fleet, relay: str, high: int, queries: int) -> None:
+    """``queries`` range queries over the inserted keys, forwarded by
+    ``relay`` round-robin over its edges: each must verify against the
+    central's public key and be complete.  They ride the relay's
+    replication link, as over TCP, so ``central_down_bytes`` counts
+    the request frames."""
+    client = fleet.central.make_client()
+    for _ in range(queries):
+        reply = fleet.link(relay).request(
+            range_query_frame(TABLE, 100_000, high)
         )
-        if settled:
-            return True
-    return False
+        assert not reply.error, reply.error
+        result = result_from_bytes(reply.payload)
+        assert client.verify(result).ok, "unverified result through a relay"
+        assert len(result.rows) == high - 100_000
 
 
 def _workload(central) -> None:
@@ -203,58 +158,41 @@ def _run_flat(edges: int) -> dict:
 
 def _run_relayed(relays: int, edges: int) -> dict:
     central = _make_central()
-    upstream_frames: set = set()
-    downstream_frames: list = []
-    taps = (upstream_frames, downstream_frames)
-
-    tiers = []
-    uplinks = []
     per_relay = edges // relays
-    for r in range(relays):
-        relay, up = _attach_relay(central, f"relay-{r}", taps)
-        fleet = [
-            _attach_edge(relay, f"edge-{r}-{i}", taps)
-            for i in range(per_relay)
-        ]
-        tiers.append((relay, fleet))
-        uplinks.append(up)
-    _tree_sync(central, [r for r, _ in tiers], rounds=4)  # bootstrap
+    tree = {
+        f"relay-{r}": [f"edge-{r}-{i}" for i in range(per_relay)]
+        for r in range(relays)
+    }
+    fleet = Fleet(central, relays=tree)
+    upstream_frames: list = []
+    downstream_frames: list = []
+    for relay, names in tree.items():
+        _tap(fleet, relay, upstream_frames)
+        for name in names:
+            _tap(fleet, name, downstream_frames)
+    uplinks = [fleet.link(relay) for relay in tree]
+    fleet.settle()  # bootstrap
     for up in uplinks:
         up.down_channel.reset()
 
     _workload(central)
-    assert _tree_sync(
-        central, [r for r, _ in tiers]
-    ), "relayed topology failed to settle"
+    fleet.settle()
 
     # Byte parity: nothing an edge received was minted by the relay.
     assert downstream_frames, "no replication frames reached the edges"
+    sent = set(upstream_frames)
     for data in downstream_frames:
-        assert data in upstream_frames, (
-            "edge received a frame the central never sent"
-        )
+        assert data in sent, "edge received a frame the central never sent"
 
-    # Verified queries, round-robined by each relay over its edges.
-    client = central.make_client()
-    unverified = 0
-    for (_relay, fleet), up in zip(tiers, uplinks, strict=True):
-        for _ in range(len(fleet) + 1):
-            reply = up.request(
-                range_query_frame(TABLE, 100_000, 100_000 + INSERTS)
-            )
-            assert not reply.error, reply.error
-            result = result_from_bytes(reply.payload)
-            if not client.verify(result).ok:
-                unverified += 1
-            assert len(result.rows) == INSERTS
-    assert unverified == 0, f"{unverified} unverified results through relays"
+    for relay in tree:
+        _verified_rows(fleet, relay, 100_000 + INSERTS, per_relay + 1)
 
     delta_bytes, delta_frames, total = _link_stats(uplinks)
     down_delta = sum(
         transfer.nbytes
-        for _, fleet in tiers
-        for _, link in fleet
-        for transfer in link.down_channel.transfers
+        for names in tree.values()
+        for name in names
+        for transfer in fleet.link(name).down_channel.transfers
         if transfer.kind == "delta"
     )
     return {
@@ -274,39 +212,21 @@ def _restart_heal_scenario() -> dict:
     subtree heals via snapshot and every query verifies — the bench's
     hard-assert twin of the SIGKILL socket test."""
     central = _make_central()
-    relay, up = _attach_relay(central, "relay-0")
-    fleet = [_attach_edge(relay, f"edge-{i}") for i in range(2)]
-    assert _tree_sync(central, [relay])
+    fleet = Fleet(central, relays={"relay-0": ["edge-0", "edge-1"]})
+    fleet.settle()
     _workload(central)
-    assert _tree_sync(central, [relay])
+    fleet.settle()
 
     # SIGKILL: the relay object (store included) is gone.  The restart
-    # registers empty over a fresh link (re-attaching the name replaces
-    # the dead link); its edges re-dial it with their old replicas and
-    # resume cursors, exactly like the socket path — so they must be
-    # healed through the store's new chain.
-    reborn, up2 = _attach_relay(central, "relay-0")
-    for edge, _ in fleet:
-        down = InProcessTransport(edge.name)
-        down.connect(edge.handle_frame)
-        reborn.attach_edge(edge.name, down, cursors=edge.replication_cursors())
+    # joins empty over a fresh link; its edges re-join it with their
+    # old replicas and resume cursors, exactly like the socket path —
+    # so they must be healed through the store's new chain.
+    fleet.kill("relay-0")
     for i in range(INSERTS, INSERTS + 10):
         central.insert(TABLE, (100_000 + i, f"v{i:>08}", f"w{i:>08}"))
-    assert _tree_sync(central, [reborn]), "subtree failed to heal"
-
-    client = central.make_client()
-    unverified = 0
-    for _ in range(4):
-        reply = up2.request(
-            range_query_frame(TABLE, 100_000, 100_000 + INSERTS + 10)
-        )
-        assert not reply.error, reply.error
-        result = result_from_bytes(reply.payload)
-        if not client.verify(result).ok:
-            unverified += 1
-        assert len(result.rows) == INSERTS + 10
-    assert unverified == 0, "unverified result after relay restart"
-    return {"healed": True, "unverified": unverified}
+    fleet.settle()
+    _verified_rows(fleet, "relay-0", 100_000 + INSERTS + 10, 4)
+    return {"healed": True, "unverified": 0}
 
 
 def _merge_series(path: str, rows: list[dict]) -> list[dict]:

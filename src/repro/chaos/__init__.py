@@ -10,9 +10,10 @@ caller never sees an unverified result, no matter the weather.
 * :mod:`repro.chaos.plan` — :class:`FaultPlan` / :class:`FaultEvent`:
   a tick-indexed fault schedule that is a pure function of its seed
   and replays byte-identically (``to_bytes``/``from_bytes``).
-* :mod:`repro.chaos.orchestrator` — :class:`InProcessFleet` +
-  :class:`ChaosOrchestrator`: applies a plan tick by tick against a
-  live fleet while a :class:`~repro.workloads.load_gen.LoadGenerator`
+* :mod:`repro.chaos.orchestrator` — :class:`ChaosOrchestrator`:
+  applies a plan tick by tick against a live
+  :class:`~repro.edge.fleet.Fleet` (:func:`chaos_fleet` builds the
+  battery's) while a :class:`~repro.workloads.load_gen.LoadGenerator`
   keeps routed queries flowing, then heals and settles, producing a
   :class:`ChaosReport`.
 * :mod:`repro.chaos.scenarios` — the standing battery: network flaps,
@@ -24,7 +25,7 @@ caller never sees an unverified result, no matter the weather.
 from repro.chaos.orchestrator import (
     ChaosOrchestrator,
     ChaosReport,
-    InProcessFleet,
+    chaos_fleet,
 )
 from repro.chaos.plan import FaultEvent, FaultPlan
 
@@ -33,5 +34,5 @@ __all__ = [
     "ChaosReport",
     "FaultEvent",
     "FaultPlan",
-    "InProcessFleet",
+    "chaos_fleet",
 ]

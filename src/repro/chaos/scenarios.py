@@ -19,22 +19,27 @@ normative statement of those allowances.
 from __future__ import annotations
 
 from repro.chaos.orchestrator import (
+    ROWS,
+    TABLE,
     ChaosOrchestrator,
     ChaosReport,
-    InProcessFleet,
+    chaos_fleet,
 )
 from repro.chaos.plan import FaultEvent, FaultPlan
-from repro.core.wire import result_from_bytes
-from repro.edge.edge_server import EdgeServer
-from repro.edge.relay import RelayServer
-from repro.edge.link import InProcessTransport
-from repro.edge.transport import (
-    config_from_frame,
-    frame_from_bytes,
-    frame_to_bytes,
-    range_query_frame,
-)
 from repro.workloads.load_gen import LoadProfile
+
+def _edges(n: int) -> list[str]:
+    return [f"edge-{i}" for i in range(n)]
+
+
+def _storm(plan: FaultPlan, fleet_seed: int, n_edges: int = 4, **load) -> ChaosReport:
+    """Run ``plan`` against a flat fleet of ``n_edges`` (its central
+    seeded ``fleet_seed + plan.seed``) under the plan-seeded Zipf
+    load; ``load`` overrides :class:`LoadProfile` fields."""
+    fleet = chaos_fleet(fleet_seed + plan.seed, edges=_edges(n_edges))
+    profile = LoadProfile(n_keys=ROWS, seed=plan.seed, **load)
+    return ChaosOrchestrator(fleet, plan, profile).run()
+
 
 __all__ = [
     "SCENARIOS",
@@ -71,11 +76,7 @@ def network_flaps(seed: int = 0) -> ChaosReport:
             FaultEvent(11, "heal", "edge-0"),
         ),
     )
-    fleet = InProcessFleet(n_edges=4, seed=11 + seed)
-    orch = ChaosOrchestrator(
-        fleet, plan, LoadProfile(n_keys=fleet.n_keys, seed=seed)
-    )
-    return orch.run()
+    return _storm(plan, 11)
 
 
 def slow_links(seed: int = 0) -> ChaosReport:
@@ -99,11 +100,7 @@ def slow_links(seed: int = 0) -> ChaosReport:
             FaultEvent(10, "heal", "edge-2"),
         ),
     )
-    fleet = InProcessFleet(n_edges=4, seed=13 + seed)
-    orch = ChaosOrchestrator(
-        fleet, plan, LoadProfile(n_keys=fleet.n_keys, seed=seed)
-    )
-    return orch.run()
+    return _storm(plan, 13)
 
 
 def byzantine_edges(seed: int = 0) -> ChaosReport:
@@ -126,13 +123,7 @@ def byzantine_edges(seed: int = 0) -> ChaosReport:
             FaultEvent(6, "tamper", "edge-2", 1.0),
         ),
     )
-    fleet = InProcessFleet(n_edges=4, seed=17 + seed)
-    orch = ChaosOrchestrator(
-        fleet,
-        plan,
-        LoadProfile(n_keys=fleet.n_keys, seed=seed, queries_per_tick=10),
-    )
-    return orch.run()
+    return _storm(plan, 17, queries_per_tick=10)
 
 
 def rotation_mid_partition(seed: int = 0) -> ChaosReport:
@@ -160,11 +151,7 @@ def rotation_mid_partition(seed: int = 0) -> ChaosReport:
             FaultEvent(10, "heal", "edge-2"),
         ),
     )
-    fleet = InProcessFleet(n_edges=4, seed=19 + seed)
-    orch = ChaosOrchestrator(
-        fleet, plan, LoadProfile(n_keys=fleet.n_keys, seed=seed)
-    )
-    return orch.run()
+    return _storm(plan, 19)
 
 
 def combined_storm(seed: int = 0) -> ChaosReport:
@@ -181,7 +168,7 @@ def combined_storm(seed: int = 0) -> ChaosReport:
     # verifying router, not from the storm erasing the evidence.
     noise = FaultPlan.generate(
         seed=seed,
-        targets=[f"edge-{i}" for i in range(4)],
+        targets=_edges(4),
         ticks=16,
         events_per_tick=1.5,
         name="combined_storm",
@@ -196,131 +183,7 @@ def combined_storm(seed: int = 0) -> ChaosReport:
         ticks=16,
         events=tuple(noise.events) + extra,
     )
-    fleet = InProcessFleet(n_edges=5, seed=23 + seed)
-    orch = ChaosOrchestrator(
-        fleet,
-        plan,
-        LoadProfile(n_keys=fleet.n_keys, seed=seed, queries_per_tick=10),
-    )
-    return orch.run()
-
-
-# ---------------------------------------------------------------------------
-# Relay storm (its own harness: the fleet has a store-and-forward tier)
-# ---------------------------------------------------------------------------
-
-
-class _RelayHarness:
-    """Central → relay → edges, all in-process (the wiring of
-    ``tests/edge/test_relay.py``, packaged for chaos runs)."""
-
-    def __init__(self, seed: int, max_store_bytes: int = 0) -> None:
-        from repro.edge.central import CentralServer
-        from repro.workloads.generator import TableSpec, generate_table
-
-        self.table = "items"
-        self.central = CentralServer("chaosrelay", seed=29 + seed, rsa_bits=512)
-        schema, data = generate_table(
-            TableSpec(name=self.table, rows=48, columns=3, seed=7)
-        )
-        self.central.create_table(schema, data, fanout_override=6)
-        self.max_store_bytes = max_store_bytes
-        self.client = self.central.make_client()
-        #: Store counters banked across relay kills (a supervisor's
-        #: cumulative view; each kill resets the live relay's own).
-        self.banked = {"compacted_frames": 0, "store_evictions": 0}
-        self.relay: RelayServer | None = None
-        self.up: InProcessTransport | None = None
-        self.edges: dict[str, EdgeServer] = {}
-        self._attach_relay()
-        for i in range(2):
-            self._attach_edge(f"edge-{i}")
-        self.tree_sync()
-
-    def _attach_relay(self) -> None:
-        relay = RelayServer(
-            "relay-0", max_store_bytes=self.max_store_bytes
-        )
-        up = InProcessTransport("relay-0")
-        up.connect(relay.handle_frame)
-        cfg = self.central.config_frame()
-        relay.adopt_config(cfg)
-        sent_epoch = max((rec[0] for rec in cfg.epochs), default=-1)
-        self.central.attach_remote_edge(
-            "relay-0", up, config_epoch=sent_epoch
-        )
-        self.relay, self.up = relay, up
-
-    def _attach_edge(self, name: str) -> None:
-        edge = EdgeServer(
-            name=name,
-            config=config_from_frame(self.relay.config_frame()),
-        )
-        down = InProcessTransport(name)
-        down.connect(edge.handle_frame)
-        self.relay.attach_edge(name, down)
-        self.edges[name] = edge
-
-    def push_config(self) -> None:
-        """Deliver the central's current ConfigFrame to the relay
-        (what the socket serve loop does after a key rotation)."""
-        cfg = self.central.config_frame()
-        self.relay.handle_frame(frame_to_bytes(cfg))
-
-    def kill_relay(self) -> None:
-        """Discard the relay wholesale (store and all) and bring up an
-        empty replacement; its subtree re-attaches and snapshot-heals —
-        the in-process image of SIGKILL + supervisor relaunch."""
-        for key in self.banked:
-            self.banked[key] += self.relay.counters[key]
-        self._attach_relay()
-        for name in list(self.edges):
-            self._attach_edge(name)
-
-    def total_counters(self) -> dict:
-        """Banked + live store counters across every relay incarnation."""
-        return {
-            key: self.banked[key] + self.relay.counters[key]
-            for key in self.banked
-        }
-
-    def tree_sync(self, rounds: int = 30) -> int:
-        """Drive the whole tree to quiescence; returns rounds used.
-
-        Raises:
-            AssertionError: When the tree cannot settle — a wedged
-                relay subtree is a failed run.
-        """
-        relay_peer = self.central.fanout.peer("relay-0")
-        for used in range(1, rounds + 1):
-            self.central.propagate()
-            self.central.fanout.drain(wait=True)
-            self.relay.fanout.pump()
-            self.relay.fanout.drain(wait=True)
-            frames = [
-                frame_from_bytes(b) for b in self.relay.pending_upstream()
-            ]
-            if frames:
-                self.central.fanout._process_replies(relay_peer, frames)
-            settled = all(
-                self.central.fanout.staleness("relay-0", t) == 0
-                for t in self.central.vbtrees
-            ) and all(
-                self.relay.fanout.staleness(name, t) == 0
-                for name in self.edges
-                for t in self.central.vbtrees
-            )
-            if settled:
-                return used
-        raise AssertionError("relay subtree failed to settle")
-
-    def query(self, low: int, high: int):
-        """One forwarded query; returns ``(result, verdict)``."""
-        reply = self.up.request(
-            range_query_frame(self.table, low, high, None, None)
-        )
-        result = result_from_bytes(reply.payload)
-        return result, self.client.verify(result)
+    return _storm(plan, 23, n_edges=5, queries_per_tick=10)
 
 
 def relay_storm(seed: int = 0) -> ChaosReport:
@@ -340,7 +203,11 @@ def relay_storm(seed: int = 0) -> ChaosReport:
     # sized to this table's payloads (three evictions, seven compacted
     # frames, from 11 800 to 12 600 B — this is the middle): a format
     # change that moves their size moves it too.
-    harness = _RelayHarness(seed, max_store_bytes=12_200)
+    fleet = chaos_fleet(
+        29 + seed, rows=48, db="chaosrelay", data_seed=7,
+        relays={"relay-0": _edges(2)}, max_store_bytes=12_200,
+    )
+    fleet.settle()
     trace: list[str] = []
     report = ChaosReport(
         scenario="relay_storm",
@@ -349,41 +216,46 @@ def relay_storm(seed: int = 0) -> ChaosReport:
         ).to_bytes(),
         trace=(),
     )
+    #: Store counters across every relay incarnation (a supervisor's
+    #: cumulative view; each kill resets the live relay's own).
+    counters = {"compacted_frames": 0, "store_evictions": 0}
+
+    def bank() -> None:
+        for key in counters:
+            counters[key] += fleet.relays["relay-0"].counters[key]
+
     writes = 0
-    recovery = 0
     for tick in range(10):
         if tick in (3, 7):
-            harness.kill_relay()
+            bank()
+            fleet.kill("relay-0")
             trace.append(f"{tick}:kill:relay-0:0.0")
         if tick == 2:
             # Rotate while the relay holds a delta chain: the rotation
-            # snapshot covers it, exercising store compaction.  The
-            # socket serve loop pushes the refreshed ConfigFrame to
-            # connected relays; in-process we deliver it by hand.
-            harness.central.rotate_key(seed=4100 + seed)
-            harness.push_config()
+            # snapshot covers it, exercising store compaction.
+            fleet.central.rotate_key(seed=4100 + seed)
             trace.append(f"{tick}:rotate:central:0.0")
         if tick == 5:
-            harness.relay.drop_store(harness.table)
-            trace.append(f"{tick}:drop_store:{harness.table}:0.0")
+            fleet.relays["relay-0"].drop_store(TABLE)
+            trace.append(f"{tick}:drop_store:{TABLE}:0.0")
         for _ in range(4):
             key = 200_000 + writes
             writes += 1
-            harness.central.insert(harness.table, (key, "wr", "wr"))
-        recovery += harness.tree_sync()
+            fleet.central.insert(TABLE, (key, "wr", "wr"))
+        report.recovery_pumps += fleet.settle()
         for low, high in ((0, 6), (200_000 + writes - 4, 200_000 + writes)):
-            result, verdict = harness.query(low, high)
-            if verdict.ok:
+            resp = fleet.router.range_query(TABLE, low=low, high=high)
+            if resp.verdict.ok:
                 report.verified += 1
             else:  # pragma: no cover - the broken invariant
                 report.unverified += 1
-    report.recovery_pumps = recovery
+    bank()
     report.detection_queries = 0
     report.trace = tuple(trace)
     report.load_summary = {
         "issued": report.verified + report.unverified,
         "answered": report.verified,
-        **harness.total_counters(),
+        **counters,
     }
     return report
 

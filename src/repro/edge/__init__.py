@@ -11,12 +11,12 @@ from repro.edge.adversary import (
 from repro.edge.central import (
     CentralServer,
     ClientConfig,
-    RemoteEdgeHandle,
     ReplicationMode,
 )
 from repro.edge.client import Client
 from repro.edge.deploy import Deployment, EdgeProcess, ShardedDeployment
 from repro.edge.edge_server import EdgeConfig, EdgeResponse, EdgeServer
+from repro.edge.fleet import Fleet
 from repro.edge.fanout import (
     AdaptiveWindow,
     FanoutEngine,
@@ -73,13 +73,13 @@ __all__ = [
     "EdgeStats",
     "FanoutEngine",
     "FaultInjector",
+    "Fleet",
     "HelloFrame",
     "InProcessTransport",
     "MergedResponse",
     "PeerState",
     "QueryRequestFrame",
     "QueryResponseFrame",
-    "RemoteEdgeHandle",
     "ReplicationMode",
     "ResponseTamper",
     "RoutedResponse",

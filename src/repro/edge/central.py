@@ -35,9 +35,14 @@ from repro.db.schema import Catalog, TableSchema
 from repro.db.table import Table
 from repro.db.transactions import TransactionManager
 from repro.edge.fanout import FanoutEngine
-from repro.edge.link import FaultInjector, InProcessTransport
+from repro.edge.link import FaultInjector, Transport, wire
 from repro.edge.replication import Replicator
-from repro.edge.transport import ConfigFrame, SnapshotFrame, config_to_frame
+from repro.edge.transport import (
+    ConfigFrame,
+    HelloFrame,
+    SnapshotFrame,
+    config_to_frame,
+)
 from repro.exceptions import (
     DuplicateKeyError,
     ReplicationError,
@@ -48,7 +53,6 @@ __all__ = [
     "CentralServer",
     "ReplicationMode",
     "ClientConfig",
-    "RemoteEdgeHandle",
 ]
 
 
@@ -66,18 +70,6 @@ class ClientConfig:
     db_name: str
     policy: DigestPolicy
     keyring: KeyRing
-
-
-@dataclass
-class RemoteEdgeHandle:
-    """Central-side stand-in for an edge living in another process.
-
-    The central server never holds the remote
-    :class:`~repro.edge.edge_server.EdgeServer` object — only its name
-    and the transport link the fan-out engine delivers through.
-    """
-
-    name: str
 
 
 class CentralServer:
@@ -143,7 +135,8 @@ class CentralServer:
         self._updaters: dict[str, AuthenticatedUpdater] = {}
         self._secondary_of: dict[str, list[str]] = {}
         self.txn_manager = TransactionManager()
-        self._edges: list = []
+        #: The live in-process edge servers, by name (spawn order).
+        self._edges: dict = {}
         self.fanout = FanoutEngine(
             self, window=fanout_window, window_max=fanout_window_max
         )
@@ -207,7 +200,6 @@ class CentralServer:
                 the hook for custom per-edge latency models).
             **kwargs: Forwarded to :class:`~repro.edge.router.EdgeRouter`.
         """
-        from repro.edge.edge_server import EdgeServer
         from repro.edge.router import (
             EdgeRouter,
             VerifyingRouter,
@@ -216,7 +208,7 @@ class CentralServer:
 
         if channels is None:
             if edges is None:
-                edges = [e for e in self._edges if isinstance(e, EdgeServer)]
+                edges = self.edges
             if not edges:
                 raise ReplicationError(
                     "no in-process edge servers to route over"
@@ -551,19 +543,12 @@ class CentralServer:
     def issue_epoch(self, table: str) -> int:
         return self.keyring.current_epoch  # everything is signed under it
 
-    def peer_names(self) -> list:
-        # The edge listing, so detached edges drop out of the sweep.
-        return [edge.name for edge in self._edges]
-
     def config_frame(self) -> ConfigFrame:
         return config_to_frame(
             self.edge_config(),
             ack_every=self.ack_every,
             ack_bytes=self.ack_bytes,
         )
-
-    def shares_live_ring(self, peer) -> bool:
-        return isinstance(peer.transport, InProcessTransport)
 
     def delta_payload(self, table: str, cursor: int) -> tuple:
         payload = self.replicator.batch_since(
@@ -591,24 +576,63 @@ class CentralServer:
     # Edge servers & replication
     # ------------------------------------------------------------------
 
-    def spawn_edge_server(
-        self,
-        name: str,
-        faults: FaultInjector | None = None,
-        transport: InProcessTransport | None = None,
+    def admit(
+        self, hello: HelloFrame, transport: Transport, sent: ConfigFrame | None
     ):
+        """The listener seat: register the dialer behind ``hello``,
+        reachable only through ``transport``, having been answered
+        with ``sent`` — the same call whether the exchange ran over a
+        socket (:class:`~repro.edge.deploy.Deployment` wraps the
+        accepted connection in a
+        :class:`~repro.edge.event_loop.ReactorTransport`) or as
+        objects (:func:`repro.edge.link.join`).
+
+        Re-admitting a known name replaces its link and central-side
+        peer state — the reconnect path.  The hello's cursors seed the
+        fan-out engine's ack-fed cursors, so a transiently
+        disconnected dialer resumes delta delivery where it left off,
+        while a restarted (replica-less) one registers empty and is
+        healed via snapshot by the next pump's epoch check.  ``sent``
+        is what was *delivered*: its epoch, not the ring's as it
+        stands now, decides whether the next pump owes the peer a
+        refresh.  ``None`` means nothing was sent because the peer
+        reads this server's live ring (:meth:`spawn_edge_server`).
+
+        Returns:
+            The engine's :class:`~repro.edge.fanout.PeerState`.
+        """
+        previous = self.fanout.peers.get(hello.edge)
+        if previous is not None and previous.transport is not transport:
+            previous.transport.close()
+        # The hello is untrusted input: drop cursors for replicas this
+        # server does not have, and clamp each LSN to the log head — a
+        # lying (or central-restart-surviving) cursor ahead of the log
+        # would otherwise suppress every future send for that table.
+        sane = [
+            (table, min(lsn, self.log_head(table) or 0), epoch)
+            for table, lsn, epoch in hello.cursors
+            if table in self.vbtrees
+        ]
+        # Whatever in-process edge held the name is gone: only
+        # spawn_edge_server lists its (new) object.
+        self._edges.pop(hello.edge, None)
+        return self.fanout.attach(
+            hello.edge, transport, cursors=sane,
+            config_epoch=None if sent is None else sent.current_epoch,
+        )
+
+    def spawn_edge_server(self, name: str, faults: FaultInjector | None = None):
         """Create an edge server reachable only through a transport
         link, bootstrapping every table's replica via serialized
-        snapshot frames.
+        snapshot frames.  Spawning a name again replaces the edge (and
+        its listing in :attr:`edges`) with a fresh, empty one — the
+        in-process image of a crash and relaunch.
 
         Args:
             name: Edge server name (also the link label).
             faults: Initial fault state for the link (fault injection).
-            transport: A pre-built link (custom channels); one is
-                created if not given.
         """
-        link = transport or InProcessTransport(name, faults=faults)
-        return self._spawn_edge(name, link, None)
+        return self._spawn_edge(name, faults, None)
 
     def spawn_edge_fleet(self, names: Sequence[str]) -> list:
         """Spawn many in-process edge servers, sharing bootstrap work.
@@ -624,69 +648,26 @@ class CentralServer:
             The edge servers, in ``names`` order.
         """
         payloads: dict = {}
-        return [
-            self._spawn_edge(name, InProcessTransport(name), payloads)
-            for name in names
-        ]
+        return [self._spawn_edge(name, None, payloads) for name in names]
 
-    def _spawn_edge(self, name: str, link: InProcessTransport, payloads):
+    def _spawn_edge(self, name: str, faults: FaultInjector | None, payloads):
         from repro.edge.edge_server import EdgeServer
 
+        # Built on the live bundle, not a handshake copy: this edge
+        # shares the ring (expiry clock included), so it is admitted
+        # with nothing sent and never refreshed.
         edge = EdgeServer(
             name=name,
             config=self.edge_config(),
             ack_every=self.ack_every,
             ack_bytes=self.ack_bytes,
         )
-        edge.attach_transport(link)
-        self.fanout.attach(name, link)
-        self._edges.append(edge)
+        link = wire(edge, faults)
+        edge.replication_channel = link.down_channel
+        self.admit(edge.hello(), link, None)
+        self._edges[name] = edge
         self.fanout.bootstrap(name, payloads)
         return edge
-
-    def attach_remote_edge(
-        self,
-        name: str,
-        transport,
-        cursors: Sequence[tuple[str, int, int]] = (),
-        config_epoch: int | None = None,
-    ) -> RemoteEdgeHandle:
-        """Register an edge living in another process, reachable only
-        through ``transport`` (normally a
-        :class:`~repro.edge.event_loop.ReactorTransport` over an
-        accepted connection).
-
-        Re-attaching an already known name replaces its link and
-        central-side peer state — the reconnect path.  ``cursors`` (the
-        edge's registration handshake) seed the fan-out engine's
-        ack-fed cursors, so a transiently disconnected edge resumes
-        delta delivery where it left off, while a restarted (fresh,
-        replica-less) edge registers empty and is healed via snapshot
-        by the next pump's epoch check.  ``config_epoch`` is the key
-        epoch of the verification bundle actually delivered in the
-        handshake (see :meth:`~repro.edge.fanout.FanoutEngine.attach`).
-
-        Returns:
-            The :class:`RemoteEdgeHandle` now standing in for the edge.
-        """
-        previous = self.fanout.peers.get(name)
-        if previous is not None and previous.transport is not transport:
-            previous.transport.close()
-        handle = RemoteEdgeHandle(name=name)
-        # The hello is untrusted input: drop cursors for replicas this
-        # server does not have, and clamp each LSN to the log head — a
-        # lying (or central-restart-surviving) cursor ahead of the log
-        # would otherwise suppress every future send for that table.
-        sane = [
-            (table, min(lsn, self.log_head(table) or 0), epoch)
-            for table, lsn, epoch in cursors
-            if table in self.vbtrees
-        ]
-        self.fanout.attach(
-            name, transport, cursors=sane, config_epoch=config_epoch
-        )
-        self._edges = [*(e for e in self._edges if e.name != name), handle]
-        return handle
 
     def propagate(self, table: str | None = None, force_snapshot: bool = False) -> int:
         """Bring every edge server up to date through the fan-out
@@ -720,5 +701,7 @@ class CentralServer:
 
     @property
     def edges(self) -> list:
-        """Attached edge servers."""
-        return list(self._edges)
+        """The live in-process edge servers (:meth:`spawn_edge_server`),
+        one object per name.  Remote dialers are fan-out peers only —
+        the central never holds their server objects."""
+        return list(self._edges.values())

@@ -58,12 +58,12 @@ from repro.edge.central import CentralServer
 from repro.edge.edge_server import EdgeResponse
 from repro.edge.event_loop import EdgeEventLoop, ReactorTransport
 from repro.edge.link import Transport
+from repro.edge.router import DeploymentQueryChannel, EdgeRouter, VerifyingRouter
 from repro.edge.socket_transport import listen_on, serve_handshakes
 from repro.edge.transport import (
     ConfigFrame,
     HelloFrame,
     QueryRequestFrame,
-    QueryResponseFrame,
     range_query_frame,
     secondary_query_frame,
     select_query_frame,
@@ -237,14 +237,7 @@ class Deployment:
         transport = ReactorTransport(
             hello.edge, self.reactor, conn, timeout=self.io_timeout
         )
-        # Seed the peer with the epoch of the bundle we *actually sent*
-        # — a rotation racing this handshake must still trigger a
-        # refresh on the next pump.
-        sent_epoch = max((record[0] for record in sent.epochs), default=-1)
-        self.central.attach_remote_edge(
-            hello.edge, transport, cursors=hello.cursors,
-            config_epoch=sent_epoch,
-        )
+        self.central.admit(hello, transport, sent)
         handle = self.edges.setdefault(hello.edge, EdgeProcess(hello.edge))
         handle.transport = transport
         handle.registered.set()
@@ -482,11 +475,10 @@ class Deployment:
     def sync(self, table: str | None = None) -> int:
         """Propagate until every *connected* edge is current.
 
-        Each round pumps the fan-out engine and then drains the
-        pipelined acks; multiple rounds (at most :data:`_SYNC_ROUNDS`)
-        let the nack→retry→snapshot escalation run to quiescence (a
-        heal needs one round to learn of the problem and one to ship
-        the fix).  The drain is
+        :meth:`FanoutEngine.settle
+        <repro.edge.fanout.FanoutEngine.settle>`, at most
+        :data:`_SYNC_ROUNDS` rounds: each pumps the fan-out engine and
+        then drains the pipelined acks.  The drain is
         readiness-driven: every edge's queued frames and its cursor
         probe leave in one vectored write, and one shared ``select``
         loop settles the whole fleet as acks land — no per-peer
@@ -496,49 +488,20 @@ class Deployment:
         whole tree.
 
         Returns:
-            Total frames shipped.
+            The pump-then-drain rounds it took.
         """
-        shipped = 0
-        for _ in range(_SYNC_ROUNDS):
-            shipped += self.central.propagate(table)
-            self.central.fanout.drain(wait=True)
-            if self._settled(table):
-                break
-        return shipped
-
-    def _settled(self, table: str | None) -> bool:
-        tables = [table] if table else list(self.central.vbtrees)
-        # Snapshot: the accept thread may register a dialing edge
-        # mid-iteration.
-        for handle in list(self.edges.values()):
-            if not handle.connected:
-                continue
-            peer = self.central.fanout.peer(handle.name)
-            if peer.needs_snapshot or peer.inflight:
-                return False
-            for t in tables:
-                if self.central.fanout.staleness(handle.name, t) != 0:
-                    return False
-        return True
+        return self.central.fanout.settle(
+            [table] if table else None, rounds=_SYNC_ROUNDS
+        )
 
     def staleness(self, name: str, table: str) -> int:
         """LSN lag of ``name``'s replica of ``table`` (ack-fed)."""
         return self.central.staleness(name, table)
 
     def _request(self, name: str, frame: QueryRequestFrame) -> EdgeResponse:
-        handle = self.edges.get(name)
-        if handle is None or handle.transport is None:
-            raise TransportError(f"no connected edge {name!r}")
-        reply = handle.transport.request(frame)
-        if not isinstance(reply, QueryResponseFrame):
-            raise TransportError(
-                f"expected QueryResponseFrame, got {type(reply).__name__}"
-            )
-        # The response rode the same ordered link replication uses, so
-        # its piggybacked cursors are acks the central can bank — under
-        # coalescing this keeps the authoritative staleness view fresh
-        # between settle points without a single extra frame.
-        self.central.fanout.observe_response_cursors(name, reply.cursors)
+        # One round trip, one body: the router's channel (current
+        # connection, reply type check, piggybacked cursors banked).
+        reply, _latency = DeploymentQueryChannel(self, name).request(frame)
         if reply.error:
             raise TransportError(
                 f"edge {name!r} rejected query: {reply.error}"
@@ -548,7 +511,7 @@ class Deployment:
             edge_name=reply.edge,
             result=result,
             wire_bytes=len(reply.payload),
-            transfer=handle.transport.up_channel.transfers[-1],
+            transfer=self.edges[name].transport.up_channel.transfers[-1],
             lsn=reply.lsn,
             epoch=reply.epoch,
         )
@@ -578,12 +541,6 @@ class Deployment:
             policy: Routing policy name or enum.
             **kwargs: Forwarded to :class:`~repro.edge.router.EdgeRouter`.
         """
-        from repro.edge.router import (
-            DeploymentQueryChannel,
-            EdgeRouter,
-            VerifyingRouter,
-        )
-
         if names is None:
             names = [n for n, h in self.edges.items() if h.relay is None]
         channels = [DeploymentQueryChannel(self, name) for name in names]
@@ -761,7 +718,7 @@ class ShardedDeployment:
         without any cross-shard ordering concern.
 
         Returns:
-            Total frames shipped across all shards.
+            The settle rounds taken, summed over the shards.
         """
         return sum(deploy.sync() for deploy in self.deployments)
 

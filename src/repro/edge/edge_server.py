@@ -51,6 +51,7 @@ from repro.edge.transport import (
     CursorAckFrame,
     CursorProbeFrame,
     DeltaFrame,
+    HelloFrame,
     QueryRequestFrame,
     QueryResponseFrame,
     SnapshotFrame,
@@ -105,7 +106,9 @@ class EdgeServer:
 
     Args:
         name: Edge server identifier.
-        config: Public verification parameters (:class:`EdgeConfig`).
+        config: Public verification parameters (:class:`EdgeConfig`);
+            an edge that *joins* a listener (:meth:`hello`, then
+            :meth:`adopt_config` with the reply) starts without one.
         channel: Network channel to clients (byte accounting); created
             with this edge's cost meter if not given.
         ack_every: Ack-coalescing frame threshold (DESIGN.md section
@@ -126,7 +129,7 @@ class EdgeServer:
     def __init__(
         self,
         name: str,
-        config: EdgeConfig,
+        config: EdgeConfig | None = None,
         channel: Channel | None = None,
         ack_every: int = 1,
         ack_bytes: int = 1 << 18,
@@ -146,9 +149,9 @@ class EdgeServer:
             # Count response bytes in exactly one place: the channel.
             channel.meter = self.meter
         self.channel = channel
-        #: Central→edge byte accounting (deltas and snapshots).  Bound
-        #: to the replication transport's down channel by
-        #: :meth:`attach_transport`; standalone edges get a private one.
+        #: Central→edge byte accounting (deltas and snapshots): the
+        #: replication link's down channel for an edge the central
+        #: spawned; a private, silent one otherwise.
         self.replication_channel = Channel()
         self.replicas: dict[str, VBTree] = {}
         self.replica_versions: dict[str, int] = {}
@@ -165,18 +168,30 @@ class EdgeServer:
         #: callers keep typed exceptions while transports get frames.
         self._last_query_exc: Optional[BaseException] = None
 
-    def attach_transport(self, transport) -> None:
-        """Wire this edge as the receiving end of a transport link."""
-        transport.connect(self.handle_frame)
-        self.replication_channel = transport.down_channel
+    # ------------------------------------------------------------------
+    # The dialer seat: hello / adopt_config / handle_frame /
+    # pending_upstream — what any listener needs of a node that joins
+    # it, over a socket or in-process (docs/ARCHITECTURE.md section 3).
+    # ------------------------------------------------------------------
+
+    def hello(self) -> HelloFrame:
+        """The registration hello: this edge's name and the cursors of
+        the replicas it already holds (none when fresh), so the
+        listener resumes delta delivery instead of re-shipping
+        snapshots."""
+        return HelloFrame(edge=self.name, cursors=self.replication_cursors())
 
     def adopt_config(self, frame: ConfigFrame) -> None:
-        """Replace the verification bundle (an in-stream key-ring
-        refresh, or a reconnect handshake's reply); the central's
-        ack-coalescing policy travels with it."""
+        """Replace the verification bundle (the handshake's reply, or
+        an in-stream key-ring refresh); the listener's ack-coalescing
+        policy travels with it."""
         self.config = config_from_frame(frame)
         self.ack_every = max(1, frame.ack_every)
         self.ack_bytes = max(1, frame.ack_bytes)
+
+    def pending_upstream(self) -> Sequence[bytes]:
+        """Frames to send unasked: none — an edge only ever answers."""
+        return ()
 
     def replication_cursors(self) -> tuple[tuple[str, int, int], ...]:
         """``(table, lsn, epoch)`` for every replica this edge holds —

@@ -77,9 +77,7 @@ from repro.edge.transport import (
     MAX_FRAME_BYTES,
     CursorAckFrame,
     Frame,
-    HelloFrame,
     QueryResponseFrame,
-    config_from_frame,
     error_response,
     frame_from_bytes,
     frame_to_bytes,
@@ -651,19 +649,18 @@ def guarded_handler(node) -> Callable[[bytes], Sequence[bytes]]:
 def join_as_edge(loop: EdgeEventLoop, sock: socket.socket, name: str, edge=None):
     """Join ``loop`` as edge ``name`` over the connected ``sock``:
     the registration handshake (blocking — the one thing a dialer
-    blocks on; resume cursors ride the hello when ``edge`` already
-    holds replicas), then the edge server — built from the reply, or
-    ``edge`` refreshed with it, so a rotation missed while disconnected
-    is known before any frame — serves from ``loop`` behind
-    :func:`guarded_handler`.  Returns ``(edge, connection)``; on a
-    ``TransportError`` ``sock`` stays the caller's to close."""
+    blocks on; ``edge.hello()`` carries resume cursors when ``edge``
+    already holds replicas, a fresh edge is made otherwise), then the
+    edge adopts the reply — bundle and ack policy, so a rotation
+    missed while disconnected is known before any frame — and serves
+    from ``loop`` behind :func:`guarded_handler`.  Returns ``(edge,
+    connection)``; on a ``TransportError`` ``sock`` stays the caller's
+    to close."""
     from repro.edge.edge_server import EdgeServer
 
-    cursors = edge.replication_cursors() if edge is not None else ()
-    reply = dial_handshake(sock, HelloFrame(edge=name, cursors=cursors))
     if edge is None:
-        edge = EdgeServer(name=name, config=config_from_frame(reply))
-    edge.adopt_config(reply)  # bundle + the listener's ack policy
+        edge = EdgeServer(name)
+    edge.adopt_config(dial_handshake(sock, edge.hello()))
     return edge, loop.register(name, sock, handler=guarded_handler(edge))
 
 

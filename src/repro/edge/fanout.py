@@ -187,7 +187,8 @@ class PeerState:
         config_epoch: Key epoch of the last verification bundle shipped
             to this peer (handshake or refresh) — suppresses duplicate
             key-ring refreshes when several tables heal after one
-            rotation.
+            rotation.  ``None``: the peer was handed no copy — it reads
+            the source's live ring — and is never refreshed.
         lock: Serializes every mutation of this record.  The pump and
             drain paths were single-writer per peer by construction,
             but piggybacked query-response cursors
@@ -210,7 +211,7 @@ class PeerState:
     probe_inflight: bool = False
     needs_snapshot: set[str] = field(default_factory=set)
     snapshot_inflight: set[str] = field(default_factory=set)
-    config_epoch: int = -1
+    config_epoch: Optional[int] = None
     lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False
     )
@@ -244,11 +245,8 @@ class FanoutEngine:
             * ``current_epoch()`` — ``StaleKeyError`` before the first;
             * ``issue_epoch(table)`` — a relay's stored chain may lag
               the ring after a rotation; not a peer needing a snapshot;
-            * ``peer_names()`` — delivery order (attached peers missing
-              from it are skipped);
             * ``ack_every`` — the peers' ack-coalescing threshold;
             * ``config_frame()`` — the key-ring refresh;
-            * ``shares_live_ring(peer)`` — never refresh that peer;
             * ``delta_payload(table, cursor)`` — ``(payload, lsn_last)``
               of the next frame (may stop short of the head) or
               ``(None, cursor)``; ``DeltaGapError`` → snapshot;
@@ -301,15 +299,17 @@ class FanoutEngine:
         """Register an edge's transport link.
 
         ``config_epoch`` is the key epoch of the verification bundle
-        the edge actually received (socket handshake); it defaults to
-        the current epoch for in-process edges, whose constructor just
-        got the live bundle.  Passing the *delivered* epoch matters
-        when a rotation races the handshake — seeding from the current
-        ring would mark the refresh as already sent when it never was.
-        ``cursors`` (resume state from a reconnect handshake, already
-        sanitized by the caller) are seeded *before* the peer is
-        published, so a concurrent pump can never observe the
-        cursor-less intermediate state and ship a redundant snapshot."""
+        the peer was actually *sent* (the listener seat's ``admit``
+        reads it off the delivered ``ConfigFrame``), never the ring as
+        it stands now: a rotation racing the handshake must still
+        trigger a refresh on the next pump.  ``None`` means the peer
+        holds no copy at all — a central-spawned in-process edge built
+        on the live ring (expiry clock included), which must never
+        have it swapped for a frozen-clock copy.  ``cursors`` (resume
+        state from a reconnect handshake, already sanitized by the
+        caller) are seeded *before* the peer is published, so a
+        concurrent pump can never observe the cursor-less intermediate
+        state and ship a redundant snapshot."""
         peer = PeerState(
             name=name,
             transport=transport,
@@ -318,14 +318,8 @@ class FanoutEngine:
                 ceiling=self.window_max,
                 target=self.ack_latency_target,
             ),
+            config_epoch=config_epoch,
         )
-        if config_epoch is not None:
-            peer.config_epoch = config_epoch
-        else:
-            try:
-                peer.config_epoch = self.source.current_epoch()
-            except StaleKeyError:
-                pass  # no epoch registered yet (bare central in unit tests)
         for table, lsn, epoch in cursors:
             peer.acked_lsns[table] = lsn
             peer.acked_epochs[table] = epoch
@@ -410,8 +404,8 @@ class FanoutEngine:
         tables: Optional[Iterable[str]] = None,
         force_snapshot: bool = False,
     ) -> int:
-        """One delivery cycle over every attached (and still listed)
-        edge; returns the number of frames shipped.
+        """One delivery cycle over every attached edge, in attach
+        order; returns the number of frames shipped.
 
         Each peer is first drained (queued frames flushed, pending acks
         applied), then brought up to date on ``tables`` (default: all
@@ -419,11 +413,7 @@ class FanoutEngine:
         is serial: over TCP a send only enqueues (the reactor writes),
         so there is no per-peer blocking to overlap.
         """
-        peers = [
-            self.peers[name]
-            for name in self.source.peer_names()
-            if name in self.peers
-        ]
+        peers = list(self.peers.values())
         if not peers:
             return 0
         if self.reactor is not None:
@@ -455,6 +445,47 @@ class FanoutEngine:
                 else:
                     shipped += self._sync_table(peer, table, payloads)
             return shipped
+
+    def settle(
+        self, tables: Optional[Iterable[str]] = None, rounds: int = 8
+    ) -> int:
+        """Pump, then wait-drain, until :meth:`settled` — this
+        engine's propagate-to-quiescence loop (a deployment's
+        ``sync``).  Several rounds let the nack → retry → snapshot
+        escalation run out: a heal needs one round to learn of the
+        problem and one to ship the fix.
+
+        Returns:
+            The rounds used — ``rounds`` when it gave up (a held or
+            partitioned link stays outstanding; ask :meth:`settled`).
+        """
+        tables = list(tables) if tables is not None else None
+        for used in range(1, rounds + 1):
+            self.pump(tables)
+            self.drain(wait=True)
+            if self.settled(tables):
+                break
+        return used
+
+    def settled(self, tables: Optional[Iterable[str]] = None) -> bool:
+        """True when every *connected* peer has nothing in flight, no
+        snapshot pending and no acknowledged lag on ``tables``
+        (default: every replicated table).  A relay's acks carry
+        min-cursor aggregates over its own connected edges, so a
+        settled central is transitively a statement about the tree."""
+        names = (
+            list(tables) if tables is not None
+            else self.source.replica_tables()
+        )
+        # Snapshot: an accept thread may attach a dialer mid-iteration.
+        for peer in list(self.peers.values()):
+            if not peer.transport.connected:
+                continue
+            if peer.needs_snapshot or peer.inflight:
+                return False
+            if any(self.staleness(peer.name, t) for t in names):
+                return False
+        return True
 
     def drain(self, name: Optional[str] = None, wait: bool = False) -> None:
         """Collect and apply outstanding acks without sending deltas.
@@ -746,19 +777,13 @@ class FanoutEngine:
             return 0
         if table in peer.snapshot_inflight:
             return 0  # one O(tree) transfer per table in the link at a time
-        # A peer holding an older key ring (a remote edge's ring is a
-        # handshake-time copy, not the shared object an in-process edge
-        # sees) gets one refresh per rotation — before the first
-        # cross-epoch snapshot, or its signatures will not verify over
-        # there.  In-process peers share the central's *live* ring
-        # (expiry clock included) and must never have it swapped for a
-        # frozen-clock copy, so the refresh is strictly a
-        # process-boundary affair.
+        # A peer holding a *copy* of the key ring (whatever it was sent
+        # when it was admitted — over a socket or in-process) gets one
+        # refresh per rotation, before the first cross-epoch snapshot,
+        # or its signatures will not verify over there.  A peer that
+        # was sent nothing reads the live ring and needs none.
         current_epoch = self.source.current_epoch()
-        if (
-            peer.config_epoch != current_epoch
-            and not self.source.shares_live_ring(peer)
-        ):
+        if peer.config_epoch not in (None, current_epoch):
             outcome = peer.transport.send(self.source.config_frame())
             if outcome.status in ("failed", "dropped"):
                 peer.window.on_fault()

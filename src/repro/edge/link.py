@@ -25,6 +25,15 @@ codec is already byte-exact.  One exists: the event-loop
 same three fault states by gating its connection's outbound queue (see
 :attr:`FaultInjector.blocks_delivery`).
 
+The two media differ in *when* frames move — here, inside the ``send``
+or ``flush`` that carries them, on the caller's thread, which is what
+makes a chaos run a pure function of its seeds (DESIGN.md section
+14.2) — and in nothing else: a node gets onto an in-process link the
+way it gets onto a socket (:func:`join`, the registration handshake
+between a listener seat and a dialer seat, run as objects), and can
+speak first on it the way a socket peer can (``connect(handler,
+pushes)``).
+
 A ``Transport`` instance belongs to the single sender thread that calls
 ``send``/``flush``; concurrency, where it exists, is the medium's
 concern (the reactor's queue lock), never the codec's.
@@ -49,6 +58,8 @@ __all__ = [
     "SendOutcome",
     "Transport",
     "InProcessTransport",
+    "wire",
+    "join",
 ]
 
 
@@ -176,8 +187,13 @@ class Transport:
         """
         return True
 
-    def connect(self, handler: Callable[[bytes], Sequence[bytes]]) -> None:
-        """Register the peer's handler (receives and returns *bytes*)."""
+    def connect(
+        self,
+        handler: Callable[[bytes], Sequence[bytes]],
+        pushes: Callable[[], Sequence[bytes]] | None = None,
+    ) -> None:
+        """Register the peer's handler (receives and returns *bytes*)
+        and, optionally, the source of the frames it sends unasked."""
         raise NotImplementedError
 
     def send(self, frame: Frame) -> SendOutcome:
@@ -244,7 +260,13 @@ class InProcessTransport(Transport):
 
     The peer handler is wired with :meth:`connect` and exchanges only
     serialized bytes — the two endpoints share no mutable objects, which
-    is what makes the trust boundary real even in-process.
+    is what makes the trust boundary real even in-process.  A socket
+    peer can also speak first (a relay's spontaneous aggregate acks and
+    escalation nacks, :meth:`RelayServer.pending_upstream
+    <repro.edge.relay.RelayServer.pending_upstream>`); ``pushes`` is
+    that direction here: :meth:`flush` drains it into the replies, so
+    the frames reach the sender through the same
+    ``FanoutEngine.drain()`` a reactor link's inbox does.
     """
 
     def __init__(
@@ -257,10 +279,16 @@ class InProcessTransport(Transport):
         super().__init__(name, down_channel, up_channel)
         self.faults = faults or FaultInjector()
         self._handler: Callable[[bytes], Sequence[bytes]] | None = None
+        self._pushes: Callable[[], Sequence[bytes]] | None = None
         self._queue: list[bytes] = []
 
-    def connect(self, handler: Callable[[bytes], Sequence[bytes]]) -> None:
+    def connect(
+        self,
+        handler: Callable[[bytes], Sequence[bytes]],
+        pushes: Callable[[], Sequence[bytes]] | None = None,
+    ) -> None:
         self._handler = handler
+        self._pushes = pushes
 
     @property
     def queued_frames(self) -> int:
@@ -296,16 +324,21 @@ class InProcessTransport(Transport):
         )
 
     def flush(self) -> list:
-        """Drain held frames once faults have cleared.
+        """Drain held frames once faults have cleared, then whatever
+        the peer has to say unasked.
 
         Returns the peer's accumulated reply frames; a no-op (empty
-        list) while the link is still partitioned or holding.
+        list) while the link is still partitioned or holding — a
+        pulled cable carries nothing in either direction, so the
+        peer's own frames stay with the peer too.
         """
-        if self.faults.partitioned or self.faults.hold:
+        if self.faults.blocks_delivery:
             return []
         replies: list = []
         while self._queue:
             replies.extend(self._deliver(self._queue.pop(0)))
+        if self._pushes is not None:
+            replies.extend(self._receive(self._pushes()))
         return replies
 
     def request(self, frame: Frame) -> Frame:
@@ -336,9 +369,49 @@ class InProcessTransport(Transport):
 
     def _deliver(self, data: bytes) -> list:
         assert self._handler is not None
+        return self._receive(self._handler(data))
+
+    def _receive(self, frames: Sequence[bytes]) -> list:
+        """Decode and meter the peer's serialized frames."""
         replies = []
-        for reply_bytes in self._handler(data):
+        for reply_bytes in frames:
             reply = frame_from_bytes(reply_bytes)
             self._record_reply(reply_bytes, reply)
             replies.append(reply)
         return replies
+
+
+def wire(dialer, faults: FaultInjector | None = None) -> InProcessTransport:
+    """An in-process link whose far end is ``dialer`` (a dialer seat:
+    :class:`~repro.edge.edge_server.EdgeServer` or
+    :class:`~repro.edge.relay.RelayServer`): frames sent go to its
+    ``handle_frame``, its ``pending_upstream`` frames come back on
+    :meth:`InProcessTransport.flush`.  Both are read here, once — a
+    test that wants the bytes wraps ``dialer.handle_frame`` first."""
+    link = InProcessTransport(dialer.name, faults=faults)
+    link.connect(dialer.handle_frame, dialer.pending_upstream)
+    return link
+
+
+def join(listener, dialer, faults: FaultInjector | None = None) -> InProcessTransport:
+    """The registration handshake (DESIGN.md section 8.2) without a
+    socket: the hello → config → admit exchange of
+    :func:`~repro.edge.socket_transport.dial_handshake` and
+    :func:`~repro.edge.socket_transport.serve_handshakes`, run as
+    objects between a listener seat (``config_frame`` / ``admit``) and
+    a dialer seat (``hello`` / ``adopt_config`` / ``handle_frame`` /
+    ``pending_upstream``).  The listener sanitises the hello and
+    records the delivered config exactly as it does for a socket
+    dialer; only the medium differs.  Returns the listener → dialer
+    link, which carries ``faults``.
+
+    Raises:
+        ReplicationError: If the listener has no config to hand out
+            yet (a relay that has not itself joined upstream).
+    """
+    hello = dialer.hello()
+    sent = listener.config_frame()
+    dialer.adopt_config(sent)
+    link = wire(dialer, faults)
+    listener.admit(hello, link, sent)
+    return link

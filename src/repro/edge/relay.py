@@ -76,7 +76,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from repro.core.digests import DigestEngine, VerifyOnlyDigestEngine
 from repro.core.wire import authenticate_delta, delta_from_bytes, snapshot_from_bytes
@@ -221,6 +221,18 @@ class RelayServer:
     # Config pass-through
     # ------------------------------------------------------------------
 
+    def hello(self) -> HelloFrame:
+        """The upstream registration hello: ``role="relay"`` and
+        ``(table, head, epoch)`` per stored chain — what a live relay
+        can genuinely resume from on a reconnect (the aggregate is
+        what its acks report); empty after a restart."""
+        cursors = tuple(
+            (table, st.head, st.epoch)
+            for table, st in sorted(self.store.items())
+            if st.snapshot is not None
+        )
+        return HelloFrame(edge=self.name, cursors=cursors, role="relay")
+
     def adopt_config(self, frame: ConfigFrame) -> None:
         """Install the upstream verification bundle (handshake reply or
         in-stream key-ring refresh) and stash it verbatim for
@@ -279,14 +291,6 @@ class RelayServer:
         st = self._chain(table)
         return self.current_epoch() if st is None else st.epoch
 
-    def peer_names(self) -> list:
-        return list(self.fanout.peers)
-
-    def shares_live_ring(self, peer: PeerState) -> bool:
-        # Every downstream ring is a copy decoded from the stashed
-        # frame; refreshes are always real sends.
-        return False
-
     def delta_payload(self, table: str, cursor: int) -> tuple:
         st = self._chain(table)
         if st is None:
@@ -312,23 +316,26 @@ class RelayServer:
     # Downstream peer management
     # ------------------------------------------------------------------
 
-    def attach_edge(
-        self,
-        name: str,
-        transport: Transport,
-        cursors: Iterable[tuple[str, int, int]] = (),
+    def admit(
+        self, hello: HelloFrame, transport: Transport, sent: ConfigFrame
     ) -> PeerState:
-        """Register a downstream edge, sanitizing its resume cursors.
+        """The listener seat: register the downstream dialer behind
+        ``hello``, answered with ``sent`` — over a socket
+        (:func:`run_relay`) or as objects (:func:`repro.edge.link.join`).
 
-        Only cursors that land on a stored frame boundary of the
-        current chain generation (and match its epoch) are kept — a
-        cursor from a previous generation cannot be extended by stored
-        frames and would only gap-nack; dropping it routes the edge
-        through the snapshot heal instead.
+        The hello is untrusted: only cursors that land on a stored
+        frame boundary of the current chain generation (and match its
+        epoch) are kept — a cursor from a previous generation cannot
+        be extended by stored frames and would only gap-nack; dropping
+        it routes the edge through the snapshot heal instead.  Every
+        downstream ring is a copy decoded from a stashed frame, so the
+        peer is recorded at the epoch of the config it was *sent*: a
+        rotation that reached the relay after that reply still owes
+        the edge a refresh.
         """
         kept = []
         with self._lock:
-            for table, lsn, epoch in cursors:
+            for table, lsn, epoch in hello.cursors:
                 st = self._chain(table)
                 if st is None or epoch != st.epoch:
                     continue
@@ -336,7 +343,10 @@ class RelayServer:
                 boundaries.update(d.lsn_last for d in st.deltas)
                 if lsn in boundaries:
                     kept.append((table, lsn, epoch))
-        peer = self.fanout.attach(name, transport, cursors=kept)
+        peer = self.fanout.attach(
+            hello.edge, transport, cursors=kept,
+            config_epoch=sent.current_epoch,
+        )
         self.on_cursors_advanced()
         return peer
 
@@ -579,16 +589,6 @@ class RelayServer:
             )
         return frames
 
-    def store_cursors(self) -> tuple[tuple[str, int, int], ...]:
-        """``(table, head, epoch)`` per stored chain — what a live
-        relay reports in a *reconnect* hello (it can genuinely resume
-        from here; the aggregate is what its acks report)."""
-        return tuple(
-            (table, st.head, st.epoch)
-            for table, st in sorted(self.store.items())
-            if st.snapshot is not None
-        )
-
     # ------------------------------------------------------------------
     # Downstream nack escalation & spot-checks
     # ------------------------------------------------------------------
@@ -812,10 +812,10 @@ def run_relay(
         return relay.config_frame()
 
     def _attach_downstream(
-        conn: socket.socket, hello: HelloFrame, _sent: ConfigFrame
+        conn: socket.socket, hello: HelloFrame, sent: ConfigFrame
     ) -> None:
         transport = ReactorTransport(hello.edge, loop, conn, timeout=io_timeout)
-        relay.attach_edge(hello.edge, transport, cursors=hello.cursors)
+        relay.admit(hello, transport, sent)
         if verbose:
             print(f"[relay {name}] edge {hello.edge} attached", flush=True)
 
@@ -829,10 +829,7 @@ def run_relay(
     accept_thread.start()
 
     def _join_upstream(sock: socket.socket):
-        hello = HelloFrame(
-            edge=name, cursors=relay.store_cursors(), role="relay"
-        )
-        relay.adopt_config(dial_handshake(sock, hello))
+        relay.adopt_config(dial_handshake(sock, relay.hello()))
         return loop.register(
             f"upstream:{name}", sock, handler=guarded_handler(relay)
         )

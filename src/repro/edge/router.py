@@ -195,24 +195,18 @@ class TransportQueryChannel:
             frames (an in-process link wired to
             :meth:`~repro.edge.edge_server.EdgeServer.handle_frame`, or
             an accepted :class:`~repro.edge.event_loop.ReactorTransport`).
-        simulated_latency: Report the channel model's deterministic
-            transfer seconds (request + reply —
-            :class:`~repro.edge.network.Channel`'s rtt/bandwidth math)
-            instead of wall clock.  The right choice for in-process
-            fabrics, where wall-clock differences are noise but a
-            per-link ``rtt_seconds`` makes "the slow edge" an exact,
-            reproducible quantity.
+
+    Latency is the channel model's deterministic transfer seconds
+    (request + reply — :class:`~repro.edge.network.Channel`'s
+    rtt/bandwidth math), never wall clock: on a fixed link wall-clock
+    differences are noise, but a per-link ``rtt_seconds`` makes "the
+    slow edge" an exact, reproducible quantity.  Wall clock is
+    :class:`DeploymentQueryChannel`'s job.
     """
 
-    def __init__(
-        self,
-        name: str,
-        transport: Transport,
-        simulated_latency: bool = True,
-    ) -> None:
+    def __init__(self, name: str, transport: Transport) -> None:
         self.name = name
         self.transport = transport
-        self.simulated_latency = simulated_latency
 
     def request(self, frame: QueryRequestFrame) -> tuple[QueryResponseFrame, float]:
         """One query round-trip; returns ``(response, latency_seconds)``.
@@ -221,21 +215,16 @@ class TransportQueryChannel:
             TransportError: If the link is down/faulted or the peer
                 answered with something other than a query response.
         """
-        start = time.perf_counter()
         reply = self.transport.request(frame)
         if not isinstance(reply, QueryResponseFrame):
             raise TransportError(
                 f"edge {self.name!r} answered a query with "
                 f"{type(reply).__name__}"
             )
-        if self.simulated_latency:
-            latency = (
-                self.transport.down_channel.transfers[-1].seconds
-                + self.transport.up_channel.transfers[-1].seconds
-            )
-        else:
-            latency = time.perf_counter() - start
-        return reply, latency
+        return reply, (
+            self.transport.down_channel.transfers[-1].seconds
+            + self.transport.up_channel.transfers[-1].seconds
+        )
 
 
 class DeploymentQueryChannel:
@@ -295,7 +284,7 @@ def in_process_query_channel(
     """
     link = InProcessTransport(edge.name, down_channel, up_channel)
     link.connect(edge.handle_frame)
-    return TransportQueryChannel(edge.name, link, simulated_latency=True)
+    return TransportQueryChannel(edge.name, link)
 
 
 # ---------------------------------------------------------------------------

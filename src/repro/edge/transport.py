@@ -246,6 +246,12 @@ class ConfigFrame:
     shard_id: int = -1
     shard_map: tuple | None = None
 
+    @property
+    def current_epoch(self) -> int:
+        """Newest key epoch the bundle carries (``-1`` if none) — what
+        a listener seat records as *delivered* to the peer it admits."""
+        return max((record[0] for record in self.epochs), default=-1)
+
 
 def range_query_frame(
     table: str,

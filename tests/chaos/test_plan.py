@@ -15,7 +15,7 @@ from repro.chaos import (
     ChaosOrchestrator,
     FaultEvent,
     FaultPlan,
-    InProcessFleet,
+    chaos_fleet,
 )
 from repro.chaos.plan import EVENT_KINDS
 from repro.workloads.load_gen import LoadProfile
@@ -113,14 +113,11 @@ class TestReplay:
 
     @staticmethod
     def _run(seed):
+        edges = ["edge-0", "edge-1", "edge-2"]
         plan = FaultPlan.generate(
-            seed,
-            ["edge-0", "edge-1", "edge-2"],
-            ticks=5,
-            events_per_tick=1.5,
-            name="replay",
+            seed, edges, ticks=5, events_per_tick=1.5, name="replay"
         )
-        fleet = InProcessFleet(n_edges=3, rows=32, seed=31 + seed)
+        fleet = chaos_fleet(31 + seed, rows=32, edges=edges)
         orch = ChaosOrchestrator(
             fleet,
             plan,

@@ -30,6 +30,7 @@ from repro.edge.transport import (
     AckFrame,
     CursorAckFrame,
     CursorProbeFrame,
+    HelloFrame,
     frame_from_bytes,
     frame_to_bytes,
     range_query_frame,
@@ -504,9 +505,9 @@ class TestAdaptiveWindow:
             transport = ReactorTransport("dead", loop, left, timeout=1)
             lsn = server.replicator.log_for("t").last_lsn
             epoch = server.keyring.current_epoch
-            server.attach_remote_edge(
-                "dead", transport, cursors=[("t", lsn, epoch)],
-                config_epoch=epoch,
+            server.admit(
+                HelloFrame(edge="dead", cursors=(("t", lsn, epoch),)),
+                transport, server.config_frame(),
             )
             right.close()
             transport.close()  # the link dies with the window configured

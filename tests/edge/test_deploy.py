@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from repro.edge.central import CentralServer, RemoteEdgeHandle
+from repro.edge.central import CentralServer
 from repro.edge.deploy import Deployment
 from repro.workloads.generator import TableSpec, generate_table
 
@@ -55,11 +55,11 @@ class TestMultiProcessDeployment:
         deploy.wait_for_edge("edge-0")
         deploy.wait_for_edge("edge-1")
         assert deploy.edges["edge-0"].alive and deploy.edges["edge-1"].alive
-        # Remote edges are represented centrally by name-only handles —
-        # the trust boundary is now the OS process boundary.
-        assert all(
-            isinstance(e, RemoteEdgeHandle) for e in central.edges
-        )
+        # A remote dialer is a fan-out peer and nothing more: the
+        # central holds no server object for it — the trust boundary
+        # is now the OS process boundary.
+        assert set(central.fanout.peers) == {"edge-0", "edge-1"}
+        assert central.edges == []
 
         # Inserts replicate over the wire to both processes.
         for key in range(9001, 9006):

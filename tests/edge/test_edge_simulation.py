@@ -20,9 +20,8 @@ def central():
 
 @pytest.fixture
 def edge(central):
-    e = central.spawn_edge_server("edge-test")
-    yield e
-    central._edges.remove(e)
+    # Spawning the name again replaces the previous test's edge.
+    return central.spawn_edge_server("edge-test")
 
 
 @pytest.fixture
@@ -142,24 +141,18 @@ class TestQueryFlow:
 class TestUpdatesAndReplication:
     def test_insert_propagates_eagerly(self, central, client):
         edge = central.spawn_edge_server("edge-ins")
-        try:
-            central.insert("items", (5000, *["x" * 3] * 5))
-            resp = edge.range_query("items", low=5000, high=5000)
-            assert len(resp.result.rows) == 1
-            assert client.verify(resp).ok
-        finally:
-            central._edges.remove(edge)
+        central.insert("items", (5000, *["x" * 3] * 5))
+        resp = edge.range_query("items", low=5000, high=5000)
+        assert len(resp.result.rows) == 1
+        assert client.verify(resp).ok
 
     def test_delete_propagates_eagerly(self, central, client):
         central.insert("items", (6000, *["y" * 3] * 5))
         edge = central.spawn_edge_server("edge-del")
-        try:
-            central.delete("items", 6000)
-            resp = edge.range_query("items", low=6000, high=6000)
-            assert resp.result.rows == []
-            assert client.verify(resp).ok
-        finally:
-            central._edges.remove(edge)
+        central.delete("items", 6000)
+        resp = edge.range_query("items", low=6000, high=6000)
+        assert resp.result.rows == []
+        assert client.verify(resp).ok
 
     def test_lazy_replication_staleness(self):
         server = CentralServer(

@@ -8,6 +8,8 @@ from repro.edge.fanout import FanoutEngine
 from repro.edge.link import FaultInjector, InProcessTransport
 from repro.edge.transport import (
     AckFrame,
+    CursorAckFrame,
+    CursorProbeFrame,
     SnapshotFrame,
     frame_from_bytes,
     frame_to_bytes,
@@ -255,9 +257,7 @@ class FakeSource:
     def bootstrap_lag(self, table): return 1
     def current_epoch(self): return 0
     def issue_epoch(self, table): return 0
-    def peer_names(self): return list(self.engine.peers)
     def config_frame(self): raise AssertionError("no rotation here")
-    def shares_live_ring(self, peer): return True
     def on_cursors_advanced(self, peer): pass
     def on_peer_nack(self, peer, ack, verdict): self.nacks.append(verdict)
 
@@ -279,6 +279,9 @@ class FakeEdge:
 
     def handle(self, data):
         frame = frame_from_bytes(data)
+        if isinstance(frame, CursorProbeFrame):
+            cursors = (("t", self.cursor, 0),) if self.cursor else ()
+            return [frame_to_bytes(CursorAckFrame(edge="e", cursors=cursors))]
         self.seen.append(frame.payload)
         lsn = int(frame.payload[1:])
         ok = isinstance(frame, SnapshotFrame) or lsn == self.cursor + 1
@@ -317,3 +320,33 @@ class TestFrameSourceSeam:
         assert engine.pump() == 3  # chain replayed past the snapshot
         assert edge.cursor == 4 and engine.staleness("e", "t") == 0
         assert peer.outstanding == [] and not peer.needs_snapshot
+
+    def test_settle_returns_rounds_used_and_stops_at_parity(self):
+        """``settle`` is the one pump → wait-drain → settled loop: the
+        snapshot goes in round one, the stored chain in round two, and
+        a third call has nothing to do but look."""
+        source, edge = FakeSource(), FakeEdge()
+        engine = source.engine
+        link = InProcessTransport("e")
+        link.connect(edge.handle)
+        engine.attach("e", link)
+        assert not engine.settled()
+        assert engine.settle() == 2
+        assert engine.settled() and edge.seen == [b"s1", b"d2", b"d3"]
+        assert engine.settle() == 1 and len(edge.seen) == 3
+
+    def test_settle_gives_up_after_rounds_on_a_held_link(self):
+        """A held link stays outstanding — ``settle`` spends its
+        rounds, reports them, and leaves the answer to ``settled``;
+        once the link is released the same call finishes the job."""
+        source, edge = FakeSource(), FakeEdge()
+        engine = source.engine
+        link = InProcessTransport("e", faults=FaultInjector(hold=True))
+        link.connect(edge.handle)
+        peer = engine.attach("e", link)
+        assert engine.settle(rounds=3) == 3
+        assert not engine.settled() and edge.seen == []
+        assert [r.kind for r in peer.outstanding] == ["snapshot"]
+        link.faults.clear()
+        assert engine.settle(rounds=3) < 3 and engine.settled()
+        assert edge.cursor == 3

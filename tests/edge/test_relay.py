@@ -1,10 +1,10 @@
 """Relay semantics, in-process (DESIGN.md §13).
 
-The relay is wired exactly as over a socket — central → relay over one
-:class:`InProcessTransport` (the relay's ``handle_frame`` as handler),
-relay → edges over per-edge links its own fan-out engine pumps —
-but everything runs in this process so the tests can inspect byte
-streams, shuffle ack orderings, and corrupt the store directly.
+The tree is a :class:`~repro.edge.fleet.Fleet` — the relay joins the
+central and the edges join the relay through the same handshake a
+socket runs, and the relay's own upstream frames come back through its
+link — but everything runs in this process so the tests can inspect
+byte streams, shuffle ack orderings, and corrupt the store directly.
 
 Covers: byte-identical store-and-forward, verified queries through the
 relay, min-cursor aggregation (held edge, fresh edge omitting a table),
@@ -23,16 +23,16 @@ from hypothesis import strategies as st
 
 from repro.core.wire import result_from_bytes
 from repro.edge.central import CentralServer, ReplicationMode
-from repro.edge.edge_server import EdgeServer
+from repro.edge.fleet import Fleet
 from repro.edge.relay import RelayServer, _TableStore
 from repro.edge.sharding import ShardMap
 from repro.edge.link import InProcessTransport
 from repro.edge.transport import (
+    ConfigFrame,
     CursorAckFrame,
     DeltaFrame,
     HelloFrame,
     SnapshotFrame,
-    config_from_frame,
     config_to_frame,
     frame_from_bytes,
     frame_to_bytes,
@@ -53,57 +53,31 @@ def make_central(rows=60, **kwargs):
     return central
 
 
-def attach_relay(central, name="relay-0", **kwargs):
-    """Central → relay link, mirroring the socket handshake."""
-    relay = RelayServer(name, **kwargs)
-    up = InProcessTransport(name)
-    up.connect(relay.handle_frame)
-    cfg = central.config_frame()
-    relay.adopt_config(cfg)
-    sent_epoch = max((record[0] for record in cfg.epochs), default=-1)
-    central.attach_remote_edge(name, up, config_epoch=sent_epoch)
-    return relay, up
-
-
-def attach_edge(relay, name):
-    """Relay → edge link, mirroring the downstream handshake."""
-    edge = EdgeServer(
-        name=name, config=config_from_frame(relay.config_frame())
+def make_tree(edges=("edge-0", "edge-1"), central=None, **relay_options):
+    """Central → relay-0 → ``edges``, settled."""
+    fleet = Fleet(
+        central or make_central(), relays={"relay-0": edges}, **relay_options
     )
-    down = InProcessTransport(name)
-    down.connect(edge.handle_frame)
-    relay.attach_edge(name, down)
-    return edge, down
+    fleet.settle()
+    return fleet
+
+
+def tap(fleet, name, sink, frame_types=(SnapshotFrame, DeltaFrame)):
+    """Record the bytes of every ``frame_types`` frame delivered to
+    node ``name`` from now on."""
+    node = fleet.node(name)
+
+    def handler(data, inner=node.handle_frame):
+        if isinstance(frame_from_bytes(data), frame_types):
+            sink.append(data)
+        return inner(data)
+
+    fleet.link(name).connect(handler, node.pending_upstream)
 
 
 def agg_map(relay):
     """``aggregated_cursors()`` as ``{table: (lsn, epoch)}``."""
     return {t: (lsn, epoch) for t, lsn, epoch in relay.aggregated_cursors()}
-
-
-def tree_sync(central, relay, edges, rounds=10):
-    """Drive the whole tree to quiescence, relaying spontaneous
-    upstream acks by hand (the socket serve loop's job)."""
-    relay_peer = central.fanout.peer(relay.name)
-    for _ in range(rounds):
-        central.propagate()
-        central.fanout.drain(wait=True)
-        relay.fanout.pump()
-        relay.fanout.drain(wait=True)
-        frames = [frame_from_bytes(b) for b in relay.pending_upstream()]
-        if frames:
-            central.fanout._process_replies(relay_peer, frames)
-        settled = all(
-            central.fanout.staleness(relay.name, t) == 0
-            for t in central.vbtrees
-        ) and all(
-            relay.fanout.staleness(name, t) == 0
-            for name in edges
-            for t in central.vbtrees
-        )
-        if settled:
-            return True
-    return False
 
 
 class TestHelloRole:
@@ -127,39 +101,17 @@ class TestStoreAndForward:
         one the central sent the relay, and queries through the relay
         verify end to end."""
         central = make_central()
-        relay, up = attach_relay(central)
-
+        fleet = Fleet(central, relays={"relay-0": ("edge-0", "edge-1")})
         upstream_frames = []
-        inner_handle = relay.handle_frame
+        tap(fleet, "relay-0", upstream_frames)
+        downstream_frames = {"edge-0": [], "edge-1": []}
+        for name, taps in downstream_frames.items():
+            tap(fleet, name, taps)
 
-        def tap_relay(data):
-            frame = frame_from_bytes(data)
-            if isinstance(frame, (SnapshotFrame, DeltaFrame)):
-                upstream_frames.append(data)
-            return inner_handle(data)
-
-        up.connect(tap_relay)
-
-        downstream_frames = {}
-        edges = {}
-        for name in ("edge-0", "edge-1"):
-            edge, down = attach_edge(relay, name)
-            edges[name] = edge
-            downstream_frames[name] = taps = []
-            inner = edge.handle_frame
-
-            def tap_edge(data, inner=inner, taps=taps):
-                frame = frame_from_bytes(data)
-                if isinstance(frame, (SnapshotFrame, DeltaFrame)):
-                    taps.append(data)
-                return inner(data)
-
-            down.connect(tap_edge)
-
-        assert tree_sync(central, relay, edges)
+        fleet.settle()
         for key in range(1000, 1010):
             central.insert(TABLE, (key, "a", "b"))
-        assert tree_sync(central, relay, edges)
+        fleet.settle()
 
         # Byte identity: the relay re-serialized nothing it could alter.
         sent = set(upstream_frames)
@@ -175,7 +127,9 @@ class TestStoreAndForward:
         client = central.make_client()
         answered = set()
         for _ in range(4):
-            reply = up.request(range_query_frame(TABLE, 1000, 1009, None, None))
+            reply = fleet.link("relay-0").request(
+                range_query_frame(TABLE, 1000, 1009, None, None)
+            )
             assert not reply.error
             result = result_from_bytes(reply.payload)
             assert client.verify(result).ok
@@ -187,8 +141,7 @@ class TestStoreAndForward:
         """The trust claim, structurally: nothing reachable from the
         relay exposes a private key — its config is the public
         verification bundle only."""
-        central = make_central()
-        relay, _up = attach_relay(central)
+        relay = make_tree().relays["relay-0"]
         assert not hasattr(relay.config.keyring, "private_key_for")
         record = relay.config.keyring.public_key_for(
             relay.config.keyring.current_epoch
@@ -200,22 +153,15 @@ class TestCursorAggregation:
     def test_held_edge_pins_the_aggregate(self):
         """The upstream cursor is the min over connected edges: one
         slow (held) edge pins it even while its sibling advances."""
-        central = make_central()
-        relay, up = attach_relay(central)
-        edges = {}
-        transports = {}
-        for name in ("edge-0", "edge-1"):
-            edges[name], transports[name] = attach_edge(relay, name)
-        assert tree_sync(central, relay, edges)
+        fleet = make_tree()
+        central, relay = fleet.central, fleet.relays["relay-0"]
         base = agg_map(relay)[TABLE]
 
-        transports["edge-1"].faults.hold = True
+        fleet.faults["edge-1"].hold = True
         for key in range(2000, 2005):
             central.insert(TABLE, (key, "a", "b"))
         for _ in range(4):
-            central.propagate()
-            central.fanout.drain(wait=True)
-            relay.fanout.pump()
+            fleet.pump(wait=True)
 
         fast = relay.fanout.peer("edge-0").acked_lsns[TABLE]
         slow = relay.fanout.peer("edge-1").acked_lsns[TABLE]
@@ -224,9 +170,8 @@ class TestCursorAggregation:
         assert agg == (slow, relay.fanout.peer("edge-1").acked_epochs[TABLE])
         assert agg[0] == base[0]
 
-        transports["edge-1"].faults.hold = False
-        transports["edge-1"].flush()
-        assert tree_sync(central, relay, edges)
+        fleet.faults["edge-1"].hold = False
+        fleet.settle()
         assert agg_map(relay)[TABLE][0] == relay.store[TABLE].head
 
     def test_fresh_edge_omits_table_and_cannot_stall_or_regress(self):
@@ -235,16 +180,14 @@ class TestCursorAggregation:
         central must treat that as no news — its banked cursor for the
         relay neither regresses nor wedges the settle path — and once
         the fresh edge heals, settle completes."""
-        central = make_central()
-        relay, up = attach_relay(central)
-        edges = {"edge-0": attach_edge(relay, "edge-0")[0]}
-        assert tree_sync(central, relay, edges)
+        fleet = make_tree()
+        central, relay = fleet.central, fleet.relays["relay-0"]
         relay_peer = central.fanout.peer(relay.name)
         banked = relay_peer.acked_lsns[TABLE]
         assert banked == relay.store[TABLE].head
 
         # Fresh replica-less edge: no cursor for TABLE yet.
-        edges["edge-1"] = attach_edge(relay, "edge-1")[0]
+        fleet.kill("edge-1")
         assert TABLE not in agg_map(relay)
 
         # An explicitly empty cumulative ack is "no news", not "lost
@@ -265,7 +208,7 @@ class TestCursorAggregation:
         assert relay_peer.acked_lsns[TABLE] >= banked
 
         # Full settle once the subtree heals.
-        assert tree_sync(central, relay, edges)
+        fleet.settle()
         assert central.fanout.staleness(relay.name, TABLE) == 0
         assert agg_map(relay)[TABLE][0] == relay.store[TABLE].head
 
@@ -324,7 +267,7 @@ class TestAggregationMonotonicity:
         for name in ("edge-0", "edge-1"):
             link = InProcessTransport(name)
             link.connect(lambda data: [])
-            relay.attach_edge(name, link)
+            relay.admit(HelloFrame(edge=name), link, cfg)
 
         applied = {"edge-0": None, "edge-1": None}
         last = agg_map(relay).get(TABLE, (-1, -1))
@@ -351,10 +294,8 @@ class TestTamperThroughRelay:
         fails, the store is dropped, an immediate diverged nack goes
         upstream (never aggregated away), and the central re-seeds the
         whole subtree."""
-        central = make_central()
-        relay, up = attach_relay(central)
-        edges = {"edge-0": attach_edge(relay, "edge-0")[0]}
-        assert tree_sync(central, relay, edges)
+        fleet = make_tree(edges=("edge-0",))
+        central, relay = fleet.central, fleet.relays["relay-0"]
 
         for key in range(4000, 4003):
             central.insert(TABLE, (key, "a", "b"))
@@ -374,6 +315,8 @@ class TestTamperThroughRelay:
         # The edge never applied tampered data, and the relay condemned
         # its own store.
         assert relay.store[TABLE].snapshot is None
+        # Inspected here, so carried on by hand: draining the outbox
+        # took the frames off the link.
         nacks = [frame_from_bytes(b) for b in relay.pending_upstream()]
         diverged = [
             f for f in nacks
@@ -384,12 +327,9 @@ class TestTamperThroughRelay:
             central.fanout.peer(relay.name), nacks
         )
 
-        assert tree_sync(central, relay, edges)
-        client = central.make_client()
-        reply = up.request(range_query_frame(TABLE, 4000, 4002, None, None))
-        result = result_from_bytes(reply.payload)
-        assert client.verify(result).ok
-        assert len(result.keys) == 3
+        fleet.settle()
+        resp = fleet.router.range_query(TABLE, low=4000, high=4002)
+        assert resp.verdict.ok and len(resp.result.keys) == 3
 
 
 class TestSpotCheck:
@@ -401,9 +341,8 @@ class TestSpotCheck:
         does not — where the edge still rejects it end to end (the
         spot check only ever shortens the detection path)."""
         central = make_central(replication=ReplicationMode.LAZY)
-        relay, _up = attach_relay(central, spot_check_every=2)
-        edge, _down = attach_edge(relay, "edge-0")
-        assert tree_sync(central, relay, {"edge-0": edge})
+        fleet = make_tree(("edge-0",), central, spot_check_every=2)
+        relay, edge = fleet.relays["relay-0"], fleet.edges["edge-0"]
         rows_before = len(edge.replica(TABLE).tree)
 
         replies = []
@@ -441,59 +380,30 @@ class TestRouterQuarantineThroughRelay:
         answers; the verifying router rejects them, quarantines that
         relay's channel, and serves every request — verified — from
         the sibling relay.  Callers never see an unverified result."""
-        from repro.edge.router import (
-            EdgeRouter,
-            TransportQueryChannel,
-            VerifyingRouter,
+        fleet = Fleet(
+            make_central(),
+            relays={"relay-0": ("edge-0",), "relay-1": ("edge-1",)},
         )
+        edge = fleet.edges["edge-0"]
 
-        central = make_central()
-        links = {}
-        relays = {}
-        for rname, ename in (("relay-0", "edge-0"), ("relay-1", "edge-1")):
-            relay, up = attach_relay(central, rname)
-            relays[rname] = relay
-            links[rname] = up
-            edge, down = attach_edge(relay, ename)
-            if rname == "relay-0":
-                inner = edge.handle_frame
+        def corrupt(data, inner=edge.handle_frame):
+            replies = []
+            for raw in inner(data):
+                frame = frame_from_bytes(raw)
+                if (
+                    hasattr(frame, "payload")
+                    and hasattr(frame, "error")
+                    and frame.payload
+                ):
+                    bad = bytearray(frame.payload)
+                    bad[len(bad) // 2] ^= 0xFF
+                    frame = dataclasses.replace(frame, payload=bytes(bad))
+                replies.append(frame_to_bytes(frame))
+            return replies
 
-                def corrupt(data, inner=inner):
-                    replies = []
-                    for raw in inner(data):
-                        frame = frame_from_bytes(raw)
-                        if (
-                            hasattr(frame, "payload")
-                            and hasattr(frame, "error")
-                            and frame.payload
-                        ):
-                            bad = bytearray(frame.payload)
-                            bad[len(bad) // 2] ^= 0xFF
-                            frame = dataclasses.replace(
-                                frame, payload=bytes(bad)
-                            )
-                        replies.append(frame_to_bytes(frame))
-                    return replies
-
-                down.connect(corrupt)
-            for _ in range(8):
-                central.propagate()
-                central.fanout.drain(wait=True)
-                relay.fanout.pump()
-                relay.fanout.drain(wait=True)
-                frames = [
-                    frame_from_bytes(b) for b in relay.pending_upstream()
-                ]
-                if frames:
-                    central.fanout._process_replies(
-                        central.fanout.peer(rname), frames
-                    )
-
-        channels = [
-            TransportQueryChannel(name, links[name]) for name in sorted(links)
-        ]
-        router = EdgeRouter(channels, policy="round_robin", failure_threshold=1)
-        verifying = VerifyingRouter(router, central.make_client())
+        fleet.link("edge-0").connect(corrupt, edge.pending_upstream)
+        fleet.settle()
+        verifying = fleet.router
         for _ in range(4):
             resp = verifying.range_query(TABLE, low=1, high=50)
             assert resp.verdict.ok
@@ -506,26 +416,38 @@ class TestRouterQuarantineThroughRelay:
 class TestRotationAndConfigPassThrough:
     def test_key_rotation_heals_through_relay(self):
         """A rotation invalidates the relay's stored chain epoch; the
-        central re-seeds it, the relay refreshes its edges with the new
-        (verbatim) config and re-snapshots them, and queries verify
-        under the new key."""
-        central = make_central()
-        relay, up = attach_relay(central)
-        edges = {n: attach_edge(relay, n)[0] for n in ("edge-0", "edge-1")}
-        assert tree_sync(central, relay, edges)
+        central refreshes the relay's key ring and re-seeds it, the
+        relay refreshes its edges with the new (verbatim) config and
+        re-snapshots them, and queries verify under the new key.
+
+        Nobody delivers the config by hand.  The relay holds a decoded
+        *copy* of the ring whatever the medium, so a rotation owes it
+        exactly one ``ConfigFrame``, before the first cross-epoch
+        snapshot; the engine used to decide that by sniffing the
+        link's type, an in-process relay was never told, every
+        snapshot install failed on ``unknown key epoch`` and the tree
+        livelocked."""
+        fleet = make_tree()
+        central, relay = fleet.central, fleet.relays["relay-0"]
         old_epoch = relay.store[TABLE].epoch
+        seen = []
+        tap(fleet, "relay-0", seen, (ConfigFrame, SnapshotFrame))
 
         central.rotate_key()
-        cfg = central.config_frame()
-        replies = relay.handle_frame(frame_to_bytes(cfg))
-        assert frame_from_bytes(replies[0]).reason == "config"
-
         central.insert(TABLE, (5000, "a", "b"))
-        assert tree_sync(central, relay, edges)
+        fleet.settle()
         assert relay.store[TABLE].epoch > old_epoch
-        client = central.make_client()
-        reply = up.request(range_query_frame(TABLE, 5000, 5000, None, None))
-        assert client.verify(result_from_bytes(reply.payload)).ok
+        kinds = [type(frame_from_bytes(data)) for data in seen]
+        assert kinds.count(ConfigFrame) == 1
+        assert kinds.index(ConfigFrame) < kinds.index(SnapshotFrame)
+        epoch = central.keyring.current_epoch
+        assert relay.config.keyring.current_epoch == epoch
+        assert all(
+            e.config.keyring.current_epoch == epoch
+            for e in fleet.edges.values()
+        )
+        resp = fleet.router.range_query(TABLE, low=5000, high=5000)
+        assert resp.verdict.ok and resp.result.keys == [5000]
 
     def test_config_and_shard_map_pass_through_verbatim(self):
         """The downstream ConfigFrame is the upstream one, byte for

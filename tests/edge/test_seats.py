@@ -1,0 +1,197 @@
+"""The two seats, and the two media that reach them (DESIGN.md §8.2, §22).
+
+A *listener seat* is ``config_frame()`` + ``admit(hello, transport,
+sent)`` (``CentralServer``, ``RelayServer``); a *dialer seat* is
+``hello()`` + ``adopt_config()`` + ``handle_frame()`` +
+``pending_upstream()`` (``EdgeServer``, ``RelayServer``).  The
+handshake between them is one sequence over two media — a loopback
+socket (``dial_handshake`` / ``serve_handshakes``) and plain objects
+(``repro.edge.link.join``) — and what a seat makes of a hello must not
+depend on which one carried it.
+"""
+
+import socket
+import threading
+import time
+
+import pytest
+
+from repro.edge.central import CentralServer
+from repro.edge.edge_server import EdgeServer
+from repro.edge.event_loop import EdgeEventLoop, ReactorTransport
+from repro.edge.link import InProcessTransport, join, wire
+from repro.edge.relay import RelayServer
+from repro.edge.socket_transport import (
+    connect_with_retry,
+    dial_handshake,
+    listen_on,
+    serve_handshakes,
+)
+from repro.edge.transport import (
+    CursorAckFrame,
+    HelloFrame,
+    frame_from_bytes,
+    frame_to_bytes,
+)
+from repro.workloads.generator import TableSpec, generate_table
+
+TABLES = ("t", "u", "v")
+
+
+def make_seat(seat):
+    """``(central, listener)``: three one-insert tables, and — for the
+    relay seat — a relay joined to the central holding all of them."""
+    central = CentralServer("seatdb", rsa_bits=512, seed=43)
+    for i, name in enumerate(TABLES):
+        schema, data = generate_table(
+            TableSpec(name=name, rows=12, columns=3, seed=i)
+        )
+        central.create_table(schema, data, fanout_override=6)
+        central.insert(name, (9000 + i, "a", "b"))  # a log head above 0
+    if seat == "central":
+        return central, central
+    relay = RelayServer("relay-0")
+    join(central, relay)
+    central.fanout.settle()
+    return central, relay
+
+
+def admit_over_socket(seat, hello):
+    """Run the handshake on a loopback socket: ``serve_handshakes``
+    answering with the seat's config and admitting the accepted
+    connection as a ``ReactorTransport`` — what ``Deployment`` and
+    ``run_relay`` do."""
+    listener, loop = listen_on("127.0.0.1", 0), EdgeEventLoop()
+
+    def attach(conn, hello, sent):
+        seat.admit(hello, ReactorTransport(hello.edge, loop, conn), sent)
+
+    accept = threading.Thread(
+        target=serve_handshakes,
+        args=(listener, "test", 5.0, seat.config_frame, attach),
+        daemon=True,
+    )
+    accept.start()
+    try:
+        sock = connect_with_retry(*listener.getsockname()[:2], timeout=5.0)
+        sock.settimeout(5.0)
+        dial_handshake(sock, hello)
+        deadline = time.monotonic() + 5.0
+        while hello.edge not in seat.fanout.peers:
+            assert time.monotonic() < deadline, "dialer was never admitted"
+            time.sleep(0.01)
+        sock.close()
+    finally:
+        listener.shutdown(socket.SHUT_RDWR)  # close() alone leaves accept() blocked
+        listener.close()
+        loop.close()
+        accept.join(timeout=5)
+
+
+class TestHostileHello:
+    @pytest.mark.event_loop
+    @pytest.mark.parametrize("medium", ["join", "socket"])
+    @pytest.mark.parametrize("seat", ["central", "relay"])
+    def test_each_seat_sanitises_alike_on_both_media(self, seat, medium):
+        """One hello — an LSN 10⁶ ahead of the log, an unknown table, a
+        wrong-epoch cursor, and one honest cursor — leaves a seat with
+        the same peer cursors whether it arrived as an object or over
+        a loopback socket.  The seats' rules differ on purpose: the
+        central drops unknown replicas and clamps to the log head (an
+        epoch is a hint the next pump's cross-epoch check settles); a
+        relay keeps only cursors on a stored frame boundary of its
+        current chain and epoch."""
+        central, listener = make_seat(seat)
+        epoch = central.keyring.current_epoch
+        heads = {t: central.log_head(t) for t in TABLES}
+        hello = HelloFrame(
+            edge="liar",
+            cursors=(
+                ("t", 10**6, epoch),
+                ("no_such_table", 3, 0),
+                ("u", heads["u"], epoch + 1),
+                ("v", heads["v"], epoch),
+            ),
+        )
+        if medium == "join":
+            dialer = EdgeServer("liar")
+            dialer.hello = lambda: hello
+            join(listener, dialer)
+        else:
+            admit_over_socket(listener, hello)
+        peer = listener.fanout.peer("liar")
+        cursors = {
+            t: (lsn, peer.acked_epochs[t]) for t, lsn in peer.acked_lsns.items()
+        }
+        if seat == "central":
+            assert cursors == {
+                "t": (heads["t"], epoch),
+                "u": (heads["u"], epoch + 1),
+                "v": (heads["v"], epoch),
+            }
+        else:
+            assert cursors == {"v": (heads["v"], epoch)}
+
+
+class TestDeliveredEpoch:
+    @pytest.mark.parametrize("seat", ["central", "relay"])
+    def test_admit_records_what_was_sent_not_the_ring(self, seat):
+        """A rotation races a handshake: the dialer was answered with
+        the old bundle, the ring has moved on by the time it is
+        admitted.  Both seats must record the *delivered* epoch, so
+        the next pump ships the refresh before the cross-epoch
+        snapshot.  ``RelayServer`` used to seed the peer from its ring
+        as it stood after the handshake — the refresh was marked as
+        delivered and never sent."""
+        central, listener = make_seat("central")
+        sent = central.config_frame()
+        central.rotate_key()
+        if seat == "relay":
+            listener = RelayServer("relay-0")
+            join(central, listener)
+            central.fanout.settle()
+        assert listener.current_epoch() == sent.current_epoch + 1
+
+        edge, seen = EdgeServer("late"), []
+
+        def recording(data, inner=edge.handle_frame):
+            seen.append(type(frame_from_bytes(data)).__name__)
+            return inner(data)
+
+        edge.handle_frame = recording  # wrapped before it is wired
+        edge.adopt_config(sent)
+        listener.admit(edge.hello(), wire(edge), sent)
+        listener.fanout.pump()
+
+        assert seen[:2] == ["ConfigFrame", "SnapshotFrame"]
+        assert seen.count("ConfigFrame") == 1
+        assert edge.config.keyring.current_epoch == listener.current_epoch()
+        assert listener.fanout.settled()
+
+
+class TestPushes:
+    def test_metered_upstream_under_their_kind_and_withheld_by_faults(self):
+        """A dialer's own frames ride ``flush()`` like replies — same
+        ``up_channel``, same kind — and a pulled or held cable carries
+        nothing in either direction."""
+        ack = frame_to_bytes(
+            CursorAckFrame(edge="relay-0", cursors=(("t", 3, 0),))
+        )
+        outbox = [ack]
+
+        def pushes():
+            frames, outbox[:] = list(outbox), []
+            return frames
+
+        link = InProcessTransport("relay-0")
+        link.connect(lambda data: [], pushes)
+        for fault in ("partitioned", "hold"):
+            setattr(link.faults, fault, True)
+            assert link.flush() == [] and outbox == [ack]
+            link.faults.clear()
+        assert link.up_channel.total_bytes == 0
+
+        (reply,) = link.flush()
+        assert reply == frame_from_bytes(ack)
+        assert link.up_channel.bytes_by_kind() == {"ack": len(ack)}
+        assert link.flush() == [] and link.down_channel.total_bytes == 0

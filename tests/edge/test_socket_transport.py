@@ -554,21 +554,18 @@ class TestHelloCursorSanitizing:
         """A hello claiming an LSN beyond the log head (compromised
         edge, or an edge that outlived a central restart) is clamped —
         replication must keep flowing, never silently stop."""
-        from repro.edge.edge_server import EdgeServer
-        from repro.edge.link import InProcessTransport
+        from repro.edge.link import join
 
         central = make_central()
-        edge = EdgeServer(name="liar", config=central.edge_config())
-        link = InProcessTransport("liar")
-        edge.attach_transport(link)
-        central.attach_remote_edge(
-            "liar",
-            link,
+        edge = EdgeServer("liar")
+        edge.hello = lambda: HelloFrame(
+            edge="liar",
             cursors=(
                 ("t", 10**6, central.keyring.current_epoch),  # absurd LSN
                 ("no_such_table", 3, 0),                      # unknown replica
             ),
         )
+        join(central, edge)
         peer = central.fanout.peer("liar")
         assert peer.acked_lsns["t"] <= central.replicator.log_for("t").last_lsn
         assert "no_such_table" not in peer.acked_lsns

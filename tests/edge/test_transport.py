@@ -17,11 +17,12 @@ from repro.edge import telemetry
 from repro.edge.central import CentralServer
 from repro.edge.edge_server import EdgeServer
 from repro.edge.event_loop import guarded_handler
-from repro.edge.link import InProcessTransport
+from repro.edge.link import InProcessTransport, join
 from repro.edge.relay import RelayServer
 from repro.edge.transport import (
     MAX_TEXT_BYTES,
     DeltaFrame,
+    HelloFrame,
     QueryRequestFrame,
     QueryResponseFrame,
     error_response,
@@ -230,10 +231,7 @@ def _relay_seat(server):
     relay = RelayServer("seat")
     relay.adopt_config(server.config_frame())
     relay.handle_frame(frame_to_bytes(server.snapshot_frame("t")))
-    leaf = EdgeServer(name="leaf", config=server.edge_config())
-    link = InProcessTransport("leaf")
-    leaf.attach_transport(link)
-    relay.attach_edge("leaf", link)
+    join(relay, EdgeServer("leaf"))
     return relay, lambda: (
         {t: (st.snapshot, list(st.deltas), st.head) for t, st in relay.store.items()},
         relay.aggregated_cursors(), sorted(relay.fanout.peers),
@@ -334,7 +332,7 @@ class TestErrorTextIsClipped:
         relay.adopt_config(make_central().config_frame())
         link = DeadLink("leaf")
         link.connect(lambda data: [])
-        relay.attach_edge("leaf", link)
+        relay.admit(HelloFrame(edge="leaf"), link, relay.config_frame())
         (reply,) = relay.handle_frame(
             frame_to_bytes(QueryRequestFrame(kind="range", table="t"))
         )

@@ -129,3 +129,27 @@ def test_fault_fields_extracted_from_real_transport():
     for name in names:
         assert f"\n| `{name}` |" in doc
     assert not any("FaultInjector" in p for p in checker.check())
+
+
+def test_seat_table_gated(tmp_path):
+    """The seat table (section 3) is held to the classes with
+    ``hasattr``: a member the code does not have is reported per
+    class, and so is a missing row."""
+    checker = _load_checker()
+    renamed = _edited_doc(
+        tmp_path,
+        lambda doc: doc.replace(
+            "| listener | `config_frame`, `admit` |",
+            "| listener | `config_frame`, `enrol` |",
+        ),
+    )
+    problems = checker.check(renamed)
+    assert len(problems) == 2
+    for owner in ("CentralServer", "RelayServer"):
+        assert any(f"{owner} has no 'enrol'" in p for p in problems)
+    rowless = _edited_doc(
+        tmp_path,
+        lambda doc: doc.replace("| dialer | `hello`", "| caller | `hello`"),
+    )
+    (problem,) = checker.check(rowless)
+    assert "no seat table row '| dialer |" in problem

@@ -22,7 +22,10 @@ actually composes.  Likewise the fabriclint rule table
 (ARCHITECTURE.md section 7): every ``rule_id`` registered in
 ``tools/fabriclint/rules.py`` must have a row ``| `FLnnn` | ...``,
 and every row must name a registered rule — the documented invariant
-catalog and the enforced one stay the same catalog.  Adding a frame
+catalog and the enforced one stay the same catalog.  And the seat
+table (section 3): every member it lists for the listener and dialer
+seats must be an attribute of every class it lists beside them, so the
+protocol the document describes is the one the code has.  Adding a frame
 field, a fault hook, or a lint rule without documenting it fails CI's
 lint job — and the tier-1 suite
 (``tests/test_docs_consistency.py``), so the gap is caught before the
@@ -99,6 +102,36 @@ def fabriclint_table_rows(doc: str) -> list[str]:
     return re.findall(r"^\| `(FL\d+)` \|", doc, flags=re.MULTILINE)
 
 
+def seat_problems(doc: str) -> list[str]:
+    """The seat table (ARCHITECTURE.md section 3): every member a row
+    names must exist on every class the row names."""
+    from repro.edge.central import CentralServer
+    from repro.edge.edge_server import EdgeServer
+    from repro.edge.relay import RelayServer
+
+    classes = {c.__name__: c for c in (CentralServer, EdgeServer, RelayServer)}
+    problems = []
+    for seat in ("listener", "dialer"):
+        row = re.search(
+            rf"^\| {seat} \|([^|]*)\|([^|]*)\|", doc, flags=re.MULTILINE
+        )
+        cells = row.groups() if row else ("", "")
+        members, owners = (re.findall(r"`(\w+)`", cell) for cell in cells)
+        if not members or not owners:
+            problems.append(
+                f"docs/ARCHITECTURE.md has no seat table row '| {seat} | "
+                "`members` | `classes` |'"
+            )
+        problems += [
+            f"seat table: {owner} has no {member!r} (the {seat} seat of "
+            "docs/ARCHITECTURE.md section 3 is not the one the code has)"
+            for owner in owners
+            for member in members
+            if not hasattr(classes.get(owner), member)
+        ]
+    return problems
+
+
 def check(architecture_path: str = ARCHITECTURE,
           rules_path: str = FABRICLINT_RULES) -> list[str]:
     """Return a list of human-readable problems (empty = consistent)."""
@@ -111,7 +144,7 @@ def check(architecture_path: str = ARCHITECTURE,
     except OSError as exc:
         return [f"cannot read docs/ARCHITECTURE.md: {exc}"]
 
-    problems = frame_problems(doc, frame_reference())
+    problems = frame_problems(doc, frame_reference()) + seat_problems(doc)
 
     # The fault-hook table (chaos battery, DESIGN.md section 14): every
     # FaultInjector field must have a row '| `field` | ...' so the doc
