@@ -68,7 +68,7 @@ from repro.edge.transport import (
     secondary_query_frame,
     select_query_frame,
 )
-from repro.exceptions import TransportError
+from repro.exceptions import ReplicationError, TransportError
 
 __all__ = ["EdgeProcess", "Deployment", "ShardedDeployment"]
 
@@ -489,10 +489,13 @@ class Deployment:
 
         Returns:
             The pump-then-drain rounds it took.
+
+        Raises:
+            ReplicationError: If ``table`` is not a replicated table.
         """
-        return self.central.fanout.settle(
-            [table] if table else None, rounds=_SYNC_ROUNDS
-        )
+        if table is not None and table not in self.central.vbtrees:
+            raise ReplicationError(f"no VB-tree for {table!r}")
+        return self.central.fanout.settle([table] if table else None, _SYNC_ROUNDS)
 
     def staleness(self, name: str, table: str) -> int:
         """LSN lag of ``name``'s replica of ``table`` (ack-fed)."""

@@ -464,8 +464,8 @@ class FanoutEngine:
             self.pump(tables)
             self.drain(wait=True)
             if self.settled(tables):
-                break
-        return used
+                return used
+        return max(rounds, 0)
 
     def settled(self, tables: Optional[Iterable[str]] = None) -> bool:
         """True when every *connected* peer has nothing in flight, no

@@ -386,10 +386,11 @@ def wire(dialer, faults: FaultInjector | None = None) -> InProcessTransport:
     :class:`~repro.edge.edge_server.EdgeServer` or
     :class:`~repro.edge.relay.RelayServer`): frames sent go to its
     ``handle_frame``, its ``pending_upstream`` frames come back on
-    :meth:`InProcessTransport.flush`.  Both are read here, once — a
-    test that wants the bytes wraps ``dialer.handle_frame`` first."""
+    :meth:`InProcessTransport.flush`.  Both are looked up per call, so
+    a test that wants the bytes assigns a wrapper to
+    ``dialer.handle_frame`` — before or after the node joins."""
     link = InProcessTransport(dialer.name, faults=faults)
-    link.connect(dialer.handle_frame, dialer.pending_upstream)
+    link.connect(lambda d: dialer.handle_frame(d), lambda: dialer.pending_upstream())
     return link
 
 

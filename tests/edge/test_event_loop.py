@@ -40,7 +40,7 @@ from repro.edge.event_loop import EdgeEventLoop, EdgeHost, ReactorTransport
 from repro.edge.link import FaultInjector, InProcessTransport
 from repro.edge.socket_transport import FRAME_HEADER, FrameDecoder
 from repro.edge.transport import MAX_FRAME_BYTES, DeltaFrame, frame_to_bytes
-from repro.exceptions import TransportError
+from repro.exceptions import ReplicationError, TransportError
 from repro.workloads.generator import TableSpec, generate_table
 
 pytestmark = [pytest.mark.event_loop, pytest.mark.timeout(120)]
@@ -381,6 +381,23 @@ class TestReactorDeployment:
         finally:
             host.close()
             deploy.shutdown()
+
+    def test_sync_of_an_unknown_table_raises_before_touching_anything(self):
+        """A mistyped table name fails loudly and leaves no trace —
+        with a peer attached and with none (where a bare pump would
+        have returned silently)."""
+        central, deploy, host, _names = _tcp_fleet(1)
+        try:
+            with pytest.raises(ReplicationError, match="no VB-tree"):
+                deploy.sync("typo")
+            assert "typo" not in central.replicator.logs
+            assert deploy.sync("items") == 1
+        finally:
+            host.close()
+            deploy.shutdown()
+        with Deployment(make_central()) as alone:
+            with pytest.raises(ReplicationError, match="no VB-tree"):
+                alone.sync("typo")
 
     def test_held_edge_parks_queue_and_never_delays_healthy_edges(self):
         """Satellite regression (ISSUE: backpressure): a slow /

@@ -344,6 +344,7 @@ class TestFrameSourceSeam:
         link = InProcessTransport("e", faults=FaultInjector(hold=True))
         link.connect(edge.handle)
         peer = engine.attach("e", link)
+        assert engine.settle(rounds=0) == 0 and not peer.outstanding
         assert engine.settle(rounds=3) == 3
         assert not engine.settled() and edge.seen == []
         assert [r.kind for r in peer.outstanding] == ["snapshot"]

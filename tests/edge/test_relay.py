@@ -28,6 +28,7 @@ from repro.edge.relay import RelayServer, _TableStore
 from repro.edge.sharding import ShardMap
 from repro.edge.link import InProcessTransport
 from repro.edge.transport import (
+    AckFrame,
     ConfigFrame,
     CursorAckFrame,
     DeltaFrame,
@@ -72,7 +73,7 @@ def tap(fleet, name, sink, frame_types=(SnapshotFrame, DeltaFrame)):
             sink.append(data)
         return inner(data)
 
-    fleet.link(name).connect(handler, node.pending_upstream)
+    node.handle_frame = handler
 
 
 def agg_map(relay):
@@ -401,7 +402,7 @@ class TestRouterQuarantineThroughRelay:
                 replies.append(frame_to_bytes(frame))
             return replies
 
-        fleet.link("edge-0").connect(corrupt, edge.pending_upstream)
+        edge.handle_frame = corrupt
         fleet.settle()
         verifying = fleet.router
         for _ in range(4):
@@ -430,17 +431,29 @@ class TestRotationAndConfigPassThrough:
         fleet = make_tree()
         central, relay = fleet.central, fleet.relays["relay-0"]
         old_epoch = relay.store[TABLE].epoch
-        seen = []
-        tap(fleet, "relay-0", seen, (ConfigFrame, SnapshotFrame))
+        kinds, config_replies = [], []
+
+        def record(data, inner=relay.handle_frame):
+            frame, replies = frame_from_bytes(data), inner(data)
+            if isinstance(frame, (ConfigFrame, SnapshotFrame)):
+                kinds.append(type(frame))
+            if isinstance(frame, ConfigFrame):
+                config_replies.extend(replies)
+            return replies
+
+        relay.handle_frame = record
 
         central.rotate_key()
         central.insert(TABLE, (5000, "a", "b"))
         fleet.settle()
         assert relay.store[TABLE].epoch > old_epoch
-        kinds = [type(frame_from_bytes(data)) for data in seen]
         assert kinds.count(ConfigFrame) == 1
         assert kinds.index(ConfigFrame) < kinds.index(SnapshotFrame)
         epoch = central.keyring.current_epoch
+        # The relay answers the refresh with one control ack.
+        (ack,) = [frame_from_bytes(raw) for raw in config_replies]
+        assert isinstance(ack, AckFrame) and ack.ok
+        assert (ack.table, ack.reason, ack.epoch) == ("", "config", epoch)
         assert relay.config.keyring.current_epoch == epoch
         assert all(
             e.config.keyring.current_epoch == epoch
