@@ -35,14 +35,15 @@ def main() -> None:
 
     # 4. Projection is done AT THE EDGE (the paper's headline feature):
     #    filtered attributes are replaced by their 16-byte digests, which
-    #    the edge hashes from the row it holds.
+    #    the edge hashes from the row it holds.  Same range, same signed
+    #    digests: the client decrypted them in step 3 and remembers.
     response = edge.range_query("items", low=100, high=160,
                                 columns=("id", "a1"))
     verdict = client.verify(response)
     print(f"\nprojected query (2 of 10 columns): ok={verdict.ok}, "
           f"D_P carries {len(response.result.vo.projection_digests) // 16} "
           f"bare attribute digests, {verdict.digests_decrypted} signature "
-          f"decryptions")
+          f"decryptions ({verdict.digests_recalled} recalled)")
     assert verdict.ok
 
     # 5. A hacker corrupts one value in the edge server's replica...

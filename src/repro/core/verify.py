@@ -26,12 +26,17 @@ Any of the following makes verification fail:
 
 Verification returns a :class:`Verdict` rather than raising, so callers
 can treat tampering as data, not control flow.
+
+A verifier is stateful in exactly one way: it remembers the value every
+signature it has already decrypted recovered to (DESIGN.md §23), so a
+signed digest it meets again — the upper nodes and hot leaves that every
+envelope repeats — costs a dictionary probe, not a ``pow``.  The key
+ring is still asked on every use; a fresh verifier is the cold one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass
 
 from repro.core.digests import DigestEngine, DigestPolicy
 from repro.core.vo import AuthenticatedResult, VOFormat
@@ -47,6 +52,13 @@ from repro.exceptions import (
 
 __all__ = ["Verdict", "ResultVerifier"]
 
+#: Ceiling on remembered recoveries per verifier, sized by memory: an
+#: entry is ≈ 265 B at 512-bit keys, so ≤ ≈ 2.2 MB.  A table of 2 000
+#: rows has 2 079 signatures; a verifier that has met more than this
+#: many distinct ones starts over, which also bounds what an edge
+#: replaying old valid signatures can make a client hold.
+_RECOVERED_MAX = 8192
+
 
 @dataclass
 class Verdict:
@@ -56,13 +68,20 @@ class Verdict:
         ok: True if the result is proven consistent with the signatures.
         reason: Human-readable explanation (``"verified"`` on success).
         rows_checked: Number of result tuples covered by the check.
-        digests_decrypted: Signature decryptions performed (``Cost_v``).
+        digests_decrypted: Public-key operations this verification made
+            (the paper's ``Cost_v``), counted by the verifier itself —
+            attempts that failed included.
+        digests_recalled: Signed digests whose value this verifier had
+            already recovered and did not decrypt again.  On an accepted
+            result the two sum to ``vo.digest_count()``; on a verifier's
+            first result ``digests_recalled`` is 0.
     """
 
     ok: bool
     reason: str = "verified"
     rows_checked: int = 0
     digests_decrypted: int = 0
+    digests_recalled: int = 0
 
 
 class ResultVerifier:
@@ -71,11 +90,14 @@ class ResultVerifier:
     Args:
         engine: Digest engine configured identically to the central
             server's (same commutative hash, policy, db name).
-        public_key: The central server's public key — used when no key
-            ring is supplied, or as a fallback for epoch 0.
+        public_key: The central server's public key — used only when no
+            key ring is supplied, and then for every epoch a signature
+            claims (the claim must still match the epoch the signature
+            embeds); ignored beside a key ring.
         keyring: Optional key-epoch registry; enables stale-replay
             detection on rotated keys.
-        meter: Cost meter (hashes/combines/verifies) for the benches.
+        meter: Cost meter (hashes/combines/verifies) for the benches;
+            ``verifies`` counts real decryptions only.
     """
 
     def __init__(
@@ -90,37 +112,54 @@ class ResultVerifier:
         self.engine = engine
         self.keyring = keyring
         self.meter = meter
-        self._fixed_verifier = (
-            DigestVerifier(public_key, meter=meter) if public_key else None
-        )
-        self._epoch_verifiers: dict[int, DigestVerifier] = {}
+        self._public_key = public_key
+        self._verifiers: dict[int, DigestVerifier] = {}
+        #: ``(n, e, epoch, signature) -> value``: what ``signature^e mod
+        #: n`` recovered to, stored only after every check passed.
+        self._recovered: dict[tuple[int, int, int, int], int] = {}
+        self._decrypted = self._recalled = 0
 
     # ------------------------------------------------------------------
     # Signature recovery with epoch validation
     # ------------------------------------------------------------------
 
     def _verifier_for(self, signed: SignedDigest) -> DigestVerifier:
-        if self.keyring is not None:
-            # Validity must be re-checked on EVERY recovery: an epoch that
-            # was acceptable earlier may since have expired (stale replay).
-            key = self.keyring.public_key_for(signed.epoch)  # may raise
-            cached = self._epoch_verifiers.get(signed.epoch)
-            if cached is None:
-                cached = DigestVerifier(key, meter=self.meter)
-                self._epoch_verifiers[signed.epoch] = cached
-            return cached
-        assert self._fixed_verifier is not None
-        return self._fixed_verifier
+        # Validity must be re-checked on EVERY use, remembered or not: an
+        # epoch that was acceptable earlier may since have expired (stale
+        # replay).  Without a ring every claimed epoch resolves to the one
+        # key (a wire epoch is two bytes, which bounds the map).
+        key = (
+            self.keyring.public_key_for(signed.epoch)  # may raise
+            if self.keyring is not None
+            else self._public_key
+        )
+        verifier = self._verifiers.get(signed.epoch)
+        if verifier is None or verifier.public_key is not key:
+            verifier = DigestVerifier(key, meter=self.meter)
+            self._verifiers[signed.epoch] = verifier
+        return verifier
 
     def _recover(self, signed: SignedDigest) -> int:
-        """Decrypt a signed digest, enforcing epoch validity and that
-        the recovered value is one a digest can take."""
-        value = self._verifier_for(signed).recover(signed)
+        """The value of a signed digest, enforcing epoch validity and
+        that the value is one a digest can take — decrypted on first
+        sight, remembered after."""
+        verifier = self._verifier_for(signed)
+        key = verifier.public_key
+        memo_key = (key.n, key.e, signed.epoch, signed.signature)
+        value = self._recovered.get(memo_key)
+        if value is not None:
+            self._recalled += 1
+            return value
+        self._decrypted += 1
+        value = verifier.recover(signed)
         if value >= self.engine.commutative.modulus:
             raise SignatureError(
                 "recovered value is wider than any digest the central "
                 "server signs"
             )
+        if len(self._recovered) >= _RECOVERED_MAX:
+            self._recovered.clear()
+        self._recovered[memo_key] = value
         return value
 
     # ------------------------------------------------------------------
@@ -129,7 +168,7 @@ class ResultVerifier:
 
     def verify(self, result: AuthenticatedResult) -> Verdict:
         """Verify one authenticated result (Lemmas 1 and 2)."""
-        meter_before = self.meter.verifies
+        self._decrypted = self._recalled = 0
         try:
             self._structural_checks(result)
             if result.vo.format is VOFormat.FLAT_SET:
@@ -137,30 +176,26 @@ class ResultVerifier:
             else:
                 ok = self._verify_structured(result)
         except StaleKeyError as exc:
-            return self._verdict(result, False, f"stale key epoch: {exc}", meter_before)
+            return self._verdict(result, False, f"stale key epoch: {exc}")
         except SignatureError as exc:
-            return self._verdict(result, False, f"bad signature: {exc}", meter_before)
+            return self._verdict(result, False, f"bad signature: {exc}")
         except VOFormatError as exc:
-            return self._verdict(result, False, f"malformed VO: {exc}", meter_before)
+            return self._verdict(result, False, f"malformed VO: {exc}")
         if not ok:
             return self._verdict(
-                result, False, "digest mismatch: result tampered or VO wrong",
-                meter_before,
+                result, False, "digest mismatch: result tampered or VO wrong"
             )
-        return self._verdict(result, True, "verified", meter_before)
+        return self._verdict(result, True, "verified")
 
     def _verdict(
-        self,
-        result: AuthenticatedResult,
-        ok: bool,
-        reason: str,
-        meter_before: int,
+        self, result: AuthenticatedResult, ok: bool, reason: str
     ) -> Verdict:
         return Verdict(
             ok=ok,
             reason=reason,
             rows_checked=result.num_rows,
-            digests_decrypted=self.meter.verifies - meter_before,
+            digests_decrypted=self._decrypted,
+            digests_recalled=self._recalled,
         )
 
     # ------------------------------------------------------------------

@@ -141,18 +141,14 @@ class DigestVerifier:
     def __init__(
         self, public_key: RSAPublicKey, meter: CostMeter = NULL_METER
     ) -> None:
-        self._key = public_key
+        #: The public key in use.
+        self.public_key = public_key
         self.meter = meter
-
-    @property
-    def public_key(self) -> RSAPublicKey:
-        """The public key in use."""
-        return self._key
 
     @property
     def signature_len(self) -> int:
         """Byte width of raw signatures under this key."""
-        return self._key.signature_len
+        return self.public_key.signature_len
 
     def recover(self, signed: SignedDigest) -> int:
         """Decrypt a signed digest and return the embedded digest value.
@@ -163,7 +159,7 @@ class DigestVerifier:
                 indicator).
         """
         self.meter.count_verify()
-        payload = self._key.apply(signed.signature)
+        payload = self.public_key.apply(signed.signature)
         value, epoch = divmod(payload, _EPOCH_SPACE)
         if epoch != signed.epoch:
             raise SignatureError(

@@ -59,11 +59,6 @@ class ColumnType:
         raise NotImplementedError
 
     @property
-    def fixed_width(self) -> bool:
-        """True if every value of this type occupies the same space."""
-        return True
-
-    @property
     def orderable(self) -> bool:
         """True if the type supports range predicates / B-tree keys."""
         return True

@@ -317,12 +317,6 @@ class CentralServer:
         except KeyError:
             raise SchemaError(f"no table {name!r}") from None
 
-    def _vbtree(self, name: str) -> VBTree:
-        try:
-            return self.vbtrees[name]
-        except KeyError:
-            raise SchemaError(f"no VB-tree for {name!r}") from None
-
     # ------------------------------------------------------------------
     # Updates (Section 3.4 — updates go through the central server)
     #

@@ -9,8 +9,6 @@ over Devanbu et al.'s periodic digest broadcasts.
 
 from __future__ import annotations
 
-from typing import Union
-
 from repro.core.digests import DigestEngine
 from repro.core.verify import ResultVerifier, Verdict
 from repro.core.vo import AuthenticatedResult
@@ -23,6 +21,13 @@ __all__ = ["Client"]
 
 class Client:
     """A verifying client.
+
+    A client is stateful: its verifier remembers the value of every
+    signed digest it has already decrypted (DESIGN.md §23), so a digest
+    met again costs a dictionary probe while the key ring is still asked
+    on every use.  A fresh ``Client`` is the cold verifier the paper's
+    ``Cost_v`` prices; ``Verdict.digests_decrypted`` and
+    ``digests_recalled`` say which half each verification paid.
 
     Args:
         config: Verification parameters from
@@ -41,9 +46,7 @@ class Client:
             engine, keyring=config.keyring, meter=self.meter
         )
 
-    def verify(
-        self, response: Union[EdgeResponse, AuthenticatedResult]
-    ) -> Verdict:
+    def verify(self, response: EdgeResponse | AuthenticatedResult) -> Verdict:
         """Verify an edge response (or a bare authenticated result)."""
         result = (
             response.result if isinstance(response, EdgeResponse) else response

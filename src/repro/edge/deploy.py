@@ -53,7 +53,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Sequence
 
 from repro.core.vo import VOFormat
-from repro.core.wire import predicate_to_bytes, result_from_bytes
+from repro.core.wire import predicate_to_bytes
 from repro.edge.central import CentralServer
 from repro.edge.edge_server import EdgeResponse
 from repro.edge.event_loop import EdgeEventLoop, ReactorTransport
@@ -509,14 +509,8 @@ class Deployment:
             raise TransportError(
                 f"edge {name!r} rejected query: {reply.error}"
             )
-        result = result_from_bytes(reply.payload)
-        return EdgeResponse(
-            edge_name=reply.edge,
-            result=result,
-            wire_bytes=len(reply.payload),
-            transfer=self.edges[name].transport.up_channel.transfers[-1],
-            lsn=reply.lsn,
-            epoch=reply.epoch,
+        return EdgeResponse.from_frame(
+            reply, self.edges[name].transport.up_channel.transfers[-1]
         )
 
     def make_router(

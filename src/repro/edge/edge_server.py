@@ -40,7 +40,7 @@ from repro.core.wire import (
     result_to_bytes,
     snapshot_from_bytes,
 )
-from repro.crypto.meter import CostMeter, NULL_METER
+from repro.crypto.meter import CostMeter
 from repro.db.expressions import Predicate
 from repro.edge import telemetry
 from repro.edge.central import ClientConfig
@@ -100,6 +100,20 @@ class EdgeResponse:
     lsn: int = 0
     epoch: int = 0
 
+    @classmethod
+    def from_frame(
+        cls, reply: QueryResponseFrame, transfer: Transfer
+    ) -> "EdgeResponse":
+        """What a client makes of one successful response frame."""
+        return cls(
+            edge_name=reply.edge,
+            result=result_from_bytes(reply.payload),
+            wire_bytes=len(reply.payload),
+            transfer=transfer,
+            lsn=reply.lsn,
+            epoch=reply.epoch,
+        )
+
 
 class EdgeServer:
     """One edge-of-network replica server.
@@ -109,8 +123,6 @@ class EdgeServer:
         config: Public verification parameters (:class:`EdgeConfig`);
             an edge that *joins* a listener (:meth:`hello`, then
             :meth:`adopt_config` with the reply) starts without one.
-        channel: Network channel to clients (byte accounting); created
-            with this edge's cost meter if not given.
         ack_every: Ack-coalescing frame threshold (DESIGN.md section
             10): replication frames are acknowledged with one
             cumulative :class:`~repro.edge.transport.CursorAckFrame`
@@ -130,7 +142,6 @@ class EdgeServer:
         self,
         name: str,
         config: EdgeConfig | None = None,
-        channel: Channel | None = None,
         ack_every: int = 1,
         ack_bytes: int = 1 << 18,
     ) -> None:
@@ -143,12 +154,9 @@ class EdgeServer:
         self._unacked_frames = 0
         self._unacked_bytes = 0
         self.meter = CostMeter()
-        if channel is None:
-            channel = Channel(meter=self.meter)
-        elif channel.meter is NULL_METER:
-            # Count response bytes in exactly one place: the channel.
-            channel.meter = self.meter
-        self.channel = channel
+        #: Edge→client byte accounting; response bytes are counted in
+        #: exactly one place, this channel, into this edge's meter.
+        self.channel = Channel(meter=self.meter)
         #: Central→edge byte accounting (deltas and snapshots): the
         #: replication link's down channel for an edge the central
         #: spawned; a private, silent one otherwise.
@@ -508,15 +516,7 @@ class EdgeServer:
             if exc is not None:
                 raise exc
             raise TransportError(response.error)
-        result = result_from_bytes(response.payload)
-        return EdgeResponse(
-            edge_name=self.name,
-            result=result,
-            wire_bytes=len(response.payload),
-            transfer=self.channel.transfers[-1],
-            lsn=response.lsn,
-            epoch=response.epoch,
-        )
+        return EdgeResponse.from_frame(response, self.channel.transfers[-1])
 
     def _execute_query(self, frame: QueryRequestFrame) -> QueryResponseFrame:
         vo_format = VOFormat(frame.vo_format) if frame.vo_format else None

@@ -63,7 +63,6 @@ from collections import deque
 from typing import Callable, Optional, Sequence
 
 from repro.edge import telemetry
-from repro.edge.network import Channel
 from repro.edge.link import FaultInjector, SendOutcome, Transport
 from repro.edge.socket_transport import (
     _IOV_MAX,
@@ -431,8 +430,6 @@ class ReactorTransport(Transport):
         name: The edge's name (link label).
         loop: The owning reactor.
         sock: Connected socket (ownership transfers to the loop).
-        down_channel / up_channel: Byte accounting, as for every
-            :class:`~repro.edge.link.Transport`.
         faults: Initial fault state (healthy by default).
         timeout: Settle deadline for :meth:`poll` and :meth:`request`
             — a peer silent for longer counts as wedged (the reply
@@ -444,12 +441,10 @@ class ReactorTransport(Transport):
         name: str,
         loop: EdgeEventLoop,
         sock: socket.socket,
-        down_channel: Channel | None = None,
-        up_channel: Channel | None = None,
         faults: FaultInjector | None = None,
         timeout: float = 10.0,
     ) -> None:
-        super().__init__(name, down_channel, up_channel)
+        super().__init__(name)
         self.faults = faults or FaultInjector()
         self.timeout = timeout
         self._loop = loop
@@ -504,17 +499,17 @@ class ReactorTransport(Transport):
             if self.faults.partitioned:
                 return SendOutcome(status="failed")
             data = frame_to_bytes(frame)
-            transfer = self._record_send(data, frame)
+            self._record_send(data, frame)
             if self.faults.drop_next > 0:
                 self.faults.drop_next -= 1
-                return SendOutcome(status="dropped", transfer=transfer)
+                return SendOutcome(status="dropped")
             if self.faults.delay > 0:
                 self._slow_until = max(
                     self._slow_until, time.monotonic() + self.faults.delay
                 )
             self._loop.enqueue(self._conn, data)
             self._pending += 1
-            return SendOutcome(status="queued", transfer=transfer)
+            return SendOutcome(status="queued")
 
     def _collect(self) -> list:
         """Decode and meter everything the loop has landed in the inbox."""

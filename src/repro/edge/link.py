@@ -42,9 +42,9 @@ concern (the reactor's queue lock), never the codec's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
-from repro.edge.network import Channel, Transfer
+from repro.edge.network import Channel
 from repro.edge.transport import (
     Frame,
     frame_from_bytes,
@@ -114,16 +114,10 @@ class SendOutcome:
             ``dropped`` (lost in flight), or ``failed`` (partitioned —
             nothing left the sender).
         replies: Frames the peer sent back (delivered sends only).
-        transfer: Byte/latency accounting record (absent when failed).
     """
 
     status: str
     replies: list = field(default_factory=list)
-    transfer: Optional[Transfer] = None
-
-    @property
-    def delivered(self) -> bool:
-        return self.status == "delivered"
 
 
 class Transport:
@@ -161,13 +155,13 @@ class Transport:
 
     # -- metering (one implementation for every medium) -----------------
 
-    def _record_send(self, data: bytes, frame: Frame) -> Transfer:
+    def _record_send(self, data: bytes, frame: Frame) -> None:
         """Meter one outbound serialized frame."""
-        return self.down_channel.send(len(data), kind=frame_kind(frame))
+        self.down_channel.send(len(data), kind=frame_kind(frame))
 
-    def _record_reply(self, data: bytes, frame: Frame) -> Transfer:
+    def _record_reply(self, data: bytes, frame: Frame) -> None:
         """Meter one inbound serialized reply frame."""
-        return self.up_channel.send(len(data), kind=frame_kind(frame))
+        self.up_channel.send(len(data), kind=frame_kind(frame))
 
     # -- the transport surface ------------------------------------------
 
@@ -307,21 +301,17 @@ class InProcessTransport(Transport):
         if self.faults.partitioned:
             return SendOutcome(status="failed")
         data = frame_to_bytes(frame)
-        transfer = self._record_send(data, frame)
+        self._record_send(data, frame)
         if self.faults.drop_next > 0:
             self.faults.drop_next -= 1
-            return SendOutcome(status="dropped", transfer=transfer)
+            return SendOutcome(status="dropped")
         if self.faults.hold or self.faults.delay > 0:
             # A held frame waits for the fault to clear; a delayed
             # frame merely waits for the next flush — the in-process
             # model of a slow link is "delivered one tick late".
             self._queue.append(data)
-            return SendOutcome(status="queued", transfer=transfer)
-        return SendOutcome(
-            status="delivered",
-            replies=self._deliver(data),
-            transfer=transfer,
-        )
+            return SendOutcome(status="queued")
+        return SendOutcome(status="delivered", replies=self._deliver(data))
 
     def flush(self) -> list:
         """Drain held frames once faults have cleared, then whatever

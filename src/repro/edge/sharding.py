@@ -56,10 +56,9 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.constants import RSA_BITS
-from repro.core.digests import DigestPolicy
 from repro.crypto.encoding import encode_value
 from repro.db.schema import TableSchema
-from repro.edge.central import CentralServer, ClientConfig, ReplicationMode
+from repro.edge.central import CentralServer, ClientConfig
 from repro.exceptions import ReplicationError, SchemaError
 
 __all__ = [
@@ -318,12 +317,12 @@ class ShardedCentral:
         shards: Number of signer shards.
         seed: Deterministic key-generation seed; shard ``i`` derives
             its signing key from ``seed + i`` so every shard signs
-            under a *different* key pair.
-        map_seed: Placement seed for the shard map (defaults to
-            ``seed`` or 0).
-        rsa_bits / policy / replication: Forwarded to every shard.
+            under a *different* key pair; it also seeds the shard map's
+            placement (0 when ``None``).
+        rsa_bits: Forwarded to every shard.
         **central_kwargs: Remaining :class:`CentralServer` options,
-            forwarded to every shard (fan-out windows, ack policy, …).
+            forwarded to every shard (digest policy, replication mode,
+            fan-out windows, ack policy, …).
     """
 
     def __init__(
@@ -331,26 +330,19 @@ class ShardedCentral:
         db_name: str,
         shards: int = 4,
         seed: int | None = None,
-        map_seed: int | None = None,
         rsa_bits: int = RSA_BITS,
-        policy: DigestPolicy = DigestPolicy.FLATTENED,
-        replication: ReplicationMode = ReplicationMode.EAGER,
         **central_kwargs,
     ) -> None:
         if shards < 1:
             raise ReplicationError("a sharded central needs shards >= 1")
         self.db_name = db_name
         self.nshards = shards
-        if map_seed is None:
-            map_seed = seed if seed is not None else 0
-        self.shard_map = ShardMap(nshards=shards, seed=map_seed)
+        self.shard_map = ShardMap(nshards=shards, seed=seed or 0)
         self.shards: list[CentralServer] = [
             CentralServer(
                 db_name,
                 rsa_bits=rsa_bits,
                 seed=None if seed is None else seed + i,
-                policy=policy,
-                replication=replication,
                 shard_id=i,
                 **central_kwargs,
             )
@@ -483,10 +475,6 @@ class ShardedCentral:
         """Shard ``shard_id``'s verification bundle — results from a
         shard verify against *that shard's* key ring and no other."""
         return self.shards[shard_id].client_config()
-
-    def client_configs(self) -> dict[int, ClientConfig]:
-        """Every shard's verification bundle, by shard id."""
-        return {i: s.client_config() for i, s in enumerate(self.shards)}
 
     def make_router(self, policy: Any = "round_robin", **kwargs):
         """A :class:`~repro.edge.router.ScatterGatherRouter` over every

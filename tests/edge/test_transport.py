@@ -172,7 +172,7 @@ class TestQueryOverTransport:
         outcome = link.send(
             QueryRequestFrame(kind="range", table="t", low=10, high=40)
         )
-        assert outcome.delivered
+        assert outcome.status == "delivered"
         (response,) = outcome.replies
         assert isinstance(response, QueryResponseFrame)
         result = result_from_bytes(response.payload)
