@@ -200,7 +200,7 @@ def relay_storm(seed: int = 0) -> ChaosReport:
     # once the table has grown: steady insert churn must trip eviction
     # at least once, while the early chain survives long enough for
     # the rotation snapshot to have deltas to compact.  The cap is
-    # sized to this table's payloads (three evictions, seven compacted
+    # sized to this table's payloads (five evictions, seven compacted
     # frames, from 11 800 to 12 600 B — this is the middle): a format
     # change that moves their size moves it too.
     fleet = chaos_fleet(

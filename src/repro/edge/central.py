@@ -158,16 +158,12 @@ class CentralServer:
         return self._keypair.public
 
     def client_config(self) -> ClientConfig:
-        """Bundle of verification parameters for clients."""
+        """Bundle of verification parameters — the public parameters
+        an edge server is allowed to hold are the same bundle: edges
+        and clients trust exactly the same PKI-distributed one."""
         return ClientConfig(
             db_name=self.db_name, policy=self.policy, keyring=self.keyring
         )
-
-    def edge_config(self) -> ClientConfig:
-        """Bundle of public parameters an edge server is allowed to
-        hold — identical to :meth:`client_config`: edges and clients
-        trust exactly the same PKI-distributed verification bundle."""
-        return self.client_config()
 
     def make_client(self, meter=None):
         """Construct a :class:`~repro.edge.client.Client` wired to this
@@ -306,10 +302,6 @@ class CentralServer:
         self._secondary_of.setdefault(table, []).append(name)
         self.propagate(name)
         return name
-
-    def secondary_index_name(self, table: str, attribute: str) -> str:
-        """Canonical name of a secondary index."""
-        return secondary_index_name(table, attribute)
 
     def _table(self, name: str) -> Table:
         try:
@@ -539,7 +531,7 @@ class CentralServer:
 
     def config_frame(self) -> ConfigFrame:
         return config_to_frame(
-            self.edge_config(),
+            self.client_config(),
             ack_every=self.ack_every,
             ack_bytes=self.ack_bytes,
         )
@@ -652,7 +644,7 @@ class CentralServer:
         # with nothing sent and never refreshed.
         edge = EdgeServer(
             name=name,
-            config=self.edge_config(),
+            config=self.client_config(),
             ack_every=self.ack_every,
             ack_bytes=self.ack_bytes,
         )

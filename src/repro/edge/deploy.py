@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import os
 import random
-import socket
 import subprocess
 import sys
 import threading
@@ -56,10 +55,10 @@ from repro.core.vo import VOFormat
 from repro.core.wire import predicate_to_bytes
 from repro.edge.central import CentralServer
 from repro.edge.edge_server import EdgeResponse
-from repro.edge.event_loop import EdgeEventLoop, ReactorTransport
+from repro.edge.event_loop import EdgeEventLoop, SocketListener
 from repro.edge.link import Transport
 from repro.edge.router import DeploymentQueryChannel, EdgeRouter, VerifyingRouter
-from repro.edge.socket_transport import listen_on, serve_handshakes
+from repro.edge.socket_transport import listen_on
 from repro.edge.transport import (
     ConfigFrame,
     HelloFrame,
@@ -159,7 +158,8 @@ class Deployment:
         host: Listen address (loopback by default); relays launched
             here listen on it too.
         port: Listen port (``0`` = ephemeral; read :attr:`address`).
-        io_timeout: Settle/receive timeout on every accepted link.
+        io_timeout: Handshake budget, and the query-reply deadline
+            of every accepted link.
         log_dir: Directory for per-process stdout/stderr logs;
             processes are silenced (``/dev/null``) when not given.
         reactor: Share an existing :class:`EdgeEventLoop` instead of
@@ -195,21 +195,12 @@ class Deployment:
         self.log_dir = log_dir
         self.shard_map = shard_map
         self.edges: dict[str, EdgeProcess] = {}
-        # Bind first: a failed bind must not leave an orphaned loop
-        # assigned to the fan-out engine.
-        self._listener = listen_on(host, port)
-        self._owns_reactor = reactor is None
-        self.reactor = reactor if reactor is not None else EdgeEventLoop()
-        central.fanout.reactor = self.reactor
         self._closed = False
-        self._accept_thread = threading.Thread(
-            target=serve_handshakes,
-            args=(self._listener, "deploy", io_timeout,
-                  self._config_frame, self._attach),
-            name="deploy-accept",
-            daemon=True,
+        self._seat = SocketListener(
+            central, host, port, site="deploy", io_timeout=io_timeout,
+            loop=reactor, config=self._config_frame, admitted=self._registered,
         )
-        self._accept_thread.start()
+        self.reactor = self._seat.loop
 
     # ------------------------------------------------------------------
     # Listener side of the handshake (runs on the accept thread)
@@ -218,8 +209,7 @@ class Deployment:
     @property
     def address(self) -> tuple[str, int]:
         """The ``(host, port)`` edges should dial."""
-        host, port = self._listener.getsockname()[:2]
-        return host, port
+        return self._seat.address
 
     def _config_frame(self) -> ConfigFrame:
         return replace(
@@ -230,14 +220,8 @@ class Deployment:
             ),
         )
 
-    def _attach(
-        self, conn: socket.socket, hello: HelloFrame, sent: ConfigFrame
-    ) -> None:
-        """Adopt one registered dialer into the reactor and fan-out."""
-        transport = ReactorTransport(
-            hello.edge, self.reactor, conn, timeout=self.io_timeout
-        )
-        self.central.admit(hello, transport, sent)
+    def _registered(self, hello: HelloFrame, transport: Transport) -> None:
+        """Book one admitted dialer's current link."""
         handle = self.edges.setdefault(hello.edge, EdgeProcess(hello.edge))
         handle.transport = transport
         handle.registered.set()
@@ -478,11 +462,12 @@ class Deployment:
         :meth:`FanoutEngine.settle
         <repro.edge.fanout.FanoutEngine.settle>`, at most
         :data:`_SYNC_ROUNDS` rounds: each pumps the fan-out engine and
-        then drains the pipelined acks.  The drain is
-        readiness-driven: every edge's queued frames and its cursor
-        probe leave in one vectored write, and one shared ``select``
-        loop settles the whole fleet as acks land — no per-peer
-        probe→poll rounds, no busy polling.  A relay's cumulative acks
+        then wait-drains the pipelined acks
+        (:meth:`FanoutEngine.drain
+        <repro.edge.fanout.FanoutEngine.drain>`): every edge's queued
+        frames and its cursor probe leave in one vectored write, and
+        one ``select`` loop settles the whole fleet as acks land — no
+        per-peer blocking, no busy polling.  A relay's cumulative acks
         carry min-cursor aggregates over its connected edges, so "all
         connected peers current" is transitively a statement about the
         whole tree.
@@ -600,24 +585,11 @@ class Deployment:
         if self._closed:
             return
         self._closed = True
-        try:
-            # shutdown() (not just close()) is what actually wakes a
-            # thread blocked in accept() on Linux.
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
         handles = list(self.edges.values())
         for handle in handles:
             if handle.transport is not None:
-                handle.transport.close()
-        if self._owns_reactor:
-            self.reactor.close()
-        if self.central.fanout.reactor is self.reactor:
-            self.central.fanout.reactor = None
+                handle.transport.close()  # a shared reactor outlives us
+        self._seat.close(timeout)
         # SIGTERM the whole tree at once, then reap (SIGKILL laggards).
         running = [h.process for h in handles if h.alive]
         for proc in running:
@@ -630,7 +602,6 @@ class Deployment:
                 proc.wait(timeout=timeout)
         for handle in handles:
             handle.close_log()
-        self._accept_thread.join(timeout=timeout)
 
     def __enter__(self) -> "Deployment":
         return self

@@ -22,6 +22,10 @@ central-side delivery hot path is therefore a classic reactor
   queue instead of blocking a thread.  Fault injection mirrors
   :class:`~repro.edge.link.InProcessTransport` exactly, byte
   metering included, so every byte-parity bench holds across media.
+* :class:`SocketListener` — the listener seat over a socket: bind,
+  accept thread, every registered dialer a :class:`ReactorTransport`
+  admitted to the node (the central's deployment and a relay's
+  downstream face are both one of these).
 * The dialing seats — :func:`guarded_handler`, :func:`join_as_edge`
   and :func:`serve_dialed`: after the (blocking) handshake a dialer is
   served from a loop too, by one guarded frame handler and one redial
@@ -71,6 +75,8 @@ from repro.edge.socket_transport import (
     FrameDecoder,
     connect_with_retry,
     dial_handshake,
+    listen_on,
+    serve_handshakes,
 )
 from repro.edge.transport import (
     MAX_FRAME_BYTES,
@@ -86,6 +92,7 @@ from repro.exceptions import TransportError
 __all__ = [
     "EdgeEventLoop",
     "ReactorTransport",
+    "SocketListener",
     "guarded_handler",
     "join_as_edge",
     "serve_dialed",
@@ -431,9 +438,9 @@ class ReactorTransport(Transport):
         loop: The owning reactor.
         sock: Connected socket (ownership transfers to the loop).
         faults: Initial fault state (healthy by default).
-        timeout: Settle deadline for :meth:`poll` and :meth:`request`
-            — a peer silent for longer counts as wedged (the reply
-            just isn't coming).
+        timeout: Reply deadline for :meth:`request` — a peer silent
+            for longer counts as wedged (the reply just isn't coming)
+            and the link is closed.
     """
 
     def __init__(
@@ -444,8 +451,7 @@ class ReactorTransport(Transport):
         faults: FaultInjector | None = None,
         timeout: float = 10.0,
     ) -> None:
-        super().__init__(name)
-        self.faults = faults or FaultInjector()
+        super().__init__(name, faults=faults)
         self.timeout = timeout
         self._loop = loop
         self._lock = threading.RLock()
@@ -541,31 +547,12 @@ class ReactorTransport(Transport):
         Performs **no I/O at all** — draining five hundred peers costs
         five hundred list-swaps, not five hundred selects — so a slow
         edge can never stall the write path: its unacknowledged frames
-        simply keep occupying the in-flight window.  :meth:`poll` is
-        the blocking settle primitive.
+        simply keep occupying the in-flight window.  The one place
+        that waits for acks is the fan-out engine's wait-drain, which
+        spins the loop between flushes.
         """
         with self._lock:
             return self._collect()
-
-    def poll(self) -> list:
-        """Spin the loop until at least one reply lands (or the link
-        dies / is held / times out) — the batched-ack settle primitive.
-        A held link returns immediately with whatever was buffered:
-        nothing can arrive while the outbound queue is parked, exactly
-        like the in-process transport's empty flush."""
-        with self._lock:
-            replies = self._collect()
-            if replies or self.faults.blocks_delivery:
-                return replies
-            deadline = time.monotonic() + self.timeout
-            while not replies and not self._conn.closed:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self._loop.close_conn(self._conn)
-                    break
-                self._loop.run_once(min(remaining, 0.2))
-                replies = self._collect()
-            return replies
 
     def request(self, frame: Frame) -> Frame:
         """One synchronous request/reply round-trip (query path).
@@ -613,6 +600,90 @@ class ReactorTransport(Transport):
                         f"link to {self.name!r} timed out awaiting reply"
                     )
                 self._loop.run_once(min(remaining, 0.2))
+
+
+class SocketListener:
+    """The listener seat over a socket (docs/ARCHITECTURE.md section
+    3): bind, then an accept thread running
+    :func:`~repro.edge.socket_transport.serve_handshakes`, each
+    registered dialer wrapped in a :class:`ReactorTransport` on
+    :attr:`loop` and handed to ``node.admit(hello, transport, sent)``
+    — what :func:`repro.edge.link.join` does as objects.  The node's
+    fan-out engine waits on :attr:`loop` from here on.
+
+    Args:
+        node: The listener seat (``admit`` / ``fanout``): a central
+            server or a relay.
+        host / port: Where to listen (``0`` = ephemeral; read
+            :attr:`address`).
+        site: Telemetry site prefix and accept-thread label.
+        io_timeout: Handshake budget, and every accepted link's
+            request deadline.
+        config: Produces the handshake reply — the node's
+            ``config_frame()``, dressed or awaited as its owner needs
+            (a shard's map; a relay still dialing upstream).
+        admitted: Called with ``(hello, transport)`` after each admit,
+            on the accept thread — the owner's bookkeeping.
+        loop: Share an existing reactor instead of owning one; a
+            shared loop is not closed by :meth:`close`.
+
+    Raises:
+        OSError: If the bind fails — before a loop or thread exists,
+            ``node.fanout.reactor`` untouched.
+    """
+
+    def __init__(
+        self,
+        node,
+        host: str,
+        port: int,
+        *,
+        site: str,
+        io_timeout: float,
+        config: Callable,
+        admitted: Callable,
+        loop: Optional[EdgeEventLoop] = None,
+    ) -> None:
+        self._node = node
+        self._sock = listen_on(host, port)
+        self.address: tuple[str, int] = self._sock.getsockname()[:2]
+        self._owns_loop = loop is None
+        self.loop = loop if loop is not None else EdgeEventLoop()
+        node.fanout.reactor = self.loop
+
+        def attach(conn: socket.socket, hello, sent) -> None:
+            transport = ReactorTransport(
+                hello.edge, self.loop, conn, timeout=io_timeout
+            )
+            node.admit(hello, transport, sent)
+            admitted(hello, transport)
+
+        self._thread = threading.Thread(
+            target=serve_handshakes,
+            args=(self._sock, site, io_timeout, config, attach),
+            name=f"{site}-accept",
+            daemon=True,
+        )
+        self._thread.start()
+
+    def close(self, timeout: float = 10.0) -> None:
+        """Stop accepting, close the loop if it is ours (and with it
+        every accepted link), and reap the accept thread."""
+        try:
+            # shutdown() (not just close()) is what actually wakes a
+            # thread blocked in accept() on Linux.
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
+            self._sock.close()
+        except OSError:
+            pass
+        if self._owns_loop:
+            self.loop.close()
+        if self._node.fanout.reactor is self.loop:
+            self._node.fanout.reactor = None
+        self._thread.join(timeout=timeout)
 
 
 #: Selector timeout of an edge seat's serving spins (readiness wakes

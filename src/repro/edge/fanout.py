@@ -76,9 +76,13 @@ from repro.exceptions import DeltaGapError, ReplicationError, StaleKeyError
 
 __all__ = ["AdaptiveWindow", "SentRecord", "PeerState", "FanoutEngine"]
 
-#: Settle rounds a wait-drain attempts before giving up on a peer that
-#: keeps losing frames (each round is probe → poll → apply).
+#: Fruitless probe round trips (answered, but no cursor moved) a
+#: wait-drain spends on a peer before calling it frame-losing.
 _DRAIN_ROUNDS = 4
+
+#: Wall-clock budget (seconds) of one wait-drain over a reactor: a live
+#: peer still uncovered — or silent — at the end of it is frame-losing.
+_DRAIN_SECONDS = 5.0
 
 
 @dataclass
@@ -152,6 +156,10 @@ class SentRecord:
             being globally monotonic per table across epochs).
         sent_at: Monotonic send timestamp — ack latency feeds the
             peer's :class:`AdaptiveWindow` at settle time.
+        queued: The send left the frame *in the link* (a slow or
+            pipelining one) rather than at the peer — a queued
+            snapshot suppresses a second O(tree) send for its table
+            until an ack covers it or the link loses it.
     """
 
     kind: str
@@ -159,6 +167,7 @@ class SentRecord:
     lsn: int
     epoch: int
     sent_at: float
+    queued: bool = False
 
 
 @dataclass
@@ -180,10 +189,10 @@ class PeerState:
         window: This peer's adaptive in-flight bound.
         probe_inflight: A cursor probe is in the link — suppresses
             duplicate probes until its (or any) cumulative ack arrives.
-        needs_snapshot: Tables flagged for a full-resync heal.
-        snapshot_inflight: Tables whose snapshot sits unacknowledged in
-            a slow link — suppresses duplicate O(tree) sends until the
-            edge acks (cursor coverage clears it).
+        needs_snapshot: Tables flagged for a full-resync heal — until
+            the heal's record settles, or the peer reports the table
+            at the log head under its issue epoch (a heal whose record
+            was forgotten in the meantime still landed).
         config_epoch: Key epoch of the last verification bundle shipped
             to this peer (handshake or refresh) — suppresses duplicate
             key-ring refreshes when several tables heal after one
@@ -210,7 +219,6 @@ class PeerState:
     outstanding: list[SentRecord] = field(default_factory=list)
     probe_inflight: bool = False
     needs_snapshot: set[str] = field(default_factory=set)
-    snapshot_inflight: set[str] = field(default_factory=set)
     config_epoch: Optional[int] = None
     lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False
@@ -275,15 +283,12 @@ class FanoutEngine:
         self.peers: dict[str, PeerState] = {}
         self._payload_lock = threading.Lock()
         #: The event loop owning this engine's remote links (``None`` =
-        #: in-process links only).  Set by
-        #: :class:`~repro.edge.deploy.Deployment`; pumps then collect
-        #: already-ready acks without flushing (frames keep coalescing
-        #: per connection), and ``drain(wait=True)`` becomes one
-        #: readiness-driven settle over *all* peers at once instead of
-        #: per-peer probe→poll rounds.
+        #: in-process links only).  Set by the socket listener seat
+        #: (:class:`~repro.edge.event_loop.SocketListener`); pumps then
+        #: collect already-ready acks without flushing (frames keep
+        #: coalescing per connection), and ``drain(wait=True)`` spins
+        #: it between solicitations — the medium a wait-drain advances.
         self.reactor = None
-        #: Settle deadline for the reactor drain (seconds).
-        self.drain_timeout = 5.0
 
     # ------------------------------------------------------------------
     # Peer management
@@ -382,16 +387,14 @@ class FanoutEngine:
         out: dict[str, dict] = {}
         for name, peer in self.peers.items():
             with peer.lock:
-                down = getattr(peer.transport, "down_channel", None)
+                down = peer.transport.down_channel
                 out[name] = {
                     "inflight": peer.inflight,
                     "window": peer.window.size,
                     "needs_snapshot": sorted(peer.needs_snapshot),
                     "acked_lsns": dict(peer.acked_lsns),
-                    "bytes_down": down.total_bytes if down is not None else 0,
-                    "bytes_by_kind": (
-                        down.bytes_by_kind() if down is not None else {}
-                    ),
+                    "bytes_down": down.total_bytes,
+                    "bytes_by_kind": down.bytes_by_kind(),
                 }
         return out
 
@@ -437,7 +440,7 @@ class FanoutEngine:
         self, peer: PeerState, names: list, force_snapshot: bool, payloads: dict
     ) -> int:
         with peer.lock:
-            self._drain(peer)
+            self._process_replies(peer, peer.transport.flush())
             shipped = 0
             for table in names:
                 if force_snapshot:
@@ -493,174 +496,133 @@ class FanoutEngine:
         Pipelining transports (the reactor link's enqueue-only sends)
         leave acks in the link until the next pump; deployments
         call this to settle cursors after a propagation round.  With
-        ``wait=True`` this is the batched-ack settle loop: apply what
-        is buffered, and while frames remain outstanding on a live
-        link, solicit a :class:`~repro.edge.transport.CursorProbeFrame`
-        and poll for the cumulative ack — one probe settles the whole
-        window.  A link that dies mid-settle has its optimistic state
-        forgotten (frames the peer never processed are resent by a
-        later pump — a lost tail is never silently dropped), and a
-        held-but-alive in-process link is simply left outstanding,
-        exactly as before.  Never do ``wait=True`` on the write path.
+        ``wait=True`` this is the batched-ack settle loop, one loop
+        for every medium: apply what is buffered, solicit a
+        :class:`~repro.edge.transport.CursorProbeFrame` from every
+        peer with frames still uncovered (one probe settles a whole
+        window, and over TCP it rides the same vectored write as the
+        peer's queued deltas), advance the medium — one reactor spin
+        for *all* peers at once, nothing when delivery is synchronous
+        — and apply the cumulative acks, until each peer is
+
+        * **covered** — nothing outstanding, no probe in the link;
+        * **parked** — a ``hold`` / ``partitioned`` link keeps its
+          optimism and settles after the fault clears;
+        * **dead** — its optimistic state is forgotten (frames the
+          peer never processed are resent by a later pump — a lost
+          tail is never silently dropped), the window charged once;
+        * **out of budget** — :data:`_DRAIN_ROUNDS` probe round trips
+          that moved no cursor where delivery is synchronous (a count,
+          never a clock: an in-process run stays a pure function of
+          its seeds, DESIGN.md section 14.2), :data:`_DRAIN_SECONDS`
+          of wall clock over a reactor.  A live link that ran out is
+          losing frames: forgotten like a dead one, and never closed.
+
+        A round whose ack advanced *any* cursor is progress, not loss,
+        and consumes no budget (bounded — cursors are monotone and
+        clamped to the log head), so a healthy but lagging peer is not
+        declared frame-losing and flooded with resends.  Never do
+        ``wait=True`` on the write path.
         """
-        peers = [self.peer(name)] if name is not None else list(self.peers.values())
-        if wait and self.reactor is not None:
-            # Reactor-backed peers settle together off readiness
-            # notifications; anything else (in-process links in a mixed
-            # fleet) keeps the per-peer settle loop.
-            shared = [p for p in peers if self._reactor_backed(p)]
-            rest = [p for p in peers if not self._reactor_backed(p)]
-            if shared:
-                self._drain_reactor(shared)
-            peers = rest
-        for peer in peers:
-            with peer.lock:
-                self._drain(peer, wait=wait)
-
-    def _reactor_backed(self, peer: PeerState) -> bool:
-        return getattr(peer.transport, "_loop", None) is self.reactor
-
-    def _drain_reactor(self, peers: list) -> None:
-        """Settle every reactor peer off the loop's readiness signal.
-
-        A per-peer probe→poll settle is N blocking reply waits per
-        drain over N edges.  Here the
-        probes for *all* peers are enqueued first (each rides the same
-        vectored write as the peer's queued deltas), then one
-        ``select`` loop waits for whichever edges answer, applying
-        cumulative acks as they land — no busy polling, no per-peer
-        blocking, and a dead or held link never delays the rest.
-        Semantics per peer are unchanged: a dead link forgets its
-        optimistic state (later pumps resend), a held-but-alive link
-        keeps it, and a peer still uncovered at the deadline is treated
-        as frame-losing, exactly like exhausted settle rounds.
-        """
-        pending: list = []
-        for peer in peers:
-            with peer.lock:
-                self._process_replies(peer, peer.transport.flush())
-                if not peer.outstanding and not peer.probe_inflight:
-                    continue
-                if not peer.transport.connected:
-                    self._forget_outstanding(peer)
-                    continue
-                faults = getattr(peer.transport, "faults", None)
-                if faults is not None and faults.blocks_delivery:
-                    continue  # parked queue: keep optimism, settle later
-                status = self._solicit(peer)
-                if status in ("failed", "dropped"):
-                    if not peer.transport.connected:
-                        self._forget_outstanding(peer, fault=False)
-                    continue
-                pending.append(peer)
-        deadline = time.monotonic() + self.drain_timeout
-        while pending:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            self.reactor.run_once(min(remaining, 0.2))
-            still: list = []
-            for peer in pending:
-                with peer.lock:
-                    self._process_replies(peer, peer.transport.flush())
-                    if not peer.outstanding and not peer.probe_inflight:
-                        continue
-                    if not peer.transport.connected:
-                        self._forget_outstanding(peer)
-                        continue
-                    faults = getattr(peer.transport, "faults", None)
-                    if faults is not None and faults.blocks_delivery:
-                        continue
-                    if not peer.probe_inflight:
-                        # A partial ack landed (coalescing threshold)
-                        # but frames remain: re-solicit the rest.
-                        self._solicit(peer)
-                    still.append(peer)
-            pending = still
+        pending = [self.peer(name)] if name is not None else list(self.peers.values())
+        budget: dict[str, tuple] = {}
+        deadline = time.monotonic() + _DRAIN_SECONDS
+        while True:
+            pending = [p for p in pending if self._drain_peer(p, wait, budget)]
+            if not pending:
+                return
+            if self.reactor is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                self.reactor.run_once(min(remaining, 0.2))
         for peer in pending:
-            # Deadline exhausted with frames still uncovered on a live,
-            # unparked link: it is losing frames.  Forget the optimism
-            # so later pumps resend — never a silently-dropped tail.
             with peer.lock:
                 if peer.outstanding:
                     self._forget_outstanding(peer)
 
-    def _drain(self, peer: PeerState, wait: bool = False) -> None:
-        self._process_replies(peer, peer.transport.flush())
-        if not wait:
-            return
-        rounds = 0
-        while rounds < _DRAIN_ROUNDS:
-            if not peer.outstanding and not peer.probe_inflight:
-                return
+    def _drain_peer(self, peer: PeerState, wait: bool, budget: dict) -> bool:
+        """One step of :meth:`drain` for one peer; True while the peer
+        is worth another look after the medium has advanced."""
+        with peer.lock:
+            self._process_replies(peer, peer.transport.flush())
+            if not wait or not (peer.outstanding or peer.probe_inflight):
+                return False
             if not peer.transport.connected:
                 self._forget_outstanding(peer)
-                return
-            before = (dict(peer.acked_lsns), dict(peer.acked_epochs))
+                return False
+            if peer.probe_inflight:
+                # Asked already; only the medium can bring the answer,
+                # and not while the link is parked.
+                return (
+                    self.reactor is not None
+                    and not peer.transport.faults.blocks_delivery
+                )
+            cursors = (dict(peer.acked_lsns), dict(peer.acked_epochs))
+            asked, spent = budget.get(peer.name, (None, 0))
+            if asked == cursors:
+                # The last probe was answered and nothing moved: the
+                # peer's cumulative ack omitted the uncovered tables
+                # (a relay whose slowest edge lags) or the frames are
+                # gone.  "No news" must not pass for good news.
+                spent += 1
+                if spent >= _DRAIN_ROUNDS:
+                    self._forget_outstanding(peer)
+                    return False
             status = self._solicit(peer)
             if status in ("failed", "dropped"):
-                # The probe itself could not travel (the solicit
-                # already charged the window); if the link object is
-                # dead the optimism is forgotten, otherwise (a
-                # partitioned in-process link) the frames may still be
-                # delivered later — leave them outstanding.
-                if not peer.transport.connected:
-                    self._forget_outstanding(peer, fault=False)
-                return
-            if not peer.outstanding and not peer.probe_inflight:
-                return  # delivered probe settled everything synchronously
-            if status != "delivered":
-                replies = peer.transport.poll()
-                if not replies:
-                    if not peer.transport.connected:
-                        self._forget_outstanding(peer)
-                    return  # held-but-alive link: keep optimism, retry later
-                self._process_replies(peer, replies)
-            # else: the probe round-tripped synchronously and its ack
-            # is already applied, yet frames remain uncovered — the
-            # peer's cumulative ack omitted their tables (e.g. a
-            # relay-aggregated ack whose slowest downstream edge lags).
-            # Burn a settle round and probe again; this path used to
-            # return here with the optimism intact, which treated "no
-            # news" as good news — the records stayed outstanding
-            # forever, sent_lsns never reset, no pump resent the tail,
-            # and the window eventually wedged.
-            #
-            # A round whose ack advanced *any* cursor is progress, not
-            # loss: it does not consume budget (bounded — cursors are
-            # monotone and clamped to the log head), so a healthy but
-            # lagging peer is not declared frame-losing and flooded
-            # with resends.
-            if (dict(peer.acked_lsns), dict(peer.acked_epochs)) == before:
-                rounds += 1
-        # Settle rounds exhausted with frames still uncovered: the link
-        # is losing frames (drop injection, or a peer rejecting frames
-        # without nacks).  Forget the optimism so later pumps resend —
-        # the tail must never be silently dropped.
-        if peer.outstanding:
-            self._forget_outstanding(peer)
+                return False
+            if peer.transport.faults.blocks_delivery:
+                return False  # the probe waits in the link with the rest
+            # Rounds are counted where the answer is already in
+            # (synchronous delivery); a reactor link answers in its
+            # own time and is held to the deadline instead.
+            counted = status == "delivered" or self.reactor is None
+            budget[peer.name] = (cursors if counted else None, spent)
+            return True
+
+    def _send(
+        self, peer: PeerState, frame, record: Optional[SentRecord] = None
+    ) -> tuple[str, str]:
+        """Ship one frame and book what became of it — the one place
+        the four send outcomes are handled.  ``failed`` / ``dropped``
+        charge the window once and fall the frame's table back to its
+        acknowledged cursor (a later pump resends); a link found dead
+        loses its whole pipelined tail with it — one event, one
+        halving.  ``queued`` / ``delivered`` enter ``record`` (if any)
+        in the in-flight window, and a delivered frame's replies are
+        applied.  Returns ``(status, verdict of the replies)``."""
+        outcome = peer.transport.send(frame)
+        if outcome.status in ("failed", "dropped"):
+            peer.window.on_fault()
+            if record is not None and record.table:
+                peer.reset_cursor(record.table)
+            if not peer.transport.connected:
+                self._forget_outstanding(peer, fault=False)
+            return outcome.status, "ok"
+        if record is not None:
+            record.queued = outcome.status == "queued"
+            peer.outstanding.append(record)
+            if record.table:
+                peer.sent_lsns[record.table] = record.lsn
+        if outcome.status == "queued":
+            return "queued", "ok"
+        return "delivered", self._process_replies(peer, outcome.replies)
 
     def _solicit(self, peer: PeerState) -> str:
         """Ask the peer for its cumulative cursors (ack solicitation)."""
         if peer.probe_inflight:
             return "pending"
-        outcome = peer.transport.send(CursorProbeFrame())
-        if outcome.status in ("failed", "dropped"):
-            peer.window.on_fault()
-            return outcome.status
-        if outcome.status == "queued":
-            peer.probe_inflight = True
-            return "queued"
-        # Delivered synchronously (in-process): mark the probe in
-        # flight *before* applying its replies, so the cumulative ack
-        # is recognized as solicited and skips the latency credit —
+        # In flight *before* the send: a probe delivered synchronously
+        # has its cumulative ack applied inside the send, and the ack
+        # must be recognized as solicited to skip the latency credit —
         # frames it settles aged at the workload's pace, not the
-        # link's.  The ack clears the flag; reset defensively in case
-        # none came back.
+        # link's.  The ack clears the flag; only a queued probe keeps it.
         peer.probe_inflight = True
-        self._process_replies(peer, outcome.replies)
-        peer.probe_inflight = False
-        return "delivered"
+        status, _verdict = self._send(peer, CursorProbeFrame())
+        if status != "queued":
+            peer.probe_inflight = False
+        return status
 
     def _forget_outstanding(self, peer: PeerState, fault: bool = True) -> None:
         """A link fault lost (or may have lost) every in-flight frame:
@@ -670,7 +632,6 @@ class FanoutEngine:
         charged the window for this same event (one fault, one halving
         — §10.3's AIMD contract)."""
         peer.outstanding.clear()
-        peer.snapshot_inflight.clear()
         peer.probe_inflight = False
         for table in list(peer.sent_lsns):
             peer.reset_cursor(table)
@@ -701,30 +662,21 @@ class FanoutEngine:
                 return shipped + self._send_snapshot(peer, table, payloads)
             if payload is None or lsn_last <= cursor:
                 return shipped
-            outcome = peer.transport.send(DeltaFrame(table, payload))
-            if outcome.status == "failed":
-                peer.window.on_fault()
-                peer.reset_cursor(table)
-                if not peer.transport.connected:
-                    # A dead link (mid-batch ECONNRESET/EPIPE) loses
-                    # the whole pipelined tail, not just this frame —
-                    # one event, so the window was charged once above.
-                    self._forget_outstanding(peer, fault=False)
-                return shipped  # partitioned: retry on a later pump
-            shipped += 1
-            if outcome.status == "dropped":
-                peer.window.on_fault()
-                peer.reset_cursor(table)
-                return shipped  # lost in flight: retry on a later pump
-            peer.outstanding.append(
+            status, verdict = self._send(
+                peer,
+                DeltaFrame(table, payload),
                 SentRecord(
                     kind="delta", table=table, lsn=lsn_last,
                     epoch=peer.acked_epochs.get(table, 0),
                     sent_at=time.monotonic(),
-                )
+                ),
             )
-            peer.sent_lsns[table] = lsn_last
-            if outcome.status == "queued":
+            if status == "failed":
+                return shipped  # partitioned or dead: retry on a later pump
+            shipped += 1
+            if status == "dropped":
+                return shipped  # lost in flight: retry on a later pump
+            if status == "queued":
                 if lsn_last >= head:
                     return shipped
                 # A stored-frame source (relay) ships pre-sealed
@@ -733,7 +685,6 @@ class FanoutEngine:
                 # batches always reach the head in one frame, so this
                 # branch never loops there.
                 continue
-            verdict = self._process_replies(peer, outcome.replies)
             if verdict == "gap":
                 # gap nack: one retry from the cursor the edge
                 # reported, then either success or snapshot escalation.
@@ -775,7 +726,10 @@ class FanoutEngine:
     ) -> int:
         if self._window_blocked(peer):
             return 0
-        if table in peer.snapshot_inflight:
+        if any(
+            r.queued and r.kind == "snapshot" and r.table == table
+            for r in peer.outstanding
+        ):
             return 0  # one O(tree) transfer per table in the link at a time
         # A peer holding a *copy* of the key ring (whatever it was sent
         # when it was admitted — over a socket or in-process) gets one
@@ -784,25 +738,22 @@ class FanoutEngine:
         # was sent nothing reads the live ring and needs none.
         current_epoch = self.source.current_epoch()
         if peer.config_epoch not in (None, current_epoch):
-            outcome = peer.transport.send(self.source.config_frame())
-            if outcome.status in ("failed", "dropped"):
-                peer.window.on_fault()
-                return 0  # link is down; retry the heal on a later pump
-            peer.config_epoch = current_epoch
-            peer.outstanding.append(
+            status, _verdict = self._send(
+                peer,
+                self.source.config_frame(),
                 SentRecord(
                     kind="config", table="", lsn=0, epoch=current_epoch,
                     sent_at=time.monotonic(),
-                )
+                ),
             )
-            if outcome.status == "queued":
-                if peer.inflight >= peer.window.size:
-                    # The refresh consumed the last window slot; the
-                    # O(tree) snapshot waits for a later pump rather
-                    # than overshooting the bound.
-                    return 1
-            else:
-                self._process_replies(peer, outcome.replies)
+            if status in ("failed", "dropped"):
+                return 0  # link is down; retry the heal on a later pump
+            peer.config_epoch = current_epoch
+            if status == "queued" and peer.inflight >= peer.window.size:
+                # The refresh consumed the last window slot; the
+                # O(tree) snapshot waits for a later pump rather
+                # than overshooting the bound.
+                return 1
         try:
             frame = self._cached(payloads, self.source.snapshot_frame, table)
         except ReplicationError:
@@ -826,27 +777,15 @@ class FanoutEngine:
             peer.acked_lsns.pop(table, None)
             peer.acked_epochs.pop(table, None)
             peer.sent_lsns.pop(table, None)
-        outcome = peer.transport.send(frame)
-        if outcome.status == "failed":
-            peer.window.on_fault()
-            if not peer.transport.connected:
-                self._forget_outstanding(peer, fault=False)
-            return 0
-        if outcome.status == "dropped":
-            peer.window.on_fault()
-            return 1
-        peer.outstanding.append(
+        status, _verdict = self._send(
+            peer,
+            frame,
             SentRecord(
                 kind="snapshot", table=table, lsn=frame.lsn,
                 epoch=frame.epoch, sent_at=time.monotonic(),
-            )
+            ),
         )
-        peer.sent_lsns[table] = frame.lsn
-        if outcome.status == "queued":
-            peer.snapshot_inflight.add(table)
-            return 1
-        self._process_replies(peer, outcome.replies)
-        return 1
+        return 0 if status == "failed" else 1
 
     # ------------------------------------------------------------------
     # Acknowledgement application (DESIGN.md section 10)
@@ -902,9 +841,18 @@ class FanoutEngine:
         """
         if not self.source.has_replica(table):
             return
-        lsn = min(lsn, self.source.log_head(table) or 0)
+        head = self.source.log_head(table)
+        lsn = min(lsn, head or 0)
         try:
             epoch = min(epoch, self.source.current_epoch())
+            if lsn == head and epoch == self.source.issue_epoch(table):
+                # The peer *reports* the table current: whatever flagged
+                # it has been healed, whether or not the heal's record
+                # is still outstanding (a wait-drain may have forgotten
+                # it while the snapshot sat in a held link).  Only a
+                # report counts — the banked cursor of a peer that
+                # nacked at the head proves nothing.
+                peer.needs_snapshot.discard(table)
         except StaleKeyError:
             pass  # no epoch registered yet (bare central in unit tests)
         current = peer.acked_lsns.get(table)
@@ -944,7 +892,6 @@ class FanoutEngine:
                 if credit_latency:
                     peer.window.on_ack(now - record.sent_at)
                 if record.kind == "snapshot":
-                    peer.snapshot_inflight.discard(record.table)
                     peer.needs_snapshot.discard(record.table)
             else:
                 remaining.append(record)
@@ -957,7 +904,6 @@ class FanoutEngine:
         peer.outstanding = [
             r for r in peer.outstanding if r.table != table
         ]
-        peer.snapshot_inflight.discard(table)
 
     def _apply_cursor_ack(self, peer: PeerState, ack: CursorAckFrame) -> None:
         """One cumulative ack: advance every cursor monotonically, then

@@ -160,7 +160,7 @@ class Fleet:
         frames (aggregate acks, escalation nacks) are collected — what
         a socket relay's serving loop does on every spin.  Faulted
         links simply fail or queue; later pumps retry.  ``wait``
-        settles each engine's in-flight window (probe, then poll)."""
+        makes each drain a wait-drain (probe, apply, until covered)."""
         self.central.propagate()
         self.central.fanout.drain(wait=wait)
         for name, relay in self.relays.items():
@@ -169,35 +169,21 @@ class Fleet:
             self.central.fanout.drain(name)
 
     def settle(self) -> int:
-        """Pump until :meth:`at_parity`; returns the rounds taken.
+        """Pump until every engine of the tree — the central's and each
+        relay's — is :meth:`~repro.edge.fanout.FanoutEngine.settled`;
+        returns the rounds taken.
 
         Raises:
-            AssertionError: If parity is not reached within
+            AssertionError: If the tree has not settled within
                 :data:`_SETTLE_ROUNDS` — a stuck fleet is a failed
                 run, not a slow one.
         """
+        engines = [self.central.fanout, *(r.fanout for r in self.relays.values())]
         for used in range(1, _SETTLE_ROUNDS + 1):
             self.pump(wait=True)
-            if self.at_parity():
+            if all(engine.settled() for engine in engines):
                 return used
         raise AssertionError(
-            f"fleet failed to reach cursor parity in {_SETTLE_ROUNDS} "
-            f"rounds; central={self.central.fanout.stats()}"
-        )
-
-    def at_parity(self) -> bool:
-        """Cursor parity: no node of the tree lags its upstream on any
-        table of the central.  Deliberately not
-        :meth:`FanoutEngine.settled
-        <repro.edge.fanout.FanoutEngine.settled>`: parity is about
-        acknowledged cursors only (the chaos invariant, DESIGN.md
-        section 14.3), and an engine may still hold a snapshot flag no
-        later ack can clear."""
-        tables = self.central.replica_tables()
-        engines = [self.central.fanout, *(r.fanout for r in self.relays.values())]
-        return not any(
-            engine.staleness(name, table)
-            for engine in engines
-            for name in engine.peers
-            for table in tables
+            f"fleet failed to settle in {_SETTLE_ROUNDS} rounds; "
+            f"central={self.central.fanout.stats()}"
         )

@@ -19,11 +19,13 @@ paths can be exercised deterministically:
   window this models per-edge backpressure.
 
 A real-socket transport only needs to reimplement
-``send``/``flush``/``poll``/``request`` over its medium; the frame
-codec is already byte-exact.  One exists: the event-loop
+``send``/``flush``/``request`` over its medium; the frame codec is
+already byte-exact.  One exists: the event-loop
 :class:`~repro.edge.event_loop.ReactorTransport`, which honours the
 same three fault states by gating its connection's outbound queue (see
-:attr:`FaultInjector.blocks_delivery`).
+:attr:`FaultInjector.blocks_delivery`).  Every link carries its
+:class:`FaultInjector` as ``faults`` — the fan-out engine reads a
+parked link off it, whichever medium it is.
 
 The two media differ in *when* frames move — here, inside the ``send``
 or ``flush`` that carries them, on the caller's thread, which is what
@@ -141,6 +143,7 @@ class Transport:
             queries); created if not given.
         up_channel: Peer→sender byte accounting (acks, query
             responses); created if not given.
+        faults: Initial fault state (healthy by default).
     """
 
     def __init__(
@@ -148,10 +151,12 @@ class Transport:
         name: str,
         down_channel: Channel | None = None,
         up_channel: Channel | None = None,
+        faults: FaultInjector | None = None,
     ) -> None:
         self.name = name
         self.down_channel = down_channel or Channel()
         self.up_channel = up_channel or Channel()
+        self.faults = faults or FaultInjector()
 
     # -- metering (one implementation for every medium) -----------------
 
@@ -199,27 +204,16 @@ class Transport:
 
         Never blocks: a transport whose replies arrive asynchronously
         (the reactor link) returns only what has already landed, so
-        this is safe on a write path.  Callers that must *wait* for a
-        settle drive :meth:`poll` (the fan-out engine's
-        probe-then-poll drain) — under coalesced acks the number of
-        replies is not knowable from the number of sends, so "block
-        until every reply arrived" is not a question a link can
-        answer.
+        this is safe on a write path.  A link has no blocking receive
+        at all: under coalesced acks the number of replies is not
+        knowable from the number of sends, so "block until every
+        reply arrived" is not a question a link can answer — the one
+        place that *waits* is the fan-out engine's wait-drain
+        (:meth:`FanoutEngine.drain
+        <repro.edge.fanout.FanoutEngine.drain>`), which solicits a
+        cumulative ack, spins the medium and flushes again.
         """
         raise NotImplementedError
-
-    def poll(self) -> list:
-        """Block until at least one reply frame is available (or the
-        link dies), then return everything available.
-
-        The settle primitive for the batched-ack protocol (DESIGN.md
-        section 10): after soliciting a :class:`CursorProbeFrame`, the
-        fan-out engine polls for the cumulative ack instead of
-        counting one reply per sent frame.  Returns ``[]`` only when
-        nothing can arrive anymore — the link is dead, held, or timed
-        out — never as "not yet".
-        """
-        return self.flush()
 
     def request(self, frame: Frame) -> Frame:
         """One synchronous request/reply round-trip (the query path).
@@ -270,8 +264,7 @@ class InProcessTransport(Transport):
         up_channel: Channel | None = None,
         faults: FaultInjector | None = None,
     ) -> None:
-        super().__init__(name, down_channel, up_channel)
-        self.faults = faults or FaultInjector()
+        super().__init__(name, down_channel, up_channel, faults)
         self._handler: Callable[[bytes], Sequence[bytes]] | None = None
         self._pushes: Callable[[], Sequence[bytes]] | None = None
         self._queue: list[bytes] = []

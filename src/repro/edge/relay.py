@@ -80,18 +80,9 @@ from typing import Callable, Optional
 
 from repro.core.digests import DigestEngine, VerifyOnlyDigestEngine
 from repro.core.wire import authenticate_delta, delta_from_bytes, snapshot_from_bytes
-from repro.edge.event_loop import (
-    EdgeEventLoop,
-    ReactorTransport,
-    guarded_handler,
-    serve_dialed,
-)
+from repro.edge.event_loop import SocketListener, guarded_handler, serve_dialed
 from repro.edge.fanout import FanoutEngine, PeerState
-from repro.edge.socket_transport import (
-    dial_handshake,
-    listen_on,
-    serve_handshakes,
-)
+from repro.edge.socket_transport import dial_handshake
 from repro.edge.link import Transport
 from repro.edge.transport import (
     AckFrame,
@@ -773,7 +764,7 @@ def run_relay(
             (``0`` = ephemeral; the bound address is reported through
             ``ready``).
         io_timeout: Connect/handshake timeout (both directions) and
-            the downstream links' settle deadline.
+            the downstream links' query-reply deadline.
         max_reconnects / retry_attempts / retry_delay / verbose: The
             upstream dial budget, as for ``serve_dialed``.
         spot_check_every / max_store_bytes: See :class:`RelayServer`.
@@ -791,15 +782,6 @@ def run_relay(
         max_store_bytes=max_store_bytes,
     )
     stop = stop_event if stop_event is not None else threading.Event()
-    # Bind before building the loop: a port in use must not leak one.
-    listener = listen_on(listen_host, listen_port)
-    bound = listener.getsockname()[:2]
-    loop = EdgeEventLoop()
-    relay.fanout.reactor = loop
-    if ready is not None:
-        ready(relay, bound)
-    if verbose:
-        print(f"[relay {name}] listening on {bound[0]}:{bound[1]}", flush=True)
 
     def _downstream_config() -> ConfigFrame:
         # An edge may dial before the upstream handshake delivered the
@@ -811,22 +793,19 @@ def run_relay(
             time.sleep(0.05)
         return relay.config_frame()
 
-    def _attach_downstream(
-        conn: socket.socket, hello: HelloFrame, sent: ConfigFrame
-    ) -> None:
-        transport = ReactorTransport(hello.edge, loop, conn, timeout=io_timeout)
-        relay.admit(hello, transport, sent)
+    def _attached(hello: HelloFrame, _transport) -> None:
         if verbose:
             print(f"[relay {name}] edge {hello.edge} attached", flush=True)
 
-    accept_thread = threading.Thread(
-        target=serve_handshakes,
-        args=(listener, "relay", io_timeout, _downstream_config,
-              _attach_downstream),
-        name=f"relay-{name}-accept",
-        daemon=True,
+    seat = SocketListener(
+        relay, listen_host, listen_port, site="relay", io_timeout=io_timeout,
+        config=_downstream_config, admitted=_attached,
     )
-    accept_thread.start()
+    loop, bound = seat.loop, seat.address
+    if ready is not None:
+        ready(relay, bound)
+    if verbose:
+        print(f"[relay {name}] listening on {bound[0]}:{bound[1]}", flush=True)
 
     def _join_upstream(sock: socket.socket):
         relay.adopt_config(dial_handshake(sock, relay.hello()))
@@ -851,16 +830,7 @@ def run_relay(
         )
     finally:
         stop.set()
-        try:
-            listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            listener.close()
-        except OSError:
-            pass
-        loop.close()
-        accept_thread.join(timeout=5)
+        seat.close(timeout=5)
     return relay
 
 

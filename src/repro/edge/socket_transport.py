@@ -42,7 +42,9 @@ socket condition                       mapped onto
                                        (like a partitioned link)
 EOF or reset while awaiting replies    link closed; in-flight frames
                                        forgotten, cursors stay behind
-settle deadline passed (hung peer)     link closed (wedged edge)
+settle budget spent (silent peer)      in-flight frames forgotten and
+                                       resent; the link stays up
+query reply deadline passed            link closed (wedged edge)
 mid-frame disconnect                   :class:`TransportError` →
                                        link closed
 reconnect with cursors                 delta resume from the hello's

@@ -1,15 +1,20 @@
 """Fan-out engine behaviour: flow control, fault injection, healing,
 and concurrent delivery (DESIGN.md section 7)."""
 
-import pytest
+import socket
+import threading
 
+from repro.edge import fanout
 from repro.edge.central import CentralServer, ReplicationMode
+from repro.edge.event_loop import EdgeEventLoop, ReactorTransport
 from repro.edge.fanout import FanoutEngine
 from repro.edge.link import FaultInjector, InProcessTransport
+from repro.edge.socket_transport import recv_frame
 from repro.edge.transport import (
     AckFrame,
     CursorAckFrame,
     CursorProbeFrame,
+    DeltaFrame,
     SnapshotFrame,
     frame_from_bytes,
     frame_to_bytes,
@@ -351,3 +356,97 @@ class TestFrameSourceSeam:
         link.faults.clear()
         assert engine.settle(rounds=3) < 3 and engine.settled()
         assert edge.cursor == 3
+
+
+class TestHealFlag:
+    """``needs_snapshot`` means "owes this peer a heal", and
+    ``settled()`` is the only place that asks (DESIGN.md §24)."""
+
+    def test_a_heal_landing_after_its_record_was_forgotten_clears_the_flag(self):
+        """The heal snapshot sits in a held link while a wait-drain
+        runs out of rounds and forgets its record; the link is then
+        released and the snapshot lands.  The edge's ack reports the
+        table at the head under the current epoch, so nothing is owed
+        any more — the flag used to survive (only the record's settle
+        cleared it), leaving a replica with staleness 0 unsettled and
+        shipping it a second O(tree) snapshot on the next pump."""
+        server = make_central(replication=ReplicationMode.LAZY)
+        server.spawn_edge_server("e")
+        engine, peer = server.fanout, server.fanout.peer("e")
+        link = peer.transport
+        peer.needs_snapshot.add("t")
+        link.faults.hold = True
+        assert engine.pump() == 1
+        assert [r.kind for r in peer.outstanding] == ["snapshot"]
+        engine._forget_outstanding(peer)  # four fruitless settle rounds
+        link.faults.clear()
+        engine.drain()  # the queued snapshot lands, its ack comes back
+
+        assert engine.staleness("e", "t") == 0
+        assert peer.needs_snapshot == set()
+        assert engine.settled()
+        assert engine.pump() == 0
+        assert link.down_channel.bytes_by_kind().keys() == {"snapshot"}
+
+    def test_a_nack_behind_the_head_still_heals_by_snapshot(self):
+        """The opposite case: a ``diverged`` nack from a replica whose
+        cursor is *behind* the head.  Neither the cumulative ack that
+        repeats that cursor nor the banked one clears the flag — the
+        next pump replaces the replica wholesale, and that ack does."""
+        server = make_central(replication=ReplicationMode.LAZY)
+        edge = server.spawn_edge_server("e")
+        engine, peer = server.fanout, server.fanout.peer("e")
+        server.insert("t", (9001, "a", "b", "c"))  # lazy: the edge lags by one
+        behind = server.log_head("t") - 1
+        nack = AckFrame(edge="e", table="t", ok=False, lsn=behind,
+                        epoch=server.current_epoch(), reason="diverged")
+        assert engine._process_replies(peer, [nack]) == "snapshot"
+        assert engine._solicit(peer) == "delivered"  # reports `behind` again
+        assert peer.acked_lsns["t"] == behind
+        assert peer.needs_snapshot == {"t"} and not engine.settled()
+
+        assert engine.pump() == 1
+        assert edge.replication_channel.transfers[-1].kind == "snapshot"
+        assert peer.needs_snapshot == set() and engine.settled()
+        edge.replica("t").audit()
+
+
+class TestSilentLivePeer:
+    def test_out_of_budget_forgets_the_optimism_and_keeps_the_link(self, monkeypatch):
+        """A peer that reads everything and answers nothing, over a
+        real socket.  At the end of its budget the wait-drain treats
+        the link as frame-losing — records dropped, optimistic cursors
+        back at the acknowledged ones, so the next pump resends the
+        tail — and leaves the socket alone: silence is weather.  (The
+        per-peer ``poll()`` settle closed the link at its deadline;
+        the reactor settle did not.)"""
+        monkeypatch.setattr(fanout, "_DRAIN_SECONDS", 0.3)
+        source = FakeSource()
+        engine = source.engine
+        left, right = socket.socketpair()
+        right.settimeout(5)
+        engine.reactor = loop = EdgeEventLoop()
+        seen = []
+
+        def read_and_say_nothing():
+            while (data := recv_frame(right)) is not None:
+                seen.append(type(frame_from_bytes(data)))
+
+        reader = threading.Thread(target=read_and_say_nothing)
+        reader.start()
+        try:
+            link = ReactorTransport("e", loop, left)
+            peer = engine.attach("e", link, cursors=[("t", 1, 0)])
+            assert engine.pump() == 2 and peer.sent_lsns == {"t": 3}
+            engine.drain(wait=True)
+
+            assert link.connected
+            assert peer.outstanding == [] and not peer.probe_inflight
+            assert peer.sent_lsns == {"t": 1}
+            assert engine.pump() == 2  # the tail again
+            loop.run_once(0.05)
+        finally:
+            loop.close()
+            reader.join(timeout=5)
+        assert seen == [DeltaFrame, DeltaFrame, CursorProbeFrame,
+                        DeltaFrame, DeltaFrame]

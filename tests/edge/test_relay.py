@@ -224,7 +224,7 @@ def _agg_config():
     global _AGG_CENTRAL
     if _AGG_CENTRAL is None:
         _AGG_CENTRAL = make_central(rows=12)
-    return config_to_frame(_AGG_CENTRAL.edge_config())
+    return config_to_frame(_AGG_CENTRAL.client_config())
 
 
 HEAD = 40
@@ -469,7 +469,7 @@ class TestRotationAndConfigPassThrough:
         shard_map = ShardMap(2, seed=1)
         shard_map.place_table(TABLE, 0)
         cfg = config_to_frame(
-            central.edge_config(), ack_every=3, ack_bytes=4096,
+            central.client_config(), ack_every=3, ack_bytes=4096,
             shard_id=0, shard_map=shard_map.to_wire(),
         )
         relay = RelayServer("relay-0")

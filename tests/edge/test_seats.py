@@ -29,6 +29,7 @@ from repro.edge.socket_transport import (
 )
 from repro.edge.transport import (
     CursorAckFrame,
+    CursorProbeFrame,
     HelloFrame,
     frame_from_bytes,
     frame_to_bytes,
@@ -38,10 +39,10 @@ from repro.workloads.generator import TableSpec, generate_table
 TABLES = ("t", "u", "v")
 
 
-def make_seat(seat):
+def make_seat(seat, **central_options):
     """``(central, listener)``: three one-insert tables, and — for the
     relay seat — a relay joined to the central holding all of them."""
-    central = CentralServer("seatdb", rsa_bits=512, seed=43)
+    central = CentralServer("seatdb", rsa_bits=512, seed=43, **central_options)
     for i, name in enumerate(TABLES):
         schema, data = generate_table(
             TableSpec(name=name, rows=12, columns=3, seed=i)
@@ -131,6 +132,112 @@ class TestHostileHello:
             }
         else:
             assert cursors == {"v": (heads["v"], epoch)}
+
+
+def seat_live_edge(medium, central, edge):
+    """Admit ``edge`` to ``central`` over ``medium`` and keep the link
+    served: as objects (``join``), or over a socketpair whose far end
+    is the edge's handler on the engine's own reactor — one thread, so
+    a wait-drain's spin serves both ends.  Returns ``(link, close)``."""
+    if medium == "join":
+        return join(central, edge), lambda: None
+    left, right = socket.socketpair()
+    central.fanout.reactor = loop = EdgeEventLoop()
+    sent = central.config_frame()
+    edge.adopt_config(sent)
+    loop.register("far-end", right, handler=lambda data: edge.handle_frame(data))
+    link = ReactorTransport(edge.name, loop, left)
+    central.admit(edge.hello(), link, sent)
+    return link, loop.close
+
+
+def write(central, keys):
+    for key in keys:
+        central.insert("t", (key, "a", "b"))
+
+
+def one_probe_settles_the_window(central, edge, link):
+    write(central, range(9100, 9105))  # five frames, not one ack yet
+    assert central.fanout.peer(edge.name).inflight == 5
+
+
+def coalesced_acks(central, edge, link):
+    write(central, range(9100, 9107))  # 3 + 3 acked, 1 left to the probe
+
+
+def held_then_released(central, edge, link):
+    peer = central.fanout.peer(edge.name)
+    link.faults.hold = True
+    write(central, range(9100, 9103))
+    central.fanout.drain(wait=True)  # parked: the probe waits with the rest
+    assert peer.inflight == 3 and peer.probe_inflight
+    link.faults.clear()
+
+
+def one_dropped_frame(central, edge, link):
+    link.faults.drop_next = 1
+    write(central, range(9100, 9102))  # the second delta covers both
+
+
+def relay_style_omission(central, edge, link):
+    """The first two cumulative acks say nothing about ``t`` — a relay
+    whose slowest edge holds no cursor yet — the third reports it."""
+    silent = [None, None]
+
+    def aggregate(data, inner=edge.handle_frame):
+        replies = inner(data)
+        if isinstance(frame_from_bytes(data), CursorProbeFrame) and silent:
+            silent.pop()
+            (ack,) = map(frame_from_bytes, replies)
+            kept = tuple(c for c in ack.cursors if c[0] != "t")
+            return [frame_to_bytes(CursorAckFrame(edge=ack.edge, cursors=kept))]
+        return replies
+
+    edge.handle_frame = aggregate
+    write(central, range(9100, 9103))
+
+
+#: script → (the edges' ack threshold, delta frames the link must
+#: carry: one per write unless noted).
+SCRIPTS = {
+    one_probe_settles_the_window: (1000, 5),
+    coalesced_acks: (3, 7),
+    held_then_released: (1000, 3),
+    one_dropped_frame: (1, 2),  # the lost one, then one for both
+    relay_style_omission: (1000, 3),
+}
+
+
+class TestOneSettleOnBothMedia:
+    @pytest.mark.event_loop
+    @pytest.mark.parametrize("medium", ["join", "socket"])
+    @pytest.mark.parametrize("script", SCRIPTS, ids=lambda s: s.__name__)
+    def test_the_same_peer_settles_alike(self, script, medium):
+        """One wait-drain loop, whichever medium: the same scripted
+        peer ends with every cursor at the log head under the current
+        epoch, nothing outstanding, and the same number of delta
+        frames on the link — nothing resent that the other medium did
+        not resend."""
+        ack_every, deltas = SCRIPTS[script]
+        central, _ = make_seat("central", ack_every=ack_every)
+        edge = EdgeServer("e0")
+        link, close = seat_live_edge(medium, central, edge)
+        try:
+            central.fanout.settle()  # bootstrap
+            script(central, edge, link)
+            assert central.fanout.settle() == 1
+            peer = central.fanout.peer("e0")
+            epoch = central.current_epoch()
+            assert peer.acked_lsns == {t: central.log_head(t) for t in TABLES}
+            assert peer.acked_epochs == dict.fromkeys(TABLES, epoch)
+            assert peer.outstanding == [] and not peer.probe_inflight
+            assert central.fanout.settled()
+            sent = [t.kind for t in link.down_channel.transfers]
+            assert sent.count("delta") == deltas
+            assert sent.count("snapshot") == len(TABLES)
+            assert edge.replica_lsns["t"] == central.log_head("t")
+        finally:
+            close()
 
 
 class TestDeliveredEpoch:

@@ -3,9 +3,10 @@
 Everything here runs in one process (socketpairs and threads — no
 subprocesses), so it belongs to the tier-1 suite: the framing layer's
 partial-read / short-write / torn-frame behaviour, the accepted link's
-(``ReactorTransport``) pipelined send/flush/poll/request surface against
-a blocking stub peer, the Hello→Config handshake's error contract for
-every dialer, the dialed seats' one-bad-frame guard, and a full
+(``ReactorTransport``) pipelined send/flush/request surface against
+a blocking stub peer (a link has no blocking receive: the tests spin
+its loop and flush, the way the fan-out engine's wait-drain does),
+the Hello→Config handshake's error contract for every dialer, the dialed seats' one-bad-frame guard, and a full
 handshake cycle with the edge served from a thread.  The multi-*process* deployment tests
 live in ``test_deploy.py`` behind the ``socket`` marker.
 """
@@ -183,7 +184,7 @@ class TestFraming:
 
 
 # ---------------------------------------------------------------------------
-# The accepted link (ReactorTransport): pipelined sends, flush/poll,
+# The accepted link (ReactorTransport): pipelined sends, spin + flush,
 # request, failure mapping — against a blocking stub peer
 # ---------------------------------------------------------------------------
 
@@ -200,16 +201,17 @@ def _echo_acks(sock, count, *, lsn_of=lambda i: i + 1):
         send_frame(sock, frame_to_bytes(ack))
 
 
-def _poll_until(transport, count, deadline=5.0):
-    """Poll (the one blocking settle primitive) until ``count`` replies
-    have been collected."""
+def _spin_until(transport, loop, count, deadline=5.0):
+    """Spin the loop and flush — what a wait-drain does between
+    solicitations — until ``count`` replies have been collected or
+    the link is dead."""
     replies = []
     end = time.monotonic() + deadline
     while len(replies) < count and time.monotonic() < end:
-        got = transport.poll()
-        if not got:
-            break  # dead / held / timed out: nothing more is coming
-        replies.extend(got)
+        loop.run_once(0.05)
+        replies.extend(transport.flush())
+        if not transport.connected:
+            break  # nothing more is coming
     return replies
 
 
@@ -225,7 +227,7 @@ def link(pair):
 
 class TestReactorLink:
     def test_pipelined_sends_then_flush(self, link):
-        transport, right, _loop = link
+        transport, right, loop = link
         peer = threading.Thread(target=_echo_acks, args=(right, 3))
         peer.start()
         try:
@@ -233,7 +235,7 @@ class TestReactorLink:
                 outcome = transport.send(DeltaFrame("t", b"d%d" % i))
                 assert outcome.status == "queued"
             assert transport.queued_frames == 3
-            replies = _poll_until(transport, 3)
+            replies = _spin_until(transport, loop, 3)
         finally:
             peer.join()
         assert [r.lsn for r in replies] == [1, 2, 3]
@@ -257,10 +259,10 @@ class TestReactorLink:
         assert not transport.connected
 
     def test_flush_on_dead_link_forgets_inflight(self, link):
-        transport, right, _loop = link
+        transport, right, loop = link
         assert transport.send(DeltaFrame("t", b"d")).status == "queued"
         right.close()  # peer dies with the ack outstanding
-        assert transport.poll() == []
+        assert _spin_until(transport, loop, 1) == []
         assert transport.queued_frames == 0
         assert not transport.connected
         assert transport.send(DeltaFrame("t", b"d2")).status == "failed"
@@ -279,7 +281,7 @@ class TestReactorLink:
         assert transport.connected
         # The ack is picked up once the peer answers.
         _echo_acks(right, 1)
-        replies = _poll_until(transport, 1)
+        replies = _spin_until(transport, loop, 1)
         assert [r.lsn for r in replies] == [1]
         assert transport.queued_frames == 0
 
@@ -304,7 +306,7 @@ class TestReactorLink:
         assert transport.connected
         assert transport.queued_frames == 1
         right.sendall(wire[7:])  # the rest arrives
-        replies = _poll_until(transport, 1)
+        replies = _spin_until(transport, loop, 1)
         assert [r.lsn for r in replies] == [1]
         assert transport.queued_frames == 0
 
@@ -312,7 +314,7 @@ class TestReactorLink:
         """A coalescing peer answers many sends with one cumulative
         ack.  Per-frame pending accounting would drift upward forever
         — the cumulative ack must zero the pending count."""
-        transport, right, _loop = link
+        transport, right, loop = link
 
         def coalescing_peer():
             for _ in range(3):
@@ -326,11 +328,11 @@ class TestReactorLink:
             for i in range(3):
                 transport.send(DeltaFrame("t", b"d%d" % i))
             start = time.perf_counter()
-            replies = transport.poll()
+            replies = _spin_until(transport, loop, 1)
             elapsed = time.perf_counter() - start
         finally:
             thread.join()
-        assert elapsed < 3.0, f"poll blocked {elapsed:.1f}s on a settled link"
+        assert elapsed < 3.0, f"spun {elapsed:.1f}s on a settled link"
         assert [type(r).__name__ for r in replies] == ["CursorAckFrame"]
         assert transport.queued_frames == 0
         assert transport.connected
@@ -387,7 +389,7 @@ def _relay_seat(central):
 
 
 def _edge_seat(central):
-    return EdgeServer(name="seat", config=central.edge_config())
+    return EdgeServer(name="seat", config=central.client_config())
 
 
 _BAD_FRAMES = {

@@ -1,8 +1,8 @@
 """The code-only ceilings hold (tools/count_code.py, tools/code_ceiling.json).
 
 Tier-1 twin of the CI lint step, and the coverage floor's twin: a
-directory may not grow past the count its last simplicity PR left it
-at, and the counter is the committed one — the numbers DESIGN.md quotes
+directory (or one named module) may not grow past the count its last
+simplicity PR left it at, and the counter is the committed one — the numbers DESIGN.md quotes
 are reproducible.
 """
 
@@ -39,6 +39,10 @@ def test_counts_code_not_prose():
 def test_no_directory_is_over_its_ceiling(tmp_path):
     counter = _load_counter()
     assert counter.over_ceiling() == []
+    # The fan-out engine's module has a ratchet of its own: a key may
+    # name a file as well as a directory.
+    with open(counter.CEILING) as fh:
+        assert "src/repro/edge/fanout.py" in json.load(fh)["ceilings"]
     # ... and the gate can fail: one line under today's count trips it.
     have = counter.count_path(os.path.join(ROOT, "src", "repro", "chaos"))
     tight = tmp_path / "ceiling.json"

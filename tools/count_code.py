@@ -42,7 +42,8 @@ def count_path(path: str) -> int:
 
 
 def over_ceiling(root: str = ROOT, ceiling_path: str = CEILING) -> list:
-    """One message per directory above its committed ceiling."""
+    """One message per path (a directory or one module) above its
+    committed ceiling."""
     with open(ceiling_path) as fh:
         ceilings = json.load(fh)["ceilings"]
     counts = {path: count_path(os.path.join(root, path)) for path in ceilings}
