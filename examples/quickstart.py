@@ -17,7 +17,7 @@ def main() -> None:
     # 1. Central server with a 1000-row demo table, one edge, one client.
     central, edge, client = quick_setup(rows=1000, rsa_bits=512, seed=7)
     print(f"central db: {central.db_name!r}, table 'items' with "
-          f"{len(central.tables['items'])} rows")
+          f"{len(central.vbtrees['items'])} rows")
     print(f"VB-tree height {central.vbtrees['items'].height()}, "
           f"digest policy {central.policy.value!r}")
 

@@ -21,7 +21,7 @@ mid-read; pass a transaction to enable that protocol.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.core.digests import DigestPolicy
 from repro.core.envelope import Envelope, find_envelope
@@ -92,19 +92,7 @@ class QueryAuthenticator:
         then contains gaps, each covered by a ``D_S`` digest, exactly as
         Section 3.3 describes.
         """
-        key_range = predicate.key_range(self.vbtree.schema.key)
-        if key_range is not None and key_range.empty:
-            candidates: Iterable[tuple[Any, Row]] = ()
-        elif key_range is not None:
-            candidates = self.vbtree.tree.range_items(
-                low=key_range.low,
-                high=key_range.high,
-                low_inclusive=key_range.low_inclusive,
-                high_inclusive=key_range.high_inclusive,
-            )
-        else:
-            candidates = self.vbtree.tree.items()
-        items = [item for item in candidates if predicate.evaluate(item[1])]
+        items = list(self.vbtree.select(predicate))
         return self._build_result(items, columns, vo_format, txn)
 
     # ------------------------------------------------------------------

@@ -30,6 +30,7 @@ from typing import Any, Callable, Iterable, Iterator
 from repro.core.digests import DigestPolicy, SigningDigestEngine
 from repro.crypto.signatures import DigestVerifier, SignedDigest
 from repro.db.btree import BPlusTree, InternalNode, LeafNode, MutationTrace, _Node
+from repro.db.expressions import Predicate
 from repro.db.page import PageGeometry
 from repro.db.rows import Row
 from repro.db.schema import TableSchema
@@ -195,6 +196,26 @@ class VBTree:
         """All rows in key order."""
         for _k, row in self.tree.items():
             yield row
+
+    def select(self, predicate: Predicate) -> Iterator[tuple[Any, Row]]:
+        """``(key, row)`` for every row satisfying ``predicate``, in key
+        order — a range scan when the predicate pins the schema key to
+        one interval, a full scan otherwise."""
+        key_range = predicate.key_range(self.schema.key)
+        if key_range is None:
+            items = self.tree.items()
+        elif key_range.empty:
+            return
+        else:
+            items = self.tree.range_items(
+                low=key_range.low,
+                high=key_range.high,
+                low_inclusive=key_range.low_inclusive,
+                high_inclusive=key_range.high_inclusive,
+            )
+        for item in items:
+            if predicate.evaluate(item[1]):
+                yield item
 
     # ------------------------------------------------------------------
     # Digest (re)computation

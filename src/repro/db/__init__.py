@@ -7,7 +7,6 @@ lock manager with deadlock detection.
 """
 
 from repro.db.btree import BPlusTree, InternalNode, LeafNode, MutationTrace
-from repro.db.buffer import BufferPool
 from repro.db.executor import (
     Filter,
     IndexRangeScan,
@@ -49,7 +48,6 @@ __all__ = [
     "AlwaysTrue",
     "And",
     "BPlusTree",
-    "BufferPool",
     "BlobType",
     "BoolType",
     "Catalog",

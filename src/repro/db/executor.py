@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 from repro.db.expressions import Predicate
 from repro.db.rows import Row
-from repro.db.schema import Column, TableSchema
+from repro.db.schema import TableSchema, joined_schema
 from repro.db.table import Table
 from repro.exceptions import PlanningError, SchemaError
 
@@ -155,23 +155,6 @@ class Project(PlanNode):
         return (self.child,)
 
 
-def _joined_schema(
-    left: TableSchema, right: TableSchema, name: str
-) -> TableSchema:
-    """Schema of a join result; columns are prefixed on collision."""
-    columns: list[Column] = []
-    left_names = set(left.column_names)
-    for col in left.columns:
-        columns.append(col)
-    for col in right.columns:
-        if col.name in left_names:
-            columns.append(Column(f"{right.name}_{col.name}", col.type))
-        else:
-            columns.append(col)
-    key = left.key  # join output keeps the left key as row identity
-    return TableSchema(name=name, columns=columns, key=key)
-
-
 @dataclass
 class NestedLoopJoin(PlanNode):
     """Equi-join by nested loops (any inputs)."""
@@ -183,7 +166,7 @@ class NestedLoopJoin(PlanNode):
 
     @property
     def schema(self) -> TableSchema:
-        return _joined_schema(
+        return joined_schema(
             self.left.schema,
             self.right.schema,
             f"{self.left.schema.name}_join_{self.right.schema.name}",
@@ -222,7 +205,7 @@ class MergeJoin(PlanNode):
 
     @property
     def schema(self) -> TableSchema:
-        return _joined_schema(
+        return joined_schema(
             self.left.schema,
             self.right.schema,
             f"{self.left.schema.name}_join_{self.right.schema.name}",

@@ -6,23 +6,22 @@ ad-hoc, but are embedded in application programs and hence known in
 advance.  It is thus possible to materialize each join operation, and
 construct a VB-tree on the materialized view."
 
-:class:`MaterializedJoinView` materializes an equi-join of two base
-tables into a regular :class:`~repro.db.table.Table` (with a synthetic
-integer key, since join outputs need a unique primary key for the
-VB-tree), and supports incremental maintenance when base rows are
-inserted or deleted.
+:class:`MaterializedJoinView` is the join's definition and its
+incremental maintenance; it holds no rows.  The view's rows live in the
+VB-tree built on it — the only copy — and the view reads that tree and
+its two bases by name from one ``trees`` mapping, through the surface a
+VB-tree offers (``schema``, ``rows()``, ``get_row``).  A synthetic
+integer key, ``view_id``, gives the view's VB-tree a unique search key.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Mapping
 
-from repro.db.executor import MergeJoin, SeqScan, _joined_schema
 from repro.db.rows import Row
-from repro.db.schema import Column, TableSchema
-from repro.db.table import Table
+from repro.db.schema import Column, TableSchema, joined_schema
 from repro.db.types import IntType
-from repro.exceptions import SchemaError
+from repro.exceptions import KeyNotFoundError
 
 __all__ = ["MaterializedJoinView"]
 
@@ -31,86 +30,55 @@ VIEW_KEY = "view_id"
 
 
 class MaterializedJoinView:
-    """An equi-join of two tables, materialized and maintainable.
+    """An equi-join of two base tables, maintained row by row.
 
     Args:
         name: View name (registered like a table).
-        left: Left base table.
-        right: Right base table.
+        trees: Name → VB-tree mapping holding both bases and, once it is
+            built, the view's own tree.  Looked up on every use, so a
+            tree rebuilt under the same name (key rotation) is the one
+            read.
+        left: Left base table's name.
+        right: Right base table's name.
         left_column: Join column on the left table.
         right_column: Join column on the right table.
 
     The view's rows carry a synthetic ``view_id`` key assigned in join
     order, then the left row's columns, then the right row's columns
-    (collision-renamed).  ``view_id`` gives the VB-tree built over the
-    view a proper search key.
+    (collision-renamed).  The view's contents over the current bases
+    are :meth:`peek_left_insert` applied to each left row in key order,
+    which assigns the same ids a nested-loop or merge join over two key
+    scans would.
     """
 
     def __init__(
         self,
         name: str,
-        left: Table,
-        right: Table,
+        trees: Mapping[str, Any],
+        left: str,
+        right: str,
         left_column: str,
         right_column: str,
     ) -> None:
-        left.schema.column(left_column)   # validate early
-        right.schema.column(right_column)
         self.name = name
         self.left = left
         self.right = right
         self.left_column = left_column
         self.right_column = right_column
-        joined = _joined_schema(left.schema, right.schema, name)
+        self._trees = trees
+        left_schema, right_schema = trees[left].schema, trees[right].schema
+        self._li = left_schema.column_index(left_column)  # validate early
+        self._ri = right_schema.column_index(right_column)
+        #: Where the right row starts in a view row: after ``view_id``
+        #: and the left row.
+        self._right_at = 1 + len(left_schema.columns)
+        joined = joined_schema(left_schema, right_schema, name)
         self.schema = TableSchema(
             name=name,
             columns=(Column(VIEW_KEY, IntType()), *joined.columns),
             key=VIEW_KEY,
         )
-        self._joined_schema = joined
         self._next_id = 0
-        self.table = Table(self.schema)
-        self.refresh()
-
-    # ------------------------------------------------------------------
-    # Full refresh
-    # ------------------------------------------------------------------
-
-    def refresh(self) -> int:
-        """Recompute the view from scratch; returns the row count."""
-        join = (
-            MergeJoin(
-                SeqScan(self.left),
-                SeqScan(self.right),
-                self.left_column,
-                self.right_column,
-            )
-            if self.left_column == self.left.schema.key
-            and self.right_column == self.right.schema.key
-            else None
-        )
-        self.table = Table(self.schema)
-        self._next_id = 0
-        if join is not None:
-            rows: Iterator[Row] = join.execute()
-        else:
-            from repro.db.executor import NestedLoopJoin
-
-            rows = NestedLoopJoin(
-                SeqScan(self.left),
-                SeqScan(self.right),
-                self.left_column,
-                self.right_column,
-            ).execute()
-        for row in rows:
-            self._append(row.values)
-        return len(self.table)
-
-    def _append(self, joined_values: tuple[Any, ...]) -> Row:
-        row = Row(self.schema, (self._next_id, *joined_values))
-        self.table.insert(row)
-        self._next_id += 1
-        return row
 
     # ------------------------------------------------------------------
     # Incremental maintenance
@@ -118,30 +86,22 @@ class MaterializedJoinView:
     # Each side is split into a *peek* (pure: what rows would the base
     # change add/remove, and under which keys) and the mutation proper,
     # so the central server can acquire every lock the maintenance will
-    # need before touching any table — a denied lock must leave the
+    # need before touching any tree — a denied lock must leave the
     # whole multi-tree transaction untouched.
     # ------------------------------------------------------------------
 
     def peek_left_insert(self, row: Row) -> list[tuple[Any, ...]]:
         """Joined value tuples an insert into the left table would add
         (without ``view_id``), in materialization order."""
-        ri = self.right.schema.column_index(self.right_column)
-        li = self.left.schema.column_index(self.left_column)
-        return [
-            row.values + rrow.values
-            for rrow in self.right.scan()
-            if rrow.values[ri] == row.values[li]
-        ]
+        right = self._trees[self.right]
+        value = row.values[self._li]
+        return [row.values + r.values for r in _matching(right, self.right_column, value)]
 
     def peek_right_insert(self, row: Row) -> list[tuple[Any, ...]]:
         """Joined value tuples an insert into the right table would add."""
-        ri = self.right.schema.column_index(self.right_column)
-        li = self.left.schema.column_index(self.left_column)
-        return [
-            lrow.values + row.values
-            for lrow in self.left.scan()
-            if lrow.values[li] == row.values[ri]
-        ]
+        left = self._trees[self.left]
+        value = row.values[self._ri]
+        return [r.values + row.values for r in _matching(left, self.left_column, value)]
 
     def next_keys(self, count: int) -> list[int]:
         """The ``view_id`` keys the next ``count`` materialized rows
@@ -149,65 +109,34 @@ class MaterializedJoinView:
         return list(range(self._next_id, self._next_id + count))
 
     def materialize(self, joined_values: tuple[Any, ...]) -> Row:
-        """Append one peeked join row to the view table.
-
-        Returns:
-            The stored view row (with its assigned ``view_id``).
-        """
-        return self._append(joined_values)
+        """The view row for one peeked join tuple, under the next
+        ``view_id`` — for the caller to insert into the view's tree."""
+        row = Row(self.schema, (self._next_id, *joined_values))
+        self._next_id += 1
+        return row
 
     def peek_left_delete(self, row: Row) -> list[Row]:
         """View rows a delete from the left table would remove."""
-        key_idx = self.left.schema.key_index
-        # The left row's key appears at offset 1 + key_idx (after view_id).
-        return [
-            vrow
-            for vrow in list(self.table.scan())
-            if vrow.values[1 + key_idx] == row.values[key_idx]
-        ]
+        # The left row starts right after ``view_id``.
+        return self._rows_holding(1 + row.schema.key_index, row.key)
 
     def peek_right_delete(self, row: Row) -> list[Row]:
         """View rows a delete from the right table would remove."""
-        offset = 1 + len(self.left.schema.columns)
-        key_idx = self.right.schema.key_index
-        return [
-            vrow
-            for vrow in list(self.table.scan())
-            if vrow.values[offset + key_idx] == row.values[key_idx]
-        ]
+        return self._rows_holding(self._right_at + row.schema.key_index, row.key)
 
-    def drop_rows(self, rows: list[Row]) -> None:
-        """Remove peeked view rows from the view table."""
-        for vrow in rows:
-            self.table.delete(vrow.key)
+    def _rows_holding(self, index: int, key: Any) -> list[Row]:
+        return [v for v in self._trees[self.name].rows() if v.values[index] == key]
 
-    def on_left_insert(self, row: Row) -> list[Row]:
-        """Propagate an insert into the left base table.
 
-        Returns:
-            The view rows added.
-        """
-        return [self._append(v) for v in self.peek_left_insert(row)]
-
-    def on_right_insert(self, row: Row) -> list[Row]:
-        """Propagate an insert into the right base table."""
-        return [self._append(v) for v in self.peek_right_insert(row)]
-
-    def on_left_delete(self, row: Row) -> list[Row]:
-        """Propagate a delete from the left base table.
-
-        Returns:
-            The view rows removed.
-        """
-        removed = self.peek_left_delete(row)
-        self.drop_rows(removed)
-        return removed
-
-    def on_right_delete(self, row: Row) -> list[Row]:
-        """Propagate a delete from the right base table."""
-        removed = self.peek_right_delete(row)
-        self.drop_rows(removed)
-        return removed
-
-    def __len__(self) -> int:
-        return len(self.table)
+def _matching(tree: Any, column: str, value: Any) -> list[Row]:
+    """Rows of ``tree`` whose ``column`` equals ``value``, in key order:
+    a key probe when ``column`` is the tree's key (a key-to-key or FK→PK
+    join), a scan otherwise."""
+    schema = tree.schema
+    if column == schema.key:
+        try:
+            return [tree.get_row(value)]
+        except KeyNotFoundError:
+            return []
+    index = schema.column_index(column)
+    return [r for r in tree.rows() if r.values[index] == value]

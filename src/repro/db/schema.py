@@ -8,7 +8,7 @@ from typing import Any, Iterator, Sequence
 from repro.db.types import ColumnType
 from repro.exceptions import SchemaError, TypeMismatchError
 
-__all__ = ["Column", "TableSchema", "Catalog"]
+__all__ = ["Column", "TableSchema", "Catalog", "joined_schema"]
 
 _IDENT_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 
@@ -136,6 +136,18 @@ class TableSchema:
         cols = tuple(self.column(n) for n in names)
         key = self.key if self.key in names else names[0]
         return TableSchema(name=self.name, columns=cols, key=key)
+
+
+def joined_schema(left: TableSchema, right: TableSchema, name: str) -> TableSchema:
+    """Schema of an equi-join's rows: the left columns, then the right
+    ones, a right column prefixed with its table's name on collision;
+    the left key stays the row identity."""
+    left_names = set(left.column_names)
+    renamed = [
+        Column(f"{right.name}_{col.name}", col.type) if col.name in left_names else col
+        for col in right.columns
+    ]
+    return TableSchema(name=name, columns=(*left.columns, *renamed), key=left.key)
 
 
 @dataclass

@@ -32,7 +32,6 @@ from repro.crypto.signatures import DigestSigner
 from repro.db.mview import MaterializedJoinView
 from repro.db.rows import Row
 from repro.db.schema import Catalog, TableSchema
-from repro.db.table import Table
 from repro.db.transactions import TransactionManager
 from repro.edge.fanout import FanoutEngine
 from repro.edge.link import FaultInjector, Transport, wire
@@ -129,7 +128,9 @@ class CentralServer:
             self._keypair, epoch=self.keyring.current_epoch
         )
         self.catalog = Catalog(db_name)
-        self.tables: dict[str, Table] = {}
+        #: Every tree by name — base tables, join views, secondary
+        #: indexes.  A base table's VB-tree is the central's only copy
+        #: of its rows.
         self.vbtrees: dict[str, VBTree] = {}
         self.views: dict[str, MaterializedJoinView] = {}
         self._updaters: dict[str, AuthenticatedUpdater] = {}
@@ -223,22 +224,17 @@ class CentralServer:
         schema: TableSchema,
         rows: Iterable[Sequence[Any]] = (),
         fanout_override: int | None = None,
-    ) -> Table:
-        """Create a base table, build its VB-tree, seed it with rows."""
+    ) -> VBTree:
+        """Create a base table: its VB-tree, built over ``rows`` in key
+        order, is the table."""
         self.catalog.register(schema)
-        table = Table(schema)
-        for values in rows:
-            table.insert(values)
-        self.tables[schema.name] = table
-        vbt = VBTree.build(
-            schema,
-            table.scan(),
-            self.signing_engine(),
-            fanout_override=fanout_override,
+        ordered = sorted(
+            (Row(schema, values) for values in rows), key=lambda row: row.key
         )
-        self.vbtrees[schema.name] = vbt
-        self._updaters[schema.name] = AuthenticatedUpdater(vbt)
-        return table
+        vbt = VBTree.build(
+            schema, ordered, self.signing_engine(), fanout_override=fanout_override
+        )
+        return self._add_tree(schema.name, vbt)
 
     def create_join_view(
         self,
@@ -249,26 +245,27 @@ class CentralServer:
         right_column: str,
         fanout_override: int | None = None,
     ) -> MaterializedJoinView:
-        """Materialize an equi-join and build a VB-tree over it
-        (Section 3.3's join strategy)."""
+        """Materialize an equi-join of two base tables and build a
+        VB-tree over it (Section 3.3's join strategy): each left row's
+        join partners, left rows in key order — the maintenance path."""
+        # Both bases must be base tables: maintenance runs on base
+        # writes only, so it would never reach a view built on a view.
+        left_rows = self.base_table(left).rows()
+        self.base_table(right)
         view = MaterializedJoinView(
-            name,
-            self._table(left),
-            self._table(right),
-            left_column,
-            right_column,
+            name, self.vbtrees, left, right, left_column, right_column
         )
         self.catalog.register(view.schema)
+        rows = [
+            view.materialize(joined)
+            for lrow in left_rows
+            for joined in view.peek_left_insert(lrow)
+        ]
         self.views[name] = view
-        self.tables[name] = view.table
         vbt = VBTree.build(
-            view.schema,
-            view.table.scan(),
-            self.signing_engine(),
-            fanout_override=fanout_override,
+            view.schema, rows, self.signing_engine(), fanout_override=fanout_override
         )
-        self.vbtrees[name] = vbt
-        self._updaters[name] = AuthenticatedUpdater(vbt)
+        self._add_tree(name, vbt)
         return view
 
     def create_secondary_index(
@@ -286,28 +283,45 @@ class CentralServer:
             servers address via
             :meth:`~repro.edge.edge_server.EdgeServer.secondary_range_query`.
         """
-        schema = self.catalog.get(table)
+        base = self.base_table(table)
         name = secondary_index_name(table, attribute)
         if name in self.vbtrees:
             raise SchemaError(f"secondary index {name!r} already exists")
         vbt = SecondaryVBTree.build_on(
-            schema,
+            base.schema,
             attribute,
-            self._table(table).scan(),
+            base.rows(),
             self.signing_engine(),
             fanout_override=fanout_override,
         )
-        self.vbtrees[name] = vbt
-        self._updaters[name] = AuthenticatedUpdater(vbt)
+        self._add_tree(name, vbt)
         self._secondary_of.setdefault(table, []).append(name)
         self.propagate(name)
         return name
 
-    def _table(self, name: str) -> Table:
-        try:
-            return self.tables[name]
-        except KeyError:
-            raise SchemaError(f"no table {name!r}") from None
+    def base_table(self, name: str) -> VBTree:
+        """The VB-tree of base table ``name`` — the central's only copy
+        of its rows, and the only kind of tree a write may name.
+
+        Raises:
+            SchemaError: For an unknown name, a join view or a
+                secondary index: those are maintained from their bases,
+                never written or indexed directly.
+        """
+        vbt = self.vbtrees.get(name)
+        if vbt is None:
+            raise SchemaError(f"no table {name!r}")
+        if name in self.views or isinstance(vbt, SecondaryVBTree):
+            raise SchemaError(
+                f"{name!r} is not a base table: views and indexes are"
+                " maintained from their bases, never written"
+            )
+        return vbt
+
+    def _add_tree(self, name: str, vbt: VBTree) -> VBTree:
+        self.vbtrees[name] = vbt
+        self._updaters[name] = AuthenticatedUpdater(vbt)
+        return vbt
 
     # ------------------------------------------------------------------
     # Updates (Section 3.4 — updates go through the central server)
@@ -321,21 +335,20 @@ class CentralServer:
     # ------------------------------------------------------------------
 
     def insert(self, table: str, values: Sequence[Any]) -> Row:
-        """Insert one row: base table, VB-tree digests, secondary
-        indexes, join views — atomically — then (eager) replica
-        propagation."""
-        tbl = self._table(table)
-        row = Row(tbl.schema, tbl.schema.validate_row(values))
-        if row.key in tbl:
+        """Insert one row into base table ``table`` — its VB-tree, every
+        secondary index and join view on it, atomically — then (eager)
+        replica propagation.  A view or index name raises
+        ``SchemaError`` (:meth:`base_table`)."""
+        vbt = self.base_table(table)
+        row = Row(vbt.schema, values)
+        if row.key in vbt.tree:
             raise DuplicateKeyError(
                 f"duplicate key {row.key!r} in table {table!r}"
             )
         txn = self.txn_manager.begin()
         try:
             # Phase 1 — plan + lock every digest path the update needs.
-            self._updaters[table].lock_path(
-                self.vbtrees[table].key_of(row), txn
-            )
+            self._updaters[table].lock_path(vbt.key_of(row), txn)
             index_names = list(self._secondary_of.get(table, ()))
             for index_name in index_names:
                 self._updaters[index_name].lock_path(
@@ -343,9 +356,9 @@ class CentralServer:
                 )
             view_plan = []
             for view in self.views.values():
-                if view.left.schema.name == table:
+                if view.left == table:
                     joined = view.peek_left_insert(row)
-                elif view.right.schema.name == table:
+                elif view.right == table:
                     joined = view.peek_right_insert(row)
                 else:
                     continue
@@ -360,7 +373,6 @@ class CentralServer:
         affected = [table, *index_names]
         try:
             # Phase 2 — mutate everything under the held locks.
-            tbl.insert(row)
             self._updaters[table].insert(row, txn=txn)
             for index_name in index_names:
                 self._updaters[index_name].insert(row, txn=txn)
@@ -380,15 +392,14 @@ class CentralServer:
         return row
 
     def delete(self, table: str, key: Any) -> Row:
-        """Delete one row everywhere (table, digests, indexes, views)
-        atomically, then (eager) replica propagation."""
-        tbl = self._table(table)
-        row = tbl.get(key)  # KeyNotFoundError before anything mutates
+        """Delete one row of base table ``table`` everywhere (its
+        VB-tree, indexes, views) atomically, then (eager) replica
+        propagation."""
+        vbt = self.base_table(table)
+        row = vbt.get_row(key)  # KeyNotFoundError before anything mutates
         txn = self.txn_manager.begin()
         try:
-            self._updaters[table].lock_path(
-                self.vbtrees[table].key_of(row), txn
-            )
+            self._updaters[table].lock_path(vbt.key_of(row), txn)
             index_names = list(self._secondary_of.get(table, ()))
             for index_name in index_names:
                 self._updaters[index_name].lock_path(
@@ -396,9 +407,9 @@ class CentralServer:
                 )
             view_plan = []
             for view in self.views.values():
-                if view.left.schema.name == table:
+                if view.left == table:
                     removed = view.peek_left_delete(row)
-                elif view.right.schema.name == table:
+                elif view.right == table:
                     removed = view.peek_right_delete(row)
                 else:
                     continue
@@ -413,13 +424,11 @@ class CentralServer:
         affected = [table, *index_names]
         try:
             self._updaters[table].delete(key, txn=txn)
-            tbl.delete(key)
             for index_name in index_names:
                 secondary = self.vbtrees[index_name]
                 self._updaters[index_name].delete(secondary.key_of(row), txn=txn)
             for view, removed in view_plan:
                 updater = self._updaters[view.name]
-                view.drop_rows(removed)
                 for vrow in removed:
                     updater.delete(vrow.key, txn=txn)
                 affected.append(view.name)
@@ -492,8 +501,7 @@ class CentralServer:
                     fanout_override=override,
                 )
             rebuilt.version = vbt.version + 1
-            self.vbtrees[name] = rebuilt
-            self._updaters[name] = AuthenticatedUpdater(rebuilt)
+            self._add_tree(name, rebuilt)
         # Every signature in every log entry is now obsolete: consume an
         # LSN barrier per table so laggard edges detect the gap and
         # resync via snapshot (their epoch check catches it too).

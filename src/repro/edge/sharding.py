@@ -504,7 +504,7 @@ class ShardedCentral:
     def total_rows(self, table: str) -> int:
         """Rows of ``table`` across every owning shard."""
         return sum(
-            len(self.shards[s].tables[table])
+            len(self.shards[s].vbtrees[table])
             for s in self.shard_map.shards_for_table(table)
-            if table in self.shards[s].tables
+            if table in self.shards[s].vbtrees
         )

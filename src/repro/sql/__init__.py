@@ -14,7 +14,7 @@ from repro.sql.ast_nodes import (
 )
 from repro.sql.lexer import Token, TokenType, tokenize
 from repro.sql.parser import parse, parse_many
-from repro.sql.planner import lower_where, plan_select, validate_select
+from repro.sql.planner import lower_where, validate_select
 from repro.sql.session import QueryOutcome, Session
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "lower_where",
     "parse",
     "parse_many",
-    "plan_select",
     "tokenize",
     "validate_select",
 ]

@@ -1,16 +1,14 @@
-"""Planner: SQL AST → predicates / relational plans.
+"""Planner: SQL AST → predicates.
 
 The planner validates statements against a catalog and lowers WHERE
-clauses to :mod:`repro.db.expressions` predicates — the form both the
-executor and the VO construction consume.  SELECTs on base tables and
-materialized views plan to an index-range scan whenever the predicate
-pins the primary key to a contiguous interval."""
+clauses to :mod:`repro.db.expressions` predicates — the form the VO
+construction consumes (a VB-tree narrows a predicate that pins its key
+to one interval to a range scan: :meth:`repro.core.vbtree.VBTree.select`)."""
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.db.executor import Filter, IndexRangeScan, PlanNode, Project, SeqScan
 from repro.db.expressions import (
     AlwaysTrue,
     And,
@@ -20,7 +18,6 @@ from repro.db.expressions import (
     Predicate,
 )
 from repro.db.schema import Catalog, TableSchema
-from repro.db.table import Table
 from repro.exceptions import PlanningError
 from repro.sql.ast_nodes import (
     SelectStmt,
@@ -31,7 +28,7 @@ from repro.sql.ast_nodes import (
     WhereOr,
 )
 
-__all__ = ["lower_where", "plan_select", "validate_select", "exact_range_on"]
+__all__ = ["lower_where", "validate_select", "exact_range_on"]
 
 
 def lower_where(where: Optional[WhereExpr], schema: TableSchema) -> Predicate:
@@ -108,19 +105,3 @@ def validate_select(
         columns = stmt.columns
     predicate = lower_where(stmt.where, schema)
     return schema, columns, predicate
-
-
-def plan_select(stmt: SelectStmt, catalog: Catalog, table: Table) -> PlanNode:
-    """Build an executable plan for a SELECT on a local table."""
-    schema, columns, predicate = validate_select(stmt, catalog)
-    key_range = predicate.key_range(schema.key)
-    scan: PlanNode
-    if key_range is not None and not isinstance(predicate, AlwaysTrue):
-        scan = IndexRangeScan(table, predicate)
-    elif isinstance(predicate, AlwaysTrue):
-        scan = SeqScan(table)
-    else:
-        scan = Filter(SeqScan(table), predicate)
-    if columns != schema.column_names:
-        return Project(scan, tuple(columns))
-    return scan

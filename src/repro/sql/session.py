@@ -189,10 +189,9 @@ class Session:
         self.central.propagate(stmt.name)
 
     def _delete(self, stmt: DeleteStmt) -> int:
-        schema = self.central.catalog.get(stmt.table)
-        predicate = lower_where(stmt.where, schema)
-        table = self.central.tables[stmt.table]
-        victims = [row.key for row in table.select(predicate)]
+        vbt = self.central.base_table(stmt.table)  # refuses a view or an index
+        predicate = lower_where(stmt.where, vbt.schema)
+        victims = [key for key, _row in vbt.select(predicate)]
         for key in victims:
             self.central.delete(stmt.table, key)
         return len(victims)

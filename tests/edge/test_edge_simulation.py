@@ -105,9 +105,9 @@ class TestQueryFlow:
         )
         table = server.create_table(schema, rows, fanout_override=4)
         edge = server.spawn_edge_server("edge-naive")
-        store = NaiveStore.build(schema, table.scan(), server.signing_engine())
+        store = NaiveStore.build(schema, table.rows(), server.signing_engine())
         server.insert("items", (9001, "a", "b", "c"))
-        store.add(table.get(9001))
+        store.add(table.get_row(9001))
         server.delete("items", 25)
         store.remove(25)
         held = [

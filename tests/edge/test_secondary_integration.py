@@ -67,7 +67,7 @@ class TestSecondaryThroughDeployment:
 
     def test_delete_maintains_secondary(self, deployment):
         central, edge, client = deployment
-        row = central.tables["m"].get(10)
+        row = central.vbtrees["m"].get_row(10)
         central.delete("m", 10)
         resp = edge.secondary_range_query(
             "m", "temp", low=row["temp"], high=row["temp"]

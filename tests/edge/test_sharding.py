@@ -184,11 +184,11 @@ class TestShardedWrites:
     def test_insert_lands_on_exactly_one_shard(self):
         central, _fleets = sharded_fabric()
         before = [
-            len(s.tables["items"]) for s in central.shards
+            len(s.vbtrees["items"]) for s in central.shards
         ]
         owner = central.shard_for("items", 1001)
         central.insert("items", (1001, "x", "y", "z"))
-        after = [len(s.tables["items"]) for s in central.shards]
+        after = [len(s.vbtrees["items"]) for s in central.shards]
         for shard_id, (b, a) in enumerate(zip(before, after, strict=True)):
             assert a - b == (1 if shard_id == owner else 0)
         assert central.total_rows("items") == sum(before) + 1

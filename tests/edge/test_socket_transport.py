@@ -577,7 +577,7 @@ class TestHelloCursorSanitizing:
         central.insert("t", (9009, "a", "b", "c"))
         central.propagate("t")
         assert central.staleness("liar", "t") == 0
-        assert len(edge.replica("t").tree) == len(central.tables["t"])
+        assert len(edge.replica("t").tree) == len(central.vbtrees["t"])
 
 
 class TestHandshakeBounds:

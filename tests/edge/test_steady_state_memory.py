@@ -98,7 +98,7 @@ def test_an_insert_sync_pair_retains_what_it_stores_and_little_else(fabric):
     per_write = retained_by(write, warmup=40, measured=300)
     assert per_write < PER_WRITE_BUDGET, (
         f"{per_write:.0f} B retained per insert → sync by src/repro.  A write "
-        "legitimately keeps its row (central table and tree, edge replica), "
+        "legitimately keeps its row (central tree, edge replica), "
         "the tuple's signature on each side, and its sealed delta in the "
         "replication log until max_log_entries (1024) evicts it — "
         f"≈ {MEASURED_PER_WRITE} B measured when this budget was pinned; "

@@ -12,7 +12,8 @@ from repro.core.update import digest_resource
 from repro.db.schema import Column, TableSchema
 from repro.db.types import IntType
 from repro.edge.central import CentralServer
-from repro.exceptions import LockError
+from repro.exceptions import LockError, SchemaError
+from repro.sql import Session
 
 DB = "atomdb"
 
@@ -53,6 +54,19 @@ def snapshot_state(server, names):
     }
 
 
+def make_view_server():
+    """``m`` joined to ``sites`` on ``site``: the 40-row view ``m_sites``."""
+    server = make_server()
+    sites = TableSchema(
+        "sites",
+        (Column("site", IntType()), Column("zone", IntType())),
+        key="site",
+    )
+    server.create_table(sites, [(i, i * 10) for i in range(3)])
+    server.create_join_view("m_sites", "m", "sites", "site", "site")
+    return server
+
+
 class TestInsertAtomicity:
     def test_blocked_secondary_index_aborts_whole_insert(self):
         server = make_server()
@@ -61,13 +75,13 @@ class TestInsertAtomicity:
         client = server.make_client()
         blocker = block_root(server, index)
         before = snapshot_state(server, ["m", index])
-        rows_before = len(server.tables["m"])
+        rows_before = len(server.vbtrees["m"])
 
         with pytest.raises(LockError):
             server.insert("m", (9001, 99, 1))
 
         # Base table, base tree, index tree, and both logs: untouched.
-        assert len(server.tables["m"]) == rows_before
+        assert len(server.vbtrees["m"]) == rows_before
         assert snapshot_state(server, ["m", index]) == before
         server.vbtrees["m"].audit()
         server.vbtrees[index].audit()
@@ -83,25 +97,18 @@ class TestInsertAtomicity:
         edge.replica(index).audit()
 
     def test_blocked_join_view_aborts_whole_insert(self):
-        server = make_server()
-        sites = TableSchema(
-            "sites",
-            (Column("site", IntType()), Column("zone", IntType())),
-            key="site",
-        )
-        server.create_table(sites, [(i, i * 10) for i in range(3)])
-        server.create_join_view("m_sites", "m", "sites", "site", "site")
+        server = make_view_server()
         edge = server.spawn_edge_server("e1")
         client = server.make_client()
         blocker = block_root(server, "m_sites")
         before = snapshot_state(server, ["m", "m_sites"])
-        view_rows = len(server.views["m_sites"].table)
+        view_rows = len(server.vbtrees["m_sites"])
 
         with pytest.raises(LockError):
             server.insert("m", (9001, 99, 1))  # joins site 1 -> view insert
 
         assert snapshot_state(server, ["m", "m_sites"]) == before
-        assert len(server.views["m_sites"].table) == view_rows
+        assert len(server.vbtrees["m_sites"]) == view_rows
         server.vbtrees["m"].audit()
         server.vbtrees["m_sites"].audit()
 
@@ -135,7 +142,7 @@ class TestDeleteAtomicity:
             server.delete("m", 10)
 
         assert snapshot_state(server, ["m", index]) == before
-        assert 10 in server.tables["m"]
+        assert 10 in server.vbtrees["m"].tree
         server.vbtrees["m"].audit()
         server.vbtrees[index].audit()
 
@@ -159,3 +166,68 @@ class TestDeleteAtomicity:
         assert server.txn_manager.active_count() == 0
         server.insert("m", (9001, 99, 1))
         server.delete("m", 10)
+
+
+class TestOnlyBaseTablesAreWritten:
+    """A join view or a secondary index changes only through its bases:
+    naming one as a write (or index) target is refused before any lock
+    is taken.  Accepted, a direct view write took the next ``view_id``
+    the maintenance path would have used, so the next joining base
+    insert failed with a duplicate key half-way through its commit; an
+    index on a view was never maintained and served a verified but
+    incomplete answer."""
+
+    TREES = ["m", "sites", "m_sites"]
+
+    def test_view_refuses_insert_and_delete(self):
+        server = make_view_server()
+        index = server.create_secondary_index("m", "temp", fanout_override=6)
+        edge = server.spawn_edge_server("e1")
+        before = snapshot_state(server, [*self.TREES, index])
+        with pytest.raises(SchemaError):
+            server.insert("m_sites", (40, 999, 1, 1, 1, 10))
+        with pytest.raises(SchemaError):
+            server.delete("m_sites", 0)
+        with pytest.raises(SchemaError):
+            server.insert(index, ((99, 9001), 9001, 99, 1))
+        with pytest.raises(SchemaError):
+            server.delete(index, (15, 0))
+        assert snapshot_state(server, [*self.TREES, index]) == before
+        assert server.txn_manager.active_count() == 0
+
+        # The joining base insert the accepted view write used to break.
+        server.insert("m", (9001, 99, 1))
+        assert server.staleness(edge, "m") == 0
+        resp = edge.range_query("m_sites")
+        assert server.make_client().verify(resp).ok
+        assert len(resp.result.rows) == 41
+
+    def test_sql_insert_and_delete_on_a_view_are_refused(self):
+        server = make_view_server()
+        session = Session(server)
+        before = snapshot_state(server, self.TREES)
+        with pytest.raises(SchemaError):
+            session.execute("INSERT INTO m_sites VALUES (40, 999, 1, 1, 1, 10)")
+        with pytest.raises(SchemaError):
+            session.execute("DELETE FROM m_sites WHERE view_id = 0")
+        with pytest.raises(SchemaError):
+            session.execute("DELETE FROM m_sites WHERE view_id = 999")
+        assert snapshot_state(server, self.TREES) == before
+        assert session.execute("DELETE FROM m WHERE id = 1") == 1
+
+    def test_secondary_index_on_a_view_is_refused(self):
+        server = make_view_server()
+        before = set(server.vbtrees)
+        with pytest.raises(SchemaError):
+            server.create_secondary_index("m_sites", "temp")
+        assert set(server.vbtrees) == before
+        edge = server.spawn_edge_server("e1")
+        server.insert("m", (9001, 99, 1))
+        assert server.staleness(edge, "m_sites") == 0
+        assert len(edge.range_query("m_sites").result.rows) == 41
+
+    def test_a_view_is_no_base_of_another_view(self):
+        server = make_view_server()
+        with pytest.raises(SchemaError):
+            server.create_join_view("v2", "m_sites", "m", "id", "id")
+        assert "v2" not in server.vbtrees and "v2" not in server.catalog

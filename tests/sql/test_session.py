@@ -41,6 +41,17 @@ class TestDDLDML:
         assert len(out) == 30
         assert out.verdict.ok
 
+    def test_delete_where_reads_only_the_key_range(self, session, monkeypatch):
+        tree = session.central.vbtrees["products"].tree
+
+        def full_scan():
+            raise AssertionError("a key-range DELETE scanned the whole table")
+
+        monkeypatch.setattr(tree, "items", full_scan)
+        assert session.execute("DELETE FROM products WHERE id > 30 AND qty = 0") == 1
+        monkeypatch.undo()
+        assert session.execute("DELETE FROM products WHERE qty = 0") == 5
+
     def test_delete_all(self, session):
         n = session.execute("DELETE FROM products")
         assert n == 40

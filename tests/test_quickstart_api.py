@@ -22,9 +22,9 @@ class TestQuickSetup:
         central, edge, _client = quick_setup(
             rows=50, columns=4, rsa_bits=512, seed=4, table_name="demo"
         )
-        assert "demo" in central.tables
-        assert central.tables["demo"].schema.num_columns == 4
-        assert len(central.tables["demo"]) == 50
+        assert "demo" in central.vbtrees
+        assert central.vbtrees["demo"].schema.num_columns == 4
+        assert len(central.vbtrees["demo"]) == 50
 
     def test_deterministic_across_calls(self):
         c1, e1, _ = quick_setup(rows=20, rsa_bits=512, seed=5)
