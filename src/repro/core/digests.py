@@ -141,14 +141,25 @@ class DigestEngine:
     # ------------------------------------------------------------------
 
     def row_attribute_values(
-        self,
-        table: str,
-        columns: Sequence[str],
-        key: Any,
-        values: Sequence[Any],
+        self, table: str, columns: Sequence[str], key: Any, values: Sequence[Any]
     ) -> list[int]:
         """Unsigned attribute digests ``h(db | table | attr | key | value)``
-        of one row, for ``columns`` and their ``values`` in step.
+        of one row, for ``columns`` and their ``values`` in step: each
+        value encoded, then :meth:`encoded_attribute_values`.
+
+        Raises:
+            AuthenticationError: If ``values`` and ``columns`` differ in
+                length, or a name is not a ``str``.
+        """
+        return self.encoded_attribute_values(
+            table, columns, key, [encode_value(value) for value in values]
+        )
+
+    def encoded_attribute_values(
+        self, table: str, columns: Sequence[str], key: Any, encodings: Sequence[bytes]
+    ) -> list[int]:
+        """:meth:`row_attribute_values` over values already in their
+        canonical encoding — the bytes a result row's values arrived as.
 
         This is the one place formula (1)'s input is concatenated
         (:func:`repro.crypto.encoding.digest_input` is its executable
@@ -158,19 +169,19 @@ class DigestEngine:
         with a single meter update.
 
         Raises:
-            AuthenticationError: If ``values`` and ``columns`` differ in
-                length, or a name is not a ``str``.
+            AuthenticationError: If ``encodings`` and ``columns`` differ
+                in length, or a name is not a ``str``.
         """
         prefixes = self._attribute_prefixes(table, tuple(columns))
-        if len(values) != len(prefixes):
+        if len(encodings) != len(prefixes):
             raise AuthenticationError(
-                f"{len(values)} values for {len(prefixes)} columns"
+                f"{len(encodings)} values for {len(prefixes)} columns"
             )
         key_bytes = encode_value(key)
         return self.commutative.digest_of_many(
             [
-                prefix + key_bytes + encode_value(value)
-                for prefix, value in zip(prefixes, values, strict=True)
+                prefix + key_bytes + encoding
+                for prefix, encoding in zip(prefixes, encodings, strict=True)
             ]
         )
 

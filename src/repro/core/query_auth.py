@@ -129,9 +129,15 @@ class QueryAuthenticator:
         vo = self._vo_from_envelope(envelope, fmt)
         vo.projection_digests = self._projection_digests(items, set(indices))
 
+        encodings = {}
         if returned == all_columns:
-            # Nothing projected away: rows are immutable, share them.
+            # Nothing projected away: rows are immutable, share them,
+            # and ship each as the wire form it memoised when first
+            # served.
             projected = [row.values for _key, row in items]
+            encodings = {
+                id(row.values): (row.values, row.encoding, None) for _key, row in items
+            }
         else:
             projected = [
                 tuple([row.values[i] for i in indices]) for _key, row in items
@@ -145,6 +151,7 @@ class QueryAuthenticator:
             rows=projected,
             keys=[row.values[key_index] for _key, row in items],
             vo=vo,
+            encodings=encodings,
         )
 
     def _vo_from_envelope(
@@ -160,13 +167,9 @@ class QueryAuthenticator:
                 signed = vbt.node_auth(gap.ref)
                 kind = VOEntryKind.NODE
             if fmt is VOFormat.FLAT_SET:
-                entries.append(VOEntry(kind=kind, signed=signed))
+                entries.append(VOEntry(kind, signed))
             else:
-                entries.append(
-                    VOEntry(
-                        kind=kind, signed=signed, path=gap.path, slot=gap.slot
-                    )
-                )
+                entries.append(VOEntry(kind, signed, gap.path, gap.slot))
         positions = (
             [(p.path, p.slot) for p in envelope.result_positions]
             if fmt is VOFormat.STRUCTURED

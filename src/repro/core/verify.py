@@ -2,7 +2,9 @@
 
 The client trusts only the central server's public key(s).  Given an
 :class:`~repro.core.vo.AuthenticatedResult` from an edge server, it
-recomputes the attribute digests of the returned values, splices the
+recomputes the attribute digests of the returned values — over the
+bytes each value arrived as, which canonical decoding makes the value's
+one encoding (DESIGN.md §27) — splices the
 hidden attributes' bare digests from ``D_P`` between them at the
 positions ``all_columns`` assigns, hashes each row into its tuple digest
 (DESIGN.md D5), folds those with the signed digests from ``D_S`` (after
@@ -113,45 +115,35 @@ class ResultVerifier:
         self.keyring = keyring
         self.meter = meter
         self._public_key = public_key
-        self._verifiers: dict[int, DigestVerifier] = {}
-        #: ``(n, e, epoch, signature) -> value``: what ``signature^e mod
-        #: n`` recovered to, stored only after every check passed.
-        self._recovered: dict[tuple[int, int, int, int], int] = {}
+        #: ``(n, e, signed bytes) -> value``: what the signature (whose
+        #: bytes end in the epoch it claims) recovered to under that key,
+        #: stored only after every check passed.
+        self._recovered: dict[tuple[int, int, SignedDigest], int] = {}
         self._decrypted = self._recalled = 0
 
     # ------------------------------------------------------------------
     # Signature recovery with epoch validation
     # ------------------------------------------------------------------
 
-    def _verifier_for(self, signed: SignedDigest) -> DigestVerifier:
-        # Validity must be re-checked on EVERY use, remembered or not: an
-        # epoch that was acceptable earlier may since have expired (stale
-        # replay).  Without a ring every claimed epoch resolves to the one
-        # key (a wire epoch is two bytes, which bounds the map).
-        key = (
-            self.keyring.public_key_for(signed.epoch)  # may raise
-            if self.keyring is not None
-            else self._public_key
-        )
-        verifier = self._verifiers.get(signed.epoch)
-        if verifier is None or verifier.public_key is not key:
-            verifier = DigestVerifier(key, meter=self.meter)
-            self._verifiers[signed.epoch] = verifier
-        return verifier
-
     def _recover(self, signed: SignedDigest) -> int:
         """The value of a signed digest, enforcing epoch validity and
         that the value is one a digest can take — decrypted on first
         sight, remembered after."""
-        verifier = self._verifier_for(signed)
-        key = verifier.public_key
-        memo_key = (key.n, key.e, signed.epoch, signed.signature)
+        # Validity must be re-checked on EVERY use, remembered or not: an
+        # epoch that was acceptable earlier may since have expired (stale
+        # replay).  Without a ring every claimed epoch resolves to the one
+        # key.
+        ring = self.keyring
+        key = ring.public_key_for(signed.epoch) if ring is not None else self._public_key
+        memo_key = (key.n, key.e, signed)
         value = self._recovered.get(memo_key)
         if value is not None:
             self._recalled += 1
             return value
+        if len(signed) != key.signature_len + 2:  # refused before any pow
+            raise SignatureError("signed digest is not the key's width")
         self._decrypted += 1
-        value = verifier.recover(signed)
+        value = DigestVerifier(key, meter=self.meter).recover(signed)
         if value >= self.engine.commutative.modulus:
             raise SignatureError(
                 "recovered value is wider than any digest the central "
@@ -240,17 +232,20 @@ class ResultVerifier:
 
     def _tuple_values(self, result: AuthenticatedResult) -> list[int]:
         """Formula (2) of every result tuple: the digests of returned
-        columns recomputed, those of hidden columns spliced — as bytes,
-        never parsed — from ``D_P``, each at the position
-        ``all_columns`` assigns it, and the row hashed."""
+        columns computed over the bytes each value arrived as (encoded
+        afresh only for a row that is not the tuple those bytes decoded
+        to), those of hidden columns spliced — as bytes, never parsed —
+        from ``D_P``, each at the position ``all_columns`` assigns it,
+        and the row hashed."""
         engine = self.engine
-        row_values, pack = engine.row_attribute_values, engine.pack_digests
+        row_values, pack = engine.encoded_attribute_values, engine.pack_digests
         tuple_value = engine.tuple_value
         table, columns = result.table, result.columns
+        rows = zip(result.keys, result.value_encodings(), strict=True)
         if columns == result.all_columns:
             return [
-                tuple_value(table, key, pack(row_values(table, columns, key, row)))
-                for key, row in zip(result.keys, result.rows, strict=True)
+                tuple_value(table, key, pack(row_values(table, columns, key, values)))
+                for key, values in rows
             ]
         width = engine.commutative.digest_len
         returned = {name: i for i, name in enumerate(columns)}
@@ -266,11 +261,11 @@ class ResultVerifier:
                 hidden += 1
         stride = hidden * width
         block = result.vo.projection_digests
-        values = []
-        for i, (key, row) in enumerate(zip(result.keys, result.rows, strict=True)):
-            own = [v.to_bytes(width, "big") for v in row_values(table, columns, key, row)]
+        out = []
+        for i, (key, values) in enumerate(rows):
+            own = [v.to_bytes(width, "big") for v in row_values(table, columns, key, values)]
             theirs = block[i * stride : (i + 1) * stride]
-            values.append(
+            out.append(
                 tuple_value(
                     table,
                     key,
@@ -279,7 +274,7 @@ class ResultVerifier:
                     ]),
                 )
             )
-        return values
+        return out
 
     # ------------------------------------------------------------------
     # FLAT_SET verification (the paper's equations 4-5)

@@ -34,9 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Optional, Sequence
+from typing import Any, Iterator, Optional
 
 from repro.core.digests import DigestPolicy
+from repro.crypto.encoding import encode_value
 from repro.crypto.signatures import SignedDigest
 
 __all__ = [
@@ -62,13 +63,14 @@ class VOEntryKind(Enum):
     TUPLE = "tuple"        # filtered tuple in a boundary leaf
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class VOEntry:
     """One signed digest in ``D_S``.
 
     Structured-format tags (``None`` in FLAT_SET): ``path`` (child
     indices from the envelope top) and ``slot`` (index within that
-    node).
+    node).  Built a few dozen times per query by both codecs, so a
+    plain slotted record, not a frozen one.
     """
 
     kind: VOEntryKind
@@ -119,6 +121,15 @@ class AuthenticatedResult:
             hashes the key, so verification needs it even when the key
             column is projected away).
         vo: The verification object.
+        encodings: ``id(row) -> (row, wire form, value slices)``: the
+            bytes ``count | enc(v1) … enc(vn)`` a row tuple was served
+            from (an edge's memoised :attr:`~repro.db.rows.Row.encoding`;
+            slices ``None``) or decoded from
+            (:func:`~repro.core.wire.result_from_bytes`, which also keeps
+            each ``enc(v)``).  An entry holds its row, so the id cannot
+            be reused while it lives, and it counts only for that very
+            tuple object — a row replaced, reordered or dropped after the
+            fact is encoded afresh (:meth:`encoding_of`).
     """
 
     table: str
@@ -128,11 +139,31 @@ class AuthenticatedResult:
     rows: list[tuple[Any, ...]]
     keys: list[Any]
     vo: VerificationObject
+    encodings: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def num_rows(self) -> int:
         """``Q_r`` in the paper's notation."""
         return len(self.rows)
+
+    def encoding_of(self, row: tuple[Any, ...]) -> bytes | None:
+        """The wire form carried for ``row``, or ``None`` unless ``row``
+        is the tuple object it was made from.  Result values are
+        immutable scalars, so the same object means the same bytes."""
+        entry = self._carried(row)
+        return None if entry is None else entry[1]
+
+    def value_encodings(self) -> Iterator[list[bytes]]:
+        """Per row, each value's ``tag | length | payload``: the slices
+        kept when the row was decoded, else encoded afresh."""
+        for row in self.rows:
+            entry = self._carried(row)
+            slices = None if entry is None else entry[2]
+            yield list(map(encode_value, row)) if slices is None else slices
+
+    def _carried(self, row: tuple[Any, ...]) -> tuple | None:
+        entry = self.encodings.get(id(row))
+        return entry if entry is not None and entry[0] is row else None
 
     @property
     def filtered_columns(self) -> tuple[str, ...]:

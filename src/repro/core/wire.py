@@ -102,31 +102,21 @@ def _decode_path(data: bytes, offset: int) -> tuple[tuple[int, ...], int]:
     return struct.unpack_from(f">{count}I", data, offset), end
 
 
-def _decode_signed(
-    data: bytes, offset: int, sig_len: int
-) -> tuple[SignedDigest, int]:
-    """One fixed-width signature + 2-byte epoch, bounds-checked."""
-    epoch_at = offset + sig_len
-    end = epoch_at + 2
+def _decode_signed(data: bytes, offset: int, sig_len: int) -> tuple[SignedDigest, int]:
+    """One fixed-width signature + 2-byte epoch, bounds-checked and
+    sliced, never parsed."""
+    end = offset + sig_len + 2
     if end > len(data):
         raise VOFormatError("truncated signed digest")
-    return (
-        SignedDigest(
-            signature=int.from_bytes(data[offset:epoch_at], "big"),
-            epoch=int.from_bytes(data[epoch_at:end], "big"),
-        ),
-        end,
-    )
+    return SignedDigest(data[offset:end]), end
 
 
-def _encode_entries(
-    parts: list[bytes], entries: list[VOEntry], structured: bool, sig_len: int
-) -> None:
+def _encode_entries(parts: list[bytes], entries: list[VOEntry], structured: bool) -> None:
     """Append ``count | entries`` for ``D_S``."""
     parts.append(_U32.pack(len(entries)))
     for entry in entries:
         parts.append(_KIND_BYTES[entry.kind])
-        parts.append(entry.signed.to_bytes(sig_len))
+        parts.append(entry.signed)
         if structured:
             if entry.path is None or entry.slot is None:
                 raise VOFormatError("structured entry missing position tags")
@@ -154,16 +144,21 @@ def _decode_entries(
             raise VOFormatError(f"unknown VO entry kind tag {data[offset]}")
         signed, offset = _decode_signed(data, offset + 1, sig_len)
         if not structured:
-            entries.append(VOEntry(kind=kind, signed=signed))
+            entries.append(VOEntry(kind, signed))
         else:
             path, offset = _decode_path(data, offset)
             slot, offset = decode_uint(data, offset)
-            entries.append(VOEntry(kind=kind, signed=signed, path=path, slot=slot))
+            entries.append(VOEntry(kind, signed, path, slot))
     return entries, offset
 
 
 def result_to_bytes(result: AuthenticatedResult, sig_len: int) -> bytes:
     """Serialize an authenticated result.
+
+    A row that still is the tuple its carried wire form was made from
+    (:meth:`~repro.core.vo.AuthenticatedResult.encoding_of`) is written
+    as those bytes; any other is encoded — the bytes are the same
+    either way.
 
     Args:
         result: The result + VO to encode.
@@ -185,12 +180,11 @@ def result_to_bytes(result: AuthenticatedResult, sig_len: int) -> bytes:
             encode_values(result.all_columns),
             _U32.pack(len(result.rows)),
         ]
-        for row in result.rows:
-            parts.append(_U32.pack(len(row)))
-            parts.extend(map(encode_value, row))
+        carried = result.encoding_of
+        parts.extend([carried(row) or encode_values(row) for row in result.rows])
         parts.append(encode_values(result.keys))
-        parts.append(vo.top_signed.to_bytes(sig_len))
-        _encode_entries(parts, vo.selection_entries, structured, sig_len)
+        parts.append(vo.top_signed)
+        _encode_entries(parts, vo.selection_entries, structured)
         parts.append(_U32.pack(len(vo.projection_digests)))
         parts.append(vo.projection_digests)
         if structured:
@@ -206,6 +200,12 @@ def result_to_bytes(result: AuthenticatedResult, sig_len: int) -> bytes:
 
 def result_from_bytes(data: bytes) -> AuthenticatedResult:
     """Parse the serialization produced by :func:`result_to_bytes`.
+
+    Each row keeps the slice it was decoded from, and its values'
+    slices, as its carried wire form, so the verifier hashes the bytes
+    that arrived; decoding is canonical
+    (:func:`~repro.crypto.encoding.decode_payload`), so those are
+    exactly the encoding of the values returned.
 
     Raises:
         VOFormatError, EncodingError: On any malformed, truncated or
@@ -229,9 +229,13 @@ def result_from_bytes(data: bytes) -> AuthenticatedResult:
     if row_count * 4 > len(data) - offset:
         raise VOFormatError(f"{row_count} rows cannot fit the remaining bytes")
     rows = []
+    encodings = {}
     for _ in range(row_count):
-        values, offset = decode_values(data, offset)
-        rows.append(tuple(values))
+        start, slices = offset, []
+        values, offset = decode_values(data, offset, slices)
+        row = tuple(values)
+        rows.append(row)
+        encodings[id(row)] = (row, data[start:offset], slices)
     keys, offset = decode_values(data, offset)
     top_signed, offset = _decode_signed(data, offset, sig_len)
     selection, offset = _decode_entries(data, offset, structured, sig_len)
@@ -272,6 +276,7 @@ def result_from_bytes(data: bytes) -> AuthenticatedResult:
         rows=rows,
         keys=keys,
         vo=vo,
+        encodings=encodings,
     )
 
 
@@ -353,13 +358,13 @@ def _decode_key(data: bytes, offset: int) -> tuple[Any, int]:
     raise EncodingError(f"unknown key flag {flag}")
 
 
-def _encode_tuple_op(op: TupleOp, sig_len: int) -> bytes:
+def _encode_tuple_op(op: TupleOp) -> bytes:
     out = [bytes([_OP_TAGS[op.kind]])]
     if op.kind is DeltaOpKind.INSERT:
         if op.values is None or op.signed_tuple is None:
             raise ReplicaDeltaError("insert op missing its signed digest")
         out.append(encode_values(op.values))
-        out.append(op.signed_tuple.to_bytes(sig_len))
+        out.append(op.signed_tuple)
     else:
         out.append(_encode_key(op.key))
     return b"".join(out)
@@ -384,11 +389,11 @@ def delta_body_bytes(delta: ReplicaDelta, sig_len: int) -> bytes:
         encode_uint(len(delta.ops)),
     ]
     for op in delta.ops:
-        parts.append(_encode_tuple_op(op, sig_len))
+        parts.append(_encode_tuple_op(op))
     parts.append(encode_uint(len(delta.node_updates)))
     for update in delta.node_updates:
         parts.append(encode_uint(update.node_id))
-        parts.append(update.signed.to_bytes(sig_len))
+        parts.append(update.signed)
     parts.append(encode_uint(len(delta.freed_nodes)))
     for node_id in delta.freed_nodes:
         parts.append(encode_uint(node_id))
@@ -403,7 +408,7 @@ def delta_to_bytes(delta: ReplicaDelta, sig_len: int) -> bytes:
     """
     if delta.signature is None:
         raise ReplicaDeltaError("cannot serialize an unsigned delta")
-    return delta_body_bytes(delta, sig_len) + delta.signature.to_bytes(sig_len)
+    return delta_body_bytes(delta, sig_len) + delta.signature
 
 
 def delta_from_bytes(data: bytes) -> ReplicaDelta:
@@ -426,16 +431,15 @@ def delta_from_bytes(data: bytes) -> ReplicaDelta:
             — never ``IndexError``.
     """
     size = len(data)
-    from_bytes = int.from_bytes
     try:
         sig_len, offset = decode_uint(data, 0)
         width = sig_len + 2
         if width > size:
             raise EncodingError(f"{sig_len}-byte signatures cannot fit the payload")
-        # ``signature | epoch``, the one record every signed digest is,
-        # and ``node id | signed``, one node update.
-        signed_records = struct.Struct(f">{sig_len}sH")
-        update_records = struct.Struct(f">I{sig_len}sH")
+        # ``signature ‖ epoch``, the one record every signed digest is
+        # (sliced, never parsed), and ``node id | signed``, one node update.
+        signed_record = struct.Struct(f">{width}s")
+        update_records = struct.Struct(f">I{width}s")
         table, offset = decode_value(data, offset)
         (
             lsn_first, lsn_last, epoch, base_version, new_version, flag, op_count,
@@ -457,16 +461,9 @@ def delta_from_bytes(data: bytes) -> ReplicaDelta:
             if tag != _OP_INSERT:
                 raise EncodingError(f"unknown delta op tag {tag}")
             values, offset = decode_values(data, offset + 1)
-            signature, sig_epoch = signed_records.unpack_from(data, offset)
+            signed = SignedDigest(*signed_record.unpack_from(data, offset))
             offset += width
-            ops.append(
-                TupleOp(
-                    DeltaOpKind.INSERT,
-                    tuple(values),
-                    None,
-                    SignedDigest(from_bytes(signature, "big"), sig_epoch),
-                )
-            )
+            ops.append(TupleOp(DeltaOpKind.INSERT, tuple(values), None, signed))
         update_count, offset = decode_uint(data, offset)
         end = offset + update_count * update_records.size
         if end > size:
@@ -474,11 +471,8 @@ def delta_from_bytes(data: bytes) -> ReplicaDelta:
                 f"{update_count} node updates cannot fit the remaining bytes"
             )
         updates = tuple([
-            NodeDigestUpdate(
-                node_id, SignedDigest(from_bytes(signature, "big"), sig_epoch)
-            )
-            for node_id, signature, sig_epoch
-            in update_records.iter_unpack(data[offset:end])
+            NodeDigestUpdate(node_id, SignedDigest(signed))
+            for node_id, signed in update_records.iter_unpack(data[offset:end])
         ])
         offset = end
         freed_count, offset = decode_uint(data, offset)
@@ -488,9 +482,10 @@ def delta_from_bytes(data: bytes) -> ReplicaDelta:
             )
         freed = struct.unpack_from(f">{freed_count}I", data, offset)
         offset += 4 * freed_count
-        signature, sig_epoch = signed_records.unpack_from(data, offset)
     except struct.error:  # a fixed-width read ran off the end
         raise EncodingError("truncated delta") from None
+    if offset + width > size:
+        raise EncodingError("truncated delta")
     if offset + width != size:
         raise EncodingError(f"{size - offset - width} trailing delta bytes")
     return ReplicaDelta(
@@ -504,7 +499,7 @@ def delta_from_bytes(data: bytes) -> ReplicaDelta:
         ops=tuple(ops),
         node_updates=updates,
         freed_nodes=freed,
-        signature=SignedDigest(from_bytes(signature, "big"), sig_epoch),
+        signature=SignedDigest(data[offset:]),
     )
 
 
@@ -645,14 +640,14 @@ def snapshot_to_bytes(vbtree, sig_len: int) -> bytes:
             if not node.is_leaf:
                 ids = [child.node_id for child in node.children]
                 parts.append(struct.pack(f">{len(ids)}I", *ids))
-            parts.append(vbtree.node_auth(node).to_bytes(sig_len))
+            parts.append(vbtree.node_auth(node))
     except struct.error as exc:
         raise EncodingError(f"uint out of range: {exc}") from None
     parts.append(encode_uint(len(vbtree.tree)))
     for key, row in vbtree.tree.items():
         parts.append(_encode_key(key))
         parts.append(encode_values(row.values))
-        parts.append(vbtree.tuple_auth(key).to_bytes(sig_len))
+        parts.append(vbtree.tuple_auth(key))
     return b"".join(parts)
 
 
@@ -688,7 +683,6 @@ def snapshot_from_bytes(data: bytes, signing):
     from repro.db.rows import Row
 
     size = len(data)
-    from_bytes = int.from_bytes
     nodes: dict[int, Any] = {}
     order: list[Any] = []
     child_ids: dict[int, tuple[int, ...]] = {}
@@ -700,9 +694,9 @@ def snapshot_from_bytes(data: bytes, signing):
         width = sig_len + 2
         if width > size:
             raise EncodingError(f"{sig_len}-byte signatures cannot fit the payload")
-        # ``signature | epoch``: what closes every node, and every row
-        # after them.
-        signed_records = struct.Struct(f">{sig_len}sH")
+        # ``signature ‖ epoch``: what closes every node, and every row
+        # after them — sliced, never parsed.
+        signed_record = struct.Struct(f">{width}s")
         table_name, offset = decode_value(data, offset)
         version, offset = decode_uint(data, offset)
         schema, offset = _decode_schema(data, offset)
@@ -732,11 +726,8 @@ def snapshot_from_bytes(data: bytes, signing):
                     f">{key_count + 1}I", data, offset
                 )
                 offset += 4 * (key_count + 1)
-            signature, sig_epoch = signed_records.unpack_from(data, offset)
+            node_auths[node_id] = SignedDigest(*signed_record.unpack_from(data, offset))
             offset += width
-            node_auths[node_id] = SignedDigest(
-                from_bytes(signature, "big"), sig_epoch
-            )
             nodes[node_id] = node
             order.append(node)
         row_count, offset = decode_uint(data, offset)
@@ -746,10 +737,9 @@ def snapshot_from_bytes(data: bytes, signing):
         for _ in range(row_count):
             key, offset = _decode_key(data, offset)
             values, offset = decode_values(data, offset)
-            signature, sig_epoch = signed_records.unpack_from(data, offset)
+            tuple_auth[key] = SignedDigest(*signed_record.unpack_from(data, offset))
             offset += width
             row_map[key] = Row(schema, values)
-            tuple_auth[key] = SignedDigest(from_bytes(signature, "big"), sig_epoch)
     except struct.error:  # a fixed-width read ran off the end
         raise EncodingError("truncated snapshot") from None
     except DatabaseError as exc:  # schema, geometry or row does not validate

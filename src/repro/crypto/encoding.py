@@ -88,7 +88,8 @@ def encode_value(value: Any) -> bytes:
 
     Raises:
         EncodingError: For unsupported types (including ``int``-like
-            ``bool`` confusion — ``bool`` is tagged separately), and for
+            ``bool`` confusion — ``bool`` is tagged separately), for a
+            ``str`` UTF-8 cannot encode (a lone surrogate), and for
             payloads whose length does not fit the 4-byte field.
     """
     cls = type(value)
@@ -105,6 +106,8 @@ def encode_value(value: Any) -> bytes:
             return _TAG_BYTES + _pack_u32(len(value)) + value
     except struct.error:
         raise EncodingError("payload too long for a 4-byte length") from None
+    except UnicodeEncodeError as exc:
+        raise EncodingError(f"str is not encodable as utf-8: {exc}") from None
     if cls is float:
         return _FLOAT_HEADER + _F64.pack(value)
     if value is None:
@@ -126,27 +129,44 @@ def encode_value(value: Any) -> bytes:
 
 def decode_payload(tag: int, payload: bytes) -> Any:
     """Value of one ``tag | length | payload`` field; ``payload`` is
-    already known to be whole."""
+    already known to be whole.
+
+    Only the canonical encoding of a value decodes: whatever this
+    returns, :func:`encode_value` maps back to exactly ``tag | length |
+    payload``, so decoding is injective and a verifier may hash the
+    bytes it received in place of re-encoding what they decoded to.
+    (Strict UTF-8 already refuses every other spelling of a ``str``.)
+
+    Raises:
+        EncodingError: On an unknown tag, bad UTF-8, or a payload that
+            is not the one :func:`encode_value` writes for its value — an
+            ``int`` with a redundant sign byte, a payload after ``N`` /
+            ``T`` / ``F``, a float that does not pack back to itself.
+    """
     if tag == _STR_TAG:
         try:
             return payload.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise EncodingError(f"bad utf-8 payload: {exc}") from exc
     if tag == _INT_TAG:
-        return int.from_bytes(payload, "big", signed=True)
+        value = int.from_bytes(payload, "big", signed=True)
+        if len(payload) != (value.bit_length() + 8) // 8:
+            raise EncodingError("non-canonical int payload")
+        return value
     if tag == _BYTES_TAG:
         return payload
-    if tag == _NONE_TAG:
-        return None
-    if tag == _TRUE_TAG:
-        return True
-    if tag == _FALSE_TAG:
-        return False
+    if tag == _NONE_TAG or tag == _TRUE_TAG or tag == _FALSE_TAG:
+        if payload:
+            raise EncodingError("payload after a payload-free tag")
+        return None if tag == _NONE_TAG else tag == _TRUE_TAG
     if tag == _FLOAT_TAG:
         try:
-            return _F64.unpack(payload)[0]
+            value = _F64.unpack(payload)[0]
         except struct.error as exc:
             raise EncodingError(f"bad float payload: {exc}") from exc
+        if _F64.pack(value) != payload:
+            raise EncodingError("float payload does not re-encode to itself")
+        return value
     raise EncodingError(f"unknown type tag {bytes([tag])!r}")
 
 
@@ -175,8 +195,13 @@ def encode_values(values: Iterable[Any]) -> bytes:
     return encode_uint(len(items)) + b"".join(items)
 
 
-def decode_values(data: bytes, offset: int = 0) -> tuple[list[Any], int]:
-    """Decode a sequence written by :func:`encode_values`."""
+def decode_values(
+    data: bytes, offset: int = 0, encodings: list[bytes] | None = None
+) -> tuple[list[Any], int]:
+    """Decode a sequence written by :func:`encode_values`; with
+    ``encodings``, also append each value's ``tag | length | payload``
+    slice to it — the bytes a verifier hashes in place of re-encoding
+    the value (canonical decoding makes them the same)."""
     # decode_value's body, repeated in the loop: a call per value costs
     # a quarter more, and result rows are decoded a value at a time.
     count, cursor = decode_uint(data, offset)
@@ -190,10 +215,13 @@ def decode_values(data: bytes, offset: int = 0) -> tuple[list[Any], int]:
         for _ in range(count):
             tag, length = unpack(data, cursor)
             start = cursor + 5
-            cursor = start + length
-            if cursor > size:
+            end = start + length
+            if end > size:
                 raise EncodingError("truncated value payload")
-            append(decode_payload(tag, data[start:cursor]))
+            append(decode_payload(tag, data[start:end]))
+            if encodings is not None:
+                encodings.append(data[cursor:end])
+            cursor = end
     except struct.error:  # fewer than 5 bytes left for tag + length
         raise EncodingError("truncated value: missing tag or length") from None
     return out, cursor

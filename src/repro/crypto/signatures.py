@@ -20,8 +20,6 @@ Two concerns are layered on top of the raw primitive:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.crypto.meter import CostMeter, NULL_METER
 from repro.crypto.rsa import RSAKeyPair, RSAPrivateKey, RSAPublicKey
 from repro.exceptions import SignatureError
@@ -34,39 +32,23 @@ __all__ = ["SignedDigest", "DigestSigner", "DigestVerifier"]
 _EPOCH_SPACE = 1 << 16
 
 
-@dataclass(frozen=True)
-class SignedDigest:
-    """An integer digest signed by the central server.
+class SignedDigest(bytes):
+    """A digest signed by the central server, as the bytes it travels
+    as: ``signature (sig_len bytes, big-endian) ‖ epoch (2 bytes)``.
 
-    Attributes:
-        signature: The raw RSA signature integer (``payload^d mod N``).
-        epoch: Key epoch the signature was produced under.
+    Nothing else is held: decoders slice one out of a payload, encoders
+    append it, and the signature integer is parsed only inside
+    :meth:`DigestVerifier.recover`.  Equal bytes are equal signed
+    digests, so the form is also the key a verifier remembers a
+    recovery under.
     """
 
-    signature: int
-    epoch: int
+    __slots__ = ()
 
-    def to_bytes(self, signature_len: int) -> bytes:
-        """Serialize as fixed-width signature plus 2-byte epoch."""
-        return self.signature.to_bytes(signature_len, "big") + self.epoch.to_bytes(
-            2, "big"
-        )
-
-    @classmethod
-    def from_bytes(cls, data: bytes, signature_len: int) -> "SignedDigest":
-        """Parse the serialization produced by :meth:`to_bytes`."""
-        if len(data) != signature_len + 2:
-            raise SignatureError(
-                f"signed digest must be {signature_len + 2} bytes, got {len(data)}"
-            )
-        return cls(
-            signature=int.from_bytes(data[:signature_len], "big"),
-            epoch=int.from_bytes(data[signature_len:], "big"),
-        )
-
-    def wire_size(self, signature_len: int) -> int:
-        """Bytes this signed digest occupies on the wire."""
-        return signature_len + 2
+    @property
+    def epoch(self) -> int:
+        """Key epoch the signature claims: the last two bytes."""
+        return int.from_bytes(self[-2:], "big")
 
 
 class DigestSigner:
@@ -89,6 +71,8 @@ class DigestSigner:
         self._key = private_key
         self.epoch = epoch
         self.meter = meter
+        self._width = private_key.public_key().signature_len
+        self._epoch_bytes = epoch.to_bytes(2, "big")
 
     @property
     def public_key(self) -> RSAPublicKey:
@@ -116,7 +100,9 @@ class DigestSigner:
                 "use a larger RSA key or smaller commutative-hash modulus"
             )
         self.meter.count_sign()
-        return SignedDigest(signature=self._key.apply(payload), epoch=self.epoch)
+        return SignedDigest(
+            self._key.apply(payload).to_bytes(self._width, "big") + self._epoch_bytes
+        )
 
     @classmethod
     def from_keypair(
@@ -154,16 +140,23 @@ class DigestVerifier:
         """Decrypt a signed digest and return the embedded digest value.
 
         Raises:
-            SignatureError: If the embedded epoch does not match the
-                epoch claimed alongside the signature (forgery/corruption
-                indicator).
+            SignatureError: If the signed digest is not this key's width
+                plus the epoch (refused before any public-key operation),
+                or the embedded epoch does not match the epoch claimed
+                alongside the signature (forgery/corruption indicator).
         """
-        self.meter.count_verify()
-        payload = self.public_key.apply(signed.signature)
-        value, epoch = divmod(payload, _EPOCH_SPACE)
-        if epoch != signed.epoch:
+        width = self.public_key.signature_len
+        if len(signed) != width + 2:
             raise SignatureError(
-                f"epoch mismatch: signature embeds {epoch}, claim is {signed.epoch}"
+                f"signed digest must be {width + 2} bytes, got {len(signed)}"
+            )
+        self.meter.count_verify()
+        payload = self.public_key.apply(int.from_bytes(signed[:width], "big"))
+        value, epoch = divmod(payload, _EPOCH_SPACE)
+        claim = signed.epoch
+        if epoch != claim:
+            raise SignatureError(
+                f"epoch mismatch: signature embeds {epoch}, claim is {claim}"
             )
         return value
 

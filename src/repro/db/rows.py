@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
+from repro.crypto.encoding import encode_values
 from repro.db.schema import TableSchema
 
 __all__ = ["Row"]
@@ -16,14 +17,28 @@ class Row:
 
     Rows compare and hash by their values, so result sets can be
     compared structurally in tests and verification code.
+
+    A row served from a replica memoises its wire form (:attr:`encoding`)
+    the first time it is asked for; at-rest tampering replaces the row
+    object (:meth:`replace`), so a memo never outlives its values.
     """
 
     schema: TableSchema
     values: tuple[Any, ...]
+    _encoding = None  # not a field: set by ``encoding`` on first use
 
     def __init__(self, schema: TableSchema, values: Sequence[Any]) -> None:
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "values", schema.validate_row(values))
+
+    @property
+    def encoding(self) -> bytes:
+        """``count | enc(v1) … enc(vn)`` (:func:`encode_values`): the
+        row as a result ships it, and each ``enc(v)`` the suffix
+        formula (1) hashes — made once per row object and kept."""
+        if self._encoding is None:
+            object.__setattr__(self, "_encoding", encode_values(self.values))
+        return self._encoding
 
     @property
     def key(self) -> Any:
@@ -47,8 +62,7 @@ class Row:
 
     def project(self, names: Sequence[str]) -> "Row":
         """A new row containing only ``names`` (in the given order)."""
-        sub_schema = self.schema.project(names)
-        return Row(sub_schema, tuple(self[n] for n in names))
+        return Row(self.schema.project(names), tuple(self[n] for n in names))
 
     def replace(self, **updates: Any) -> "Row":
         """A copy of the row with some columns replaced."""
@@ -60,7 +74,3 @@ class Row:
     def byte_width(self) -> int:
         """Nominal stored width of this row (fixed-width column model)."""
         return self.schema.tuple_width()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        cols = ", ".join(f"{n}={v!r}" for n, v in self.as_dict().items())
-        return f"Row({self.schema.name}: {cols})"

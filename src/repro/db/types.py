@@ -116,7 +116,22 @@ class BoolType(ColumnType):
 
 
 @dataclass(frozen=True)
-class VarcharType(ColumnType):
+class _CappedType(ColumnType):
+    """A type with a declared byte ``capacity``, stored fixed-width at it."""
+
+    def __post_init__(self) -> None:
+        if self.capacity <= 0:
+            raise SchemaError(f"{self.name} capacity must be positive: {self.capacity}")
+
+    def byte_width(self, value: Any = None) -> int:
+        return self.capacity
+
+    def __str__(self) -> str:
+        return f"{self.name}({self.capacity})"
+
+
+@dataclass(frozen=True)
+class VarcharType(_CappedType):
     """UTF-8 string with a declared capacity, stored fixed-width.
 
     Storing at capacity keeps the page-geometry model simple (the paper
@@ -126,28 +141,20 @@ class VarcharType(ColumnType):
     name: str = "VARCHAR"
     capacity: int = 255
 
-    def __post_init__(self) -> None:
-        if self.capacity <= 0:
-            raise SchemaError(f"VARCHAR capacity must be positive: {self.capacity}")
-
     def validate(self, value: Any) -> str:
         if not isinstance(value, str):
             raise TypeMismatchError(f"expected str, got {value!r}")
-        if len(value.encode("utf-8")) > self.capacity:
-            raise TypeMismatchError(
-                f"string longer than VARCHAR({self.capacity}): {len(value)} chars"
-            )
+        try:
+            size = len(value.encode("utf-8"))
+        except UnicodeEncodeError:  # a lone surrogate: no UTF-8, no encoding
+            raise TypeMismatchError(f"str is not UTF-8 encodable: {value!r}") from None
+        if size > self.capacity:
+            raise TypeMismatchError(f"{size} bytes do not fit {self}")
         return value
-
-    def byte_width(self, value: Any = None) -> int:
-        return self.capacity
-
-    def __str__(self) -> str:
-        return f"VARCHAR({self.capacity})"
 
 
 @dataclass(frozen=True)
-class BlobType(ColumnType):
+class BlobType(_CappedType):
     """Binary large object with a declared capacity.
 
     Not orderable — BLOB columns cannot be B-tree keys, matching the
@@ -157,29 +164,17 @@ class BlobType(ColumnType):
     name: str = "BLOB"
     capacity: int = 4096
 
-    def __post_init__(self) -> None:
-        if self.capacity <= 0:
-            raise SchemaError(f"BLOB capacity must be positive: {self.capacity}")
-
     def validate(self, value: Any) -> bytes:
         if not isinstance(value, (bytes, bytearray, memoryview)):
             raise TypeMismatchError(f"expected bytes, got {value!r}")
         data = bytes(value)
         if len(data) > self.capacity:
-            raise TypeMismatchError(
-                f"blob longer than BLOB({self.capacity}): {len(data)} bytes"
-            )
+            raise TypeMismatchError(f"{len(data)} bytes do not fit {self}")
         return data
-
-    def byte_width(self, value: Any = None) -> int:
-        return self.capacity
 
     @property
     def orderable(self) -> bool:
         return False
-
-    def __str__(self) -> str:
-        return f"BLOB({self.capacity})"
 
 
 def type_from_name(name: str, capacity: int | None = None) -> ColumnType:

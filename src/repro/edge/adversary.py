@@ -97,9 +97,9 @@ class SpuriousTuple:
         leaf.keys.insert(idx, row.key)
         leaf.values.insert(idx, row)
         vbt.tree._size += 1
-        vbt._tuple_auth[row.key] = SignedDigest(
-            signature=random.Random(self.seed).getrandbits(256), epoch=0
-        )
+        garbage = random.Random(self.seed).getrandbits(256)
+        width = vbt.signing.signer.public_key.signature_len
+        vbt._tuple_auth[row.key] = SignedDigest(garbage.to_bytes(width, "big") + bytes(2))
 
 
 @dataclass

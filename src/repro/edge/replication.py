@@ -156,7 +156,7 @@ class Replicator:
         body = delta_body_bytes(delta, sig_len)
         signed = signer.sign(delta_digest(body))
         sealed = replace(delta, signature=signed)
-        return sealed, body + signed.to_bytes(sig_len)
+        return sealed, body + signed
 
     def record(
         self,

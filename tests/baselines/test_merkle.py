@@ -11,6 +11,8 @@ from repro.crypto.signatures import DigestSigner
 from repro.db.rows import Row
 from repro.db.schema import Column, TableSchema
 from repro.db.types import IntType, VarcharType
+
+from tests.core.conftest import flip_bit
 from repro.exceptions import VOFormatError
 
 
@@ -147,8 +149,6 @@ class TestTamperDetection:
         assert not verifier.verify(broken)
 
     def test_forged_root_signature(self, tree, verifier):
-        from repro.crypto.signatures import SignedDigest
-
         proof = tree.prove_range(10, 5)
         forged = type(proof)(
             table=proof.table,
@@ -156,10 +156,7 @@ class TestTamperDetection:
             total_leaves=proof.total_leaves,
             rows=proof.rows,
             siblings=proof.siblings,
-            signed_root=SignedDigest(
-                signature=proof.signed_root.signature ^ 1,
-                epoch=proof.signed_root.epoch,
-            ),
+            signed_root=flip_bit(proof.signed_root),
         )
         assert not verifier.verify(forged)
 

@@ -16,7 +16,7 @@ from repro.core.vbtree import VBTree
 from repro.core.verify import ResultVerifier
 from repro.crypto.encoding import encode_uint, encode_value
 from repro.crypto.rsa import generate_keypair
-from repro.crypto.signatures import DigestSigner
+from repro.crypto.signatures import DigestSigner, SignedDigest
 from repro.db.rows import Row
 from repro.db.schema import Column, TableSchema
 from repro.db.types import IntType, VarcharType
@@ -42,6 +42,19 @@ def schema():
         ),
         key="id",
     )
+
+
+def flip_bit(signed, bit=0):
+    """``signed`` with bit ``bit`` of its signature integer flipped (bit
+    0 is the least significant), its epoch bytes kept."""
+    raw = bytearray(signed)
+    raw[-3 - bit // 8] ^= 1 << bit % 8
+    return SignedDigest(raw)
+
+
+def relabel(signed, epoch):
+    """The same signature bytes claiming another epoch."""
+    return SignedDigest(signed[:-2] + epoch.to_bytes(2, "big"))
 
 
 def row_string(db, table, key, attribute_values, width=16):

@@ -139,9 +139,7 @@ _SCALARS = st.one_of(
     st.text(max_size=12),
     st.binary(max_size=12),
 )
-_SIGNED = st.builds(
-    SignedDigest, st.integers(0, 2 ** (8 * _SIG_LEN) - 1), st.integers(0, 0xFFFF)
-)
+_SIGNED = st.binary(min_size=_SIG_LEN + 2, max_size=_SIG_LEN + 2).map(SignedDigest)
 _INSERTS = st.builds(
     TupleOp,
     kind=st.just(DeltaOpKind.INSERT),

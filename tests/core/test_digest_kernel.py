@@ -16,7 +16,7 @@ from repro.core.secondary import SecondaryQueryAuthenticator, SecondaryVBTree
 from repro.core.verify import ResultVerifier
 from repro.core.wire import result_from_bytes, result_to_bytes
 from repro.crypto.commutative import get_commutative_hash
-from repro.crypto.encoding import digest_input
+from repro.crypto.encoding import decode_values, digest_input, encode_values
 from repro.crypto.meter import CostMeter
 from repro.crypto.signatures import DigestSigner
 from repro.db.rows import Row
@@ -100,6 +100,15 @@ class TestKernelEqualsSpec:
         assert meter.combines == 0
         # A second call is served from the prefix cache: same answer.
         assert engine.row_attribute_values(table, columns, key, values) == got
+        # The wrapper only encodes: the bytes-level kernel, handed each
+        # value's encoding (the slices a decoder keeps), hashes the same
+        # bytes to the same digests.
+        recording.chunks.clear()
+        slices: list[bytes] = []
+        decoded, _end = decode_values(encode_values(values), 0, slices)
+        assert engine.encoded_attribute_values(table, columns, key, slices) == got
+        assert recording.chunks == spec_bytes
+        assert engine.row_attribute_values(table, columns, key, decoded) == got
 
     def test_attribute_value_and_tuple_digests_share_the_kernel(
         self, hash_name, policy, schema

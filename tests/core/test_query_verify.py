@@ -19,7 +19,7 @@ from repro.crypto.signatures import DigestVerifier, SignedDigest
 from repro.db.expressions import Comparison, between
 from repro.exceptions import VOFormatError
 
-from tests.core.conftest import DB_NAME, build_tree
+from tests.core.conftest import DB_NAME, build_tree, flip_bit
 
 
 class TestHonestSelection:
@@ -197,27 +197,17 @@ class TestTamperDetection:
         if not result.vo.selection_entries:
             pytest.skip("no gaps in this draw")
         entry = result.vo.selection_entries[0]
-        from repro.crypto.signatures import SignedDigest
-
-        forged = SignedDigest(
-            signature=entry.signed.signature ^ 1, epoch=entry.signed.epoch
-        )
         result.vo.selection_entries[0] = type(entry)(
             kind=entry.kind,
-            signed=forged,
+            signed=flip_bit(entry.signed),
             path=entry.path,
             slot=entry.slot,
         )
         assert not verifier.verify(result).ok
 
     def test_tampered_top_digest_detected(self, authenticator, verifier):
-        from repro.crypto.signatures import SignedDigest
-
         result = self._result(authenticator)
-        result.vo.top_signed = SignedDigest(
-            signature=result.vo.top_signed.signature ^ 1,
-            epoch=result.vo.top_signed.epoch,
-        )
+        result.vo.top_signed = flip_bit(result.vo.top_signed)
         assert not verifier.verify(result).ok
 
     def test_dropped_ds_entry_detected(self, authenticator, verifier):
@@ -281,7 +271,11 @@ class TestRecoveredValueBound:
 
         def forge(a, b):
             assert a.epoch == b.epoch == 0
-            forged = SignedDigest((a.signature * b.signature) % keypair.public.n, 0)
+            width = keypair.public.signature_len
+            product = (
+                int.from_bytes(a[:-2], "big") * int.from_bytes(b[:-2], "big")
+            ) % keypair.public.n
+            forged = SignedDigest(product.to_bytes(width, "big") + bytes(2))
             # No error from the recovery itself: the low 16 bits say epoch 0.
             recovered.append(DigestVerifier(keypair.public).recover(forged))
             return forged

@@ -3,7 +3,7 @@
 A :class:`~repro.core.verify.ResultVerifier` remembers what every
 signature it has decrypted recovered to.  These tests hold that memory
 to the only thing it may be — a cache of the pure function
-``(n, e, epoch, signature) -> value`` — by showing that a verifier which
+``(n, e, signed bytes) -> value`` — by showing that a verifier which
 has seen a great deal and one which has seen nothing say the same thing
 about every result, honest or hostile, and that nothing the key ring
 decides is ever answered from memory.
@@ -31,6 +31,8 @@ from repro.edge.adversary import (
 )
 from repro.edge.central import CentralServer
 from repro.workloads.generator import TableSpec, generate_table
+
+from tests.core.conftest import flip_bit, relabel
 
 DB = "memodb"
 ROWS = 240
@@ -185,7 +187,7 @@ class TestWarmEqualsCold:
         )
         at = data.draw(st.integers(0, len(entries) - 1), label="at")
         other = data.draw(st.sampled_from(memoised), label="other")
-        bit = 1 << data.draw(st.integers(0, 500), label="bit")
+        bit = data.draw(st.integers(0, 500), label="bit")
         if mutation == "swap":
             entries[at] = replace(entries[at], signed=other)
         elif mutation == "duplicate":
@@ -193,13 +195,9 @@ class TestWarmEqualsCold:
         elif mutation == "top":
             result.vo.top_signed = other
         elif mutation == "flip_entry":
-            signed = entries[at].signed
-            entries[at] = replace(
-                entries[at], signed=replace(signed, signature=signed.signature ^ bit)
-            )
+            entries[at] = replace(entries[at], signed=flip_bit(entries[at].signed, bit))
         else:
-            top = result.vo.top_signed
-            result.vo.top_signed = replace(top, signature=top.signature ^ bit)
+            result.vo.top_signed = flip_bit(result.vo.top_signed, bit)
         verdict = verifier.verify(result)
         assert said(verdict) == said(verifier_for(central).verify(result))
         if mutation.startswith("flip") or mutation == "duplicate":
@@ -259,9 +257,9 @@ class TestValidityIsPerUse:
         verifier = verifier_for(central)
         result = edge.range_query("t", low=10, high=20).result
         assert verifier.verify(result).ok
-        result.vo.top_signed = replace(result.vo.top_signed, epoch=77)
+        result.vo.top_signed = relabel(result.vo.top_signed, 77)
         result.vo.selection_entries[:] = [
-            replace(e, signed=replace(e.signed, epoch=77))
+            replace(e, signed=relabel(e.signed, 77))
             for e in result.vo.selection_entries
         ]
         verdict = verifier.verify(result)
@@ -292,7 +290,7 @@ class TestRotation:
         result = edge.range_query("t", low=10, high=20).result
         assert verifier.verify(result).ok
         central.rotate_key(seed=23)  # epochs 0 and 1 both valid (grace)
-        result.vo.top_signed = replace(result.vo.top_signed, epoch=1)
+        result.vo.top_signed = relabel(result.vo.top_signed, 1)
         for _ in range(2):
             verdict = verifier.verify(result)
             assert verdict.reason.startswith("bad signature")
@@ -330,7 +328,7 @@ class TestFailuresAreNotStored:
         assert verifier.verify(result).ok
         if fault == "epoch_mismatch":
             central.rotate_key(seed=23)
-            bad = replace(result.vo.top_signed, epoch=1)
+            bad = relabel(result.vo.top_signed, 1)
         else:
             # A genuine central signature over a value no digest can take.
             bad = DigestSigner.from_keypair(central._keypair).sign(1 << 200)
@@ -369,7 +367,7 @@ class TestBound:
                 == result.vo.digest_count()
             )
             assert len(verifier._recovered) <= cap
-            seen.update(e.signed.signature for e in result.vo.selection_entries)
+            seen.update(e.signed for e in result.vo.selection_entries)
         assert len(seen) >= cap + 500
 
 

@@ -10,11 +10,7 @@ from repro.db.page import PageGeometry
 from repro.db.rows import Row
 from repro.exceptions import AuthenticationError, KeyNotFoundError
 
-from tests.core.conftest import build_tree, make_rows
-
-
-def _flipped(signed: SignedDigest) -> SignedDigest:
-    return SignedDigest(signed.signature ^ 1, signed.epoch)
+from tests.core.conftest import build_tree, flip_bit as _flipped, make_rows
 
 
 class TestBuild:

@@ -132,3 +132,64 @@ class TestDigestInput:
         assert digest_input("db", "ta", "x", 0, "") != digest_input(
             "dbt", "a", "x", 0, ""
         )
+
+
+class TestRefusals:
+    """Satellite fixes: the encoder raises only ``EncodingError``, and
+    only a value's one canonical encoding decodes."""
+
+    @pytest.mark.parametrize("text", ["\ud800", "a\udfffb", "\udc80"])
+    def test_unencodable_str_is_an_encoding_error(self, text):
+        with pytest.raises(EncodingError, match="utf-8"):
+            encode_value(text)
+
+    @pytest.mark.parametrize(
+        "encoded",
+        [
+            b"I" + encode_uint(2) + b"\x00\x05",  # 5 with a redundant sign byte
+            b"I" + encode_uint(2) + b"\xff\xff",  # -1 likewise
+            b"I" + encode_uint(1) + b"\x80",  # -128 is written in 2 bytes
+            b"I" + encode_uint(0),  # 0 is written as one byte
+            b"N" + encode_uint(1) + b"\x00",
+            b"T" + encode_uint(2) + b"ab",
+            b"F" + encode_uint(1) + b"\x01",
+        ],
+    )
+    def test_non_canonical_encodings_are_refused(self, encoded):
+        with pytest.raises(EncodingError):
+            decode_value(encoded)
+        with pytest.raises(EncodingError):
+            decode_values(encode_uint(1) + encoded)
+
+    def test_canonical_neighbours_still_decode(self):
+        for value in (5, -1, -128, 0, 127, 128, None, True, False):
+            assert decode_value(encode_value(value)) == (value, len(encode_value(value)))
+
+    @given(
+        st.one_of(
+            st.binary(max_size=24),
+            st.tuples(
+                st.sampled_from(b"NTFIDSBZ"),
+                st.binary(max_size=10),
+            ).map(lambda tp: bytes([tp[0]]) + encode_uint(len(tp[1])) + tp[1]),
+            scalars.map(encode_value),
+        )
+    )
+    @settings(max_examples=500)
+    def test_decoding_is_injective(self, data):
+        """Every byte string the decoder accepts is exactly the encoding
+        of what it returns — the property a verifier that hashes the
+        received bytes in place of re-encoding rests on."""
+        try:
+            value, end = decode_value(data)
+        except EncodingError:
+            return
+        assert data[:end] == encode_value(value)
+
+    @given(st.lists(scalars, max_size=6))
+    def test_decode_values_keeps_each_values_bytes(self, values):
+        data = encode_values(values)
+        slices = []
+        decoded, end = decode_values(data, 0, slices)
+        assert end == len(data) and len(decoded) == len(values)
+        assert slices == [encode_value(v) for v in decoded]

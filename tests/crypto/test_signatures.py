@@ -8,6 +8,8 @@ from repro.crypto.rsa import generate_keypair
 from repro.crypto.signatures import DigestSigner, DigestVerifier, SignedDigest
 from repro.exceptions import SignatureError, StaleKeyError
 
+from tests.core.conftest import flip_bit, relabel
+
 
 @pytest.fixture(scope="module")
 def keypair():
@@ -36,14 +38,12 @@ class TestSignVerify:
 
     def test_tampered_signature_rejected(self, signer, verifier):
         signed = signer.sign(42)
-        forged = SignedDigest(signature=signed.signature ^ 1, epoch=signed.epoch)
-        assert not verifier.verify_value(forged, 42)
+        assert not verifier.verify_value(flip_bit(signed), 42)
 
     def test_epoch_mismatch_detected(self, signer, verifier):
         signed = signer.sign(42)
-        relabeled = SignedDigest(signature=signed.signature, epoch=signed.epoch + 1)
-        with pytest.raises(SignatureError):
-            verifier.recover(relabeled)
+        with pytest.raises(SignatureError, match="epoch mismatch"):
+            verifier.recover(relabel(signed, signed.epoch + 1))
 
     def test_negative_value_rejected(self, signer):
         with pytest.raises(SignatureError):
@@ -58,12 +58,12 @@ class TestSignVerify:
         assert verifier.recover(signed) == signer.max_value
 
     def test_deterministic_signature(self, signer):
-        assert signer.sign(7).signature == signer.sign(7).signature
+        assert signer.sign(7) == signer.sign(7)
 
     def test_distinct_epochs_distinct_signatures(self, keypair):
         s0 = DigestSigner.from_keypair(keypair, epoch=0)
         s1 = DigestSigner.from_keypair(keypair, epoch=1)
-        assert s0.sign(7).signature != s1.sign(7).signature
+        assert s0.sign(7)[:-2] != s1.sign(7)[:-2]
 
     def test_invalid_epoch_rejected(self, keypair):
         with pytest.raises(SignatureError):
@@ -71,16 +71,31 @@ class TestSignVerify:
 
 
 class TestWireFormat:
-    def test_roundtrip(self, signer, verifier):
-        signed = signer.sign(555)
-        data = signed.to_bytes(verifier.signature_len)
-        parsed = SignedDigest.from_bytes(data, verifier.signature_len)
-        assert parsed == signed
-        assert signed.wire_size(verifier.signature_len) == len(data)
+    """A signed digest is its wire bytes: ``signature ‖ epoch``."""
 
-    def test_bad_length_rejected(self, verifier):
-        with pytest.raises(SignatureError):
-            SignedDigest.from_bytes(b"\x00" * 10, verifier.signature_len)
+    def test_is_signature_then_epoch(self, keypair, verifier):
+        signer = DigestSigner.from_keypair(keypair, epoch=0x0102)
+        signed = signer.sign(555)
+        assert isinstance(signed, bytes)
+        assert len(signed) == verifier.signature_len + 2
+        assert signed[-2:] == b"\x01\x02" and signed.epoch == 0x0102
+        assert pow(int.from_bytes(signed[:-2], "big"), keypair.public.e,
+                   keypair.public.n) == 555 * (1 << 16) + 0x0102
+        assert SignedDigest(bytes(signed)) == signed  # bytes in, same digest
+
+    @pytest.mark.parametrize("width_change", [-1, 1, -10])
+    def test_wrong_width_refused_before_any_pow(self, signer, keypair, width_change):
+        meter = CostMeter()
+        verifier = DigestVerifier(keypair.public, meter=meter)
+        signed = signer.sign(555)
+        odd = SignedDigest(
+            signed[:-2][:width_change] if width_change < 0
+            else b"\x00" * width_change + signed
+        )
+        with pytest.raises(SignatureError, match="must be"):
+            verifier.recover(odd)
+        assert meter.verifies == 0
+        assert not verifier.verify_value(odd, 555)
 
 
 class TestMetering:

@@ -190,7 +190,10 @@ class TestDeltaAdversary:
         server, edge, client = self._server_with_edge()
         vbt = edge.replica("t")
         rng = random.Random(5)
-        fake_sig = lambda: SignedDigest(signature=rng.getrandbits(256), epoch=0)
+        width = server.public_key.signature_len
+        fake_sig = lambda: SignedDigest(
+            rng.getrandbits(256).to_bytes(width, "big") + bytes(2)
+        )
         row = Row(vbt.schema, (6666, "f", "a", "ke"))
         forged = ReplicaDelta(
             table="t",
@@ -217,9 +220,7 @@ class TestDeltaAdversary:
             signature=fake_sig(),
         )
         sig_len = server.public_key.signature_len
-        payload = delta_body_bytes(forged, sig_len) + forged.signature.to_bytes(
-            sig_len
-        )
+        payload = delta_body_bytes(forged, sig_len) + forged.signature
         with pytest.raises(DeltaTamperError):
             edge.apply_delta("t", payload)
         resp = edge.range_query("t", low=6666, high=6666)
@@ -240,7 +241,10 @@ class TestDeltaAdversary:
         server, edge, client = self._server_with_edge()
         vbt = edge.replica("t")
         rng = random.Random(7)
-        fake_sig = lambda: SignedDigest(signature=rng.getrandbits(256), epoch=0)
+        width = server.public_key.signature_len
+        fake_sig = lambda: SignedDigest(
+            rng.getrandbits(256).to_bytes(width, "big") + bytes(2)
+        )
         row = Row(vbt.schema, (6666, "f", "a", "ke"))
         forged = ReplicaDelta(
             table="t",
@@ -328,18 +332,10 @@ class TestDeltaAdversary:
             "lsn_last": header + 7,
             "epoch": header + 11,
             "row value": payload.index(encode_value(insert.values[1])) + 5,
-            "tuple signature": payload.index(
-                insert.signed_tuple.to_bytes(sig_len)
-            ) + 9,
-            "last tuple signature": payload.index(
-                delta.ops[2].signed_tuple.to_bytes(sig_len)
-            ) + 7,
-            "node update": payload.index(
-                delta.node_updates[0].signed.to_bytes(sig_len)
-            ) + 11,
-            "last node update": payload.index(
-                delta.node_updates[-1].signed.to_bytes(sig_len)
-            ) + 13,
+            "tuple signature": payload.index(insert.signed_tuple) + 9,
+            "last tuple signature": payload.index(delta.ops[2].signed_tuple) + 7,
+            "node update": payload.index(delta.node_updates[0].signed) + 11,
+            "last node update": payload.index(delta.node_updates[-1].signed) + 13,
             "freed id": len(payload) - (sig_len + 2) - 1,
             "signature": len(payload) - 3,
             "signature epoch": len(payload) - 1,
@@ -410,16 +406,36 @@ class TestDeltaAdversary:
         """A payload that parses, but whose declared signature width is
         not the claimed epoch key's, names a slice boundary the signer
         never used: refused without spending a ``pow`` on it."""
+        from dataclasses import replace
+
         from repro.core.wire import delta_from_bytes, delta_to_bytes
+        from repro.crypto.signatures import SignedDigest
         from repro.exceptions import DeltaTamperError
 
         server, edge, _client = self._server_with_edge()
         server.insert("t", (9001, "a", "b", "c"))
         entry = server.replicator.log_for("t").entries_since(0)[0]
         sig_len = server.public_key.signature_len
+        delta = entry.delta
         for width in (sig_len + 1, sig_len + 64):
-            widened = delta_to_bytes(entry.delta, width)
-            assert delta_from_bytes(widened) == entry.delta  # it parses
+            # Every signature the same integer, zero-padded to ``width``.
+            def wide(signed, width=width):
+                return SignedDigest(bytes(width - sig_len) + signed)
+
+            wider = replace(
+                delta,
+                ops=tuple(
+                    replace(op, signed_tuple=wide(op.signed_tuple))
+                    if op.signed_tuple is not None else op
+                    for op in delta.ops
+                ),
+                node_updates=tuple(
+                    replace(u, signed=wide(u.signed)) for u in delta.node_updates
+                ),
+                signature=wide(delta.signature),
+            )
+            widened = delta_to_bytes(wider, width)
+            assert delta_from_bytes(widened) == wider  # it parses
             verifies = edge.meter.verifies
             with pytest.raises(DeltaTamperError, match="signature width"):
                 edge.apply_delta("t", widened)

@@ -65,7 +65,7 @@ class TestQueryFlow:
         replica = edge.replica("items")
         sig_len = central.public_key.signature_len
         held = sum(
-            len(replica.tuple_auth(row.key).to_bytes(sig_len))
+            len(replica.tuple_auth(row.key))
             for row in replica.rows()
         )
         costs = storage_costs(

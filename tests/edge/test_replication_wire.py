@@ -365,7 +365,7 @@ def test_parent_format_delta_is_refused_as_tamper(recipe, delta_hex):
     parent_delta = bytes.fromhex(delta_hex)
     width = server.public_key.signature_len + 2
     assert DigestVerifier(server.public_key).verify_value(
-        SignedDigest.from_bytes(parent_delta[-width:], width - 2),
+        SignedDigest(parent_delta[-width:]),
         delta_digest(parent_delta[:-width]),
     )
     with pytest.raises(EncodingError):

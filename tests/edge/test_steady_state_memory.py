@@ -24,10 +24,11 @@ TABLE = "items"
 ROWS, KEY_STEP = 400, 4
 _OURS = [tracemalloc.Filter(True, os.path.join(os.path.dirname(repro.__file__), "*"))]
 #: What one insert → sync retained when the budget was pinned (this
-#: fabric, CPython 3.11; 3 938 B at the parent commit), and the budget:
-#: a quarter above it, for interpreters whose objects are larger.
-MEASURED_PER_WRITE = 3672
-PER_WRITE_BUDGET = 4600
+#: fabric, CPython 3.11; 3 629 B at the parent commit, whose signed
+#: digests were an int in a frozen record), and the budget: a quarter
+#: above it, for interpreters whose objects are larger.
+MEASURED_PER_WRITE = 3294
+PER_WRITE_BUDGET = 4120
 
 
 @pytest.fixture
@@ -80,6 +81,24 @@ def test_a_query_on_an_unchanging_tree_retains_under_128_bytes(fabric):
         "tree (a channel's two history columns are 9 B a frame, two frames "
         "a query, plus array growth slack; ≈ 390 B when every frame kept a "
         "Transfer object)"
+    )
+
+
+def test_a_full_range_query_retains_under_128_bytes_once_rows_are_served(fabric):
+    """Every replica row memoises its wire form the first time it is
+    served (DESIGN.md §27): a per-row cost, paid once — a query over
+    all 400 rows keeps nothing more once each row has been served."""
+    _central, router = fabric
+
+    def query(i):
+        answer = router.range_query(TABLE, low=0, high=(ROWS - 1) * KEY_STEP)
+        assert answer.verdict.ok and len(answer.result.rows) == ROWS
+
+    per_query = retained_by(query, warmup=2, measured=40)
+    assert per_query < 128, (
+        f"{per_query:.0f} B retained per 400-row query by src/repro after "
+        "every row was served once (the wire-form memo is per row, not "
+        "per query)"
     )
 
 

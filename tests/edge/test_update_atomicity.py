@@ -118,6 +118,30 @@ class TestInsertAtomicity:
         assert client.verify(resp).ok
         assert len(resp.result.rows) == view_rows + 1
 
+    def test_unencodable_value_refused_before_any_mutation(self):
+        """A lone surrogate has no UTF-8 (so no canonical) encoding: the
+        insert is refused with a library error while the row is still
+        being validated — tree, log and replica untouched."""
+        from repro.exceptions import ReproError, TypeMismatchError
+        from repro.workloads.generator import TableSpec, generate_table
+
+        server = CentralServer(db_name=DB, rsa_bits=512, seed=61)
+        schema, rows = generate_table(TableSpec(name="t", rows=20, columns=3, seed=2))
+        server.create_table(schema, rows)
+        edge = server.spawn_edge_server("e")
+        before = snapshot_state(server, ["t"])
+        replica = edge.replica("t")
+        held = (replica.version, len(replica), edge.replica_lsns.get("t", 0))
+        with pytest.raises(TypeMismatchError, match="UTF-8") as raised:
+            server.insert("t", (1000, "\ud800", "x"))
+        assert isinstance(raised.value, ReproError)
+        assert snapshot_state(server, ["t"]) == before
+        assert server.vbtrees["t"].version == 0 and before["t"][2] == 0
+        server.propagate()
+        replica = edge.replica("t")
+        assert (replica.version, len(replica), edge.replica_lsns.get("t", 0)) == held
+        assert 1000 not in replica.tree
+
     def test_duplicate_key_rejected_before_any_mutation(self):
         from repro.exceptions import DuplicateKeyError
 
