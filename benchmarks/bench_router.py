@@ -125,7 +125,7 @@ def _run(policy: str, n_edges: int, queries: int, tamper: bool = False) -> dict:
         "payload_bytes": up,
         "accepts": verifying.accepts,
         "rejects": verifying.rejects,
-        "failed_queries": verifying.router.failed_queries,
+        "failed_queries": verifying.failed_queries,
         "quarantined": sorted(
             name for name, s in verifying.stats().items() if s.quarantined
         ),

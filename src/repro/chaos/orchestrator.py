@@ -218,7 +218,7 @@ class ChaosOrchestrator:
         report.quarantined = tuple(
             sorted(
                 name
-                for name, stats in fleet.router.router.stats().items()
+                for name, stats in fleet.router.stats().items()
                 if stats.quarantined
             )
         )

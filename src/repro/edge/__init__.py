@@ -26,10 +26,8 @@ from repro.edge.fanout import (
 from repro.edge.network import Channel, Transfer
 from repro.edge.router import (
     DeploymentQueryChannel,
-    EdgeRouter,
     EdgeStats,
     MergedResponse,
-    RoutedResponse,
     RoutingPolicy,
     ScatterGatherRouter,
     TransportQueryChannel,
@@ -68,7 +66,6 @@ __all__ = [
     "EdgeConfig",
     "EdgeProcess",
     "EdgeResponse",
-    "EdgeRouter",
     "EdgeServer",
     "EdgeStats",
     "FanoutEngine",
@@ -82,7 +79,6 @@ __all__ = [
     "QueryResponseFrame",
     "ReplicationMode",
     "ResponseTamper",
-    "RoutedResponse",
     "RoutingPolicy",
     "ScatterGatherRouter",
     "SentRecord",

@@ -195,13 +195,10 @@ class CentralServer:
             policy: Routing policy name or enum.
             channels: Pre-built query channels (overrides ``edges`` —
                 the hook for custom per-edge latency models).
-            **kwargs: Forwarded to :class:`~repro.edge.router.EdgeRouter`.
+            **kwargs: Forwarded to
+                :class:`~repro.edge.router.VerifyingRouter`.
         """
-        from repro.edge.router import (
-            EdgeRouter,
-            VerifyingRouter,
-            in_process_query_channel,
-        )
+        from repro.edge.router import VerifyingRouter, in_process_query_channel
 
         if channels is None:
             if edges is None:
@@ -211,9 +208,11 @@ class CentralServer:
                     "no in-process edge servers to route over"
                 )
             channels = [in_process_query_channel(edge) for edge in edges]
-        router = EdgeRouter(channels, policy=policy, **kwargs)
+        router = VerifyingRouter(
+            channels, self.make_client(), policy=policy, **kwargs
+        )
         router.seed_from_fanout(self.fanout)
-        return VerifyingRouter(router, self.make_client())
+        return router
 
     # ------------------------------------------------------------------
     # Schema / data management

@@ -57,7 +57,7 @@ from repro.edge.central import CentralServer
 from repro.edge.edge_server import EdgeResponse
 from repro.edge.event_loop import EdgeEventLoop, SocketListener
 from repro.edge.link import Transport
-from repro.edge.router import DeploymentQueryChannel, EdgeRouter, VerifyingRouter
+from repro.edge.router import DeploymentQueryChannel, VerifyingRouter
 from repro.edge.socket_transport import listen_on
 from repro.edge.transport import (
     ConfigFrame,
@@ -521,14 +521,17 @@ class Deployment:
                 dialing this listener, connected or not — an
                 unreachable one just starts in the failure path).
             policy: Routing policy name or enum.
-            **kwargs: Forwarded to :class:`~repro.edge.router.EdgeRouter`.
+            **kwargs: Forwarded to
+                :class:`~repro.edge.router.VerifyingRouter`.
         """
         if names is None:
             names = [n for n, h in self.edges.items() if h.relay is None]
         channels = [DeploymentQueryChannel(self, name) for name in names]
-        router = EdgeRouter(channels, policy=policy, **kwargs)
+        router = VerifyingRouter(
+            channels, self.central.make_client(), policy=policy, **kwargs
+        )
         router.seed_from_fanout(self.central.fanout)
-        return VerifyingRouter(router, self.central.make_client())
+        return router
 
     def range_query(
         self,

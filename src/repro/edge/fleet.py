@@ -144,10 +144,10 @@ class Fleet:
                     join(self.relays[name], self.edges[edge], self.faults[edge])
         else:
             self._start_edge(name)
-        if name in self.router.router.edge_names:
+        if name in self.router.edge_names:
             # A byzantine replica died with the process; let the router
             # probe the reborn node again.
-            self.router.router.release(name)
+            self.router.release(name)
 
     # ------------------------------------------------------------------
     # Replication driving

@@ -3,35 +3,34 @@
 The paper's deployment story (Section 3.1, Figure 2) is *many* edge
 servers answering on-demand queries whose results clients verify
 locally.  This module is the client-side piece that makes the fleet
-usable: an :class:`EdgeRouter` holds query channels to N edges
-(in-process or TCP), tracks what it can observe about each —
+usable.  One class, :class:`VerifyingRouter`, holds query channels to
+N edges (in-process or TCP) and tracks what it can observe about each —
 
 * **latency** — an exponentially weighted moving average over the
   round-trip time each channel reports (simulated transfer seconds for
   in-process links, wall clock over TCP);
 * **staleness hints** — the LSN cursor every
-  :class:`~repro.edge.transport.QueryResponseFrame` now echoes
+  :class:`~repro.edge.transport.QueryResponseFrame` echoes
   (DESIGN.md section 9).  Hints are untrusted, like everything an edge
   says: a lying cursor can only skew routing, never verification;
 * **health** — consecutive transport failures put an edge into a
   cooldown window; it is retried once the window lapses and rejoins the
   rotation on the first success —
 
-and picks an edge per query under a pluggable :class:`RoutingPolicy`.
-Routing *orders* the whole fleet rather than choosing a single edge, so
-a failed attempt falls through to the next-best candidate and a query
-only fails when every edge is exhausted (:class:`~repro.exceptions.RouterError`).
-
-:class:`VerifyingRouter` composes routing with the paper's verification
-guarantee: every routed result is verified with the existing
-:class:`~repro.edge.client.Client`, and a REJECT **quarantines** the
-edge (it served tampered data — cooldown is not enough) and transparently
-fails over to the next-best edge.  Tamper detection thereby becomes an
-availability mechanism: a fabric with a tampering edge keeps returning
-verified ACCEPTs, and the tampered edge stops receiving traffic.  This
-is the lazy-trust tradeoff WedgeChain (Nawab, 2020) makes explicit —
-results from possibly-lagging, possibly-compromised edges are usable
-*because* they are verifiable after the fact.
+orders the fleet per query under a pluggable :class:`RoutingPolicy`,
+and verifies every answer with the paper's client
+(:class:`~repro.edge.client.Client`) before returning it.  A transport
+fault falls through to the next-best candidate; a REJECT
+**quarantines** the edge (it served tampered data — cooldown is not
+enough) and fails over too, in one loop (DESIGN.md section 28).  A
+query only fails when every edge is exhausted
+(:class:`~repro.exceptions.RouterError`).  There is no unverified
+way to ask: tamper detection is an availability mechanism — a fabric
+with a tampering edge keeps returning verified ACCEPTs, and the
+tampered edge stops receiving traffic.  This is the lazy-trust
+tradeoff WedgeChain (Nawab, 2020) makes explicit — results from
+possibly-lagging, possibly-compromised edges are usable *because*
+they are verified.
 
 Role and ownership: the router runs **client-side**, inside the
 trusted perimeter of whoever holds the central's *public* keys — it
@@ -43,7 +42,8 @@ target edge, so a restarted edge process is routable the moment it
 re-registers.  A channel may equally point at a relay
 (DESIGN.md section 13) — the relay round-robins the query over its
 own edges, and verification still happens here, end-to-end against
-the signer's public key.
+the signer's public key.  :class:`ScatterGatherRouter` composes one
+verifying router per shard.
 """
 
 from __future__ import annotations
@@ -75,13 +75,11 @@ _EWMA_ALPHA = 0.3
 __all__ = [
     "RoutingPolicy",
     "EdgeStats",
-    "RoutedResponse",
     "VerifiedResponse",
     "MergedResponse",
     "TransportQueryChannel",
     "DeploymentQueryChannel",
     "in_process_query_channel",
-    "EdgeRouter",
     "VerifyingRouter",
     "ScatterGatherRouter",
 ]
@@ -108,15 +106,14 @@ class EdgeStats:
         name: The edge's name (channel label).
         served: Queries this edge answered successfully.
         failures: Transport faults + error responses, cumulative.
-        rejects: Results that failed client-side verification
-            (populated by :class:`VerifyingRouter`).
+        rejects: Results that failed client-side verification.
         consecutive_failures: Current failure streak (reset on success).
         ewma_latency: Smoothed observed round-trip seconds, or ``None``
             until the edge has answered at least once.
         cooldown_until: Clock value before which the edge is skipped
             (0 when healthy).
         quarantined: Permanently out of rotation (served tampered
-            data); only :meth:`EdgeRouter.release` re-admits it.
+            data); only :meth:`VerifyingRouter.release` re-admits it.
         quarantine_reason: The verification verdict (or other cause)
             that triggered the quarantine.
         last_error: Most recent transport/verification failure text.
@@ -139,26 +136,6 @@ class EdgeStats:
 
 
 @dataclass(frozen=True)
-class RoutedResponse:
-    """One routed (not yet verified) query answer.
-
-    Attributes:
-        edge: The edge that answered.
-        frame: The raw response frame (cursor echo included).
-        result: The deserialized authenticated result.
-        latency: Round-trip seconds the channel reported.
-        attempts: Every edge tried for this query, in order — length 1
-            when the first choice answered, longer after failover.
-    """
-
-    edge: str
-    frame: QueryResponseFrame
-    result: AuthenticatedResult
-    latency: float
-    attempts: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class VerifiedResponse:
     """A routed answer that passed client-side verification.
 
@@ -167,10 +144,11 @@ class VerifiedResponse:
         result: The verified authenticated result.
         verdict: The ACCEPT verdict (``verdict.ok`` is always True).
         latency: Round-trip seconds for the accepted attempt.
-        attempts: Every edge tried, across all verify-or-failover
-            rounds, in order.
+        attempts: Every edge tried, across all verify rounds, in order
+            — length 1 when the first choice answered and verified.
         rejected: Edges whose results failed verification for this
             query (now quarantined).
+        wire_bytes: Serialized result bytes of the accepted answer.
     """
 
     edge: str
@@ -179,6 +157,7 @@ class VerifiedResponse:
     latency: float
     attempts: tuple[str, ...]
     rejected: tuple[str, ...]
+    wire_bytes: int
 
 
 # ---------------------------------------------------------------------------
@@ -292,58 +271,20 @@ def in_process_query_channel(
 # ---------------------------------------------------------------------------
 
 
-class _QuerySurface:
-    """Convenience query builders shared by :class:`EdgeRouter` and
-    :class:`VerifyingRouter` (mirroring the edge / deployment query
-    API) — each builds the wire frame and defers to ``self.query``, so
-    the two classes cannot drift apart."""
+class VerifyingRouter:
+    """Staleness/latency-aware query router over N edge channels that
+    hands back verified answers only.
 
-    def range_query(
-        self,
-        table: str,
-        low: Any = None,
-        high: Any = None,
-        columns: Optional[Sequence[str]] = None,
-        vo_format=None,
-    ):
-        """Routed primary-key range query."""
-        return self.query(range_query_frame(table, low, high, columns, vo_format))
-
-    def secondary_range_query(
-        self,
-        table: str,
-        attribute: str,
-        low: Any = None,
-        high: Any = None,
-        columns: Optional[Sequence[str]] = None,
-        vo_format=None,
-    ):
-        """Routed secondary-index range query."""
-        return self.query(
-            secondary_query_frame(table, attribute, low, high, columns, vo_format)
-        )
-
-    def select_query(
-        self,
-        table: str,
-        predicate,
-        columns: Optional[Sequence[str]] = None,
-        vo_format=None,
-    ):
-        """Routed general-predicate selection."""
-        return self.query(
-            select_query_frame(
-                table, predicate_to_bytes(predicate), columns, vo_format
-            )
-        )
-
-
-class EdgeRouter(_QuerySurface):
-    """Staleness/latency-aware query router over N edge channels.
+    Every answer is verified with ``client``; a REJECT quarantines the
+    edge and the query fails over to the next-best candidate, so callers
+    see verified ACCEPTs — or a :class:`~repro.exceptions.RouterError`
+    once the whole fleet is exhausted.
 
     Args:
         channels: Query channels, one per edge (anything with a
             ``.name`` and a ``.request(frame) -> (response, seconds)``).
+        client: A verifying client holding the central server's key
+            ring (:meth:`~repro.edge.central.CentralServer.make_client`).
         policy: Candidate ordering policy (name or enum).
         failure_threshold: Consecutive transport failures before an
             edge enters cooldown.
@@ -356,6 +297,7 @@ class EdgeRouter(_QuerySurface):
     def __init__(
         self,
         channels: Sequence,
+        client,
         policy: RoutingPolicy | str = RoutingPolicy.ROUND_ROBIN,
         failure_threshold: int = 3,
         cooldown: float = 1.0,
@@ -363,6 +305,7 @@ class EdgeRouter(_QuerySurface):
     ) -> None:
         if not channels:
             raise RouterError("a router needs at least one edge channel")
+        self.client = client
         self.policy = RoutingPolicy(policy)
         self.failure_threshold = failure_threshold
         self.cooldown = cooldown
@@ -378,6 +321,16 @@ class EdgeRouter(_QuerySurface):
         self.queries = 0
         self.failovers = 0
         self.failed_queries = 0
+        self.accepts = 0
+        self.rejects = 0
+
+    @property
+    def router(self) -> VerifyingRouter:
+        # An alias of this router for benchmarks/e2e/e2ebench/harness.py:887
+        # alone, which reads ``failovers`` through it and sits in the
+        # tree frozen as the benchmark's instrument.  Nothing else may
+        # use it.
+        return self
 
     # ------------------------------------------------------------------
     # Observed state
@@ -414,6 +367,8 @@ class EdgeRouter(_QuerySurface):
                 }
                 for s in self._stats.values()
             },
+            "accepts": self.accepts,
+            "rejects": self.rejects,
         }
 
     def observe_cursor(
@@ -467,22 +422,29 @@ class EdgeRouter(_QuerySurface):
             return secondary_index_name(frame.table, frame.attribute)
         return frame.table
 
+    def _candidates(self, exclude) -> tuple[list[str], list[str]]:
+        """``(healthy, cooling)``: the edges neither quarantined nor in
+        ``exclude``, split by cooldown, each in channel order."""
+        healthy: list[str] = []
+        cooling: list[str] = []
+        for name in self._names:
+            stats = self._stats[name]
+            if name in exclude or stats.quarantined:
+                continue
+            (cooling if self._in_cooldown(stats) else healthy).append(name)
+        return healthy, cooling
+
     def ordering(self, frame: QueryRequestFrame, exclude=()) -> list[str]:
         """Full candidate order for ``frame`` under the current policy —
-        the failover sequence.  Pure: does not advance any rotation or
-        WRR state (that happens once per :meth:`query`).
+        the failover sequence; ``ordering(frame)[0]`` is the edge a
+        query tries first.  Pure: does not advance any rotation or WRR
+        state (that happens once per verify round of :meth:`query`).
 
         Healthy edges come first, ordered by the policy; edges in
         cooldown follow (same policy order) as a last resort;
-        quarantined edges never appear.
+        quarantined and excluded edges never appear.
         """
-        exclude = set(exclude)
-        eligible = [
-            n for n in self._names
-            if n not in exclude and not self._stats[n].quarantined
-        ]
-        healthy = [n for n in eligible if not self._in_cooldown(self._stats[n])]
-        cooling = [n for n in eligible if self._in_cooldown(self._stats[n])]
+        healthy, cooling = self._candidates(exclude)
         replica = self._replica_name(frame)
         return self._policy_order(healthy, replica) + self._policy_order(
             cooling, replica
@@ -547,108 +509,158 @@ class EdgeRouter(_QuerySurface):
         return weights
 
     def _commit_choice(self, exclude=()) -> None:
-        """Advance the per-query routing state exactly once, over the
-        same candidate set :meth:`ordering` ranked (``exclude``
+        """Advance the routing state exactly once per verify round, over
+        the same candidate set :meth:`ordering` ranked (``exclude``
         included, or an excluded edge would be debited as the WRR
         choice it never was)."""
-        exclude = set(exclude)
         self._rotation += 1
-        if self.policy is RoutingPolicy.WEIGHTED:
-            eligible = [
-                n for n in self._names
-                if n not in exclude and not self._stats[n].quarantined
-            ]
-            names = [
-                n for n in eligible if not self._in_cooldown(self._stats[n])
-            ] or eligible
-            if not names:
-                return
-            weights = self._wrr_weights(names)
-            for n in names:
-                self._wrr_current[n] = self._wrr_current.get(n, 0.0) + weights[n]
-            chosen = max(
-                names,
-                key=lambda n: (self._wrr_current[n], -self._names.index(n)),
-            )
-            self._wrr_current[chosen] -= sum(weights.values())
-
-    def select(self, frame: QueryRequestFrame, exclude=()) -> str:
-        """The edge :meth:`query` would try first, without querying.
-
-        Raises:
-            RouterError: If no edge is eligible.
-        """
-        order = self.ordering(frame, exclude)
-        if not order:
-            raise RouterError(
-                f"no eligible edge for {frame.kind} query on "
-                f"{frame.table!r} (all quarantined or excluded)"
-            )
-        return order[0]
+        if self.policy is not RoutingPolicy.WEIGHTED:
+            return
+        healthy, cooling = self._candidates(exclude)
+        names = healthy or cooling
+        if not names:
+            return
+        weights = self._wrr_weights(names)
+        for n in names:
+            self._wrr_current[n] = self._wrr_current.get(n, 0.0) + weights[n]
+        chosen = max(
+            names,
+            key=lambda n: (self._wrr_current[n], -self._names.index(n)),
+        )
+        self._wrr_current[chosen] -= sum(weights.values())
 
     # ------------------------------------------------------------------
     # Querying
     # ------------------------------------------------------------------
 
-    def query(self, frame: QueryRequestFrame, exclude=()) -> RoutedResponse:
-        """Route one query, failing over along the policy order.
+    def range_query(
+        self,
+        table: str,
+        low: Any = None,
+        high: Any = None,
+        columns: Optional[Sequence[str]] = None,
+        vo_format=None,
+    ) -> VerifiedResponse:
+        """Routed, verified primary-key range query."""
+        return self.query(range_query_frame(table, low, high, columns, vo_format))
 
-        Returns:
-            The first successfully parsed response.
+    def secondary_range_query(
+        self,
+        table: str,
+        attribute: str,
+        low: Any = None,
+        high: Any = None,
+        columns: Optional[Sequence[str]] = None,
+        vo_format=None,
+    ) -> VerifiedResponse:
+        """Routed, verified secondary-index range query."""
+        return self.query(
+            secondary_query_frame(table, attribute, low, high, columns, vo_format)
+        )
+
+    def select_query(
+        self,
+        table: str,
+        predicate,
+        columns: Optional[Sequence[str]] = None,
+        vo_format=None,
+    ) -> VerifiedResponse:
+        """Routed, verified general-predicate selection."""
+        return self.query(
+            select_query_frame(
+                table, predicate_to_bytes(predicate), columns, vo_format
+            )
+        )
+
+    def query(self, frame: QueryRequestFrame) -> VerifiedResponse:
+        """Route one query and fail over until an answer verifies.
+
+        Each candidate, in policy order: request → error reply → parse
+        → record the success → verify.  A transport fault, an error
+        reply or an unparseable payload moves on to the next candidate.
+        A REJECT quarantines the edge (it served tampered data —
+        cooldown is not enough) and starts a new verify round: the
+        untried candidates are ranked afresh with
+        ``ordering(frame, attempts)`` and the routing state advances
+        once more with ``_commit_choice(attempts)``.  The re-rank is
+        not a detail: the first round's commit already moved the
+        rotation (and the WRR counters), so with round robin over three
+        edges and ``edge-0`` tampered the attempts are
+        ``('edge-0', 'edge-2')`` — the two survivors, rotated one step
+        on — not ``edge-1``, the next name in the first order.  Every
+        edge tried is spent for this query, so a transport failure
+        feeds the cooldown streak exactly once per query.
+
+        ``failovers`` counts, per accepted query, the attempts before
+        the accepted one; a query that ends without an ACCEPT adds
+        nothing there and counts once in ``failed_queries``.
 
         Raises:
-            RouterError: When every candidate edge failed.
+            RouterError: When no edge produces a verified result.
         """
-        order = self.ordering(frame, exclude)
-        if not order:
-            raise RouterError(
-                f"no eligible edge for {frame.kind} query on "
-                f"{frame.table!r} (all quarantined or excluded)"
-            )
         self.queries += 1
-        self._commit_choice(exclude)
         replica = self._replica_name(frame)
         attempts: list[str] = []
-        for name in order:
-            stats = self._stats[name]
-            attempts.append(name)
-            try:
-                reply, latency = self._channels[name].request(frame)
-            except TransportError as exc:
-                self._record_failure(stats, str(exc))
-                continue
-            if reply.error:
-                # An application-level error ("no replica of X") fails
-                # this query over to the next edge but says nothing
-                # about the *link* — it must not feed the cooldown
-                # streak, or a healthy edge missing one replica would
-                # be deprioritized for every table it serves fine.
-                self._record_failure(stats, reply.error, link_fault=False)
-                continue
-            try:
-                result = result_from_bytes(reply.payload)
-            except Exception as exc:
-                # Counted: an unparseable payload is either tampering
-                # (the adversary tests drive this) or a codec bug —
-                # both worth a counter, not just a failover (FL002).
-                telemetry.note("router.payload_parse", exc)
-                self._record_failure(
-                    stats, f"unparseable response payload: {exc}"
+        rejected: list[str] = []
+        order = self.ordering(frame)
+        while order:
+            self._commit_choice(attempts)
+            for name in order:
+                stats = self._stats[name]
+                attempts.append(name)
+                try:
+                    reply, latency = self._channels[name].request(frame)
+                except TransportError as exc:
+                    self._record_failure(stats, str(exc))
+                    continue
+                if reply.error:
+                    # An application-level error ("no replica of X")
+                    # fails this query over but says nothing about the
+                    # *link* — it must not feed the cooldown streak, or
+                    # a healthy edge missing one replica would be
+                    # deprioritized for every table it serves fine.
+                    self._record_failure(stats, reply.error, link_fault=False)
+                    continue
+                try:
+                    result = result_from_bytes(reply.payload)
+                except Exception as exc:
+                    # Counted: an unparseable payload is either tampering
+                    # (the adversary tests drive this) or a codec bug —
+                    # both worth a counter, not just a failover (FL002).
+                    telemetry.note("router.payload_parse", exc)
+                    self._record_failure(
+                        stats, f"unparseable response payload: {exc}"
+                    )
+                    continue
+                self._record_success(stats, reply, latency, replica)
+                verdict = self.client.verify(result)
+                if verdict.ok:
+                    self.accepts += 1
+                    self.failovers += len(attempts) - 1
+                    return VerifiedResponse(
+                        edge=name,
+                        result=result,
+                        verdict=verdict,
+                        latency=latency,
+                        attempts=tuple(attempts),
+                        rejected=tuple(rejected),
+                        wire_bytes=len(reply.payload),
+                    )
+                self.rejects += 1
+                stats.rejects += 1
+                stats.last_error = verdict.reason
+                self.quarantine(
+                    name, reason=f"verification rejected: {verdict.reason}"
                 )
-                continue
-            self._record_success(stats, reply, latency, replica)
-            self.failovers += len(attempts) - 1
-            return RoutedResponse(
-                edge=name,
-                frame=reply,
-                result=result,
-                latency=latency,
-                attempts=tuple(attempts),
-            )
+                rejected.append(name)
+                break
+            else:
+                break  # every candidate failed short of a verdict
+            order = self.ordering(frame, attempts)
         self.failed_queries += 1
         raise RouterError(
-            f"every edge failed {frame.kind} query on {frame.table!r} "
-            f"(tried {attempts})"
+            f"no edge verified {frame.kind} query on {frame.table!r} "
+            f"(tried {attempts}, rejected {rejected})"
         )
 
     def _record_success(
@@ -700,101 +712,6 @@ class EdgeRouter(_QuerySurface):
         stats.consecutive_failures += 1
         if stats.consecutive_failures >= self.failure_threshold:
             stats.cooldown_until = self.clock() + self.cooldown
-
-    def record_reject(self, name: str, reason: str) -> None:
-        """Count a client-side verification REJECT against ``name`` —
-        the verdict surfaces in :meth:`stats` / :meth:`snapshot`."""
-        stats = self._stats[name]
-        stats.rejects += 1
-        stats.last_error = reason
-
-
-class VerifyingRouter(_QuerySurface):
-    """Verify-or-failover: routing composed with client verification.
-
-    Every routed result is verified with ``client``; a REJECT (or an
-    unusable response) quarantines the edge and the query transparently
-    fails over to the next-best candidate, so callers only ever see
-    verified ACCEPTs — or a :class:`~repro.exceptions.RouterError` once
-    the whole fleet is exhausted.
-
-    Args:
-        router: The routing core (policies, health, stats).
-        client: A verifying client holding the central server's key
-            ring (:meth:`~repro.edge.central.CentralServer.make_client`).
-    """
-
-    def __init__(self, router: EdgeRouter, client) -> None:
-        self.router = router
-        self.client = client
-        self.accepts = 0
-        self.rejects = 0
-
-    def stats(self) -> dict[str, EdgeStats]:
-        """Per-edge observed state (see :meth:`EdgeRouter.stats`)."""
-        return self.router.stats()
-
-    def snapshot(self) -> dict[str, Any]:
-        """Plain-dict summary including verification counters."""
-        out = self.router.snapshot()
-        out["accepts"] = self.accepts
-        out["rejects"] = self.rejects
-        return out
-
-    def query(self, frame: QueryRequestFrame) -> VerifiedResponse:
-        """Route, verify, and fail over until a result verifies.
-
-        Raises:
-            RouterError: When no remaining edge produces a verified
-                result.
-        """
-        rejected: list[str] = []
-        attempts: list[str] = []
-        excluded: set[str] = set()
-        rounds = 0
-        while True:
-            try:
-                routed = self.router.query(frame, exclude=excluded)
-            except RouterError:
-                if rounds:
-                    self.router.queries -= 1
-                raise
-            rounds += 1
-            if rounds > 1:
-                # A verify-reject retry is the same logical query
-                # failing over across rounds, not a new client query —
-                # keep the routing counters meaning what they say.
-                self.router.queries -= 1
-                self.router.failovers += 1
-            attempts.extend(routed.attempts)
-            # Every edge tried this round is spent for this logical
-            # query: the answering edge is about to be judged, and the
-            # ones that failed in transport have already fed the health
-            # cooldown once.  Excluding them from later verify-rounds
-            # keeps that "exactly once" — without this, a reject round
-            # re-attempted the same down edge and double-counted its
-            # failure streak (probing it toward cooldown on the back of
-            # a *different* edge's tampering).
-            excluded.update(routed.attempts)
-            verdict = self.client.verify(routed.result)
-            if verdict.ok:
-                self.accepts += 1
-                return VerifiedResponse(
-                    edge=routed.edge,
-                    result=routed.result,
-                    verdict=verdict,
-                    latency=routed.latency,
-                    attempts=tuple(attempts),
-                    rejected=tuple(rejected),
-                )
-            # Tampered data: cooldown is not enough — the edge is out
-            # of rotation until an operator releases it.
-            self.rejects += 1
-            self.router.record_reject(routed.edge, verdict.reason)
-            self.router.quarantine(
-                routed.edge, reason=f"verification rejected: {verdict.reason}"
-            )
-            rejected.append(routed.edge)
 
 
 # ---------------------------------------------------------------------------

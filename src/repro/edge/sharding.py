@@ -484,7 +484,7 @@ class ShardedCentral:
         Args:
             policy: Per-shard routing policy (name or enum).
             **kwargs: Forwarded to each shard's
-                :class:`~repro.edge.router.EdgeRouter`.
+                :class:`~repro.edge.router.VerifyingRouter`.
         """
         from repro.edge.router import ScatterGatherRouter
 

@@ -26,8 +26,6 @@ __all__ = [
     "DeadlockError",
     "TransactionError",
     "AuthenticationError",
-    "VerificationFailure",
-    "TamperDetected",
     "IncompleteResultError",
     "VOFormatError",
     "SQLError",
@@ -124,18 +122,6 @@ class TransactionError(DatabaseError):
 
 class AuthenticationError(ReproError):
     """Base class for VB-tree / verification-object failures."""
-
-
-class VerificationFailure(AuthenticationError):
-    """The client's recomputed digest did not match the signed digest.
-
-    Raised (or returned as a failed :class:`~repro.core.verify.Verdict`)
-    whenever a query result cannot be proven authentic.
-    """
-
-
-class TamperDetected(VerificationFailure):
-    """Verification failed and the mismatch is attributable to tampering."""
 
 
 class IncompleteResultError(AuthenticationError):

@@ -1,11 +1,14 @@
 """SQL session over the edge-computing deployment.
 
 A :class:`Session` is the application-developer view of the system:
-DDL and DML go to the trusted central server, SELECTs run at an edge
-server, and every result is verified against the central server's
-signatures before the application sees it.
+DDL and DML go to the trusted central server; SELECTs go through the
+central's :class:`~repro.edge.router.VerifyingRouter`, which asks the
+edges and hands back only answers that verified against the central
+server's signatures.  An edge whose answer is rejected is quarantined
+and the next edge is asked; when none is left the query raises
+:class:`~repro.exceptions.RouterError`.
 
-    >>> session = Session(central, edge)
+    >>> session = Session(central)
     >>> session.execute("CREATE TABLE t (id INT, v VARCHAR(10), PRIMARY KEY (id))")
     >>> session.execute("INSERT INTO t VALUES (1, 'x')")
     >>> rows = session.query("SELECT v FROM t WHERE id BETWEEN 0 AND 5")
@@ -16,12 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro.core.secondary import secondary_index_name
 from repro.core.verify import Verdict
 from repro.db.types import type_from_name
 from repro.db.schema import Column, TableSchema
 from repro.edge.central import CentralServer
-from repro.edge.edge_server import EdgeServer
-from repro.exceptions import PlanningError, VerificationFailure
+from repro.exceptions import PlanningError
 from repro.sql.ast_nodes import (
     CreateIndex,
     CreateTable,
@@ -53,31 +56,19 @@ class QueryOutcome:
 
 
 class Session:
-    """Execute SQL against the central server + one edge server.
+    """Execute SQL against the central server and its edge servers.
 
     Args:
-        central: The trusted central server (DDL/DML target).
-        edge: The edge server answering SELECTs; defaults to the first
-            edge spawned from ``central`` (one is created if none).
-        strict: If True (default), a failed verification raises
-            :class:`~repro.exceptions.VerificationFailure`; if False the
-            tainted :class:`QueryOutcome` is returned with its verdict.
+        central: The trusted central server (DDL/DML target).  SELECTs
+            are routed over its in-process edges (``session-edge`` is
+            spawned if it has none).
     """
 
-    def __init__(
-        self,
-        central: CentralServer,
-        edge: EdgeServer | None = None,
-        strict: bool = True,
-    ) -> None:
+    def __init__(self, central: CentralServer) -> None:
         self.central = central
-        if edge is None:
-            edge = central.edges[0] if central.edges else central.spawn_edge_server(
-                "session-edge"
-            )
-        self.edge = edge
-        self.client = central.make_client()
-        self.strict = strict
+        if not central.edges:
+            central.spawn_edge_server("session-edge")
+        self.router = central.make_router()
 
     # ------------------------------------------------------------------
     # Entry points
@@ -120,11 +111,11 @@ class Session:
         raise PlanningError(f"unsupported statement {type(stmt).__name__}")
 
     def query(self, sql: str) -> QueryOutcome:
-        """Run a SELECT at the edge server and verify the result.
+        """Run a SELECT at an edge server; only a verified result
+        returns.
 
         Raises:
-            VerificationFailure: In strict mode, when the edge's answer
-                fails verification.
+            RouterError: When no edge produced a result that verified.
         """
         stmt = parse(sql)
         if not isinstance(stmt, SelectStmt):
@@ -134,12 +125,12 @@ class Session:
         # Route through a secondary VB-tree when the predicate is exactly
         # a range on an indexed non-key attribute: contiguous envelope,
         # far smaller D_S than a gappy primary-tree scan.
-        for index_attr in self._indexed_attributes(stmt.table):
+        for index_attr in self._indexed_attributes(schema):
             attr_range = exact_range_on(predicate, index_attr)
             if attr_range is not None and not attr_range.empty and (
                 attr_range.low is not None or attr_range.high is not None
             ) and attr_range.low_inclusive and attr_range.high_inclusive:
-                response = self.edge.secondary_range_query(
+                response = self.router.secondary_range_query(
                     stmt.table,
                     index_attr,
                     low=attr_range.low,
@@ -148,21 +139,15 @@ class Session:
                 )
                 break
         if response is None:
-            response = self.edge.select(
+            response = self.router.select_query(
                 stmt.table,
                 predicate,
                 columns=columns if stmt.columns is not None else None,
             )
-        verdict = self.client.verify(response)
-        if self.strict and not verdict.ok:
-            raise VerificationFailure(
-                f"edge {self.edge.name!r} returned an unverifiable result: "
-                f"{verdict.reason}"
-            )
         return QueryOutcome(
             columns=response.result.columns,
             rows=list(response.result.rows),
-            verdict=verdict,
+            verdict=response.verdict,
             wire_bytes=response.wire_bytes,
         )
 
@@ -170,13 +155,13 @@ class Session:
     # Statement handlers
     # ------------------------------------------------------------------
 
-    def _indexed_attributes(self, table: str):
-        """Attributes of ``table`` with a secondary VB-tree."""
-        prefix = f"{table}__by_"
+    def _indexed_attributes(self, schema: TableSchema) -> list[str]:
+        """Columns of ``schema`` with a secondary VB-tree."""
         return [
-            name[len(prefix):]
-            for name in self.central.vbtrees
-            if name.startswith(prefix)
+            column.name
+            for column in schema.columns
+            if secondary_index_name(schema.name, column.name)
+            in self.central.vbtrees
         ]
 
     def _create_table(self, stmt: CreateTable) -> None:

@@ -557,7 +557,7 @@ class TestPiggybackedCursors:
         server.insert("t", (9001, "a", "b", "c"))
         router = server.make_router(edges=[edge], policy="freshest")
         router.query(range_query_frame("t", low=0, high=10))
-        stats = router.router.edge_stats("e1")
+        stats = router.edge_stats("e1")
         assert "t__by_a1" in stats.cursors
         assert stats.cursors["t"] == edge.replica_lsns["t"]
 

@@ -120,7 +120,7 @@ class TestRelayTree:
             verifying = rd.make_router(
                 policy="round_robin", failure_threshold=1, cooldown=30.0
             )
-            assert set(verifying.router.edge_names) == {"relay-0", "relay-1"}
+            assert set(verifying.edge_names) == {"relay-0", "relay-1"}
             rd.kill_edge("relay-0")
             for key in range(9006, 9011):
                 central.insert(TABLE, (key, "x", "y", "z"))

@@ -3,7 +3,8 @@
 
 Three layers, all deterministic:
 
-* **Policy properties** on scripted channels with a fake clock —
+* **Policy properties** on scripted channels with a fake clock (every
+  channel serves one real signed answer, which the router verifies) —
   round-robin fairness and the freshest-policy invariant are checked
   property-style with hypothesis, the cooldown/recovery state machine
   and failover ordering example-style.
@@ -18,7 +19,7 @@ Three layers, all deterministic:
 """
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,6 @@ from repro.edge.adversary import DropTuple, ResponseTamper, ValueTamper
 from repro.edge.central import CentralServer
 from repro.edge.network import Channel
 from repro.edge.router import (
-    EdgeRouter,
     RoutingPolicy,
     TransportQueryChannel,
     VerifyingRouter,
@@ -71,10 +71,9 @@ class FakeClock:
 class ScriptedChannel:
     """A fake query channel with scripted latency/failure behaviour.
 
-    ``payload`` must be real serialized-result bytes when the test
-    reads ``RoutedResponse.result``; policy-only tests can leave the
-    placeholder (the router parses payloads only on success paths it
-    returns).
+    ``payload`` must be real serialized-result bytes (the fixture's
+    signed answer) when the test queries; tests that only rank
+    candidates can leave the placeholder.
     """
 
     name: str
@@ -101,9 +100,17 @@ class ScriptedChannel:
         return reply, self.latency
 
 
+class Signed(NamedTuple):
+    """One real signed answer and a client of the central that signed
+    it: every scripted channel serves ``payload``, and ``client``
+    accepts it."""
+
+    payload: bytes
+    client: Any
+
+
 @pytest.fixture(scope="module")
-def result_payload() -> bytes:
-    """Real serialized-result bytes for the scripted channels."""
+def signed() -> Signed:
     central = CentralServer(db_name=DB, rsa_bits=512, seed=17)
     schema, rows = generate_table(TableSpec(name="t", rows=30, columns=3, seed=5))
     central.create_table(schema, rows, fanout_override=6)
@@ -111,12 +118,22 @@ def result_payload() -> bytes:
     link = InProcessTransport("payload-link")
     link.connect(edge.handle_frame)
     reply = link.request(range_query_frame("t", low=5, high=12))
-    return reply.payload
+    return Signed(reply.payload, central.make_client())
 
 
-def make_router(channels, **kwargs) -> EdgeRouter:
+@pytest.fixture(scope="module")
+def result_payload(signed) -> bytes:
+    return signed.payload
+
+
+@pytest.fixture(scope="module")
+def client(signed):
+    return signed.client
+
+
+def make_router(channels, client, **kwargs) -> VerifyingRouter:
     kwargs.setdefault("clock", FakeClock())
-    return EdgeRouter(channels, **kwargs)
+    return VerifyingRouter(channels, client, **kwargs)
 
 
 FRAME = QueryRequestFrame(kind="range", table="t", low=0, high=100)
@@ -166,11 +183,11 @@ class TestCursorEcho:
 
 
 class TestPolicies:
-    def test_round_robin_is_fair(self, result_payload):
+    def test_round_robin_is_fair(self, result_payload, client):
         channels = [
             ScriptedChannel(f"e{i}", payload=result_payload) for i in range(4)
         ]
-        router = make_router(channels, policy="round_robin")
+        router = make_router(channels, client, policy="round_robin")
         for _ in range(40):
             router.query(FRAME)
         assert [len(c.requests) for c in channels] == [10, 10, 10, 10]
@@ -180,22 +197,26 @@ class TestPolicies:
         edges=st.integers(min_value=2, max_value=6),
         rounds=st.integers(min_value=1, max_value=5),
     )
-    def test_round_robin_fairness_property(self, edges, rounds, result_payload):
+    def test_round_robin_fairness_property(
+        self, edges, rounds, result_payload, client
+    ):
         channels = [
             ScriptedChannel(f"e{i}", payload=result_payload)
             for i in range(edges)
         ]
-        router = make_router(channels, policy="round_robin")
+        router = make_router(channels, client, policy="round_robin")
         for _ in range(edges * rounds):
             router.query(FRAME)
         assert all(len(c.requests) == rounds for c in channels)
 
-    def test_lowest_latency_probes_then_prefers_fastest(self, result_payload):
+    def test_lowest_latency_probes_then_prefers_fastest(
+        self, result_payload, client
+    ):
         channels = [
             ScriptedChannel("fast", payload=result_payload, latency=0.01),
             ScriptedChannel("slow", payload=result_payload, latency=0.50),
         ]
-        router = make_router(channels, policy="lowest_latency")
+        router = make_router(channels, client, policy="lowest_latency")
         for _ in range(10):
             router.query(FRAME)
         # One exploratory probe each, then every query goes to the
@@ -211,13 +232,15 @@ class TestPolicies:
         cooling=st.sets(st.integers(min_value=0, max_value=5)),
         data=st.data(),
     )
-    def test_freshest_never_picks_strictly_staler(self, lsns, cooling, data):
+    def test_freshest_never_picks_strictly_staler(
+        self, lsns, cooling, data, client
+    ):
         """The archetype property: with at least one healthy edge, the
         freshest policy never selects an edge strictly staler than some
         other healthy edge."""
         clock = FakeClock()
         channels = [ScriptedChannel(f"e{i}") for i in range(len(lsns))]
-        router = make_router(channels, policy="freshest", clock=clock)
+        router = make_router(channels, client, policy="freshest", clock=clock)
         healthy = []
         for i, lsn in enumerate(lsns):
             router.observe_cursor(f"e{i}", "t", lsn)
@@ -229,17 +252,17 @@ class TestPolicies:
         router._rotation = data.draw(st.integers(min_value=0, max_value=11))
         if not healthy:
             return  # all cooling: any fallback order is acceptable
-        picked = router.select(FRAME)
+        picked = router.ordering(FRAME)[0]
         picked_lsn = router.edge_stats(picked).cursors.get("t", 0)
         assert picked in dict(healthy)
         assert picked_lsn == max(lsn for _, lsn in healthy)
 
-    def test_freshest_uses_cursor_echo(self, result_payload):
+    def test_freshest_uses_cursor_echo(self, result_payload, client):
         channels = [
             ScriptedChannel("stale", payload=result_payload, lsn=3),
             ScriptedChannel("fresh", payload=result_payload, lsn=9),
         ]
-        router = make_router(channels, policy="freshest")
+        router = make_router(channels, client, policy="freshest")
         # Both edges are probed once (no hint yet → explore), in
         # rotation order.
         assert router.query(FRAME).edge == "stale"
@@ -248,12 +271,14 @@ class TestPolicies:
         for _ in range(6):
             assert router.query(FRAME).edge == "fresh"
 
-    def test_weighted_shifts_load_but_starves_nobody(self, result_payload):
+    def test_weighted_shifts_load_but_starves_nobody(
+        self, result_payload, client
+    ):
         channels = [
             ScriptedChannel("fast", payload=result_payload, latency=0.01),
             ScriptedChannel("slow", payload=result_payload, latency=0.10),
         ]
-        router = make_router(channels, policy="weighted")
+        router = make_router(channels, client, policy="weighted")
         for _ in range(120):
             router.query(FRAME)
         fast, slow = len(channels[0].requests), len(channels[1].requests)
@@ -261,32 +286,34 @@ class TestPolicies:
         assert slow >= 5, "weighted must not starve the slow edge"
         assert fast > slow * 4, "weighted must shift load to the fast edge"
 
-    def test_weighted_ignores_excluded_edges_in_wrr_state(self, result_payload):
-        """An excluded edge must not participate in the smooth-WRR
-        bookkeeping — it can neither be debited as the phantom 'chosen'
-        edge nor accumulate credit while out of the candidate set."""
-        channels = [
-            ScriptedChannel("a", payload=result_payload),
-            ScriptedChannel("b", payload=result_payload),
-        ]
-        router = make_router(channels, policy="weighted")
+    def test_weighted_ignores_excluded_edges_in_wrr_state(self, client):
+        """An excluded edge (one a verify round has already tried) must
+        not participate in the smooth-WRR bookkeeping — it can neither
+        be debited as the phantom 'chosen' edge nor accumulate credit
+        while out of the candidate set."""
+        channels = [ScriptedChannel("a"), ScriptedChannel("b")]
+        router = make_router(channels, client, policy="weighted")
         for _ in range(6):
-            assert router.query(FRAME, exclude={"a"}).edge == "b"
+            assert router.ordering(FRAME, exclude={"a"}) == ["b"]
+            router._commit_choice({"a"})
         assert router._wrr_current["a"] == 0.0
 
-    def test_policy_accepts_enum_and_string(self):
+    def test_policy_accepts_enum_and_string(self, client):
         channels = [ScriptedChannel("e0")]
-        assert make_router(channels, policy="freshest").policy is RoutingPolicy.FRESHEST
         assert (
-            make_router(channels, policy=RoutingPolicy.WEIGHTED).policy
+            make_router(channels, client, policy="freshest").policy
+            is RoutingPolicy.FRESHEST
+        )
+        assert (
+            make_router(channels, client, policy=RoutingPolicy.WEIGHTED).policy
             is RoutingPolicy.WEIGHTED
         )
         with pytest.raises(ValueError):
-            make_router(channels, policy="nope")
+            make_router(channels, client, policy="nope")
 
-    def test_duplicate_channel_names_rejected(self):
+    def test_duplicate_channel_names_rejected(self, client):
         with pytest.raises(RouterError):
-            make_router([ScriptedChannel("e0"), ScriptedChannel("e0")])
+            make_router([ScriptedChannel("e0"), ScriptedChannel("e0")], client)
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +322,12 @@ class TestPolicies:
 
 
 class TestHealth:
-    def test_failures_trip_cooldown_then_recover(self, result_payload):
+    def test_failures_trip_cooldown_then_recover(self, result_payload, client):
         clock = FakeClock()
         bad = ScriptedChannel("bad", payload=result_payload, fail_next=2)
         good = ScriptedChannel("good", payload=result_payload)
         router = make_router(
-            [bad, good],
+            [bad, good], client,
             policy="round_robin",
             failure_threshold=2,
             cooldown=10.0,
@@ -328,12 +355,14 @@ class TestHealth:
         assert router.edge_stats("bad").consecutive_failures == 0
         assert router.edge_stats("bad").cooldown_until == 0.0
 
-    def test_failed_probe_reenters_cooldown_immediately(self, result_payload):
+    def test_failed_probe_reenters_cooldown_immediately(
+        self, result_payload, client
+    ):
         clock = FakeClock()
         bad = ScriptedChannel("bad", payload=result_payload, fail_next=3)
         good = ScriptedChannel("good", payload=result_payload)
         router = make_router(
-            [bad, good],
+            [bad, good], client,
             policy="round_robin",
             failure_threshold=2,
             cooldown=10.0,
@@ -351,15 +380,15 @@ class TestHealth:
         assert router.edge_stats("bad").consecutive_failures == 3
         assert router.edge_stats("bad").cooldown_until == clock.now + 10.0
 
-    def test_all_edges_failing_raises_router_error(self):
+    def test_all_edges_failing_raises_router_error(self, client):
         channels = [ScriptedChannel(f"e{i}", fail_next=99) for i in range(2)]
-        router = make_router(channels)
+        router = make_router(channels, client)
         with pytest.raises(RouterError):
             router.query(FRAME)
         assert router.failed_queries == 1
 
     def test_error_responses_count_as_failures_not_link_faults(
-        self, result_payload
+        self, result_payload, client
     ):
         """An application-level error response fails the query over but
         is not a health signal: a healthy edge missing one replica must
@@ -367,7 +396,7 @@ class TestHealth:
         broken = ScriptedChannel("broken", error="no replica of 't'")
         good = ScriptedChannel("good", payload=result_payload)
         router = make_router(
-            [broken, good], policy="round_robin", failure_threshold=2
+            [broken, good], client, policy="round_robin", failure_threshold=2
         )
         for _ in range(8):
             assert router.query(FRAME).edge == "good"
@@ -384,13 +413,13 @@ class TestHealth:
 
 
 class TestFailover:
-    def test_failover_follows_policy_order(self, result_payload):
+    def test_failover_follows_policy_order(self, result_payload, client):
         channels = [
             ScriptedChannel("a", payload=result_payload, latency=0.01),
             ScriptedChannel("b", payload=result_payload, latency=0.02),
             ScriptedChannel("c", payload=result_payload, latency=0.03),
         ]
-        router = make_router(channels, policy="lowest_latency")
+        router = make_router(channels, client, policy="lowest_latency")
         for _ in range(3):  # probe all
             router.query(FRAME)
         assert router.ordering(FRAME) == ["a", "b", "c"]
@@ -402,12 +431,12 @@ class TestFailover:
         assert routed.attempts == ("a", "b")
         assert router.failovers == 1
 
-    def test_quarantined_edges_never_appear(self, result_payload):
+    def test_quarantined_edges_never_appear(self, result_payload, client):
         channels = [
             ScriptedChannel("a", payload=result_payload),
             ScriptedChannel("b", payload=result_payload),
         ]
-        router = make_router(channels, policy="round_robin")
+        router = make_router(channels, client, policy="round_robin")
         router.quarantine("a", reason="tampered")
         for _ in range(5):
             assert router.query(FRAME).edge == "b"
@@ -415,15 +444,19 @@ class TestFailover:
         router.release("a")
         assert set(router.ordering(FRAME)) == {"a", "b"}
 
-    def test_exclude_narrows_candidates(self, result_payload):
-        channels = [
-            ScriptedChannel("a", payload=result_payload),
-            ScriptedChannel("b", payload=result_payload),
-        ]
-        router = make_router(channels)
-        assert router.query(FRAME, exclude={"a"}).edge == "b"
+    def test_exclude_narrows_candidates(self, client):
+        router = make_router([ScriptedChannel("a"), ScriptedChannel("b")], client)
+        assert router.ordering(FRAME, exclude={"a"}) == ["b"]
+        assert router.ordering(FRAME, exclude={"a", "b"}) == []
+
+    def test_no_eligible_edge_is_a_failed_query(self, client):
+        router = make_router([ScriptedChannel("a"), ScriptedChannel("b")], client)
+        router.quarantine("a")
+        router.quarantine("b")
         with pytest.raises(RouterError):
-            router.query(FRAME, exclude={"a", "b"})
+            router.query(FRAME)
+        assert router.queries == router.failed_queries == 1
+        assert router.failovers == 0
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +464,25 @@ class TestFailover:
 # ---------------------------------------------------------------------------
 
 
-def three_edge_fabric(**router_kwargs):
+def items_fabric(n_edges: int):
     central = CentralServer(db_name=DB, rsa_bits=512, seed=31)
     schema, rows = generate_table(
         TableSpec(name="items", rows=90, columns=4, seed=6)
     )
     central.create_table(schema, rows, fanout_override=6)
-    edges = [central.spawn_edge_server(f"edge-{i}") for i in range(3)]
-    verifying = central.make_router(policy="round_robin", **router_kwargs)
+    edges = [central.spawn_edge_server(f"edge-{i}") for i in range(n_edges)]
+    return central, edges
+
+
+def three_edge_fabric(policy="round_robin", **router_kwargs):
+    central, edges = items_fabric(3)
+    verifying = central.make_router(policy=policy, **router_kwargs)
     return central, edges, verifying
+
+
+def tamper(edge) -> None:
+    """Make every 10..40 range answer of ``edge`` REJECT."""
+    ValueTamper(table="items", key=20, column="a1", new_value="evil").apply(edge)
 
 
 class TestAdversaryUnderRouting:
@@ -528,6 +571,66 @@ class TestAdversaryUnderRouting:
         assert len(laggard_resp.result.rows) == 0  # stale: inserts unseen
 
 
+class TestOneFailoverLoop:
+    """One loop does routing, failover and verification: a REJECT
+    starts a new verify round over the untried edges, re-ranked after
+    the routing state advanced once more."""
+
+    @pytest.mark.parametrize(
+        "policy, attempts",
+        [
+            ("round_robin", [("edge-0", "edge-2"), ("edge-1",), ("edge-2",)]),
+            ("lowest_latency", [("edge-0", "edge-2"), ("edge-1",), ("edge-2",)]),
+            ("freshest", [("edge-0", "edge-2"), ("edge-1",), ("edge-2",)]),
+            ("weighted", [("edge-0", "edge-1"), ("edge-2",), ("edge-1",)]),
+        ],
+    )
+    def test_attempts_after_one_reject(self, policy, attempts):
+        _central, edges, verifying = three_edge_fabric(policy=policy)
+        tamper(edges[0])
+        got = [
+            verifying.range_query("items", low=10, high=40).attempts
+            for _ in attempts
+        ]
+        assert got == attempts
+        assert verifying.failovers == 1
+
+    @pytest.mark.parametrize("n_edges", [1, 3])
+    def test_query_every_edge_rejects_is_one_failed_query(self, n_edges):
+        central, edges = items_fabric(n_edges)
+        verifying = central.make_router(policy="round_robin")
+        for edge in edges:
+            tamper(edge)
+        with pytest.raises(RouterError) as raised:
+            verifying.range_query("items", low=10, high=40)
+        snap = verifying.snapshot()
+        assert snap["queries"] == snap["failed_queries"] == 1
+        assert snap["rejects"] == n_edges
+        assert snap["failovers"] == 0
+        message = str(raised.value)
+        assert "tried" in message and "rejected" in message
+        assert all(edge.name in message for edge in edges)
+
+    def test_failovers_count_attempts_before_the_accepted_one(self):
+        central, edges = items_fabric(3)
+        channels = [in_process_query_channel(e) for e in edges]
+        verifying = central.make_router(channels=channels, policy="round_robin")
+        channels[0].transport.faults.partitioned = True
+        tamper(edges[1])
+        # A transport fault, a REJECT, then the ACCEPT: two failovers.
+        resp = verifying.range_query("items", low=10, high=40)
+        assert resp.attempts == ("edge-0", "edge-1", "edge-2")
+        assert (verifying.queries, verifying.failovers) == (1, 2)
+        # A transport fault, then a REJECT, then nobody left: a failed
+        # query adds no failovers, however far it got.
+        tamper(edges[2])
+        with pytest.raises(RouterError):
+            verifying.range_query("items", low=10, high=40)
+        assert (verifying.queries, verifying.failed_queries) == (2, 1)
+        assert verifying.failovers == 2
+        assert verifying.rejects == 2
+
+
 class TestFailureAccounting:
     def test_transport_failure_feeds_cooldown_exactly_once_per_query(self):
         """Regression: one logical verifying query re-ran the routing
@@ -552,30 +655,31 @@ class TestFailureAccounting:
         verifying = central.make_router(
             channels=channels, policy="freshest", failure_threshold=2
         )
-        router = verifying.router
         # Deterministic freshest order: edge-0 first, then 1, then 2.
-        router.observe_cursor("edge-0", "items", 1000)
-        router.observe_cursor("edge-1", "items", 500)
-        router.observe_cursor("edge-2", "items", 100)
+        verifying.observe_cursor("edge-0", "items", 1000)
+        verifying.observe_cursor("edge-1", "items", 500)
+        verifying.observe_cursor("edge-2", "items", 100)
 
         resp = verifying.range_query("items", low=10, high=40)
         assert resp.verdict.ok
         assert resp.edge == "edge-2"
         assert resp.rejected == ("edge-1",)
-        stats = router.edge_stats("edge-0")
+        stats = verifying.edge_stats("edge-0")
         assert stats.failures == 1
         assert stats.consecutive_failures == 1
         # threshold=2: a double-counted failure would have armed the
         # cooldown off the back of a single unreachable attempt.
         assert stats.cooldown_until == 0.0
 
-    def test_piggybacked_cursor_hints_are_bounded(self, result_payload):
+    def test_piggybacked_cursor_hints_are_bounded(self, result_payload, client):
         """Piggybacked cursors are untrusted: an edge flooding every
         response with fabricated replica names must not grow a
         long-lived router's per-edge state without bound."""
         from repro.edge.transport import MAX_CURSORS
 
-        router = make_router([ScriptedChannel("a", payload=result_payload)])
+        router = make_router(
+            [ScriptedChannel("a", payload=result_payload)], client
+        )
         stats = router.edge_stats("a")
         flood = QueryResponseFrame(
             edge="a",
@@ -609,15 +713,14 @@ class TestFailureAccounting:
         verifying = central.make_router(
             channels=channels, policy="freshest", failure_threshold=3
         )
-        router = verifying.router
-        router.observe_cursor("edge-0", "items", 1000)
-        router.observe_cursor("edge-1", "items", 100)
+        verifying.observe_cursor("edge-0", "items", 1000)
+        verifying.observe_cursor("edge-1", "items", 100)
         for expected in (1, 2):
             assert verifying.range_query("items", low=5, high=15).verdict.ok
-            assert router.edge_stats("edge-0").consecutive_failures == expected
+            assert verifying.edge_stats("edge-0").consecutive_failures == expected
         channels[0].transport.faults.clear()
         assert verifying.range_query("items", low=5, high=15).edge == "edge-0"
-        assert router.edge_stats("edge-0").consecutive_failures == 0
+        assert verifying.edge_stats("edge-0").consecutive_failures == 0
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +788,7 @@ class TestQueryPathFaults:
         central.create_table(schema, rows, fanout_override=6)
         edges = [central.spawn_edge_server(f"e{i}") for i in range(2)]
         channels = [in_process_query_channel(edge) for edge in edges]
-        router = make_router(channels, policy="round_robin")
+        router = make_router(channels, central.make_client(), policy="round_robin")
         # Partition e0's query link: every query fails over to e1.
         channels[0].transport.faults.partitioned = True
         for _ in range(4):
@@ -776,9 +879,8 @@ class TestVerifiedWorkload:
             in_process_query_channel(edges[1]),
             slow,
         ]
-        verifying = VerifyingRouter(
-            make_router(channels, policy="lowest_latency"),
-            central.make_client(),
+        verifying = make_router(
+            channels, central.make_client(), policy="lowest_latency"
         )
         workload = QueryWorkload(spec=spec, selectivity=0.2, seed=4)
         for frame in workload.request_frames(60):

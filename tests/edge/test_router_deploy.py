@@ -67,16 +67,16 @@ class TestRouterOverSockets:
 
         # Phase 2: SIGKILL the edge the router would pick next; the
         # workload continues without a single failed query.
-        preferred = verifying.router.select(frames[20])
+        preferred = verifying.ordering(frames[20])[0]
         deploy.kill_edge(preferred)
         survivor = ({"edge-0", "edge-1"} - {preferred}).pop()
         for frame in frames[20:40]:
             resp = verifying.query(frame)
             assert resp.verdict.ok
             assert resp.edge == survivor
-        assert verifying.router.failed_queries == 0
+        assert verifying.failed_queries == 0
         assert verifying.accepts == 40
-        assert verifying.router.edge_stats(preferred).failures >= 1
+        assert verifying.edge_stats(preferred).failures >= 1
 
         # Phase 3: restart; the edge re-registers, heals via snapshot,
         # and — once its cooldown lapses — rejoins the rotation.
@@ -90,7 +90,7 @@ class TestRouterOverSockets:
             assert resp.verdict.ok
             recovered.add(resp.edge)
         assert preferred in recovered, "restarted edge never rejoined"
-        assert verifying.router.failed_queries == 0
+        assert verifying.failed_queries == 0
         assert verifying.accepts == 60
         assert not any(s.quarantined for s in verifying.stats().values())
 

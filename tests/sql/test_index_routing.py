@@ -75,7 +75,7 @@ class TestRouting:
         assert all(20 <= r[1] <= 40 for r in out.rows)
         # Routed through the secondary index: contiguous envelope, so
         # the same query via the primary tree must ship more bytes.
-        via_primary = session.edge.select(
+        via_primary = session.router.select_query(
             "readings", between("temp", 20, 40)
         )
         assert out.wire_bytes < via_primary.wire_bytes

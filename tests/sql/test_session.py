@@ -4,7 +4,7 @@ import pytest
 
 from repro.edge.adversary import ResponseTamper
 from repro.edge.central import CentralServer
-from repro.exceptions import PlanningError, VerificationFailure
+from repro.exceptions import PlanningError, RouterError
 from repro.sql.session import Session
 
 
@@ -136,17 +136,33 @@ class TestJoinViews:
 
 
 class TestVerificationIntegration:
-    def test_strict_mode_raises_on_tamper(self, session):
-        ResponseTamper(row_index=0, column_index=1, new_value="evil").install(
-            session.edge
-        )
-        with pytest.raises(VerificationFailure):
-            session.query("SELECT * FROM products WHERE id < 5")
+    def test_session_has_one_way_to_ask(self, session):
+        assert session.router.edge_names == ("session-edge",)
+        for attr in ("edge", "strict", "client"):
+            assert not hasattr(session, attr)
 
-    def test_lenient_mode_returns_verdict(self, session):
-        session.strict = False
+    def test_single_tampered_edge_raises_and_is_quarantined(self, session):
+        (edge,) = session.central.edges
         ResponseTamper(row_index=0, column_index=1, new_value="evil").install(
-            session.edge
+            edge
         )
-        out = session.query("SELECT * FROM products WHERE id < 5")
-        assert not out.verdict.ok
+        with pytest.raises(RouterError):
+            session.query("SELECT * FROM products WHERE id < 5")
+        assert session.router.edge_stats(edge.name).quarantined
+
+    def test_tampered_edge_fails_over_to_a_verified_answer(self):
+        central = CentralServer(db_name="sqldb2", rsa_bits=512, seed=45)
+        honest = central.spawn_edge_server("honest")
+        liar = central.spawn_edge_server("liar")
+        s = Session(central)
+        s.execute("CREATE TABLE t (id INT, v VARCHAR(10), PRIMARY KEY (id))")
+        s.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'c')")
+        ResponseTamper(row_index=0, column_index=1, new_value="evil").install(
+            liar
+        )
+        for _ in range(3):
+            out = s.query("SELECT * FROM t WHERE id BETWEEN 1 AND 3")
+            assert out.verdict.ok
+            assert out.rows == [(1, "a"), (2, "b"), (3, "c")]
+        assert s.router.edge_stats(liar.name).quarantined
+        assert s.router.edge_stats(honest.name).served == 3
