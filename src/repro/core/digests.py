@@ -85,14 +85,14 @@ class TupleDigests:
     """All digest material for one tuple.
 
     Attributes:
-        attribute_values: Unsigned attribute digest values, in schema
-            column order (formula 1, pre-signature).
+        attribute_digests: The unsigned attribute digests (formula 1),
+            packed in schema column order.
         tuple_value: Unsigned tuple digest value (formula 2 as built,
             pre-signature): the hash of the row string over those
             attribute digests, under either policy.
     """
 
-    attribute_values: tuple[int, ...]
+    attribute_digests: bytes
     tuple_value: int
 
 
@@ -126,9 +126,8 @@ class DigestEngine:
             self.commutative.meter = meter
         self.policy = policy
         self._prefixes: dict[
-            tuple[str, str, tuple[str, ...]], tuple[bytes, ...]
+            tuple[str, str, tuple[str, ...]], tuple[bytes, tuple[bytes, ...]]
         ] = {}
-        self._row_heads: dict[tuple[str, str], bytes] = {}
         if policy is DigestPolicy.FLATTENED and not isinstance(
             self.commutative, ExponentialCommutativeHash
         ):
@@ -137,77 +136,147 @@ class DigestEngine:
             )
 
     # ------------------------------------------------------------------
-    # Formula (1): attribute digests
+    # Formulas (1) and (2): the kernel, a result at a time
     # ------------------------------------------------------------------
 
-    def row_attribute_values(
-        self, table: str, columns: Sequence[str], key: Any, values: Sequence[Any]
-    ) -> list[int]:
-        """Unsigned attribute digests ``h(db | table | attr | key | value)``
-        of one row, for ``columns`` and their ``values`` in step: each
-        value encoded, then :meth:`encoded_attribute_values`.
+    def attribute_digests(
+        self, table: str, columns: Sequence[str], keys: Sequence[Any],
+        encodings: Sequence[Sequence[bytes]],
+    ) -> bytes:
+        """Formula (1) for a whole result: ``h(db | table | attr | key |
+        value)`` of every row's ``columns``, packed — ``digest_len``
+        bytes each, row after row, the form attribute digests take in a
+        row string and in ``D_P``.
 
-        Raises:
-            AuthenticationError: If ``values`` and ``columns`` differ in
-                length, or a name is not a ``str``.
-        """
-        return self.encoded_attribute_values(
-            table, columns, key, [encode_value(value) for value in values]
-        )
-
-    def encoded_attribute_values(
-        self, table: str, columns: Sequence[str], key: Any, encodings: Sequence[bytes]
-    ) -> list[int]:
-        """:meth:`row_attribute_values` over values already in their
-        canonical encoding — the bytes a result row's values arrived as.
-
-        This is the one place formula (1)'s input is concatenated
+        ``encodings`` holds each row's values in their canonical
+        encoding (the bytes a result value arrived as).  This is the one
+        place formula (1)'s input is concatenated
         (:func:`repro.crypto.encoding.digest_input` is its executable
-        specification): the ``db | table | attr`` prefixes come from a
-        per-``(table, columns)`` cache, the key is encoded once for the
-        row, and the commutative hash digests the row's byte strings
-        with a single meter update.
+        specification): the ``db | table | attr`` prefixes are looked up
+        once per result, each key is encoded once, and the commutative
+        hash digests the whole result with one meter update.
 
         Raises:
-            AuthenticationError: If ``encodings`` and ``columns`` differ
-                in length, or a name is not a ``str``.
+            AuthenticationError: If keys and rows differ in number, a row
+                and ``columns`` differ in width, or a name is not a
+                ``str``.
+            EncodingError: If a key has no canonical encoding.
         """
-        prefixes = self._attribute_prefixes(table, tuple(columns))
-        if len(encodings) != len(prefixes):
-            raise AuthenticationError(
-                f"{len(encodings)} values for {len(prefixes)} columns"
-            )
-        key_bytes = encode_value(key)
-        return self.commutative.digest_of_many(
-            [
-                prefix + key_bytes + encoding
-                for prefix, encoding in zip(prefixes, encodings, strict=True)
+        return self._kernel(table, columns, keys, encodings)[2]
+
+    def tuple_values(
+        self, table: str, columns: Sequence[str], keys: Sequence[Any],
+        encodings: Sequence[Sequence[bytes]],
+        all_columns: Sequence[str] | None = None, hidden: bytes = b"",
+    ) -> list[int]:
+        """Formula (2) for a whole result: each row hashed over its
+        attribute digests in ``all_columns`` order (DESIGN.md D5) —
+        those of ``columns`` from :meth:`attribute_digests`, every other
+        column's spliced, as bytes, from ``hidden`` (``D_P``: per row,
+        the digests of the columns ``columns`` leaves out, in schema
+        order).  ``all_columns`` defaults to ``columns``: a full row.
+        The row head and ``encode(N_c)`` are made once, each key is
+        encoded once for both formulas.
+
+        Raises:
+            AuthenticationError: As :meth:`attribute_digests`, or for a
+                row of no attributes.
+            EncodingError: If a key has no canonical encoding.
+        """
+        head, key_bytes, block = self._kernel(table, columns, keys, encodings)
+        width = self.commutative.digest_len
+        own = len(columns) * width
+        rows = [block[i * own : (i + 1) * own] for i in range(len(key_bytes))]
+        if all_columns is None or tuple(all_columns) == tuple(columns):
+            all_columns = columns
+        else:
+            # A row's own digests, then its stride of D_P, read back in
+            # schema order.
+            order = [*columns, *(name for name in all_columns if name not in columns)]
+            offsets = [order.index(name) * width for name in all_columns]
+            stride = len(offsets) * width - own
+            rows = [
+                b"".join([both[at : at + width] for at in offsets])
+                for both in (
+                    row + hidden[i * stride : (i + 1) * stride]
+                    for i, row in enumerate(rows)
+                )
             ]
-        )
+        return self._row_values(head, key_bytes, rows, len(all_columns))
 
-    def _attribute_prefixes(
+    def _kernel(
+        self, table: str, columns: Sequence[str], keys: Sequence[Any],
+        encodings: Sequence[Sequence[bytes]],
+    ) -> tuple[bytes, list[bytes], bytes]:
+        """The row head, the keys' encodings and :meth:`attribute_digests`."""
+        head, prefixes = self._prefixes_for(table, tuple(columns))
+        width = len(prefixes)
+        if len(keys) != len(encodings) or set(map(len, encodings)) - {width}:
+            raise AuthenticationError(
+                f"{len(encodings)} rows of values for {len(keys)} keys "
+                f"and {width} columns"
+            )
+        key_bytes = [encode_value(key) for key in keys]
+        chunks = [
+            prefix + key + value
+            for key, row in zip(key_bytes, encodings)
+            for prefix, value in zip(prefixes, row)
+        ]
+        return head, key_bytes, self.commutative.digest_block(chunks)
+
+    def _row_values(
+        self, head: bytes, key_bytes: Sequence[bytes], rows: Sequence[bytes], count: int
+    ) -> list[int]:
+        """Formula (2) over each row's packed attribute digests."""
+        if not count:
+            raise AuthenticationError("a tuple needs at least one attribute digest")
+        tail = encode_uint(count)
+        return self._values(self.commutative.digest_block(
+            [head + key + tail + row for key, row in zip(key_bytes, rows, strict=True)]
+        ))
+
+    def _values(self, block: bytes) -> list[int]:
+        """The integers of a packed block's digests."""
+        width, from_bytes = self.commutative.digest_len, int.from_bytes
+        return [
+            from_bytes(block[i : i + width], "big") for i in range(0, len(block), width)
+        ]
+
+    def _prefixes_for(
         self, table: str, columns: tuple[str, ...]
-    ) -> tuple[bytes, ...]:
-        """``encode(db) + encode(table) + encode(attr)`` per column.
+    ) -> tuple[bytes, tuple[bytes, ...]]:
+        """The row head ``ROW | encode(db) | encode(table)`` and
+        ``encode(db) + encode(table) + encode(attr)`` per column.
 
-        The cache key is the whole triple the prefixes are a function
-        of.  Names must be exact ``str``: dict keys compare by ``==``,
-        under which ``1``, ``1.0`` and ``True`` are one key with three
-        encodings, and only strings are free of that.
+        The cache key is the whole triple they are a function of.  Names
+        must be exact ``str``: dict keys compare by ``==``, under which
+        ``1``, ``1.0`` and ``True`` are one key with three encodings,
+        and only strings are free of that.
         """
         cache_key = (self.db_name, table, columns)
-        prefixes = self._prefixes.get(cache_key)
-        if prefixes is None:
+        cached = self._prefixes.get(cache_key)
+        if cached is None:
             if any(type(name) is not str for name in (self.db_name, table, *columns)):
                 raise AuthenticationError(
                     "database, table and attribute names must be str"
                 )
             head = encode_value(self.db_name) + encode_value(table)
-            prefixes = tuple(head + encode_value(attr) for attr in columns)
+            cached = (
+                _ROW_TAG + head,
+                tuple(head + encode_value(attr) for attr in columns),
+            )
             if len(self._prefixes) >= _PREFIX_CACHE_MAX:
                 self._prefixes.clear()
-            self._prefixes[cache_key] = prefixes
-        return prefixes
+            self._prefixes[cache_key] = cached
+        return cached
+
+    def row_attribute_values(
+        self, table: str, columns: Sequence[str], key: Any, values: Sequence[Any]
+    ) -> list[int]:
+        """The ``int`` attribute digests of one row's ``values``: each
+        value encoded, then :meth:`attribute_digests`."""
+        encodings = ([encode_value(value) for value in values],)
+        return self._values(self.attribute_digests(table, columns, (key,), encodings))
 
     def attribute_value(
         self, table: str, attr: str, key: Any, value: Any
@@ -216,20 +285,9 @@ class DigestEngine:
         ``h(db | table | attr | key | value)``."""
         return self.row_attribute_values(table, (attr,), key, (value,))[0]
 
-    # ------------------------------------------------------------------
-    # Formula (2): tuple digests
-    # ------------------------------------------------------------------
-
-    def pack_digests(self, values: Sequence[int]) -> bytes:
-        """``values`` end to end at ``commutative.digest_len`` bytes
-        each — the form attribute digests take inside a row string and
-        inside ``D_P``."""
-        width = self.commutative.digest_len
-        return b"".join([value.to_bytes(width, "big") for value in values])
-
     def tuple_value(self, table: str, key: Any, attribute_digests: bytes) -> int:
         """Unsigned tuple digest ``h(ROW | db | table | key | N_c |
-        a_1 ‖ … ‖ a_Nc)`` over the row's packed attribute digests, in
+        a_1 ‖ … ‖ a_Nc)`` over one row's packed attribute digests, in
         schema column order (DESIGN.md D5).
 
         Raises:
@@ -237,45 +295,22 @@ class DigestEngine:
                 not a whole number of digests, or ``table`` is not a
                 ``str``.
         """
-        count, rest = divmod(
-            len(attribute_digests), self.commutative.digest_len
-        )
-        if rest or not count:
-            raise AuthenticationError(
-                "a tuple needs at least one whole attribute digest"
-            )
-        return self.commutative.digest_of_bytes(
-            self._row_head(table)
-            + encode_value(key)
-            + encode_uint(count)
-            + attribute_digests
-        )
-
-    def _row_head(self, table: str) -> bytes:
-        """``ROW | encode(db) | encode(table)``, cached like the
-        attribute prefixes and for the same reason exact-``str`` only."""
-        cache_key = (self.db_name, table)
-        head = self._row_heads.get(cache_key)
-        if head is None:
-            if type(self.db_name) is not str or type(table) is not str:
-                raise AuthenticationError("database and table names must be str")
-            head = _ROW_TAG + encode_value(self.db_name) + encode_value(table)
-            if len(self._row_heads) >= _PREFIX_CACHE_MAX:
-                self._row_heads.clear()
-            self._row_heads[cache_key] = head
-        return head
+        count, rest = divmod(len(attribute_digests), self.commutative.digest_len)
+        if rest:
+            raise AuthenticationError("a tuple needs whole attribute digests")
+        head = self._prefixes_for(table, ())[0]
+        key_bytes = [encode_value(key)]
+        return self._row_values(head, key_bytes, [attribute_digests], count)[0]
 
     def tuple_digests(self, table: str, row: Row) -> TupleDigests:
-        """Attribute + tuple digest values for ``row`` (formulas 1-2)."""
-        attr_values = self.row_attribute_values(
-            table, row.schema.column_names, row.key, row.values
+        """Attribute + tuple digest values for ``row`` (formulas 1-2):
+        the kernel over a one-row result."""
+        columns = row.schema.column_names
+        head, key_bytes, block = self._kernel(
+            table, columns, (row.key,), ([encode_value(v) for v in row.values],)
         )
-        return TupleDigests(
-            attribute_values=tuple(attr_values),
-            tuple_value=self.tuple_value(
-                table, row.key, self.pack_digests(attr_values)
-            ),
-        )
+        value = self._row_values(head, key_bytes, (block,), len(columns))[0]
+        return TupleDigests(block, value)
 
     # ------------------------------------------------------------------
     # Formula (3): node digests

@@ -33,6 +33,7 @@ from repro.core.vo import (
     VOEntryKind,
     VOFormat,
 )
+from repro.crypto.encoding import encode_value
 from repro.db.expressions import Predicate
 from repro.db.rows import Row
 from repro.db.transactions import Transaction
@@ -199,14 +200,12 @@ class QueryAuthenticator:
         engine = self.vbtree.signing.engine
         table = self.vbtree.table_name
         names = tuple(schema.column_names[i] for i in hidden)
-        return b"".join([
-            engine.pack_digests(
-                engine.row_attribute_values(
-                    table, names, row.key, [row.values[i] for i in hidden]
-                )
-            )
-            for _key, row in items
-        ])
+        return engine.attribute_digests(
+            table,
+            names,
+            [row.key for _key, row in items],
+            [[encode_value(row.values[i]) for i in hidden] for _key, row in items],
+        )
 
     def _lock_envelope(self, envelope: Envelope, txn: Transaction) -> None:
         """S-lock every digest in the enveloping subtree (Section 3.4's

@@ -47,6 +47,8 @@ from repro.crypto.meter import CostMeter, NULL_METER
 from repro.crypto.rsa import RSAPublicKey
 from repro.crypto.signatures import DigestVerifier, SignedDigest
 from repro.exceptions import (
+    AuthenticationError,
+    EncodingError,
     SignatureError,
     StaleKeyError,
     VOFormatError,
@@ -171,7 +173,10 @@ class ResultVerifier:
             return self._verdict(result, False, f"stale key epoch: {exc}")
         except SignatureError as exc:
             return self._verdict(result, False, f"bad signature: {exc}")
-        except VOFormatError as exc:
+        except (AuthenticationError, EncodingError) as exc:
+            # A VO the verifier cannot even parse, and a key or value the
+            # codec cannot encode (a row handed over in process), are
+            # both a malformed result.
             return self._verdict(result, False, f"malformed VO: {exc}")
         if not ok:
             return self._verdict(
@@ -231,50 +236,20 @@ class ResultVerifier:
             raise VOFormatError("D_P length does not match projection width")
 
     def _tuple_values(self, result: AuthenticatedResult) -> list[int]:
-        """Formula (2) of every result tuple: the digests of returned
-        columns computed over the bytes each value arrived as (encoded
-        afresh only for a row that is not the tuple those bytes decoded
-        to), those of hidden columns spliced — as bytes, never parsed —
-        from ``D_P``, each at the position ``all_columns`` assigns it,
-        and the row hashed."""
-        engine = self.engine
-        row_values, pack = engine.encoded_attribute_values, engine.pack_digests
-        tuple_value = engine.tuple_value
-        table, columns = result.table, result.columns
-        rows = zip(result.keys, result.value_encodings(), strict=True)
-        if columns == result.all_columns:
-            return [
-                tuple_value(table, key, pack(row_values(table, columns, key, values)))
-                for key, values in rows
-            ]
-        width = engine.commutative.digest_len
-        returned = {name: i for i, name in enumerate(columns)}
-        # Per schema position: the index of a returned column, or the
-        # slice of the row's D_P stride that holds a hidden one.
-        plan: list[int | slice] = []
-        hidden = 0
-        for name in result.all_columns:
-            if name in returned:
-                plan.append(returned[name])
-            else:
-                plan.append(slice(hidden * width, (hidden + 1) * width))
-                hidden += 1
-        stride = hidden * width
-        block = result.vo.projection_digests
-        out = []
-        for i, (key, values) in enumerate(rows):
-            own = [v.to_bytes(width, "big") for v in row_values(table, columns, key, values)]
-            theirs = block[i * stride : (i + 1) * stride]
-            out.append(
-                tuple_value(
-                    table,
-                    key,
-                    b"".join([
-                        own[at] if type(at) is int else theirs[at] for at in plan
-                    ]),
-                )
-            )
-        return out
+        """Formula (2) of every result tuple, in one kernel call: the
+        digests of returned columns computed over the bytes each value
+        arrived as (encoded afresh only for a row that is not the tuple
+        those bytes decoded to), those of hidden columns spliced — as
+        bytes, never parsed — from ``D_P``, each at the position
+        ``all_columns`` assigns it, and the row hashed."""
+        return self.engine.tuple_values(
+            result.table,
+            result.columns,
+            result.keys,
+            list(result.value_encodings()),
+            result.all_columns,
+            result.vo.projection_digests,
+        )
 
     # ------------------------------------------------------------------
     # FLAT_SET verification (the paper's equations 4-5)

@@ -26,9 +26,11 @@ alternatives with the same interface (see DESIGN.md, deviation D2):
 
 All combinators expose the same algebra:
 
-* ``digest_of_bytes(data)`` — base digest of raw bytes (an ``int``);
-* ``digest_of_many(chunks)`` — the same for several byte strings, metered
-  once (what the read-path digest kernel calls, one row at a time);
+* ``digest_block(chunks)``  — the base digest of every byte string, each
+  as ``digest_len`` big-endian bytes, end to end, metered once (what the
+  read-path digest kernel calls, one result at a time);
+* ``digest_of_bytes(data)`` — the digest of one byte string as an
+  ``int``: the integer of its ``digest_block`` bytes;
 * ``combine(values)``       — fold a set of digests into one digest;
 * ``fold(acc, value)``      — incremental insert of one more digest.
 
@@ -88,13 +90,13 @@ class CommutativeHash(Protocol):
     #: Width of a digest value in bytes.
     digest_len: int
 
-    def digest_of_bytes(self, data: bytes) -> int:
-        """Base digest of raw bytes, suitable as input to :meth:`combine`."""
+    def digest_block(self, chunks: Sequence[bytes]) -> bytes:
+        """The digest of every chunk, in order, each as :attr:`digest_len`
+        big-endian bytes, end to end; the meter updated once."""
         ...
 
-    def digest_of_many(self, chunks: Sequence[bytes]) -> list[int]:
-        """:meth:`digest_of_bytes` of every chunk, in order, with the
-        meter updated once by the same totals."""
+    def digest_of_bytes(self, data: bytes) -> int:
+        """Base digest of raw bytes, suitable as input to :meth:`combine`."""
         ...
 
     def combine(self, values: Iterable[int]) -> int:
@@ -116,7 +118,56 @@ class CommutativeHash(Protocol):
         ...
 
 
-class ExponentialCommutativeHash:
+class _Packed:
+    """The ``int`` form of a combinator's packed :meth:`digest_block`."""
+
+    def digest_of_bytes(self, data: bytes) -> int:
+        """The digest of ``data``: the integer its packed bytes spell."""
+        return int.from_bytes(self.digest_block((data,)), "big")
+
+
+class _LowBits(_Packed):
+    """Digests modulo ``2^bits``, forced odd: ``(H(x) & (2^bits - 1)) | 1``.
+
+    The packed form is built a block at a time: the low
+    :attr:`digest_len` bytes of each base digest (left-padded with zeros
+    when the base hash is narrower), joined, and one integer ``&`` / ``|``
+    per block applies the mask and the odd bit of every digest at once —
+    so each digest's bytes equal ``value.to_bytes(digest_len)`` of its
+    integer form by construction.
+    """
+
+    def __init__(
+        self, bits: int, base_hash: BaseHash | None, meter: CostMeter
+    ) -> None:
+        if bits < 8:
+            raise CryptoError(f"modulus too small: 2^{bits}")
+        self.bits = bits
+        self.modulus = 1 << bits
+        self._mask = self.modulus - 1
+        self.digest_len = width = (bits + 7) // 8
+        self._base_hash = base_hash or Sha256Hash()
+        self.meter = meter
+        self._pad = bytes(max(width - self._base_hash.digest_len, 0))
+        self._one = (1).to_bytes(width, "big")
+        self._trim = self._mask.to_bytes(width, "big") if bits % 8 else None
+
+    def digest_block(self, chunks: Sequence[bytes]) -> bytes:
+        """:meth:`digest_of_bytes` of every chunk, packed; one meter update."""
+        new, width, pad = self._base_hash.new, self.digest_len, self._pad
+        count = len(chunks)
+        self.meter.count_hash(sum(map(len, chunks)), count)
+        raw = pad.join([new(chunk).digest()[-width:] for chunk in chunks])
+        if pad and count:
+            raw = pad + raw
+        from_bytes = int.from_bytes
+        value = from_bytes(raw, "big") | from_bytes(self._one * count, "big")
+        if self._trim is not None:
+            value &= from_bytes(self._trim * count, "big")
+        return value.to_bytes(width * count, "big")
+
+
+class ExponentialCommutativeHash(_LowBits):
     """The paper's combinator: ``H(x1,…,xk) = g^(x1·…·xk) mod 2^bits``.
 
     Digest values are forced **odd** so they stay units modulo ``2^bits``
@@ -144,32 +195,12 @@ class ExponentialCommutativeHash:
         meter: CostMeter = NULL_METER,
         use_builtin_pow: bool = True,
     ) -> None:
-        if bits < 8:
-            raise CryptoError(f"modulus too small: 2^{bits}")
+        super().__init__(bits, base_hash, meter)
         if generator < 2 or generator % 2 == 0:
             raise CryptoError("generator must be odd and > 1")
         self.name = "exp2k"
-        self.bits = bits
-        self.modulus = 1 << bits
-        self._mask = self.modulus - 1
         self.generator = generator
-        self.digest_len = (bits + 7) // 8
-        self._base_hash = base_hash or Sha256Hash()
-        self.meter = meter
         self._pow = pow if use_builtin_pow else pow_by_repeated_squaring
-
-    def digest_of_bytes(self, data: bytes) -> int:
-        """Hash ``data`` into an odd integer in ``[1, 2^bits)``."""
-        return self.digest_of_many((data,))[0]
-
-    def digest_of_many(self, chunks: Sequence[bytes]) -> list[int]:
-        """:meth:`digest_of_bytes` of every chunk; one meter update."""
-        new, from_bytes = self._base_hash.new, int.from_bytes
-        mask = self._mask
-        self.meter.count_hash(sum(map(len, chunks)), len(chunks))
-        return [
-            (from_bytes(new(chunk).digest(), "big") & mask) | 1 for chunk in chunks
-        ]
 
     def combine(self, values: Iterable[int]) -> int:
         """``g`` raised to the product of ``values`` (odd-forced), mod 2^bits."""
@@ -197,7 +228,7 @@ class ExponentialCommutativeHash:
         return value | 1
 
 
-class MultiplicativeSetHash:
+class MultiplicativeSetHash(_Packed):
     """Hardened multiset hash: ``H(S) = ∏ h(x_i) mod p`` for prime ``p``.
 
     Collision-resistant under the discrete-log/root assumptions in the
@@ -225,18 +256,16 @@ class MultiplicativeSetHash:
         self._base_hash = base_hash or Sha256Hash()
         self.meter = meter
 
-    def digest_of_bytes(self, data: bytes) -> int:
-        """Hash ``data`` into ``[1, p)`` (never 0 mod p)."""
-        return self.digest_of_many((data,))[0]
-
-    def digest_of_many(self, chunks: Sequence[bytes]) -> list[int]:
-        """:meth:`digest_of_bytes` of every chunk; one meter update."""
+    def digest_block(self, chunks: Sequence[bytes]) -> bytes:
+        """Each chunk hashed into ``[1, p)`` (never 0 mod p), packed; one
+        meter update."""
         new, from_bytes = self._base_hash.new, int.from_bytes
-        order = self.modulus - 1
+        order, width = self.modulus - 1, self.digest_len
         self.meter.count_hash(sum(map(len, chunks)), len(chunks))
-        return [
-            from_bytes(new(chunk).digest(), "big") % order + 1 for chunk in chunks
-        ]
+        return b"".join([
+            (from_bytes(new(chunk).digest(), "big") % order + 1).to_bytes(width, "big")
+            for chunk in chunks
+        ])
 
     def combine(self, values: Iterable[int]) -> int:
         """Product of re-randomized digests mod ``p``."""
@@ -269,7 +298,7 @@ class MultiplicativeSetHash:
         return self._base_hash.digest_int(b"elem:" + data) % (self.modulus - 1) + 1
 
 
-class AdditiveSetHash:
+class AdditiveSetHash(_LowBits):
     """LtHash-style additive multiset hash: ``H(S) = Σ h(x_i) mod 2^bits``.
 
     The cheapest combinator (one addition per element).  Used in the
@@ -283,28 +312,8 @@ class AdditiveSetHash:
         base_hash: BaseHash | None = None,
         meter: CostMeter = NULL_METER,
     ) -> None:
-        if bits < 8:
-            raise CryptoError(f"modulus too small: 2^{bits}")
+        super().__init__(bits, base_hash, meter)
         self.name = "add2k"
-        self.bits = bits
-        self.modulus = 1 << bits
-        self._mask = self.modulus - 1
-        self.digest_len = (bits + 7) // 8
-        self._base_hash = base_hash or Sha256Hash()
-        self.meter = meter
-
-    def digest_of_bytes(self, data: bytes) -> int:
-        """Hash ``data`` into ``[1, 2^bits)``."""
-        return self.digest_of_many((data,))[0]
-
-    def digest_of_many(self, chunks: Sequence[bytes]) -> list[int]:
-        """:meth:`digest_of_bytes` of every chunk; one meter update."""
-        new, from_bytes = self._base_hash.new, int.from_bytes
-        mask = self._mask
-        self.meter.count_hash(sum(map(len, chunks)), len(chunks))
-        return [
-            (from_bytes(new(chunk).digest(), "big") & mask) | 1 for chunk in chunks
-        ]
 
     def combine(self, values: Iterable[int]) -> int:
         """Sum of re-randomized digests mod ``2^bits``."""

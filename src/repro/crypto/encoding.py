@@ -241,9 +241,9 @@ def digest_input(
     injective.
 
     This is the executable specification of the digest input.  The
-    live path builds the same bytes a row at a time in
-    :meth:`repro.core.digests.DigestEngine.row_attribute_values`
-    (cached prefixes, key encoded once) and is tested against this
+    live path builds the same bytes a result at a time in
+    :meth:`repro.core.digests.DigestEngine.attribute_digests`
+    (cached prefixes, each key encoded once) and is tested against this
     function.
     """
     return (

@@ -36,7 +36,7 @@ class BaseHash(Protocol):
     #: Digest width in bytes.
     digest_len: int
     #: ``new(data).digest()`` is :meth:`digest_bytes` — the constructor
-    #: itself, for kernels that hash a row's worth of strings in one
+    #: itself, for kernels that hash a result's worth of strings in one
     #: comprehension and cannot afford a Python frame per string.
     new: Callable[[bytes], "hashlib._Hash"]
 

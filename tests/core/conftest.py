@@ -57,6 +57,12 @@ def relabel(signed, epoch):
     return SignedDigest(signed[:-2] + epoch.to_bytes(2, "big"))
 
 
+def pack(attribute_values, width=16):
+    """Attribute digests as a row string and ``D_P`` carry them: each
+    ``width`` big-endian bytes, end to end."""
+    return b"".join(v.to_bytes(width, "big") for v in attribute_values)
+
+
 def row_string(db, table, key, attribute_values, width=16):
     """Formula (2)'s input, spelled out: the executable specification
     ``DigestEngine.tuple_value`` is held to (DESIGN.md D5)."""
@@ -66,7 +72,7 @@ def row_string(db, table, key, attribute_values, width=16):
         + encode_value(table)
         + encode_value(key)
         + encode_uint(len(attribute_values))
-        + b"".join(v.to_bytes(width, "big") for v in attribute_values)
+        + pack(attribute_values, width)
     )
 
 

@@ -1,10 +1,12 @@
-"""The row-at-a-time digest kernel against its executable spec.
+"""The result-at-a-time digest kernel against its executable spec.
 
-``DigestEngine.row_attribute_values`` is the only place formula (1)'s
-input is concatenated on the live path; ``digest_input`` +
-``digest_of_bytes`` is what it must equal, byte for byte and count for
-count.  The pinned ``CostMeter`` totals at the bottom were read off the
-per-attribute loop the kernel replaced."""
+``DigestEngine.attribute_digests`` / ``tuple_values`` are the only place
+formula (1)'s input is concatenated on the live path; ``digest_input``
++ ``digest_of_bytes`` is what they must equal, byte for byte and count
+for count.  The pinned ``CostMeter`` totals at the bottom were read off
+the per-attribute loop the kernel replaced."""
+
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -15,14 +17,20 @@ from repro.core.digests import DigestEngine, DigestPolicy, SigningDigestEngine
 from repro.core.secondary import SecondaryQueryAuthenticator, SecondaryVBTree
 from repro.core.verify import ResultVerifier
 from repro.core.wire import result_from_bytes, result_to_bytes
-from repro.crypto.commutative import get_commutative_hash
-from repro.crypto.encoding import decode_values, digest_input, encode_values
+from repro.crypto.commutative import (
+    AdditiveSetHash,
+    ExponentialCommutativeHash,
+    MultiplicativeSetHash,
+    get_commutative_hash,
+)
+from repro.crypto.encoding import decode_values, digest_input, encode_value, encode_values
+from repro.crypto.hashing import get_base_hash
 from repro.crypto.meter import CostMeter
 from repro.crypto.signatures import DigestSigner
 from repro.db.rows import Row
 from repro.exceptions import AuthenticationError, EncodingError
 
-from tests.core.conftest import DB_NAME, make_rows, row_string
+from tests.core.conftest import DB_NAME, make_rows, pack, row_string
 
 #: (commutative hash, digest policy) — FLATTENED needs the exponent ring.
 ENGINES = [
@@ -41,10 +49,22 @@ scalars = st.one_of(
     st.binary(max_size=40),
 )
 names = st.text(min_size=1, max_size=12)
+#: ``(columns, [(key, values), ...])``: a result of one to four rows.
+results = st.lists(names, min_size=1, max_size=6).flatmap(
+    lambda columns: st.tuples(
+        st.just(tuple(columns)),
+        st.lists(
+            st.tuples(scalars, st.tuples(*[scalars] * len(columns))),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+)
 
 
 class _Recording:
-    """A commutative hash that remembers the bytes it was asked to hash."""
+    """A commutative hash that remembers the bytes the kernel asked it
+    to hash."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -53,12 +73,9 @@ class _Recording:
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def digest_of_many(self, chunks):
+    def digest_block(self, chunks):
         self.chunks.extend(chunks)
-        return self._inner.digest_of_many(chunks)
-
-    def digest_of_bytes(self, data):
-        return self.digest_of_many((data,))[0]
+        return self._inner.digest_block(chunks)
 
 
 def make_engine(hash_name, policy):
@@ -75,40 +92,55 @@ def make_engine(hash_name, policy):
 
 @pytest.mark.parametrize("hash_name,policy", ENGINES)
 class TestKernelEqualsSpec:
-    @given(
-        table=names,
-        key=scalars,
-        row=st.lists(st.tuples(names, scalars), min_size=1, max_size=6),
-    )
+    @given(table=names, result=results)
     @settings(max_examples=60, deadline=None)
-    def test_bytes_values_and_counts(self, hash_name, policy, table, key, row):
+    def test_bytes_values_and_counts(self, hash_name, policy, table, result):
         engine, recording, meter = make_engine(hash_name, policy)
-        columns = tuple(name for name, _value in row)
-        values = tuple(value for _name, value in row)
+        columns, rows = result
+        keys = [key for key, _values in rows]
+        encodings = [[encode_value(v) for v in values] for _key, values in rows]
 
-        got = engine.row_attribute_values(table, columns, key, values)
+        got = engine.attribute_digests(table, columns, keys, encodings)
 
         spec_bytes = [
             digest_input(DB_NAME, table, col, key, val)
+            for key, values in rows
             for col, val in zip(columns, values, strict=True)
         ]
         assert recording.chunks == spec_bytes
         reference = get_commutative_hash(hash_name)
-        assert got == [reference.digest_of_bytes(b) for b in spec_bytes]
-        assert meter.hashes == len(row)
+        width = reference.digest_len
+        singles = [reference.digest_of_bytes(b) for b in spec_bytes]
+        assert got == pack(singles, width)
+        assert meter.hashes == len(spec_bytes)
         assert meter.bytes_hashed == sum(map(len, spec_bytes))
         assert meter.combines == 0
         # A second call is served from the prefix cache: same answer.
-        assert engine.row_attribute_values(table, columns, key, values) == got
-        # The wrapper only encodes: the bytes-level kernel, handed each
-        # value's encoding (the slices a decoder keeps), hashes the same
-        # bytes to the same digests.
+        assert engine.attribute_digests(table, columns, keys, encodings) == got
+        # Formula (2) in the same call: the row strings are hashed after
+        # every attribute string, over exactly those digests.
         recording.chunks.clear()
-        slices: list[bytes] = []
-        decoded, _end = decode_values(encode_values(values), 0, slices)
-        assert engine.encoded_attribute_values(table, columns, key, slices) == got
-        assert recording.chunks == spec_bytes
-        assert engine.row_attribute_values(table, columns, key, decoded) == got
+        n_c = len(columns)
+        row_specs = [
+            row_string(DB_NAME, table, key, singles[i * n_c : (i + 1) * n_c], width)
+            for i, key in enumerate(keys)
+        ]
+        assert engine.tuple_values(table, columns, keys, encodings) == [
+            reference.digest_of_bytes(r) for r in row_specs
+        ]
+        assert recording.chunks == spec_bytes + row_specs
+        # The int wrapper only encodes, a row at a time; the decoder's
+        # slices are the same encodings.
+        for i, (key, values) in enumerate(rows):
+            assert engine.row_attribute_values(table, columns, key, values) == (
+                singles[i * n_c : (i + 1) * n_c]
+            )
+            slices: list[bytes] = []
+            decoded, _end = decode_values(encode_values(values), 0, slices)
+            assert slices == encodings[i]
+            assert engine.row_attribute_values(table, columns, key, decoded) == (
+                singles[i * n_c : (i + 1) * n_c]
+            )
 
     def test_attribute_value_and_tuple_digests_share_the_kernel(
         self, hash_name, policy, schema
@@ -120,8 +152,8 @@ class TestKernelEqualsSpec:
             engine.attribute_value("items", name, 7, value)
             for name, value in zip(schema.column_names, row.values, strict=True)
         ]
-        assert list(digests.attribute_values) == singles
         reference = get_commutative_hash(hash_name)
+        assert digests.attribute_digests == pack(singles, reference.digest_len)
         row_spec = row_string(DB_NAME, "items", 7, singles, reference.digest_len)
         assert digests.tuple_value == reference.digest_of_bytes(row_spec)
         spec = [
@@ -131,6 +163,49 @@ class TestKernelEqualsSpec:
         # Formula (1) per attribute, then formula (2)'s row string —
         # once for the row, and the singles again.
         assert recording.chunks == spec + [row_spec] + spec
+
+
+#: name -> (factory(base hash name), the int a digest must be, from the
+#: base hash's raw bytes).  The 100-bit width is not a whole number of
+#: bytes, and a 256-bit modulus is wider than md5 and sha1: in both,
+#: slicing a base digest's low bytes alone would be wrong.
+PACKED_FORMS = {
+    **{
+        f"{cls.__name__}-{bits}": (
+            lambda hash_name, cls=cls, bits=bits: cls(
+                bits=bits, base_hash=get_base_hash(hash_name)
+            ),
+            lambda raw, bits=bits: (int.from_bytes(raw, "big") % 2**bits) | 1,
+        )
+        for cls in (ExponentialCommutativeHash, AdditiveSetHash)
+        for bits in (64, 128, 256, 100)
+    },
+    "MultiplicativeSetHash": (
+        lambda hash_name: MultiplicativeSetHash(base_hash=get_base_hash(hash_name)),
+        lambda raw: int.from_bytes(raw, "big") % (MultiplicativeSetHash._PRIME - 1) + 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("hash_name", ["sha256", "sha1", "md5"])
+@pytest.mark.parametrize("form", sorted(PACKED_FORMS))
+@given(chunks=st.lists(st.binary(max_size=80), max_size=12))
+@settings(max_examples=25, deadline=None)
+def test_packed_bytes_are_the_int_form(form, hash_name, chunks):
+    """A packed block is each digest's ``int`` written at ``digest_len``
+    bytes, and that ``int`` is the scheme's reduction of the base hash."""
+    build, spec = PACKED_FORMS[form]
+    scheme, meter = build(hash_name), CostMeter()
+    scheme.meter = meter
+    block = scheme.digest_block(chunks)
+    assert (meter.hashes, meter.bytes_hashed) == (len(chunks), sum(map(len, chunks)))
+    width = scheme.digest_len
+    assert block == b"".join(
+        scheme.digest_of_bytes(chunk).to_bytes(width, "big") for chunk in chunks
+    )
+    assert [scheme.digest_of_bytes(chunk) for chunk in chunks] == [
+        spec(hashlib.new(hash_name, chunk).digest()) for chunk in chunks
+    ]
 
 
 class TestKernelEdges:
@@ -173,6 +248,14 @@ class TestKernelEdges:
             engine.row_attribute_values("t", ("a", "b"), 1, ("x",))
         with pytest.raises(AuthenticationError):
             engine.row_attribute_values("t", ("a",), 1, ("x", "y"))
+        x = encode_value("x")
+        # One ragged row of a result, or keys and rows in different numbers.
+        with pytest.raises(AuthenticationError):
+            engine.tuple_values("t", ("a",), [1, 2], [[x], [x, x]])
+        with pytest.raises(AuthenticationError):
+            engine.attribute_digests("t", ("a",), [1, 2], [[x]])
+        with pytest.raises(AuthenticationError):
+            engine.tuple_values("t", (), [1], [[]])
 
     def test_equal_but_differently_encoded_names_cannot_alias(self):
         """``1 == 1.0 == True`` as dict keys, three encodings on the

@@ -15,7 +15,7 @@ from repro.db.schema import Column, TableSchema
 from repro.db.types import IntType, VarcharType
 from repro.exceptions import AuthenticationError
 
-from tests.core.conftest import DB_NAME, row_string
+from tests.core.conftest import DB_NAME, pack, row_string
 
 
 @pytest.fixture
@@ -61,7 +61,7 @@ class TestAttributeDigests:
 class TestTupleDigests:
     def test_is_the_hash_of_the_row_string_under_both_policies(self, engine):
         vals = [engine.attribute_value("t", f"a{i}", 1, i) for i in range(5)]
-        got = engine.tuple_value("t", 1, engine.pack_digests(vals))
+        got = engine.tuple_value("t", 1, pack(vals))
         assert got == engine.commutative.digest_of_bytes(
             row_string(DB_NAME, "t", 1, vals)
         )
@@ -70,12 +70,12 @@ class TestTupleDigests:
             DB_NAME,
             policy=next(p for p in DigestPolicy if p is not engine.policy),
         )
-        assert other.tuple_value("t", 1, other.pack_digests(vals)) == got
+        assert other.tuple_value("t", 1, pack(vals)) == got
 
     def test_is_a_unit_of_the_fold_ring(self, engine):
         vals = [engine.attribute_value("t", "v", key, "x") for key in range(50)]
         assert all(
-            engine.tuple_value("t", key, engine.pack_digests([v])) % 2 == 1
+            engine.tuple_value("t", key, pack([v])) % 2 == 1
             for key, v in enumerate(vals)
         )
 
@@ -84,8 +84,8 @@ class TestTupleDigests:
         positional, which is what binds a value to its column."""
         vals = [engine.attribute_value("t", f"a{i}", 1, i) for i in range(5)]
         assert engine.tuple_value(
-            "t", 1, engine.pack_digests(vals)
-        ) != engine.tuple_value("t", 1, engine.pack_digests(vals[::-1]))
+            "t", 1, pack(vals)
+        ) != engine.tuple_value("t", 1, pack(vals[::-1]))
 
     @pytest.mark.parametrize(
         "table,key,drop",
@@ -94,13 +94,13 @@ class TestTupleDigests:
     )
     def test_every_input_matters(self, engine, table, key, drop):
         vals = [engine.attribute_value("t", f"a{i}", 1, i) for i in range(3)]
-        base = engine.tuple_value("t", 1, engine.pack_digests(vals))
+        base = engine.tuple_value("t", 1, pack(vals))
         assert engine.tuple_value(
-            table, key, engine.pack_digests(vals[: len(vals) - drop])
+            table, key, pack(vals[: len(vals) - drop])
         ) != base
 
     def test_db_name_matters(self):
-        block = DigestEngine("db1").pack_digests([3, 5])
+        block = pack([3, 5])
         assert DigestEngine("db1").tuple_value("t", 1, block) != DigestEngine(
             "db2"
         ).tuple_value("t", 1, block)
@@ -119,18 +119,20 @@ class TestTupleDigests:
     @pytest.mark.parametrize("bad", [1, 1.0, True, b"t", None])
     def test_table_name_must_be_a_string(self, engine, bad):
         with pytest.raises(AuthenticationError):
-            engine.tuple_value(bad, 1, engine.pack_digests([3]))
-        assert not engine._row_heads
+            engine.tuple_value(bad, 1, pack([3]))
+        assert not engine._prefixes
 
     def test_tuple_digests_from_row(self, engine, schema):
         row = Row(schema, (7, "hello"))
         d = engine.tuple_digests("t", row)
-        assert len(d.attribute_values) == 2
-        assert d.tuple_value == engine.tuple_value(
-            "t", 7, engine.pack_digests(d.attribute_values)
-        )
+        singles = [
+            engine.attribute_value("t", "id", 7, 7),
+            engine.attribute_value("t", "v", 7, "hello"),
+        ]
+        assert d.attribute_digests == pack(singles)
+        assert d.tuple_value == engine.tuple_value("t", 7, d.attribute_digests)
         assert d.tuple_value == engine.commutative.digest_of_bytes(
-            row_string(DB_NAME, "t", 7, d.attribute_values)
+            row_string(DB_NAME, "t", 7, singles)
         )
 
 
@@ -194,7 +196,7 @@ class TestPolicyConstraints:
         assert engine.node_value([3, 5]) == engine.commutative.combine([3, 5])
         # Digests travel at this hash's own width inside the row string.
         assert engine.tuple_value(
-            "t", 1, engine.pack_digests([3, 5])
+            "t", 1, pack([3, 5], width=32)
         ) == engine.commutative.digest_of_bytes(
             row_string(DB_NAME, "t", 1, [3, 5], width=32)
         )

@@ -17,6 +17,7 @@ from repro.core.query_auth import QueryAuthenticator
 from repro.core.verify import ResultVerifier
 from repro.core.vo import VOFormat
 from repro.core.wire import result_from_bytes, result_to_bytes
+from repro.crypto.encoding import encode_value
 from repro.crypto.meter import CostMeter
 from repro.exceptions import VOFormatError
 
@@ -84,8 +85,8 @@ class TestHiddenDigestTampering:
         query, verdict = combo
         result = query()
         engine = DigestEngine(DB_NAME)
-        forged = engine.pack_digests(
-            [engine.attribute_value("items", "price", result.keys[0], 10**6)]
+        forged = engine.attribute_digests(
+            "items", ("price",), result.keys[:1], [[encode_value(10**6)]]
         )
         assert forged != _digest(result.vo.projection_digests, 0, 0)
         result.vo.projection_digests = _with_digest(
