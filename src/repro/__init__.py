@@ -5,8 +5,8 @@ The package implements the paper's Verifiable B-tree (VB-tree) and the
 full stack around it:
 
 * :mod:`repro.crypto` — hashes, the commutative combinator, RSA signing.
-* :mod:`repro.db` — a miniature relational engine (tables, B+-tree,
-  executor, materialized views, 2PL locking).
+* :mod:`repro.db` — a miniature relational substrate (tables, B+-tree,
+  predicates, materialized views, 2PL locking).
 * :mod:`repro.core` — the VB-tree, verification objects, client-side
   verification, and authenticated updates.
 * :mod:`repro.baselines` — the paper's Naive scheme and a Devanbu-style

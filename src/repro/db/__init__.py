@@ -2,21 +2,12 @@
 
 Everything the paper's system presupposes from "the database": typed
 schemas, heap tables clustered on a primary-key B+-tree, a predicate
-language, relational operators, materialized join views, and a 2PL
-lock manager with deadlock detection.
+language, materialized join views, and a 2PL lock manager with
+deadlock detection.  Queries are answered from VB-trees
+(:mod:`repro.core.query_auth`), so there is no relational executor.
 """
 
 from repro.db.btree import BPlusTree, InternalNode, LeafNode, MutationTrace
-from repro.db.executor import (
-    Filter,
-    IndexRangeScan,
-    MergeJoin,
-    NestedLoopJoin,
-    PlanNode,
-    Project,
-    SeqScan,
-    execute_to_list,
-)
 from repro.db.expressions import (
     AlwaysTrue,
     And,
@@ -54,9 +45,7 @@ __all__ = [
     "Column",
     "ColumnType",
     "Comparison",
-    "Filter",
     "FloatType",
-    "IndexRangeScan",
     "IntType",
     "InternalNode",
     "KeyRange",
@@ -64,17 +53,12 @@ __all__ = [
     "LockManager",
     "LockMode",
     "MaterializedJoinView",
-    "MergeJoin",
     "MutationTrace",
-    "NestedLoopJoin",
     "Not",
     "Or",
     "PageGeometry",
-    "PlanNode",
     "Predicate",
-    "Project",
     "Row",
-    "SeqScan",
     "Table",
     "TableSchema",
     "Transaction",
@@ -82,6 +66,5 @@ __all__ = [
     "TxnStatus",
     "VarcharType",
     "between",
-    "execute_to_list",
     "type_from_name",
 ]

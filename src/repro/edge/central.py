@@ -581,7 +581,8 @@ class CentralServer:
         objects (:func:`repro.edge.link.join`).
 
         Re-admitting a known name replaces its link and central-side
-        peer state — the reconnect path.  The hello's cursors seed the
+        peer state — the reconnect path; the engine's ``attach``
+        closes the replaced link.  The hello's cursors seed the
         fan-out engine's ack-fed cursors, so a transiently
         disconnected dialer resumes delta delivery where it left off,
         while a restarted (replica-less) one registers empty and is
@@ -594,9 +595,6 @@ class CentralServer:
         Returns:
             The engine's :class:`~repro.edge.fanout.PeerState`.
         """
-        previous = self.fanout.peers.get(hello.edge)
-        if previous is not None and previous.transport is not transport:
-            previous.transport.close()
         # The hello is untrusted input: drop cursors for replicas this
         # server does not have, and clamp each LSN to the log head — a
         # lying (or central-restart-surviving) cursor ahead of the log

@@ -15,6 +15,11 @@ acknowledgements and query responses leave as bytes.  Replicas are
 reconstructed from snapshot payloads with a
 :class:`~repro.core.digests.VerifyOnlyDigestEngine`, so an edge never
 holds — and cannot use — the central server's private signing key.
+
+The upstream half of an edge — the dialer seat of docs/ARCHITECTURE.md
+section 3, and the ack/nack reply discipline of DESIGN.md section 10 —
+is :class:`Dialer`, which a relay's upstream face
+(:class:`~repro.edge.relay.RelayServer`) shares.
 """
 
 from __future__ import annotations
@@ -66,13 +71,12 @@ from repro.edge.transport import (
 from repro.exceptions import (
     DeltaGapError,
     DeltaTamperError,
-    ReplicaDeltaError,
     ReplicationError,
     StaleDeltaError,
     TransportError,
 )
 
-__all__ = ["EdgeConfig", "EdgeServer", "EdgeResponse"]
+__all__ = ["Dialer", "EdgeConfig", "EdgeServer", "EdgeResponse"]
 
 #: A hook that may rewrite an outgoing result (adversary injection point).
 ResultInterceptor = Callable[[AuthenticatedResult], AuthenticatedResult]
@@ -115,24 +119,46 @@ class EdgeResponse:
         )
 
 
-class EdgeServer:
-    """One edge-of-network replica server.
+class Dialer:
+    """The dialer seat (docs/ARCHITECTURE.md section 3), written once:
+    a node that joins a listener — an edge, or a relay's upstream face
+    — and answers what the listener sends it.
+
+    :meth:`handle_frame` is the whole upstream reply discipline
+    (DESIGN.md section 10): a snapshot is a heal boundary and is
+    answered at once with one cumulative
+    :class:`~repro.edge.transport.CursorAckFrame`; accepted deltas are
+    **coalesced** — no reply until ``ack_every`` frames / ``ack_bytes``
+    payload bytes have been absorbed, then one cumulative ack covers
+    them all; a *rejected* snapshot or delta always nacks immediately
+    with an :class:`~repro.edge.transport.AckFrame` carrying the node's
+    own cursor for that table and a reason code (coalescing can never
+    mask a tamper/gap signal, it only thins the ok-traffic); a
+    :class:`~repro.edge.transport.CursorProbeFrame` gets the cumulative
+    ack; a :class:`~repro.edge.transport.ConfigFrame` is adopted and
+    answered with a control ack (empty table, no cursor to move); a
+    query gets the node's one
+    :class:`~repro.edge.transport.QueryResponseFrame`.  Any other frame
+    is a :class:`~repro.exceptions.TransportError`.
+
+    What differs between nodes is what they make of a frame.  A node
+    supplies ``cursors()`` — the ``(table, lsn, epoch)`` its acks (and,
+    unless it overrides :meth:`hello`, its hello) report;
+    ``_take_snapshot(frame)`` and ``_take_delta(frame)`` — ``None``
+    when accepted, else the nack's reason code; and ``_answer(query)``
+    — the :class:`~repro.edge.transport.QueryResponseFrame`.
 
     Args:
-        name: Edge server identifier.
+        name: Node name (its hello identity and the ``edge`` of every
+            reply).
         config: Public verification parameters (:class:`EdgeConfig`);
-            an edge that *joins* a listener (:meth:`hello`, then
+            a node that *joins* a listener (:meth:`hello`, then
             :meth:`adopt_config` with the reply) starts without one.
-        ack_every: Ack-coalescing frame threshold (DESIGN.md section
-            10): replication frames are acknowledged with one
-            cumulative :class:`~repro.edge.transport.CursorAckFrame`
-            once this many have been absorbed unacknowledged.  ``1``
-            (the default) acknowledges every frame — the exact
-            pre-batching cadence, which in-process simulations rely on
-            for synchronous cursor convergence.  Deployments raise it
-            (via the handshake :class:`~repro.edge.transport.ConfigFrame`)
-            to cut ack traffic.  Rejections always nack immediately,
-            whatever the threshold.
+        ack_every: Ack-coalescing frame threshold.  ``1`` (the
+            default) acknowledges every frame — the exact pre-batching
+            cadence, which in-process simulations rely on for
+            synchronous cursor convergence.  Deployments raise it (via
+            the handshake ``ConfigFrame``) to cut ack traffic.
         ack_bytes: Ack-coalescing byte threshold — an ack is emitted
             once this many unacknowledged replication payload bytes
             have been absorbed, even below ``ack_every`` frames.
@@ -147,12 +173,128 @@ class EdgeServer:
     ) -> None:
         self.name = name
         self.config = config
+        #: The last adopted ConfigFrame, verbatim (a relay replays it
+        #: byte-identical downstream).
+        self.upstream_config: Optional[ConfigFrame] = None
         self.ack_every = max(1, ack_every)
         self.ack_bytes = max(1, ack_bytes)
         #: Replication frames / payload bytes absorbed since the last
         #: cumulative ack left (the coalescing state).
         self._unacked_frames = 0
         self._unacked_bytes = 0
+
+    def hello(self) -> HelloFrame:
+        """The registration hello: this node's name and the cursors it
+        already holds (none when fresh), so the listener resumes delta
+        delivery instead of re-shipping snapshots."""
+        return HelloFrame(edge=self.name, cursors=self.cursors())
+
+    def adopt_config(self, frame: ConfigFrame) -> None:
+        """Replace the verification bundle (the handshake's reply, or
+        an in-stream key-ring refresh); the listener's ack-coalescing
+        policy travels with it."""
+        self.config = config_from_frame(frame)
+        self.upstream_config = frame
+        self.ack_every = max(1, frame.ack_every)
+        self.ack_bytes = max(1, frame.ack_bytes)
+
+    def pending_upstream(self) -> Sequence[bytes]:
+        """Frames to send unasked: none unless the node queues some."""
+        return ()
+
+    def handle_frame(self, data: bytes) -> list[bytes]:
+        """Process one serialized frame; returns serialized replies."""
+        frame = frame_from_bytes(data)
+        if isinstance(frame, QueryRequestFrame):
+            reply = self._answer(frame)
+        elif isinstance(frame, DeltaFrame):
+            reason = self._take_delta(frame)
+            if reason is not None:
+                return [frame_to_bytes(self._nack(frame.table, reason))]
+            self._unacked_frames += 1
+            self._unacked_bytes += len(frame.payload)
+            if (
+                self._unacked_frames < self.ack_every
+                and self._unacked_bytes < self.ack_bytes
+            ):
+                return []
+            reply = self._cursor_ack()
+        elif isinstance(frame, SnapshotFrame):
+            reason = self._take_snapshot(frame)
+            if reason is not None:
+                return [frame_to_bytes(self._nack(frame.table, reason))]
+            reply = self._cursor_ack()
+        elif isinstance(frame, CursorProbeFrame):
+            # Ack solicitation: the listener is settling (a sync
+            # point) and wants the cumulative cursors now.
+            reply = self._cursor_ack()
+        elif isinstance(frame, ConfigFrame):
+            # Key-ring refresh (a rotation reached this node): the
+            # paper's "well-known location" re-fetched, pushed over
+            # the same channel.
+            self.adopt_config(frame)
+            reply = AckFrame(
+                edge=self.name, table="", ok=True, lsn=0,
+                epoch=self.config.keyring.current_epoch, reason="config",
+            )
+        else:
+            raise TransportError(
+                f"{type(self).__name__} {self.name!r} cannot handle "
+                f"{type(frame).__name__}"
+            )
+        return [frame_to_bytes(reply)]
+
+    def _nack(self, table: str, reason: str) -> AckFrame:
+        """An immediate nack at this node's own cursor for ``table``
+        (``0, 0`` when it reports none)."""
+        lsn, epoch = next(
+            ((lsn, epoch) for t, lsn, epoch in self.cursors() if t == table),
+            (0, 0),
+        )
+        return AckFrame(
+            edge=self.name, table=table, ok=False, lsn=lsn, epoch=epoch,
+            reason=reason,
+        )
+
+    def _cursor_ack(self) -> CursorAckFrame:
+        """One cumulative ack covering every table; resets the
+        coalescing counters (everything up to here is now spoken for)."""
+        self._unacked_frames = 0
+        self._unacked_bytes = 0
+        return CursorAckFrame(edge=self.name, cursors=self.cursors())
+
+    def _verify_only(self, epoch: int) -> VerifyOnlyDigestEngine:
+        """The public-key-only digest engine a snapshot signed under
+        key epoch ``epoch`` is rebuilt with — a dialer never holds the
+        private key.
+
+        Raises:
+            StaleKeyError: If the ring refuses ``epoch``.
+        """
+        return VerifyOnlyDigestEngine(
+            DigestEngine(self.config.db_name, policy=self.config.policy),
+            self.config.keyring.public_key_for(epoch),
+            epoch,
+        )
+
+
+class EdgeServer(Dialer):
+    """One edge-of-network replica server: a :class:`Dialer` that
+    installs snapshots and applies deltas to its own replicas and
+    executes queries against them.
+
+    Args:
+        name / config / ack_every / ack_bytes: See :class:`Dialer`.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        config: EdgeConfig | None = None,
+        ack_every: int = 1,
+        ack_bytes: int = 1 << 18,
+    ) -> None:
+        super().__init__(name, config, ack_every, ack_bytes)
         self.meter = CostMeter()
         #: Edge→client byte accounting; response bytes are counted in
         #: exactly one place, this channel, into this edge's meter.
@@ -176,36 +318,14 @@ class EdgeServer:
         #: callers keep typed exceptions while transports get frames.
         self._last_query_exc: Optional[BaseException] = None
 
-    # ------------------------------------------------------------------
-    # The dialer seat: hello / adopt_config / handle_frame /
-    # pending_upstream — what any listener needs of a node that joins
-    # it, over a socket or in-process (docs/ARCHITECTURE.md section 3).
-    # ------------------------------------------------------------------
+    #: Bound here, not only inherited: the e2e tracer
+    #: (``benchmarks/e2e/e2ebench/trace.py``) wraps
+    #: ``EdgeServer.handle_frame`` by reading the class ``__dict__``.
+    handle_frame = Dialer.handle_frame
 
-    def hello(self) -> HelloFrame:
-        """The registration hello: this edge's name and the cursors of
-        the replicas it already holds (none when fresh), so the
-        listener resumes delta delivery instead of re-shipping
-        snapshots."""
-        return HelloFrame(edge=self.name, cursors=self.replication_cursors())
-
-    def adopt_config(self, frame: ConfigFrame) -> None:
-        """Replace the verification bundle (the handshake's reply, or
-        an in-stream key-ring refresh); the listener's ack-coalescing
-        policy travels with it."""
-        self.config = config_from_frame(frame)
-        self.ack_every = max(1, frame.ack_every)
-        self.ack_bytes = max(1, frame.ack_bytes)
-
-    def pending_upstream(self) -> Sequence[bytes]:
-        """Frames to send unasked: none — an edge only ever answers."""
-        return ()
-
-    def replication_cursors(self) -> tuple[tuple[str, int, int], ...]:
+    def cursors(self) -> tuple[tuple[str, int, int], ...]:
         """``(table, lsn, epoch)`` for every replica this edge holds —
-        what a reconnecting edge reports in its registration handshake
-        so the central server can resume delta delivery instead of
-        re-shipping snapshots."""
+        what its hello, acks and query responses report."""
         return tuple(
             (table, self.replica_lsns.get(table, 0),
              self.replica_epochs.get(table, 0))
@@ -213,155 +333,52 @@ class EdgeServer:
         )
 
     # ------------------------------------------------------------------
-    # Frame dispatch — the transport-facing surface
-    # ------------------------------------------------------------------
-
-    def handle_frame(self, data: bytes) -> list[bytes]:
-        """Process one serialized frame; returns serialized replies.
-
-        Replication acknowledgements are **coalesced** (DESIGN.md
-        section 10): an accepted delta produces no reply until
-        ``ack_every`` frames / ``ack_bytes`` payload bytes have been
-        absorbed, at which point one cumulative
-        :class:`~repro.edge.transport.CursorAckFrame` acknowledges
-        everything at once.  Heal boundaries (snapshot installs) and
-        :class:`~repro.edge.transport.CursorProbeFrame` solicitations
-        ack immediately; a *rejected* frame always nacks immediately
-        with an :class:`~repro.edge.transport.AckFrame` carrying the
-        edge's cursor and a reason code — coalescing can therefore
-        never mask a tamper/gap signal, it only thins the ok-traffic.
-        Query frames produce one
-        :class:`~repro.edge.transport.QueryResponseFrame` (with the
-        cumulative cursors piggybacked).
-        """
-        frame = frame_from_bytes(data)
-        if isinstance(frame, SnapshotFrame):
-            try:
-                self._install_snapshot(frame)
-            except Exception as exc:
-                # Malformed payload or unacceptable epoch: nack so the
-                # sender's heal path retries, never an exception back
-                # through the transport.  Counted — a snapshot that
-                # fails to install during a healthy run is a bug, not
-                # weather (FL002).
-                telemetry.note("edge_server.snapshot_install", exc)
-                return [frame_to_bytes(
-                    self._ack(frame.table, ok=False, reason="error")
-                )]
-            # A heal boundary: the sender is waiting on this O(tree)
-            # transfer — always acknowledge it (and everything else)
-            # immediately.
-            return [frame_to_bytes(self._cursor_ack())]
-        if isinstance(frame, DeltaFrame):
-            try:
-                self.apply_delta(frame.table, frame.payload)
-            except StaleDeltaError:
-                reply = self._ack(frame.table, ok=False, reason="stale")
-            except DeltaGapError:
-                reply = self._ack(frame.table, ok=False, reason="gap")
-            except DeltaTamperError:
-                reply = self._ack(frame.table, ok=False, reason="tamper")
-            except (ReplicaDeltaError, ReplicationError):
-                reply = self._ack(frame.table, ok=False, reason="diverged")
-            except Exception as exc:
-                # Anything else (e.g. at-rest tampering broke the tree
-                # underneath the apply) is replica divergence too: a
-                # rejected replication frame must *always* produce an
-                # immediate nack, so the sender's heal escalation runs
-                # instead of a wedge.  Counted so the "anything else"
-                # class stays visible (FL002).
-                telemetry.note("edge_server.delta_apply", exc)
-                reply = self._ack(frame.table, ok=False, reason="diverged")
-            else:
-                # Accepted: coalesce.  The ack leaves once the
-                # count/byte threshold trips, or when a heal boundary /
-                # probe forces it.
-                self._unacked_frames += 1
-                self._unacked_bytes += len(frame.payload)
-                if (
-                    self._unacked_frames >= self.ack_every
-                    or self._unacked_bytes >= self.ack_bytes
-                ):
-                    return [frame_to_bytes(self._cursor_ack())]
-                return []
-            return [frame_to_bytes(reply)]
-        if isinstance(frame, CursorProbeFrame):
-            # Ack solicitation: the central is settling (a sync point)
-            # and wants the cumulative cursors now.
-            return [frame_to_bytes(self._cursor_ack())]
-        if isinstance(frame, QueryRequestFrame):
-            self._last_query_exc = None
-            try:
-                reply = self._execute_query(frame)
-            except Exception as exc:
-                # A query must be *answered* on every medium — a raise
-                # here would escape an in-process router's
-                # verify-or-failover path, while over a socket the
-                # serve loop already converts it.  Same format either
-                # way, so clients cannot tell the media apart.  The
-                # traceback is stripped before stashing: it would pin
-                # every frame-local (request, replica state) on a
-                # long-lived edge whose errors arrive via transports.
-                telemetry.note("edge_server.query", exc)
-                self._last_query_exc = exc.with_traceback(None)
-                reply = error_response(
-                    self.name, f"{type(exc).__name__}: {exc}"
-                )
-            return [frame_to_bytes(reply)]
-        if isinstance(frame, ConfigFrame):
-            # Key-ring refresh (rotation reached this edge): replace the
-            # verification bundle — the paper's "well-known location"
-            # re-fetched, pushed over the same channel.  The ack's empty
-            # table marks it as a control ack (no cursor to move).
-            self.adopt_config(frame)
-            reply = AckFrame(
-                edge=self.name, table="", ok=True, lsn=0,
-                epoch=self.config.keyring.current_epoch, reason="config",
-            )
-            return [frame_to_bytes(reply)]
-        raise TransportError(
-            f"edge {self.name!r} cannot handle {type(frame).__name__}"
-        )
-
-    def _ack(self, table: str, ok: bool = True, reason: str = "") -> AckFrame:
-        return AckFrame(
-            edge=self.name,
-            table=table,
-            ok=ok,
-            lsn=self.replica_lsns.get(table, 0),
-            epoch=self.replica_epochs.get(table, 0),
-            reason=reason,
-        )
-
-    def _cursor_ack(self) -> CursorAckFrame:
-        """One cumulative ack covering every replica; resets the
-        coalescing counters (everything up to here is now spoken for)."""
-        self._unacked_frames = 0
-        self._unacked_bytes = 0
-        return CursorAckFrame(
-            edge=self.name, cursors=self.replication_cursors()
-        )
-
-    # ------------------------------------------------------------------
     # Replication
     # ------------------------------------------------------------------
 
-    def _install_snapshot(self, frame: SnapshotFrame) -> None:
+    def _take_snapshot(self, frame: SnapshotFrame) -> Optional[str]:
         """Reconstruct a full replica from a serialized snapshot,
         resetting the table's delta cursor to the frame's LSN."""
-        public_key = self.config.keyring.public_key_for(frame.epoch)
-        signing = VerifyOnlyDigestEngine(
-            DigestEngine(self.config.db_name, policy=self.config.policy),
-            public_key,
-            frame.epoch,
-        )
-        vbt = snapshot_from_bytes(frame.payload, signing)
+        try:
+            signing = self._verify_only(frame.epoch)
+            vbt = snapshot_from_bytes(frame.payload, signing)
+        except Exception as exc:
+            # Malformed payload or unacceptable epoch: nack so the
+            # sender's heal path retries.  Counted — a snapshot that
+            # fails to install during a healthy run is a bug, not
+            # weather (FL002).
+            telemetry.note("edge_server.snapshot_install", exc)
+            return "error"
         table = frame.table
         self.replicas[table] = vbt
         self.replica_versions[table] = vbt.version
         self.replica_lsns[table] = frame.lsn
         self.replica_epochs[table] = frame.epoch
-        self.replica_sig_lens[table] = public_key.signature_len
+        self.replica_sig_lens[table] = signing.signer.public_key.signature_len
+        return None
+
+    def _take_delta(self, frame: DeltaFrame) -> Optional[str]:
+        """:meth:`apply_delta`, its refusal named as a nack reason."""
+        try:
+            self.apply_delta(frame.table, frame.payload)
+        except StaleDeltaError:
+            return "stale"
+        except DeltaGapError:
+            return "gap"
+        except DeltaTamperError:
+            return "tamper"
+        except ReplicationError:
+            return "diverged"
+        except Exception as exc:
+            # Anything else (e.g. at-rest tampering broke the tree
+            # underneath the apply) is replica divergence too: a
+            # rejected replication frame must *always* produce an
+            # immediate nack, so the sender's heal escalation runs
+            # instead of a wedge.  Counted so the "anything else"
+            # class stays visible (FL002).
+            telemetry.note("edge_server.delta_apply", exc)
+            return "diverged"
+        return None
 
     def apply_delta(self, table: str, payload: bytes) -> ReplicaDelta:
         """Authenticate and apply one wire-serialized replica delta.
@@ -518,6 +535,22 @@ class EdgeServer:
             raise TransportError(response.error)
         return EdgeResponse.from_frame(response, self.channel.transfers[-1])
 
+    def _answer(self, frame: QueryRequestFrame) -> QueryResponseFrame:
+        """Execute one query, answered on every medium: a raise here
+        would escape an in-process router's verify-or-failover path,
+        while over a socket the serve loop already converts it — same
+        format either way, so clients cannot tell the media apart."""
+        self._last_query_exc = None
+        try:
+            return self._execute_query(frame)
+        except Exception as exc:
+            # The traceback is stripped before stashing: it would pin
+            # every frame-local (request, replica state) on a
+            # long-lived edge whose errors arrive via transports.
+            telemetry.note("edge_server.query", exc)
+            self._last_query_exc = exc.with_traceback(None)
+            return error_response(self.name, f"{type(exc).__name__}: {exc}")
+
     def _execute_query(self, frame: QueryRequestFrame) -> QueryResponseFrame:
         vo_format = VOFormat(frame.vo_format) if frame.vo_format else None
         columns = frame.columns
@@ -566,7 +599,7 @@ class EdgeServer:
             payload=payload,
             lsn=self.replica_lsns.get(name, 0),
             epoch=self.replica_epochs.get(name, 0),
-            cursors=self.replication_cursors(),
+            cursors=self.cursors(),
         )
 
     def _respond(

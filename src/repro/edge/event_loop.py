@@ -26,10 +26,11 @@ central-side delivery hot path is therefore a classic reactor
   accept thread, every registered dialer a :class:`ReactorTransport`
   admitted to the node (the central's deployment and a relay's
   downstream face are both one of these).
-* The dialing seats — :func:`guarded_handler`, :func:`join_as_edge`
+* The dialer seat's plumbing — :func:`join`, :func:`guarded_handler`
   and :func:`serve_dialed`: after the (blocking) handshake a dialer is
-  served from a loop too, by one guarded frame handler and one redial
-  loop shared by the edge process, hosted edges and the relay.
+  served from a loop too, by one join, one guarded frame handler and
+  one redial loop shared by the edge process, hosted edges and the
+  relay.
 * :class:`EdgeHost` — many in-process :class:`~repro.edge.edge_server.EdgeServer`\\ s
   behind *real* loopback TCP sockets, all served from one background
   thread running its own reactor.  This is what lets one test process
@@ -67,6 +68,7 @@ from collections import deque
 from typing import Callable, Optional, Sequence
 
 from repro.edge import telemetry
+from repro.edge.edge_server import EdgeServer
 from repro.edge.link import FaultInjector, SendOutcome, Transport
 from repro.edge.socket_transport import (
     _IOV_MAX,
@@ -94,7 +96,7 @@ __all__ = [
     "ReactorTransport",
     "SocketListener",
     "guarded_handler",
-    "join_as_edge",
+    "join",
     "serve_dialed",
     "EdgeHost",
 ]
@@ -712,22 +714,18 @@ def guarded_handler(node) -> Callable[[bytes], Sequence[bytes]]:
     return handler
 
 
-def join_as_edge(loop: EdgeEventLoop, sock: socket.socket, name: str, edge=None):
-    """Join ``loop`` as edge ``name`` over the connected ``sock``:
-    the registration handshake (blocking — the one thing a dialer
-    blocks on; ``edge.hello()`` carries resume cursors when ``edge``
-    already holds replicas, a fresh edge is made otherwise), then the
-    edge adopts the reply — bundle and ack policy, so a rotation
-    missed while disconnected is known before any frame — and serves
-    from ``loop`` behind :func:`guarded_handler`.  Returns ``(edge,
-    connection)``; on a ``TransportError`` ``sock`` stays the caller's
-    to close."""
-    from repro.edge.edge_server import EdgeServer
-
-    if edge is None:
-        edge = EdgeServer(name)
-    edge.adopt_config(dial_handshake(sock, edge.hello()))
-    return edge, loop.register(name, sock, handler=guarded_handler(edge))
+def join(loop: EdgeEventLoop, sock: socket.socket, node) -> _Connection:
+    """Join a listener as ``node`` — a dialer seat: an edge, or a
+    relay's upstream face — over the connected ``sock``: the
+    registration handshake (blocking — the one thing a dialer blocks
+    on; ``node.hello()`` carries whatever resume cursors it holds),
+    then the node adopts the reply — bundle and ack policy, so a
+    rotation missed while disconnected is known before any frame —
+    and serves from ``loop`` under its own name behind
+    :func:`guarded_handler`.  Returns the connection; on a
+    ``TransportError`` ``sock`` stays the caller's to close."""
+    node.adopt_config(dial_handshake(sock, node.hello()))
+    return loop.register(node.name, sock, handler=guarded_handler(node))
 
 
 def serve_dialed(
@@ -806,7 +804,7 @@ class EdgeHost:
     """A fleet of edge servers over real TCP, one thread, one reactor.
 
     Each hosted edge dials the central listener and joins the host's
-    private :class:`EdgeEventLoop` through :func:`join_as_edge` —
+    private :class:`EdgeEventLoop` through :func:`join` —
     exactly the seat a ``python -m repro.edge.serve`` process takes —
     so hundreds of connected TCP edges cost one serving thread and a
     selector.
@@ -828,11 +826,13 @@ class EdgeHost:
         """Dial, handshake, and adopt one edge into the reactor."""
         sock = connect_with_retry(self.host, self.port, timeout=io_timeout)
         sock.settimeout(io_timeout)
+        edge = EdgeServer(name)
         try:
-            self.edges[name], _conn = join_as_edge(self.loop, sock, name)
+            join(self.loop, sock, edge)
         except (TransportError, OSError):
             sock.close()
             raise
+        self.edges[name] = edge
 
     def launch_fleet(self, names: Sequence[str], io_timeout: float = 10.0) -> None:
         """Dial and register many edges, then start serving."""

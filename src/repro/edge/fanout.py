@@ -301,7 +301,10 @@ class FanoutEngine:
         cursors: Iterable[tuple[str, int, int]] = (),
         config_epoch: Optional[int] = None,
     ) -> PeerState:
-        """Register an edge's transport link.
+        """Register an edge's transport link — both listener seats'
+        ``admit``.  Re-attaching a known name is the reconnect path:
+        the link it replaces is closed, so a dead socket never stays
+        registered on the reactor.
 
         ``config_epoch`` is the key epoch of the verification bundle
         the peer was actually *sent* (the listener seat's ``admit``
@@ -329,6 +332,9 @@ class FanoutEngine:
             peer.acked_lsns[table] = lsn
             peer.acked_epochs[table] = epoch
             peer.sent_lsns[table] = lsn
+        previous = self.peers.get(name)
+        if previous is not None and previous.transport is not transport:
+            previous.transport.close()
         self.peers[name] = peer
         return peer
 
@@ -441,13 +447,8 @@ class FanoutEngine:
     ) -> int:
         with peer.lock:
             self._process_replies(peer, peer.transport.flush())
-            shipped = 0
-            for table in names:
-                if force_snapshot:
-                    shipped += self._send_snapshot(peer, table, payloads)
-                else:
-                    shipped += self._sync_table(peer, table, payloads)
-            return shipped
+            sync = self._send_snapshot if force_snapshot else self._sync_table
+            return sum(sync(peer, table, payloads) for table in names)
 
     def settle(
         self, tables: Optional[Iterable[str]] = None, rounds: int = 8
@@ -911,12 +912,8 @@ class FanoutEngine:
         answers *our* probe carries no link-speed information (the
         frames may have sat settled-but-unclaimed until we asked), so
         solicited settles skip the latency feedback."""
-        solicited = peer.probe_inflight
-        for table, lsn, epoch in ack.cursors:
-            self._advance_cursor(peer, table, lsn, epoch)
-        peer.probe_inflight = False
-        self._settle(peer, credit_latency=not solicited)
-        self.source.on_cursors_advanced(peer)
+        solicited, peer.probe_inflight = peer.probe_inflight, False
+        self._absorb_cursors(peer, ack.cursors, credit_latency=not solicited)
 
     def observe_response_cursors(
         self, name: str, cursors: Sequence[tuple[str, int, int]]
@@ -934,10 +931,17 @@ class FanoutEngine:
         # rather than the pump's; the peer lock keeps its settle from
         # racing a concurrent send's bookkeeping.
         with peer.lock:
-            for table, lsn, epoch in cursors:
-                self._advance_cursor(peer, table, lsn, epoch)
-            self._settle(peer, credit_latency=False)
-            self.source.on_cursors_advanced(peer)
+            self._absorb_cursors(peer, cursors, credit_latency=False)
+
+    def _absorb_cursors(
+        self, peer: PeerState, cursors: Sequence, credit_latency: bool
+    ) -> None:
+        """Advance every cursor monotonically, settle what they cover,
+        and tell the source — one cumulative ack's worth of news."""
+        for table, lsn, epoch in cursors:
+            self._advance_cursor(peer, table, lsn, epoch)
+        self._settle(peer, credit_latency=credit_latency)
+        self.source.on_cursors_advanced(peer)
 
     def _apply_ack(self, peer: PeerState, ack: AckFrame) -> str:
         table = ack.table

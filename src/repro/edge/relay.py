@@ -32,7 +32,7 @@ What a relay adds to the protocol:
   table some connected edge has no cursor for yet is **omitted** from
   the aggregate — "no news", which upstream's drain treats as neither
   progress nor regression (see the stall bugfix in
-  :meth:`FanoutEngine._drain <repro.edge.fanout.FanoutEngine._drain>`).
+  :meth:`FanoutEngine.drain <repro.edge.fanout.FanoutEngine.drain>`).
 * **Nacks are never aggregated** — a downstream tamper/gap/diverged
   signal keeps its immediate escalation: the relay re-verifies the
   implicated stored chain, heals the edge from its own store when the
@@ -72,31 +72,26 @@ subtree, which is exactly the recovery story edges already have.
 from __future__ import annotations
 
 import dataclasses
-import socket
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.core.digests import DigestEngine, VerifyOnlyDigestEngine
 from repro.core.wire import authenticate_delta, delta_from_bytes, snapshot_from_bytes
-from repro.edge.event_loop import SocketListener, guarded_handler, serve_dialed
+from repro.edge.edge_server import Dialer
+from repro.edge.event_loop import SocketListener, join, serve_dialed
 from repro.edge.fanout import FanoutEngine, PeerState
-from repro.edge.socket_transport import dial_handshake
 from repro.edge.link import Transport
 from repro.edge.transport import (
     AckFrame,
     ConfigFrame,
     CursorAckFrame,
-    CursorProbeFrame,
     DeltaFrame,
     HelloFrame,
     QueryRequestFrame,
     QueryResponseFrame,
     SnapshotFrame,
-    config_from_frame,
     error_response,
-    frame_from_bytes,
     frame_to_bytes,
 )
 from repro.edge import telemetry
@@ -143,8 +138,11 @@ class _TableStore:
         return total + sum(len(d.payload) for d in self.deltas)
 
 
-class RelayServer:
-    """Unkeyed store-and-forward node between central and its edges.
+class RelayServer(Dialer):
+    """Unkeyed store-and-forward node between central and its edges:
+    upstream a :class:`~repro.edge.edge_server.Dialer` whose cursors
+    are the subtree's aggregate and whose queries are forwarded,
+    downstream a listener seat.
 
     Args:
         name: Relay name (its upstream link label / hello identity).
@@ -162,8 +160,8 @@ class RelayServer:
             actually grows without bound on a long-lived link.
 
     The relay is single-thread-owned (module docstring); the lock below
-    only makes the in-process test surface forgiving, it is not a
-    concurrency design.
+    only keeps the accept thread's :meth:`admit` from reading the store
+    while an upstream frame rewrites it.
     """
 
     def __init__(
@@ -172,7 +170,7 @@ class RelayServer:
         spot_check_every: int = 0,
         max_store_bytes: int = 0,
     ) -> None:
-        self.name = name
+        super().__init__(name)
         self.spot_check_every = max(0, spot_check_every)
         self.max_store_bytes = max(0, max_store_bytes)
         #: Store-hygiene telemetry: ``compacted_frames`` (deltas
@@ -183,23 +181,10 @@ class RelayServer:
             "store_evictions": 0,
         }
         self.store: dict[str, _TableStore] = {}
-        #: Decoded verification bundle (ring used for spot-checks and
-        #: cursor sanitization); ``None`` until the first ConfigFrame.
-        self.config = None
-        #: The upstream ConfigFrame *verbatim* — replayed byte-identical
-        #: to downstream handshakes and refreshes (keyring + ack policy
-        #: + shard id/map pass-through; the relay adds nothing).
-        self._upstream_config: Optional[ConfigFrame] = None
-        self.ack_every = 1
-        self.ack_bytes = 1 << 18
         self.fanout = FanoutEngine(self)
         self._lock = threading.RLock()
         #: Deltas ingested since the last spot check.
         self._ingested = 0
-        #: Frames accepted/bytes absorbed since the last upstream ack
-        #: (the same coalescing counters an edge keeps).
-        self._unacked_frames = 0
-        self._unacked_bytes = 0
         #: Spontaneous upstream frames (escalation nacks) + the
         #: aggregate-changed flag, drained by :meth:`pending_upstream`.
         self._outbox_lock = threading.Lock()
@@ -209,7 +194,7 @@ class RelayServer:
         self._rr = 0  # round-robin index for query forwarding
 
     # ------------------------------------------------------------------
-    # Config pass-through
+    # The dialer seat's node half, and config pass-through
     # ------------------------------------------------------------------
 
     def hello(self) -> HelloFrame:
@@ -224,27 +209,19 @@ class RelayServer:
         )
         return HelloFrame(edge=self.name, cursors=cursors, role="relay")
 
-    def adopt_config(self, frame: ConfigFrame) -> None:
-        """Install the upstream verification bundle (handshake reply or
-        in-stream key-ring refresh) and stash it verbatim for
-        downstream replay."""
-        with self._lock:
-            self._upstream_config = frame
-            self.config = config_from_frame(frame)
-            self.ack_every = max(1, frame.ack_every)
-            self.ack_bytes = max(1, frame.ack_bytes)
-
     def config_frame(self) -> ConfigFrame:
-        """The stashed upstream ConfigFrame, byte-identical.
+        """The adopted upstream ConfigFrame, byte-identical — replayed
+        to downstream handshakes and refreshes (key ring + ack policy +
+        shard id/map pass-through; the relay adds nothing).
 
         Raises:
             ReplicationError: Before the first upstream handshake.
         """
-        if self._upstream_config is None:
+        if self.upstream_config is None:
             raise ReplicationError(
                 f"relay {self.name!r} has no upstream config yet"
             )
-        return self._upstream_config
+        return self.upstream_config
 
     # ------------------------------------------------------------------
     # The fan-out engine's frame source (``FanoutEngine(source)``): the
@@ -356,42 +333,17 @@ class RelayServer:
         self.on_cursors_advanced()
 
     # ------------------------------------------------------------------
-    # Upstream frame handling
+    # Upstream frames: the store behind the Dialer's reply discipline
     # ------------------------------------------------------------------
 
     def handle_frame(self, data: bytes) -> list[bytes]:
-        """Process one upstream frame; returns serialized replies.
-
-        Mirrors :meth:`EdgeServer.handle_frame
-        <repro.edge.edge_server.EdgeServer.handle_frame>`'s reply
-        discipline (immediate acks on heal boundaries and probes,
-        coalesced cumulative acks for accepted deltas, immediate nacks
-        for rejections) — except every cumulative ack carries the
-        relay's **aggregated** cursors, and query frames are forwarded
-        downstream instead of executed.
-        """
-        frame = frame_from_bytes(data)
+        """:meth:`Dialer.handle_frame
+        <repro.edge.edge_server.Dialer.handle_frame>` under the relay's
+        lock (the accept thread admits peers concurrently)."""
         with self._lock:
-            if isinstance(frame, SnapshotFrame):
-                return self._ingest_snapshot(frame)
-            if isinstance(frame, DeltaFrame):
-                return self._ingest_delta(frame)
-            if isinstance(frame, CursorProbeFrame):
-                return [frame_to_bytes(self._aggregate_ack())]
-            if isinstance(frame, ConfigFrame):
-                self.adopt_config(frame)
-                reply = AckFrame(
-                    edge=self.name, table="", ok=True, lsn=0,
-                    epoch=self.config.keyring.current_epoch, reason="config",
-                )
-                return [frame_to_bytes(reply)]
-            if isinstance(frame, QueryRequestFrame):
-                return [frame_to_bytes(self._forward_query(frame))]
-        raise TransportError(
-            f"relay {self.name!r} cannot handle {type(frame).__name__}"
-        )
+            return super().handle_frame(data)
 
-    def _ingest_snapshot(self, frame: SnapshotFrame) -> list[bytes]:
+    def _take_snapshot(self, frame: SnapshotFrame) -> None:
         """Store a snapshot verbatim and restart the table's chain.
 
         Stored deltas that still contiguously extend the new snapshot's
@@ -411,39 +363,39 @@ class RelayServer:
         st.deltas = kept
         st.head = head
         self.on_cursors_advanced()
-        # Heal boundary: the sender is waiting on this O(tree) transfer
-        # — always answer immediately with the aggregate.
-        return [frame_to_bytes(self._aggregate_ack())]
 
-    def _ingest_delta(self, frame: DeltaFrame) -> list[bytes]:
+    def _take_delta(self, frame: DeltaFrame) -> Optional[str]:
+        """Extend ``frame.table``'s stored chain with a delta, or name
+        why not (the nack carries the *aggregated* cursor, never the
+        store head: the upstream retry resumes from what the subtree
+        durably holds)."""
         table = frame.table
         st = self._chain(table)
         if st is None:
-            # Nothing to extend: ask for a (re-)seed.
-            return [frame_to_bytes(self._nack(table, "diverged"))]
+            return "diverged"  # nothing to extend: ask for a (re-)seed
         try:
             delta = delta_from_bytes(frame.payload)
         except Exception as exc:  # broad by design: adversarial bytes
             # raise anything; the nack is the answer, the note the trace.
             telemetry.note("relay.ingest_delta.parse", exc, detail=table)
-            return [frame_to_bytes(self._nack(table, "tamper"))]
+            return "tamper"
         if delta.table != table:
-            return [frame_to_bytes(self._nack(table, "tamper"))]
+            return "tamper"
         self._ingested += 1
         if (
             self.spot_check_every
             and self._ingested % self.spot_check_every == 0
             and not self._verify_delta_payload(table, frame.payload)
         ):
-            return [frame_to_bytes(self._nack(table, "tamper"))]
+            return "tamper"
         if delta.epoch != st.epoch:
             # Cross-epoch extension needs a fresh snapshot, exactly as
             # on an edge replica.
-            return [frame_to_bytes(self._nack(table, "gap"))]
+            return "gap"
         if delta.lsn_last <= st.head:
-            return [frame_to_bytes(self._nack(table, "stale"))]
+            return "stale"
         if delta.lsn_first > st.head + 1:
-            return [frame_to_bytes(self._nack(table, "gap"))]
+            return "gap"
         if delta.lsn_first <= st.head:
             # Overlap: upstream resent from its (aggregated) cursor,
             # which is below our head.  Truncate the chain back to that
@@ -454,7 +406,7 @@ class RelayServer:
             kept = [d for d in st.deltas if d.lsn_last < delta.lsn_first]
             chain_end = kept[-1].lsn_last if kept else st.snapshot.lsn
             if chain_end != delta.lsn_first - 1:
-                return [frame_to_bytes(self._nack(table, "diverged"))]
+                return "diverged"
             st.deltas = kept
         st.deltas.append(
             _StoredDelta(
@@ -472,40 +424,18 @@ class RelayServer:
         ):
             # Over the cap: evict the chain and heal by snapshot — the
             # fresh snapshot replaces snapshot + deltas wholesale, so
-            # the nack below is also the compaction request.
+            # the nack is also the compaction request.
             self._evict_table(st)
-            return [frame_to_bytes(self._nack(table, "diverged"))]
-        # Accepted: coalesce the upstream ack exactly like an edge.
-        self._unacked_frames += 1
-        self._unacked_bytes += len(frame.payload)
-        if (
-            self._unacked_frames >= self.ack_every
-            or self._unacked_bytes >= self.ack_bytes
-        ):
-            return [frame_to_bytes(self._aggregate_ack())]
-        return []
-
-    def _nack(self, table: str, reason: str) -> AckFrame:
-        """An immediate upstream nack carrying the *aggregated* cursor
-        (never the store head): the upstream retry resumes from what
-        the subtree durably holds, and the reported position can never
-        overstate it."""
-        lsn, epoch = 0, 0
-        for t, cursor_lsn, cursor_epoch in self.aggregated_cursors():
-            if t == table:
-                lsn, epoch = cursor_lsn, cursor_epoch
-                break
-        return AckFrame(
-            edge=self.name, table=table, ok=False, lsn=lsn, epoch=epoch,
-            reason=reason,
-        )
+            return "diverged"
+        return None
 
     # ------------------------------------------------------------------
     # Cursor aggregation (min-cursor semantics)
     # ------------------------------------------------------------------
 
-    def aggregated_cursors(self) -> tuple[tuple[str, int, int], ...]:
-        """The subtree's cumulative cursors, one entry per stored table.
+    def cursors(self) -> tuple[tuple[str, int, int], ...]:
+        """The subtree's cumulative cursors, one entry per stored table
+        — what every upstream ack and nack of this relay reports.
 
         With no connected downstream edges the relay itself is the
         subtree and reports its store head.  Otherwise each table
@@ -539,23 +469,21 @@ class RelayServer:
             cursors.append((table, lsn, epoch))
         return tuple(cursors)
 
-    def _aggregate_ack(self) -> CursorAckFrame:
-        """One cumulative upstream ack; resets the coalescing counters
-        and the spontaneous-ack dirty flag (this ack carries the very
-        aggregate the flag would have announced)."""
-        self._unacked_frames = 0
-        self._unacked_bytes = 0
-        agg = self.aggregated_cursors()
+    def _cursor_ack(self) -> CursorAckFrame:
+        """The Dialer's cumulative ack, which also clears the
+        spontaneous-ack dirty flag (this ack carries the very aggregate
+        the flag would have announced)."""
+        ack = super()._cursor_ack()
         with self._outbox_lock:
             self._agg_dirty = False
-            self._last_agg = agg
-        return CursorAckFrame(edge=self.name, cursors=agg)
+            self._last_agg = ack.cursors
+        return ack
 
     def on_cursors_advanced(self, peer: Optional[PeerState] = None) -> None:
         """Mark the aggregate dirty if it moved — the serving loop's
         :meth:`pending_upstream` drain turns that into at most one
         spontaneous upstream :class:`CursorAckFrame` per spin."""
-        agg = self.aggregated_cursors()
+        agg = self.cursors()
         with self._outbox_lock:
             if agg != self._last_agg:
                 self._last_agg = agg
@@ -573,9 +501,7 @@ class RelayServer:
         if dirty:
             frames.append(
                 frame_to_bytes(
-                    CursorAckFrame(
-                        edge=self.name, cursors=self.aggregated_cursors()
-                    )
+                    CursorAckFrame(edge=self.name, cursors=self.cursors())
                 )
             )
         return frames
@@ -649,13 +575,9 @@ class RelayServer:
         if st is None or self.config is None:
             return False
         try:
-            public_key = self.config.keyring.public_key_for(st.snapshot.epoch)
-            signing = VerifyOnlyDigestEngine(
-                DigestEngine(self.config.db_name, policy=self.config.policy),
-                public_key,
-                st.snapshot.epoch,
+            snapshot_from_bytes(
+                st.snapshot.payload, self._verify_only(st.snapshot.epoch)
             )
-            snapshot_from_bytes(st.snapshot.payload, signing)
         except Exception as exc:  # broad by design: a corrupted stored
             # snapshot fails verification however it fails to parse.
             telemetry.note("relay.verify_table", exc, detail=table)
@@ -678,7 +600,7 @@ class RelayServer:
     # Query forwarding
     # ------------------------------------------------------------------
 
-    def _forward_query(self, frame: QueryRequestFrame) -> QueryResponseFrame:
+    def _answer(self, frame: QueryRequestFrame) -> QueryResponseFrame:
         """Round-robin the query to a connected downstream edge.
 
         The edge's signed response travels back untouched except for
@@ -707,9 +629,7 @@ class RelayServer:
                 continue
             self._rr = (self._rr + i + 1) % len(peers)
             self.fanout.observe_response_cursors(peer.name, reply.cursors)
-            return dataclasses.replace(
-                reply, cursors=self.aggregated_cursors()
-            )
+            return dataclasses.replace(reply, cursors=self.cursors())
         return error_response(
             self.name, f"no downstream edge answered: {last_error}"
         )
@@ -787,7 +707,7 @@ def run_relay(
         # An edge may dial before the upstream handshake delivered the
         # config; make it wait briefly instead of failing its dial.
         deadline = time.monotonic() + io_timeout
-        while relay._upstream_config is None:
+        while relay.upstream_config is None:
             if stop.is_set() or time.monotonic() > deadline:
                 raise TransportError("relay has no upstream config yet")
             time.sleep(0.05)
@@ -807,12 +727,6 @@ def run_relay(
     if verbose:
         print(f"[relay {name}] listening on {bound[0]}:{bound[1]}", flush=True)
 
-    def _join_upstream(sock: socket.socket):
-        relay.adopt_config(dial_handshake(sock, relay.hello()))
-        return loop.register(
-            f"upstream:{name}", sock, handler=guarded_handler(relay)
-        )
-
     def _each_spin(upstream) -> None:
         relay.prune_disconnected()
         relay.fanout.pump()
@@ -823,7 +737,8 @@ def run_relay(
 
     try:
         serve_dialed(
-            loop, host, port, _join_upstream, label=f"relay {name}",
+            loop, host, port, lambda sock: join(loop, sock, relay),
+            label=f"relay {name}",
             spin=_SPIN, each_spin=_each_spin, stop=stop,
             max_reconnects=max_reconnects, retry_attempts=retry_attempts,
             retry_delay=retry_delay, io_timeout=io_timeout, verbose=verbose,

@@ -4,9 +4,9 @@ Runs one :class:`~repro.edge.edge_server.EdgeServer` as a standalone OS
 process that dials the central listener, performs the registration
 handshake (DESIGN.md section 8 — the only thing that blocks), and then
 serves frames from a reactor handler until the connection drops: the
-seat an :class:`~repro.edge.event_loop.EdgeHost` edge takes
-(:func:`~repro.edge.event_loop.join_as_edge`), in the redial loop the
-relay shares (:func:`~repro.edge.event_loop.serve_dialed`).  It
+seat an :class:`~repro.edge.event_loop.EdgeHost` edge and a relay's
+upstream face take (:func:`~repro.edge.event_loop.join`), in the redial
+loop they share (:func:`~repro.edge.event_loop.serve_dialed`).  It
 reconnects with its current replica cursors so a *transient* disconnect
 resumes via deltas, while a killed-and-restarted process (fresh,
 replica-less) re-registers empty and heals via snapshot.
@@ -24,7 +24,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.edge.event_loop import EdgeEventLoop, join_as_edge, serve_dialed
+from repro.edge.edge_server import EdgeServer
+from repro.edge.event_loop import EdgeEventLoop, join, serve_dialed
 from repro.exceptions import TransportError
 
 __all__ = ["run_edge", "main"]
@@ -54,25 +55,22 @@ def run_edge(
         verbose: Narrate connections on stdout (useful under ``-m``).
 
     Returns:
-        The edge server with whatever replicas it accumulated.
+        The edge server with whatever replicas it accumulated, or
+        ``None`` if it never joined.
     """
     loop = EdgeEventLoop()
-    edge = None
-
-    def join(sock):
-        nonlocal edge
-        edge, conn = join_as_edge(loop, sock, name, edge)
-        return conn
-
+    edge = EdgeServer(name)
     try:
         serve_dialed(
-            loop, host, port, join, label=f"edge {name}",
+            loop, host, port, lambda sock: join(loop, sock, edge),
+            label=f"edge {name}",
             max_reconnects=max_reconnects, retry_attempts=retry_attempts,
             retry_delay=retry_delay, io_timeout=io_timeout, verbose=verbose,
         )
     finally:
         loop.close()
-    return edge
+    # Only a handshake's reply gives the edge a config.
+    return edge if edge.config is not None else None
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -328,9 +328,8 @@ def dial_handshake(sock: socket.socket, hello: HelloFrame) -> ConfigFrame:
 
     Sends ``hello`` and returns the listener's
     :class:`~repro.edge.transport.ConfigFrame`.  Every dialer — an edge,
-    process or hosted (:func:`repro.edge.event_loop.join_as_edge`), and
-    a relay's upstream face (:func:`repro.edge.relay.run_relay`) —
-    registers through here.  ``sock``'s timeout is the budget of the
+    process or hosted, and a relay's upstream face — registers through
+    here, by :func:`repro.edge.event_loop.join`.  ``sock``'s timeout is the budget of the
     whole exchange, not of each ``recv``, and the reply is refused at
     its header above the largest config the schema admits.
 

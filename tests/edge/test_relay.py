@@ -77,8 +77,8 @@ def tap(fleet, name, sink, frame_types=(SnapshotFrame, DeltaFrame)):
 
 
 def agg_map(relay):
-    """``aggregated_cursors()`` as ``{table: (lsn, epoch)}``."""
-    return {t: (lsn, epoch) for t, lsn, epoch in relay.aggregated_cursors()}
+    """The relay's aggregate ``cursors()`` as ``{table: (lsn, epoch)}``."""
+    return {t: (lsn, epoch) for t, lsn, epoch in relay.cursors()}
 
 
 class TestHelloRole:

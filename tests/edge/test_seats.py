@@ -1,15 +1,18 @@
-"""The two seats, and the two media that reach them (DESIGN.md §8.2, §22).
+"""The two seats, and the two media that reach them (DESIGN.md §8.2,
+§22, §30).
 
 A *listener seat* is ``config_frame()`` + ``admit(hello, transport,
 sent)`` (``CentralServer``, ``RelayServer``); a *dialer seat* is
 ``hello()`` + ``adopt_config()`` + ``handle_frame()`` +
-``pending_upstream()`` (``EdgeServer``, ``RelayServer``).  The
-handshake between them is one sequence over two media — a loopback
-socket (``dial_handshake`` / ``serve_handshakes``) and plain objects
+``pending_upstream()`` (``EdgeServer``, ``RelayServer`` — both a
+``Dialer``, which holds the reply discipline once).  The handshake
+between them is one sequence over two media — a loopback socket
+(``dial_handshake`` / ``serve_handshakes``) and plain objects
 (``repro.edge.link.join``) — and what a seat makes of a hello must not
 depend on which one carried it.
 """
 
+import dataclasses
 import socket
 import threading
 import time
@@ -28,12 +31,15 @@ from repro.edge.socket_transport import (
     serve_handshakes,
 )
 from repro.edge.transport import (
+    AckFrame,
     CursorAckFrame,
     CursorProbeFrame,
+    DeltaFrame,
     HelloFrame,
     frame_from_bytes,
     frame_to_bytes,
 )
+from repro.exceptions import TransportError
 from repro.workloads.generator import TableSpec, generate_table
 
 TABLES = ("t", "u", "v")
@@ -57,15 +63,20 @@ def make_seat(seat, **central_options):
     return central, relay
 
 
-def admit_over_socket(seat, hello):
+def admit_over_socket(seat, hello, loop=None):
     """Run the handshake on a loopback socket: ``serve_handshakes``
     answering with the seat's config and admitting the accepted
     connection as a ``ReactorTransport`` — what ``Deployment`` and
-    ``run_relay`` do."""
-    listener, loop = listen_on("127.0.0.1", 0), EdgeEventLoop()
+    ``run_relay`` do.  Returns the admitted link, registered on
+    ``loop`` (a private one, closed on return, when none is given)."""
+    listener, own_loop = listen_on("127.0.0.1", 0), loop is None
+    loop = EdgeEventLoop() if own_loop else loop
+    admitted = []
 
     def attach(conn, hello, sent):
-        seat.admit(hello, ReactorTransport(hello.edge, loop, conn), sent)
+        link = ReactorTransport(hello.edge, loop, conn)
+        seat.admit(hello, link, sent)
+        admitted.append(link)
 
     accept = threading.Thread(
         target=serve_handshakes,
@@ -78,15 +89,17 @@ def admit_over_socket(seat, hello):
         sock.settimeout(5.0)
         dial_handshake(sock, hello)
         deadline = time.monotonic() + 5.0
-        while hello.edge not in seat.fanout.peers:
+        while not admitted:
             assert time.monotonic() < deadline, "dialer was never admitted"
             time.sleep(0.01)
         sock.close()
     finally:
         listener.shutdown(socket.SHUT_RDWR)  # close() alone leaves accept() blocked
         listener.close()
-        loop.close()
+        if own_loop:
+            loop.close()
         accept.join(timeout=5)
+    return admitted[0]
 
 
 class TestHostileHello:
@@ -132,6 +145,28 @@ class TestHostileHello:
             }
         else:
             assert cursors == {"v": (heads["v"], epoch)}
+
+
+class TestReadmit:
+    @pytest.mark.event_loop
+    @pytest.mark.parametrize("seat", ["central", "relay"])
+    def test_a_second_admit_closes_the_link_it_replaces(self, seat):
+        """A reconnect admits its name again: the seat must close the
+        link the new one replaces, or a dead ``ReactorTransport``
+        stays registered on the loop.  ``CentralServer.admit`` closed
+        it and ``RelayServer.admit`` did not; ``FanoutEngine.attach``
+        now does it for both."""
+        _central, listener = make_seat(seat)
+        loop = EdgeEventLoop()
+        try:
+            hello = HelloFrame(edge="e0", cursors=())
+            first = admit_over_socket(listener, hello, loop)
+            second = admit_over_socket(listener, hello, loop)
+            assert listener.fanout.peer("e0").transport is second
+            assert not first.connected
+            assert second.connected  # nothing spun the loop since
+        finally:
+            loop.close()
 
 
 def seat_live_edge(medium, central, edge):
@@ -302,3 +337,99 @@ class TestPushes:
         assert reply == frame_from_bytes(ack)
         assert link.up_channel.bytes_by_kind() == {"ack": len(ack)}
         assert link.flush() == [] and link.down_channel.total_bytes == 0
+
+
+def upstream_script():
+    """One upstream script, as ``(step, frame)`` pairs a dialer is fed
+    in order: a central with ``ack_every=3`` hands out a config and a
+    snapshot of ``t``, then six one-insert deltas — five the dialer
+    takes, one kept back to arrive ahead of its cursor — and, after a
+    key rotation, the refreshed config.  Returns ``(config, steps,
+    snapshot lsn, epoch)``."""
+    central = CentralServer("dialdb", rsa_bits=512, seed=47, ack_every=3)
+    schema, data = generate_table(TableSpec(name="t", rows=12, columns=3, seed=0))
+    central.create_table(schema, data, fanout_override=6)
+    config, snapshot = central.config_frame(), central.snapshot_frame("t")
+
+    def delta(key):
+        central.insert("t", (key, "a", "b"))
+        payload, _ = central.delta_payload("t", central.log_head("t") - 1)
+        return DeltaFrame("t", payload)
+
+    d = [delta(9000 + i) for i in range(5)]
+    ahead = delta(9005)
+    payload = bytearray(d[4].payload)
+    payload[-10] ^= 0x01  # inside the body signature, not its epoch
+    central.rotate_key()
+    steps = [
+        ("snapshot", snapshot),
+        ("d1", d[0]), ("d2", d[1]), ("d3", d[2]), ("d4", d[3]),
+        ("stale", d[1]),
+        ("gap", ahead),
+        ("tamper", DeltaFrame("t", bytes(payload))),
+        ("d5", d[4]),
+        ("probe", CursorProbeFrame()),
+        ("config", central.config_frame()),
+        ("hello", HelloFrame(edge="stray", cursors=())),
+    ]
+    return config, steps, snapshot.lsn, snapshot.epoch
+
+
+class TestOneReplyDiscipline:
+    @pytest.mark.parametrize(
+        "make_dialer",
+        [lambda: EdgeServer("e0"),
+         lambda: RelayServer("relay-0", spot_check_every=1)],
+        ids=["edge", "relay"],
+    )
+    def test_both_dialers_answer_one_script_alike(self, make_dialer):
+        """An edge and a spot-checking relay with no edges of its own
+        are fed the same upstream script and give the same replies —
+        kinds, reason codes, cursors and coalescing cadence; only the
+        ``edge`` field names who answered.  The discipline lives once,
+        in ``Dialer.handle_frame``: a snapshot acks at once, accepted
+        deltas ack every third, a stale / gap / tampered delta nacks at
+        the dialer's own cursor without resetting the count, a probe
+        acks, a config is a control ack, a hello is no dialer's
+        business."""
+        config, steps, lsn, epoch = upstream_script()
+        dialer = make_dialer()
+        dialer.adopt_config(config)
+        assert dialer.ack_every == 3
+
+        def ack(at):
+            return [CursorAckFrame(edge="", cursors=(("t", at, epoch),))]
+
+        def nack(reason, at):
+            return [AckFrame(
+                edge="", table="t", ok=False, lsn=at, epoch=epoch,
+                reason=reason,
+            )]
+
+        expected = {
+            "snapshot": ack(lsn),
+            "d1": [], "d2": [], "d3": ack(lsn + 3), "d4": [],
+            "stale": nack("stale", lsn + 4),
+            "gap": nack("gap", lsn + 4),
+            "tamper": nack("tamper", lsn + 4),
+            "d5": [],  # the second accepted since the last ack
+            "probe": ack(lsn + 5),
+            "config": [AckFrame(
+                edge="", table="", ok=True, lsn=0, epoch=epoch + 1,
+                reason="config",
+            )],
+        }
+        for step, frame in steps:
+            if step == "hello":
+                with pytest.raises(TransportError):
+                    dialer.handle_frame(frame_to_bytes(frame))
+                continue
+            replies = [
+                frame_from_bytes(r)
+                for r in dialer.handle_frame(frame_to_bytes(frame))
+            ]
+            assert all(r.edge == dialer.name for r in replies), step
+            stripped = [dataclasses.replace(r, edge="") for r in replies]
+            assert stripped == expected[step], step
+        assert dialer.cursors() == (("t", lsn + 5, epoch),)
+        assert list(dialer.pending_upstream()) == []

@@ -26,7 +26,7 @@ from repro.edge.event_loop import (
     EdgeHost,
     ReactorTransport,
     guarded_handler,
-    join_as_edge,
+    join,
 )
 from repro.edge.relay import RelayServer, run_relay
 from repro.edge.serve import run_edge
@@ -471,11 +471,11 @@ def _misbehaving_listener(misbehave):
     return listener, thread
 
 
-def _dial_join_as_edge(host, port):
+def _dial_join(host, port):
     sock = connect_with_retry(host, port, attempts=5, delay=0.05, timeout=5)
     loop = EdgeEventLoop()
     try:
-        join_as_edge(loop, sock, "dialer")
+        join(loop, sock, EdgeServer("dialer"))
     finally:
         sock.close()
         loop.close()
@@ -508,8 +508,8 @@ class TestDialerHandshake:
     @pytest.mark.parametrize("misbehave", ["wrong_frame", "eof"])
     @pytest.mark.parametrize(
         "dial",
-        [_dial_join_as_edge, _dial_edge_host, _dial_relay_upstream],
-        ids=["join_as_edge", "edge_host", "run_relay"],
+        [_dial_join, _dial_edge_host, _dial_relay_upstream],
+        ids=["join", "edge_host", "run_relay"],
     )
     def test_bad_handshake_reply_is_a_transport_error(self, dial, misbehave):
         """A listener answering the hello with anything but a config —

@@ -222,7 +222,7 @@ def _walk_ids(vbt):
 def _edge_seat(server):
     edge = server.spawn_edge_server("seat")
     return edge, lambda: (
-        dict(edge.replicas), edge.replication_cursors(),
+        dict(edge.replicas), edge.cursors(),
         dict(edge.replica_lsns), dict(edge.replica_epochs),
     )
 
@@ -234,7 +234,7 @@ def _relay_seat(server):
     join(relay, EdgeServer("leaf"))
     return relay, lambda: (
         {t: (st.snapshot, list(st.deltas), st.head) for t, st in relay.store.items()},
-        relay.aggregated_cursors(), sorted(relay.fanout.peers),
+        relay.cursors(), sorted(relay.fanout.peers),
     )
 
 
@@ -249,11 +249,11 @@ class TestMistypedFrames:
         edge = server.spawn_edge_server("e1")
         real = frame_to_bytes(server.snapshot_frame("t"))
         forged = real[:1] + encode_value(5) + real[1 + len(encode_value("t")):]
-        cursors = edge.replication_cursors()
+        cursors = edge.cursors()
         with pytest.raises(TransportError):
             edge.handle_frame(forged)
         assert list(edge.replicas) == ["t"]
-        assert edge.replication_cursors() == cursors
+        assert edge.cursors() == cursors
         server.insert("t", (9001, "a", "b", "c"))  # acks still flow
         assert server.staleness(edge, "t") == 0
         assert server.make_client().verify(

@@ -106,10 +106,12 @@ def seat_problems(doc: str) -> list[str]:
     """The seat table (ARCHITECTURE.md section 3): every member a row
     names must exist on every class the row names."""
     from repro.edge.central import CentralServer
-    from repro.edge.edge_server import EdgeServer
+    from repro.edge.edge_server import Dialer, EdgeServer
     from repro.edge.relay import RelayServer
 
-    classes = {c.__name__: c for c in (CentralServer, EdgeServer, RelayServer)}
+    classes = {
+        c.__name__: c for c in (CentralServer, Dialer, EdgeServer, RelayServer)
+    }
     problems = []
     for seat in ("listener", "dialer"):
         row = re.search(
