@@ -13,6 +13,7 @@ depend on which one carried it.
 """
 
 import dataclasses
+import select
 import socket
 import threading
 import time
@@ -22,12 +23,15 @@ import pytest
 from repro.edge.central import CentralServer
 from repro.edge.edge_server import EdgeServer
 from repro.edge.event_loop import EdgeEventLoop, ReactorTransport
+from repro.edge.event_loop import join as join_upstream
 from repro.edge.link import InProcessTransport, join, wire
 from repro.edge.relay import RelayServer
 from repro.edge.socket_transport import (
     connect_with_retry,
     dial_handshake,
     listen_on,
+    recv_frame,
+    send_frame,
     serve_handshakes,
 )
 from repro.edge.transport import (
@@ -39,7 +43,7 @@ from repro.edge.transport import (
     frame_from_bytes,
     frame_to_bytes,
 )
-from repro.exceptions import TransportError
+from repro.exceptions import SignatureError, StaleKeyError, TransportError
 from repro.workloads.generator import TableSpec, generate_table
 
 TABLES = ("t", "u", "v")
@@ -375,13 +379,18 @@ def upstream_script():
     return config, steps, snapshot.lsn, snapshot.epoch
 
 
+#: The two dialer seats, as factories: an edge, and a spot-checking
+#: relay with no edges of its own (so it reports its store head).
+DIALERS = pytest.mark.parametrize(
+    "make_dialer",
+    [lambda: EdgeServer("e0"),
+     lambda: RelayServer("relay-0", spot_check_every=1)],
+    ids=["edge", "relay"],
+)
+
+
 class TestOneReplyDiscipline:
-    @pytest.mark.parametrize(
-        "make_dialer",
-        [lambda: EdgeServer("e0"),
-         lambda: RelayServer("relay-0", spot_check_every=1)],
-        ids=["edge", "relay"],
-    )
+    @DIALERS
     def test_both_dialers_answer_one_script_alike(self, make_dialer):
         """An edge and a spot-checking relay with no edges of its own
         are fed the same upstream script and give the same replies —
@@ -433,3 +442,125 @@ class TestOneReplyDiscipline:
             assert stripped == expected[step], step
         assert dialer.cursors() == (("t", lsn + 5, epoch),)
         assert list(dialer.pending_upstream()) == []
+
+
+def scripted(steps, *names):
+    """The frames of ``steps`` named ``names``, in that order."""
+    frames = dict(steps)
+    return [frames[name] for name in names]
+
+
+def fed(dialer, frame):
+    """Feed one frame; the decoded replies."""
+    return [frame_from_bytes(r) for r in dialer.handle_frame(frame_to_bytes(frame))]
+
+
+class TestDialerSeat:
+    """What ``Dialer`` holds once, checked on both nodes that inherit
+    it: the ack-byte threshold, the resume hello, the verify-only
+    engine, the nack of a delta with nothing to extend, and ``join``
+    over a socket."""
+
+    @DIALERS
+    def test_ack_bytes_release_an_ack_below_ack_every(self, make_dialer):
+        config, steps, lsn, epoch = upstream_script()
+        snapshot, d1, d2 = scripted(steps, "snapshot", "d1", "d2")
+        dialer = make_dialer()
+        dialer.adopt_config(dataclasses.replace(
+            config, ack_every=1000,
+            ack_bytes=len(d1.payload) + len(d2.payload),
+        ))
+        assert dialer.ack_every == 1000
+        fed(dialer, snapshot)
+        assert fed(dialer, d1) == []
+        (ack,) = fed(dialer, d2)
+        assert ack == CursorAckFrame(
+            edge=dialer.name, cursors=(("t", lsn + 2, epoch),)
+        )
+        assert dialer._unacked_bytes == 0 and dialer._unacked_frames == 0
+
+    @DIALERS
+    def test_hello_resumes_from_what_the_dialer_holds(self, make_dialer):
+        config, steps, lsn, epoch = upstream_script()
+        dialer = make_dialer()
+        assert dialer.hello().edge == dialer.name
+        assert dialer.hello().cursors == ()
+        dialer.adopt_config(config)
+        for frame in scripted(steps, "snapshot", "d1", "d2"):
+            fed(dialer, frame)
+        assert dialer.hello().cursors == (("t", lsn + 2, epoch),)
+        assert dialer.hello().cursors == dialer.cursors()
+
+    @DIALERS
+    def test_verify_only_holds_the_ring_public_key_alone(self, make_dialer):
+        config, _steps, _lsn, epoch = upstream_script()
+        dialer = make_dialer()
+        dialer.adopt_config(config)
+        engine = dialer._verify_only(epoch)
+        assert engine.signer.public_key == dialer.config.keyring.public_key_for(epoch)
+        with pytest.raises(SignatureError):
+            engine.sign_value(1)
+        with pytest.raises(StaleKeyError):
+            dialer._verify_only(epoch + 7)
+
+    @DIALERS
+    def test_a_delta_with_nothing_to_extend_nacks_at_zero(self, make_dialer):
+        config, steps, _lsn, _epoch = upstream_script()
+        dialer = make_dialer()
+        dialer.adopt_config(config)
+        (d1,) = scripted(steps, "d1")
+        assert fed(dialer, d1) == [AckFrame(
+            edge=dialer.name, table="t", ok=False, lsn=0, epoch=0,
+            reason="diverged",
+        )]
+        assert dialer.cursors() == ()
+
+    @pytest.mark.event_loop
+    @DIALERS
+    def test_join_adopts_the_reply_and_serves_under_its_name(self, make_dialer):
+        """``event_loop.join`` sends the node's hello, adopts the
+        listener's config and serves the node's frames from the loop."""
+        config, steps, lsn, epoch = upstream_script()
+        dialer = make_dialer()
+        near, far = socket.socketpair()
+        far.settimeout(5.0)
+        loop = EdgeEventLoop()
+        try:
+            send_frame(far, frame_to_bytes(config))  # the reply, ahead of the hello
+            conn = join_upstream(loop, near, dialer)
+            assert conn.name == dialer.name
+            hello = frame_from_bytes(recv_frame(far))
+            assert (hello.edge, hello.cursors) == (dialer.name, ())
+            assert dialer.upstream_config == config and dialer.ack_every == 3
+            (snapshot,) = scripted(steps, "snapshot")
+            send_frame(far, frame_to_bytes(snapshot))
+            deadline = time.monotonic() + 5.0
+            while not select.select([far], [], [], 0)[0]:
+                assert time.monotonic() < deadline, "no reply was served"
+                loop.run_once(0.05)
+            assert frame_from_bytes(recv_frame(far)) == CursorAckFrame(
+                edge=dialer.name, cursors=(("t", lsn, epoch),)
+            )
+        finally:
+            loop.close()
+            far.close()
+
+    @pytest.mark.event_loop
+    @DIALERS
+    def test_a_failed_join_leaves_the_socket_to_the_caller(self, make_dialer):
+        dialer = make_dialer()
+        near, far = socket.socketpair()
+        near.settimeout(5.0)
+        loop = EdgeEventLoop()
+        try:
+            send_frame(far, frame_to_bytes(CursorProbeFrame()))
+            with pytest.raises(TransportError):
+                join_upstream(loop, near, dialer)
+            assert near.fileno() != -1
+            assert dialer.config is None and dialer.upstream_config is None
+            loop.run_once(0.0)
+            assert loop._conns == []
+        finally:
+            loop.close()
+            near.close()
+            far.close()
