@@ -4,10 +4,13 @@ authenticated updates.
 Typical wiring (the :mod:`repro.edge` package does this for you):
 
 * central server: :class:`~repro.core.digests.SigningDigestEngine` →
-  :meth:`~repro.core.vbtree.VBTree.build` →
+  :meth:`~repro.core.vbtree.VBTree.build` (one tree class for tables,
+  join views and secondary indexes — ``attribute=`` makes an index) →
   :class:`~repro.core.update.AuthenticatedUpdater` for maintenance;
 * edge server: :class:`~repro.core.query_auth.QueryAuthenticator` over
-  a VB-tree replica;
+  a VB-tree replica, made from a snapshot
+  (:func:`~repro.core.wire.snapshot_from_bytes`) and kept current by
+  :func:`~repro.core.delta.apply_delta`;
 * client: :class:`~repro.core.verify.ResultVerifier` with the central
   server's public key / key ring.
 """
@@ -20,12 +23,7 @@ from repro.core.digests import (
 )
 from repro.core.envelope import Envelope, ResultPosition, find_envelope
 from repro.core.query_auth import QueryAuthenticator
-from repro.core.secondary import (
-    MAX_KEY,
-    MIN_KEY,
-    SecondaryQueryAuthenticator,
-    SecondaryVBTree,
-)
+from repro.core.secondary import MAX_KEY, MIN_KEY
 from repro.core.update import AuthenticatedUpdater, digest_resource
 from repro.core.vbtree import VBTree
 from repro.core.verify import ResultVerifier, Verdict
@@ -47,8 +45,6 @@ __all__ = [
     "MAX_KEY",
     "MIN_KEY",
     "QueryAuthenticator",
-    "SecondaryQueryAuthenticator",
-    "SecondaryVBTree",
     "ResultPosition",
     "ResultVerifier",
     "SigningDigestEngine",

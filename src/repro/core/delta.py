@@ -21,12 +21,15 @@ A delta carries everything the edge needs and nothing it could forge:
   signature over the serialized body.
 
 Tree *structure* is never shipped: B+-tree mutation is deterministic
-(same geometry, same node-id counter — see
-:meth:`repro.db.btree.BPlusTree.clone`), so the edge replays the tuple
-operations against its own tree and the resulting splits/frees match
-the central server's byte-for-byte.  The signed node digests then
-overwrite the edge's stale entries; the edge never computes — and could
-never sign — a digest itself.
+(same capacities, same node-id counter — what a snapshot restores), so
+the edge replays the tuple operations against its own tree and the
+resulting splits/frees match the central server's byte-for-byte.  The
+edge checks that they do — the delta names the nodes its mutations
+freed and re-signed — so a replica whose shape drifted (an unsigned
+snapshot header edited in transit) is refused on the first delta it
+replays differently.  The signed node digests then overwrite the
+edge's stale entries; the edge never computes — and could never sign —
+a digest itself.
 
 Digests travel in signed form **only**.  The signature scheme recovers
 its message (``s⁻¹(s(x)) = x``, Section 3.2), so an unsigned value
@@ -232,9 +235,15 @@ def apply_delta(vbt: VBTree, delta: ReplicaDelta) -> None:
     engine replaces it wholesale with a snapshot
     (:class:`repro.edge.fanout.FanoutEngine`).
 
+    The replay must reproduce the delta's structural changes: the
+    nodes it freed are exactly ``freed_nodes``, every node it created
+    and kept has a node update, and no node update names an id the
+    replica has not yet allocated.
+
     Raises:
-        ReplicaDeltaError: On version mismatch or a tuple op that does
-            not apply cleanly (replica divergence — resync via snapshot).
+        ReplicaDeltaError: On version mismatch, a tuple op that does
+            not apply cleanly, or a replay whose structural changes are
+            not the delta's (replica divergence — resync via snapshot).
     """
     if delta.base_version != vbt.version:
         raise ReplicaDeltaError(
@@ -245,23 +254,36 @@ def apply_delta(vbt: VBTree, delta: ReplicaDelta) -> None:
     # holding tuples of exactly what the replica stores: install them
     # as they are.
     schema, key_of, tree = vbt.schema, vbt.key_of, vbt.tree
+    created: set[int] = set()
+    freed: set[int] = set()
     for op in delta.ops:
         try:
             if op.kind is DeltaOpKind.INSERT:
                 row = Row(schema, op.values)
                 key = key_of(row)
-                tree.insert(key, row)
+                trace = tree.insert(key, row)
                 vbt.install_tuple_auth(key, op.signed_tuple)
             else:
-                tree.delete(op.key)
+                trace = tree.delete(op.key)
                 vbt.drop_tuple_auth(op.key)
-        except ReplicaDeltaError:
-            raise
         except Exception as exc:
             raise ReplicaDeltaError(
                 f"delta op {op.kind.value} failed on replica of "
                 f"{delta.table!r}: {exc}"
             ) from exc
+        if trace.created or trace.freed:
+            created.update(node.node_id for node in trace.created)
+            freed.update(node.node_id for node in trace.freed)
+    updated = {update.node_id for update in delta.node_updates}
+    if (
+        freed != set(delta.freed_nodes)
+        or not created - freed <= updated
+        or max(updated, default=-1) >= tree.next_node_id
+    ):
+        raise ReplicaDeltaError(
+            f"replica of {delta.table!r} replayed other structural "
+            "changes than the delta names"
+        )
     for node_id in delta.freed_nodes:
         vbt.drop_node_auth(node_id)
     for update in delta.node_updates:

@@ -25,6 +25,7 @@ from typing import Any, Optional, Sequence
 
 from repro.core.digests import DigestPolicy
 from repro.core.envelope import Envelope, find_envelope
+from repro.core.secondary import MAX_KEY, MIN_KEY
 from repro.core.vbtree import VBTree
 from repro.core.vo import (
     AuthenticatedResult,
@@ -45,24 +46,20 @@ __all__ = ["QueryAuthenticator"]
 class QueryAuthenticator:
     """Builds :class:`AuthenticatedResult`s from a VB-tree replica.
 
+    The VO format, when the caller does not force one, is the paper's
+    FLAT_SET under the FLATTENED digest policy, else STRUCTURED.
+
     Args:
         vbtree: The (possibly replicated) VB-tree.
-        default_format: VO format to use when the caller does not force
-            one.  Defaults to the paper's FLAT_SET when the digest
-            policy allows it, else STRUCTURED.
     """
 
-    def __init__(
-        self, vbtree: VBTree, default_format: VOFormat | None = None
-    ) -> None:
+    def __init__(self, vbtree: VBTree) -> None:
         self.vbtree = vbtree
-        if default_format is None:
-            default_format = (
-                VOFormat.FLAT_SET
-                if vbtree.policy is DigestPolicy.FLATTENED
-                else VOFormat.STRUCTURED
-            )
-        self.default_format = default_format
+        self.default_format = (
+            VOFormat.FLAT_SET
+            if vbtree.policy is DigestPolicy.FLATTENED
+            else VOFormat.STRUCTURED
+        )
 
     # ------------------------------------------------------------------
     # Public query surface
@@ -76,7 +73,14 @@ class QueryAuthenticator:
         vo_format: VOFormat | None = None,
         txn: Transaction | None = None,
     ) -> AuthenticatedResult:
-        """Selection on the primary key: ``low <= key <= high``."""
+        """Selection ``low <= k <= high`` on the tree's sort column: the
+        primary key, or a secondary VB-tree's attribute — contiguous in
+        that tree either way, so the envelope has no interior gaps."""
+        if self.vbtree.attribute is not None:
+            # Composite (value, primary key) search keys: a value's
+            # keys all lie between its two sentinels.
+            low = None if low is None else (low, MIN_KEY)
+            high = None if high is None else (high, MAX_KEY)
         items = list(self.vbtree.tree.range_items(low=low, high=high))
         return self._build_result(items, columns, vo_format, txn)
 

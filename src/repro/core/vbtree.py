@@ -34,21 +34,36 @@ from repro.db.expressions import Predicate
 from repro.db.page import PageGeometry
 from repro.db.rows import Row
 from repro.db.schema import TableSchema
-from repro.exceptions import AuthenticationError, KeyNotFoundError
+from repro.exceptions import (
+    AuthenticationError,
+    DatabaseError,
+    KeyNotFoundError,
+    SchemaError,
+)
 
 __all__ = ["VBTree"]
 
 
 class VBTree:
-    """Verifiable B-tree over a table's rows.
+    """Verifiable B-tree over a table's rows — the one tree class, for
+    base tables, join views and secondary indexes alike.
 
     Args:
         schema: Table schema (fixes the key column and digest inputs).
-        signing: The central server's signing digest engine.
+        signing: The central server's signing digest engine (a
+            verify-only one on a replica).
         geometry: Page geometry; defaults to the paper's VB-tree
-            geometry, with ``key_len`` taken from the schema's key type
+            geometry, with ``key_len`` taken from the search key's type
             and ``digest_len`` from the signature width.
         fanout_override: Test hook for small fan-outs.
+        attribute: For a secondary VB-tree (the paper's "one or more
+            VB-trees" per table, :mod:`repro.core.secondary`), the
+            orderable non-key column it sorts by; the search key is then
+            ``(row[attribute], primary key)``.  ``None`` — the default —
+            sorts by the primary key.
+
+    Raises:
+        SchemaError: If ``attribute`` is not an orderable non-key column.
     """
 
     def __init__(
@@ -57,21 +72,31 @@ class VBTree:
         signing: SigningDigestEngine,
         geometry: PageGeometry | None = None,
         fanout_override: int | None = None,
-        key_func: "Callable[[Row], Any] | None" = None,
-        key_len: int | None = None,
+        attribute: str | None = None,
     ) -> None:
         self.schema = schema
         self.signing = signing
-        #: Maps a row to its search key in THIS tree.  The primary
-        #: VB-tree uses the schema key; secondary VB-trees (the paper's
-        #: "one or more VB-trees" per table) use a composite
-        #: ``(attribute, primary key)`` — see :mod:`repro.core.secondary`.
-        self.key_of = key_func or (lambda row: row.key)
+        self.attribute = attribute
+        key_len = schema.key_type.byte_width()
+        #: Maps a row to its search key in THIS tree.
+        self.key_of: Callable[[Row], Any] = lambda row: row.key
+        if attribute is not None:
+            column = schema.column(attribute)
+            if not column.type.orderable:
+                raise SchemaError(
+                    f"cannot build a secondary VB-tree on non-orderable "
+                    f"column {attribute!r} ({column.type})"
+                )
+            if attribute == schema.key:
+                raise SchemaError("the primary key already has the primary VB-tree")
+            index = schema.column_index(attribute)
+            self.key_of = lambda row: (row.values[index], row.key)
+            key_len += column.type.byte_width()
         sig_len = signing.signer.public_key.signature_len + 2
         base = geometry or PageGeometry.vbtree_default()
         self.geometry = PageGeometry(
             block_size=base.block_size,
-            key_len=key_len or schema.key_type.byte_width(),
+            key_len=key_len,
             pointer_len=base.pointer_len,
             digest_len=sig_len,
         )
@@ -126,22 +151,43 @@ class VBTree:
         signing: SigningDigestEngine,
         geometry: PageGeometry | None = None,
         fanout_override: int | None = None,
-        key_func: Callable[[Row], Any] | None = None,
-        key_len: int | None = None,
+        attribute: str | None = None,
     ) -> "VBTree":
         """Bulk-build a VB-tree: insert rows, then digest bottom-up."""
-        vbt = cls(
-            schema,
-            signing,
-            geometry=geometry,
-            fanout_override=fanout_override,
-            key_func=key_func,
-            key_len=key_len,
-        )
+        vbt = cls(schema, signing, geometry, fanout_override, attribute)
         for row in rows:
             vbt.tree.insert(vbt.key_of(row), row)
             vbt._store_tuple(row)
         vbt.recompute_all_nodes()
+        return vbt
+
+    @classmethod
+    def restore(
+        cls,
+        schema: TableSchema,
+        signing: SigningDigestEngine,
+        tree: BPlusTree,
+        attribute: str | None,
+        version: int,
+        tuple_auth: dict[Any, SignedDigest],
+        node_auth: dict[int, SignedDigest],
+    ) -> "VBTree":
+        """A replica around a restored B+-tree and the signed digests a
+        snapshot carried (:func:`repro.core.wire.snapshot_from_bytes`),
+        made by the constructor — so an index's column checks hold on
+        it, and the tree's geometry must be the one the schema, the
+        attribute and the signature width give.
+
+        Raises:
+            DatabaseError: On a column the constructor refuses or a
+                geometry it would not derive.
+        """
+        vbt = cls(schema, signing, tree.geometry, tree.fanout_override, attribute)
+        if vbt.geometry != tree.geometry:
+            raise DatabaseError(f"{tree.geometry} is not the geometry of this tree")
+        vbt.tree = tree
+        vbt._tuple_auth, vbt._node_auth = tuple_auth, node_auth
+        vbt.version = version
         return vbt
 
     def _store_tuple(self, row: Row) -> SignedDigest:
@@ -379,8 +425,9 @@ class VBTree:
     def install_node_auth(self, node_id: int, signed: SignedDigest) -> None:
         """Install a centrally-signed node digest by node id.
 
-        Node ids are stable across replicas (see :meth:`clone` and the
-        deterministic-mutation argument in DESIGN.md section 6), so a
+        Node ids are stable across replicas (a snapshot keeps them, and
+        by the deterministic-mutation argument of DESIGN.md section 6 a
+        replayed delta numbers new nodes as the central did), so a
         delta can address nodes it re-signed without shipping structure.
         """
         self._node_auth[node_id] = signed
@@ -388,19 +435,3 @@ class VBTree:
     def drop_node_auth(self, node_id: int) -> None:
         """Forget the signed digest of a freed node (replica side)."""
         self._node_auth.pop(node_id, None)
-
-    def clone(self) -> "VBTree":
-        """Replica copy for distribution to an edge server.
-
-        The tree structure and signed-digest maps are copied (so
-        at-rest tampering on the replica cannot corrupt the master);
-        rows and signed digests are immutable and shared.  Like any
-        replica it holds none of the signer's working values."""
-        new = self.__class__.__new__(self.__class__)
-        new.__dict__.update(self.__dict__)
-        new.tree = self.tree.clone()
-        new._tuple_auth = dict(self._tuple_auth)
-        new._node_auth = dict(self._node_auth)
-        new._tuple_values = {}
-        new._node_values = {}
-        return new

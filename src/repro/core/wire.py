@@ -608,8 +608,6 @@ def snapshot_to_bytes(vbtree, sig_len: int) -> bytes:
     a tuple has (DESIGN.md D5).  As in a delta, digests travel in signed
     form only.
     """
-    from repro.core.secondary import SecondaryVBTree
-
     geometry = vbtree.geometry
     nodes = list(vbtree.tree.walk_nodes())
     try:
@@ -618,9 +616,7 @@ def snapshot_to_bytes(vbtree, sig_len: int) -> bytes:
             encode_value(vbtree.table_name),
             encode_uint(vbtree.version),
             _encode_schema(vbtree.schema),
-            encode_value(
-                vbtree.attribute if isinstance(vbtree, SecondaryVBTree) else None
-            ),
+            encode_value(vbtree.attribute),
             _SNAPSHOT_TREE.pack(
                 geometry.block_size,
                 geometry.key_len,
@@ -628,7 +624,7 @@ def snapshot_to_bytes(vbtree, sig_len: int) -> bytes:
                 geometry.digest_len,
                 vbtree.tree.max_children,
                 vbtree.tree.leaf_capacity,
-                vbtree.tree._next_node_id,
+                vbtree.tree.next_node_id,
                 len(nodes),
             ),
         ]
@@ -670,13 +666,20 @@ def snapshot_from_bytes(data: bytes, signing):
 
     One pass in :func:`delta_from_bytes`'s style: every read bounded,
     every node, key and row count refused against the bytes that remain
-    before its loop runs.
+    before its loop runs.  The decoded nodes then go to
+    :meth:`BPlusTree.restore <repro.db.btree.BPlusTree.restore>` and
+    :meth:`VBTree.restore <repro.core.vbtree.VBTree.restore>`.  The
+    tree header is not signed, so it is held to what a constructor
+    gives: capacities and a geometry some ``VBTree`` could have, and a
+    node-id counter past every id.  A header that passes and is still
+    not the central's shows on the first delta whose replay it changes
+    (:func:`repro.core.delta.apply_delta`).
 
     Raises:
-        EncodingError: On any malformed, truncated or over-long buffer
-            — never ``IndexError`` or ``SignatureError``.
+        EncodingError: On any malformed, truncated or over-long buffer,
+            or a tree header no constructor gives — never
+            ``IndexError`` or ``SignatureError``.
     """
-    from repro.core.secondary import SecondaryVBTree
     from repro.core.vbtree import VBTree
     from repro.db.btree import BPlusTree, InternalNode, LeafNode
     from repro.db.page import PageGeometry
@@ -701,7 +704,6 @@ def snapshot_from_bytes(data: bytes, signing):
         version, offset = decode_uint(data, offset)
         schema, offset = _decode_schema(data, offset)
         attribute, offset = decode_value(data, offset)
-        attr_index = None if attribute is None else schema.column_index(attribute)
         (
             block_size, key_len, pointer_len, digest_len,
             max_children, leaf_capacity, next_node_id, node_count,
@@ -777,32 +779,17 @@ def snapshot_from_bytes(data: bytes, signing):
                 f"snapshot leaf references unknown row key {exc}"
             ) from None
 
-    tree = BPlusTree.__new__(BPlusTree)
-    tree.geometry = geometry
-    tree.max_children = max_children
-    tree.leaf_capacity = leaf_capacity
-    tree._next_node_id = next_node_id
-    tree.io_reads = 0
-    tree._root = order[0]
-    tree._size = row_count
-
-    if attribute is not None:
-        vbt = SecondaryVBTree.__new__(SecondaryVBTree)
-        vbt.attribute = attribute
-        vbt.key_of = lambda row: (row.values[attr_index], row.key)
-    else:
-        vbt = VBTree.__new__(VBTree)
-        vbt.key_of = lambda row: row.key
-    vbt.schema = schema
-    vbt.signing = signing
-    vbt.geometry = geometry
-    vbt.tree = tree
-    vbt._tuple_auth = tuple_auth
-    vbt._node_auth = node_auths
-    vbt._tuple_values = {}
-    vbt._node_values = {}
-    vbt.version = version
-    return vbt
+    if next_node_id <= max(nodes):
+        raise EncodingError(f"node-id counter {next_node_id} is not past every id")
+    try:
+        tree = BPlusTree.restore(
+            geometry, (max_children, leaf_capacity), order[0], next_node_id, row_count
+        )
+        return VBTree.restore(
+            schema, signing, tree, attribute, version, tuple_auth, node_auths
+        )
+    except DatabaseError as exc:  # a tree header no constructor gives
+        raise EncodingError(f"snapshot does not describe a tree: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,7 @@ class BPlusTree:
         min_fanout_override: int | None = None,
     ) -> None:
         self.geometry = geometry or PageGeometry.btree_default()
+        self.fanout_override = min_fanout_override
         if min_fanout_override is not None:
             if min_fanout_override < 3:
                 raise DatabaseError("fan-out override must be >= 3")
@@ -145,23 +146,46 @@ class BPlusTree:
         else:
             self.max_children = self.geometry.internal_fanout()
             self.leaf_capacity = self.geometry.leaf_capacity()
-        self._next_node_id = 0
+        #: The id the next node created gets (ids are never reused).
+        self.next_node_id = 0
         self._size = 0
         self.io_reads = 0
         self._root: _Node = self._new_leaf()
+
+    @classmethod
+    def restore(
+        cls, geometry: PageGeometry, capacities: tuple[int, int],
+        root: _Node, next_node_id: int, size: int,
+    ) -> "BPlusTree":
+        """A tree around already-linked nodes — a replica decoded from
+        a snapshot — whose ``(max_children, leaf_capacity)`` some
+        constructor call gives: the pair ``geometry`` implies, or
+        ``(o, o)`` for an override ``o >= 3``.  Node ids and the id
+        counter are kept as given, so replayed mutations number new
+        nodes as the original did.
+
+        Raises:
+            DatabaseError: For any other capacity pair.
+        """
+        implied = (geometry.internal_fanout(), geometry.leaf_capacity())
+        tree = cls(geometry, None if capacities == implied else capacities[0])
+        if (tree.max_children, tree.leaf_capacity) != capacities:
+            raise DatabaseError(f"no B+-tree has capacities {capacities}")
+        tree._root, tree.next_node_id, tree._size = root, next_node_id, size
+        return tree
 
     # ------------------------------------------------------------------
     # Node bookkeeping
     # ------------------------------------------------------------------
 
     def _new_leaf(self) -> LeafNode:
-        node = LeafNode(self._next_node_id)
-        self._next_node_id += 1
+        node = LeafNode(self.next_node_id)
+        self.next_node_id += 1
         return node
 
     def _new_internal(self) -> InternalNode:
-        node = InternalNode(self._next_node_id)
-        self._next_node_id += 1
+        node = InternalNode(self.next_node_id)
+        self.next_node_id += 1
         return node
 
     def _touch(self, node: _Node) -> None:
@@ -522,49 +546,3 @@ class BPlusTree:
     def reset_io(self) -> None:
         """Zero the logical I/O counter."""
         self.io_reads = 0
-
-    # ------------------------------------------------------------------
-    # Cloning (replica distribution)
-    # ------------------------------------------------------------------
-
-    def clone(self) -> "BPlusTree":
-        """Structural copy preserving node ids (iterative — a deep copy
-        would recurse down the leaf chain and overflow the stack on
-        large trees).  Values are shared, not copied; rows are
-        immutable so replicas cannot corrupt the original through them.
-        """
-        new = BPlusTree.__new__(BPlusTree)
-        new.geometry = self.geometry
-        new.max_children = self.max_children
-        new.leaf_capacity = self.leaf_capacity
-        new._next_node_id = self._next_node_id
-        new._size = self._size
-        new.io_reads = 0
-        mapping: dict[int, _Node] = {}
-        for node in self.walk_nodes():  # pre-order: parents first
-            copy_node: _Node
-            if node.is_leaf:
-                leaf_copy = LeafNode(node.node_id)
-                leaf_copy.keys = list(node.keys)
-                leaf_copy.values = list(node.values)  # type: ignore[attr-defined]
-                copy_node = leaf_copy
-            else:
-                internal_copy = InternalNode(node.node_id)
-                internal_copy.keys = list(node.keys)
-                copy_node = internal_copy
-            mapping[node.node_id] = copy_node
-            if node.parent is not None:
-                parent_copy = mapping[node.parent.node_id]
-                parent_copy.children.append(copy_node)  # type: ignore[attr-defined]
-                copy_node.parent = parent_copy  # type: ignore[assignment]
-        new._root = mapping[self._root.node_id]
-        prev: Optional[LeafNode] = None
-        leaf: Optional[LeafNode] = self.first_leaf()
-        while leaf is not None:
-            leaf_copy = mapping[leaf.node_id]  # type: ignore[assignment]
-            leaf_copy.prev_leaf = prev  # type: ignore[attr-defined]
-            if prev is not None:
-                prev.next_leaf = leaf_copy  # type: ignore[assignment]
-            prev = leaf_copy  # type: ignore[assignment]
-            leaf = leaf.next_leaf
-        return new

@@ -22,7 +22,7 @@ from typing import Any, Iterable, Sequence
 
 from repro.constants import RSA_BITS
 from repro.core.digests import DigestEngine, DigestPolicy, SigningDigestEngine
-from repro.core.secondary import SecondaryVBTree, secondary_index_name
+from repro.core.secondary import secondary_index_name
 from repro.core.update import AuthenticatedUpdater
 from repro.core.vbtree import VBTree
 from repro.core.wire import snapshot_to_bytes
@@ -286,12 +286,12 @@ class CentralServer:
         name = secondary_index_name(table, attribute)
         if name in self.vbtrees:
             raise SchemaError(f"secondary index {name!r} already exists")
-        vbt = SecondaryVBTree.build_on(
+        vbt = VBTree.build(
             base.schema,
-            attribute,
             base.rows(),
             self.signing_engine(),
             fanout_override=fanout_override,
+            attribute=attribute,
         )
         self._add_tree(name, vbt)
         self._secondary_of.setdefault(table, []).append(name)
@@ -310,7 +310,7 @@ class CentralServer:
         vbt = self.vbtrees.get(name)
         if vbt is None:
             raise SchemaError(f"no table {name!r}")
-        if name in self.views or isinstance(vbt, SecondaryVBTree):
+        if name in self.views or vbt.attribute is not None:
             raise SchemaError(
                 f"{name!r} is not a base table: views and indexes are"
                 " maintained from their bases, never written"
@@ -479,26 +479,13 @@ class CentralServer:
             self._keypair, epoch=self.keyring.current_epoch
         )
         for name, vbt in list(self.vbtrees.items()):
-            override = (
-                vbt.tree.max_children
-                if vbt.tree.max_children < vbt.geometry.internal_fanout()
-                else None
+            rebuilt = VBTree.build(
+                vbt.schema,
+                list(vbt.rows()),
+                self.signing_engine(),
+                fanout_override=vbt.tree.fanout_override,
+                attribute=vbt.attribute,
             )
-            if isinstance(vbt, SecondaryVBTree):
-                rebuilt: VBTree = SecondaryVBTree.build_on(
-                    vbt.schema,
-                    vbt.attribute,
-                    list(vbt.rows()),
-                    self.signing_engine(),
-                    fanout_override=override,
-                )
-            else:
-                rebuilt = VBTree.build(
-                    vbt.schema,
-                    list(vbt.rows()),
-                    self.signing_engine(),
-                    fanout_override=override,
-                )
             rebuilt.version = vbt.version + 1
             self._add_tree(name, rebuilt)
         # Every signature in every log entry is now obsolete: consume an

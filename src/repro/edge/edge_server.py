@@ -30,11 +30,7 @@ from typing import Any, Callable, Optional, Sequence
 from repro.core.delta import ReplicaDelta, apply_delta
 from repro.core.digests import DigestEngine, VerifyOnlyDigestEngine
 from repro.core.query_auth import QueryAuthenticator
-from repro.core.secondary import (
-    SecondaryQueryAuthenticator,
-    SecondaryVBTree,
-    secondary_index_name,
-)
+from repro.core.secondary import secondary_index_name
 from repro.core.vbtree import VBTree
 from repro.core.vo import AuthenticatedResult, VOFormat
 from repro.core.wire import (
@@ -575,10 +571,10 @@ class EdgeServer(Dialer):
                 raise TransportError("secondary query names no attribute")
             name = secondary_index_name(frame.table, frame.attribute)
             vbt = self.replica(name)
-            if not isinstance(vbt, SecondaryVBTree):
+            if vbt.attribute is None:
                 raise ReplicationError(f"{name!r} is not a secondary index")
             vbt.tree.reset_io()
-            result = SecondaryQueryAuthenticator(vbt).range_query(
+            result = QueryAuthenticator(vbt).range_query(
                 low=frame.low, high=frame.high, columns=columns,
                 vo_format=vo_format,
             )

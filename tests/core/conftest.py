@@ -97,6 +97,19 @@ def replica_signing(keypair, policy):
     )
 
 
+def replica_of(vbtree):
+    """What an edge holds of ``vbtree``: a snapshot round trip, read
+    with a verify-only engine of the same key."""
+    from repro.core.wire import snapshot_from_bytes, snapshot_to_bytes
+
+    signer = vbtree.signing.signer
+    engine = VerifyOnlyDigestEngine(
+        vbtree.signing.engine, signer.public_key, signer.epoch
+    )
+    data = snapshot_to_bytes(vbtree, signer.public_key.signature_len)
+    return snapshot_from_bytes(data, engine)
+
+
 def build_tree(schema, keypair, policy, fanout=5, n=N_ROWS):
     return VBTree.build(
         schema,
@@ -178,7 +191,6 @@ def golden_deltas(schema, keypair):
     """Seeded sealed deltas whose wire bytes are pinned
     (tests/core/test_wire_golden.py): ``name -> ReplicaDelta``."""
     from repro.core.delta import coalesce
-    from repro.core.secondary import SecondaryVBTree
     from repro.core.update import AuthenticatedUpdater
 
     def row(key):
@@ -204,12 +216,12 @@ def golden_deltas(schema, keypair):
     (insert,) = emit(updater, updater.insert, [row(1001)])
     (delete,) = emit(updater, updater.delete, [10])
 
-    secondary = SecondaryVBTree.build_on(
+    secondary = VBTree.build(
         schema,
-        "price",
         make_rows(schema, n=40),
         make_signing(keypair, DigestPolicy.FLATTENED),
         fanout_override=4,
+        attribute="price",
     )
     sec_updater = AuthenticatedUpdater(secondary)
     victim = make_rows(schema, n=40)[7]
@@ -241,7 +253,7 @@ def golden_deltas(schema, keypair):
 def snapshot_node_count_offset(payload, tree):
     """Where a snapshot states its node count: the last of the tree
     header's eight uints, right after the next node id."""
-    marker = struct.pack(">II", tree._next_node_id, tree.node_count())
+    marker = struct.pack(">II", tree.next_node_id, tree.node_count())
     return payload.index(marker) + 4
 
 
@@ -250,15 +262,13 @@ def golden_snapshots(schema, keypair):
     """Seeded trees whose snapshot bytes are pinned
     (tests/core/test_wire_golden.py): a three-level primary tree and a
     composite-key secondary-index tree, ``name -> VBTree``."""
-    from repro.core.secondary import SecondaryVBTree
-
     return {
         "primary": build_tree(schema, keypair, DigestPolicy.FLATTENED, fanout=4, n=24),
-        "secondary": SecondaryVBTree.build_on(
+        "secondary": VBTree.build(
             schema,
-            "price",
             make_rows(schema, n=16),
             make_signing(keypair, DigestPolicy.FLATTENED),
             fanout_override=4,
+            attribute="price",
         ),
     }

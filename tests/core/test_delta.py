@@ -20,7 +20,7 @@ from repro.crypto.signatures import DigestVerifier, SignedDigest
 from repro.db.rows import Row
 from repro.exceptions import EncodingError, ReplicaDeltaError
 
-from tests.core.conftest import build_tree, make_rows, seal_delta
+from tests.core.conftest import build_tree, make_rows, replica_of, seal_delta
 
 
 @pytest.fixture
@@ -196,7 +196,7 @@ class TestWireProperties:
 
 class TestApply:
     def test_apply_tracks_central(self, tree, updater, schema):
-        replica = tree.clone()
+        replica = replica_of(tree)
         deltas = []
         for key in (1001, 1003, 1005):
             updater.insert(make_row(schema, key))
@@ -210,7 +210,7 @@ class TestApply:
         replica.audit()  # digests on the replica are the signed originals
 
     def test_apply_replays_structural_changes(self, tree, updater, schema):
-        replica = tree.clone()
+        replica = replica_of(tree)
         for key in range(3001, 3061):  # forces splits at fanout 4
             updater.insert(make_row(schema, key))
             apply_delta(replica, updater.take_delta())
@@ -219,7 +219,7 @@ class TestApply:
         assert replica.tree.node_count() == tree.tree.node_count()
 
     def test_apply_wrong_version_rejected(self, tree, updater, schema):
-        replica = tree.clone()
+        replica = replica_of(tree)
         updater.insert(make_row(schema, 1001))
         first = updater.take_delta()
         updater.insert(make_row(schema, 1003))
@@ -231,7 +231,7 @@ class TestApply:
         replica.audit()
 
     def test_apply_twice_rejected(self, tree, updater, schema):
-        replica = tree.clone()
+        replica = replica_of(tree)
         updater.insert(make_row(schema, 1001))
         delta = updater.take_delta()
         apply_delta(replica, delta)
@@ -256,8 +256,8 @@ class TestCoalesce:
         return deltas
 
     def test_coalesced_apply_equals_sequential(self, tree, updater, schema):
-        sequential = tree.clone()
-        batched = tree.clone()
+        sequential = replica_of(tree)
+        batched = replica_of(tree)
         deltas = self._seq(updater, schema, range(4001, 4041))
         for delta in deltas:
             apply_delta(sequential, delta)

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from repro.baselines.naive import NaiveStore, NaiveVerifier
 from repro.core.digests import DigestEngine, DigestPolicy, SigningDigestEngine
-from repro.core.secondary import SecondaryQueryAuthenticator, SecondaryVBTree
+from repro.core.query_auth import QueryAuthenticator
+from repro.core.vbtree import VBTree
 from repro.core.verify import ResultVerifier
 from repro.core.wire import result_from_bytes, result_to_bytes
 from repro.crypto.commutative import (
@@ -223,10 +224,11 @@ class TestKernelEdges:
         signing = SigningDigestEngine(
             DigestEngine(DB_NAME), DigestSigner.from_keypair(keypair)
         )
-        tree = SecondaryVBTree.build_on(
-            schema, "price", make_rows(schema, n=40), signing, fanout_override=5
+        tree = VBTree.build(
+            schema, make_rows(schema, n=40), signing, fanout_override=5,
+            attribute="price",
         )
-        result = SecondaryQueryAuthenticator(tree).range_query(low=20, high=60)
+        result = QueryAuthenticator(tree).range_query(low=20, high=60)
         assert result.rows
         verifier = ResultVerifier(DigestEngine(DB_NAME), public_key=keypair.public)
         assert verifier.verify(result).ok

@@ -4,12 +4,8 @@ import pytest
 
 from repro.core.digests import DigestEngine, DigestPolicy, SigningDigestEngine
 from repro.core.query_auth import QueryAuthenticator
-from repro.core.secondary import (
-    MAX_KEY,
-    MIN_KEY,
-    SecondaryQueryAuthenticator,
-    SecondaryVBTree,
-)
+from repro.core.secondary import MAX_KEY, MIN_KEY
+from repro.core.vbtree import VBTree
 from repro.core.verify import ResultVerifier
 from repro.crypto.signatures import DigestSigner
 from repro.db.expressions import Comparison, between
@@ -31,14 +27,14 @@ def rows(schema):
 
 @pytest.fixture(scope="module")
 def price_tree(schema, rows, signing):
-    return SecondaryVBTree.build_on(
-        schema, "price", rows, signing, fanout_override=5
+    return VBTree.build(
+        schema, rows, signing, fanout_override=5, attribute="price"
     )
 
 
 @pytest.fixture(scope="module")
 def price_auth(price_tree):
-    return SecondaryQueryAuthenticator(price_tree)
+    return QueryAuthenticator(price_tree)
 
 
 @pytest.fixture
@@ -89,11 +85,11 @@ class TestConstruction:
             "t", (Column("id", IntType()), Column("b", BlobType())), key="id"
         )
         with pytest.raises(SchemaError):
-            SecondaryVBTree(schema, "b", signing)
+            VBTree(schema, signing, attribute="b")
 
     def test_rejects_primary_key(self, schema, signing):
         with pytest.raises(SchemaError):
-            SecondaryVBTree(schema, "id", signing)
+            VBTree(schema, signing, attribute="id")
 
     def test_key_len_is_composite(self, price_tree, schema):
         expected = (
@@ -102,10 +98,22 @@ class TestConstruction:
         )
         assert price_tree.geometry.key_len == expected
 
-    def test_authenticator_requires_secondary(self, schema, keypair):
-        primary = build_tree(schema, keypair, DigestPolicy.FLATTENED, n=20)
+    def test_rejects_unknown_attribute(self, schema, signing):
         with pytest.raises(SchemaError):
-            SecondaryQueryAuthenticator(primary)
+            VBTree(schema, signing, attribute="nope")
+
+    def test_range_query_reads_the_trees_own_sort_column(
+        self, schema, keypair, price_auth
+    ):
+        """One authenticator: a range on a primary tree bounds the
+        primary key, on an index its attribute."""
+        primary = build_tree(schema, keypair, DigestPolicy.FLATTENED, n=20)
+        assert primary.attribute is None
+        by_key = QueryAuthenticator(primary).range_query(low=10, high=20)
+        assert by_key.keys == [10, 12, 14, 16, 18, 20]
+        by_price = price_auth.range_query(low=10, high=20)
+        assert by_price.rows
+        assert all(10 <= row[2] <= 20 for row in by_price.rows)
 
 
 class TestQueries:

@@ -10,7 +10,12 @@ from repro.db.page import PageGeometry
 from repro.db.rows import Row
 from repro.exceptions import AuthenticationError, KeyNotFoundError
 
-from tests.core.conftest import build_tree, flip_bit as _flipped, make_rows
+from tests.core.conftest import (
+    build_tree,
+    flip_bit as _flipped,
+    make_rows,
+    replica_of,
+)
 
 
 class TestBuild:
@@ -167,7 +172,7 @@ class TestAudit:
         vbt.recompute_all_nodes()
         vbt.audit()
 
-    def test_clone_audits_without_the_signers_working_values(
+    def test_replica_audits_without_the_signers_working_values(
         self, schema, keypair, policy
     ):
         """One audit for central and replica: it recomputes from the
@@ -175,7 +180,7 @@ class TestAudit:
         vbt = build_tree(schema, keypair, policy, n=30)
         assert len(vbt._tuple_values) == 30
         assert set(vbt._node_values) == set(vbt._node_auth)
-        replica = vbt.clone()
+        replica = replica_of(vbt)
         assert not replica._tuple_values and not replica._node_values
         replica.audit()
 

@@ -420,7 +420,7 @@ def replica_engine(keypair):
 
 def _assert_replica_of(replica, vbtree):
     """Same tree, signed material only, and it audits on its own."""
-    assert type(replica) is type(vbtree)
+    assert replica.attribute == vbtree.attribute
     assert replica.version == vbtree.version
     assert list(replica.tree.items()) == list(vbtree.tree.items())
     assert replica._tuple_auth == vbtree._tuple_auth
@@ -506,11 +506,9 @@ class TestGoldenSnapshots:
 
 def test_golden_snapshots_cover_the_shapes(golden_snapshots):
     """Internal nodes with child ids, scalar and composite keys."""
-    from repro.core.secondary import SecondaryVBTree
-
     primary, secondary = golden_snapshots["primary"], golden_snapshots["secondary"]
     assert primary.height() >= 2 and secondary.height() >= 2
-    assert isinstance(secondary, SecondaryVBTree)
+    assert primary.attribute is None and secondary.attribute == "price"
     assert all(isinstance(key, tuple) for key, _row in secondary.tree.items())
     assert not any(isinstance(key, tuple) for key, _row in primary.tree.items())
 
@@ -543,18 +541,17 @@ class TestSnapshotProperties:
     ):
         """``snapshot_to_bytes(snapshot_from_bytes(b)) == b`` over built
         *and* updated trees (deletes leave under-full and freed nodes)."""
-        from repro.core.secondary import SecondaryVBTree
         from repro.core.update import AuthenticatedUpdater
         from repro.core.vbtree import VBTree
 
         rows = [r for r in make_rows(schema, n=401, step=1) if r.key in keys]
-        signing = make_signing(keypair, policy)
-        if secondary:
-            vbtree = SecondaryVBTree.build_on(
-                schema, "price", rows, signing, fanout_override=fanout
-            )
-        else:
-            vbtree = VBTree.build(schema, rows, signing, fanout_override=fanout)
+        vbtree = VBTree.build(
+            schema,
+            rows,
+            make_signing(keypair, policy),
+            fanout_override=fanout,
+            attribute="price" if secondary else None,
+        )
         updater = AuthenticatedUpdater(vbtree)
         for row in rows:
             if row.key in deleted:

@@ -84,7 +84,7 @@ class TestSnapshotReconstruction:
         replica = edge.replica("t")
         assert replica is not central_vbt
         assert replica.tree.node_count() == central_vbt.tree.node_count()
-        assert replica.tree._next_node_id == central_vbt.tree._next_node_id
+        assert replica.tree.next_node_id == central_vbt.tree.next_node_id
         assert len(replica.tree) == len(central_vbt.tree)
         assert [nid for nid, _ in _walk_ids(replica)] == [
             nid for nid, _ in _walk_ids(central_vbt)
@@ -135,7 +135,7 @@ class TestSnapshotReconstruction:
         replica.tree.validate()
         replica.audit()
         assert replica.tree.node_count() == central_vbt.tree.node_count()
-        assert replica.tree._next_node_id == central_vbt.tree._next_node_id
+        assert replica.tree.next_node_id == central_vbt.tree.next_node_id
 
 
 class TestTrustBoundary:

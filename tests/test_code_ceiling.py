@@ -47,7 +47,10 @@ def test_no_directory_is_over_its_ceiling(tmp_path):
     # module and the SQL layer got theirs when the router became the
     # only way to ask an edge a question, and the edge and relay
     # modules theirs when the dialer's reply discipline became one
-    # class — so a second copy of it cannot grow back.
+    # class — so a second copy of it cannot grow back.  The replication
+    # codec's module got one when a snapshot started restoring through
+    # the tree constructors, so a hand-built tree cannot grow back
+    # there either.
     with open(counter.CEILING) as fh:
         ceilings = json.load(fh)["ceilings"]
     for key in (
@@ -57,6 +60,7 @@ def test_no_directory_is_over_its_ceiling(tmp_path):
         "src/repro/edge/edge_server.py",
         "src/repro/db",
         "src/repro/core",
+        "src/repro/core/wire.py",
         "src/repro/crypto",
         "src/repro/sql",
     ):

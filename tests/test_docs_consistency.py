@@ -113,7 +113,7 @@ def test_rule_ids_extracted_from_real_catalog():
         os.path.join(ROOT, "tools", "fabriclint", "rules.py")
     ) as fh:
         ids = checker.fabriclint_rule_ids(fh.read())
-    assert ids == ["FL001", "FL002", "FL003", "FL004", "FL005"]
+    assert ids == ["FL001", "FL002", "FL003", "FL004", "FL005", "FL006"]
 
 
 def test_fault_fields_extracted_from_real_transport():

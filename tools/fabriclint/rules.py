@@ -1,4 +1,4 @@
-"""The fabriclint rule catalog (FL001–FL005).
+"""The fabriclint rule catalog (FL001–FL006).
 
 Each rule machine-enforces one discipline the fabric's security or
 liveness argument leans on.  DESIGN.md section 15 is the prose
@@ -645,12 +645,73 @@ class CursorMonotonicityRule(Rule):
                 )
 
 
+# --------------------------------------------------------------------------
+# FL006 — a class is built by its constructor
+# --------------------------------------------------------------------------
+
+
+class ConstructorOnlyRule(Rule):
+    """No object in ``repro`` is made behind its constructor's back.
+
+    ``Cls.__new__(Cls)`` followed by hand-set fields skips every check
+    ``__init__`` makes: a snapshot decoder that built its trees that
+    way installed a replica whose unsigned fan-out header no
+    ``BPlusTree`` could have, and the edge acked deltas onto it.  A
+    tree is built by ``VBTree(...)`` / ``VBTree.build`` and restored by
+    the ``restore`` classmethods, which call the constructor.  A
+    ``__new__`` call inside a ``def __new__`` body (``super().__new__``)
+    is how a class builds itself, and stays allowed.
+    """
+
+    rule_id = "FL006"
+    title = "a class is built by its constructor: no .__new__( calls"
+    rationale = "hand-built replica trees skipped the fan-out check"
+
+    self_test_bad = (
+        "repro/core/wire.py",
+        "def restore(cls, fields):\n"
+        "    tree = cls.__new__(cls)\n"
+        "    tree.__dict__.update(fields)\n"
+        "    return tree\n",
+    )
+    self_test_good = (
+        "repro/core/wire.py",
+        "class Extreme:\n"
+        "    def __new__(cls, sign):\n"
+        "        self = super().__new__(cls)\n"
+        "        self.sign = sign\n"
+        "        return self\n"
+        "def restore(cls, fields):\n"
+        "    return cls(**fields)\n",
+    )
+
+    def applies_to(self, relpath: str) -> bool:
+        return path_in_dirs(relpath, ("repro/",))
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        for node, stack, _tries in _ScopedWalker(ctx.tree).walk():
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__new__"
+                and "__new__" not in stack
+            ):
+                yield ctx.finding(
+                    self,
+                    node,
+                    f"'{_call_name(node)}(...)' builds an object without "
+                    "its constructor — call the class or a classmethod "
+                    "that does",
+                )
+
+
 REGISTRY: tuple[Rule, ...] = (
     TrustBoundaryRule(),
     ExceptionHygieneRule(),
     DeterminismRule(),
     ReactorDisciplineRule(),
     CursorMonotonicityRule(),
+    ConstructorOnlyRule(),
 )
 
 
