@@ -94,15 +94,16 @@ def _run_updates(central) -> None:
 
 def _sync_cost(n_edges: int, replication: ReplicationMode) -> dict:
     central, edges = _deployment(n_edges, replication)
-    for edge in edges:
-        edge.replication_channel.reset()
+    links = [central.fanout.peer(e.name).transport.down_channel for e in edges]
+    for link in links:
+        link.reset()
     start = time.perf_counter()
     _run_updates(central)
     if replication is ReplicationMode.LAZY:
         central.propagate("items")
     elapsed = time.perf_counter() - start
-    total_bytes = sum(e.replication_channel.total_bytes for e in edges)
-    sim_seconds = sum(e.replication_channel.total_seconds for e in edges)
+    total_bytes = sum(link.total_bytes for link in links)
+    sim_seconds = sum(link.total_seconds for link in links)
     assert all(central.staleness(e, "items") == 0 for e in edges)
     return {
         "edges": n_edges,
@@ -264,14 +265,15 @@ def _fleet_cost(n_edges: int) -> dict:
     edges = central.spawn_edge_fleet([f"edge-{i}" for i in range(n_edges)])
     after, _ = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    for edge in edges:
-        edge.replication_channel.reset()
+    links = [central.fanout.peer(e.name).transport.down_channel for e in edges]
+    for link in links:
+        link.reset()
     start = time.perf_counter()
     _run_updates(central)
     central.fanout.drain(wait=True)
     elapsed = time.perf_counter() - start
     assert all(central.staleness(e, "items") == 0 for e in edges)
-    total_bytes = sum(_delta_bytes(e.replication_channel) for e in edges)
+    total_bytes = sum(_delta_bytes(link) for link in links)
     return {
         "edges": n_edges,
         "mode": "fleet",

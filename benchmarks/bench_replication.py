@@ -39,12 +39,13 @@ def _one_insert_costs(rows: int) -> dict:
     # The seed's per-update behaviour, kept behind force_snapshot: a
     # full replica transfer through the same byte-accounted channel.
     central.propagate("items", force_snapshot=True)
-    clone_transfer = edge.replication_channel.transfers[-1]
+    link = central.fanout.peer(edge.name).transport.down_channel
+    clone_transfer = link.transfers[-1]
     assert clone_transfer.kind == "snapshot"
     clone_bytes = clone_transfer.nbytes
-    before = len(edge.replication_channel.transfers)
+    before = len(link.transfers)
     central.insert("items", (10_000_000, *["zz"] * 4))
-    transfers = edge.replication_channel.transfers[before:]
+    transfers = link.transfers[before:]
     assert len(transfers) == 1 and transfers[0].kind == "delta"
     return {
         "rows": rows,
@@ -99,9 +100,10 @@ def test_lazy_batch_amortizes(benchmark, n_updates):
             central.insert(
                 "items", (20_000_000 + i + n_updates * 1_000, *["b"] * 4)
             )
-        before = edge.replication_channel.total_bytes
+        link = central.fanout.peer(edge.name).transport.down_channel
+        before = link.total_bytes
         central.propagate("items")
-        return edge.replication_channel.total_bytes - before
+        return link.total_bytes - before
 
     batch_bytes = benchmark.pedantic(run, rounds=1, iterations=1)
     per_update = batch_bytes / n_updates

@@ -13,6 +13,7 @@ from repro.db.expressions import between
 from repro.edge.central import CentralServer
 from repro.db.schema import Column, TableSchema
 from repro.db.types import IntType
+from repro.edge.transport import secondary_query_frame, select_query_frame
 
 SELECTIVITIES = (0.05, 0.2, 0.5)
 
@@ -48,9 +49,11 @@ def test_secondary_vs_primary_vo(benchmark, sec_deployment):
         for sel in SELECTIVITIES:
             width = int(1000 * sel)
             low, high = 100, 100 + width - 1
-            via_primary = edge.select("readings", between("temp", low, high))
-            via_secondary = edge.secondary_range_query(
-                "readings", "temp", low=low, high=high
+            via_primary = edge.query(
+                select_query_frame("readings", between("temp", low, high))
+            )
+            via_secondary = edge.query(
+                secondary_query_frame("readings", "temp", low=low, high=high)
             )
             assert sorted(via_primary.result.keys) == sorted(
                 via_secondary.result.keys
@@ -83,6 +86,6 @@ def test_secondary_vs_primary_vo(benchmark, sec_deployment):
 def test_secondary_query_latency(benchmark, sec_deployment):
     _central, edge, _n = sec_deployment
     resp = benchmark(
-        edge.secondary_range_query, "readings", "temp", 100, 300
+        edge.query, secondary_query_frame("readings", "temp", 100, 300)
     )
     assert resp.result.rows

@@ -108,9 +108,13 @@ def _run_workload(shards: int, workload: str) -> dict:
         fanout_override=TREE_FANOUT,
     )
     fleets = sharded.spawn_edge_fleet(per_shard=EDGES_PER_SHARD)
-    for fleet in fleets.values():
-        for edge in fleet:
-            edge.replication_channel.reset()
+    links = [
+        sharded.shards[shard_id].fanout.peer(edge.name).transport.down_channel
+        for shard_id, fleet in fleets.items()
+        for edge in fleet
+    ]
+    for link in links:
+        link.reset()
 
     keys = _insert_keys(workload)
     groups: dict[int, list[int]] = {s: [] for s in range(shards)}
@@ -140,8 +144,7 @@ def _run_workload(shards: int, workload: str) -> dict:
         )
 
     critical_path = max(s["seconds"] for s in per_shard)
-    edges = [edge for fleet in fleets.values() for edge in fleet]
-    total_bytes = sum(e.replication_channel.total_bytes for e in edges)
+    total_bytes = sum(link.total_bytes for link in links)
     busiest = max(s["inserts"] for s in per_shard)
     return {
         "shards": shards,
@@ -150,7 +153,7 @@ def _run_workload(shards: int, workload: str) -> dict:
         "critical_path_seconds": critical_path,
         "inserts_per_sec": INSERTS / critical_path,
         "replication_bytes": total_bytes,
-        "bytes_per_edge": total_bytes // len(edges),
+        "bytes_per_edge": total_bytes // len(links),
         "imbalance": busiest * shards / INSERTS,
         "per_shard": per_shard,
     }

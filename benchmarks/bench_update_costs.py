@@ -157,17 +157,14 @@ def test_propagation_cost_end_to_end(benchmark):
         )
         central.create_table(schema, data)
         edges = [central.spawn_edge_server(f"e{i}") for i in range(n_edges)]
-        for edge in edges:
-            edge.replication_channel.reset()
+        links = [central.fanout.peer(e.name).transport.down_channel for e in edges]
+        for link in links:
+            link.reset()
         t0 = time.perf_counter()
         central.insert("t", (10_000_000, *["p"] * 4))
         elapsed = time.perf_counter() - t0
-        total_bytes = sum(
-            e.replication_channel.total_bytes for e in edges
-        )
-        total_seconds = sum(
-            e.replication_channel.total_seconds for e in edges
-        )
+        total_bytes = sum(link.total_bytes for link in links)
+        total_seconds = sum(link.total_seconds for link in links)
         series.append(
             (n_edges, total_bytes, round(total_seconds, 4), round(elapsed, 4))
         )

@@ -1,6 +1,5 @@
 """Benchmark plumbing shared by the files under ``benchmarks/``."""
 
-from repro.bench.ascii_plot import ascii_plot
 from repro.bench.series import emit, format_table, results_dir, write_csv
 
-__all__ = ["ascii_plot", "emit", "format_table", "results_dir", "write_csv"]
+__all__ = ["emit", "format_table", "results_dir", "write_csv"]

@@ -25,7 +25,6 @@ from typing import Any, Optional, Sequence
 
 from repro.core.digests import DigestPolicy
 from repro.core.envelope import Envelope, find_envelope
-from repro.core.secondary import MAX_KEY, MIN_KEY
 from repro.core.vbtree import VBTree
 from repro.core.vo import (
     AuthenticatedResult,
@@ -35,7 +34,7 @@ from repro.core.vo import (
     VOFormat,
 )
 from repro.crypto.encoding import encode_value
-from repro.db.expressions import Predicate
+from repro.db.expressions import KeyRange, Predicate
 from repro.db.rows import Row
 from repro.db.transactions import Transaction
 from repro.exceptions import LockError, VOFormatError
@@ -75,13 +74,10 @@ class QueryAuthenticator:
     ) -> AuthenticatedResult:
         """Selection ``low <= k <= high`` on the tree's sort column: the
         primary key, or a secondary VB-tree's attribute — contiguous in
-        that tree either way, so the envelope has no interior gaps."""
-        if self.vbtree.attribute is not None:
-            # Composite (value, primary key) search keys: a value's
-            # keys all lie between its two sentinels.
-            low = None if low is None else (low, MIN_KEY)
-            high = None if high is None else (high, MAX_KEY)
-        items = list(self.vbtree.tree.range_items(low=low, high=high))
+        that tree either way (:meth:`VBTree.scan
+        <repro.core.vbtree.VBTree.scan>`), so the envelope has no
+        interior gaps."""
+        items = list(self.vbtree.scan(KeyRange(low, high)))
         return self._build_result(items, columns, vo_format, txn)
 
     def select(

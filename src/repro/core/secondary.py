@@ -14,10 +14,10 @@ base table's.  Its composite search key is
 ``(attribute value, primary key)``:
 
 * unique (the primary key breaks ties between equal attribute values);
-* :meth:`~repro.core.query_auth.QueryAuthenticator.range_query` on such
-  a tree translates an attribute range to the composite-key range
-  ``[(low, -inf), (high, +inf)]`` via this module's
-  :data:`MIN_KEY`/:data:`MAX_KEY` sentinels.
+* :meth:`~repro.core.vbtree.VBTree.scan` on such a tree — under a
+  range query and a selection alike — translates an attribute interval
+  to the composite-key range ``[(low, -inf), (high, +inf)]`` via this
+  module's :data:`MIN_KEY`/:data:`MAX_KEY` sentinels.
 
 The digest material is *identical* to the primary tree's (formulas 1-2
 hash the primary key, not the tree position), so a client verifies

@@ -38,6 +38,7 @@ from repro.core.delta import NodeDigestUpdate, ReplicaDelta, TupleOp
 from repro.core.digests import DigestPolicy
 from repro.core.vbtree import VBTree
 from repro.db.btree import MutationTrace, _Node
+from repro.db.expressions import KeyRange
 from repro.db.rows import Row
 from repro.db.transactions import Transaction
 from repro.exceptions import LockError
@@ -213,13 +214,14 @@ class AuthenticatedUpdater:
     def delete_range(
         self, low: Any, high: Any, txn: Transaction | None = None
     ) -> list[Row]:
-        """Delete all tuples with ``low <= key <= high`` (the paper's
-        contiguous-range delete whose cost formula (12) models).
+        """Delete all tuples with ``low <= k <= high`` on the tree's sort
+        column (the paper's contiguous-range delete whose cost formula
+        (12) models).
 
         Returns:
             The removed rows.
         """
-        keys = [k for k, _ in self.vbtree.tree.range_items(low, high)]
+        keys = [k for k, _ in self.vbtree.scan(KeyRange(low, high))]
         return [self.delete(k, txn=txn) for k in keys]
 
     # ------------------------------------------------------------------

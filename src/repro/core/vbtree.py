@@ -28,9 +28,10 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.core.digests import DigestPolicy, SigningDigestEngine
+from repro.core.secondary import MAX_KEY, MIN_KEY
 from repro.crypto.signatures import DigestVerifier, SignedDigest
 from repro.db.btree import BPlusTree, InternalNode, LeafNode, MutationTrace, _Node
-from repro.db.expressions import Predicate
+from repro.db.expressions import KeyRange, Predicate
 from repro.db.page import PageGeometry
 from repro.db.rows import Row
 from repro.db.schema import TableSchema
@@ -243,25 +244,32 @@ class VBTree:
         for _k, row in self.tree.items():
             yield row
 
+    def scan(self, interval: KeyRange) -> Iterator[tuple[Any, Row]]:
+        """``(search key, row)`` for every row whose sort column — the
+        primary key, or an index's attribute — lies in ``interval``, in
+        tree order: contiguous in this tree either way.  The one place
+        an interval becomes search-key bounds; counts leaf I/O."""
+        if interval.empty:
+            return iter(())
+        low, high = interval.low, interval.high
+        if self.attribute is not None:
+            # Composite (value, primary key) search keys: a value's keys
+            # all lie strictly between its two sentinels.
+            if low is not None:
+                low = (low, MIN_KEY if interval.low_inclusive else MAX_KEY)
+            if high is not None:
+                high = (high, MAX_KEY if interval.high_inclusive else MIN_KEY)
+        return self.tree.range_items(
+            low, high, interval.low_inclusive, interval.high_inclusive
+        )
+
     def select(self, predicate: Predicate) -> Iterator[tuple[Any, Row]]:
-        """``(key, row)`` for every row satisfying ``predicate``, in key
-        order — a range scan when the predicate pins the schema key to
-        one interval, a full scan otherwise."""
-        key_range = predicate.key_range(self.schema.key)
-        if key_range is None:
-            items = self.tree.items()
-        elif key_range.empty:
-            return
-        else:
-            items = self.tree.range_items(
-                low=key_range.low,
-                high=key_range.high,
-                low_inclusive=key_range.low_inclusive,
-                high_inclusive=key_range.high_inclusive,
-            )
-        for item in items:
-            if predicate.evaluate(item[1]):
-                yield item
+        """``(search key, row)`` for every row satisfying ``predicate``,
+        in tree order — a :meth:`scan` when the predicate pins the sort
+        column to one interval, a full scan otherwise."""
+        interval = predicate.key_range(self.attribute or self.schema.key)
+        items = self.tree.items() if interval is None else self.scan(interval)
+        return (item for item in items if predicate.evaluate(item[1]))
 
     # ------------------------------------------------------------------
     # Digest (re)computation

@@ -7,8 +7,8 @@ same units, every crypto object accepts a :class:`CostMeter`; the edge
 server and client each thread their own meter through, and benches read
 the counters out afterwards.
 
-The meter also tracks bytes hashed and bytes shipped, which backs the
-measured communication-cost series.
+The meter also tracks bytes hashed; bytes shipped are counted by the
+links that carry them (:class:`repro.edge.network.Channel`).
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class CostMeter:
         signs: Number of private-key signature operations.
         verifies: Number of public-key signature decryptions (``Cost_v``).
         bytes_hashed: Total bytes fed through base hashes.
-        bytes_sent: Total bytes recorded as shipped over the network.
     """
 
     hashes: int = 0
@@ -63,7 +62,6 @@ class CostMeter:
     signs: int = 0
     verifies: int = 0
     bytes_hashed: int = 0
-    bytes_sent: int = 0
     _enabled: bool = field(default=True, repr=False)
 
     def count_hash(self, nbytes: int = 0, n: int = 1) -> None:
@@ -88,11 +86,6 @@ class CostMeter:
         if self._enabled:
             self.verifies += n
 
-    def count_bytes_sent(self, nbytes: int) -> None:
-        """Record ``nbytes`` shipped over the simulated network."""
-        if self._enabled:
-            self.bytes_sent += nbytes
-
     def reset(self) -> None:
         """Zero every counter."""
         self.hashes = 0
@@ -100,7 +93,6 @@ class CostMeter:
         self.signs = 0
         self.verifies = 0
         self.bytes_hashed = 0
-        self.bytes_sent = 0
 
     def snapshot(self) -> dict[str, int]:
         """Immutable copy of the counters, for bench reporting."""
@@ -110,7 +102,6 @@ class CostMeter:
             "signs": self.signs,
             "verifies": self.verifies,
             "bytes_hashed": self.bytes_hashed,
-            "bytes_sent": self.bytes_sent,
         }
 
     def cost(self, weights: CostWeights | None = None) -> float:

@@ -278,9 +278,9 @@ class CentralServer:
         :mod:`repro.core.secondary`).
 
         Returns:
-            The index name (``<table>__by_<attribute>``), which edge
-            servers address via
-            :meth:`~repro.edge.edge_server.EdgeServer.secondary_range_query`.
+            The index name (``<table>__by_<attribute>``), which a
+            ``secondary`` query frame addresses
+            (:func:`~repro.edge.transport.secondary_query_frame`).
         """
         base = self.base_table(table)
         name = secondary_index_name(table, attribute)
@@ -640,9 +640,7 @@ class CentralServer:
             ack_every=self.ack_every,
             ack_bytes=self.ack_bytes,
         )
-        link = wire(edge, faults)
-        edge.replication_channel = link.down_channel
-        self.admit(edge.hello(), link, None)
+        self.admit(edge.hello(), wire(edge, faults), None)
         self._edges[name] = edge
         self.fanout.bootstrap(name, payloads)
         return edge

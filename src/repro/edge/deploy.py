@@ -52,7 +52,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Sequence
 
 from repro.core.vo import VOFormat
-from repro.core.wire import predicate_to_bytes
 from repro.edge.central import CentralServer
 from repro.edge.edge_server import EdgeResponse
 from repro.edge.event_loop import EdgeEventLoop, SocketListener
@@ -64,8 +63,6 @@ from repro.edge.transport import (
     HelloFrame,
     QueryRequestFrame,
     range_query_frame,
-    secondary_query_frame,
-    select_query_frame,
 )
 from repro.exceptions import ReplicationError, TransportError
 
@@ -486,18 +483,6 @@ class Deployment:
         """LSN lag of ``name``'s replica of ``table`` (ack-fed)."""
         return self.central.staleness(name, table)
 
-    def _request(self, name: str, frame: QueryRequestFrame) -> EdgeResponse:
-        # One round trip, one body: the router's channel (current
-        # connection, reply type check, piggybacked cursors banked).
-        reply, _latency = DeploymentQueryChannel(self, name).request(frame)
-        if reply.error:
-            raise TransportError(
-                f"edge {name!r} rejected query: {reply.error}"
-            )
-        return EdgeResponse.from_frame(
-            reply, self.edges[name].transport.up_channel.transfers[-1]
-        )
-
     def make_router(
         self,
         names: Sequence[str] | None = None,
@@ -543,41 +528,26 @@ class Deployment:
         vo_format: VOFormat | None = None,
     ) -> EdgeResponse:
         """Primary-key range query against a remote edge, over TCP."""
-        return self._request(
+        return self.query(
             edge, range_query_frame(table, low, high, columns, vo_format)
         )
 
-    def secondary_range_query(
-        self,
-        edge: str,
-        table: str,
-        attribute: str,
-        low: Any = None,
-        high: Any = None,
-        columns: Optional[Sequence[str]] = None,
-        vo_format: VOFormat | None = None,
-    ) -> EdgeResponse:
-        """Secondary-index range query against a remote edge."""
-        return self._request(
-            edge,
-            secondary_query_frame(table, attribute, low, high, columns, vo_format),
-        )
+    def query(self, name: str, frame: QueryRequestFrame) -> EdgeResponse:
+        """Send one query frame (any kind — :mod:`repro.edge.transport`'s
+        builders make them) to the peer ``name`` over TCP: one round
+        trip on the router's channel (current connection, reply type
+        check, piggybacked cursors banked).  Unrouted and unverified.
 
-    def select(
-        self,
-        edge: str,
-        table: str,
-        predicate,
-        columns: Optional[Sequence[str]] = None,
-        vo_format: VOFormat | None = None,
-    ) -> EdgeResponse:
-        """General predicate selection against a remote edge."""
-        return self._request(
-            edge,
-            select_query_frame(
-                table, predicate_to_bytes(predicate), columns, vo_format
-            ),
-        )
+        Raises:
+            TransportError: If the peer is not connected, the link
+                drops, or the peer answers with an error.
+        """
+        reply, _latency = DeploymentQueryChannel(self, name).request(frame)
+        if reply.error:
+            raise TransportError(
+                f"edge {name!r} rejected query: {reply.error}"
+            )
+        return EdgeResponse.from_frame(reply)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -36,16 +36,13 @@ from repro.core.vo import AuthenticatedResult, VOFormat
 from repro.core.wire import (
     authenticate_delta,
     predicate_from_bytes,
-    predicate_to_bytes,
     result_from_bytes,
     result_to_bytes,
     snapshot_from_bytes,
 )
 from repro.crypto.meter import CostMeter
-from repro.db.expressions import Predicate
 from repro.edge import telemetry
 from repro.edge.central import ClientConfig
-from repro.edge.network import Channel, Transfer
 from repro.edge.transport import (
     AckFrame,
     ConfigFrame,
@@ -61,8 +58,6 @@ from repro.edge.transport import (
     frame_from_bytes,
     frame_to_bytes,
     range_query_frame,
-    secondary_query_frame,
-    select_query_frame,
 )
 from repro.exceptions import (
     DeltaGapError,
@@ -86,7 +81,7 @@ EdgeConfig = ClientConfig
 
 @dataclass
 class EdgeResponse:
-    """What the client receives: the result plus transfer accounting.
+    """What the client receives: the result and its wire size.
 
     ``lsn``/``epoch`` are the responding replica's cursor echo
     (DESIGN.md section 9) — an untrusted staleness hint for routing,
@@ -96,20 +91,16 @@ class EdgeResponse:
     edge_name: str
     result: AuthenticatedResult
     wire_bytes: int
-    transfer: Transfer
     lsn: int = 0
     epoch: int = 0
 
     @classmethod
-    def from_frame(
-        cls, reply: QueryResponseFrame, transfer: Transfer
-    ) -> "EdgeResponse":
+    def from_frame(cls, reply: QueryResponseFrame) -> "EdgeResponse":
         """What a client makes of one successful response frame."""
         return cls(
             edge_name=reply.edge,
             result=result_from_bytes(reply.payload),
             wire_bytes=len(reply.payload),
-            transfer=transfer,
             lsn=reply.lsn,
             epoch=reply.epoch,
         )
@@ -292,13 +283,6 @@ class EdgeServer(Dialer):
     ) -> None:
         super().__init__(name, config, ack_every, ack_bytes)
         self.meter = CostMeter()
-        #: Edge→client byte accounting; response bytes are counted in
-        #: exactly one place, this channel, into this edge's meter.
-        self.channel = Channel(meter=self.meter)
-        #: Central→edge byte accounting (deltas and snapshots): the
-        #: replication link's down channel for an edge the central
-        #: spawned; a private, silent one otherwise.
-        self.replication_channel = Channel()
         self.replicas: dict[str, VBTree] = {}
         self.replica_versions: dict[str, int] = {}
         #: Last applied log sequence number per table (delta cursor).
@@ -310,8 +294,8 @@ class EdgeServer(Dialer):
         self._interceptors: list[ResultInterceptor] = []
         self.io_reads_last_query = 0
         #: The exception behind the most recent query error response —
-        #: re-raised by the same-process convenience API so direct
-        #: callers keep typed exceptions while transports get frames.
+        #: re-raised by :meth:`query` so same-process callers keep typed
+        #: exceptions while transports get frames.
         self._last_query_exc: Optional[BaseException] = None
 
     #: Bound here, not only inherited: the e2e tracer
@@ -477,59 +461,31 @@ class EdgeServer(Dialer):
         vo_format: VOFormat | None = None,
     ) -> EdgeResponse:
         """Selection on the primary key, with projection."""
-        return self._query(
+        return self.query(
             range_query_frame(table, low, high, columns, vo_format)
         )
 
-    def select(
-        self,
-        table: str,
-        predicate: Predicate,
-        columns: Optional[Sequence[str]] = None,
-        vo_format: VOFormat | None = None,
-    ) -> EdgeResponse:
-        """General selection (key or non-key), with projection."""
-        return self._query(
-            select_query_frame(
-                table, predicate_to_bytes(predicate), columns, vo_format
-            )
-        )
-
-    def secondary_range_query(
-        self,
-        table: str,
-        attribute: str,
-        low: Any = None,
-        high: Any = None,
-        columns: Optional[Sequence[str]] = None,
-        vo_format: VOFormat | None = None,
-    ) -> EdgeResponse:
-        """Selection ``low <= attribute <= high`` answered from the
-        table's secondary VB-tree (contiguous envelope, small D_S).
+    def query(self, frame: QueryRequestFrame) -> EdgeResponse:
+        """Answer one query frame (any kind —
+        :mod:`repro.edge.transport`'s builders make them) through the
+        frame codec end to end.
 
         Raises:
-            ReplicationError: If no secondary index on that attribute
-                has been replicated to this edge.
+            Exception: The typed exception behind an error reply (e.g.
+                :class:`~repro.exceptions.ReplicationError` for a
+                replica this edge lacks) — transports get the frame,
+                same-process callers the exception.
         """
-        return self._query(
-            secondary_query_frame(table, attribute, low, high, columns, vo_format)
-        )
-
-    def _query(self, frame: QueryRequestFrame) -> EdgeResponse:
-        """Run a query request through the frame codec end to end."""
         replies = self.handle_frame(frame_to_bytes(frame))
         response = frame_from_bytes(replies[0])
         assert isinstance(response, QueryResponseFrame)
         if response.error:
-            # Same-process callers get the original typed exception
-            # (e.g. ReplicationError for a replica this edge lacks),
-            # exactly as before queries became error-answering frames.
             exc = self._last_query_exc
             self._last_query_exc = None
             if exc is not None:
                 raise exc
             raise TransportError(response.error)
-        return EdgeResponse.from_frame(response, self.channel.transfers[-1])
+        return EdgeResponse.from_frame(response)
 
     def _answer(self, frame: QueryRequestFrame) -> QueryResponseFrame:
         """Execute one query, answered on every medium: a raise here
@@ -549,37 +505,28 @@ class EdgeServer(Dialer):
 
     def _execute_query(self, frame: QueryRequestFrame) -> QueryResponseFrame:
         vo_format = VOFormat(frame.vo_format) if frame.vo_format else None
-        columns = frame.columns
-        if frame.kind == "range":
-            name = frame.table
-            vbt = self.replica(name)
-            vbt.tree.reset_io()
-            result = QueryAuthenticator(vbt).range_query(
-                low=frame.low, high=frame.high, columns=columns,
-                vo_format=vo_format,
-            )
-        elif frame.kind == "select":
-            name = frame.table
-            vbt = self.replica(name)
-            vbt.tree.reset_io()
-            predicate, _ = predicate_from_bytes(frame.predicate or b"")
-            result = QueryAuthenticator(vbt).select(
-                predicate, columns=columns, vo_format=vo_format
-            )
-        elif frame.kind == "secondary":
+        name = frame.table
+        if frame.kind == "secondary":
             if frame.attribute is None:
                 raise TransportError("secondary query names no attribute")
             name = secondary_index_name(frame.table, frame.attribute)
-            vbt = self.replica(name)
-            if vbt.attribute is None:
-                raise ReplicationError(f"{name!r} is not a secondary index")
-            vbt.tree.reset_io()
-            result = QueryAuthenticator(vbt).range_query(
-                low=frame.low, high=frame.high, columns=columns,
-                vo_format=vo_format,
+        elif frame.kind not in ("range", "select"):
+            raise TransportError(f"unknown query kind {frame.kind!r}")
+        vbt = self.replica(name)
+        if frame.kind == "secondary" and vbt.attribute is None:
+            raise ReplicationError(f"{name!r} is not a secondary index")
+        vbt.tree.reset_io()
+        authenticator = QueryAuthenticator(vbt)
+        if frame.kind == "select":
+            predicate, _ = predicate_from_bytes(frame.predicate or b"")
+            result = authenticator.select(
+                predicate, columns=frame.columns, vo_format=vo_format
             )
         else:
-            raise TransportError(f"unknown query kind {frame.kind!r}")
+            result = authenticator.range_query(
+                frame.low, frame.high, columns=frame.columns,
+                vo_format=vo_format,
+            )
         payload = self._respond(name, vbt, result)
         # Cursor echo: the answering replica's delta cursor rides on
         # every response so clients can route by staleness without a
@@ -601,12 +548,9 @@ class EdgeServer(Dialer):
     def _respond(
         self, table: str, vbt: VBTree, result: AuthenticatedResult
     ) -> bytes:
-        """Serialize an outgoing result, applying interceptors and
-        counting the payload bytes exactly once (on the channel, whose
-        meter is this edge's cost meter)."""
+        """Serialize an outgoing result, applying interceptors (the
+        link that carries it counts its bytes)."""
         for interceptor in self._interceptors:
             result = interceptor(result)
         self.io_reads_last_query = vbt.tree.io_reads
-        payload = result_to_bytes(result, self._sig_len(table))
-        self.channel.send(len(payload))
-        return payload
+        return result_to_bytes(result, self._sig_len(table))

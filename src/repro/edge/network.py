@@ -1,9 +1,10 @@
 """Simulated network channel with byte accounting and a latency model.
 
 The paper's communication-cost analysis (Section 4.2) is in bytes; the
-measured benches need the same unit from the running system.  Every
-edge→client response passes through a :class:`Channel`, which counts
-payload bytes and can convert them into simulated transfer time.
+measured benches need the same unit from the running system.  Each
+direction of a link is a :class:`Channel`, which counts the payload
+bytes of every frame it carries and can convert them into simulated
+transfer time.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from typing import Iterator
-
-from repro.crypto.meter import CostMeter, NULL_METER
 
 __all__ = ["Channel", "Transfer"]
 
@@ -97,7 +96,6 @@ class Channel:
         bandwidth_bps: Simulated bandwidth in bytes/second (default
             ~12.5 MB/s, i.e. 100 Mbit — an edge-era WAN link).
         rtt_seconds: Fixed per-message round-trip overhead.
-        meter: Cost meter receiving ``count_bytes_sent``.
 
     Attributes:
         transfers: Everything sent so far (a log): ``len``,
@@ -106,7 +104,6 @@ class Channel:
 
     bandwidth_bps: float = 12_500_000.0
     rtt_seconds: float = 0.02
-    meter: CostMeter = field(default_factory=lambda: NULL_METER)
     transfers: _TransferLog = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -118,7 +115,6 @@ class Channel:
         if nbytes < 0:
             raise ValueError("cannot send negative bytes")
         self.transfers.record(nbytes, kind)
-        self.meter.count_bytes_sent(nbytes)
 
     @property
     def total_bytes(self) -> int:

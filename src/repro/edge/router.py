@@ -49,13 +49,13 @@ verifying router per shard.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Callable, Optional, Sequence
 
 from repro.core.secondary import secondary_index_name
 from repro.core.vo import AuthenticatedResult
-from repro.core.wire import predicate_to_bytes, result_from_bytes
+from repro.core.wire import result_from_bytes
 from repro.edge import telemetry
 from repro.edge.link import InProcessTransport, Transport
 from repro.edge.transport import (
@@ -63,8 +63,6 @@ from repro.edge.transport import (
     QueryRequestFrame,
     QueryResponseFrame,
     range_query_frame,
-    secondary_query_frame,
-    select_query_frame,
 )
 from repro.exceptions import RouterError, TransportError
 
@@ -544,34 +542,6 @@ class VerifyingRouter:
         """Routed, verified primary-key range query."""
         return self.query(range_query_frame(table, low, high, columns, vo_format))
 
-    def secondary_range_query(
-        self,
-        table: str,
-        attribute: str,
-        low: Any = None,
-        high: Any = None,
-        columns: Optional[Sequence[str]] = None,
-        vo_format=None,
-    ) -> VerifiedResponse:
-        """Routed, verified secondary-index range query."""
-        return self.query(
-            secondary_query_frame(table, attribute, low, high, columns, vo_format)
-        )
-
-    def select_query(
-        self,
-        table: str,
-        predicate,
-        columns: Optional[Sequence[str]] = None,
-        vo_format=None,
-    ) -> VerifiedResponse:
-        """Routed, verified general-predicate selection."""
-        return self.query(
-            select_query_frame(
-                table, predicate_to_bytes(predicate), columns, vo_format
-            )
-        )
-
     def query(self, frame: QueryRequestFrame) -> VerifiedResponse:
         """Route one query and fail over until an answer verifies.
 
@@ -799,19 +769,62 @@ class ScatterGatherRouter:
         except KeyError:
             raise RouterError(f"no router for shard {shard_id}") from None
 
+    def range_query(
+        self,
+        table: str,
+        low: Any = None,
+        high: Any = None,
+        columns: Optional[Sequence[str]] = None,
+        vo_format=None,
+    ) -> MergedResponse:
+        """Scattered primary-key range query, merged in key order."""
+        return self.query(range_query_frame(table, low, high, columns, vo_format))
+
+    def query(self, frame: QueryRequestFrame) -> MergedResponse:
+        """Plan one query frame over the shard map, send each planned
+        shard its frame through that shard's router, and merge the
+        verified sub-results in shard order.
+
+        A ``range`` frame is planned with ``shard_map.plan``: only the
+        shards whose key ranges overlap it are contacted, each with
+        ``low`` / ``high`` clamped to its own range, so the merge reads
+        in key order.  A ``secondary`` or ``select`` frame goes
+        unchanged to *every* shard holding the table (a key-range
+        partition says nothing about where attribute values live); each
+        shard's slice is in its own tree's order.
+
+        Raises:
+            RouterError: When some planned shard cannot produce a
+                verified sub-result (its whole fleet exhausted).
+        """
+        if frame.kind == "range":
+            plan = [
+                (shard_id, replace(frame, low=low, high=high))
+                for shard_id, low, high in self.shard_map.plan(
+                    frame.table, frame.low, frame.high
+                )
+            ]
+        else:
+            plan = [
+                (shard_id, frame)
+                for shard_id in self.shard_map.shards_for_table(frame.table)
+            ]
+        self.queries += 1
+        if len(plan) > 1:
+            self.scattered_queries += 1
+        return self._gather(frame.table, plan)
+
     def _gather(
-        self, table: str, plan: Sequence[tuple[int, Any, Any]], query
+        self, table: str, plan: Sequence[tuple[int, QueryRequestFrame]]
     ) -> MergedResponse:
         parts: list[VerifiedResponse] = []
-        shards: list[int] = []
         rows: list[tuple[Any, ...]] = []
         keys: list[Any] = []
         attempts: list[str] = []
         rejected: list[str] = []
-        for shard_id, low, high in plan:
-            sub = query(self.router_for(shard_id), low, high)
+        for shard_id, frame in plan:
+            sub = self.router_for(shard_id).query(frame)
             parts.append(sub)
-            shards.append(shard_id)
             rows.extend(sub.result.rows)
             keys.extend(sub.result.keys)
             attempts.extend(sub.attempts)
@@ -821,84 +834,9 @@ class ScatterGatherRouter:
             rows=rows,
             keys=keys,
             parts=tuple(parts),
-            shards=tuple(shards),
+            shards=tuple(shard_id for shard_id, _ in plan),
             attempts=tuple(attempts),
             rejected=tuple(rejected),
-        )
-
-    def range_query(
-        self,
-        table: str,
-        low: Any = None,
-        high: Any = None,
-        columns: Optional[Sequence[str]] = None,
-        vo_format=None,
-    ) -> MergedResponse:
-        """Scattered primary-key range query, merged in key order.
-
-        Raises:
-            RouterError: When some overlapping shard cannot produce a
-                verified sub-result (its whole fleet exhausted).
-        """
-        plan = self.shard_map.plan(table, low, high)
-        self.queries += 1
-        if len(plan) > 1:
-            self.scattered_queries += 1
-        return self._gather(
-            table,
-            plan,
-            lambda router, lo, hi: router.range_query(
-                table, lo, hi, columns, vo_format
-            ),
-        )
-
-    def secondary_range_query(
-        self,
-        table: str,
-        attribute: str,
-        low: Any = None,
-        high: Any = None,
-        columns: Optional[Sequence[str]] = None,
-        vo_format=None,
-    ) -> MergedResponse:
-        """Secondary-attribute range query, scattered to *every* shard
-        holding the table (a key-range partition says nothing about
-        where attribute values live).  Rows concatenate in shard
-        order; each shard's slice is attribute-ordered."""
-        plan = [
-            (shard_id, low, high)
-            for shard_id in self.shard_map.shards_for_table(table)
-        ]
-        self.queries += 1
-        if len(plan) > 1:
-            self.scattered_queries += 1
-        return self._gather(
-            table,
-            plan,
-            lambda router, lo, hi: router.secondary_range_query(
-                table, attribute, lo, hi, columns, vo_format
-            ),
-        )
-
-    def select_query(
-        self,
-        table: str,
-        predicate,
-        columns: Optional[Sequence[str]] = None,
-        vo_format=None,
-    ) -> MergedResponse:
-        """General-predicate selection, scattered to every shard
-        holding the table."""
-        shard_ids = self.shard_map.shards_for_table(table)
-        self.queries += 1
-        if len(shard_ids) > 1:
-            self.scattered_queries += 1
-        return self._gather(
-            table,
-            [(shard_id, None, None) for shard_id in shard_ids],
-            lambda router, lo, hi: router.select_query(
-                table, predicate, columns, vo_format
-            ),
         )
 
     def snapshot(self) -> dict[str, Any]:

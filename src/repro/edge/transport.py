@@ -45,7 +45,9 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
+from repro.core.wire import predicate_to_bytes
 from repro.crypto.encoding import VALUE_HEADER, decode_payload, encode_value
+from repro.db.expressions import Predicate
 from repro.exceptions import TransportError
 
 __all__ = [
@@ -293,17 +295,17 @@ def secondary_query_frame(
 
 def select_query_frame(
     table: str,
-    predicate: bytes,
+    predicate: Predicate,
     columns: Optional[Sequence[str]] = None,
     vo_format=None,
 ) -> QueryRequestFrame:
-    """A general-selection query frame (``predicate`` pre-serialized
-    via :func:`repro.core.wire.predicate_to_bytes`)."""
+    """A general-selection query frame; ``predicate`` is serialized here
+    (:func:`repro.core.wire.predicate_to_bytes`)."""
     return QueryRequestFrame(
         kind="select",
         table=table,
         columns=tuple(columns) if columns is not None else None,
-        predicate=predicate,
+        predicate=predicate_to_bytes(predicate),
         vo_format=getattr(vo_format, "value", vo_format),
     )
 

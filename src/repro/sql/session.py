@@ -24,6 +24,7 @@ from repro.core.verify import Verdict
 from repro.db.types import type_from_name
 from repro.db.schema import Column, TableSchema
 from repro.edge.central import CentralServer
+from repro.edge.transport import secondary_query_frame, select_query_frame
 from repro.exceptions import PlanningError
 from repro.sql.ast_nodes import (
     CreateIndex,
@@ -121,7 +122,7 @@ class Session:
         if not isinstance(stmt, SelectStmt):
             raise PlanningError("Session.query() only accepts SELECT")
         schema, columns, predicate = validate_select(stmt, self.central.catalog)
-        response = None
+        projection = columns if stmt.columns is not None else None
         # Route through a secondary VB-tree when the predicate is exactly
         # a range on an indexed non-key attribute: contiguous envelope,
         # far smaller D_S than a gappy primary-tree scan.
@@ -130,20 +131,14 @@ class Session:
             if attr_range is not None and not attr_range.empty and (
                 attr_range.low is not None or attr_range.high is not None
             ) and attr_range.low_inclusive and attr_range.high_inclusive:
-                response = self.router.secondary_range_query(
-                    stmt.table,
-                    index_attr,
-                    low=attr_range.low,
-                    high=attr_range.high,
-                    columns=columns if stmt.columns is not None else None,
+                frame = secondary_query_frame(
+                    stmt.table, index_attr, attr_range.low, attr_range.high,
+                    projection,
                 )
                 break
-        if response is None:
-            response = self.router.select_query(
-                stmt.table,
-                predicate,
-                columns=columns if stmt.columns is not None else None,
-            )
+        else:
+            frame = select_query_frame(stmt.table, predicate, projection)
+        response = self.router.query(frame)
         return QueryOutcome(
             columns=response.result.columns,
             rows=list(response.result.rows),

@@ -1,6 +1,8 @@
 """Tests for secondary VB-trees (sort orders beyond the primary key)."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.digests import DigestEngine, DigestPolicy, SigningDigestEngine
 from repro.core.query_auth import QueryAuthenticator
@@ -8,7 +10,7 @@ from repro.core.secondary import MAX_KEY, MIN_KEY
 from repro.core.vbtree import VBTree
 from repro.core.verify import ResultVerifier
 from repro.crypto.signatures import DigestSigner
-from repro.db.expressions import Comparison, between
+from repro.db.expressions import And, Comparison, Not, Or, between
 from repro.exceptions import SchemaError
 
 from tests.core.conftest import DB_NAME, build_tree, make_rows
@@ -35,6 +37,11 @@ def price_tree(schema, rows, signing):
 @pytest.fixture(scope="module")
 def price_auth(price_tree):
     return QueryAuthenticator(price_tree)
+
+
+@pytest.fixture(scope="module")
+def base_tree(schema, rows, signing):
+    return VBTree.build(schema, rows, signing, fanout_override=5)
 
 
 @pytest.fixture
@@ -179,3 +186,48 @@ class TestVOSizeBenefit:
         )
         got = sorted((row[2], key) for row, key in zip(result.rows, result.keys, strict=True))
         assert got == expected
+
+
+_BOUNDS = {"id": st.integers(-5, 305), "price": st.integers(-5, 105)}
+_COMPARISONS = st.sampled_from(sorted(_BOUNDS)).flatmap(
+    lambda column: st.builds(
+        Comparison,
+        st.just(column),
+        st.sampled_from(("=", "!=", "<", "<=", ">", ">=")),
+        _BOUNDS[column],
+    )
+)
+_PREDICATES = st.recursive(
+    _COMPARISONS,
+    lambda inner: st.one_of(
+        st.builds(And, inner, inner),
+        st.builds(Or, inner, inner),
+        st.builds(Not, inner),
+    ),
+    max_leaves=5,
+)
+
+
+class TestSelectOnTheSortColumn:
+    """A tree narrows a selection by its own sort column — the key, or
+    an index's attribute — and re-checks the predicate on every row it
+    scans, so an index answers any predicate over the table."""
+
+    @given(predicate=_PREDICATES)
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_index_and_base_select_the_same_rows(
+        self, rows, base_tree, price_auth, flat_verifier, predicate
+    ):
+        via_index = price_auth.select(predicate)
+        via_base = QueryAuthenticator(base_tree).select(predicate)
+        expected = sorted(row.key for row in rows if predicate.evaluate(row))
+        assert via_base.keys == expected
+        assert sorted(zip(via_index.keys, via_index.rows, strict=True)) == list(
+            zip(via_base.keys, via_base.rows, strict=True)
+        )
+        assert flat_verifier.verify(via_index).ok
+        assert flat_verifier.verify(via_base).ok

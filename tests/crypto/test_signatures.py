@@ -159,13 +159,12 @@ class TestCostMeter:
     def test_snapshot_and_reset(self):
         meter = CostMeter()
         meter.count_hash(10)
-        meter.count_bytes_sent(100)
         snap = meter.snapshot()
         assert snap["hashes"] == 1
-        assert snap["bytes_sent"] == 100
+        assert snap["bytes_hashed"] == 10
         meter.reset()
         assert meter.hashes == 0
-        assert meter.bytes_sent == 0
+        assert meter.bytes_hashed == 0
 
     def test_weighted_cost(self):
         from repro.crypto.meter import CostWeights

@@ -37,6 +37,8 @@ from repro.edge.transport import (
 )
 from repro.workloads.generator import TableSpec, generate_table
 
+from tests.edge.conftest import down_channel
+
 DB = "ackbatchdb"
 
 
@@ -149,7 +151,7 @@ class TestAckCoalescing:
         link.faults.clear()
         server.propagate("t")  # heals via snapshot
         assert server.staleness(edge, "t") == 0
-        kinds = [t.kind for t in edge.replication_channel.transfers]
+        kinds = [t.kind for t in down_channel(server, edge).transfers]
         assert kinds[-1] == "snapshot"
         edge.replica("t").audit()
 
@@ -162,7 +164,7 @@ class TestAckCoalescing:
         client = server.make_client()
         edge.replica("t").tree.delete(4)  # at-rest structural tampering
         server.delete("t", 4)
-        assert edge.replication_channel.transfers[-1].kind == "snapshot"
+        assert down_channel(server, edge).transfers[-1].kind == "snapshot"
         assert server.staleness(edge, "t") == 0
         resp = edge.range_query("t", low=0, high=50)
         assert client.verify(resp).ok
@@ -279,7 +281,7 @@ class TestMonotonicCursors:
         server.insert("t", (9006, "a", "b", "c"))
         server.propagate("t")
         assert server.staleness(edge, "t") == 0
-        assert edge.replication_channel.transfers[-1].kind == "snapshot"
+        assert down_channel(server, edge).transfers[-1].kind == "snapshot"
         resp = edge.range_query("t", low=9001, high=9006)
         assert len(resp.result.rows) == 6
         assert client.verify(resp).ok

@@ -17,6 +17,7 @@ import pytest
 
 from repro.edge.central import CentralServer
 from repro.edge.deploy import Deployment
+from repro.edge.transport import secondary_query_frame
 from repro.workloads.generator import TableSpec, generate_table
 
 pytestmark = [pytest.mark.socket, pytest.mark.timeout(120)]
@@ -113,8 +114,8 @@ class TestMultiProcessDeployment:
         central.create_secondary_index("items", "a1", fanout_override=6)
         deploy.launch_edge("edge-0")
         deploy.wait_for_edge("edge-0")
-        resp = deploy.secondary_range_query(
-            "edge-0", "items", "a1", low="a", high="zzzz"
+        resp = deploy.query(
+            "edge-0", secondary_query_frame("items", "a1", low="a", high="zzzz")
         )
         assert client.verify(resp).ok
 

@@ -21,6 +21,8 @@ from repro.edge.transport import (
 )
 from repro.workloads.generator import TableSpec, generate_table
 
+from tests.edge.conftest import down_channel
+
 DB = "fanoutdb"
 
 
@@ -78,7 +80,7 @@ class TestSlowEdge:
         server.propagate("t")
         # The queued frames only reached an early LSN; the log has been
         # truncated past that cursor, so the heal is a snapshot.
-        assert slow.replication_channel.transfers[-1].kind == "snapshot"
+        assert down_channel(server, slow).transfers[-1].kind == "snapshot"
         assert server.staleness(slow, "t") == 0
         resp = slow.range_query("t", low=9001, high=9012)
         assert len(resp.result.rows) == 12
@@ -98,11 +100,11 @@ class TestPartition:
         link = server.fanout.peer("wedged").transport
         link.faults.partitioned = True
 
-        before = len(wedged.replication_channel.transfers)
+        before = len(down_channel(server, wedged).transfers)
         for key in range(9001, 9011):
             server.insert("t", (key, "a", "b", "c"))
         # Nothing reached the wedged edge — not even wasted bytes.
-        assert len(wedged.replication_channel.transfers) == before
+        assert len(down_channel(server, wedged).transfers) == before
         assert server.staleness(healthy, "t") == 0
         assert server.staleness(wedged, "t") == 10
         assert client.verify(healthy.range_query("t", low=9001, high=9010)).ok
@@ -110,7 +112,7 @@ class TestPartition:
         link.faults.clear()
         shipped = server.propagate("t")
         assert shipped == 1
-        assert wedged.replication_channel.transfers[-1].kind == "snapshot"
+        assert down_channel(server, wedged).transfers[-1].kind == "snapshot"
         assert server.staleness(wedged, "t") == 0
         resp = wedged.range_query("t", low=9001, high=9010)
         assert len(resp.result.rows) == 10
@@ -126,7 +128,7 @@ class TestPartition:
         link.faults.clear()
         server.propagate("t")
         # Log still covers the cursor: one coalesced delta, no snapshot.
-        assert wedged.replication_channel.transfers[-1].kind == "delta"
+        assert down_channel(server, wedged).transfers[-1].kind == "delta"
         assert server.staleness(wedged, "t") == 0
         wedged.replica("t").audit()
 
@@ -160,9 +162,9 @@ class TestNackEscalation:
         peer = server.fanout.peer("e1")
         peer.acked_lsns["t"] = 0  # central amnesia
         peer.sent_lsns["t"] = 0
-        before = len(edge.replication_channel.transfers)
+        before = len(down_channel(server, edge).transfers)
         server.insert("t", (9004, "a", "b", "c"))
-        transfers = edge.replication_channel.transfers[before:]
+        transfers = down_channel(server, edge).transfers[before:]
         # First send covers 1..4 -> gap nack; retry from cursor 3 lands.
         assert [t.kind for t in transfers] == ["delta", "delta"]
         assert server.staleness(edge, "t") == 0
@@ -175,8 +177,8 @@ class TestNackEscalation:
         client = server.make_client()
         bad.replica("t").tree.delete(4)  # at-rest structural tampering
         server.delete("t", 4)
-        assert bad.replication_channel.transfers[-1].kind == "snapshot"
-        assert good.replication_channel.transfers[-1].kind == "delta"
+        assert down_channel(server, bad).transfers[-1].kind == "snapshot"
+        assert down_channel(server, good).transfers[-1].kind == "delta"
         for edge in (bad, good):
             assert server.staleness(edge, "t") == 0
             assert client.verify(edge.range_query("t", low=0, high=50)).ok
@@ -205,8 +207,8 @@ class TestConcurrentDelivery:
         for key in range(9001, 9011):
             server.insert("t", (key, "a", "b", "c"))
         server.propagate("t")
-        d1 = [t for t in e1.replication_channel.transfers if t.kind == "delta"]
-        d2 = [t for t in e2.replication_channel.transfers if t.kind == "delta"]
+        d1 = [t for t in down_channel(server, e1).transfers if t.kind == "delta"]
+        d2 = [t for t in down_channel(server, e2).transfers if t.kind == "delta"]
         assert len(d1) == len(d2) == 1
         assert d1[0].nbytes == d2[0].nbytes  # byte-identical batch
 
@@ -224,7 +226,7 @@ class TestSpawnWithFaults:
         for key in range(9001, 9007):
             server.insert("t", (key, "a", "b", "c"))
         link = server.fanout.peer("slow").transport
-        kinds = [t.kind for t in edge.replication_channel.transfers]
+        kinds = [t.kind for t in down_channel(server, edge).transfers]
         assert kinds.count("snapshot") == 1
         link.faults.clear()
         server.propagate("t")
@@ -406,7 +408,7 @@ class TestHealFlag:
         assert peer.needs_snapshot == {"t"} and not engine.settled()
 
         assert engine.pump() == 1
-        assert edge.replication_channel.transfers[-1].kind == "snapshot"
+        assert down_channel(server, edge).transfers[-1].kind == "snapshot"
         assert peer.needs_snapshot == set() and engine.settled()
         edge.replica("t").audit()
 

@@ -13,6 +13,7 @@ from repro.db.table import Table
 from repro.db.types import IntType
 from repro.edge.central import CentralServer
 from repro.edge.sharding import ShardedCentral
+from repro.edge.transport import secondary_query_frame
 from repro.sql import Session
 from repro.workloads.generator import TableSpec, generate_table
 
@@ -68,7 +69,7 @@ def test_central_paths_build_no_table():
     assert client.verify(view).ok
     assert {r[1] for r in view.result.rows} >= {9001, 9002, 9003}
     assert 10 not in {r[1] for r in view.result.rows}
-    by_temp = edge.secondary_range_query("m", "temp", low=97, high=99)
+    by_temp = edge.query(secondary_query_frame("m", "temp", low=97, high=99))
     assert client.verify(by_temp).ok and len(by_temp.result.rows) == 3
 
 

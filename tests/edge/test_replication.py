@@ -7,6 +7,8 @@ from repro.edge.central import CentralServer, ReplicationMode
 from repro.exceptions import DeltaGapError, StaleDeltaError
 from repro.workloads.generator import TableSpec, generate_table
 
+from tests.edge.conftest import down_channel
+
 DB = "repldb"
 
 
@@ -25,19 +27,19 @@ class TestEagerDeltas:
     def test_insert_ships_delta_not_snapshot(self):
         server = make_central()
         edge = server.spawn_edge_server("e1")
-        bootstrap = edge.replication_channel.bytes_by_kind()
+        bootstrap = down_channel(server, edge).bytes_by_kind()
         assert bootstrap.get("snapshot", 0) > 0  # spawn = snapshot
         server.insert("t", (9001, "a", "b", "c"))
-        after = edge.replication_channel.bytes_by_kind()
+        after = down_channel(server, edge).bytes_by_kind()
         assert after.get("delta", 0) > 0
         assert after.get("snapshot") == bootstrap.get("snapshot")  # unchanged
 
     def test_delta_bytes_much_smaller_than_snapshot(self):
         server = make_central(rows=500)
         edge = server.spawn_edge_server("e1")
-        snapshot_bytes = edge.replication_channel.bytes_by_kind()["snapshot"]
+        snapshot_bytes = down_channel(server, edge).bytes_by_kind()["snapshot"]
         server.insert("t", (9001, "a", "b", "c"))
-        delta_bytes = edge.replication_channel.bytes_by_kind()["delta"]
+        delta_bytes = down_channel(server, edge).bytes_by_kind()["delta"]
         assert delta_bytes * 10 < snapshot_bytes
 
     def test_updates_verify_on_every_edge(self):
@@ -141,10 +143,10 @@ class TestLazyLog:
         edge = server.spawn_edge_server("lazy")
         for key in range(9001, 9021):
             server.insert("t", (key, "a", "b", "c"))
-        before = len(edge.replication_channel.transfers)
+        before = len(down_channel(server, edge).transfers)
         shipped = server.propagate("t")
         assert shipped == 1  # 20 mutations, one coalesced batch
-        transfers = edge.replication_channel.transfers[before:]
+        transfers = down_channel(server, edge).transfers[before:]
         assert len(transfers) == 1 and transfers[0].kind == "delta"
         edge.replica("t").audit()
         assert server.staleness(edge, "t") == 0
@@ -161,7 +163,7 @@ class TestLazyLog:
                     for e in server.replicator.log_for("t").entries_since(0)
                 )
             server.propagate("t")
-            return edge.replication_channel.bytes_by_kind()["delta"]
+            return down_channel(server, edge).bytes_by_kind()["delta"]
 
         assert pending_bytes(True) < pending_bytes(False)
 
@@ -173,7 +175,7 @@ class TestLazyLog:
         for key in range(9001, 9021):  # 20 deltas, log keeps 5
             server.insert("t", (key, "a", "b", "c"))
         server.propagate("t")
-        kinds = [t.kind for t in edge.replication_channel.transfers]
+        kinds = [t.kind for t in down_channel(server, edge).transfers]
         assert kinds[-1] == "snapshot"
         client = server.make_client()
         resp = edge.range_query("t", low=9001, high=9020)
@@ -201,9 +203,9 @@ class TestKeyRotation:
         assert not verdict.ok and "stale" in verdict.reason
 
         # ...and the resync is a snapshot, after which queries verify.
-        before = len(edge.replication_channel.transfers)
+        before = len(down_channel(server, edge).transfers)
         server.propagate()
-        assert edge.replication_channel.transfers[before].kind == "snapshot"
+        assert down_channel(server, edge).transfers[before].kind == "snapshot"
         assert edge.replica_epochs["t"] == server.keyring.current_epoch
         assert server.staleness(edge, "t") == 0
         assert client.verify(edge.range_query("t", low=0, high=10)).ok
@@ -229,15 +231,15 @@ class TestDivergenceHealing:
         client = server.make_client()
         bad.replica("t").tree.delete(4)  # at-rest structural tampering
         server.delete("t", 4)            # delta's delete op fails on `bad`
-        assert bad.replication_channel.transfers[-1].kind == "snapshot"
-        assert good.replication_channel.transfers[-1].kind == "delta"
+        assert down_channel(server, bad).transfers[-1].kind == "snapshot"
+        assert down_channel(server, good).transfers[-1].kind == "delta"
         for edge in (bad, good):
             assert server.staleness(edge, "t") == 0
             edge.replica("t").audit()
             assert client.verify(edge.range_query("t", low=0, high=50)).ok
         # And the healed edge continues on the delta path afterwards.
         server.insert("t", (9100, "a", "b", "c"))
-        assert bad.replication_channel.transfers[-1].kind == "delta"
+        assert down_channel(server, bad).transfers[-1].kind == "delta"
 
     def test_denied_insert_lock_leaves_no_divergence(self):
         """A LockError during insert must leave the central tree — and

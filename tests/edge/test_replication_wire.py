@@ -26,6 +26,7 @@ from repro.edge.transport import (
     SnapshotFrame,
     frame_from_bytes,
     frame_to_bytes,
+    secondary_query_frame,
 )
 from repro.exceptions import DeltaTamperError, EncodingError, VOFormatError
 from repro.workloads.generator import TableSpec, generate_table
@@ -231,7 +232,7 @@ def test_secondary_index_results_verify(fleet):
     server, edges, _ = fleet
     client = server.make_client()
     for edge in edges:
-        response = edge.secondary_range_query("items", "a1", low="1", high="6")
+        response = edge.query(secondary_query_frame("items", "a1", low="1", high="6"))
         assert response.result.rows and client.verify(response).ok
 
 

@@ -41,6 +41,7 @@ from repro.edge.transport import (
     frame_from_bytes,
     frame_to_bytes,
     range_query_frame,
+    secondary_query_frame,
 )
 from repro.exceptions import RouterError, TransportError
 from repro.workloads.generator import TableSpec, generate_table
@@ -173,7 +174,7 @@ class TestCursorEcho:
         central.create_table(schema, rows, fanout_override=6)
         central.create_secondary_index("t", "a1", fanout_override=6)
         edge = central.spawn_edge_server("e1")
-        resp = edge.secondary_range_query("t", "a1", low="a", high="zzzz")
+        resp = edge.query(secondary_query_frame("t", "a1", low="a", high="zzzz"))
         assert resp.lsn == edge.replica_lsns["t__by_a1"]
 
 
@@ -816,7 +817,7 @@ class TestQueryPathFaults:
         assert "ReplicationError" in reply.error and reply.payload == b""
         # The same-process convenience API keeps its typed exception.
         with pytest.raises(ReplicationError):
-            edge.secondary_range_query("t", "ghost", low=0, high=1)
+            edge.query(secondary_query_frame("t", "ghost", low=0, high=1))
 
     def test_router_raises_router_error_when_no_edge_holds_replica(self):
         """Every edge answering 'no replica' exhausts the candidates as
@@ -831,7 +832,7 @@ class TestQueryPathFaults:
             central.spawn_edge_server(f"e{i}")
         verifying = central.make_router(policy="round_robin")
         with pytest.raises(RouterError):
-            verifying.secondary_range_query("t", "ghost", low=0, high=1)
+            verifying.query(secondary_query_frame("t", "ghost", low=0, high=1))
         # Per-replica errors are not link faults: nobody cooled down.
         for stats in verifying.stats().values():
             assert stats.failures == 1

@@ -37,6 +37,8 @@ from repro.edge.transport import (
     config_to_frame,
     frame_from_bytes,
     frame_to_bytes,
+    secondary_query_frame,
+    select_query_frame,
 )
 from repro.exceptions import ReplicationError, RouterError, SchemaError
 from repro.workloads.generator import TableSpec, generate_table
@@ -319,12 +321,12 @@ class TestScatterGatherUnderAttack:
         central, _fleets = sharded_fabric()
         central.create_secondary_index("items", "a1")
         router = central.make_router()
-        by_attr = router.secondary_range_query("items", "a1")
+        by_attr = router.query(secondary_query_frame("items", "a1"))
         assert by_attr.verified and len(by_attr.parts) == central.nshards
         assert sorted(by_attr.keys) == sorted(
             central.make_router().range_query("items").keys
         )
-        picked = router.select_query("items", Comparison("id", "<", 10))
+        picked = router.query(select_query_frame("items", Comparison("id", "<", 10)))
         assert picked.verified
         assert sorted(picked.keys) == list(range(0, 10))
         assert router.scattered_queries == 2

@@ -48,6 +48,7 @@ from repro.edge.transport import (
     frame_from_bytes,
     frame_limit,
     frame_to_bytes,
+    secondary_query_frame,
 )
 from repro.exceptions import TransportError
 from repro.workloads.generator import TableSpec, generate_table
@@ -740,8 +741,9 @@ class TestThreadedDeployment:
             try:
                 deploy.wait_for_edge("q-edge", timeout=15)
                 with pytest.raises(TransportError, match="rejected query"):
-                    deploy.secondary_range_query(
-                        "q-edge", "t", "no_such_attr", low=0, high=1
+                    deploy.query(
+                        "q-edge",
+                        secondary_query_frame("t", "no_such_attr", low=0, high=1),
                     )
                 assert thread.is_alive(), "edge died on a bad query"
                 resp = deploy.range_query("q-edge", "t", low=1, high=50)

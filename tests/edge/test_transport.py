@@ -28,6 +28,7 @@ from repro.edge.transport import (
     error_response,
     frame_from_bytes,
     frame_to_bytes,
+    secondary_query_frame,
 )
 from repro.exceptions import SignatureError, TransportError
 from repro.workloads.generator import TableSpec, generate_table
@@ -97,7 +98,7 @@ class TestSnapshotReconstruction:
         server.create_secondary_index("t", "a1", fanout_override=6)
         edge = server.spawn_edge_server("e1")
         client = server.make_client()
-        resp = edge.secondary_range_query("t", "a1", low="a", high="zzzz")
+        resp = edge.query(secondary_query_frame("t", "a1", low="a", high="zzzz"))
         assert client.verify(resp).ok
         edge.replica("t__by_a1").audit()
 
@@ -150,9 +151,9 @@ class TestTrustBoundary:
         server = make_central()
         edge = server.spawn_edge_server("e1")
         server.insert("t", (9001, "a", "b", "c"))
-        kinds = {t.kind for t in edge.replication_channel.transfers}
+        transport = server.fanout.peer(edge.name).transport
+        kinds = {t.kind for t in transport.down_channel.transfers}
         assert kinds == {"snapshot", "delta"}
-        transport = server.fanout.peer("e1").transport
         ack_bytes = transport.up_channel.bytes_by_kind()
         assert ack_bytes.get("ack", 0) > 0
 

@@ -12,6 +12,7 @@ from repro.core.update import digest_resource
 from repro.db.schema import Column, TableSchema
 from repro.db.types import IntType
 from repro.edge.central import CentralServer
+from repro.edge.transport import secondary_query_frame
 from repro.exceptions import LockError, SchemaError
 from repro.sql import Session
 
@@ -90,7 +91,7 @@ class TestInsertAtomicity:
         server.insert("m", (9001, 99, 1))
         assert server.staleness(edge, "m") == 0
         assert server.staleness(edge, index) == 0
-        resp = edge.secondary_range_query("m", "temp", low=99, high=99)
+        resp = edge.query(secondary_query_frame("m", "temp", low=99, high=99))
         assert len(resp.result.rows) == 1
         assert client.verify(resp).ok
         edge.replica("m").audit()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.db.expressions import And, Comparison, Not, Or, between
 from repro.edge.central import CentralServer
+from repro.edge.transport import select_query_frame
 from repro.sql.parser import parse
 from repro.sql.ast_nodes import CreateIndex
 from repro.sql.planner import exact_range_on
@@ -75,8 +76,8 @@ class TestRouting:
         assert all(20 <= r[1] <= 40 for r in out.rows)
         # Routed through the secondary index: contiguous envelope, so
         # the same query via the primary tree must ship more bytes.
-        via_primary = session.router.select_query(
-            "readings", between("temp", 20, 40)
+        via_primary = session.router.query(
+            select_query_frame("readings", between("temp", 20, 40))
         )
         assert out.wire_bytes < via_primary.wire_bytes
 
