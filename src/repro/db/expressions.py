@@ -219,11 +219,12 @@ class Or(Predicate):
         if self.columns() != {column}:
             return None
         low, low_inc = lr.low, lr.low_inclusive
-        if rr.low is None or (low is not None and rr.low < low):
-            low, low_inc = rr.low, rr.low_inclusive
+        # On an equal bound the hull includes it if either side does.
+        if rr.low is None or (low is not None and rr.low <= low):
+            low, low_inc = rr.low, rr.low_inclusive or (rr.low == low and low_inc)
         high, high_inc = lr.high, lr.high_inclusive
-        if rr.high is None or (high is not None and rr.high > high):
-            high, high_inc = rr.high, rr.high_inclusive
+        if rr.high is None or (high is not None and rr.high >= high):
+            high, high_inc = rr.high, rr.high_inclusive or (rr.high == high and high_inc)
         if lr.empty:
             return rr
         if rr.empty:

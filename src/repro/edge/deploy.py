@@ -68,9 +68,6 @@ from repro.exceptions import ReplicationError, TransportError
 
 __all__ = ["EdgeProcess", "Deployment", "ShardedDeployment"]
 
-#: Pump-then-drain rounds one :meth:`Deployment.sync` may take.
-_SYNC_ROUNDS = 8
-
 
 def _src_root() -> str:
     """The directory to put on the edge processes' ``PYTHONPATH``."""
@@ -155,8 +152,9 @@ class Deployment:
         host: Listen address (loopback by default); relays launched
             here listen on it too.
         port: Listen port (``0`` = ephemeral; read :attr:`address`).
-        io_timeout: Handshake budget, and the query-reply deadline
-            of every accepted link.
+        io_timeout: Handshake budget, and the reply deadline of
+            every accepted link: a query's, and the wait-drain's
+            budget for a peer that shows no progress (:meth:`sync`).
         log_dir: Directory for per-process stdout/stderr logs;
             processes are silenced (``/dev/null``) when not given.
         reactor: Share an existing :class:`EdgeEventLoop` instead of
@@ -336,7 +334,8 @@ class Deployment:
                 current when this returns.
 
         Raises:
-            TransportError: If it does not register in time.
+            TransportError: If it does not register in time, or if the
+                :meth:`sync` finds a peer silent.
         """
         handle = self.edges.setdefault(name, EdgeProcess(name))
         if not handle.registered.wait(timeout):
@@ -457,8 +456,8 @@ class Deployment:
         """Propagate until every *connected* edge is current.
 
         :meth:`FanoutEngine.settle
-        <repro.edge.fanout.FanoutEngine.settle>`, at most
-        :data:`_SYNC_ROUNDS` rounds: each pumps the fan-out engine and
+        <repro.edge.fanout.FanoutEngine.settle>` with its default
+        rounds: each pumps the fan-out engine and
         then wait-drains the pipelined acks
         (:meth:`FanoutEngine.drain
         <repro.edge.fanout.FanoutEngine.drain>`): every edge's queued
@@ -474,10 +473,13 @@ class Deployment:
 
         Raises:
             ReplicationError: If ``table`` is not a replicated table.
+            TransportError: If a connected peer stayed silent for its
+                link's whole reply deadline (``io_timeout``): the
+                message names each such peer and its per-table lag.
         """
         if table is not None and table not in self.central.vbtrees:
             raise ReplicationError(f"no VB-tree for {table!r}")
-        return self.central.fanout.settle([table] if table else None, _SYNC_ROUNDS)
+        return self.central.fanout.settle([table] if table else None)
 
     def staleness(self, name: str, table: str) -> int:
         """LSN lag of ``name``'s replica of ``table`` (ack-fed)."""
@@ -660,6 +662,10 @@ class ShardedDeployment:
 
         Returns:
             The settle rounds taken, summed over the shards.
+
+        Raises:
+            TransportError: As :meth:`Deployment.sync`, at the first
+                shard with a silent peer.
         """
         return sum(deploy.sync() for deploy in self.deployments)
 

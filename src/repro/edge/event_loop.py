@@ -440,9 +440,11 @@ class ReactorTransport(Transport):
         loop: The owning reactor.
         sock: Connected socket (ownership transfers to the loop).
         faults: Initial fault state (healthy by default).
-        timeout: Reply deadline for :meth:`request` — a peer silent
-            for longer counts as wedged (the reply just isn't coming)
-            and the link is closed.
+        timeout: Reply deadline.  A :meth:`request` waiting longer
+            counts the peer as wedged (the reply just isn't coming)
+            and closes the link; the fan-out engine's wait-drain gives
+            up on a peer that shows no progress for as long, and
+            leaves the link open.
     """
 
     def __init__(
@@ -620,7 +622,7 @@ class SocketListener:
             :attr:`address`).
         site: Telemetry site prefix and accept-thread label.
         io_timeout: Handshake budget, and every accepted link's
-            request deadline.
+            reply deadline (:class:`ReactorTransport` ``timeout``).
         config: Produces the handshake reply — the node's
             ``config_frame()``, dressed or awaited as its owner needs
             (a shard's map; a relay still dialing upstream).

@@ -65,24 +65,22 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from repro.edge.link import Transport
+from repro.edge.link import InProcessTransport, Transport
 from repro.edge.transport import (
     AckFrame,
     CursorAckFrame,
     CursorProbeFrame,
     DeltaFrame,
 )
-from repro.exceptions import DeltaGapError, ReplicationError, StaleKeyError
+from repro.exceptions import DeltaGapError, ReplicationError, StaleKeyError, TransportError
 
 __all__ = ["AdaptiveWindow", "SentRecord", "PeerState", "FanoutEngine"]
 
 #: Fruitless probe round trips (answered, but no cursor moved) a
-#: wait-drain spends on a peer before calling it frame-losing.
+#: wait-drain spends on an in-process peer, or on any peer of an engine
+#: without a reactor, before giving up on it; a socket peer the
+#: engine's reactor spins is held to its link's own reply deadline.
 _DRAIN_ROUNDS = 4
-
-#: Wall-clock budget (seconds) of one wait-drain over a reactor: a live
-#: peer still uncovered — or silent — at the end of it is frame-losing.
-_DRAIN_SECONDS = 5.0
 
 
 @dataclass
@@ -189,6 +187,10 @@ class PeerState:
         window: This peer's adaptive in-flight bound.
         probe_inflight: A cursor probe is in the link — suppresses
             duplicate probes until its (or any) cumulative ack arrives.
+        silent: A wait-drain gave up on this peer without a single
+            reply from it (DESIGN.md section 33); its first reply
+            clears the flag, and :meth:`FanoutEngine.settled` is False
+            until then.
         needs_snapshot: Tables flagged for a full-resync heal — until
             the heal's record settles, or the peer reports the table
             at the log head under its issue epoch (a heal whose record
@@ -218,6 +220,7 @@ class PeerState:
     sent_lsns: dict[str, int] = field(default_factory=dict)
     outstanding: list[SentRecord] = field(default_factory=list)
     probe_inflight: bool = False
+    silent: bool = False
     needs_snapshot: set[str] = field(default_factory=set)
     config_epoch: Optional[int] = None
     lock: threading.RLock = field(
@@ -371,25 +374,25 @@ class FanoutEngine:
         """How many LSNs the edge's *acknowledged* replica of ``table``
         lags the central delta log.  Key rotation consumes an LSN
         barrier per table, so a replica that missed a rotation reports
-        as stale even though no tuple changed."""
+        as stale even though no tuple changed.  A peer that has
+        acknowledged nothing for ``table`` is owed its snapshot, so it
+        lags by at least the source's ``bootstrap_lag`` — also when the
+        log is empty, or has never been written at all."""
         peer = self.peer(name)
-        head = self.source.log_head(table)
-        if head is None:
-            # Never logged: stale only if the edge was never bootstrapped.
-            if table in peer.acked_epochs:
-                return 0
-            return self.source.bootstrap_lag(table)
-        return head - peer.acked_lsns.get(table, 0)
+        lag = (self.source.log_head(table) or 0) - peer.acked_lsns.get(table, 0)
+        if lag or table in peer.acked_epochs:
+            return lag
+        return self.source.bootstrap_lag(table)
 
     def stats(self) -> dict[str, dict]:
         """Per-peer delivery summary (benches / operator dashboards).
 
         One entry per attached edge: the in-flight count, the adaptive
-        window's current bound, per-table acked cursors, and — where
-        the link meters traffic — replication bytes shipped down the
-        link.  In a sharded plane every shard engine reports only its
-        own fleet, which is what makes per-shard fan-out cost a
-        directly observable quantity."""
+        window's current bound, per-table acked cursors, whether the
+        last wait-drain gave up on it unanswered (``silent``), and the
+        replication bytes shipped down the link.  In a sharded plane
+        every shard engine reports only its own fleet, which is what
+        makes per-shard fan-out cost a directly observable quantity."""
         out: dict[str, dict] = {}
         for name, peer in self.peers.items():
             with peer.lock:
@@ -398,6 +401,7 @@ class FanoutEngine:
                     "inflight": peer.inflight,
                     "window": peer.window.size,
                     "needs_snapshot": sorted(peer.needs_snapshot),
+                    "silent": peer.silent,
                     "acked_lsns": dict(peer.acked_lsns),
                     "bytes_down": down.total_bytes,
                     "bytes_by_kind": down.bytes_by_kind(),
@@ -462,21 +466,33 @@ class FanoutEngine:
         Returns:
             The rounds used — ``rounds`` when it gave up (a held or
             partitioned link stays outstanding; ask :meth:`settled`).
+
+        Raises:
+            TransportError: After the first wait-drain that leaves a
+                connected peer :attr:`~PeerState.silent`, naming each
+                such peer and its per-table :meth:`staleness`.
         """
         tables = list(tables) if tables is not None else None
         for used in range(1, rounds + 1):
             self.pump(tables)
             self.drain(wait=True)
+            silent = [p.name for p in list(self.peers.values())
+                      if p.silent and p.transport.connected]
+            if silent:
+                lags = tables if tables is not None else self.source.replica_tables()
+                behind = {n: {t: self.staleness(n, t) for t in lags} for n in silent}
+                raise TransportError(f"no reply from silent peers (LSNs behind): {behind}")
             if self.settled(tables):
                 return used
         return max(rounds, 0)
 
     def settled(self, tables: Optional[Iterable[str]] = None) -> bool:
         """True when every *connected* peer has nothing in flight, no
-        snapshot pending and no acknowledged lag on ``tables``
-        (default: every replicated table).  A relay's acks carry
-        min-cursor aggregates over its own connected edges, so a
-        settled central is transitively a statement about the tree."""
+        snapshot pending, no acknowledged lag on ``tables`` (default:
+        every replicated table) and is not :attr:`~PeerState.silent`.
+        A relay's acks carry min-cursor aggregates over its own
+        connected edges, so a settled central is transitively a
+        statement about the tree."""
         names = (
             list(tables) if tables is not None
             else self.source.replica_tables()
@@ -485,7 +501,7 @@ class FanoutEngine:
         for peer in list(self.peers.values()):
             if not peer.transport.connected:
                 continue
-            if peer.needs_snapshot or peer.inflight:
+            if peer.silent or peer.needs_snapshot or peer.inflight:
                 return False
             if any(self.staleness(peer.name, t) for t in names):
                 return False
@@ -512,74 +528,61 @@ class FanoutEngine:
         * **dead** — its optimistic state is forgotten (frames the
           peer never processed are resent by a later pump — a lost
           tail is never silently dropped), the window charged once;
-        * **out of budget** — :data:`_DRAIN_ROUNDS` probe round trips
-          that moved no cursor where delivery is synchronous (a count,
-          never a clock: an in-process run stays a pure function of
-          its seeds, DESIGN.md section 14.2), :data:`_DRAIN_SECONDS`
-          of wall clock over a reactor.  A live link that ran out is
-          losing frames: forgotten like a dead one, and never closed.
+        * **given up on** — the peer spent one budget without
+          *evidence*, a cursor of it that moved.  Where delivery is
+          synchronous, or no reactor spins the link, the budget is
+          :data:`_DRAIN_ROUNDS` probe rounds (a count, never a clock:
+          an in-process run stays a pure function of its seeds,
+          DESIGN.md section 14.2); over a socket the engine's reactor
+          spins, it is the link's own reply deadline
+          (``ReactorTransport.timeout``).  Forgotten like a dead peer,
+          and the socket left alone; a peer that sent no reply at all
+          meanwhile is marked :attr:`~PeerState.silent`.
 
-        A round whose ack advanced *any* cursor is progress, not loss,
-        and consumes no budget (bounded — cursors are monotone and
-        clamped to the log head), so a healthy but lagging peer is not
-        declared frame-losing and flooded with resends.  Never do
-        ``wait=True`` on the write path.
+        A round (or a stretch of time) that moved a cursor consumes no
+        budget — bounded: cursors are monotone and clamped to the log
+        head — so a healthy but lagging peer is not declared
+        frame-losing and flooded with resends.
+        Never do ``wait=True`` on the write path.
         """
         pending = [self.peer(name)] if name is not None else list(self.peers.values())
         budget: dict[str, tuple] = {}
-        deadline = time.monotonic() + _DRAIN_SECONDS
-        while True:
+        while pending:
             pending = [p for p in pending if self._drain_peer(p, wait, budget)]
-            if not pending:
-                return
-            if self.reactor is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self.reactor.run_once(min(remaining, 0.2))
-        for peer in pending:
-            with peer.lock:
-                if peer.outstanding:
-                    self._forget_outstanding(peer)
+            if pending and self.reactor is not None:
+                self.reactor.run_once(0.2)
 
     def _drain_peer(self, peer: PeerState, wait: bool, budget: dict) -> bool:
         """One step of :meth:`drain` for one peer; True while the peer
         is worth another look after the medium has advanced."""
         with peer.lock:
             self._process_replies(peer, peer.transport.flush())
-            if not wait or not (peer.outstanding or peer.probe_inflight):
+            if not wait or not (peer.outstanding or peer.probe_inflight or peer.silent):
                 return False
             if not peer.transport.connected:
                 self._forget_outstanding(peer)
                 return False
-            if peer.probe_inflight:
-                # Asked already; only the medium can bring the answer,
-                # and not while the link is parked.
-                return (
-                    self.reactor is not None
-                    and not peer.transport.faults.blocks_delivery
-                )
-            cursors = (dict(peer.acked_lsns), dict(peer.acked_epochs))
-            asked, spent = budget.get(peer.name, (None, 0))
-            if asked == cursors:
-                # The last probe was answered and nothing moved: the
-                # peer's cumulative ack omitted the uncovered tables
-                # (a relay whose slowest edge lags) or the frames are
-                # gone.  "No news" must not pass for good news.
-                spent += 1
-                if spent >= _DRAIN_ROUNDS:
-                    self._forget_outstanding(peer)
-                    return False
-            status = self._solicit(peer)
-            if status in ("failed", "dropped"):
-                return False
             if peer.transport.faults.blocks_delivery:
-                return False  # the probe waits in the link with the rest
-            # Rounds are counted where the answer is already in
-            # (synchronous delivery); a reactor link answers in its
-            # own time and is held to the deadline instead.
-            counted = status == "delivered" or self.reactor is None
-            budget[peer.name] = (cursors if counted else None, spent)
+                self._solicit(peer)  # the probe waits in the link with the rest
+                return False
+            # Rounds are counted where the answer comes in the send, or
+            # where no reactor spins the link between looks; a socket
+            # link answers in its own time and is held to its deadline.
+            counted = self.reactor is None or isinstance(peer.transport, InProcessTransport)
+            cursors = (dict(peer.acked_lsns), dict(peer.acked_epochs))
+            now, heard = time.monotonic(), peer.transport.up_channel.total_bytes
+            seen, spent, at, first = budget.get(peer.name, (None, 0, now, heard))
+            if cursors == seen:
+                # "No news" must not pass for good news: a relay whose
+                # slowest edge lags omits the table from its acks.
+                spent += 1 if counted else now - at
+                if spent >= (_DRAIN_ROUNDS if counted else peer.transport.timeout):
+                    self._forget_outstanding(peer)
+                    peer.silent = heard == first
+                    return False
+            if self._solicit(peer) in ("failed", "dropped"):
+                return False
+            budget[peer.name] = (cursors, spent, now, first)
             return True
 
     def _send(
@@ -629,11 +632,12 @@ class FanoutEngine:
         """A link fault lost (or may have lost) every in-flight frame:
         drop the optimistic state so later pumps resend and heal —
         delivery failures surface as resends/nacks, never as a
-        silently-dropped tail.  ``fault=False`` when the caller already
+        silently-dropped tail.  A silent mark goes with it: whoever
+        forgets decides afresh.  ``fault=False`` when the caller already
         charged the window for this same event (one fault, one halving
         — §10.3's AIMD contract)."""
         peer.outstanding.clear()
-        peer.probe_inflight = False
+        peer.probe_inflight = peer.silent = False
         for table in list(peer.sent_lsns):
             peer.reset_cursor(table)
         if fault:
@@ -798,6 +802,8 @@ class FanoutEngine:
         a cumulative ack still drives the escalation."""
         rank = {"ok": 0, "gap": 1, "snapshot": 2}
         verdict = "ok"
+        if replies:
+            peer.silent = False
         for reply in replies:
             if isinstance(reply, CursorAckFrame):
                 self._apply_cursor_ack(peer, reply)

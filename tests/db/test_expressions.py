@@ -100,6 +100,19 @@ class TestKeyRangeExtraction:
         r = pred.key_range("k")
         assert (r.low, r.high) == (1, 9)  # convex hull over-approximation
 
+    @pytest.mark.parametrize("left, right", [
+        (Comparison("k", "<", 0), Comparison("k", "=", 0)),
+        (Comparison("k", "=", 0), Comparison("k", "<", 0)),
+        (Comparison("k", ">", 0), Comparison("k", ">=", 0)),
+        (Comparison("k", ">=", 0), Comparison("k", ">", 0)),
+    ])
+    def test_or_hull_keeps_a_shared_bound_either_side_includes(self, left, right):
+        """``k < 0 OR k = 0`` holds at 0, so its hull must include 0
+        whichever side the inclusive bound comes from (it used to keep
+        the exclusive one, and a select dropped the row)."""
+        r = Or(left, right).key_range("k")
+        assert r.contains(0)
+
     def test_or_mixed_columns_gives_none(self):
         pred = Or(Comparison("k", "=", 1), Comparison("name", "=", "x"))
         assert pred.key_range("k") is None

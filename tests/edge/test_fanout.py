@@ -3,12 +3,13 @@ and concurrent delivery (DESIGN.md section 7)."""
 
 import socket
 import threading
+import time
 
-from repro.edge import fanout
 from repro.edge.central import CentralServer, ReplicationMode
 from repro.edge.event_loop import EdgeEventLoop, ReactorTransport
 from repro.edge.fanout import FanoutEngine
-from repro.edge.link import FaultInjector, InProcessTransport
+from repro.edge.edge_server import EdgeServer
+from repro.edge.link import FaultInjector, InProcessTransport, wire
 from repro.edge.socket_transport import recv_frame
 from repro.edge.transport import (
     AckFrame,
@@ -414,15 +415,14 @@ class TestHealFlag:
 
 
 class TestSilentLivePeer:
-    def test_out_of_budget_forgets_the_optimism_and_keeps_the_link(self, monkeypatch):
+    def test_out_of_budget_forgets_the_optimism_and_keeps_the_link(self):
         """A peer that reads everything and answers nothing, over a
-        real socket.  At the end of its budget the wait-drain treats
-        the link as frame-losing — records dropped, optimistic cursors
-        back at the acknowledged ones, so the next pump resends the
-        tail — and leaves the socket alone: silence is weather.  (The
-        per-peer ``poll()`` settle closed the link at its deadline;
-        the reactor settle did not.)"""
-        monkeypatch.setattr(fanout, "_DRAIN_SECONDS", 0.3)
+        real socket.  When its link's reply deadline has passed with no
+        evidence from it, the wait-drain treats the link as
+        frame-losing — records dropped, optimistic cursors back at the
+        acknowledged ones, so the next pump resends the tail — leaves
+        the socket alone (silence is weather), and marks the peer
+        silent, so the engine is not settled."""
         source = FakeSource()
         engine = source.engine
         left, right = socket.socketpair()
@@ -437,7 +437,7 @@ class TestSilentLivePeer:
         reader = threading.Thread(target=read_and_say_nothing)
         reader.start()
         try:
-            link = ReactorTransport("e", loop, left)
+            link = ReactorTransport("e", loop, left, timeout=0.3)
             peer = engine.attach("e", link, cursors=[("t", 1, 0)])
             assert engine.pump() == 2 and peer.sent_lsns == {"t": 3}
             engine.drain(wait=True)
@@ -445,6 +445,8 @@ class TestSilentLivePeer:
             assert link.connected
             assert peer.outstanding == [] and not peer.probe_inflight
             assert peer.sent_lsns == {"t": 1}
+            assert peer.silent and engine.stats()["e"]["silent"]
+            assert not engine.settled()
             assert engine.pump() == 2  # the tail again
             loop.run_once(0.05)
         finally:
@@ -452,3 +454,50 @@ class TestSilentLivePeer:
             reader.join(timeout=5)
         assert seen == [DeltaFrame, DeltaFrame, CursorProbeFrame,
                         DeltaFrame, DeltaFrame]
+
+    def test_a_socket_link_nothing_spins_is_held_to_the_round_count(self):
+        """A socket link on an engine without a reactor (a listener
+        closed over a shared loop leaves such links open): no look
+        between rounds can bring its answer, so it is held to the
+        round count, not its 10 s reply deadline — given up on at
+        once, socket kept, records forgotten."""
+        source = FakeSource()
+        engine = source.engine
+        left, right = socket.socketpair()
+        loop = EdgeEventLoop()
+        try:
+            link = ReactorTransport("e", loop, left, timeout=10.0)
+            peer = engine.attach("e", link, cursors=[("t", 1, 0)])
+            assert engine.reactor is None and engine.pump() == 2
+            started = time.monotonic()
+            engine.drain(wait=True)
+            assert time.monotonic() - started < 1.0
+            assert link.connected
+            assert peer.outstanding == [] and peer.sent_lsns == {"t": 1}
+            assert peer.silent and not engine.settled()
+        finally:
+            loop.close()
+            right.close()
+
+
+class TestNothingAcknowledged:
+    def test_a_peer_sent_nothing_is_stale_at_an_empty_log(self):
+        """One peer's bootstrap creates the table's log at head 0; a
+        peer attached after it and sent nothing used to read
+        staleness 0 and leave the engine settled.  It is owed its
+        snapshot, so it lags by the source's bootstrap lag until that
+        snapshot's ack lands."""
+        server = make_central()
+        server.spawn_edge_server("a")
+        engine = server.fanout
+        edge = EdgeServer(name="b", config=server.client_config())
+        peer = engine.attach("b", wire(edge))
+        assert server.log_head("t") == 0
+        assert peer.acked_epochs == {} and down_channel(server, edge).total_bytes == 0
+        assert engine.staleness("b", "t") == server.bootstrap_lag("t") > 0
+        assert not engine.settled()
+
+        assert engine.settle() == 1
+        assert engine.staleness("b", "t") == 0 and engine.settled()
+        assert down_channel(server, edge).bytes_by_kind().keys() == {"snapshot"}
+        edge.replica("t").audit()
