@@ -13,51 +13,7 @@ Typical wiring (the :mod:`repro.edge` package does this for you):
   :func:`~repro.core.delta.apply_delta`;
 * client: :class:`~repro.core.verify.ResultVerifier` with the central
   server's public key / key ring.
+
+Every name is imported from the module that defines it; the package
+re-exports nothing.
 """
-
-from repro.core.digests import (
-    DigestEngine,
-    DigestPolicy,
-    SigningDigestEngine,
-    TupleDigests,
-)
-from repro.core.envelope import Envelope, ResultPosition, find_envelope
-from repro.core.query_auth import QueryAuthenticator
-from repro.core.secondary import MAX_KEY, MIN_KEY
-from repro.core.update import AuthenticatedUpdater, digest_resource
-from repro.core.vbtree import VBTree
-from repro.core.verify import ResultVerifier, Verdict
-from repro.core.vo import (
-    AuthenticatedResult,
-    VerificationObject,
-    VOEntry,
-    VOEntryKind,
-    VOFormat,
-)
-from repro.core.wire import result_from_bytes, result_to_bytes, wire_breakdown
-
-__all__ = [
-    "AuthenticatedResult",
-    "AuthenticatedUpdater",
-    "DigestEngine",
-    "DigestPolicy",
-    "Envelope",
-    "MAX_KEY",
-    "MIN_KEY",
-    "QueryAuthenticator",
-    "ResultPosition",
-    "ResultVerifier",
-    "SigningDigestEngine",
-    "TupleDigests",
-    "VBTree",
-    "Verdict",
-    "VerificationObject",
-    "VOEntry",
-    "VOEntryKind",
-    "VOFormat",
-    "digest_resource",
-    "find_envelope",
-    "result_from_bytes",
-    "result_to_bytes",
-    "wire_breakdown",
-]

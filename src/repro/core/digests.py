@@ -51,7 +51,7 @@ from repro.crypto.encoding import encode_uint, encode_value
 from repro.crypto.meter import CostMeter, NULL_METER
 from repro.crypto.signatures import DigestSigner, SignedDigest
 from repro.db.rows import Row
-from repro.exceptions import AuthenticationError
+from repro.exceptions import AuthenticationError, SignatureError
 
 #: Ceiling on cached prefix tuples per engine.  There is one entry per
 #: ``(db, table, column tuple)`` — O(tables x projections) — so a real
@@ -397,45 +397,20 @@ class _PublicOnlySigner:
         self.epoch = epoch
 
     def sign(self, value: int):
-        from repro.exceptions import SignatureError
-
         raise SignatureError(
             "edge servers hold no private key and cannot sign digests"
         )
 
 
-class VerifyOnlyDigestEngine:
-    """Drop-in for :class:`SigningDigestEngine` on *unsecured* replicas.
+class VerifyOnlyDigestEngine(SigningDigestEngine):
+    """A :class:`SigningDigestEngine` over a signer that cannot sign:
+    what an *unsecured* replica installs.
 
     Edge-side VB-trees need the digest engine (for geometry, audits, and
     adversary modelling) and the public key of the epoch their material
-    was signed under — but must never hold the private key.  Before the
-    transport refactor, replica clones shared the central server's full
-    :class:`SigningDigestEngine`, private key included; reconstructing
-    replicas from serialized snapshots installs one of these instead.
+    was signed under — but must never hold the private key.  Every
+    ``sign_*`` call raises :class:`~repro.exceptions.SignatureError`.
     """
 
     def __init__(self, engine: DigestEngine, public_key, epoch: int) -> None:
-        self.engine = engine
-        self.signer = _PublicOnlySigner(public_key, epoch)
-
-    @property
-    def policy(self) -> DigestPolicy:
-        """Digest policy of the wrapped engine."""
-        return self.engine.policy
-
-    def sign_value(self, value: int):
-        """Unavailable on replicas.
-
-        Raises:
-            SignatureError: Always.
-        """
-        return self.signer.sign(value)
-
-    def sign_tuple(self, table: str, row: Row):
-        """Unavailable on replicas.
-
-        Raises:
-            SignatureError: Always.
-        """
-        return self.signer.sign(0)
+        super().__init__(engine, _PublicOnlySigner(public_key, epoch))

@@ -29,11 +29,16 @@ Any of the following makes verification fail:
 Verification returns a :class:`Verdict` rather than raising, so callers
 can treat tampering as data, not control flow.
 
-A verifier is stateful in exactly one way: it remembers the value every
-signature it has already decrypted recovered to (DESIGN.md §23), so a
-signed digest it meets again — the upper nodes and hot leaves that every
-envelope repeats — costs a dictionary probe, not a ``pow``.  The key
-ring is still asked on every use; a fresh verifier is the cold one.
+A verifier is stateful in two ways, both caches of pure functions keyed
+by their whole input.  It remembers the value every signature it has
+already decrypted recovered to (DESIGN.md §23), so a signed digest it
+meets again — the upper nodes and hot leaves that every envelope
+repeats — costs a dictionary probe, not a ``pow``; the key ring is
+still asked on every use.  And it remembers, from every accepted
+result, each row's formula-(2) value by the exact bytes it hashed
+(DESIGN.md §34), so a row served again unchanged is not hashed again;
+every structural check and every signature still runs.  A fresh
+verifier is the cold one.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from dataclasses import dataclass
 
 from repro.core.digests import DigestEngine, DigestPolicy
 from repro.core.vo import AuthenticatedResult, VOFormat
+from repro.crypto.encoding import encode_value
 from repro.crypto.keyring import KeyRing
 from repro.crypto.meter import CostMeter, NULL_METER
 from repro.crypto.rsa import RSAPublicKey
@@ -62,6 +68,13 @@ __all__ = ["Verdict", "ResultVerifier"]
 #: many distinct ones starts over, which also bounds what an edge
 #: replaying old valid signatures can make a client hold.
 _RECOVERED_MAX = 8192
+
+#: Ceiling on the bytes of remembered row hash inputs per verifier, and
+#: so on its tuple cache: an entry is ≈ 390 B all told for the 239 B key
+#: of a 10 × 20 B row, so ≤ ≈ 1.7 MB.  A table of 2 000 such rows, read
+#: whole and projected (≈ 0.8 MB of keys), fits; a verifier that has
+#: accepted more distinct rows than this starts over.
+_TUPLES_MAX_BYTES = 1 << 20
 
 
 @dataclass
@@ -122,6 +135,14 @@ class ResultVerifier:
         #: stored only after every check passed.
         self._recovered: dict[tuple[int, int, SignedDigest], int] = {}
         self._decrypted = self._recalled = 0
+        #: ``(table, columns, all_columns) -> row hash input -> value``:
+        #: formula (2) of the rows of accepted results, by the bytes
+        #: hashed; ``_held`` counts what the stores were charged, and
+        #: ``_unconfirmed`` is the current result's new rows, kept only
+        #: once it is accepted.
+        self._tuples: dict[tuple, dict[bytes, int]] = {}
+        self._held = 0
+        self._unconfirmed: tuple = ((), {})
 
     # ------------------------------------------------------------------
     # Signature recovery with epoch validation
@@ -182,6 +203,7 @@ class ResultVerifier:
             return self._verdict(
                 result, False, "digest mismatch: result tampered or VO wrong"
             )
+        self._remember()
         return self._verdict(result, True, "verified")
 
     def _verdict(
@@ -211,7 +233,7 @@ class ResultVerifier:
             ):
                 raise VOFormatError("missing/misaligned result positions")
         if type(result.table) is not str or any(
-            type(name) is not str for name in result.all_columns
+            type(name) is not str for name in (*result.all_columns, *result.columns)
         ):
             raise VOFormatError("table and column names must be strings")
         # The row hash is positional, so name -> position must be a map.
@@ -236,20 +258,58 @@ class ResultVerifier:
             raise VOFormatError("D_P length does not match projection width")
 
     def _tuple_values(self, result: AuthenticatedResult) -> list[int]:
-        """Formula (2) of every result tuple, in one kernel call: the
-        digests of returned columns computed over the bytes each value
-        arrived as (encoded afresh only for a row that is not the tuple
-        those bytes decoded to), those of hidden columns spliced — as
-        bytes, never parsed — from ``D_P``, each at the position
-        ``all_columns`` assigns it, and the row hashed."""
-        return self.engine.tuple_values(
-            result.table,
-            result.columns,
-            result.keys,
-            list(result.value_encodings()),
-            result.all_columns,
-            result.vo.projection_digests,
+        """Formula (2) of every result tuple: remembered by the exact
+        bytes it is a function of, or else — for every row not
+        remembered, in one kernel call — the digests of returned columns
+        computed over the bytes each value arrived as (encoded afresh
+        only for a row that is not the tuple those bytes decoded to),
+        those of hidden columns spliced — as bytes, never parsed — from
+        ``D_P``, each at the position ``all_columns`` assigns it, and
+        the row hashed.
+
+        A row's cache key is its key's encoding, its value encodings and
+        its stride of ``D_P``, under the result's ``(table, columns,
+        all_columns)``: every part delimits itself or has a width that
+        context fixes, so the key is the kernel's whole input.  The
+        kernel is called even when every row is remembered, so its own
+        checks of the names run on every result."""
+        context = (result.table, tuple(result.columns), tuple(result.all_columns))
+        keys, rows = result.keys, list(result.value_encodings())
+        hidden = result.vo.projection_digests
+        stride = len(hidden) // len(rows) if rows else 0
+        strides = [hidden[i * stride : (i + 1) * stride] for i in range(len(rows))]
+        inputs = [
+            encode_value(key) + b"".join(row) + part
+            for key, row, part in zip(keys, rows, strides, strict=True)
+        ]
+        known = self._tuples.get(context, {})
+        values = [known.get(row) for row in inputs]
+        missed = [i for i, value in enumerate(values) if value is None]
+        fresh = self.engine.tuple_values(
+            result.table, result.columns, [keys[i] for i in missed],
+            [rows[i] for i in missed], result.all_columns,
+            b"".join([strides[i] for i in missed]),
         )
+        for i, value in zip(missed, fresh, strict=True):
+            values[i] = value
+        self._unconfirmed = (context, {inputs[i]: values[i] for i in missed})
+        return values
+
+    def _remember(self) -> None:
+        """Keep the rows an accepted result hashed.  A store is charged
+        its keys' bytes and its context's names; the cache is cleared
+        first when the store would take it past
+        :data:`_TUPLES_MAX_BYTES`, and a store that alone would is not
+        made."""
+        context, rows = self._unconfirmed
+        size = sum(map(len, rows)) + sum(map(len, (context[0], *context[1], *context[2])))
+        if not rows or size > _TUPLES_MAX_BYTES:
+            return
+        if self._held + size > _TUPLES_MAX_BYTES:
+            self._tuples.clear()
+            self._held = 0
+        self._tuples.setdefault(context, {}).update(rows)
+        self._held += size
 
     # ------------------------------------------------------------------
     # FLAT_SET verification (the paper's equations 4-5)

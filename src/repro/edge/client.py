@@ -22,12 +22,15 @@ __all__ = ["Client"]
 class Client:
     """A verifying client.
 
-    A client is stateful: its verifier remembers the value of every
-    signed digest it has already decrypted (DESIGN.md §23), so a digest
-    met again costs a dictionary probe while the key ring is still asked
-    on every use.  A fresh ``Client`` is the cold verifier the paper's
-    ``Cost_v`` prices; ``Verdict.digests_decrypted`` and
-    ``digests_recalled`` say which half each verification paid.
+    A client is stateful in two ways: its verifier remembers the value
+    of every signed digest it has already decrypted (DESIGN.md §23), so
+    a digest met again costs a dictionary probe while the key ring is
+    still asked on every use; and it remembers each row of an accepted
+    result by the bytes it hashed (DESIGN.md §34), so a row served again
+    unchanged is not hashed again.  A fresh ``Client`` is the cold
+    verifier the paper's ``Cost_h`` and ``Cost_v`` price;
+    ``Verdict.digests_decrypted`` and ``digests_recalled`` say which
+    half of ``Cost_v`` each verification paid.
 
     Args:
         config: Verification parameters from

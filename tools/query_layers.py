@@ -8,10 +8,14 @@ Each repetition then times every layer alone on the same payload:
 
 * edge build — ``QueryAuthenticator(edge.replica(t)).range_query``;
 * result encode / decode — ``result_to_bytes`` / ``result_from_bytes``;
-* verify — ``Client.verify`` on the decoded result (a warm client, as
-  the router's is);
+* verify, warm — ``Client.verify`` on the decoded result by the
+  router's own client, which has met these rows before and hashes none
+  of them again (DESIGN.md §34);
+* verify, cold — the same by a fresh ``Client`` each repetition: the
+  paper's ``Cost_h`` and ``Cost_v``, every row hashed and every
+  signature decrypted;
 * … of which SHA-256 — ``hashlib.sha256`` over exactly the byte strings
-  that verification hashed (recorded once through a
+  that a cold verification hashed (recorded once through a
   ``DigestEngine(commutative=…)`` whose hash keeps its inputs);
 * frames — the request and response frames, each encoded and decoded;
 * router remainder — timed inside the routed call: the router's own
@@ -64,7 +68,8 @@ LAYERS = (
     "edge build",
     "result encode",
     "result decode",
-    "verify",
+    "verify, warm",
+    "verify, cold",
     "… of which SHA-256",
     "frames (2 encodes, 2 decodes)",
     "router remainder",
@@ -117,8 +122,9 @@ def _us(fn) -> tuple[float, object]:
 def measure(central, edge, width: int, reps: int) -> dict[str, float]:
     """Median µs per layer of a ``width``-row full-row range query."""
     channel = _TimedChannel(in_process_query_channel(edge))
-    verifier = _TimedClient(central.make_client())
-    router, client = VerifyingRouter([channel], verifier), central.make_client()
+    client = central.make_client()
+    verifier = _TimedClient(client)
+    router = VerifyingRouter([channel], verifier)
     sig_len = central.public_key.signature_len
     low, high = 0, (width - 1) * KEY_STEP
     request = range_query_frame(TABLE, low, high)
@@ -143,8 +149,10 @@ def measure(central, edge, width: int, reps: int) -> dict[str, float]:
         )
         layers["result encode"], payload = _us(lambda: result_to_bytes(built, sig_len))
         layers["result decode"], decoded = _us(lambda: result_from_bytes(payload))
-        layers["verify"], verdict = _us(lambda: client.verify(decoded))
-        assert verdict.ok
+        layers["verify, warm"], verdict = _us(lambda: client.verify(decoded))
+        cold = central.make_client()
+        layers["verify, cold"], cold_verdict = _us(lambda: cold.verify(decoded))
+        assert verdict.ok and cold_verdict.ok
         response = QueryResponseFrame(edge=edge.name, payload=payload)
         layers["frames (2 encodes, 2 decodes)"], _ = _us(
             lambda: (
